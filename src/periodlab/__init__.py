@@ -6,6 +6,8 @@ Whittaker-seed functions, and certifies the identities relating them via
 quantitative residual reports.
 """
 
+__version__ = "0.1.0"
+
 from .kernel import (
     BadPath,
     DEFAULT_CTX,
@@ -98,5 +100,3 @@ from .poincare import (
     verify_termwise_dipoincare,
     verify_termwise_xi,
 )
-
-__version__ = "0.1.0"

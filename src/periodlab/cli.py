@@ -35,7 +35,7 @@ from .qforms import (
     weakly_holomorphic_m10,
     write_qexp,
 )
-from .reports import RelationReport, reports_to_csv
+from .reports import SCHEMA_VERSION, RelationReport, reports_to_csv, reports_to_json
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -43,7 +43,6 @@ EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 
 CONFIG_SCHEMA = "periodlab-config-1"
-REPORT_SCHEMA = "periodlab-report-1"
 
 SUITES = ("superm", "wk2", "mockes", "perstar", "poincare", "special", "all")
 
@@ -60,7 +59,6 @@ class SuiteConfig:
     tol_fd: Optional[str] = None
     forms: List[str] = field(default_factory=lambda: ["delta", "cusp16"])
     suites: List[str] = field(default_factory=lambda: ["all"])
-    points: str = "generic10"
 
     @classmethod
     def from_file(cls, path: str) -> "SuiteConfig":
@@ -69,7 +67,7 @@ class SuiteConfig:
         if not isinstance(raw, dict) or raw.get("schema") != CONFIG_SCHEMA:
             raise ValueError(f"config must carry schema = {CONFIG_SCHEMA}")
         cfg = cls()
-        for key in ("digits", "series_len", "tol_tight", "tol_fd", "forms", "suites", "points"):
+        for key in ("digits", "series_len", "tol_tight", "tol_fd", "forms", "suites"):
             if key in raw:
                 setattr(cfg, key, raw[key])
         for s in cfg.suites:
@@ -97,7 +95,6 @@ class SuiteConfig:
             "tol_fd": self.tol_fd,
             "forms": list(self.forms),
             "suites": list(self.suites),
-            "points": self.points,
         }
 
 
@@ -223,14 +220,7 @@ def run_suite(name: str, cfg: SuiteConfig, ctx: PrecisionContext) -> List[Relati
 
 
 def _write_report(reports: List[RelationReport], cfg: SuiteConfig, out: Optional[str], csv: Optional[str]) -> None:
-    payload = {
-        "tool_version": __version__,
-        "schema": REPORT_SCHEMA,
-        "config": cfg.to_dict(),
-        "reports": [r.to_dict() for r in reports],
-        "all_pass": all(r.passed for r in reports),
-    }
-    text = json.dumps(payload, indent=2)
+    text = reports_to_json(reports, cfg.to_dict())
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
@@ -262,7 +252,7 @@ def cmd_lvalue(args) -> int:
         else:
             f = cached_form(args.form, args.series_len or ctx.series_len)
             lv = l_completed(f, s, ctx)
-        print(json.dumps({"schema": REPORT_SCHEMA, "form": args.form, **lv.to_dict()}))
+        print(json.dumps({"schema": SCHEMA_VERSION, "form": args.form, **lv.to_dict()}))
         return EXIT_OK
     except (OutOfRegion, UnsupportedWeight, DomainError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "kind": "domain"}))
@@ -282,7 +272,7 @@ def cmd_periodpoly(args) -> int:
             raise UnsupportedWeight(f"unknown form {args.form!r}")
         if k in ZERO_SPACE_WEIGHTS:
             payload = {
-                "schema": REPORT_SCHEMA,
+                "schema": SCHEMA_VERSION,
                 "form": args.form,
                 "weight": k,
                 "coefficients": [["0", "0"] for _ in range(max(k - 1, 0))],
@@ -296,7 +286,7 @@ def cmd_periodpoly(args) -> int:
         f = cached_form("delta" if k == 12 else f"cusp{k}", ctx.series_len)
         rp = period_polynomial(f, ctx)
         payload = {
-            "schema": REPORT_SCHEMA,
+            "schema": SCHEMA_VERSION,
             "form": args.form,
             "weight": k,
             "coefficients": [

@@ -99,20 +99,14 @@ def lambda_completed(f: QSeries, s, ctx: PrecisionContext) -> mp.mpc:
         for n in range(1, f.n_max + 1):
             c = f.coeff(n)
             x = 2 * mp.pi * n
-            t1 = _gamma_upper_any(s, x, ctx) * x ** (-s)
-            t2 = sign * _gamma_upper_any(k - s, x, ctx) * x ** (-(k - s))
+            t1 = upper_incomplete_gamma(s, x, ctx) * x ** (-s)
+            t2 = sign * upper_incomplete_gamma(k - s, x, ctx) * x ** (-(k - s))
             if c != 0:
                 total += _to_mpc(c) * (t1 + t2)
             # terms decay like e^(-2 pi n); stop once the bound is negligible
             if n >= 4 and (abs(t1) + abs(t2)) * mp.mpf(n + 1) ** (k / 2 + 1) < eps * (1 + abs(total)):
                 break
         return total
-
-
-def _gamma_upper_any(s: mp.mpc, x, ctx: PrecisionContext) -> mp.mpc:
-    if mp.im(s) == 0:
-        return mp.mpc(upper_incomplete_gamma(mp.re(s), x, ctx))
-    return mp.gammainc(s, x)
 
 
 def l_completed(f: QSeries, s, ctx: PrecisionContext) -> LValue:

@@ -15,7 +15,11 @@ differ by an explicit monodromy.  This module fixes the continuation through
 {Re u < 0} (branch "L", equivalently a contour slanted down-right), applies
 it uniformly to every term, and exposes the choice as a parameter.  All
 verified identities hold under either uniform choice; the value of an
-individual regularized integral does depend on it.
+individual regularized integral does depend on it.  The principal value
+comes from ``special.upper_incomplete_gamma``; the chosen sheet adds the
+monodromy (-1)^(k-1)/(k-1)! (-+2 pi i) to it.  Branch "L" takes arg in
+(0, 2 pi) and branch "R" takes arg in (-2 pi, 0], so an argument on the
+negative real axis lies on the upper edge under "L" and the lower under "R".
 
 Cusp-to-cusp integrals follow the base-point split
 R.int_a^b = R.int_{z0}^b - R.int_{z0}^a with each cusp leg damped in its own
@@ -39,7 +43,7 @@ from .kernel import (
 )
 from .qforms import QSeries, _to_mpc
 from .reports import RelationReport, residual_scale
-from .special import gamma_upper_negint_continued
+from .special import upper_incomplete_gamma
 
 DEFAULT_BRANCH = "L"
 
@@ -151,15 +155,34 @@ class RegKernel:
         raise DomainError("polynomial kernels have no cusp-zero transform here")
 
 
-def _principal_term_rational(n: int, w0: mp.mpc, shift: mp.mpc, k: int, branch: str) -> mp.mpc:
+def _gamma_negint_on_branch(N: int, x: mp.mpc, branch: str, ctx: PrecisionContext) -> mp.mpc:
+    """Gamma(-N, x) continued to the sheet that ``branch`` selects.
+
+    Branch "L" takes arg x in (0, 2 pi), branch "R" takes arg x in
+    (-2 pi, 0]; on the negative real axis "L" is the upper edge and "R" the
+    lower edge.  Each differs from the principal value by the explicit
+    monodromy (-1)^N/N! (-+2 pi i) of Gamma(-N, .) around 0.
+    """
+    x = mp.mpc(x)
+    if branch == "L":
+        turns = -1 if mp.im(x) < 0 else 0
+    elif branch == "R":
+        turns = 1 if mp.im(x) > 0 or (mp.im(x) == 0 and mp.re(x) < 0) else 0
+    else:
+        raise ValueError("branch must be 'L' or 'R'")
+    jump = (-1) ** N / mp.factorial(N) * 2j * mp.pi * turns
+    return upper_incomplete_gamma(-N, x, ctx) + jump
+
+
+def _principal_term_rational(
+    n: int, w0: mp.mpc, shift: mp.mpc, k: int, branch: str, ctx: PrecisionContext
+) -> mp.mpc:
     """R.int_{w0}^{i oo} e^(2 pi i n w) (w + shift)^(-k) dw for n < 0."""
     lam = 2j * mp.pi * n
     u0 = w0 + shift
     if u0 == 0:
         raise DomainError("kernel pole sits at the base point")
-    return mp.exp(-lam * shift) * (-lam) ** (k - 1) * gamma_upper_negint_continued(
-        k - 1, -lam * u0, branch
-    )
+    return mp.exp(-lam * shift) * (-lam) ** (k - 1) * _gamma_negint_on_branch(k - 1, -lam * u0, branch, ctx)
 
 
 def _constant_term_rational(kernel: RegKernel, w0: mp.mpc) -> mp.mpc:
@@ -172,24 +195,14 @@ def _constant_term_rational(kernel: RegKernel, w0: mp.mpc) -> mp.mpc:
     raise NotRegularizable("constant against a non-decaying kernel has a pole at u = 0")
 
 
-def _gamma_pos_entire(order: int, x: mp.mpc) -> mp.mpc:
-    """Gamma(order, x) for integer order >= 1: (order-1)! e^(-x) sum x^t/t!."""
-    acc = mp.mpc(0)
-    xt = mp.mpc(1)
-    for t in range(order):
-        acc += xt / mp.factorial(t)
-        xt *= x
-    return mp.factorial(order - 1) * mp.exp(-x) * acc
-
-
-def _principal_term_poly(n: int, w0: mp.mpc, poly: PolynomialC) -> mp.mpc:
+def _principal_term_poly(n: int, w0: mp.mpc, poly: PolynomialC, ctx: PrecisionContext) -> mp.mpc:
     """R.int_{w0}^{i oo} e^(2 pi i n w) P(w) dw for n < 0 (entire in u)."""
     lam = 2j * mp.pi * n
     total = mp.mpc(0)
     for j, cj in enumerate(poly.coeffs):
         if cj == 0:
             continue
-        total += cj * (-lam) ** (-j - 1) * _gamma_pos_entire(j + 1, -lam * w0)
+        total += cj * (-lam) ** (-j - 1) * upper_incomplete_gamma(j + 1, -lam * w0, ctx)
     return total
 
 
@@ -218,13 +231,13 @@ def reg_integral_to_icusp(
                 else:
                     shift = kernel.z if kernel.kind == "plus" else -1 / kernel.z
                     pref = mp.mpc(1) if kernel.kind == "plus" else kernel.z ** (-kernel.k)
-                    total += c * pref * _principal_term_rational(n, z0, shift, kernel.k, branch)
+                    total += c * pref * _principal_term_rational(n, z0, shift, kernel.k, branch, ctx)
             elif kernel.kind == "one":
                 raise NotRegularizable("principal part against kernel 1 has a pole at u = 0")
             else:  # poly
                 if n == 0:
                     raise NotRegularizable("constant term against a polynomial kernel")
-                total += c * _principal_term_poly(n, z0, kernel.poly)
+                total += c * _principal_term_poly(n, z0, kernel.poly, ctx)
         if expq.decaying is not None:
             pole = kernel.pole()
             integrand = lambda w: expq.decaying_eval(w, ctx) * kernel.eval(w)

@@ -17,6 +17,8 @@ from typing import Iterable, List, Sequence
 
 import mpmath as mp
 
+from . import __version__
+
 SCHEMA_VERSION = "periodlab-report-1"
 
 
@@ -104,7 +106,10 @@ class RelationReport:
 
 
 def reports_to_json(reports: Iterable[RelationReport], config: dict | None = None) -> str:
+    """The report envelope {tool_version, schema, config, reports, all_pass}."""
+    reports = list(reports)
     payload = {
+        "tool_version": __version__,
         "schema": SCHEMA_VERSION,
         "config": config or {},
         "reports": [r.to_dict() for r in reports],

@@ -1,11 +1,13 @@
-"""Special functions: incomplete gamma on all real orders, Whittaker M, seeds.
+"""Special functions: incomplete gamma, Whittaker M, seeds.
 
 Conventions used throughout:
 
 * ``upper_incomplete_gamma(s, x)`` is Gamma(s, x) = int_x^oo t^(s-1) e^(-t) dt
-  for s > 0, extended to s <= 0 by the downward recursion
-  Gamma(s, x) = (Gamma(s+1, x) - x^s e^(-x)) / s anchored at
-  Gamma(0, x) = E1(x).
+  for real or complex s and x, on the principal branch; it is the package's
+  only incomplete-gamma/E1 routine.  Its branches are the Legendre continued
+  fraction for large x in the right half-plane, the E1 anchor plus a finite
+  sum for nonpositive integer order, and Gamma(s) minus the lower-gamma
+  series otherwise.
 * ``whittaker_M`` is computed from the confluent hypergeometric series
   everywhere (entire in the argument); the classical integral representation
   is provided separately and serves as an oracle only, since it degenerates
@@ -22,161 +24,94 @@ import mpmath as mp
 from .kernel import DomainError, NonConvergent, PrecisionContext, StepTooLarge
 from .reports import RelationReport, residual_scale
 
-_EULER_GAMMA_DPS_PAD = 10
+_GAMMA_DPS_PAD = 10
 
 
-def exp_e1(x: mp.mpf, ctx: PrecisionContext) -> mp.mpf:
-    """Exponential integral E1(x) for real x > 0.
+def upper_incomplete_gamma(s, x, ctx: PrecisionContext):
+    """Gamma(s, x) for real or complex order s and argument x.
 
-    Power series for x < 1, modified-Lentz continued fraction for x >= 1.
+    A real x must be positive.  A complex x may be any nonzero number; on
+    the negative real axis the value is the limit from above (arg x = pi),
+    as in mpmath.  The branches:
+
+    * Re x > 0 and |x| > |s| + 1: the Legendre continued fraction
+      (DLMF 8.9), by modified Lentz; it holds for every order.
+    * s = -N for an integer N >= 0:
+      Gamma(-N, x) = (-1)^N/N! (E1(x) - e^(-x) sum_{j<N} (-1)^j j! x^(-j-1)).
+    * otherwise: Gamma(s) minus the lower-gamma series.
+
+    The two sums can cancel.  When they lose more digits than the guard
+    pad, the same branch runs again with that many more digits, so the
+    result always carries ``ctx.work_dps`` digits.
     """
-    if x <= 0:
-        raise DomainError("exp_e1 requires x > 0")
-    with mp.workdps(ctx.work_dps + _EULER_GAMMA_DPS_PAD):
-        x = mp.mpf(x)
-        eps = ctx.eps()
-        if x < 1:
-            # -gamma - ln x + sum (-1)^(m+1) x^m / (m m!)
-            total = -mp.euler - mp.log(x)
-            term = mp.mpf(1)
-            for m in range(1, 10 * ctx.work_dps):
-                term *= -x / m
-                add = -term / m
-                total += add
-                if abs(add) < eps * (1 + abs(total)):
-                    return total
-            raise NonConvergent("E1 power series did not converge")
-        # E1(x) = e^-x / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)));
-        # linear convergence, slowest near x = 1 (a few thousand terms)
-        tiny = mp.mpf(10) ** (-(ctx.work_dps + 30))
-        f = x + 1
-        C, D = f, mp.mpf(0)
-        for n in range(1, 500000):
-            an = -mp.mpf(n) ** 2
-            bn = x + 2 * n + 1
-            D = bn + an * D
+    with mp.workdps(ctx.work_dps + _GAMMA_DPS_PAD):
+        s, x = mp.mpmathify(s), mp.mpmathify(x)
+        if isinstance(s, mp.mpc) and s.imag == 0:
+            s = s.real
+        if x == 0 or (not isinstance(x, mp.mpc) and x < 0):
+            raise DomainError("upper_incomplete_gamma needs a real x > 0 or a complex x != 0")
+    extra = 0
+    while True:
+        with mp.workdps(ctx.work_dps + _GAMMA_DPS_PAD + extra):
+            value, size = _gamma_upper_terms(s, x, ctx.eps())
+            lost = int(mp.log10(size / abs(value))) + 1 if value else mp.inf
+        if lost <= _GAMMA_DPS_PAD + extra:
+            return value
+        if lost > 4 * ctx.work_dps:
+            raise NonConvergent("incomplete gamma sums cancel beyond recovery")
+        extra = lost
+
+
+def _gamma_upper_terms(s, x, eps):
+    """(Gamma(s, x), largest magnitude summed) at the current precision.
+
+    ``eps`` bounds the truncation error relative to the result.
+    """
+    if mp.re(x) > 0 and abs(x) > abs(s) + 1:
+        tiny = mp.mpf(10) ** (-(mp.mp.dps + 30))
+        b = x + 1 - s
+        f = b if b != 0 else tiny
+        C, D = f, 0
+        for n in range(1, 10 ** 6):
+            an = -n * (n - s)
+            b += 2
+            D = b + an * D
             if D == 0:
                 D = tiny
-            C = bn + an / C
+            C = b + an / C
             if C == 0:
                 C = tiny
             D = 1 / D
             delta = C * D
             f *= delta
             if abs(delta - 1) < eps:
-                return mp.exp(-x) / f
-        raise NonConvergent("E1 continued fraction did not converge")
-
-
-def _gamma_upper_positive(s: mp.mpf, x: mp.mpf, ctx: PrecisionContext) -> mp.mpf:
-    """Gamma(s, x) for s > 0, x > 0: series for x < s + 1, Lentz CF otherwise."""
-    eps = ctx.eps()
-    if x < s + 1:
-        # lower incomplete gamma by series, then complement
-        term = mp.mpf(1) / s
-        total = term
-        j = mp.mpf(1)
-        while True:
-            term *= x / (s + j)
-            total += term
-            if abs(term) < eps * abs(total):
-                break
-            j += 1
-            if j > 10 ** 6:
-                raise NonConvergent("lower gamma series did not converge")
-        lower = total * mp.exp(-x) * x ** s
-        return mp.gamma(s) - lower
-    tiny = mp.mpf(10) ** (-(ctx.work_dps + 30))
-    b = x + 1 - s
-    f = b if b != 0 else tiny
-    C, D = f, mp.mpf(0)
-    for n in range(1, 10 ** 6):
-        an = -n * (n - s)
-        b += 2
-        D = b + an * D
-        if D == 0:
-            D = tiny
-        C = b + an / C
-        if C == 0:
-            C = tiny
-        D = 1 / D
-        delta = C * D
-        f *= delta
-        if abs(delta - 1) < eps:
-            return mp.exp(-x) * x ** s / f
-    raise NonConvergent("upper gamma continued fraction did not converge")
-
-
-def upper_incomplete_gamma(s, x, ctx: PrecisionContext) -> mp.mpf:
-    """Gamma(s, x) for any real order s and real x > 0.
-
-    Nonpositive orders come from the recursion
-    Gamma(s, x) = (Gamma(s+1, x) - x^s e^(-x)) / s, run downward from the
-    anchor Gamma(0, x) = E1(x) (integer s) or from a fractional anchor in
-    (0, 1] (non-integer s).
-    """
-    if x <= 0:
-        raise DomainError("upper_incomplete_gamma requires x > 0")
-    with mp.workdps(ctx.work_dps + _EULER_GAMMA_DPS_PAD):
-        s = mp.mpf(s)
-        x = mp.mpf(x)
-        if s > 0:
-            return _gamma_upper_positive(s, x, ctx)
-        if s == 0:
-            return exp_e1(x, ctx)
-        m = int(mp.ceil(-s))
-        s0 = s + m  # anchor order in [0, 1)
-        if s0 == 0:
-            g = exp_e1(x, ctx)
-        else:
-            g = _gamma_upper_positive(s0, x, ctx)
-        emx = mp.exp(-x)
-        for j in range(1, m + 1):
-            order = s0 - j
-            g = (g - x ** order * emx) / order
-        return g
-
-
-def e1_continued(x, branch: str = "L") -> mp.mpc:
-    """E1 analytically continued across the cut, branch selected explicitly.
-
-    branch "L": argument reached counterclockwise from the positive axis
-    (arg in (0, 2 pi)); branch "R": clockwise (arg in (-2 pi, 0]).  On the
-    principal domain this agrees with mpmath's e1; real negative arguments
-    are treated as the upper edge by "L" and the lower edge by "R".
-    """
-    x = mp.mpc(x)
-    v = mp.e1(x)
-    if branch == "L":
-        if mp.im(x) < 0:
-            v -= 2j * mp.pi
-    elif branch == "R":
-        if mp.im(x) > 0 or (mp.im(x) == 0 and mp.re(x) < 0):
-            v += 2j * mp.pi
-    else:
-        raise ValueError("branch must be 'L' or 'R'")
-    return v
-
-
-def gamma_upper_negint_continued(n_order: int, x, branch: str = "L") -> mp.mpc:
-    """Gamma(-N, x) for integer N >= 0 and complex x, explicit branch.
-
-    Uses Gamma(-N, x) = (-1)^N/N! (E1(x) - e^(-x) sum_{j<N} (-1)^j j! x^(-j-1)),
-    with E1 continued per ``branch``.  This is the continuation that the
-    damped cusp integrals need on the left half-plane.
-    """
-    if n_order < 0:
-        raise DomainError("n_order must be >= 0")
-    x = mp.mpc(x)
-    if x == 0:
-        raise DomainError("argument must be nonzero")
-    e1v = e1_continued(x, branch)
-    if n_order == 0:
-        return e1v
-    acc = mp.mpc(0)
-    for j in range(n_order):
-        acc += (-1) ** j * mp.factorial(j) * x ** (-j - 1)
-    return (-1) ** n_order / mp.factorial(n_order) * (e1v - mp.exp(-x) * acc)
+                value = mp.exp(-x) * x ** s / f
+                return value, abs(value)
+        raise NonConvergent("upper gamma continued fraction did not converge")
+    if mp.isint(s) and s <= 0:
+        N = int(-s)
+        e1, emx = mp.e1(x), mp.exp(-x)
+        acc, term, top = 0, 1 / x, 0
+        for j in range(N):
+            acc += term
+            top = max(top, abs(term))
+            term *= -(j + 1) / x
+        c = (-1) ** N / mp.factorial(N)
+        return c * (e1 - emx * acc), abs(c) * max(abs(e1), abs(emx) * top)
+    # lower gamma: x^s e^(-x) sum_j x^j / (s (s+1) ... (s+j)); the result
+    # is pref (g - sum), so the stop test is relative to g - sum
+    gs, pref = mp.gamma(s), mp.exp(-x) * x ** s
+    g = gs / pref
+    term = 1 / s
+    total, top = term, abs(term)
+    for j in range(1, 10 ** 6):
+        term *= x / (s + j)
+        total += term
+        mag = abs(term)
+        top = max(top, mag)
+        if mag < eps * abs(g - total):
+            return gs - pref * total, max(abs(gs), abs(pref) * top)
+    raise NonConvergent("lower gamma series did not converge")
 
 
 @dataclass(frozen=True)
@@ -344,7 +279,7 @@ def whittaker_derivative_identity_check(k: int, y, ctx: PrecisionContext) -> Rel
         rhs = mp.exp(-y / 2) * y ** mp.mpf(-k) * cal_M(2 - k, mp.mpf(k) / 2, y, ctx)
         resid = abs(lhs - rhs) / residual_scale(lhs, rhs)
         return RelationReport.single(
-            identity=f"whittaker_derivative_identity[k={k}]",
+            identity=f"whittaker_derivative_identity[k={k},y={mp.nstr(y, 15)}]",
             point=mp.mpc(y),
             residual=resid,
             tolerance=ctx.tol_fd,

@@ -51,6 +51,13 @@ def test_reports_json_deterministic():
     assert a == b  # byte-reproducible
 
 
+def test_reports_json_generator_input():
+    # a generator is consumed once: all_pass must still see the failing report
+    payload = json.loads(reports_to_json(r for r in [sample_report(passes=False)]))
+    assert len(payload["reports"]) == 1
+    assert payload["all_pass"] is False
+
+
 def test_reports_csv(tmp_path):
     path = str(tmp_path / "resid.csv")
     reports_to_csv([sample_report()], path)
@@ -64,6 +71,15 @@ def test_suite_config_rejects_bad_schema(tmp_path):
     p.write_text(json.dumps({"schema": "nope", "digits": 40}))
     with pytest.raises(ValueError):
         SuiteConfig.from_file(str(p))
+
+
+def test_suite_config_ignores_unknown_keys(tmp_path):
+    # "points" was once a config key; files that still carry it load as before
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "periodlab-config-1", "digits": 40, "points": "generic10"}))
+    cfg = SuiteConfig.from_file(str(p))
+    assert cfg.digits == 40
+    assert "points" not in cfg.to_dict()
 
 
 def test_suite_config_rejects_unknown_suite(tmp_path):
@@ -124,6 +140,8 @@ def test_cli_verify_special_suite(tmp_path):
     assert payload["schema"] == "periodlab-report-1"
     assert payload["all_pass"] is True
     assert payload["config"]["schema"] == "periodlab-config-1"
+    identities = [r["identity"] for r in payload["reports"]]
+    assert len(identities) == 8 and len(set(identities)) == 8
     assert os.path.exists(csvp)
     # byte reproducibility for fixed config/version
     out2 = str(tmp_path / "report2.json")

@@ -18,8 +18,7 @@ from periodlab import (
     verify_per_star,
     xi_fd,
 )
-from periodlab.regint import _principal_term_rational
-from periodlab.special import gamma_upper_negint_continued
+from periodlab.regint import _gamma_negint_on_branch, _principal_term_rational
 
 
 def one_term_expansion(n, coeff=1, weight=-10, modular=False):
@@ -79,10 +78,10 @@ def test_empty_principal_equals_plain_quad(ctx, f_delta):
 
 def test_principal_term_vs_slant_contour(ctx):
     for (n, w0, z) in ((-1, mp.mpc(0, 2), mp.mpc("0.3", "1.2")), (-2, mp.mpc("0.4", 1), mp.mpc("0.1", "0.9"))):
-        got = _principal_term_rational(n, w0, z, 12, "L")
+        got = _principal_term_rational(n, w0, z, 12, "L", ctx)
         oracle = slant_oracle(n, w0, z, 12, "L")
         assert abs(got - oracle) <= mp.mpf("1e-40") * (1 + abs(got))
-        got_r = _principal_term_rational(n, w0, z, 12, "R")
+        got_r = _principal_term_rational(n, w0, z, 12, "R", ctx)
         oracle_r = slant_oracle(n, w0, z, 12, "R")
         assert abs(got_r - oracle_r) <= mp.mpf("1e-40") * (1 + abs(got_r))
 
@@ -90,23 +89,33 @@ def test_principal_term_vs_slant_contour(ctx):
 def test_principal_term_vs_ibp_closed_form(ctx):
     # the worked single-term example: e^(-2 pi i w) against 1/(w + i)^12, z0 = i
     n, w0, z, k = -1, mp.mpc(0, 1), mp.mpc(0, 1), 12
-    got = _principal_term_rational(n, w0, z, k, "L")
+    got = _principal_term_rational(n, w0, z, k, "L", ctx)
     want = ibp_oracle(n, w0, z, k)
     assert abs(got - want) <= mp.mpf("1e-50") * (1 + abs(got))
     # and at a generic point
     n, w0, z = -2, mp.mpc("0.3", "1.5"), mp.mpc("0.2", "0.8")
-    got = _principal_term_rational(n, w0, z, 12, "L")
+    got = _principal_term_rational(n, w0, z, 12, "L", ctx)
     want = ibp_oracle(n, w0, z, 12)
     assert abs(got - want) <= mp.mpf("1e-50") * (1 + abs(got))
 
 
-def test_branch_monodromy_is_explicit():
+def test_branch_monodromy_is_explicit(ctx):
     # the two continuations differ by the full monodromy of Gamma(1-k, .)
     x = mp.mpc(-5, 0)
-    dl = gamma_upper_negint_continued(11, x, "L")
-    dr = gamma_upper_negint_continued(11, x, "R")
+    dl = _gamma_negint_on_branch(11, x, "L", ctx)
+    dr = _gamma_negint_on_branch(11, x, "R", ctx)
     jump = (-1) ** 11 / mp.factorial(11) * (-2j * mp.pi)
     assert abs((dl - dr) - jump) < mp.mpf("1e-55")
+
+
+def test_e1_continued_branches(ctx):
+    x = mp.mpc(-4, 0)
+    up = _gamma_negint_on_branch(0, x, "L", ctx)
+    dn = _gamma_negint_on_branch(0, x, "R", ctx)
+    assert abs((dn - up) - 2j * mp.pi) < mp.mpf("1e-60")
+    # off the cut both agree with the principal branch on their side
+    assert abs(_gamma_negint_on_branch(0, mp.mpc(-3, 2), "L", ctx) - mp.e1(mp.mpc(-3, 2))) < mp.mpf("1e-60")
+    assert abs(_gamma_negint_on_branch(0, mp.mpc(-3, -2), "R", ctx) - mp.e1(mp.mpc(-3, -2))) < mp.mpf("1e-60")
 
 
 def test_reg_linearity(ctx):

@@ -6,6 +6,7 @@ import random
 
 from periodlab import (
     DomainError,
+    PrecisionContext,
     WhittakerArgs,
     bold_gamma,
     cal_M,
@@ -15,7 +16,6 @@ from periodlab import (
     whittaker_M_integral,
     whittaker_derivative_identity_check,
 )
-from periodlab.special import e1_continued, exp_e1, gamma_upper_negint_continued
 
 
 def test_gamma_order_one(ctx):
@@ -24,9 +24,39 @@ def test_gamma_order_one(ctx):
 
 def test_gamma_order_zero_is_e1(ctx):
     got = upper_incomplete_gamma(0, mp.mpf(1), ctx)
-    # continued-fraction / series oracle from an independent implementation
+    # the decimal value below is independent of mpmath
     assert abs(got - mp.e1(1)) < mp.mpf("1e-52")
     assert abs(got - mp.mpf("0.21938393")) < mp.mpf("1e-8")
+
+
+def test_e1_matches_mpmath(ctx):
+    # E1 is Gamma(0, x); the points lie on both sides of the
+    # continued-fraction threshold |x| = 1
+    for x in ("0.1", "0.9", "1", "3", "20"):
+        assert abs(upper_incomplete_gamma(0, mp.mpf(x), ctx) - mp.e1(mp.mpf(x))) < mp.mpf("1e-55")
+
+
+GAMMA_GRID_X = [mp.mpf(10) ** (mp.mpf(e) / 2) for e in range(-6, 7)] + [mp.mpf(60), mp.mpf(754)]
+GAMMA_COMPLEX_CASES = (
+    (mp.mpc(6, 3), 2 * mp.pi),  # complex order, as in the completed L-series
+    (mp.mpc(-2, 1), mp.mpc(5, 7)),
+    (-11, mp.mpc(-3, 2)),  # complex argument off the cut
+    (mp.mpf("0.5"), mp.mpc(-8, -20)),
+)
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_gamma_precision_vs_mpmath(digits):
+    # Gamma(1-k, x) on a log grid, k <= 26, relative error <= 10^-(digits+5)
+    # against mpmath at twice the working precision
+    ctx = PrecisionContext(digits=digits)
+    bound = mp.mpf(10) ** -(digits + 5)
+    cases = [(1 - k, x) for k in range(1, 27) for x in GAMMA_GRID_X] + list(GAMMA_COMPLEX_CASES)
+    for s, x in cases:
+        got = upper_incomplete_gamma(s, x, ctx)
+        with mp.workdps(2 * ctx.work_dps):
+            want = mp.gammainc(s, x)
+            assert abs(got - want) <= bound * abs(want), (s, x)
 
 
 @pytest.mark.parametrize("x", ["1", "5"])
@@ -57,24 +87,9 @@ def test_gamma_domain_error(ctx):
         upper_incomplete_gamma(1, mp.mpf(-1), ctx)
 
 
-def test_e1_matches_mpmath(ctx):
-    for x in ("0.1", "0.9", "1", "3", "20"):
-        assert abs(exp_e1(mp.mpf(x), ctx) - mp.e1(mp.mpf(x))) < mp.mpf("1e-55")
-
-
-def test_e1_continued_branches():
-    x = mp.mpc(-4, 0)
-    up = e1_continued(x, "L")
-    dn = e1_continued(x, "R")
-    assert abs((dn - up) - 2j * mp.pi) < mp.mpf("1e-60")
-    # off the cut both agree with the principal branch on their side
-    assert abs(e1_continued(mp.mpc(-3, 2), "L") - mp.e1(mp.mpc(-3, 2))) == 0
-    assert abs(e1_continued(mp.mpc(-3, -2), "R") - mp.e1(mp.mpc(-3, -2))) == 0
-
-
-def test_gamma_negint_continued_off_cut():
+def test_gamma_negint_continued_off_cut(ctx):
     x = mp.mpc(-3, 2)
-    got = gamma_upper_negint_continued(11, x, "L")
+    got = upper_incomplete_gamma(-11, x, ctx)
     assert abs(got - mp.gammainc(-11, x)) < mp.mpf("1e-55") * (1 + abs(got))
 
 
