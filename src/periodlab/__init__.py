@@ -67,7 +67,6 @@ from .eichler import (
     w_membership,
 )
 from .mockcore import (
-    ExtrapolationUnstable,
     F_f2,
     MockPeriodEvaluation,
     hat_function,

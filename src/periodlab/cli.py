@@ -4,17 +4,13 @@ Exit codes: 0 success (all identities pass), 1 at least one identity failed
 (report still written), 2 domain/configuration error, 3 convergence failure.
 Reports are byte-reproducible for a fixed configuration and version: numbers
 are serialized as decimal strings, key order is fixed, and no timestamps are
-embedded.  Exact q-expansions are cached on disk under $PERIODLAB_CACHE
-(keyed by constructor and length, with a checksum; corrupt entries are
-rebuilt silently).
+embedded.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -31,9 +27,7 @@ from .qforms import (
     ZERO_SPACE_WEIGHTS,
     cusp_form,
     delta,
-    read_qexp,
     weakly_holomorphic_m10,
-    write_qexp,
 )
 from .reports import SCHEMA_VERSION, RelationReport, reports_to_csv, reports_to_json
 
@@ -98,23 +92,8 @@ class SuiteConfig:
         }
 
 
-# ---------------------------------------------------------------------------
-# q-expansion disk cache
-# ---------------------------------------------------------------------------
-
-def _cache_dir() -> Optional[str]:
-    return os.environ.get("PERIODLAB_CACHE")
-
-
-def _checksum(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
 def cached_form(label: str, N: int) -> QSeries:
-    """Constructor dispatch with optional on-disk caching of exact expansions."""
+    """Constructor dispatch by label; the constructors memoize in-process."""
     builders = {
         "delta": lambda: delta(N),
         "wh-10": lambda: weakly_holomorphic_m10(N),
@@ -122,31 +101,7 @@ def cached_form(label: str, N: int) -> QSeries:
     }
     if label not in builders:
         raise UnsupportedWeight(f"unknown form {label!r}")
-    root = _cache_dir()
-    if root is None:
-        return builders[label]()
-    os.makedirs(root, exist_ok=True)
-    stem = os.path.join(root, f"{label}_N{N}")
-    qexp_path, sum_path = stem + ".qexp", stem + ".sha256"
-    if os.path.exists(qexp_path) and os.path.exists(sum_path):
-        try:
-            with open(sum_path, "r", encoding="utf-8") as fh:
-                want = fh.read().strip()
-            if want == _checksum(qexp_path):
-                loaded = read_qexp(qexp_path)
-                fresh = builders[label]()
-                if loaded.coeffs == fresh.coeffs[: len(loaded.coeffs)]:
-                    return fresh
-        except (OSError, ValueError):
-            pass  # fall through and rebuild
-    form = builders[label]()
-    try:
-        write_qexp(form, qexp_path)
-        with open(sum_path, "w", encoding="utf-8") as fh:
-            fh.write(_checksum(qexp_path) + "\n")
-    except OSError:
-        pass
-    return form
+    return builders[label]()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, RayPath, quad_ray
 from .lfun import l_completed
-from .qforms import QSeries, REDUCTION_HEIGHT, _to_mpc
+from .qforms import QSeries, REDUCTION_HEIGHT, _sum_q_series, _to_mpc
 from .reports import RelationReport, residual_scale
 
 
@@ -204,7 +204,7 @@ def period_polynomial(f: QSeries, ctx: PrecisionContext) -> PeriodPolynomial:
     """
     if not f.cuspidal:
         raise DomainError("period polynomial requires a cusp form")
-    key = (f, ctx.digits)
+    key = (f, ctx)
     cached = _PERIOD_CACHE.get(key)
     if cached is not None:
         return cached
@@ -243,7 +243,10 @@ class EichlerIntegral:
     Termwise, F(z) = (k-2)! (-2 pi i)^(1-k) sum a(n) n^(1-k) q^n.  Below the
     reduction height the cocycle rule F(z) = r(z) + z^(k-2) F(-1/z) (together
     with exact T-translations) moves the argument into the fast-convergence
-    region; each step at least doubles Im z.
+    region; each step at least doubles Im z.  The q-sum is a QSeries whose
+    coefficients carry the prefactor, with tail bound (|prefactor| C,
+    alpha + 1 - k) from f's (C, alpha), so it is truncated by the package's
+    one certified rule and raises TailTooLarge when f's window is too short.
     """
 
     def __init__(self, f: QSeries, ctx: PrecisionContext):
@@ -255,35 +258,27 @@ class EichlerIntegral:
         self._period = period_polynomial(f, ctx)
         with mp.workdps(ctx.work_dps):
             k = f.weight
-            self._prefactor = mp.factorial(k - 2) * (-2j * mp.pi) ** (1 - k)
-            self._coeffs = tuple(
-                _to_mpc(f.coeff(n)) * mp.mpf(n) ** (1 - k) for n in range(1, f.n_max + 1)
+            pref = mp.factorial(k - 2) * (-2j * mp.pi) ** (1 - k)
+            tail_bound = None
+            if f.tail_bound is not None:
+                tail_bound = (float(abs(pref)) * f.tail_bound[0], f.tail_bound[1] + 1 - k)
+            self._series = QSeries(
+                weight=self.weight,
+                n_min=1,
+                coeffs=tuple(pref * _to_mpc(f.coeff(n)) * mp.mpf(n) ** (1 - k) for n in range(1, f.n_max + 1)),
+                tail_bound=tail_bound,
+                cuspidal=True,
+                label=f"F[{f.label}]",
             )
 
     def coefficient(self, n: int) -> mp.mpc:
         """Coefficient of q^n (n >= 1)."""
-        if n < 1 or n > len(self._coeffs):
+        if n < 1 or n > self._series.n_max:
             return mp.mpc(0)
-        return self._prefactor * self._coeffs[n - 1]
+        return self._series.coeffs[n - 1]
 
     def period(self) -> PeriodPolynomial:
         return self._period
-
-    def _direct(self, z: mp.mpc) -> mp.mpc:
-        q = mp.exp(2j * mp.pi * z)
-        qabs = abs(q)
-        eps = self.ctx.eps()
-        total = mp.mpc(0)
-        qn = mp.mpc(1)
-        k = self.f.weight
-        for n, c in enumerate(self._coeffs, start=1):
-            qn *= q
-            if c != 0:
-                total += c * qn
-            # |a(n) n^(1-k)| <= 2 n^(1 - k/2) <= 2: plain geometric tail bound
-            if n >= 4 and 2 * qabs ** (n + 1) / (1 - qabs) < eps * (1 + abs(total)):
-                break
-        return self._prefactor * total
 
     def evaluate(self, z, allow_hybrid: bool = True) -> mp.mpc:
         with mp.workdps(self.ctx.work_dps):
@@ -300,7 +295,7 @@ class EichlerIntegral:
                 total += factor * self._period(z)
                 factor *= z ** (k - 2)
                 z = -1 / z
-            return total + factor * self._direct(z)
+            return total + factor * _sum_q_series(self._series, z, self.ctx)
 
     def __call__(self, z) -> mp.mpc:
         return self.evaluate(z)
@@ -310,7 +305,7 @@ _EICHLER_CACHE: dict = {}
 
 
 def eichler_integral(f: QSeries, ctx: PrecisionContext) -> EichlerIntegral:
-    key = (f, ctx.digits, ctx.series_len)
+    key = (f, ctx)
     inst = _EICHLER_CACHE.get(key)
     if inst is None:
         inst = EichlerIntegral(f, ctx)

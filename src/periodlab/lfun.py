@@ -16,12 +16,13 @@ Two engines:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, TailTooLarge
-from .qforms import QSeries, _to_mpc
+from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _to_mpc
 from .special import upper_incomplete_gamma
 
 
@@ -87,25 +88,35 @@ def l_dirichlet(f: QSeries, s, ctx: PrecisionContext, tol=None) -> LValue:
 
 
 def lambda_completed(f: QSeries, s, ctx: PrecisionContext) -> mp.mpc:
-    """Completed value Lambda(s); entire in s, manifestly (-1)^(k/2)-symmetric."""
+    """Completed value Lambda(s); entire in s, manifestly (-1)^(k/2)-symmetric.
+
+    The number of terms is fixed before summing.  With sigma = Re s and
+    x = 2 pi n > sigma - 1, |Gamma(s, x)| <= Gamma(sigma, x)
+    <= x^(sigma-1) e^(-x) x / (x - sigma + 1), so once 2 pi n >= max(sigma,
+    k - sigma) the n-th term is at most 2 |a(n)| e^(-2 pi n): f's
+    coefficient model against |q| = e^(-2 pi).  Raises TailTooLarge when the
+    window ends before that tail reaches 10^-digits (1 + |Lambda(s)|).
+    """
     if not f.cuspidal:
         raise DomainError("completed L-series requires a cusp form")
     with mp.workdps(ctx.work_dps):
         s = mp.mpc(s)
         k = f.weight
         sign = (-1) ** (k // 2)
-        eps = ctx.eps()
+        sigma = float(mp.re(s))
+        log_c, alpha, beta = _coeff_model(f)
+        n_first = max(1, math.ceil(max(sigma, k - sigma) / (2 * math.pi)))
+        N, log_tail = _certified_length((log_c + math.log(2), alpha, beta), -2 * math.pi, f.n_max, ctx, n_first)
         total = mp.mpc(0)
-        for n in range(1, f.n_max + 1):
+        for n in range(1, N + 1):
             c = f.coeff(n)
+            if c == 0:
+                continue
             x = 2 * mp.pi * n
             t1 = upper_incomplete_gamma(s, x, ctx) * x ** (-s)
             t2 = sign * upper_incomplete_gamma(k - s, x, ctx) * x ** (-(k - s))
-            if c != 0:
-                total += _to_mpc(c) * (t1 + t2)
-            # terms decay like e^(-2 pi n); stop once the bound is negligible
-            if n >= 4 and (abs(t1) + abs(t2)) * mp.mpf(n + 1) ** (k / 2 + 1) < eps * (1 + abs(total)):
-                break
+            total += _to_mpc(c) * (t1 + t2)
+        _check_tail(log_tail, total, ctx, f"Lambda({f.label})")
         return total
 
 

@@ -22,6 +22,7 @@ z = 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,7 +38,6 @@ from .eichler import (
 )
 from .kernel import (
     DomainError,
-    NonConvergent,
     PrecisionContext,
     RayPath,
     quad_polyline,
@@ -45,13 +45,9 @@ from .kernel import (
     xi_fd,
 )
 from .lfun import LValue
-from .qforms import QSeries, conjugate_form
+from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _to_mpc, conjugate_form
 from .reports import RelationReport, residual_scale
 from .special import upper_incomplete_gamma
-
-
-class ExtrapolationUnstable(NonConvergent):
-    """Richardson stages disagree beyond the model error."""
 
 
 @dataclass(frozen=True)
@@ -82,27 +78,26 @@ def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
 
 
 def _F_f2_termwise(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
+    # Gamma(1-k, x) <= x^(-k) e^(-x) and |q^(-n)| = e^(2 pi n y): the n-th
+    # term of (k-2)! sum a(n) Gamma(1-k, 4 pi n y) q^(-n) is at most
+    # (k-2)! C (4 pi y)^(-k) n^(alpha-k) e^(beta sqrt(n)) e^(-2 pi n y)
     k = f.weight
     y = mp.im(z)
-    qm = mp.exp(-2j * mp.pi * z)  # q^(-1); |q^(-n)| = e^(2 pi n y)
-    eps = ctx.eps()
+    yf = float(y)
+    log_c, alpha, beta = _coeff_model(f)
+    model = (log_c + math.lgamma(k - 1) - k * math.log(4 * math.pi * yf), alpha - k, beta)
+    N, log_tail = _certified_length(model, -2 * math.pi * yf, f.n_max, ctx)
+    qm = mp.exp(-2j * mp.pi * z)  # q^(-1)
     total = mp.mpc(0)
     qn = mp.mpc(1)
-    from .qforms import _to_mpc
-
-    for n in range(1, f.n_max + 1):
+    for n in range(1, N + 1):
         qn *= qm
         c = f.coeff(n)
-        term_mag = None
         if c != 0:
-            term = _to_mpc(c) * upper_incomplete_gamma(1 - k, 4 * mp.pi * n * y, ctx) * qn
-            total += term
-            term_mag = abs(term)
-        # Gamma(1-k, x) ~ x^(-k) e^(-x): the e^(2 pi n y) growth of q^(-n)
-        # is beaten by e^(-4 pi n y), so terms decay like e^(-2 pi n y)
-        if term_mag is not None and n >= 4 and term_mag < eps * (1 + abs(total)):
-            break
-    return mp.factorial(k - 2) * total
+            total += _to_mpc(c) * upper_incomplete_gamma(1 - k, 4 * mp.pi * n * y, ctx) * qn
+    total *= mp.factorial(k - 2)
+    _check_tail(log_tail, total, ctx, f"F2[{f.label}]")
+    return total
 
 
 def r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
@@ -184,21 +179,13 @@ def hat_function(f: QSeries, ctx: PrecisionContext) -> Callable[[mp.mpc], mp.mpc
     return h
 
 
-def noncritical_lvalue(
-    f: QSeries,
-    m: int,
-    ctx: PrecisionContext,
-    method: str = "limit",
-) -> LValue:
+def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
     """L(k+m) extracted from the m-th derivative of r2 at the cusp 0.
 
     Differentiating under the integral sign gives
     d^m/dz^m r2(z) = (-1)^m (k)_m int_0^{i oo} F(w) w^m (wz-1)^(-k-m) dw,
     absolutely convergent down to z = 0, where it collapses to
-    (k)_m int F(w) w^m dw.  ``method="limit"`` evaluates there exactly;
-    ``method="richardson"`` instead samples small real z in {1e-2, 1e-3} and
-    extrapolates with a first-order model, which carries a model error of
-    order z1*z2 relative and is kept as a stability probe.
+    (k)_m int F(w) w^m dw and is evaluated exactly.
     """
     if m < 0 or m > 6:
         raise DomainError("derivative order limited to 0 <= m <= 6")
@@ -212,31 +199,11 @@ def noncritical_lvalue(
             * mp.factorial(m)
             / ((k - 1) * (2 * mp.pi) ** (m + k))
         )
-        if method == "limit":
-            deriv = _r_f2_derivative(f, m, mp.mpf(0), ctx)
-        elif method == "richardson":
-            z1, z2 = mp.mpf("1e-2"), mp.mpf("1e-3")
-            v1 = _r_f2_derivative(f, m, z1, ctx)
-            v2 = _r_f2_derivative(f, m, z2, ctx)
-            deriv = (z1 * v2 - z2 * v1) / (z1 - z2)
-            exact = _r_f2_derivative(f, m, mp.mpf(0), ctx)
-            if abs(deriv - exact) > mp.mpf("0.05") * residual_scale(exact):
-                raise ExtrapolationUnstable("Richardson stages disagree with the limit")
-        else:
-            raise ValueError("method must be 'limit' or 'richardson'")
-        value = deriv / const
+        F = eichler_integral(f, ctx)
+        # at z = 0 the kernel (wz-1)^(-k-m) is the constant (-1)^(k+m)
+        integral = quad_ray(lambda w: F(w) * w ** m, RayPath(start=mp.mpc(0)), 2 * mp.pi, ctx)
+        value = (-1) ** k * mp.rf(k, m) * integral / const
         return LValue(s=mp.mpc(k + m), value=value, method="mock-period", est_error=ctx.eps())
-
-
-def _r_f2_derivative(f: QSeries, m: int, z_real: mp.mpf, ctx: PrecisionContext) -> mp.mpc:
-    F = eichler_integral(f, ctx)
-    k = f.weight
-    sign = (-1) ** m * mp.rf(k, m)
-
-    def integrand(w):
-        return F(w) * w ** m * (w * z_real - 1) ** (-k - m)
-
-    return sign * quad_ray(integrand, RayPath(start=mp.mpc(0)), 2 * mp.pi, ctx)
 
 
 # ---------------------------------------------------------------------------

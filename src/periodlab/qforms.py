@@ -4,6 +4,14 @@ Coefficients are exact rationals (fractions.Fraction) whenever a series is
 built symbolically; evaluation converts to the working precision, so no
 coefficient error enters downstream tolerance budgets.  Series are immutable
 and hashable, which lets evaluators memoize on the series itself.
+
+Truncation follows one rule, shared by every windowed sum in the package (q-
+series here, the Eichler integral, the completed L-series, the termwise F2):
+``_certified_length`` fixes the number of terms before the sum starts, from
+the series' coefficient-growth model, so that the certified tail is below
+ctx.eps().  A window too short for that is summed whole, and the result is
+returned only if its tail is within the claimed 10^-digits (1 + |sum|);
+otherwise ``_check_tail`` raises TailTooLarge.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import exp as _math_exp, inf as _math_inf, log as _math_log, log1p as _math_log1p
 from math import pi as _MATH_PI, sqrt as _math_sqrt
 from typing import Optional, Sequence, Tuple, Union
 
@@ -32,6 +41,10 @@ ZERO_SPACE_WEIGHTS = (0, 2, 4, 6, 8, 10, 14)
 # Evaluation falls back to modularity below this height; at Im z = 0.5 the
 # q-decay e^(-pi) ~ 0.043 is the break-even against the transform overhead.
 REDUCTION_HEIGHT = 0.5
+
+_LN10 = _math_log(10)
+# fewest terms a windowed sum takes; see _certified_length
+_MIN_TERMS = 4
 
 
 @dataclass(frozen=True)
@@ -298,8 +311,8 @@ def bol(f: QSeries) -> QSeries:
 _WH_BOUND_CACHE: dict = {}
 
 
-def _wh_coeff_bound(f: QSeries) -> mp.mpf:
-    """Empirical constant C with |a(n)| <= C e^(4 pi sqrt(2 n)) on the window."""
+def _wh_log_coeff_bound(f: QSeries) -> float:
+    """log C, C empirical with |a(n)| <= C e^(4 pi sqrt(2 n)) on the window."""
     got = _WH_BOUND_CACHE.get(id(f))
     if got is not None and got[0] is f:
         return got[1]
@@ -312,23 +325,79 @@ def _wh_coeff_bound(f: QSeries) -> mp.mpf:
         ratio = c / mp.exp(4 * mp.pi * mp.sqrt(2 * mp.mpf(n)))
         if ratio > best:
             best = ratio
-    result = 10 * best
+    result = float(mp.log(10 * best))
     _WH_BOUND_CACHE[id(f)] = (f, result)
     return result
 
 
-def _tail_estimate(f: QSeries, qabs: mp.mpf, N: int) -> mp.mpf:
-    """Certified-to-heuristic bound on sum_{n>N} |a(n)| |q|^n."""
-    if qabs >= 1:
-        return mp.inf
+def _coeff_model(f: QSeries) -> Tuple[float, float, float]:
+    """(log C, alpha, beta) with |a(n)| <= C n^alpha e^(beta sqrt(n)) for n >= 1.
+
+    The polynomial model comes from ``tail_bound``; without one, the
+    exponential e^(4 pi sqrt(2 n)) growth of weakly holomorphic coefficients.
+    """
     if f.tail_bound is not None:
-        C, alpha = mp.mpf(f.tail_bound[0]), mp.mpf(f.tail_bound[1])
-        return C * mp.mpf(N + 1) ** alpha * qabs ** (N + 1) / (1 - qabs)
-    # exponential-growth model for weakly holomorphic series
-    C = _wh_coeff_bound(f)
-    n = mp.mpf(N + 1)
-    top = C * mp.exp(4 * mp.pi * mp.sqrt(2 * n)) * qabs ** n
-    return top / (1 - qabs)
+        C, alpha = f.tail_bound
+        return (_math_log(C) if C > 0 else -_math_inf), float(alpha), 0.0
+    return _wh_log_coeff_bound(f), 0.0, 4 * _MATH_PI * _math_sqrt(2.0)
+
+
+def _certified_length(model, log_q: float, n_max: int, ctx: PrecisionContext, n_first: int = 1) -> Tuple[int, float]:
+    """Number of terms N of a q-series sum, fixed before the sum starts.
+
+    ``model`` = (log C, alpha, beta) bounds the n-th term, n >= ``n_first``,
+    by C n^alpha e^(beta sqrt(n)) |q|^n with log|q| = ``log_q`` < 0.  Past N
+    consecutive term bounds fall at least by the ratio
+    r = |q| ((N+2)/(N+1))^max(alpha, 0) e^(beta (sqrt(N+2) - sqrt(N+1))),
+    so the tail is at most term(N+1) / (1 - r); once r < 1 this decreases
+    in N.  N is the smallest length whose tail is <= ctx.eps(), found by
+    bisection in float logs, but at least ``_MIN_TERMS``: far up the cusp
+    the whole sum drops below eps, and a sum cut to nothing there would
+    jump with each step of N under a quadrature whose kernel grows with the
+    height (the period polynomial oracle, the non-critical L-value
+    integral), keeping it from converging.  When the window end ``n_max``
+    is shorter, N = n_max.  Returns (N, log of the certified tail past N),
+    which the caller hands to ``_check_tail`` after summing.
+    """
+    log_c, alpha, beta = model
+    up = max(alpha, 0.0)
+
+    def log_tail(N: int) -> float:
+        m = N + 1
+        log_r = log_q + up * _math_log((m + 1) / m) + beta * (_math_sqrt(m + 1) - _math_sqrt(m))
+        if not log_r < 0:
+            return _math_inf
+        return log_c + alpha * _math_log(m) + beta * _math_sqrt(m) + m * log_q - _math_log1p(-_math_exp(log_r))
+
+    if n_max < n_first - 1:
+        return n_max, _math_inf
+    lo = max(n_first - 1, min(_MIN_TERMS, n_max))
+    log_eps = -(ctx.digits + 8) * _LN10
+    top = log_tail(n_max)
+    if not top <= log_eps:
+        return n_max, top
+    low = log_tail(lo)
+    if low <= log_eps:
+        return lo, low
+    hi = n_max
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_tail(mid) <= log_eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi, log_tail(hi)
+
+
+def _check_tail(log_tail: float, total, ctx: PrecisionContext, what: str) -> None:
+    """Raise TailTooLarge unless the tail is within the claimed 10^-digits (1 + |total|)."""
+    bound = -ctx.digits * _LN10
+    if log_tail <= bound or log_tail <= bound + _math_log1p(float(abs(total))):
+        return
+    raise TailTooLarge(
+        f"certified tail 1e{log_tail / _LN10:.1f} of {what} exceeds 1e-{ctx.digits} (1 + |sum|): "
+        "the coefficient window is too short"
+    )
 
 
 def evaluate(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
@@ -336,8 +405,9 @@ def evaluate(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
 
     Modular series with Im z below the reduction height are moved into the
     fast-convergence region with f(z) = z^(-k) f(-1/z) and exact integer
-    translations.  Raises TailTooLarge when the certified tail at the
-    truncation point exceeds tol_tight.
+    translations.  The number of terms is fixed up front by
+    ``_certified_length``; raises TailTooLarge when the coefficient window
+    ends before the certified tail reaches 10^-digits (1 + |f(z)|).
     """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
@@ -357,7 +427,6 @@ def evaluate(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
 
 def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
     q = mp.exp(2j * mp.pi * z)
-    qabs = abs(q)
     total = mp.mpc(0)
     coeffs = _mpc_coeffs(f)
     # principal part (exact negative powers)
@@ -369,45 +438,14 @@ def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
             total += coeffs[n - f.n_min] * qn
     if f.n_min <= 0 <= f.n_max:
         total += coeffs[-f.n_min]
-    eps = ctx.eps()
-    qn = mp.mpc(1)
-    last_n = 0
-    wh_logC = None
-    if f.tail_bound is None:
-        wh_logC = float(mp.log(_wh_coeff_bound(f)))
-        log_qabs = float(mp.log(qabs))
-        log_eps = float(mp.log(eps))
-    for n in range(1, f.n_max + 1):
+    N, log_tail = _certified_length(_coeff_model(f), -2 * _MATH_PI * float(mp.im(z)), max(f.n_max, 0), ctx)
+    start = max(1, f.n_min)
+    qn = q ** (start - 1)
+    for n in range(start, N + 1):
         qn *= q
-        c = coeffs[n - f.n_min]
-        if c != 0:
-            total += c * qn
-        last_n = n
-        if n < 4:
-            continue
-        if wh_logC is None:
-            if _cheap_tail_negligible(f, qabs, n, eps, total):
-                break
-        else:
-            # float-scale probe of the exponential-growth model; the certified
-            # mpmath estimate below re-checks whatever truncation this picks
-            log_term = wh_logC + 4 * _MATH_PI * _math_sqrt(2.0 * (n + 1)) + (n + 1) * log_qabs
-            if log_term + 2.0 < log_eps + float(mp.log(1 + abs(total))):
-                break
-    tail = _tail_estimate(f, qabs, last_n)
-    if not tail <= ctx.tol_tight * (1 + abs(total)):
-        raise TailTooLarge(
-            f"certified tail {mp.nstr(tail, 5)} at N={last_n} exceeds tol_tight for {f.label}"
-        )
+        total += coeffs[n - f.n_min] * qn
+    _check_tail(log_tail, total, ctx, f.label)
     return total
-
-
-def _cheap_tail_negligible(f: QSeries, qabs, n, eps, total) -> bool:
-    if f.tail_bound is None:
-        return False
-    C, alpha = f.tail_bound
-    bound = mp.mpf(C) * mp.mpf(n + 1) ** mp.mpf(alpha) * qabs ** (n + 1) / (1 - qabs)
-    return bound < eps * (1 + abs(total))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,15 @@ never limits the residuals being measured.
 
 import mpmath as mp
 import pytest
+from hypothesis import settings
 
 from periodlab import PrecisionContext, cusp_form, delta, weakly_holomorphic_m10
 
 mp.mp.dps = 70
+
+# property tests draw the same examples on every run and write no database
+settings.register_profile("periodlab", derandomize=True, deadline=None, database=None)
+settings.load_profile("periodlab")
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Report serialization and the command-line surface (exit codes, cache)."""
+"""Report serialization and the command-line surface (exit codes)."""
 
 import json
 import os
@@ -12,18 +12,12 @@ from periodlab import RelationReport, reports_to_csv, reports_to_json
 from periodlab.cli import EXIT_DOMAIN, EXIT_IDENTITY_FAILURE, EXIT_OK, SuiteConfig, main
 
 
-def run_cli(args, env=None):
-    e = dict(os.environ)
-    e.pop("PERIODLAB_CACHE", None)
-    if env:
-        e.update(env)
-    proc = subprocess.run(
+def run_cli(args):
+    return subprocess.run(
         [sys.executable, "-m", "periodlab.cli", *args],
         capture_output=True,
         text=True,
-        env=e,
     )
-    return proc
 
 
 def sample_report(passes=True):
@@ -154,22 +148,6 @@ def test_cli_verify_malformed_config(tmp_path):
     cfg.write_text("{not json")
     proc = run_cli(["verify", "special", "--config", str(cfg)])
     assert proc.returncode == EXIT_DOMAIN
-
-
-def test_cli_cache_roundtrip_and_corruption(tmp_path):
-    cache = str(tmp_path / "cache")
-    env = {"PERIODLAB_CACHE": cache}
-    proc = run_cli(["lvalue", "--form", "delta", "--s", "6"], env=env)
-    assert proc.returncode == EXIT_OK
-    files = os.listdir(cache)
-    assert any(f.endswith(".qexp") for f in files)
-    # corrupt the cached expansion: the checksum mismatch forces a rebuild
-    target = [f for f in files if f.endswith(".qexp")][0]
-    with open(os.path.join(cache, target), "a") as fh:
-        fh.write("999\n")
-    proc2 = run_cli(["lvalue", "--form", "delta", "--s", "6"], env=env)
-    assert proc2.returncode == EXIT_OK
-    assert json.loads(proc2.stdout)["value"] == json.loads(proc.stdout)["value"]
 
 
 def test_main_entrypoint_inprocess(capsys):

@@ -115,13 +115,6 @@ def test_noncritical_values_vs_dirichlet(ctx, f_delta, f_delta_long):
         assert abs(got - want) <= mp.mpf("1e-8") * abs(want), m
 
 
-def test_noncritical_richardson_mode(ctx, f_delta, f_delta_long):
-    got = noncritical_lvalue(f_delta, 0, ctx, method="richardson").value
-    want = l_dirichlet(f_delta_long, 12, ctx, tol=mp.mpf("1e-13")).value
-    # first-order model at z in {1e-2, 1e-3} carries an O(z1 z2) model error
-    assert abs(got - want) <= mp.mpf("1e-3") * abs(want)
-
-
 def test_noncritical_zero(ctx, zero):
     assert noncritical_lvalue(zero, 2, ctx).value == 0
 

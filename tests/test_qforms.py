@@ -150,6 +150,14 @@ def test_evaluate_wh_modularity(ctx, f_wh):
     assert abs(lhs - rhs) <= ctx.tol_tight * (1 + abs(lhs))
 
 
+def test_evaluate_window_starting_above_one(ctx):
+    # a finite series (zero tail bound) whose window starts at n = 2: no index
+    # below the window may wrap around to its end
+    g = QSeries(weight=12, n_min=2, coeffs=(Fraction(1), Fraction(3)), tail_bound=(0.0, 0.0))
+    q = mp.exp(-2 * mp.pi)
+    assert abs(evaluate(g, mp.mpc(0, 1), ctx) - (q ** 2 + 3 * q ** 3)) <= mp.mpf(10) ** (-ctx.digits) * q ** 2
+
+
 def test_evaluate_tail_too_large(ctx):
     short = delta(16)
     with pytest.raises(TailTooLarge):

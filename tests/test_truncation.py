@@ -1,0 +1,67 @@
+"""Certified truncation: every windowed sum either meets its digits or raises."""
+
+import mpmath as mp
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from periodlab import (
+    F_f2,
+    PrecisionContext,
+    TailTooLarge,
+    cusp_form,
+    delta,
+    eichler_integral,
+    evaluate,
+    l_completed,
+)
+
+CTX100 = PrecisionContext(digits=100)
+
+
+@pytest.mark.parametrize("N", [16, 40])
+def test_eichler_short_window_raises(N):
+    # N=16: the period polynomial's L-values already run out of terms;
+    # N=40: those certify, and F's own q-sum is the one that runs out
+    with pytest.raises(TailTooLarge):
+        eichler_integral(delta(N), CTX100)(mp.mpc("0.3", "0.55"))
+
+
+def test_completed_lvalue_short_window_raises():
+    with pytest.raises(TailTooLarge):
+        l_completed(delta(16), 6, CTX100)
+
+
+def test_f2_termwise_short_window_raises():
+    with pytest.raises(TailTooLarge):
+        F_f2(delta(16), mp.mpc("0.1", "0.6"), CTX100, method="termwise")
+
+
+def _route(name, f, z, ctx):
+    if name == "evaluate":
+        return evaluate(f, z, ctx)
+    if name == "F":
+        return eichler_integral(f, ctx)(z)
+    return F_f2(f, z, ctx, method="termwise")
+
+
+@pytest.mark.parametrize("route", ["evaluate", "F", "F2"])
+@settings(max_examples=25)
+@given(
+    weight=st.sampled_from([12, 16]),
+    x=st.floats(-0.5, 0.5),
+    y=st.floats(0.3, 2.5),
+    digits=st.sampled_from([30, 50, 80]),
+)
+@example(weight=16, x=0.1, y=0.3, digits=80)
+def test_window_meets_claimed_digits_or_raises(route, weight, x, y, digits):
+    ctx = PrecisionContext(digits=digits)
+    z = mp.mpc(x, y)
+    try:
+        got = _route(route, cusp_form(weight, 64), z, ctx)
+    except TailTooLarge:
+        return
+    # the reference sums a longer window at 20 more digits, so it does not
+    # share the truncation point it is checking
+    want = _route(route, cusp_form(weight, 300), z, PrecisionContext(digits=digits + 20))
+    assert abs(got - want) <= mp.mpf(10) ** (-digits) * (1 + abs(got))
