@@ -15,11 +15,9 @@ from .kernel import (
     KernelError,
     NonConvergent,
     PrecisionContext,
-    RayPath,
     StepTooLarge,
     TailTooLarge,
     laplace_fd,
-    quad_polyline,
     quad_ray,
     xi_fd,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -22,9 +23,12 @@ from .kernel import DomainError, NonConvergent, PrecisionContext, TailTooLarge
 from .lfun import OutOfRegion, l_completed, l_dirichlet
 from .qforms import (
     DIM_ONE_WEIGHTS,
+    REDUCTION_HEIGHT,
     QSeries,
     UnsupportedWeight,
     ZERO_SPACE_WEIGHTS,
+    _certified_length,
+    _coeff_model,
     cusp_form,
     delta,
     weakly_holomorphic_m10,
@@ -104,6 +108,19 @@ def cached_form(label: str, N: int) -> QSeries:
     return builders[label]()
 
 
+def holomorphic_form(label: str, ctx: PrecisionContext) -> QSeries:
+    """The holomorphic form ``label`` on a window long enough for ctx.digits.
+
+    The window has ctx.series_len terms, or more when the form's coefficient
+    bound needs them for a certified tail at Im z = REDUCTION_HEIGHT, the
+    lowest height at which its q-series and Eichler sums are evaluated.
+    """
+    f = cached_form(label, ctx.series_len)
+    # each term gains log10(e^pi) > 1 digit there, so 10 (digits + 8) is ample
+    N, _ = _certified_length(_coeff_model(f), -2 * math.pi * REDUCTION_HEIGHT, 10 * (ctx.digits + 8), ctx)
+    return f if N <= ctx.series_len else cached_form(label, N)
+
+
 # ---------------------------------------------------------------------------
 # point grids
 # ---------------------------------------------------------------------------
@@ -142,7 +159,7 @@ def run_suite(name: str, cfg: SuiteConfig, ctx: PrecisionContext) -> List[Relati
     from .special import whittaker_derivative_identity_check
 
     reports: List[RelationReport] = []
-    forms = [cached_form(label, ctx.series_len) for label in cfg.forms]
+    forms = [holomorphic_form(label, ctx) for label in cfg.forms]
     pts10 = generic_points(10)
     pts5 = generic_points(5)
     if name == "superm":
@@ -164,7 +181,7 @@ def run_suite(name: str, cfg: SuiteConfig, ctx: PrecisionContext) -> List[Relati
         reports.append(
             verify_laplace_eigenvalue(2 - k, 1, mp.mpf(6), [mp.mpc(0, 1)], ctx)
         )
-        reports.extend(verify_bol_xi_avatar(cached_form("delta", ctx.series_len), pts5, ctx))
+        reports.extend(verify_bol_xi_avatar(holomorphic_form("delta", ctx), pts5, ctx))
     elif name == "special":
         for k in (4, 12):
             for y in ("0.5", "1", "2", "5"):
@@ -205,7 +222,7 @@ def cmd_lvalue(args) -> int:
             f = cached_form(args.form, max(N, 32))
             lv = l_dirichlet(f, s, ctx, tol=tol)
         else:
-            f = cached_form(args.form, args.series_len or ctx.series_len)
+            f = cached_form(args.form, args.series_len) if args.series_len else holomorphic_form(args.form, ctx)
             lv = l_completed(f, s, ctx)
         print(json.dumps({"schema": SCHEMA_VERSION, "form": args.form, **lv.to_dict()}))
         return EXIT_OK
@@ -238,7 +255,7 @@ def cmd_periodpoly(args) -> int:
             return EXIT_OK
         if k not in DIM_ONE_WEIGHTS:
             raise UnsupportedWeight(f"weight {k} not supported (dim > 1 or odd)")
-        f = cached_form("delta" if k == 12 else f"cusp{k}", ctx.series_len)
+        f = holomorphic_form("delta" if k == 12 else f"cusp{k}", ctx)
         rp = period_polynomial(f, ctx)
         payload = {
             "schema": SCHEMA_VERSION,

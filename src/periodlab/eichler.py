@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .kernel import DomainError, PrecisionContext, RayPath, quad_ray
+from .kernel import DomainError, PrecisionContext, quad_ray
 from .lfun import l_completed
 from .qforms import QSeries, REDUCTION_HEIGHT, _sum_q_series, _to_mpc
 from .reports import RelationReport, residual_scale
@@ -109,6 +109,33 @@ class PolynomialC:
             self.degree_bound,
             tuple(c if j % 2 == 0 else -c for j, c in enumerate(self.coeffs)),
         )
+
+    def kernel_integral(self, k: int, z, a, b=None) -> mp.mpc:
+        """Exact int_a^b P(w) (w+z)^(-k) dw; b = None stands for i*infinity.
+
+        Taylor-shifted to the pole, P(w) = sum_j c_j (w+z)^j, so for
+        deg P <= k-2 the antiderivative G(w) = sum_j c_j (w+z)^(j-k+1)/(j-k+1)
+        has no logarithm: G is single-valued and rational, G(i oo) = 0, and
+        the integral is G(b) - G(a) along any path that misses -z.  Raises
+        DomainError for a nonzero coefficient above degree k-2, where the
+        integral to i oo diverges, and for an endpoint at the pole -z.
+        """
+        if any(c != 0 for c in self.coeffs[max(k - 1, 0):]):
+            raise DomainError(f"polynomial degree exceeds k-2 = {k - 2}")
+        z = mp.mpc(z)
+        c = list(self.coeffs[: max(k - 1, 0)])
+        # repeated synthetic division by (w + z)
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] -= z * c[j + 1]
+
+        def G(w) -> mp.mpc:
+            u = mp.mpc(w) + z
+            if u == 0:
+                raise DomainError("integration endpoint at the kernel pole -z")
+            return mp.fsum(cj * u ** (j - k + 1) / (j - k + 1) for j, cj in enumerate(c))
+
+        return (G(b) if b is not None else mp.mpc(0)) - G(a)
 
     def sup_norm(self) -> mp.mpf:
         return max(abs(c) for c in self.coeffs) if self.coeffs else mp.mpf(0)
@@ -234,7 +261,7 @@ def period_polynomial_quadrature(f: QSeries, z0, ctx: PrecisionContext) -> mp.mp
     with mp.workdps(ctx.work_dps):
         z0 = mp.mpc(z0)
         integrand = lambda w: evaluate(f, w, ctx) * (w - z0) ** (k - 2)
-        return quad_ray(integrand, RayPath(start=mp.mpc(0)), 2 * mp.pi, ctx)
+        return quad_ray(integrand, mp.mpc(0), ctx)
 
 
 class EichlerIntegral:
@@ -280,7 +307,7 @@ class EichlerIntegral:
     def period(self) -> PeriodPolynomial:
         return self._period
 
-    def evaluate(self, z, allow_hybrid: bool = True) -> mp.mpc:
+    def evaluate(self, z) -> mp.mpc:
         with mp.workdps(self.ctx.work_dps):
             z = mp.mpc(z)
             if not mp.im(z) > 0:
@@ -290,7 +317,7 @@ class EichlerIntegral:
             k = self.f.weight
             for _ in range(8 * self.ctx.work_dps):
                 z = z - mp.floor(mp.re(z) + mp.mpf("0.5"))
-                if mp.im(z) >= REDUCTION_HEIGHT or not allow_hybrid:
+                if mp.im(z) >= REDUCTION_HEIGHT:
                     break
                 total += factor * self._period(z)
                 factor *= z ** (k - 2)

@@ -40,26 +40,26 @@ class TailTooLarge(KernelError):
     """A certified series tail exceeds the requested tolerance."""
 
 
+# maximal mpmath quadrature degree per panel, for every quadrature in the package
+QUAD_MAXDEGREE = 10
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """All numerical knobs in one immutable bundle.
 
     digits      decimal working precision (>= 30)
-    quad_order  mpmath quadrature max degree per panel
     series_len  default q-series truncation length
     fd_step     real step for finite differences; default 10^(-digits/3),
                 which balances second-order truncation against roundoff
-    tail_height height above which exponential tail truncation starts
     tol_tight   tolerance for quadrature/series identities
     tol_fd      tolerance for finite-difference based identities
     guard       extra working digits used inside kernels
     """
 
     digits: int = 50
-    quad_order: int = 6
     series_len: int = 64
     fd_step: Optional[mp.mpf] = None
-    tail_height: float = 1.0
     tol_tight: mp.mpf = field(default_factory=lambda: mp.mpf("1e-20"))
     tol_fd: mp.mpf = field(default_factory=lambda: mp.mpf("1e-6"))
     guard: int = 15
@@ -69,8 +69,6 @@ class PrecisionContext:
             raise ValueError("digits must be >= 30")
         if self.series_len < 16:
             raise ValueError("series_len must be >= 16")
-        if self.tail_height < 1:
-            raise ValueError("tail_height must be >= 1")
         if self.fd_step is None:
             with mp.workdps(self.digits + self.guard):
                 h = mp.mpf(10) ** (-mp.mpf(self.digits) / 3)
@@ -90,157 +88,79 @@ class PrecisionContext:
 DEFAULT_CTX = PrecisionContext()
 
 
-@dataclass(frozen=True)
-class RayPath:
-    """Integration path in the closed upper half-plane.
-
-    kind = "vertical": from ``start`` straight up to i*infinity.
-    kind = "segment" : straight line from ``start`` to ``end``.
-
-    Endpoints may sit on the real axis (cusps) only when the caller certifies
-    the integrand bounded there; interior points must have Im > 0.
-    """
-
-    start: complex
-    kind: str = "vertical"
-    end: Optional[complex] = None
-
-    def __post_init__(self):
-        if self.kind not in ("vertical", "segment"):
-            raise ValueError("kind must be 'vertical' or 'segment'")
-        if self.kind == "segment" and self.end is None:
-            raise ValueError("segment path needs an end point")
-
-    def validate(self) -> None:
-        s = mp.mpc(self.start)
-        if mp.im(s) < 0:
-            raise BadPath("path start below the real axis")
-        if self.kind == "segment":
-            e = mp.mpc(self.end)
-            if mp.im(e) < 0:
-                raise BadPath("path end below the real axis")
-            if mp.im(s) == 0 and mp.im(e) == 0:
-                raise BadPath("segment interior would lie on the real axis")
-
-
 def ensure_finite(value: mp.mpc, what: str = "result") -> mp.mpc:
     if not mp.isfinite(value):
         raise NonConvergent(f"{what} is not finite")
     return value
 
 
-def path_clearance(path: RayPath, points: Sequence[complex], min_dist: float = 1e-6) -> None:
-    """Raise BadPath when any of ``points`` comes within ``min_dist`` of the path."""
-    pts = [mp.mpc(p) for p in points]
-    if not pts:
-        return
-    if path.kind == "vertical":
-        x0, y0 = mp.re(mp.mpc(path.start)), mp.im(mp.mpc(path.start))
-        for p in pts:
-            dx = abs(mp.re(p) - x0)
-            dy = mp.mpf(0) if mp.im(p) >= y0 else y0 - mp.im(p)
-            if mp.sqrt(dx * dx + dy * dy) < min_dist:
-                raise BadPath(f"pole {p} too close to vertical ray")
-    else:
-        a, b = mp.mpc(path.start), mp.mpc(path.end)
-        ab = b - a
-        denom = abs(ab) ** 2
-        for p in pts:
-            t = mp.re(mp.conj(ab) * (p - a)) / denom
-            t = min(max(t, mp.mpf(0)), mp.mpf(1))
-            if abs(a + t * ab - p) < min_dist:
-                raise BadPath(f"pole {p} too close to segment")
+def path_clearance(start: mp.mpc, points: Sequence[complex], min_dist: float = 1e-6) -> None:
+    """Raise BadPath when any of ``points`` comes within ``min_dist`` of the ray up from ``start``."""
+    x0, y0 = mp.re(start), mp.im(start)
+    for p in points:
+        p = mp.mpc(p)
+        dx = abs(mp.re(p) - x0)
+        dy = mp.mpf(0) if mp.im(p) >= y0 else y0 - mp.im(p)
+        if mp.sqrt(dx * dx + dy * dy) < min_dist:
+            raise BadPath(f"pole {p} too close to vertical ray")
 
 
-def _quad(f, pts, ctx: PrecisionContext, method: str = "gauss-legendre"):
-    val, err = mp.quad(f, pts, method=method, maxdegree=ctx.quad_order + 4, error=True)
-    return val, err
+def _quad(f, pts, method: str = "gauss-legendre"):
+    return mp.quad(f, pts, method=method, maxdegree=QUAD_MAXDEGREE, error=True)
 
 
 def quad_ray(
     integrand: Callable[[mp.mpc], mp.mpc],
-    path: RayPath,
-    decay_rate: float,
+    start,
     ctx: PrecisionContext,
     avoid: Sequence[complex] = (),
 ) -> mp.mpc:
-    """Integrate ``integrand`` along ``path``.
+    """Integrate ``integrand`` up the vertical ray from ``start`` to i*infinity.
 
-    For vertical rays the path is split at height max(1, start height): the
-    lower piece uses tanh-sinh nodes (integrands are bounded but typically not
-    smooth to machine order at a cusp endpoint), the upper piece uses
-    Gauss-Legendre panels of geometrically growing width.  With
-    ``decay_rate = d > 0`` the caller certifies |integrand(x+iy)| <= C e^(-d y)
-    above ctx.tail_height and the ray is truncated where that bound falls
-    below 10^(-digits-8); with d = 0 the tail is mapped to a finite interval
-    (the integrand must then decay at least like y^(-2)).
+    The caller certifies |integrand(x+iy)| <= C e^(-2 pi y): every integrand
+    is a q-series times a kernel of polynomial size.  The ray is split at
+    height max(1, Im start): the lower piece uses tanh-sinh nodes (integrands
+    are bounded but typically not smooth to machine order at a cusp
+    endpoint), the upper piece uses Gauss-Legendre panels of geometrically
+    growing width, truncated where e^(-2 pi y) has fallen by 10^(digits+24),
+    which absorbs moderate constants C and polynomial prefactors.  Start
+    points may sit on the real axis (cusps) only when the caller certifies
+    the integrand bounded there.
 
     Raises NonConvergent when the internal error estimate exceeds
-    tol_tight * (1 + |result|), BadPath for an invalid path.
+    tol_tight * (1 + |result|), BadPath when the start lies below the real
+    axis or a point of ``avoid`` lies on the ray.
     """
-    path.validate()
-    if avoid:
-        path_clearance(path, avoid)
     with mp.workdps(ctx.work_dps):
-        if path.kind == "segment":
-            a, b = mp.mpc(path.start), mp.mpc(path.end)
-            if a == b:
-                return mp.mpc(0)
-            g = lambda t: integrand(a + t * (b - a)) * (b - a)
-            val, err = _quad(g, [0, 1], ctx, method="tanh-sinh")
-            total, toterr = val, err
-        else:
-            x0 = mp.re(mp.mpc(path.start))
-            y0 = mp.im(mp.mpc(path.start))
-            g = lambda t: integrand(mp.mpc(x0, t)) * mp.mpc(0, 1)
-            pieces = []
-            errs = []
-            lo = y0
-            split = max(mp.mpf(1), y0)
-            if y0 < split:
-                val, err = _quad(g, [y0, split], ctx, method="tanh-sinh")
-                pieces.append(val)
-                errs.append(err)
-                lo = split
-            if decay_rate > 0:
-                # truncate where C e^(-d y) is negligible; the headroom also
-                # absorbs moderate constants C and polynomial prefactors
-                yend = max(lo, mp.mpf(ctx.tail_height)) + (ctx.digits + 24) * mp.log(10) / mp.mpf(decay_rate)
-                pts = [lo]
-                step = mp.mpf(2)
-                while pts[-1] < yend:
-                    pts.append(min(pts[-1] + step, yend))
-                    step *= 2
-                val, err = _quad(g, pts, ctx)
-                pieces.append(val)
-                errs.append(err)
-            else:
-                pts = [lo, lo + 9, lo + 99, mp.inf]
-                val, err = _quad(g, pts, ctx)
-                pieces.append(val)
-                errs.append(err)
-            total = mp.fsum(pieces)
-            toterr = mp.fsum(errs)
+        start = mp.mpc(start)
+        x0, y0 = mp.re(start), mp.im(start)
+        if y0 < 0:
+            raise BadPath("ray start below the real axis")
+        if avoid:
+            path_clearance(start, avoid)
+        g = lambda t: integrand(mp.mpc(x0, t)) * mp.mpc(0, 1)
+        pieces = []
+        errs = []
+        lo = max(mp.mpf(1), y0)
+        if y0 < lo:
+            val, err = _quad(g, [y0, lo], method="tanh-sinh")
+            pieces.append(val)
+            errs.append(err)
+        yend = lo + (ctx.digits + 24) * mp.log(10) / (2 * mp.pi)
+        pts = [lo]
+        step = mp.mpf(2)
+        while pts[-1] < yend:
+            pts.append(min(pts[-1] + step, yend))
+            step *= 2
+        val, err = _quad(g, pts)
+        pieces.append(val)
+        errs.append(err)
+        total = mp.fsum(pieces)
+        toterr = mp.fsum(errs)
         ensure_finite(total, "quad_ray result")
         if not toterr <= ctx.tol_tight * (1 + abs(total)):
             raise NonConvergent(
                 f"quad_ray error estimate {mp.nstr(toterr, 5)} exceeds tolerance"
-            )
-        return total
-
-
-def quad_polyline(
-    integrand: Callable[[mp.mpc], mp.mpc],
-    vertices: Sequence[complex],
-    ctx: PrecisionContext,
-    avoid: Sequence[complex] = (),
-) -> mp.mpc:
-    """Sum of segment integrals along consecutive ``vertices``."""
-    with mp.workdps(ctx.work_dps):
-        total = mp.mpc(0)
-        for a, b in zip(vertices[:-1], vertices[1:]):
-            total += quad_ray(
-                integrand, RayPath(start=a, kind="segment", end=b), 0, ctx, avoid=avoid
             )
         return total
 

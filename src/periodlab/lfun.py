@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import mpmath as mp
 
@@ -88,7 +89,12 @@ def l_dirichlet(f: QSeries, s, ctx: PrecisionContext, tol=None) -> LValue:
 
 
 def lambda_completed(f: QSeries, s, ctx: PrecisionContext) -> mp.mpc:
-    """Completed value Lambda(s); entire in s, manifestly (-1)^(k/2)-symmetric.
+    """Completed value Lambda(s); entire in s, manifestly (-1)^(k/2)-symmetric."""
+    return _lambda_and_tail(f, s, ctx)[0]
+
+
+def _lambda_and_tail(f: QSeries, s, ctx: PrecisionContext) -> Tuple[mp.mpc, float]:
+    """Lambda(s) and the log of its certified tail.
 
     The number of terms is fixed before summing.  With sigma = Re s and
     x = 2 pi n > sigma - 1, |Gamma(s, x)| <= Gamma(sigma, x)
@@ -117,13 +123,19 @@ def lambda_completed(f: QSeries, s, ctx: PrecisionContext) -> mp.mpc:
             t2 = sign * upper_incomplete_gamma(k - s, x, ctx) * x ** (-(k - s))
             total += _to_mpc(c) * (t1 + t2)
         _check_tail(log_tail, total, ctx, f"Lambda({f.label})")
-        return total
+        return total, log_tail
 
 
 def l_completed(f: QSeries, s, ctx: PrecisionContext) -> LValue:
-    """L(s) at arbitrary s via the completed series (exponentially convergent)."""
+    """L(s) at arbitrary s via the completed series (exponentially convergent).
+
+    ``est_error`` is the certified tail of Lambda(s) carried over to L(s),
+    and never less than ctx.eps().
+    """
     with mp.workdps(ctx.work_dps):
         s = mp.mpc(s)
-        lam = lambda_completed(f, s, ctx)
-        value = lam * (2 * mp.pi) ** s / mp.gamma(s)
-        return LValue(s=s, value=value, method="completed", est_error=ctx.eps())
+        lam, log_tail = _lambda_and_tail(f, s, ctx)
+        factor, gamma = (2 * mp.pi) ** s, mp.gamma(s)
+        value = lam * factor / gamma
+        tail = mp.exp(log_tail) * abs(factor / gamma)
+        return LValue(s=s, value=value, method="completed", est_error=max(ctx.eps(), tail))

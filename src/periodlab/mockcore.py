@@ -37,10 +37,10 @@ from .eichler import (
     slash_function,
 )
 from .kernel import (
+    QUAD_MAXDEGREE,
     DomainError,
+    NonConvergent,
     PrecisionContext,
-    RayPath,
-    quad_polyline,
     quad_ray,
     xi_fd,
 )
@@ -74,7 +74,7 @@ def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
         F = eichler_integral(f, ctx)
         k = f.weight
         integrand = lambda w: F(w) * (w + z) ** (-k)
-        return quad_ray(integrand, RayPath(start=-mp.conj(z)), 2 * mp.pi, ctx, avoid=(-z,))
+        return quad_ray(integrand, -mp.conj(z), ctx, avoid=(-z,))
 
 
 def _F_f2_termwise(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
@@ -114,17 +114,17 @@ def r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
         k = f.weight
         pole = 1 / z if z != 0 else None
         integrand = lambda w: F(w) * (w * z - 1) ** (-k)
-        return quad_ray(
-            integrand,
-            RayPath(start=mp.mpc(0)),
-            2 * mp.pi,
-            ctx,
-            avoid=(pole,) if pole is not None else (),
-        )
+        return quad_ray(integrand, mp.mpc(0), ctx, avoid=(pole,) if pole is not None else ())
 
 
 def tilde_r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "closed") -> mp.mpc:
-    """Non-holomorphic correction term; closed form by default."""
+    """Non-holomorphic correction term; closed form by default.
+
+    ``method="quadrature"`` is the oracle for the closed form: mp.quad on
+    the vertical ray w = -x + it, t >= y, where the integrand
+    r(w) (i(t+y))^(-k) decays like t^(-2).  Raises NonConvergent when its
+    error estimate exceeds tol_tight (1 + |value|).
+    """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
         if not mp.im(z) > 0:
@@ -134,8 +134,12 @@ def tilde_r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "closed") -> 
         if method == "quadrature":
             r = period_polynomial(f, ctx).base
             k = f.weight
-            integrand = lambda w: r(w) * (w + z) ** (-k)
-            return quad_ray(integrand, RayPath(start=-mp.conj(z)), 0, ctx, avoid=(-z,))
+            x, y = mp.re(z), mp.im(z)
+            integrand = lambda t: r(mp.mpc(-x, t)) * mp.mpc(0, t + y) ** (-k) * mp.mpc(0, 1)
+            val, err = mp.quad(integrand, [y, mp.inf], method="tanh-sinh", maxdegree=QUAD_MAXDEGREE, error=True)
+            if not err <= ctx.tol_tight * (1 + abs(val)):
+                raise NonConvergent(f"correction-term quadrature error {mp.nstr(err, 5)} exceeds tolerance")
+            return val
         if method != "closed":
             raise ValueError("method must be 'closed' or 'quadrature'")
         return _tilde_closed(f, z, ctx)
@@ -201,7 +205,7 @@ def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
         )
         F = eichler_integral(f, ctx)
         # at z = 0 the kernel (wz-1)^(-k-m) is the constant (-1)^(k+m)
-        integral = quad_ray(lambda w: F(w) * w ** m, RayPath(start=mp.mpc(0)), 2 * mp.pi, ctx)
+        integral = quad_ray(lambda w: F(w) * w ** m, mp.mpc(0), ctx)
         value = (-1) ** k * mp.rf(k, m) * integral / const
         return LValue(s=mp.mpc(k + m), value=value, method="mock-period", est_error=ctx.eps())
 
@@ -264,8 +268,9 @@ def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) ->
     r2|(1+U+U^2)(z)  = int_{-1}^{i oo} r(w) (w+z)^(-k) dw
                        + int_{-1}^{0} (r|_{2-k} Utilde)(w) (w+z)^(-k) dw
 
-    The right-hand integrals have polynomial integrands; the cusp-to-cusp leg
-    runs -1 -> -1+i -> i -> 0 through the upper half-plane.
+    The right-hand sides are polynomials against (w+z)^(-k), integrated
+    exactly by ``PolynomialC.kernel_integral``; the left-hand sides take r2
+    by quadrature, so each identity is checked by two independent routes.
     """
     from .eichler import slash_polynomial
 
@@ -276,25 +281,17 @@ def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) ->
         r_ut = slash_polynomial(r, 2 - k, UTILDE)
         for z in pts:
             z = mp.mpc(z)
-            lhs1 = r_f2(f, z, ctx) + r_f2(f, S.apply(z), ctx) * z ** (-k)
-            g1 = lambda w: r(w) * (w + z) ** (-k)
-            rhs1 = quad_ray(g1, RayPath(start=mp.mpc(0)), 0, ctx, avoid=(-z,))
+            r2 = r_f2(f, z, ctx)
+            lhs1 = r2 + r_f2(f, S.apply(z), ctx) * z ** (-k)
+            rhs1 = r.kernel_integral(k, z, 0)
             res1.append(abs(lhs1 - rhs1) / residual_scale(lhs1, rhs1))
 
             lhs2 = (
-                r_f2(f, z, ctx)
+                r2
                 + r_f2(f, U.apply(z), ctx) * U.jfactor(z) ** (-k)
                 + r_f2(f, (U * U).apply(z), ctx) * (U * U).jfactor(z) ** (-k)
             )
-            rhs2a = quad_ray(g1, RayPath(start=mp.mpc(-1)), 0, ctx, avoid=(-z,))
-            g2 = lambda w: r_ut(w) * (w + z) ** (-k)
-            rhs2b = quad_polyline(
-                g2,
-                [mp.mpc(-1), mp.mpc(-1, 1), mp.mpc(0, 1), mp.mpc(0)],
-                ctx,
-                avoid=(-z,),
-            )
-            rhs2 = rhs2a + rhs2b
+            rhs2 = r.kernel_integral(k, z, -1) + r_ut.kernel_integral(k, z, -1, 0)
             res2.append(abs(lhs2 - rhs2) / residual_scale(lhs2, rhs2))
     return [
         RelationReport.from_residuals(f"mockes_1S[{f.label}]", pts, res1, ctx.tol_tight),

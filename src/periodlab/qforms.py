@@ -16,7 +16,7 @@ otherwise ``_check_tail`` raises TailTooLarge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import exp as _math_exp, inf as _math_inf, log as _math_log, log1p as _math_log1p
@@ -56,7 +56,10 @@ class QSeries:
     series, whose tails are estimated from the e^(c sqrt(n)) coefficient
     growth at evaluation time).  ``modular`` marks series that transform with
     weight ``weight`` under the full modular group, enabling the low-height
-    evaluation fallback.
+    evaluation fallback.  ``_memo`` holds values derived from the
+    coefficients (their mpc conversion per binary precision, the log of the
+    growth constant); it is not an init argument, so ``replace`` starts a
+    fresh one, and it takes no part in equality or hashing.
     """
 
     weight: int
@@ -66,6 +69,7 @@ class QSeries:
     cuspidal: bool = False
     modular: bool = False
     label: str = ""
+    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.cuspidal and self.n_min < 1:
@@ -123,23 +127,17 @@ def _add(a: Coefficient, b: Coefficient) -> Coefficient:
     return _to_mpc(a) + _to_mpc(b)
 
 
-_MPC_COEFF_CACHE: dict = {}
-
-
 def _mpc_coeffs(f: "QSeries") -> tuple:
     """Coefficients converted to mpc at the current working precision, memoized.
 
     Conversion of exact rationals with very large numerators dominates
-    repeated evaluation otherwise; the cache is keyed by the (immutable)
-    series and the binary precision, so entries are value-transparent.
+    repeated evaluation otherwise; the memo lives on the (immutable) series,
+    keyed by the binary precision, and goes when the series goes.
     """
-    key = (id(f), mp.mp.prec)
-    got = _MPC_COEFF_CACHE.get(key)
-    if got is None or got[0] is not f:
-        converted = tuple(_to_mpc(c) for c in f.coeffs)
-        _MPC_COEFF_CACHE[key] = (f, converted)
-        return converted
-    return got[1]
+    converted = f._memo.get(mp.mp.prec)
+    if converted is None:
+        converted = f._memo[mp.mp.prec] = tuple(_to_mpc(c) for c in f.coeffs)
+    return converted
 
 
 def _to_mpc(c: Coefficient) -> mp.mpc:
@@ -308,14 +306,11 @@ def bol(f: QSeries) -> QSeries:
     )
 
 
-_WH_BOUND_CACHE: dict = {}
-
-
 def _wh_log_coeff_bound(f: QSeries) -> float:
     """log C, C empirical with |a(n)| <= C e^(4 pi sqrt(2 n)) on the window."""
-    got = _WH_BOUND_CACHE.get(id(f))
-    if got is not None and got[0] is f:
-        return got[1]
+    got = f._memo.get("wh_log_c")
+    if got is not None:
+        return got
     best = mp.mpf(1)
     coeffs = _mpc_coeffs(f)
     for n in range(max(1, f.n_min), f.n_max + 1):
@@ -325,8 +320,7 @@ def _wh_log_coeff_bound(f: QSeries) -> float:
         ratio = c / mp.exp(4 * mp.pi * mp.sqrt(2 * mp.mpf(n)))
         if ratio > best:
             best = ratio
-    result = float(mp.log(10 * best))
-    _WH_BOUND_CACHE[id(f)] = (f, result)
+    result = f._memo["wh_log_c"] = float(mp.log(10 * best))
     return result
 
 

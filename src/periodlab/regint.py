@@ -37,7 +37,6 @@ from .eichler import PolynomialC, S
 from .kernel import (
     DomainError,
     PrecisionContext,
-    RayPath,
     quad_ray,
     xi_fd,
 )
@@ -241,13 +240,7 @@ def reg_integral_to_icusp(
         if expq.decaying is not None:
             pole = kernel.pole()
             integrand = lambda w: expq.decaying_eval(w, ctx) * kernel.eval(w)
-            total += quad_ray(
-                integrand,
-                RayPath(start=z0),
-                2 * mp.pi,
-                ctx,
-                avoid=(pole,) if pole is not None else (),
-            )
+            total += quad_ray(integrand, z0, ctx, avoid=(pole,) if pole is not None else ())
         return total
 
 
@@ -335,7 +328,8 @@ def starred_periods(
     genuinely modular M the cocycle vanishes and tildestar = 0; a nonzero
     cocycle must be supplied by the caller (synthetic inputs here are
     modular, and the cocycle of a general harmonic-part candidate is not
-    recoverable from its expansion alone).
+    recoverable from its expansion alone).  tildestar is integrated exactly
+    by ``PolynomialC.kernel_integral``, so the cocycle must have degree <= k-2.
     """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
@@ -355,8 +349,7 @@ def starred_periods(
         if cocycle is None or cocycle.is_zero():
             tst = mp.mpc(0)
         else:
-            integrand = lambda w: cocycle(w) * (w + z) ** (-k)
-            tst = quad_ray(integrand, RayPath(start=-mp.conj(z)), 0, ctx, avoid=(-z,))
+            tst = cocycle.kernel_integral(k, z, -mp.conj(z))
         return StarredPeriods(z=z, Fstar=fstar, rstar=rst, tildestar=tst, hatstar=rst - tst)
 
 

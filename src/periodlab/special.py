@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .kernel import DomainError, NonConvergent, PrecisionContext, StepTooLarge
+from .kernel import QUAD_MAXDEGREE, DomainError, NonConvergent, PrecisionContext, StepTooLarge
 from .reports import RelationReport, residual_scale
 
 _GAMMA_DPS_PAD = 10
@@ -166,7 +166,7 @@ def whittaker_M_integral(args: WhittakerArgs, ctx: PrecisionContext) -> mp.mpf:
             lambda t: t ** (nu + mu - mp.mpf("0.5")) * (1 - t) ** (nu - mu - mp.mpf("0.5")) * mp.exp(-y * t),
             [0, 1],
             method="tanh-sinh",
-            maxdegree=ctx.quad_order + 4,
+            maxdegree=QUAD_MAXDEGREE,
         )
         pref = (
             y ** (nu + mp.mpf("0.5"))
@@ -239,7 +239,7 @@ def bold_gamma(s, y, ctx: PrecisionContext) -> mp.mpf:
             val, err = mp.quad(
                 lambda t: upper_incomplete_gamma(s, t, ctx) * t ** (-s - 1) * mp.exp(t),
                 [y, y + 9, y + 99, mp.inf],
-                maxdegree=ctx.quad_order + 4,
+                maxdegree=QUAD_MAXDEGREE,
                 error=True,
             )
             if not err <= ctx.tol_tight * (1 + abs(val)):

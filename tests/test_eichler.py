@@ -5,17 +5,20 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodlab import (
+    DomainError,
     NotInW,
     PolynomialC,
     PrecisionContext,
-    RayPath,
     eichler_integral,
     es_decompose,
     period_polynomial,
     period_polynomial_quadrature,
     quad_ray,
+    residual_scale,
     w_membership,
 )
 from periodlab.eichler import (
@@ -137,8 +140,7 @@ def test_eichler_termwise_coefficient(ctx, f_delta):
     z = mp.mpc("0.3", "0.9")
     val = quad_ray(
         lambda w: mp.exp(2j * mp.pi * n * (w + z)) * w ** (k - 2),
-        RayPath(start=mp.mpc(0)),
-        2 * mp.pi * n,
+        mp.mpc(0),
         ctx,
     )
     want = mp.factorial(k - 2) * (-2j * mp.pi) ** (1 - k) * mp.mpf(n) ** (1 - k) * mp.exp(
@@ -235,3 +237,51 @@ def test_slash_wrong_weight_rejected():
     P = PolynomialC.from_coeffs([1, 2, 3], 4)
     with pytest.raises(NonPolynomialResult):
         slash_polynomial(P, -3, S)
+
+
+def test_kernel_integral_reciprocal_power(ctx):
+    # int_i^{i oo} (w + i)^(-12) dw = (2i)^(-11)/11 = i/22528
+    with mp.workdps(ctx.work_dps):
+        val = PolynomialC.from_coeffs([1]).kernel_integral(12, 1j, 1j)
+    assert abs(val - mp.mpc(0, 1) / 22528) < mp.mpf("1e-45")
+
+
+def test_kernel_integral_domain(ctx):
+    with pytest.raises(DomainError):
+        # degree k-1: the integral to i oo diverges logarithmically
+        PolynomialC.from_coeffs([0] * 11 + [1]).kernel_integral(12, 1j, 0)
+    with pytest.raises(DomainError):
+        PolynomialC.from_coeffs([1, 2]).kernel_integral(12, mp.mpc("0.2", 1), mp.mpc("-0.2", -1))
+    with pytest.raises(DomainError):
+        PolynomialC.from_coeffs([1, 2]).kernel_integral(12, 1j, 0, -1j)
+
+
+_COEFF = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _kernel_cases(draw):
+    k = draw(st.sampled_from([12, 16]))
+    coeffs = draw(st.lists(_COEFF, min_size=1, max_size=k - 1))
+    z = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.3, 2.5)))
+    a, b = (complex(draw(st.floats(-1.5, 1.5)), draw(st.floats(0, 2))) for _ in range(2))
+    return k, coeffs, z, a, b
+
+
+@settings(max_examples=20)
+@given(_kernel_cases())
+def test_kernel_integral_matches_quadrature(ctx, case):
+    k, coeffs, z, a, b = case
+    P = PolynomialC.from_coeffs(coeffs)
+    tol = mp.mpf(10) ** (-ctx.digits)
+    with mp.workdps(ctx.work_dps):
+        z, a, b = mp.mpc(z), mp.mpc(a), mp.mpc(b)
+        kern = lambda w: P(w) * (w + z) ** (-k)
+        seg = P.kernel_integral(k, z, a, b)
+        want = mp.quad(lambda t: kern(a + t * (b - a)) * (b - a), [0, 1])
+        assert abs(seg - want) <= tol * residual_scale(seg, want)
+        ray = P.kernel_integral(k, z, a)
+        want = mp.quad(lambda t: kern(mp.mpc(mp.re(a), t)) * 1j, [mp.im(a), mp.inf])
+        assert abs(ray - want) <= tol * residual_scale(ray, want)
+        whole = seg + P.kernel_integral(k, z, b)
+        assert abs(whole - ray) <= tol * residual_scale(whole, ray)

@@ -85,3 +85,14 @@ def test_completed_functional_equation_complex_s(ctx, f_delta):
     lhs = lambda_completed(f_delta, s, ctx)
     rhs = (-1) ** 6 * lambda_completed(f_delta, 12 - s, ctx)
     assert abs(lhs - rhs) <= ctx.tol_tight * (1 + abs(lhs))
+
+
+def test_completed_est_error_covers_short_window(ctx, f_delta):
+    # 21 terms leave a certified tail near 1e-51, above eps = 1e-58; the
+    # reported error must cover the actual deviation from the long window
+    from periodlab import delta
+
+    short = l_completed(delta(21), 6, ctx)
+    want = l_completed(f_delta, 6, ctx).value
+    assert abs(short.value - want) <= short.est_error
+    assert l_completed(f_delta, 6, ctx).est_error >= ctx.eps()

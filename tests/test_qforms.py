@@ -1,6 +1,8 @@
 """q-series constructors, evaluation, Bol operator, file format."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,6 +10,7 @@ import pytest
 
 from periodlab import (
     DomainError,
+    ExponentialQExpansion,
     QSeries,
     TailTooLarge,
     UnsupportedWeight,
@@ -207,3 +210,14 @@ def test_qexp_decimal_coefficients(tmp_path):
     assert back.coeff(1) == 1
     assert abs(back.coeff(2) + mp.mpf("0.5")) < mp.mpf("1e-60")
     assert abs(back.coeff(3) - mp.mpf("2.25")) < mp.mpf("1e-60")
+
+
+def test_evaluated_series_is_not_kept_alive(ctx, f_wh):
+    # the per-call decaying part of a starred-period computation: its mpc
+    # coefficients and growth bound are memoized on it and go with it
+    expq = ExponentialQExpansion.from_qseries(f_wh)
+    expq.decaying_eval(mp.mpc("0.2", "1.1"), ctx)
+    ref = weakref.ref(expq.decaying)
+    del expq
+    gc.collect()
+    assert ref() is None

@@ -12,6 +12,7 @@ from periodlab import (
     NotRegularizable,
     PolynomialC,
     RegKernel,
+    period_polynomial,
     reg_integral_cusp_to_cusp,
     reg_integral_to_icusp,
     starred_periods,
@@ -58,7 +59,7 @@ def ibp_oracle(n, w0, z, k):
 def test_empty_principal_equals_plain_quad(ctx, f_delta):
     # ten decaying inputs: scaled copies of a cusp form window
     rng = random.Random(13)
-    from periodlab import RayPath, quad_ray
+    from periodlab import quad_ray
     from periodlab.qforms import _sum_q_series
 
     for _ in range(10):
@@ -70,9 +71,7 @@ def test_empty_principal_equals_plain_quad(ctx, f_delta):
         kern = RegKernel(kind="plus", k=12, z=z)
         w0 = -mp.conj(z)
         got = reg_integral_to_icusp(expq, kern, w0, ctx)
-        plain = quad_ray(
-            lambda w: _sum_q_series(g, w, ctx) * kern.eval(w), RayPath(start=w0), 2 * mp.pi, ctx
-        )
+        plain = quad_ray(lambda w: _sum_q_series(g, w, ctx) * kern.eval(w), w0, ctx)
         assert abs(got - plain) <= ctx.tol_tight * (1 + abs(got))
 
 
@@ -192,6 +191,21 @@ def test_starred_modular_input_kills_cocycle(ctx, f_wh):
     sp = starred_periods(f_wh, mp.mpc("0.3", "1.2"), ctx)
     assert sp.tildestar == 0
     assert sp.hatstar == sp.rstar
+
+
+def test_starred_tildestar_with_cocycle(ctx, f_wh, f_delta):
+    # an explicit cocycle skips the modularity check; tildestar integrates
+    # it against (w+z)^(-k) exactly, checked here by quadrature on the ray
+    # w = -x + it from -conj z, where w + z = i(t + y)
+    Q = period_polynomial(f_delta, ctx).base.scale(mp.mpc("0.7", "-1.3"))
+    z = mp.mpc("0.3", "1.2")
+    sp = starred_periods(f_wh, z, ctx, cocycle=Q)
+    with mp.workdps(ctx.work_dps):
+        x, y = mp.re(z), mp.im(z)
+        want = mp.quad(lambda t: Q(mp.mpc(-x, t)) * mp.mpc(0, t + y) ** (-12) * 1j, [y, mp.inf])
+        assert sp.hatstar == sp.rstar - sp.tildestar
+    assert sp.tildestar != 0
+    assert abs(sp.tildestar - want) <= ctx.tol_tight * (1 + abs(want))
 
 
 def test_starred_zero_input(ctx, f_wh):

@@ -15,6 +15,8 @@ from periodlab import (
     evaluate,
     l_completed,
 )
+from periodlab.cli import holomorphic_form
+from periodlab.qforms import DIM_ONE_WEIGHTS
 
 CTX100 = PrecisionContext(digits=100)
 
@@ -35,6 +37,22 @@ def test_completed_lvalue_short_window_raises():
 def test_f2_termwise_short_window_raises():
     with pytest.raises(TailTooLarge):
         F_f2(delta(16), mp.mpc("0.1", "0.6"), CTX100, method="termwise")
+
+
+@pytest.mark.parametrize("digits", [80, 100])
+def test_cli_window_follows_digits(digits):
+    # a 64-term delta raises TailTooLarge here; the CLI's window does not
+    ctx = PrecisionContext(digits=digits)
+    f = holomorphic_form("delta", ctx)
+    z = mp.mpc("0.5", "0.5")
+    evaluate(f, z, ctx)
+    eichler_integral(f, ctx)(z)
+
+
+def test_cli_window_at_default_digits():
+    ctx = PrecisionContext()
+    for label in ["delta"] + [f"cusp{k}" for k in DIM_ONE_WEIGHTS]:
+        assert holomorphic_form(label, ctx).n_max == ctx.series_len
 
 
 def _route(name, f, z, ctx):
