@@ -215,6 +215,7 @@ class PeriodPolynomial:
     weight: int
     source: str
     critical_values: Tuple[mp.mpc, ...]  # L(1), ..., L(k-1)
+    critical_errors: Tuple[mp.mpf, ...]  # their est_error
 
     def __call__(self, z) -> mp.mpc:
         return self.base(z)
@@ -237,7 +238,8 @@ def period_polynomial(f: QSeries, ctx: PrecisionContext) -> PeriodPolynomial:
         return cached
     k = f.weight
     with mp.workdps(ctx.work_dps):
-        lvals = tuple(l_completed(f, n + 1, ctx).value for n in range(k - 1))
+        lvs = [l_completed(f, n + 1, ctx) for n in range(k - 1)]
+        lvals = tuple(lv.value for lv in lvs)
         pref = -mp.factorial(k - 2) / (2j * mp.pi) ** (k - 1)
         coeffs = [mp.mpc(0)] * (k - 1)
         for n in range(k - 1):
@@ -248,6 +250,7 @@ def period_polynomial(f: QSeries, ctx: PrecisionContext) -> PeriodPolynomial:
             weight=k,
             source=f.label,
             critical_values=lvals,
+            critical_errors=tuple(lv.est_error for lv in lvs),
         )
     _PERIOD_CACHE[key] = result
     return result
@@ -270,10 +273,11 @@ class EichlerIntegral:
     Termwise, F(z) = (k-2)! (-2 pi i)^(1-k) sum a(n) n^(1-k) q^n.  Below the
     reduction height the cocycle rule F(z) = r(z) + z^(k-2) F(-1/z) (together
     with exact T-translations) moves the argument into the fast-convergence
-    region; each step at least doubles Im z.  The q-sum is a QSeries whose
-    coefficients carry the prefactor, with tail bound (|prefactor| C,
-    alpha + 1 - k) from f's (C, alpha), so it is truncated by the package's
-    one certified rule and raises TailTooLarge when f's window is too short.
+    region; each step at least doubles Im z.  The q-sum is a QSeries,
+    ``series``, whose coefficients carry the prefactor, with tail bound
+    (|prefactor| C, alpha + 1 - k) from f's (C, alpha), so it is truncated
+    by the package's one certified rule and raises TailTooLarge when f's
+    window is too short.
     """
 
     def __init__(self, f: QSeries, ctx: PrecisionContext):
@@ -289,7 +293,7 @@ class EichlerIntegral:
             tail_bound = None
             if f.tail_bound is not None:
                 tail_bound = (float(abs(pref)) * f.tail_bound[0], f.tail_bound[1] + 1 - k)
-            self._series = QSeries(
+            self.series = QSeries(
                 weight=self.weight,
                 n_min=1,
                 coeffs=tuple(pref * _to_mpc(f.coeff(n)) * mp.mpf(n) ** (1 - k) for n in range(1, f.n_max + 1)),
@@ -300,9 +304,9 @@ class EichlerIntegral:
 
     def coefficient(self, n: int) -> mp.mpc:
         """Coefficient of q^n (n >= 1)."""
-        if n < 1 or n > self._series.n_max:
+        if n < 1 or n > self.series.n_max:
             return mp.mpc(0)
-        return self._series.coeffs[n - 1]
+        return self.series.coeffs[n - 1]
 
     def period(self) -> PeriodPolynomial:
         return self._period
@@ -322,7 +326,7 @@ class EichlerIntegral:
                 total += factor * self._period(z)
                 factor *= z ** (k - 2)
                 z = -1 / z
-            return total + factor * _sum_q_series(self._series, z, self.ctx)
+            return total + factor * _sum_q_series(self.series, z, self.ctx)
 
     def __call__(self, z) -> mp.mpc:
         return self.evaluate(z)

@@ -1,23 +1,27 @@
 """Second-order period objects: completion, non-critical values, verifiers.
 
-Objects attached to a weight-k cusp form f, with F its Eichler integral:
+Objects attached to a weight-k cusp form f, with F = sum b(n) q^n its
+Eichler integral and r its period polynomial:
 
 * F2(z)     = int_{-conj z}^{i oo} F(w) (w+z)^(-k) dw      (quadrature), also
               (k-2)! sum a(n) Gamma(1-k, 4 pi n y) q^(-n)   (termwise);
-* r2(z)     = int_0^{i oo} F(w) (wz-1)^(-k) dw              (holomorphic);
-* tilde(z)  = int_{-conj z}^{i oo} r(w) (w+z)^(-k) dw, with the closed form
-              -(k-2)! sum_{n,l} L(n+1) (-2 pi i z)^l (-4 pi y)^(-1-n-l)
-                               / (l! (k-2-n-l)! (1+n+l))
-              (purely non-holomorphic: every y-exponent is negative);
+* r2(z)     = int_0^{i oo} F(w) (wz-1)^(-k) dw              (quadrature), also
+              z^(-k) sum b(n) I_n(-1/z) - sum b(n) I_n(z) + int_i^{i oo} r(w) (w+z)^(-k) dw  (termwise),
+              I_n(a) = int_i^{i oo} e^(2 pi i n w) (w+a)^(-k) dw = e^(-lam a) (-lam)^(k-1) Gamma(1-k, -lam (i+a)),
+              lam = 2 pi i n;
+* tilde(z)  = int_{-conj z}^{i oo} r(w) (w+z)^(-k) dw, exact by
+              ``PolynomialC.kernel_integral`` (purely non-holomorphic: every
+              y-exponent is negative);
 * hat = r2 - tilde, the completion satisfying the period relations.
 
-The closed form for the correction term is the one the termwise computation
-produces; it is cross-checked against direct quadrature by the verifier
-suite.  Non-critical L-values are read off from derivatives of r2 at 0:
+Termwise r2 splits its ray at i and maps the leg [0, i] onto [i, i oo) by
+w -> -1/w, using F(-1/w) = w^(2-k) (F(w) - r(w)); every Gamma argument has
+real part 2 pi n (1 + Im a) > 0, so the principal branch applies.
+Quadrature is the default of F_f2 and r_f2 as their definitional oracle; the
+verifiers pass method="termwise".  Non-critical L-values are read off from
+derivatives of r2 at 0:
 d^m/dz^m r2(z) |_{z -> 0+} = i^(k+m) (m+k-1)! m! / ((k-1)(2 pi)^(m+k)) L(k+m),
-computed by differentiating under the integral sign, where the limit can be
-taken exactly (the differentiated integrand is absolutely integrable at
-z = 0).
+by differentiating under the integral sign and splitting at i in the same way.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .kernel import (
 )
 from .lfun import LValue
 from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _to_mpc, conjugate_form
+from .regint import exp_ray_integral
 from .reports import RelationReport, residual_scale
 from .special import upper_incomplete_gamma
 
@@ -63,6 +68,8 @@ class MockPeriodEvaluation:
 
 def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:
     """Iterated integral F2(z); ``method`` is "quadrature" or "termwise"."""
+    if method not in ("quadrature", "termwise"):
+        raise ValueError("method must be 'quadrature' or 'termwise'")
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
         if not mp.im(z) > 0:
@@ -100,30 +107,63 @@ def _F_f2_termwise(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
     return total
 
 
-def r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
+def _ray_sum(f: QSeries, a, s: int, ctx: PrecisionContext, scale=1):
+    """(scale sum b(n) int_i^{i oo} e^(2 pi i n w) (w+a)^(-s) dw, log of its certified tail).
+
+    b(n) are the q-coefficients of F; needs Im a >= 0 and s > -2 pi.  With
+    x = -2 pi i n (i+a), Re x = 2 pi n (1 + Im a) > 0 and |x| >= 2 pi n, so
+    |Gamma(1-s, x)| <= |x|^(-s) e^(-Re x), times |x|/(|x|+s) <= 2 pi/(2 pi+s)
+    when s < 0, and the n-th term is at most |scale b(n)| (2 pi n)^(-1)
+    |i+a|^(-s) e^(-2 pi n), times that factor.
+    """
+    F = eichler_integral(f, ctx)
+    w0 = mp.mpc(0, 1)
+    log_b, alpha, beta = _coeff_model(F.series)
+    log_c = log_b + float(mp.log(abs(scale) / (2 * mp.pi + min(s, 0)) / abs(w0 + a) ** s))
+    N, log_tail = _certified_length((log_c, alpha - 1, beta), -2 * math.pi, f.n_max, ctx)
+    total = mp.mpc(0)
+    for n in range(1, N + 1):
+        b = F.coefficient(n)
+        if b != 0:
+            total += b * exp_ray_integral(n, w0, a, s, ctx)
+    total *= scale
+    _check_tail(log_tail, total, ctx, f"ray sum of F[{f.label}]")
+    return total, log_tail
+
+
+def r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:
     """Holomorphic second-order period function int_0^{i oo} F(w)(wz-1)^(-k) dw.
 
-    The integrand is bounded at w = 0 (F tends to r(0) along the ray) and the
-    pole w = 1/z of the kernel lies in the lower half-plane, off the path.
+    ``method="quadrature"``: the integrand is bounded at w = 0 (F tends to
+    r(0) along the ray) and the kernel's pole 1/z lies off the path, in the
+    lower half-plane.  ``method="termwise"`` (Im z > 0): see the module docstring.
     """
+    if method not in ("quadrature", "termwise"):
+        raise ValueError("method must be 'quadrature' or 'termwise'")
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
         if f.is_zero():
             return mp.mpc(0)
-        F = eichler_integral(f, ctx)
         k = f.weight
+        if method == "termwise":
+            if not mp.im(z) > 0:
+                raise DomainError("termwise r_f2 requires Im z > 0")
+            upper = _ray_sum(f, -1 / z, k, ctx, z ** (-k))[0]
+            lower = _ray_sum(f, z, k, ctx)[0]
+            return upper - lower + period_polynomial(f, ctx).base.kernel_integral(k, z, mp.mpc(0, 1))
+        F = eichler_integral(f, ctx)
         pole = 1 / z if z != 0 else None
         integrand = lambda w: F(w) * (w * z - 1) ** (-k)
         return quad_ray(integrand, mp.mpc(0), ctx, avoid=(pole,) if pole is not None else ())
 
 
 def tilde_r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "closed") -> mp.mpc:
-    """Non-holomorphic correction term; closed form by default.
+    """Non-holomorphic correction term; ``PolynomialC.kernel_integral`` by default.
 
-    ``method="quadrature"`` is the oracle for the closed form: mp.quad on
-    the vertical ray w = -x + it, t >= y, where the integrand
-    r(w) (i(t+y))^(-k) decays like t^(-2).  Raises NonConvergent when its
-    error estimate exceeds tol_tight (1 + |value|).
+    ``method="quadrature"`` is the oracle for it: mp.quad on the vertical
+    ray w = -x + it, t >= y, where the integrand r(w) (i(t+y))^(-k) decays
+    like t^(-2).  Raises NonConvergent when its error estimate exceeds
+    tol_tight (1 + |value|).
     """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
@@ -131,9 +171,9 @@ def tilde_r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "closed") -> 
             raise DomainError("tilde_r_f2 requires Im z > 0")
         if f.is_zero():
             return mp.mpc(0)
+        r = period_polynomial(f, ctx).base
+        k = f.weight
         if method == "quadrature":
-            r = period_polynomial(f, ctx).base
-            k = f.weight
             x, y = mp.re(z), mp.im(z)
             integrand = lambda t: r(mp.mpc(-x, t)) * mp.mpc(0, t + y) ** (-k) * mp.mpc(0, 1)
             val, err = mp.quad(integrand, [y, mp.inf], method="tanh-sinh", maxdegree=QUAD_MAXDEGREE, error=True)
@@ -142,36 +182,16 @@ def tilde_r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "closed") -> 
             return val
         if method != "closed":
             raise ValueError("method must be 'closed' or 'quadrature'")
-        return _tilde_closed(f, z, ctx)
-
-
-def _tilde_closed(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
-    k = f.weight
-    lvals = period_polynomial(f, ctx).critical_values
-    y = mp.im(z)
-    total = mp.mpc(0)
-    minus_2piz = -2j * mp.pi * z
-    inv4py = 1 / (-4 * mp.pi * y)
-    for n in range(0, k - 1):
-        zl = mp.mpc(1)
-        for l in range(0, k - 1 - n):
-            total += (
-                lvals[n]
-                / (mp.factorial(l) * mp.factorial(k - 2 - n - l) * (1 + n + l))
-                * zl
-                * inv4py ** (1 + n + l)
-            )
-            zl *= minus_2piz
-    return -mp.factorial(k - 2) * total
+        return r.kernel_integral(k, z, -mp.conj(z))
 
 
 def hat_r_f2(f: QSeries, z, ctx: PrecisionContext) -> MockPeriodEvaluation:
-    """Completion r2 - tilde at z (closed-form correction term)."""
+    """Completion r2 - tilde at z (termwise r2, exact correction term)."""
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        r2 = r_f2(f, z, ctx)
+        r2 = r_f2(f, z, ctx, method="termwise")
         tl = tilde_r_f2(f, z, ctx)
-        return MockPeriodEvaluation(z=z, r_f2=r2, tilde=tl, hat=r2 - tl, method="quadrature+closed")
+        return MockPeriodEvaluation(z=z, r_f2=r2, tilde=tl, hat=r2 - tl, method="termwise+closed")
 
 
 def hat_function(f: QSeries, ctx: PrecisionContext) -> Callable[[mp.mpc], mp.mpc]:
@@ -189,7 +209,13 @@ def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
     Differentiating under the integral sign gives
     d^m/dz^m r2(z) = (-1)^m (k)_m int_0^{i oo} F(w) w^m (wz-1)^(-k-m) dw,
     absolutely convergent down to z = 0, where it collapses to
-    (k)_m int F(w) w^m dw and is evaluated exactly.
+    (-1)^k (k)_m int F(w) w^m dw, so L(k+m) = (-1)^k (-2 pi i)^(k+m) / ((k-2)! m!)
+    int F(w) w^m dw.  Split at i as for r2, with real Gamma arguments 2 pi n,
+    int_0^{i oo} F(w) w^m dw = sum b(n) I_n^(-m)
+                             - (-1)^m (sum b(n) I_n^(k+m) - int_i^{i oo} r(w) w^(-k-m) dw),
+    I_n^(s) = int_i^{i oo} e^(2 pi i n w) w^(-s) dw.  ``est_error`` is the two
+    certified tails plus the critical values' own est_error carried through
+    r's coefficients, times the same factor.
     """
     if m < 0 or m > 6:
         raise DomainError("derivative order limited to 0 <= m <= 6")
@@ -197,17 +223,20 @@ def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
         if f.is_zero():
             return LValue(s=mp.mpc(f.weight + m), value=mp.mpc(0), method="mock-period", est_error=mp.mpf(0))
         k = f.weight
-        const = (
-            mp.mpc(0, 1) ** (k + m)
-            * mp.factorial(m + k - 1)
-            * mp.factorial(m)
-            / ((k - 1) * (2 * mp.pi) ** (m + k))
+        pp = period_polynomial(f, ctx)
+        sign = (-1) ** m
+        upper, tail_up = _ray_sum(f, 0, -m, ctx)
+        lower, tail_low = _ray_sum(f, 0, k + m, ctx, -sign)
+        integral = upper + lower + sign * pp.base.kernel_integral(k + m, 0, mp.mpc(0, 1))
+        # an error e in L(k-1-j) moves r's w^j coefficient by (k-2)! (2 pi)^(j+1-k) e / j!,
+        # and int_i^{i oo} r(w) w^(-k-m) dw by that over k+m-1-j
+        coeff_err = mp.factorial(k - 2) * mp.fsum(
+            (2 * mp.pi) ** (j + 1 - k) * pp.critical_errors[k - 2 - j] / (mp.factorial(j) * (k + m - 1 - j))
+            for j in range(k - 1)
         )
-        F = eichler_integral(f, ctx)
-        # at z = 0 the kernel (wz-1)^(-k-m) is the constant (-1)^(k+m)
-        integral = quad_ray(lambda w: F(w) * w ** m, mp.mpc(0), ctx)
-        value = (-1) ** k * mp.rf(k, m) * integral / const
-        return LValue(s=mp.mpc(k + m), value=value, method="mock-period", est_error=ctx.eps())
+        factor = (-1) ** k * (-2j * mp.pi) ** (k + m) / (mp.factorial(k - 2) * mp.factorial(m))
+        err = abs(factor) * (mp.exp(tail_up) + mp.exp(tail_low) + coeff_err)
+        return LValue(s=mp.mpc(k + m), value=factor * integral, method="mock-period", est_error=max(ctx.eps(), err))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +250,7 @@ def verify_superm(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> 
     with mp.workdps(ctx.work_dps):
         for z in pts:
             z = mp.mpc(z)
-            lhs = F_f2(f, S.apply(z), ctx) * z ** (-k) - F_f2(f, z, ctx)
+            lhs = F_f2(f, S.apply(z), ctx, method="termwise") * z ** (-k) - F_f2(f, z, ctx, method="termwise")
             ev = hat_r_f2(f, z, ctx)
             residuals.append(abs(lhs - ev.hat) / residual_scale(lhs, ev.hat))
     return RelationReport.from_residuals(
@@ -270,7 +299,8 @@ def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) ->
 
     The right-hand sides are polynomials against (w+z)^(-k), integrated
     exactly by ``PolynomialC.kernel_integral``; the left-hand sides take r2
-    by quadrature, so each identity is checked by two independent routes.
+    termwise.  Its q-series sums cancel exactly in r2|(1+S), which then
+    checks the split at i and r|(1+S) = 0; in r2|(1+U+U^2) they do not.
     """
     from .eichler import slash_polynomial
 
@@ -281,15 +311,15 @@ def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) ->
         r_ut = slash_polynomial(r, 2 - k, UTILDE)
         for z in pts:
             z = mp.mpc(z)
-            r2 = r_f2(f, z, ctx)
-            lhs1 = r2 + r_f2(f, S.apply(z), ctx) * z ** (-k)
+            r2 = r_f2(f, z, ctx, method="termwise")
+            lhs1 = r2 + r_f2(f, S.apply(z), ctx, method="termwise") * z ** (-k)
             rhs1 = r.kernel_integral(k, z, 0)
             res1.append(abs(lhs1 - rhs1) / residual_scale(lhs1, rhs1))
 
             lhs2 = (
                 r2
-                + r_f2(f, U.apply(z), ctx) * U.jfactor(z) ** (-k)
-                + r_f2(f, (U * U).apply(z), ctx) * (U * U).jfactor(z) ** (-k)
+                + r_f2(f, U.apply(z), ctx, method="termwise") * U.jfactor(z) ** (-k)
+                + r_f2(f, (U * U).apply(z), ctx, method="termwise") * (U * U).jfactor(z) ** (-k)
             )
             rhs2 = r.kernel_integral(k, z, -1) + r_ut.kernel_integral(k, z, -1, 0)
             res2.append(abs(lhs2 - rhs2) / residual_scale(lhs2, rhs2))

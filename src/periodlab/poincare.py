@@ -237,7 +237,7 @@ def verify_bol_xi_avatar(f: QSeries, pts: Sequence[complex], ctx: PrecisionConte
     res_fd, res_chain = [], []
     with mp.workdps(ctx.work_dps):
         pref = (2j) ** (1 - k)
-        F2 = lambda w: F_f2(f, w, ctx)
+        F2 = lambda w: F_f2(f, w, ctx, method="termwise")
         # weight 2-k series with coefficients of (2i)^(1-k) F^c = -(2i)^(1-k) F_{f^c}
         gcoeffs = tuple(-pref * Fc.coefficient(n) for n in range(1, fc.n_max + 1))
         gseries = QSeries(

@@ -173,15 +173,27 @@ def _gamma_negint_on_branch(N: int, x: mp.mpc, branch: str, ctx: PrecisionContex
     return upper_incomplete_gamma(-N, x, ctx) + jump
 
 
+def exp_ray_integral(n: int, w0, a, s: int, ctx: PrecisionContext, branch: Optional[str] = None) -> mp.mpc:
+    """R.int_{w0}^{i oo} e^(2 pi i n w) (w + a)^(-s) dw for integer s.
+
+    e^(-lam a) (-lam)^(s-1) Gamma(1-s, -lam (w0 + a)) with lam = 2 pi i n,
+    on the principal branch, which is the plain integral when
+    Re(-lam (w0 + a)) > 0 along the ray (n >= 1 and Im(w0 + a) > 0), or on
+    the sheet ``branch`` selects (s >= 1).
+    """
+    lam = 2j * mp.pi * n
+    x = -lam * (w0 + a)
+    g = upper_incomplete_gamma(1 - s, x, ctx) if branch is None else _gamma_negint_on_branch(s - 1, x, branch, ctx)
+    return mp.exp(-lam * a) * (-lam) ** (s - 1) * g
+
+
 def _principal_term_rational(
     n: int, w0: mp.mpc, shift: mp.mpc, k: int, branch: str, ctx: PrecisionContext
 ) -> mp.mpc:
     """R.int_{w0}^{i oo} e^(2 pi i n w) (w + shift)^(-k) dw for n < 0."""
-    lam = 2j * mp.pi * n
-    u0 = w0 + shift
-    if u0 == 0:
+    if w0 + shift == 0:
         raise DomainError("kernel pole sits at the base point")
-    return mp.exp(-lam * shift) * (-lam) ** (k - 1) * _gamma_negint_on_branch(k - 1, -lam * u0, branch, ctx)
+    return exp_ray_integral(n, w0, shift, k, ctx, branch)
 
 
 def _constant_term_rational(kernel: RegKernel, w0: mp.mpc) -> mp.mpc:
@@ -196,13 +208,7 @@ def _constant_term_rational(kernel: RegKernel, w0: mp.mpc) -> mp.mpc:
 
 def _principal_term_poly(n: int, w0: mp.mpc, poly: PolynomialC, ctx: PrecisionContext) -> mp.mpc:
     """R.int_{w0}^{i oo} e^(2 pi i n w) P(w) dw for n < 0 (entire in u)."""
-    lam = 2j * mp.pi * n
-    total = mp.mpc(0)
-    for j, cj in enumerate(poly.coeffs):
-        if cj == 0:
-            continue
-        total += cj * (-lam) ** (-j - 1) * upper_incomplete_gamma(j + 1, -lam * w0, ctx)
-    return total
+    return sum((cj * exp_ray_integral(n, w0, 0, -j, ctx) for j, cj in enumerate(poly.coeffs) if cj != 0), mp.mpc(0))
 
 
 def reg_integral_to_icusp(

@@ -6,8 +6,11 @@ import pytest
 from periodlab import (
     F_f2,
     S,
+    U,
+    delta,
     hat_function,
     hat_r_f2,
+    l_completed,
     l_dirichlet,
     noncritical_lvalue,
     period_polynomial,
@@ -53,6 +56,20 @@ def test_r_f2_holomorphy_probe(ctx, f_delta):
 
 def test_r_f2_zero(ctx, zero):
     assert r_f2(zero, mp.mpc(0, 1), ctx) == 0
+    assert r_f2(zero, mp.mpc(0, 1), ctx, method="termwise") == 0
+
+
+def test_r_f2_two_routes_agree(ctx, f_delta):
+    for z in (mp.mpc("0.1", "0.6"), mp.mpc(1, 1), S.apply(mp.mpc("0.3", "0.9")), U.apply(mp.mpc("0.2", "0.8"))):
+        q = r_f2(f_delta, z, ctx)
+        t = r_f2(f_delta, z, ctx, method="termwise")
+        assert abs(q - t) <= ctx.tol_tight * (1 + abs(q)), z
+
+
+@pytest.mark.parametrize("op", [F_f2, r_f2, tilde_r_f2])
+def test_unknown_method_rejected(ctx, f_delta, op):
+    with pytest.raises(ValueError):
+        op(f_delta, mp.mpc(0, 1), ctx, method="simpson")
 
 
 def test_tilde_closed_vs_quadrature(ctx, f_delta):
@@ -63,10 +80,13 @@ def test_tilde_closed_vs_quadrature(ctx, f_delta):
 
 
 def test_tilde_decays_like_inverse_y(ctx, f_delta):
-    # purely non-holomorphic: every y-exponent is negative, so y * tilde(iy)
-    # converges.  At z = iy every l-term of the n = 0 row scales as 1/y, so
-    # the limit constant is the full n = 0 row of the closed form (the l = 0
-    # term alone misses it by a factor ~4.6).
+    # integrating r, written in the critical values, against (w+z)^(-k) from
+    # -conj z gives tilde(z) = -(k-2)! sum_{n,l} L(n+1) (-2 pi i z)^l
+    # (-4 pi y)^(-1-n-l) / (l! (k-2-n-l)! (1+n+l)): purely non-holomorphic,
+    # every y-exponent is negative, so y * tilde(iy) converges.  At z = iy
+    # every l-term of the n = 0 row scales as 1/y, so the limit constant is
+    # the full n = 0 row of that sum (the l = 0 term alone misses it by a
+    # factor ~4.6).
     k = 12
     L1 = period_polynomial(f_delta, ctx).critical_values[0]
     C0 = -mp.factorial(k - 2) * L1 * mp.fsum(
@@ -113,6 +133,17 @@ def test_noncritical_values_vs_dirichlet(ctx, f_delta, f_delta_long):
         got = noncritical_lvalue(f_delta, m, ctx).value
         want = l_dirichlet(f_delta_long, 12 + m, ctx, tol=mp.mpf("1e-13")).value
         assert abs(got - want) <= mp.mpf("1e-8") * abs(want), m
+
+
+def test_noncritical_est_error_covers_deviation(ctx, f_delta):
+    # the reference sums a longer window, so it does not share the
+    # truncation of either route
+    long = delta(120)
+    for m in range(4):
+        got = noncritical_lvalue(f_delta, m, ctx)
+        want = l_completed(long, 12 + m, ctx)
+        assert abs(got.value - want.value) <= got.est_error + want.est_error, m
+        assert got.est_error <= mp.mpf(10) ** (5 - ctx.digits), m
 
 
 def test_noncritical_zero(ctx, zero):

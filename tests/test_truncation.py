@@ -14,8 +14,10 @@ from periodlab import (
     eichler_integral,
     evaluate,
     l_completed,
+    r_f2,
+    verify_superm,
 )
-from periodlab.cli import holomorphic_form
+from periodlab.cli import generic_points, holomorphic_form
 from periodlab.qforms import DIM_ONE_WEIGHTS
 
 CTX100 = PrecisionContext(digits=100)
@@ -39,6 +41,25 @@ def test_f2_termwise_short_window_raises():
         F_f2(delta(16), mp.mpc("0.1", "0.6"), CTX100, method="termwise")
 
 
+def test_r2_termwise_short_window_raises():
+    # the critical values that build r run out first: r2's own sums need
+    # fewer terms, since |z|^(-k) |i - 1/z|^(-k) = |z + i|^(-k) <= 1
+    with pytest.raises(TailTooLarge):
+        r_f2(delta(16), mp.mpc("0.1", "0.6"), CTX100, method="termwise")
+
+
+def test_superm_precision_ladder():
+    # a silent cap on any route (a window, a quadrature, a guard) would stop
+    # the residual from following the digits
+    pts = generic_points(3)
+    worst = []
+    for digits in (30, 50, 80):
+        ctx = PrecisionContext(digits=digits)
+        worst.append(verify_superm(holomorphic_form("delta", ctx), pts, ctx).max_residual)
+    for lo, hi in zip(worst, worst[1:]):
+        assert hi <= lo * mp.mpf("1e-10"), worst
+
+
 @pytest.mark.parametrize("digits", [80, 100])
 def test_cli_window_follows_digits(digits):
     # a 64-term delta raises TailTooLarge here; the CLI's window does not
@@ -60,10 +81,12 @@ def _route(name, f, z, ctx):
         return evaluate(f, z, ctx)
     if name == "F":
         return eichler_integral(f, ctx)(z)
+    if name == "r2":
+        return r_f2(f, z, ctx, method="termwise")
     return F_f2(f, z, ctx, method="termwise")
 
 
-@pytest.mark.parametrize("route", ["evaluate", "F", "F2"])
+@pytest.mark.parametrize("route", ["evaluate", "F", "F2", "r2"])
 @settings(max_examples=25)
 @given(
     weight=st.sampled_from([12, 16]),
