@@ -16,10 +16,14 @@ Eichler integral and r its period polynomial:
 
 Termwise r2 splits its ray at i and maps the leg [0, i] onto [i, i oo) by
 w -> -1/w, using F(-1/w) = w^(2-k) (F(w) - r(w)); every Gamma argument has
-real part 2 pi n (1 + Im a) > 0, so the principal branch applies.
+real part 2 pi n (1 + Im a) > 0, so the principal branch applies.  Each sum
+over n is ``regint.ray_sum`` from w0 = i, with its certified tail.
 Quadrature is the default of F_f2 and r_f2 as their definitional oracle; the
-verifiers pass method="termwise".  Non-critical L-values are read off from
-derivatives of r2 at 0:
+verifiers pass method="termwise", except where an identity would compare
+the termwise route with itself: r2|(1+S) and hat|(1+S) take the S-image by
+quadrature, since the ray sums of r2(z) and of z^(-k) r2(-1/z) are the same
+numbers and cancel.  Non-critical L-values are read off from derivatives of
+r2 at 0:
 d^m/dz^m r2(z) |_{z -> 0+} = i^(k+m) (m+k-1)! m! / ((k-1)(2 pi)^(m+k)) L(k+m),
 by differentiating under the integral sign and splitting at i in the same way.
 """
@@ -50,7 +54,7 @@ from .kernel import (
 )
 from .lfun import LValue
 from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _to_mpc, conjugate_form
-from .regint import exp_ray_integral
+from .regint import ray_sum
 from .reports import RelationReport, residual_scale
 from .special import upper_incomplete_gamma
 
@@ -107,30 +111,6 @@ def _F_f2_termwise(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
     return total
 
 
-def _ray_sum(f: QSeries, a, s: int, ctx: PrecisionContext, scale=1):
-    """(scale sum b(n) int_i^{i oo} e^(2 pi i n w) (w+a)^(-s) dw, log of its certified tail).
-
-    b(n) are the q-coefficients of F; needs Im a >= 0 and s > -2 pi.  With
-    x = -2 pi i n (i+a), Re x = 2 pi n (1 + Im a) > 0 and |x| >= 2 pi n, so
-    |Gamma(1-s, x)| <= |x|^(-s) e^(-Re x), times |x|/(|x|+s) <= 2 pi/(2 pi+s)
-    when s < 0, and the n-th term is at most |scale b(n)| (2 pi n)^(-1)
-    |i+a|^(-s) e^(-2 pi n), times that factor.
-    """
-    F = eichler_integral(f, ctx)
-    w0 = mp.mpc(0, 1)
-    log_b, alpha, beta = _coeff_model(F.series)
-    log_c = log_b + float(mp.log(abs(scale) / (2 * mp.pi + min(s, 0)) / abs(w0 + a) ** s))
-    N, log_tail = _certified_length((log_c, alpha - 1, beta), -2 * math.pi, f.n_max, ctx)
-    total = mp.mpc(0)
-    for n in range(1, N + 1):
-        b = F.coefficient(n)
-        if b != 0:
-            total += b * exp_ray_integral(n, w0, a, s, ctx)
-    total *= scale
-    _check_tail(log_tail, total, ctx, f"ray sum of F[{f.label}]")
-    return total, log_tail
-
-
 def r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:
     """Holomorphic second-order period function int_0^{i oo} F(w)(wz-1)^(-k) dw.
 
@@ -148,9 +128,10 @@ def r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
         if method == "termwise":
             if not mp.im(z) > 0:
                 raise DomainError("termwise r_f2 requires Im z > 0")
-            upper = _ray_sum(f, -1 / z, k, ctx, z ** (-k))[0]
-            lower = _ray_sum(f, z, k, ctx)[0]
-            return upper - lower + period_polynomial(f, ctx).base.kernel_integral(k, z, mp.mpc(0, 1))
+            b, i = eichler_integral(f, ctx).series, mp.mpc(0, 1)
+            upper = ray_sum(b, i, -1 / z, k, ctx, z ** (-k))[0]
+            lower = ray_sum(b, i, z, k, ctx)[0]
+            return upper - lower + period_polynomial(f, ctx).base.kernel_integral(k, z, i)
         F = eichler_integral(f, ctx)
         pole = 1 / z if z != 0 else None
         integrand = lambda w: F(w) * (w * z - 1) ** (-k)
@@ -213,21 +194,24 @@ def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
     int F(w) w^m dw.  Split at i as for r2, with real Gamma arguments 2 pi n,
     int_0^{i oo} F(w) w^m dw = sum b(n) I_n^(-m)
                              - (-1)^m (sum b(n) I_n^(k+m) - int_i^{i oo} r(w) w^(-k-m) dw),
-    I_n^(s) = int_i^{i oo} e^(2 pi i n w) w^(-s) dw.  ``est_error`` is the two
-    certified tails plus the critical values' own est_error carried through
-    r's coefficients, times the same factor.
+    I_n^(s) = int_i^{i oo} e^(2 pi i n w) w^(-s) dw.  Any m >= 0 works: the
+    tail bound of ``ray_sum`` covers the positive orders 1+m of I_n^(-m), and
+    a window too short for the digits raises TailTooLarge.  ``est_error`` is
+    the two certified tails plus the critical values' own est_error carried
+    through r's coefficients, times the same factor.
     """
-    if m < 0 or m > 6:
-        raise DomainError("derivative order limited to 0 <= m <= 6")
+    if m < 0:
+        raise DomainError("derivative order m must be >= 0")
     with mp.workdps(ctx.work_dps):
         if f.is_zero():
             return LValue(s=mp.mpc(f.weight + m), value=mp.mpc(0), method="mock-period", est_error=mp.mpf(0))
         k = f.weight
         pp = period_polynomial(f, ctx)
         sign = (-1) ** m
-        upper, tail_up = _ray_sum(f, 0, -m, ctx)
-        lower, tail_low = _ray_sum(f, 0, k + m, ctx, -sign)
-        integral = upper + lower + sign * pp.base.kernel_integral(k + m, 0, mp.mpc(0, 1))
+        b, i = eichler_integral(f, ctx).series, mp.mpc(0, 1)
+        upper, tail_up = ray_sum(b, i, 0, -m, ctx)
+        lower, tail_low = ray_sum(b, i, 0, k + m, ctx, -sign)
+        integral = upper + lower + sign * pp.base.kernel_integral(k + m, 0, i)
         # an error e in L(k-1-j) moves r's w^j coefficient by (k-2)! (2 pi)^(j+1-k) e / j!,
         # and int_i^{i oo} r(w) w^(-k-m) dw by that over k+m-1-j
         coeff_err = mp.factorial(k - 2) * mp.fsum(
@@ -265,7 +249,9 @@ def verify_w_k2(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> li
     """Period relations and xi-image of the completion: three reports.
 
     hat|(1+S) = hat|(1+U+U^2) = 0 at tol_tight, and
-    xi_k(hat) = (2i)^(1-k) r_{f^c} at tol_fd (finite differences).
+    xi_k(hat) = (2i)^(1-k) r_{f^c} at tol_fd (finite differences).  In
+    hat|(1+S) the S-image is r2 by quadrature minus the closed correction
+    term: termwise at both points, the ray sums would cancel exactly.
     """
     k = f.weight
     h = hat_function(f, ctx)
@@ -275,7 +261,8 @@ def verify_w_k2(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> li
         for z in pts:
             z = mp.mpc(z)
             v0 = h(z)
-            vs = v0 + slash_function(h, k, S)(z)
+            sz = S.apply(z)
+            vs = v0 + (r_f2(f, sz, ctx, method="quadrature") - tilde_r_f2(f, sz, ctx)) * z ** (-k)
             vu = v0 + slash_function(h, k, U)(z) + slash_function(h, k, U * U)(z)
             scale = residual_scale(v0)
             res_s.append(abs(vs) / scale)
@@ -299,8 +286,9 @@ def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) ->
 
     The right-hand sides are polynomials against (w+z)^(-k), integrated
     exactly by ``PolynomialC.kernel_integral``; the left-hand sides take r2
-    termwise.  Its q-series sums cancel exactly in r2|(1+S), which then
-    checks the split at i and r|(1+S) = 0; in r2|(1+U+U^2) they do not.
+    termwise, except r2(Sz), which is taken by quadrature: termwise, its ray
+    sums are those of r2(z) with opposite signs, and r2|(1+S) would check
+    only the split at i and r|(1+S) = 0.
     """
     from .eichler import slash_polynomial
 
@@ -312,7 +300,7 @@ def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) ->
         for z in pts:
             z = mp.mpc(z)
             r2 = r_f2(f, z, ctx, method="termwise")
-            lhs1 = r2 + r_f2(f, S.apply(z), ctx, method="termwise") * z ** (-k)
+            lhs1 = r2 + r_f2(f, S.apply(z), ctx, method="quadrature") * z ** (-k)
             rhs1 = r.kernel_integral(k, z, 0)
             res1.append(abs(lhs1 - rhs1) / residual_scale(lhs1, rhs1))
 

@@ -21,6 +21,13 @@ monodromy (-1)^(k-1)/(k-1)! (-+2 pi i) to it.  Branch "L" takes arg in
 (0, 2 pi) and branch "R" takes arg in (-2 pi, 0], so an argument on the
 negative real axis lies on the upper edge under "L" and the lower under "R".
 
+Each kernel is a sum of terms scale (w + a)^(-s): the principal terms n < 0
+take the formula above on the chosen sheet, the constant term n = 0 is
+elementary, and the decaying part n >= 1 is the same formula summed over the
+coefficients on the principal branch (``ray_sum``), whose length is fixed by
+a certified tail bound.  Ray quadrature is not used here; it remains the
+oracle that the tests compare against.
+
 Cusp-to-cusp integrals follow the base-point split
 R.int_a^b = R.int_{z0}^b - R.int_{z0}^a with each cusp leg damped in its own
 scaling-matrix coordinate; the level-1 cusps are 0 and i oo with sigma_0 = S.
@@ -28,19 +35,15 @@ scaling-matrix coordinate; the level-1 cusps are 0 and i oo with sigma_0 = S.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
 
 from .eichler import PolynomialC, S
-from .kernel import (
-    DomainError,
-    PrecisionContext,
-    quad_ray,
-    xi_fd,
-)
-from .qforms import QSeries, _to_mpc
+from .kernel import DomainError, PrecisionContext, xi_fd
+from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _mpc_coeffs, _to_mpc
 from .reports import RelationReport, residual_scale
 from .special import upper_incomplete_gamma
 
@@ -95,13 +98,6 @@ class ExponentialQExpansion:
             label=f.label,
         )
 
-    def decaying_eval(self, w, ctx: PrecisionContext) -> mp.mpc:
-        if self.decaying is None:
-            return mp.mpc(0)
-        from .qforms import _sum_q_series
-
-        return _sum_q_series(self.decaying, mp.mpc(w), ctx)
-
 
 @dataclass(frozen=True)
 class RegKernel:
@@ -124,22 +120,17 @@ class RegKernel:
         if self.kind == "poly" and self.poly is None:
             raise ValueError("poly kernel needs a polynomial")
 
-    def eval(self, w) -> mp.mpc:
-        w = mp.mpc(w)
+    def terms(self) -> Tuple[Tuple[mp.mpc, int, mp.mpc], ...]:
+        """(a, s, scale) with kernel(w) = sum scale (w + a)^(-s)."""
         if self.kind == "plus":
-            return (w + self.z) ** (-self.k)
-        if self.kind == "sz":
-            return (w * self.z - 1) ** (-self.k)
+            return ((self.z, self.k, mp.mpc(1)),)
+        if self.kind == "sz" and self.z != 0:
+            return ((-1 / self.z, self.k, self.z ** (-self.k)),)
+        if self.kind == "sz":  # (w 0 - 1)^(-k) is the constant (-1)^k
+            return ((mp.mpc(0), 0, mp.mpc((-1) ** self.k)),)
         if self.kind == "one":
-            return mp.mpc(1)
-        return self.poly(w)
-
-    def pole(self) -> Optional[mp.mpc]:
-        if self.kind == "plus":
-            return -self.z
-        if self.kind == "sz":
-            return 1 / self.z if self.z != 0 else None
-        return None
+            return ((mp.mpc(0), 0, mp.mpc(1)),)
+        return tuple((mp.mpc(0), -j, c) for j, c in enumerate(self.poly.coeffs) if c != 0)
 
     def s_transformed(self) -> "RegKernel":
         """Kernel of (M K)|_2 S for modular M of weight 2-k."""
@@ -174,41 +165,54 @@ def _gamma_negint_on_branch(N: int, x: mp.mpc, branch: str, ctx: PrecisionContex
 
 
 def exp_ray_integral(n: int, w0, a, s: int, ctx: PrecisionContext, branch: Optional[str] = None) -> mp.mpc:
-    """R.int_{w0}^{i oo} e^(2 pi i n w) (w + a)^(-s) dw for integer s.
+    """R.int_{w0}^{i oo} e^(2 pi i n w) (w + a)^(-s) dw for integer s and n != 0.
 
     e^(-lam a) (-lam)^(s-1) Gamma(1-s, -lam (w0 + a)) with lam = 2 pi i n,
     on the principal branch, which is the plain integral when
     Re(-lam (w0 + a)) > 0 along the ray (n >= 1 and Im(w0 + a) > 0), or on
-    the sheet ``branch`` selects (s >= 1).
+    the sheet ``branch`` selects (s >= 1; for s <= 0 Gamma(1-s, .) is entire).
     """
     lam = 2j * mp.pi * n
     x = -lam * (w0 + a)
-    g = upper_incomplete_gamma(1 - s, x, ctx) if branch is None else _gamma_negint_on_branch(s - 1, x, branch, ctx)
+    if branch is None or s < 1:
+        g = upper_incomplete_gamma(1 - s, x, ctx)
+    else:
+        g = _gamma_negint_on_branch(s - 1, x, branch, ctx)
     return mp.exp(-lam * a) * (-lam) ** (s - 1) * g
 
 
-def _principal_term_rational(
-    n: int, w0: mp.mpc, shift: mp.mpc, k: int, branch: str, ctx: PrecisionContext
-) -> mp.mpc:
-    """R.int_{w0}^{i oo} e^(2 pi i n w) (w + shift)^(-k) dw for n < 0."""
-    if w0 + shift == 0:
-        raise DomainError("kernel pole sits at the base point")
-    return exp_ray_integral(n, w0, shift, k, ctx, branch)
+def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> Tuple[mp.mpc, float]:
+    """(scale sum_{n>=1} c_n int_{w0}^{i oo} e^(2 pi i n w) (w+a)^(-s) dw, log of its certified tail).
 
-
-def _constant_term_rational(kernel: RegKernel, w0: mp.mpc) -> mp.mpc:
-    """Plain convergent integral of the kernel alone (n = 0 term)."""
-    k = kernel.k
-    if kernel.kind == "plus":
-        return (w0 + kernel.z) ** (1 - k) / (k - 1)
-    if kernel.kind == "sz":
-        return (w0 * kernel.z - 1) ** (1 - k) / ((k - 1) * kernel.z)
-    raise NotRegularizable("constant against a non-decaying kernel has a pole at u = 0")
-
-
-def _principal_term_poly(n: int, w0: mp.mpc, poly: PolynomialC, ctx: PrecisionContext) -> mp.mpc:
-    """R.int_{w0}^{i oo} e^(2 pi i n w) P(w) dw for n < 0 (entire in u)."""
-    return sum((cj * exp_ray_integral(n, w0, 0, -j, ctx) for j, cj in enumerate(poly.coeffs) if cj != 0), mp.mpc(0))
+    c_n are the n >= 1 coefficients of ``series``; needs Im(w0 + a) > 0.
+    With x = -2 pi i n (w0+a), Re x = 2 pi n Im(w0+a) > 0 and
+    |x| = 2 pi n |w0+a| >= 2 pi Im(w0+a): for s >= 0,
+    |Gamma(1-s, x)| <= |x|^(-s) e^(-Re x) (rotate the integration path of
+    Gamma(1-s, x) = x^(1-s) e^(-x) int_0^oo e^(-xt) (1+t)^(-s) dt onto arg t = -arg x);
+    for s < 0 the finite sum gives |Gamma(1-s, x)| <= e^(-Re x) (|x| - s)^(-s),
+    at most |x|^(-s) e^(-Re x) (1 - s/(2 pi Im(w0+a)))^(-s) for every n.  So
+    the n-th term is at most |scale c_n| (2 pi n)^(-1) |w0+a|^(-s) e^(-2 pi n Im w0),
+    times that factor when s < 0.  Raises TailTooLarge when the window
+    cannot certify the digits.
+    """
+    height = mp.im(w0 + a)
+    if not height > 0:
+        raise DomainError("ray sum needs Im(w0 + a) > 0")
+    bound = abs(scale) / (2 * mp.pi) / abs(w0 + a) ** s
+    if s < 0:
+        bound *= (1 - s / (2 * mp.pi * height)) ** (-s)
+    log_b, alpha, beta = _coeff_model(series)
+    model = (log_b + float(mp.log(bound)), alpha - 1, beta)
+    N, log_tail = _certified_length(model, -2 * math.pi * float(mp.im(w0)), series.n_max, ctx)
+    coeffs = _mpc_coeffs(series)
+    total = mp.mpc(0)
+    for n in range(max(1, series.n_min), N + 1):
+        c = coeffs[n - series.n_min]
+        if c != 0:
+            total += c * exp_ray_integral(n, w0, a, s, ctx)
+    total *= scale
+    _check_tail(log_tail, total, ctx, f"ray sum of {series.label}")
+    return total, log_tail
 
 
 def reg_integral_to_icusp(
@@ -220,33 +224,29 @@ def reg_integral_to_icusp(
 ) -> mp.mpc:
     """R.int_{z0}^{i oo} (expansion)(w) * kernel(w) dw.
 
-    Principal terms are continued in closed form; the decaying remainder goes
-    through ray quadrature.  Raises NotRegularizable when a principal term
-    has a genuine pole at u = 0.
+    For each kernel term scale (w + a)^(-s): the principal terms n < 0 are
+    continued in closed form on the sheet ``branch`` selects, the constant
+    term is elementary, and the decaying remainder is the certified
+    ``ray_sum`` (which needs Im(z0 + a) > 0).  Raises NotRegularizable when
+    the constant term has a genuine pole at u = 0 (s <= 1).
     """
     with mp.workdps(ctx.work_dps):
         z0 = mp.mpc(z0)
         total = mp.mpc(0)
-        for n, c in expq.principal:
-            if c == 0:
-                continue
-            if kernel.kind in ("plus", "sz"):
-                if n == 0:
-                    total += c * _constant_term_rational(kernel, z0)
+        for a, s, scale in kernel.terms():
+            if s >= 1 and z0 + a == 0:
+                raise DomainError("kernel pole sits at the base point")
+            for n, c in expq.principal:
+                if c == 0:
+                    continue
+                if n < 0:
+                    total += c * scale * exp_ray_integral(n, z0, a, s, ctx, branch)
+                elif s < 2:
+                    raise NotRegularizable("constant term against a non-decaying kernel has a pole at u = 0")
                 else:
-                    shift = kernel.z if kernel.kind == "plus" else -1 / kernel.z
-                    pref = mp.mpc(1) if kernel.kind == "plus" else kernel.z ** (-kernel.k)
-                    total += c * pref * _principal_term_rational(n, z0, shift, kernel.k, branch, ctx)
-            elif kernel.kind == "one":
-                raise NotRegularizable("principal part against kernel 1 has a pole at u = 0")
-            else:  # poly
-                if n == 0:
-                    raise NotRegularizable("constant term against a polynomial kernel")
-                total += c * _principal_term_poly(n, z0, kernel.poly, ctx)
-        if expq.decaying is not None:
-            pole = kernel.pole()
-            integrand = lambda w: expq.decaying_eval(w, ctx) * kernel.eval(w)
-            total += quad_ray(integrand, z0, ctx, avoid=(pole,) if pole is not None else ())
+                    total += c * scale * (z0 + a) ** (1 - s) / (s - 1)
+            if expq.decaying is not None:
+                total += ray_sum(expq.decaying, z0, a, s, ctx, scale)[0]
         return total
 
 
@@ -380,11 +380,11 @@ def verify_per_star(
         for z in pts:
             z = mp.mpc(z)
             sp = starred_periods(M, z, ctx, branch)
-            fstar_s = starred_periods(M, S.apply(z), ctx, branch).Fstar
-            lhs = fstar_s * z ** (-k) - sp.Fstar
+            sp_s = starred_periods(M, S.apply(z), ctx, branch)
+            lhs = sp_s.Fstar * z ** (-k) - sp.Fstar
             res_eq.append(abs(lhs - sp.hatstar) / residual_scale(lhs, sp.hatstar))
 
-            hs = sp.hatstar + slash_function(hat, k, S)(z)
+            hs = sp.hatstar + sp_s.hatstar * z ** (-k)
             hu = (
                 sp.hatstar
                 + slash_function(hat, k, U)(z)

@@ -3,13 +3,19 @@
 import mpmath as mp
 import pytest
 import random
+import sys
 
 from periodlab import (
     BadPath,
+    F_f2,
     PrecisionContext,
     StepTooLarge,
+    hat_r_f2,
     laplace_fd,
+    noncritical_lvalue,
     quad_ray,
+    r_f2,
+    starred_periods,
     xi_fd,
 )
 
@@ -130,3 +136,24 @@ def test_laplace_is_minus_xi_composition(ctx):
     rhs = -xi_fd(inner, 2 - k, z, ctx, step=mp.mpf("1e-8"))
     scale = max(1, abs(lhs), abs(rhs))
     assert abs(lhs - rhs) < mp.mpf("1e-6") * scale
+
+
+def test_quad_ray_is_oracle_only(ctx, f_delta, f_wh, monkeypatch):
+    # every production route runs without ray quadrature, which stays the
+    # definitional oracle of F2 and r2 and of the tests
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad_ray called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "periodlab" or name.startswith("periodlab."):
+            for key, value in list(vars(module).items()):
+                if value is quad_ray:
+                    monkeypatch.setattr(module, key, refuse)
+    z = mp.mpc("0.3", "1.2")
+    starred_periods(f_wh, z, ctx)
+    F_f2(f_delta, z, ctx, method="termwise")
+    r_f2(f_delta, z, ctx, method="termwise")
+    hat_r_f2(f_delta, z, ctx)
+    noncritical_lvalue(f_delta, 2, ctx)
+    with pytest.raises(AssertionError):
+        F_f2(f_delta, z, ctx)

@@ -22,6 +22,7 @@ from periodlab import (
     xi_fd,
     laplace_fd,
 )
+from periodlab import mockcore
 
 
 @pytest.fixture(scope="module")
@@ -139,11 +140,28 @@ def test_noncritical_est_error_covers_deviation(ctx, f_delta):
     # the reference sums a longer window, so it does not share the
     # truncation of either route
     long = delta(120)
-    for m in range(4):
+    for m in (0, 1, 2, 3, 7, 8, 10):
         got = noncritical_lvalue(f_delta, m, ctx)
         want = l_completed(long, 12 + m, ctx)
         assert abs(got.value - want.value) <= got.est_error + want.est_error, m
         assert got.est_error <= mp.mpf(10) ** (5 - ctx.digits), m
+
+
+def test_s_image_relations_see_the_ray_sums(ctx, f_delta, monkeypatch):
+    # r2|(1+S) and hat|(1+S) take r2(Sz) by quadrature: termwise at both
+    # points the ray sums cancel, and a relative error in them would not show
+    ray_sum = mockcore.ray_sum
+
+    def bumped(*args, **kwargs):
+        total, log_tail = ray_sum(*args, **kwargs)
+        return total * (1 + mp.mpf("1e-6")), log_tail
+
+    monkeypatch.setattr(mockcore, "ray_sum", bumped)
+    z = [mp.mpc("0.2", "0.9")]
+    mockes_1s = verify_mock_es(f_delta, z, ctx)[0]
+    wk2_slash_s = verify_w_k2(f_delta, z, ctx)[0]
+    assert mockes_1s.identity.startswith("mockes_1S") and not mockes_1s.passed
+    assert wk2_slash_s.identity.startswith("wk2_slash_S") and not wk2_slash_s.passed
 
 
 def test_noncritical_zero(ctx, zero):

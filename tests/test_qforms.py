@@ -12,6 +12,7 @@ from periodlab import (
     DomainError,
     ExponentialQExpansion,
     QSeries,
+    RegKernel,
     TailTooLarge,
     UnsupportedWeight,
     bol,
@@ -21,6 +22,7 @@ from periodlab import (
     eisenstein,
     evaluate,
     read_qexp,
+    reg_integral_to_icusp,
     weakly_holomorphic_m10,
     write_qexp,
 )
@@ -216,7 +218,9 @@ def test_evaluated_series_is_not_kept_alive(ctx, f_wh):
     # the per-call decaying part of a starred-period computation: its mpc
     # coefficients and growth bound are memoized on it and go with it
     expq = ExponentialQExpansion.from_qseries(f_wh)
-    expq.decaying_eval(mp.mpc("0.2", "1.1"), ctx)
+    z = mp.mpc("0.2", "1.1")
+    reg_integral_to_icusp(expq, RegKernel(kind="plus", k=12, z=z), -mp.conj(z), ctx)
+    assert expq.decaying._memo
     ref = weakref.ref(expq.decaying)
     del expq
     gc.collect()

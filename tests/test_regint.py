@@ -8,18 +8,23 @@ import pytest
 from periodlab import (
     CUSP_IOO,
     CUSP_ZERO,
+    DomainError,
     ExponentialQExpansion,
     NotRegularizable,
     PolynomialC,
     RegKernel,
+    TailTooLarge,
     period_polynomial,
+    quad_ray,
     reg_integral_cusp_to_cusp,
     reg_integral_to_icusp,
     starred_periods,
     verify_per_star,
+    weakly_holomorphic_m10,
     xi_fd,
 )
-from periodlab.regint import _gamma_negint_on_branch, _principal_term_rational
+from periodlab.qforms import _sum_q_series
+from periodlab.regint import _gamma_negint_on_branch, exp_ray_integral, ray_sum
 
 
 def one_term_expansion(n, coeff=1, weight=-10, modular=False):
@@ -59,9 +64,6 @@ def ibp_oracle(n, w0, z, k):
 def test_empty_principal_equals_plain_quad(ctx, f_delta):
     # ten decaying inputs: scaled copies of a cusp form window
     rng = random.Random(13)
-    from periodlab import quad_ray
-    from periodlab.qforms import _sum_q_series
-
     for _ in range(10):
         c = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
         g = f_delta.scale(c)
@@ -71,16 +73,52 @@ def test_empty_principal_equals_plain_quad(ctx, f_delta):
         kern = RegKernel(kind="plus", k=12, z=z)
         w0 = -mp.conj(z)
         got = reg_integral_to_icusp(expq, kern, w0, ctx)
-        plain = quad_ray(lambda w: _sum_q_series(g, w, ctx) * kern.eval(w), w0, ctx)
+        plain = quad_ray(lambda w: _sum_q_series(g, w, ctx) * (w + z) ** (-12), w0, ctx)
         assert abs(got - plain) <= ctx.tol_tight * (1 + abs(got))
+
+
+@pytest.mark.parametrize("kind", ["plus", "sz", "sz_at_0", "one", "poly"])
+def test_decaying_part_vs_quad_ray(ctx, f_delta, kind):
+    # the termwise ray sums of every kernel kind against quadrature of the
+    # summed q-series times the kernel written out
+    z = mp.mpc("0.3", "1.2")
+    P = PolynomialC.from_coeffs([1, mp.mpc(0, 2), 0, -3], 10)
+    kern, written = {
+        "plus": (RegKernel(kind="plus", k=12, z=z), lambda w: (w + z) ** (-12)),
+        "sz": (RegKernel(kind="sz", k=12, z=z), lambda w: (w * z - 1) ** (-12)),
+        "sz_at_0": (RegKernel(kind="sz", k=12, z=mp.mpc(0)), lambda w: (w * 0 - 1) ** (-12)),
+        "one": (RegKernel(kind="one", k=12), lambda w: 1),
+        "poly": (RegKernel(kind="poly", k=12, poly=P), P),
+    }[kind]
+    w0 = mp.mpc("-0.1", "0.9")
+    got = reg_integral_to_icusp(ExponentialQExpansion.from_qseries(f_delta), kern, w0, ctx)
+    want = quad_ray(lambda w: _sum_q_series(f_delta, w, ctx) * written(w), w0, ctx)
+    assert abs(got - want) <= ctx.tol_tight * abs(want)
+
+
+def test_short_window_raises(ctx):
+    # wh-10's coefficients grow like e^(4 pi sqrt(2n)): 20 terms cannot
+    # certify 50 digits at height 1.2
+    expq = ExponentialQExpansion.from_qseries(weakly_holomorphic_m10(20))
+    z = mp.mpc("0.3", "1.2")
+    with pytest.raises(TailTooLarge):
+        reg_integral_to_icusp(expq, RegKernel(kind="plus", k=12, z=z), -mp.conj(z), ctx)
+
+
+def test_ray_sum_needs_positive_height(ctx, f_delta):
+    expq = ExponentialQExpansion.from_qseries(f_delta)
+    with pytest.raises(DomainError):
+        reg_integral_to_icusp(expq, RegKernel(kind="plus", k=12, z=mp.mpc("0.3", -2)), mp.mpc(0, 1), ctx)
+    with pytest.raises(DomainError):
+        ray_sum(f_delta, mp.mpc("0.3", 1), mp.mpc(0, -1), 12, ctx)
 
 
 def test_principal_term_vs_slant_contour(ctx):
     for (n, w0, z) in ((-1, mp.mpc(0, 2), mp.mpc("0.3", "1.2")), (-2, mp.mpc("0.4", 1), mp.mpc("0.1", "0.9"))):
-        got = _principal_term_rational(n, w0, z, 12, "L", ctx)
+        got = exp_ray_integral(n, w0, z, 12, ctx, "L")
         oracle = slant_oracle(n, w0, z, 12, "L")
         assert abs(got - oracle) <= mp.mpf("1e-40") * (1 + abs(got))
-        got_r = _principal_term_rational(n, w0, z, 12, "R", ctx)
+        got_r = exp_ray_integral(n, w0, z, 12, ctx, "R")
         oracle_r = slant_oracle(n, w0, z, 12, "R")
         assert abs(got_r - oracle_r) <= mp.mpf("1e-40") * (1 + abs(got_r))
 
@@ -88,12 +126,12 @@ def test_principal_term_vs_slant_contour(ctx):
 def test_principal_term_vs_ibp_closed_form(ctx):
     # the worked single-term example: e^(-2 pi i w) against 1/(w + i)^12, z0 = i
     n, w0, z, k = -1, mp.mpc(0, 1), mp.mpc(0, 1), 12
-    got = _principal_term_rational(n, w0, z, k, "L", ctx)
+    got = exp_ray_integral(n, w0, z, k, ctx, "L")
     want = ibp_oracle(n, w0, z, k)
     assert abs(got - want) <= mp.mpf("1e-50") * (1 + abs(got))
     # and at a generic point
     n, w0, z = -2, mp.mpc("0.3", "1.5"), mp.mpc("0.2", "0.8")
-    got = _principal_term_rational(n, w0, z, 12, "L", ctx)
+    got = exp_ray_integral(n, w0, z, 12, ctx, "L")
     want = ibp_oracle(n, w0, z, 12)
     assert abs(got - want) <= mp.mpf("1e-50") * (1 + abs(got))
 
