@@ -12,7 +12,6 @@ import mpmath as mp
 from periodlab import (
     CUSP_IOO,
     CUSP_ZERO,
-    ExponentialQExpansion,
     PrecisionContext,
     RegKernel,
     reg_integral_cusp_to_cusp,
@@ -36,10 +35,9 @@ print("  rstar     =", mp.nstr(sp.rstar, 20))
 print("  tildestar =", mp.nstr(sp.tildestar, 10), " (modular input: cocycle vanishes)")
 
 print("\nbase-point independence of the cusp-to-cusp integral:")
-expq = ExponentialQExpansion.from_qseries(M)
 kern = RegKernel(kind="sz", k=12, z=z)
-v1 = reg_integral_cusp_to_cusp(expq, kern, CUSP_ZERO, CUSP_IOO, mp.mpc(0, 1), ctx)
-v2 = reg_integral_cusp_to_cusp(expq, kern, CUSP_ZERO, CUSP_IOO, mp.mpc(1, 2), ctx)
+v1 = reg_integral_cusp_to_cusp(M, kern, CUSP_ZERO, CUSP_IOO, mp.mpc(0, 1), ctx)
+v2 = reg_integral_cusp_to_cusp(M, kern, CUSP_ZERO, CUSP_IOO, mp.mpc(1, 2), ctx)
 print(f"  |value(z0=i) - value(z0=1+2i)| = {mp.nstr(abs(v1 - v2), 3)}")
 
 print("\nperiod relations for the starred completion:")

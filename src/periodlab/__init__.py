@@ -61,7 +61,6 @@ from .eichler import (
     es_decompose,
     period_polynomial,
     period_polynomial_quadrature,
-    slash,
     w_membership,
 )
 from .mockcore import (
@@ -79,7 +78,6 @@ from .mockcore import (
 from .regint import (
     CUSP_IOO,
     CUSP_ZERO,
-    ExponentialQExpansion,
     NotRegularizable,
     RegKernel,
     StarredPeriods,

@@ -201,12 +201,6 @@ def slash_function(F: Callable[[mp.mpc], mp.mpc], m: int, gamma: GroupElement) -
     return slashed
 
 
-def slash(obj, m: int, gamma: GroupElement):
-    if isinstance(obj, PolynomialC):
-        return slash_polynomial(obj, m, gamma)
-    return slash_function(obj, m, gamma)
-
-
 @dataclass(frozen=True)
 class PeriodPolynomial:
     """Degree-(k-2) period polynomial with the critical values that built it."""
@@ -307,9 +301,6 @@ class EichlerIntegral:
         if n < 1 or n > self.series.n_max:
             return mp.mpc(0)
         return self.series.coeffs[n - 1]
-
-    def period(self) -> PeriodPolynomial:
-        return self._period
 
     def evaluate(self, z) -> mp.mpc:
         with mp.workdps(self.ctx.work_dps):

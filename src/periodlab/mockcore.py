@@ -4,7 +4,7 @@ Objects attached to a weight-k cusp form f, with F = sum b(n) q^n its
 Eichler integral and r its period polynomial:
 
 * F2(z)     = int_{-conj z}^{i oo} F(w) (w+z)^(-k) dw      (quadrature), also
-              (k-2)! sum a(n) Gamma(1-k, 4 pi n y) q^(-n)   (termwise);
+              sum b(n) int_{-conj z}^{i oo} e^(2 pi i n w) (w+z)^(-k) dw   (termwise);
 * r2(z)     = int_0^{i oo} F(w) (wz-1)^(-k) dw              (quadrature), also
               z^(-k) sum b(n) I_n(-1/z) - sum b(n) I_n(z) + int_i^{i oo} r(w) (w+z)^(-k) dw  (termwise),
               I_n(a) = int_i^{i oo} e^(2 pi i n w) (w+a)^(-k) dw = e^(-lam a) (-lam)^(k-1) Gamma(1-k, -lam (i+a)),
@@ -14,6 +14,8 @@ Eichler integral and r its period polynomial:
               y-exponent is negative);
 * hat = r2 - tilde, the completion satisfying the period relations.
 
+Termwise F2 is ``regint.ray_sum`` of F's series from w0 = -conj z with
+a = z: w0 + a = 2iy, so every Gamma argument is the real 4 pi n y.
 Termwise r2 splits its ray at i and maps the leg [0, i] onto [i, i oo) by
 w -> -1/w, using F(-1/w) = w^(2-k) (F(w) - r(w)); every Gamma argument has
 real part 2 pi n (1 + Im a) > 0, so the principal branch applies.  Each sum
@@ -30,7 +32,6 @@ by differentiating under the integral sign and splitting at i in the same way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,10 +54,9 @@ from .kernel import (
     xi_fd,
 )
 from .lfun import LValue
-from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _to_mpc, conjugate_form
+from .qforms import QSeries, conjugate_form
 from .regint import ray_sum
 from .reports import RelationReport, residual_scale
-from .special import upper_incomplete_gamma
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,11 @@ class MockPeriodEvaluation:
 
 
 def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:
-    """Iterated integral F2(z); ``method`` is "quadrature" or "termwise"."""
+    """Iterated integral F2(z); ``method`` is "quadrature" or "termwise".
+
+    Termwise, F2(z) is the certified ``ray_sum`` of F's q-series from
+    w0 = -conj z against (w + a)^(-k) with a = z.
+    """
     if method not in ("quadrature", "termwise"):
         raise ValueError("method must be 'quadrature' or 'termwise'")
     with mp.workdps(ctx.work_dps):
@@ -80,35 +84,11 @@ def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
             raise DomainError("F_f2 requires Im z > 0")
         if f.is_zero():
             return mp.mpc(0)
+        F, k = eichler_integral(f, ctx), f.weight
         if method == "termwise":
-            return _F_f2_termwise(f, z, ctx)
-        F = eichler_integral(f, ctx)
-        k = f.weight
+            return ray_sum(F.series, -mp.conj(z), z, k, ctx)[0]
         integrand = lambda w: F(w) * (w + z) ** (-k)
         return quad_ray(integrand, -mp.conj(z), ctx, avoid=(-z,))
-
-
-def _F_f2_termwise(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
-    # Gamma(1-k, x) <= x^(-k) e^(-x) and |q^(-n)| = e^(2 pi n y): the n-th
-    # term of (k-2)! sum a(n) Gamma(1-k, 4 pi n y) q^(-n) is at most
-    # (k-2)! C (4 pi y)^(-k) n^(alpha-k) e^(beta sqrt(n)) e^(-2 pi n y)
-    k = f.weight
-    y = mp.im(z)
-    yf = float(y)
-    log_c, alpha, beta = _coeff_model(f)
-    model = (log_c + math.lgamma(k - 1) - k * math.log(4 * math.pi * yf), alpha - k, beta)
-    N, log_tail = _certified_length(model, -2 * math.pi * yf, f.n_max, ctx)
-    qm = mp.exp(-2j * mp.pi * z)  # q^(-1)
-    total = mp.mpc(0)
-    qn = mp.mpc(1)
-    for n in range(1, N + 1):
-        qn *= qm
-        c = f.coeff(n)
-        if c != 0:
-            total += _to_mpc(c) * upper_incomplete_gamma(1 - k, 4 * mp.pi * n * y, ctx) * qn
-    total *= mp.factorial(k - 2)
-    _check_tail(log_tail, total, ctx, f"F2[{f.label}]")
-    return total
 
 
 def r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:

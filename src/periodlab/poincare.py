@@ -238,18 +238,9 @@ def verify_bol_xi_avatar(f: QSeries, pts: Sequence[complex], ctx: PrecisionConte
     with mp.workdps(ctx.work_dps):
         pref = (2j) ** (1 - k)
         F2 = lambda w: F_f2(f, w, ctx, method="termwise")
-        # weight 2-k series with coefficients of (2i)^(1-k) F^c = -(2i)^(1-k) F_{f^c}
-        gcoeffs = tuple(-pref * Fc.coefficient(n) for n in range(1, fc.n_max + 1))
-        gseries = QSeries(
-            weight=2 - k,
-            n_min=1,
-            coeffs=gcoeffs,
-            tail_bound=(float(2 * abs(pref) * abs(Fc.coefficient(1))) + 2.0, 1.0),
-            cuspidal=True,
-            modular=False,
-            label="xi_image_series",
-        )
-        chain = bol(gseries)  # weight k series, expect -(k-2)!/(4 pi)^(k-1) f^c
+        # D^(k-1) of the weight 2-k series (2i)^(1-k) F^c = -(2i)^(1-k) F_{f^c},
+        # which carries F's tail bound; expect -(k-2)!/(4 pi)^(k-1) f^c
+        chain = bol(Fc.series.scale(-pref))
         chain_pref = -mp.factorial(k - 2) / (4 * mp.pi) ** (k - 1)
         for z in pts:
             z = mp.mpc(z)

@@ -6,7 +6,9 @@ coefficient error enters downstream tolerance budgets.  Series are immutable
 and hashable, which lets evaluators memoize on the series itself.
 
 Truncation follows one rule, shared by every windowed sum in the package (q-
-series here, the Eichler integral, the completed L-series, the termwise F2):
+series here, the Eichler integral, the completed L-series, and
+``regint.ray_sum``, which carries termwise F2 and r2, the non-critical
+L-values and the regularized integrals):
 ``_certified_length`` fixes the number of terms before the sum starts, from
 the series' coefficient-growth model, so that the certified tail is below
 ctx.eps().  A window too short for that is summed whole, and the result is
@@ -86,9 +88,6 @@ class QSeries:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def has_real_coeffs(self) -> bool:
-        return all(isinstance(c, (Fraction, int)) or mp.im(mp.mpc(c)) == 0 for c in self.coeffs)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if self.weight != other.weight:

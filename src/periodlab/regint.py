@@ -43,7 +43,7 @@ import mpmath as mp
 
 from .eichler import PolynomialC, S
 from .kernel import DomainError, PrecisionContext, xi_fd
-from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _mpc_coeffs, _to_mpc
+from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _mpc_coeffs
 from .reports import RelationReport, residual_scale
 from .special import upper_incomplete_gamma
 
@@ -58,50 +58,8 @@ class NotRegularizable(DomainError):
 
 
 @dataclass(frozen=True)
-class ExponentialQExpansion:
-    """Principal part (n_min <= n <= 0) plus an exponentially decaying tail.
-
-    ``decaying`` holds the n >= 1 coefficients as a QSeries; ``weight`` tags
-    the dual weight 2-k of the underlying object.  ``modular`` marks inputs
-    that transform under the full group (needed for cusp-zero legs).
-    """
-
-    weight: int
-    principal: Tuple[Tuple[int, mp.mpc], ...]  # (n, coefficient), n <= 0
-    decaying: Optional[QSeries]
-    modular: bool = False
-    label: str = ""
-
-    @classmethod
-    def from_qseries(cls, f: QSeries) -> "ExponentialQExpansion":
-        if f.n_min > 0:
-            principal: tuple = ()
-        else:
-            principal = tuple((n, _to_mpc(f.coeff(n))) for n in range(f.n_min, 1))
-        if f.n_max >= 1:
-            decaying = QSeries(
-                weight=f.weight,
-                n_min=1,
-                coeffs=tuple(f.coeff(n) for n in range(1, f.n_max + 1)),
-                tail_bound=f.tail_bound,
-                cuspidal=True,
-                modular=False,
-                label=f"{f.label}[n>=1]",
-            )
-        else:
-            decaying = None
-        return cls(
-            weight=f.weight,
-            principal=principal,
-            decaying=decaying,
-            modular=f.modular,
-            label=f.label,
-        )
-
-
-@dataclass(frozen=True)
 class RegKernel:
-    """Rational or polynomial kernel composed against the expansion.
+    """Rational or polynomial kernel composed against the input series.
 
     kind "plus": (w + z)^(-k); "sz": (wz - 1)^(-k); "one": constant 1;
     "poly": a polynomial in w.  k is the kernel exponent (even, >= 2).
@@ -216,27 +174,30 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> T
 
 
 def reg_integral_to_icusp(
-    expq: ExponentialQExpansion,
+    M: QSeries,
     kernel: RegKernel,
     z0,
     ctx: PrecisionContext,
     branch: str = DEFAULT_BRANCH,
 ) -> mp.mpc:
-    """R.int_{z0}^{i oo} (expansion)(w) * kernel(w) dw.
+    """R.int_{z0}^{i oo} M(w) * kernel(w) dw.
 
-    For each kernel term scale (w + a)^(-s): the principal terms n < 0 are
-    continued in closed form on the sheet ``branch`` selects, the constant
-    term is elementary, and the decaying remainder is the certified
-    ``ray_sum`` (which needs Im(z0 + a) > 0).  Raises NotRegularizable when
-    the constant term has a genuine pole at u = 0 (s <= 1).
+    For each kernel term scale (w + a)^(-s): the principal terms n < 0 of M
+    are continued in closed form on the sheet ``branch`` selects, the
+    constant term is elementary, and the decaying remainder n >= 1 is the
+    certified ``ray_sum`` (which needs Im(z0 + a) > 0).  Raises
+    NotRegularizable when the constant term has a genuine pole at u = 0
+    (s <= 1).
     """
     with mp.workdps(ctx.work_dps):
         z0 = mp.mpc(z0)
+        coeffs = _mpc_coeffs(M)
         total = mp.mpc(0)
         for a, s, scale in kernel.terms():
             if s >= 1 and z0 + a == 0:
                 raise DomainError("kernel pole sits at the base point")
-            for n, c in expq.principal:
+            for n in range(M.n_min, min(M.n_max, 0) + 1):
+                c = coeffs[n - M.n_min]
                 if c == 0:
                     continue
                 if n < 0:
@@ -245,13 +206,13 @@ def reg_integral_to_icusp(
                     raise NotRegularizable("constant term against a non-decaying kernel has a pole at u = 0")
                 else:
                     total += c * scale * (z0 + a) ** (1 - s) / (s - 1)
-            if expq.decaying is not None:
-                total += ray_sum(expq.decaying, z0, a, s, ctx, scale)[0]
+            if M.n_max >= 1:
+                total += ray_sum(M, z0, a, s, ctx, scale)[0]
         return total
 
 
 def _leg_to_cusp(
-    expq: ExponentialQExpansion,
+    M: QSeries,
     kernel: RegKernel,
     cusp,
     z0: mp.mpc,
@@ -260,16 +221,16 @@ def _leg_to_cusp(
 ) -> mp.mpc:
     """R.int_{z0}^{cusp} with the damping taken in the cusp's own coordinate."""
     if cusp == CUSP_IOO:
-        return reg_integral_to_icusp(expq, kernel, z0, ctx, branch)
+        return reg_integral_to_icusp(M, kernel, z0, ctx, branch)
     if cusp == CUSP_ZERO:
-        if not expq.modular:
-            raise DomainError("cusp-zero leg needs a modular expansion")
-        return reg_integral_to_icusp(expq, kernel.s_transformed(), S.apply(z0), ctx, branch)
+        if not M.modular:
+            raise DomainError("cusp-zero leg needs a modular series")
+        return reg_integral_to_icusp(M, kernel.s_transformed(), S.apply(z0), ctx, branch)
     raise DomainError("supported cusps: 0 and 'ioo'")
 
 
 def reg_integral_cusp_to_cusp(
-    expq: ExponentialQExpansion,
+    M: QSeries,
     kernel: RegKernel,
     cusp_a,
     cusp_b,
@@ -287,8 +248,8 @@ def reg_integral_cusp_to_cusp(
             raise DomainError("base point must lie in the upper half-plane")
         if cusp_a == cusp_b:
             return mp.mpc(0)
-        leg_b = _leg_to_cusp(expq, kernel, cusp_b, z0, ctx, branch)
-        leg_a = _leg_to_cusp(expq, kernel, cusp_a, z0, ctx, branch)
+        leg_b = _leg_to_cusp(M, kernel, cusp_b, z0, ctx, branch)
+        leg_a = _leg_to_cusp(M, kernel, cusp_a, z0, ctx, branch)
         return leg_b - leg_a
 
 
@@ -342,15 +303,14 @@ def starred_periods(
         if not mp.im(z) > 0:
             raise DomainError("starred periods need Im z > 0")
         k = 2 - M.weight
-        expq = ExponentialQExpansion.from_qseries(M)
         if cocycle is None:
             if M.is_zero():
                 return StarredPeriods(z=z, Fstar=mp.mpc(0), rstar=mp.mpc(0), tildestar=mp.mpc(0), hatstar=mp.mpc(0))
             _modularity_spot_check(M, ctx)
         base = mp.mpc(z0) if z0 is not None else mp.mpc(0, 1)
-        fstar = reg_integral_to_icusp(expq, RegKernel(kind="plus", k=k, z=z), -mp.conj(z), ctx, branch)
+        fstar = reg_integral_to_icusp(M, RegKernel(kind="plus", k=k, z=z), -mp.conj(z), ctx, branch)
         rst = reg_integral_cusp_to_cusp(
-            expq, RegKernel(kind="sz", k=k, z=z), CUSP_ZERO, CUSP_IOO, base, ctx, branch
+            M, RegKernel(kind="sz", k=k, z=z), CUSP_ZERO, CUSP_IOO, base, ctx, branch
         )
         if cocycle is None or cocycle.is_zero():
             tst = mp.mpc(0)

@@ -32,7 +32,9 @@ def upper_incomplete_gamma(s, x, ctx: PrecisionContext):
 
     A real x must be positive.  A complex x may be any nonzero number; on
     the negative real axis the value is the limit from above (arg x = pi),
-    as in mpmath.  The branches:
+    as in mpmath.  A complex s with zero imaginary part, and a complex x on
+    the positive real axis, are taken as real and run real arithmetic.  The
+    branches:
 
     * Re x > 0 and |x| > |s| + 1: the Legendre continued fraction
       (DLMF 8.9), by modified Lentz; it holds for every order.
@@ -48,6 +50,8 @@ def upper_incomplete_gamma(s, x, ctx: PrecisionContext):
         s, x = mp.mpmathify(s), mp.mpmathify(x)
         if isinstance(s, mp.mpc) and s.imag == 0:
             s = s.real
+        if isinstance(x, mp.mpc) and x.imag == 0 and x.real > 0:
+            x = x.real
         if x == 0 or (not isinstance(x, mp.mpc) and x < 0):
             raise DomainError("upper_incomplete_gamma needs a real x > 0 or a complex x != 0")
     extra = 0

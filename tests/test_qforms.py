@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,7 +11,6 @@ import pytest
 
 from periodlab import (
     DomainError,
-    ExponentialQExpansion,
     QSeries,
     RegKernel,
     TailTooLarge,
@@ -215,13 +215,13 @@ def test_qexp_decimal_coefficients(tmp_path):
 
 
 def test_evaluated_series_is_not_kept_alive(ctx, f_wh):
-    # the per-call decaying part of a starred-period computation: its mpc
-    # coefficients and growth bound are memoized on it and go with it
-    expq = ExponentialQExpansion.from_qseries(f_wh)
+    # a series integrated by regint: its mpc coefficients and growth bound
+    # are memoized on it and go with it
+    g = replace(f_wh, label="wh-copy")
     z = mp.mpc("0.2", "1.1")
-    reg_integral_to_icusp(expq, RegKernel(kind="plus", k=12, z=z), -mp.conj(z), ctx)
-    assert expq.decaying._memo
-    ref = weakref.ref(expq.decaying)
-    del expq
+    reg_integral_to_icusp(g, RegKernel(kind="plus", k=12, z=z), -mp.conj(z), ctx)
+    assert g._memo
+    ref = weakref.ref(g)
+    del g
     gc.collect()
     assert ref() is None

@@ -9,9 +9,9 @@ from periodlab import (
     CUSP_IOO,
     CUSP_ZERO,
     DomainError,
-    ExponentialQExpansion,
     NotRegularizable,
     PolynomialC,
+    QSeries,
     RegKernel,
     TailTooLarge,
     period_polynomial,
@@ -27,10 +27,8 @@ from periodlab.qforms import _sum_q_series
 from periodlab.regint import _gamma_negint_on_branch, exp_ray_integral, ray_sum
 
 
-def one_term_expansion(n, coeff=1, weight=-10, modular=False):
-    return ExponentialQExpansion(
-        weight=weight, principal=((n, mp.mpc(coeff)),), decaying=None, modular=modular
-    )
+def one_term_series(n, coeff=1):
+    return QSeries(-10, n_min=n, coeffs=(mp.mpc(coeff),))
 
 
 def slant_oracle(n, w0, z, k, branch="L"):
@@ -67,12 +65,11 @@ def test_empty_principal_equals_plain_quad(ctx, f_delta):
     for _ in range(10):
         c = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
         g = f_delta.scale(c)
-        expq = ExponentialQExpansion.from_qseries(g)
-        assert expq.principal == ()
+        assert g.n_min == 1
         z = mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 1.5))
         kern = RegKernel(kind="plus", k=12, z=z)
         w0 = -mp.conj(z)
-        got = reg_integral_to_icusp(expq, kern, w0, ctx)
+        got = reg_integral_to_icusp(g, kern, w0, ctx)
         plain = quad_ray(lambda w: _sum_q_series(g, w, ctx) * (w + z) ** (-12), w0, ctx)
         assert abs(got - plain) <= ctx.tol_tight * (1 + abs(got))
 
@@ -91,7 +88,7 @@ def test_decaying_part_vs_quad_ray(ctx, f_delta, kind):
         "poly": (RegKernel(kind="poly", k=12, poly=P), P),
     }[kind]
     w0 = mp.mpc("-0.1", "0.9")
-    got = reg_integral_to_icusp(ExponentialQExpansion.from_qseries(f_delta), kern, w0, ctx)
+    got = reg_integral_to_icusp(f_delta, kern, w0, ctx)
     want = quad_ray(lambda w: _sum_q_series(f_delta, w, ctx) * written(w), w0, ctx)
     assert abs(got - want) <= ctx.tol_tight * abs(want)
 
@@ -99,16 +96,14 @@ def test_decaying_part_vs_quad_ray(ctx, f_delta, kind):
 def test_short_window_raises(ctx):
     # wh-10's coefficients grow like e^(4 pi sqrt(2n)): 20 terms cannot
     # certify 50 digits at height 1.2
-    expq = ExponentialQExpansion.from_qseries(weakly_holomorphic_m10(20))
     z = mp.mpc("0.3", "1.2")
     with pytest.raises(TailTooLarge):
-        reg_integral_to_icusp(expq, RegKernel(kind="plus", k=12, z=z), -mp.conj(z), ctx)
+        reg_integral_to_icusp(weakly_holomorphic_m10(20), RegKernel(kind="plus", k=12, z=z), -mp.conj(z), ctx)
 
 
 def test_ray_sum_needs_positive_height(ctx, f_delta):
-    expq = ExponentialQExpansion.from_qseries(f_delta)
     with pytest.raises(DomainError):
-        reg_integral_to_icusp(expq, RegKernel(kind="plus", k=12, z=mp.mpc("0.3", -2)), mp.mpc(0, 1), ctx)
+        reg_integral_to_icusp(f_delta, RegKernel(kind="plus", k=12, z=mp.mpc("0.3", -2)), mp.mpc(0, 1), ctx)
     with pytest.raises(DomainError):
         ray_sum(f_delta, mp.mpc("0.3", 1), mp.mpc(0, -1), 12, ctx)
 
@@ -159,14 +154,9 @@ def test_reg_linearity(ctx):
     z = mp.mpc("0.2", "1.1")
     kern = RegKernel(kind="plus", k=12, z=z)
     w0 = -mp.conj(z)
-    e1 = one_term_expansion(-1, 2)
-    e2 = one_term_expansion(-2, mp.mpc(0, 3))
-    both = ExponentialQExpansion(
-        weight=-10,
-        principal=((-2, mp.mpc(0, 3)), (-1, mp.mpc(2))),
-        decaying=None,
-        modular=False,
-    )
+    e1 = one_term_series(-1, 2)
+    e2 = one_term_series(-2, mp.mpc(0, 3))
+    both = QSeries(-10, n_min=-2, coeffs=(mp.mpc(0, 3), mp.mpc(2)))
     v = reg_integral_to_icusp(both, kern, w0, ctx)
     v1 = reg_integral_to_icusp(e1, kern, w0, ctx)
     v2 = reg_integral_to_icusp(e2, kern, w0, ctx)
@@ -175,16 +165,14 @@ def test_reg_linearity(ctx):
 
 def test_not_regularizable_poly_kernel(ctx):
     P = PolynomialC.from_coeffs([1, 2], 10)
-    expq = one_term_expansion(0)
     with pytest.raises(NotRegularizable):
-        reg_integral_to_icusp(expq, RegKernel(kind="poly", k=12, poly=P), mp.mpc(0, 1), ctx)
+        reg_integral_to_icusp(one_term_series(0), RegKernel(kind="poly", k=12, poly=P), mp.mpc(0, 1), ctx)
 
 
 def test_poly_kernel_negative_index(ctx):
     # e^(2 pi i n w) against a polynomial: entire positive-order gammas
     P = PolynomialC.from_coeffs([1, 0, 2], 10)
-    expq = one_term_expansion(-1)
-    got = reg_integral_to_icusp(expq, RegKernel(kind="poly", k=12, poly=P), mp.mpc(0, 1), ctx)
+    got = reg_integral_to_icusp(one_term_series(-1), RegKernel(kind="poly", k=12, poly=P), mp.mpc(0, 1), ctx)
     # slant-contour oracle
     delta = mp.pi / 4
     direc = mp.exp(-1j * delta)
@@ -195,34 +183,31 @@ def test_poly_kernel_negative_index(ctx):
 
 
 def test_cusp_to_cusp_z0_independence(ctx, f_wh):
-    expq = ExponentialQExpansion.from_qseries(f_wh)
     z = mp.mpc("0.3", "1.3")
     kern = RegKernel(kind="sz", k=12, z=z)
     rng = random.Random(29)
     vals, rvals = [], []
     for i in range(5):
         z0 = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
-        vals.append(reg_integral_cusp_to_cusp(expq, kern, CUSP_ZERO, CUSP_IOO, z0, ctx))
+        vals.append(reg_integral_cusp_to_cusp(f_wh, kern, CUSP_ZERO, CUSP_IOO, z0, ctx))
         if i < 2:  # reversed cusp order
-            rvals.append(reg_integral_cusp_to_cusp(expq, kern, CUSP_IOO, CUSP_ZERO, z0, ctx))
+            rvals.append(reg_integral_cusp_to_cusp(f_wh, kern, CUSP_IOO, CUSP_ZERO, z0, ctx))
     for v in vals[1:]:
         assert abs(v - vals[0]) <= mp.mpf("1e-15") * (1 + abs(vals[0]))
     assert abs(rvals[1] - rvals[0]) <= mp.mpf("1e-15") * (1 + abs(rvals[0]))
 
 
 def test_cusp_to_cusp_antisymmetry(ctx, f_wh):
-    expq = ExponentialQExpansion.from_qseries(f_wh)
     z = mp.mpc("0.2", "1.2")
     kern = RegKernel(kind="plus", k=12, z=z)
-    ab = reg_integral_cusp_to_cusp(expq, kern, CUSP_ZERO, CUSP_IOO, mp.mpc(0, 1), ctx)
-    ba = reg_integral_cusp_to_cusp(expq, kern, CUSP_IOO, CUSP_ZERO, mp.mpc(0, 1), ctx)
+    ab = reg_integral_cusp_to_cusp(f_wh, kern, CUSP_ZERO, CUSP_IOO, mp.mpc(0, 1), ctx)
+    ba = reg_integral_cusp_to_cusp(f_wh, kern, CUSP_IOO, CUSP_ZERO, mp.mpc(0, 1), ctx)
     assert abs(ab + ba) <= ctx.tol_tight * (1 + abs(ab))
 
 
 def test_cusp_to_cusp_degenerate(ctx, f_wh):
-    expq = ExponentialQExpansion.from_qseries(f_wh)
     kern = RegKernel(kind="plus", k=12, z=mp.mpc(0, 1))
-    assert reg_integral_cusp_to_cusp(expq, kern, CUSP_IOO, CUSP_IOO, mp.mpc(0, 1), ctx) == 0
+    assert reg_integral_cusp_to_cusp(f_wh, kern, CUSP_IOO, CUSP_IOO, mp.mpc(0, 1), ctx) == 0
 
 
 def test_starred_modular_input_kills_cocycle(ctx, f_wh):
@@ -265,9 +250,8 @@ def test_elementary_third_term(ctx):
     # xi(F) = (2i)^(1-k)
     k = 12
     F = lambda z: (2j * mp.im(z)) ** (1 - k) / (k - 1)
-    expq = one_term_expansion(0, 1)
     for z in (mp.mpc("0.3", "1.2"), mp.mpc(0, 1)):
-        got = reg_integral_to_icusp(expq, RegKernel(kind="plus", k=k, z=z), -mp.conj(z), ctx)
+        got = reg_integral_to_icusp(one_term_series(0), RegKernel(kind="plus", k=k, z=z), -mp.conj(z), ctx)
         assert abs(got - F(z)) <= ctx.tol_tight * (1 + abs(got))
         xv = xi_fd(F, k, z, ctx)
         assert abs(xv - (2j) ** (1 - k)) <= ctx.tol_fd

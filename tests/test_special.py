@@ -59,6 +59,20 @@ def test_gamma_precision_vs_mpmath(digits):
             assert abs(got - want) <= bound * abs(want), (s, x)
 
 
+def test_gamma_real_axis_complex_arg(ctx):
+    # a complex x on the positive real axis runs the real branch; on the
+    # negative real axis it stays complex, on the upper edge
+    for x in (mp.mpf("12.6"), 6 * mp.pi, mp.mpf(60)):
+        got = upper_incomplete_gamma(-11, mp.mpc(x, 0), ctx)
+        assert isinstance(got, mp.mpf)
+        assert got == upper_incomplete_gamma(-11, x, ctx)
+    got = upper_incomplete_gamma(-11, mp.mpc(-3, 0), ctx)
+    with mp.workdps(2 * ctx.work_dps):
+        want = mp.gammainc(-11, mp.mpc(-3, 0))
+        assert mp.im(want) != 0
+        assert abs(got - want) <= mp.mpf(10) ** -(ctx.digits + 5) * abs(want)
+
+
 @pytest.mark.parametrize("x", ["1", "5"])
 def test_gamma_negative_order_vs_quadrature(ctx, x):
     # Gamma(-11, x) = int_x^oo t^(-12) e^(-t) dt
