@@ -1,8 +1,11 @@
 """q-expansion algebra and the level-1 modular forms used as inputs.
 
-Coefficients are exact rationals (fractions.Fraction) whenever a series is
-built symbolically; evaluation converts to the working precision, so no
-coefficient error enters downstream tolerance budgets.  Series are immutable
+Coefficients are exact whenever a series is built symbolically: ints for
+E4, E6, E8, E10, E14, Delta, the cusp forms and the weight -10 form, whose
+convolutions run in integer arithmetic with every division exact and
+asserted, and fractions.Fraction otherwise.  Evaluation converts to the
+working precision, so no coefficient error enters downstream tolerance
+budgets.  Series are immutable
 and hashable, which lets evaluators memoize on the series itself.
 
 Truncation follows one rule, shared by every windowed sum in the package (q-
@@ -145,6 +148,13 @@ def _to_mpc(c: Coefficient) -> mp.mpc:
     return mp.mpc(c)
 
 
+def _exact_div(a: int, b: int) -> int:
+    """a / b for integers that b divides."""
+    q, r = divmod(a, b)
+    assert r == 0, "integer q-coefficients must divide exactly"
+    return q
+
+
 def _sigma_table(power: int, n_max: int) -> list:
     """sigma_power(n) for 1 <= n <= n_max by direct divisor sweep."""
     table = [0] * (n_max + 1)
@@ -155,8 +165,8 @@ def _sigma_table(power: int, n_max: int) -> list:
     return table
 
 
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n_max: int) -> list:
-    out = [Fraction(0)] * (n_max + 1)
+def _convolve(a: Sequence[int], b: Sequence[int], n_max: int) -> list:
+    out = [0] * (n_max + 1)
     for i, ai in enumerate(a[: n_max + 1]):
         if ai == 0:
             continue
@@ -167,14 +177,20 @@ def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n_max: int) -> list:
 
 @lru_cache(maxsize=None)
 def eisenstein(weight: int, N: int) -> QSeries:
-    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
+    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n.
+
+    The coefficients are integers for k = 4, 6, 8, 10 and 14 and Fractions
+    otherwise.
+    """
     if weight < 4 or weight % 2:
         raise UnsupportedWeight("eisenstein needs even weight >= 4")
     num, den = mp.bernfrac(weight)
     bk = Fraction(int(num), int(den))
     factor = Fraction(-2 * weight) / bk
+    if factor.denominator == 1:
+        factor = factor.numerator
     sig = _sigma_table(weight - 1, N)
-    coeffs = [Fraction(1)] + [factor * sig[n] for n in range(1, N + 1)]
+    coeffs = [1] + [factor * sig[n] for n in range(1, N + 1)]
     c_bound = float(2 * abs(factor))  # sigma_{k-1}(n) <= zeta(k-1) n^(k-1) <= 2 n^(k-1)
     return QSeries(
         weight=weight,
@@ -196,7 +212,7 @@ def delta(N: int) -> QSeries:
     e42 = _convolve(e4, e4, N)
     e43 = _convolve(e42, e4, N)
     e62 = _convolve(e6, e6, N)
-    coeffs = [(x - y) / 1728 for x, y in zip(e43, e62)]
+    coeffs = [_exact_div(x - y, 1728) for x, y in zip(e43, e62)]
     assert coeffs[0] == 0 and coeffs[1] == 1
     # Deligne bound |tau(n)| <= d(n) n^(11/2) with d(n) <= 2 sqrt(n)
     return QSeries(
@@ -223,8 +239,7 @@ def cusp_form(weight: int, N: int) -> QSeries:
     if weight == 12:
         return d
     e = eisenstein(weight - 12, N)
-    dc = [Fraction(0)] + [Fraction(c) for c in d.coeffs]
-    coeffs = _convolve(dc, list(e.coeffs), N)
+    coeffs = _convolve([0] + list(d.coeffs), list(e.coeffs), N)
     return QSeries(
         weight=weight,
         n_min=1,
@@ -238,13 +253,13 @@ def cusp_form(weight: int, N: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def weakly_holomorphic_m10(N: int) -> QSeries:
-    """Weight -10 weakly holomorphic form E4^2 E6 / Delta^2 (pole order 2)."""
+    """Weight -10 weakly holomorphic form E4^2 E6 / Delta^2 (pole order 2), integer coefficients."""
     if N < 1:
         raise ValueError("need N >= 1")
     pad = N + 4
     e4 = list(eisenstein(4, pad).coeffs)
     e6 = list(eisenstein(6, pad).coeffs)
-    d = [Fraction(0)] + [Fraction(c) for c in delta(pad).coeffs]
+    d = [0] + list(delta(pad).coeffs)
     num = _convolve(_convolve(e4, e4, pad), e6, pad)
     d2 = _convolve(d, d, pad)
     # long division by q^2 (1 + ...): M = sum_{n >= -2} c_n q^n
@@ -255,7 +270,7 @@ def weakly_holomorphic_m10(N: int) -> QSeries:
         v = num[n + 2]
         for j in range(-2, n):
             v -= acc[j] * denom[n - j]
-        acc[n] = v / denom[0]
+        acc[n] = _exact_div(v, denom[0])
         coeffs.append(acc[n])
     return QSeries(
         weight=-10,

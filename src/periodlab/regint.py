@@ -25,8 +25,12 @@ Each kernel is a sum of terms scale (w + a)^(-s): the principal terms n < 0
 take the formula above on the chosen sheet, the constant term n = 0 is
 elementary, and the decaying part n >= 1 is the same formula summed over the
 coefficients on the principal branch (``ray_sum``), whose length is fixed by
-a certified tail bound.  Ray quadrature is not used here; it remains the
-oracle that the tests compare against.
+a certified tail bound.  There, once |x| > |1-s| + 1, Gamma(1-s, x) is
+e^(-x) x^(1-s) / f with f the Legendre continued fraction, and the term
+folds to c_n q0^n (w0 + a)^(1-s) / f with q0 = e^(2 pi i w0), so a whole
+sum takes one exponential and one power besides the fractions.  Ray
+quadrature is not used here; it remains the oracle that the tests compare
+against.
 
 Cusp-to-cusp integrals follow the base-point split
 R.int_a^b = R.int_{z0}^b - R.int_{z0}^a with each cusp leg damped in its own
@@ -45,7 +49,7 @@ from .eichler import PolynomialC, S
 from .kernel import DomainError, PrecisionContext, xi_fd
 from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _mpc_coeffs
 from .reports import RelationReport, residual_scale
-from .special import upper_incomplete_gamma
+from .special import scaled_upper_gamma, upper_incomplete_gamma
 
 DEFAULT_BRANCH = "L"
 
@@ -129,6 +133,9 @@ def exp_ray_integral(n: int, w0, a, s: int, ctx: PrecisionContext, branch: Optio
     on the principal branch, which is the plain integral when
     Re(-lam (w0 + a)) > 0 along the ray (n >= 1 and Im(w0 + a) > 0), or on
     the sheet ``branch`` selects (s >= 1; for s <= 0 Gamma(1-s, .) is entire).
+    The principal terms n < 0 of ``reg_integral_to_icusp`` take it on a
+    sheet; the decaying terms n >= 1 run folded in ``ray_sum``, and the
+    principal-branch form is their unfolded oracle in the tests.
     """
     lam = 2j * mp.pi * n
     x = -lam * (w0 + a)
@@ -152,6 +159,14 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> T
     the n-th term is at most |scale c_n| (2 pi n)^(-1) |w0+a|^(-s) e^(-2 pi n Im w0),
     times that factor when s < 0.  Raises TailTooLarge when the window
     cannot certify the digits.
+
+    For integer s the n-th term folds to c_n q0^n (w0+a)^(1-s) G_n with
+    q0 = e^(2 pi i w0) and G_n = e^x x^(s-1) Gamma(1-s, x): q0^n is a running
+    product and (w0+a)^(1-s) one power per sum.  Once |x| > |1-s| + 1,
+    G_n = 1/f_n for the Legendre continued fraction f_n
+    (``special.scaled_upper_gamma``), so those terms take no exponential or
+    power of their own; the few terms below that threshold take G_n from
+    ``upper_incomplete_gamma``.
     """
     height = mp.im(w0 + a)
     if not height > 0:
@@ -163,12 +178,25 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> T
     model = (log_b + float(mp.log(bound)), alpha - 1, beta)
     N, log_tail = _certified_length(model, -2 * math.pi * float(mp.im(w0)), series.n_max, ctx)
     coeffs = _mpc_coeffs(series)
+    x1 = -2j * mp.pi * (w0 + a)
+    order, eps = mp.mpf(1 - s), ctx.eps()
+    n_fold = int((abs(1 - s) + 1) / abs(x1)) + 1  # first n on the continued-fraction branch
+    q0 = mp.exp(2j * mp.pi * w0)
+    start = max(1, series.n_min)
+    qn = q0 ** (start - 1)
     total = mp.mpc(0)
-    for n in range(max(1, series.n_min), N + 1):
+    for n in range(start, N + 1):
+        qn *= q0
         c = coeffs[n - series.n_min]
-        if c != 0:
-            total += c * exp_ray_integral(n, w0, a, s, ctx)
-    total *= scale
+        if c == 0:
+            continue
+        x = n * x1
+        if n < n_fold:
+            g = upper_incomplete_gamma(order, x, ctx) * mp.exp(x) * x ** (s - 1)
+        else:
+            g = scaled_upper_gamma(order, x, eps)
+        total += c * qn * g
+    total *= scale * (w0 + a) ** (1 - s)
     _check_tail(log_tail, total, ctx, f"ray sum of {series.label}")
     return total, log_tail
 

@@ -1,9 +1,10 @@
 """Relation reports: named identity checks with per-point residuals.
 
 A report stores the evaluation points, the relative residual at each point,
-the maximum residual and the tolerance it was judged against.  Residuals are
-relative to scale = max(1, |LHS|, |RHS|) (for eigen-style identities the
-operand magnitude is folded into the scale by the caller).  JSON
+the maximum residual, the tolerance it was judged against, and the headroom
+log10(tolerance / max residual) in digits.  Residuals are relative to
+scale = max(1, |LHS|, |RHS|) (for eigen-style identities the operand
+magnitude is folded into the scale by the caller).  JSON
 serialization keeps numbers as decimal strings at full precision, with a
 fixed key order, so reports are byte-reproducible for a fixed configuration.
 """
@@ -19,7 +20,7 @@ import mpmath as mp
 
 from . import __version__
 
-SCHEMA_VERSION = "periodlab-report-1"
+SCHEMA_VERSION = "periodlab-report-2"
 
 
 def residual_scale(*values) -> mp.mpf:
@@ -77,6 +78,13 @@ class RelationReport:
         return max(self.residuals) if self.residuals else mp.mpf(0)
 
     @property
+    def headroom_digits(self) -> mp.mpf:
+        """log10(tolerance / max_residual), the digits to spare; inf for a zero residual."""
+        if self.max_residual == 0:
+            return mp.inf
+        return mp.log10(self.tolerance / self.max_residual)
+
+    @property
     def passed(self) -> bool:
         return bool(self.max_residual <= self.tolerance)
 
@@ -87,6 +95,7 @@ class RelationReport:
             "residuals": [_numstr(r, 15) for r in self.residuals],
             "max_residual": _numstr(self.max_residual, 15),
             "tolerance": _numstr(self.tolerance, 15),
+            "headroom_digits": _numstr(self.headroom_digits, 4),
             "pass": self.passed,
         }
         if self.labels:
@@ -101,7 +110,7 @@ class RelationReport:
         return (
             f"[{status}] {self.identity}: max residual "
             f"{_numstr(self.max_residual, 8)} (tol {_numstr(self.tolerance, 5)}, "
-            f"{len(self.points)} points)"
+            f"headroom {_numstr(self.headroom_digits, 4)} digits, {len(self.points)} points)"
         )
 
 

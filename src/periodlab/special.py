@@ -8,6 +8,12 @@ Conventions used throughout:
   fraction for large x in the right half-plane, the E1 anchor plus a finite
   sum for nonpositive integer order, and Gamma(s) minus the lower-gamma
   series otherwise.
+* ``scaled_upper_gamma(s, x, eps)`` = e^x x^(-s) Gamma(s, x) is 1/f for
+  that continued fraction f.  It runs the Wallis forward recurrence on
+  Gaussian fixed-point integers at -log2(eps) plus guard bits, with the
+  numerator and denominator pairs renormalized separately by shifts, and a
+  stop test in float log2 that takes no division.  ``regint.ray_sum`` calls
+  it directly, since its terms need only 1/f.
 * ``whittaker_M`` is computed from the confluent hypergeometric series
   everywhere (entire in the argument); the classical integral representation
   is provided separately and serves as an oracle only, since it degenerates
@@ -17,6 +23,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -25,6 +32,10 @@ from .kernel import QUAD_MAXDEGREE, DomainError, NonConvergent, PrecisionContext
 from .reports import RelationReport, residual_scale
 
 _GAMMA_DPS_PAD = 10
+# bits the fixed-point continued fraction carries beyond -log2(eps): they
+# absorb the rounding of the b_j and of the thousands of recurrence steps
+# that arguments near the imaginary axis with |x| close to |s| + 1 take
+_CF_GUARD_BITS = 32
 
 
 def upper_incomplete_gamma(s, x, ctx: PrecisionContext):
@@ -37,7 +48,7 @@ def upper_incomplete_gamma(s, x, ctx: PrecisionContext):
     branches:
 
     * Re x > 0 and |x| > |s| + 1: the Legendre continued fraction
-      (DLMF 8.9), by modified Lentz; it holds for every order.
+      (DLMF 8.9), ``scaled_upper_gamma``; it holds for every order.
     * s = -N for an integer N >= 0:
       Gamma(-N, x) = (-1)^N/N! (E1(x) - e^(-x) sum_{j<N} (-1)^j j! x^(-j-1)).
     * otherwise: Gamma(s) minus the lower-gamma series.
@@ -72,26 +83,8 @@ def _gamma_upper_terms(s, x, eps):
     ``eps`` bounds the truncation error relative to the result.
     """
     if mp.re(x) > 0 and abs(x) > abs(s) + 1:
-        tiny = mp.mpf(10) ** (-(mp.mp.dps + 30))
-        b = x + 1 - s
-        f = b if b != 0 else tiny
-        C, D = f, 0
-        for n in range(1, 10 ** 6):
-            an = -n * (n - s)
-            b += 2
-            D = b + an * D
-            if D == 0:
-                D = tiny
-            C = b + an / C
-            if C == 0:
-                C = tiny
-            D = 1 / D
-            delta = C * D
-            f *= delta
-            if abs(delta - 1) < eps:
-                value = mp.exp(-x) * x ** s / f
-                return value, abs(value)
-        raise NonConvergent("upper gamma continued fraction did not converge")
+        value = mp.exp(-x) * x ** s * scaled_upper_gamma(s, x, eps)
+        return value, abs(value)
     if mp.isint(s) and s <= 0:
         N = int(-s)
         e1, emx = mp.e1(x), mp.exp(-x)
@@ -116,6 +109,81 @@ def _gamma_upper_terms(s, x, eps):
         if mag < eps * abs(g - total):
             return gs - pref * total, max(abs(gs), abs(pref) * top)
     raise NonConvergent("lower gamma series did not converge")
+
+
+def _fixed(v, P: int) -> tuple:
+    """(Re v, Im v) times 2^P, as integers."""
+    if isinstance(v, mp.mpc):
+        return v.real.to_fixed(P), v.imag.to_fixed(P)
+    return mp.mpf(v).to_fixed(P), 0
+
+
+def scaled_upper_gamma(s, x, eps):
+    """e^x x^(-s) Gamma(s, x) = 1/f to relative ``eps``, for Re x > 0 and |x| > |s| + 1.
+
+    f is the Legendre continued fraction b_0 + a_1/(b_1 + a_2/(b_2 + ...))
+    with b_j = x + 2j + 1 - s and a_j = -j (j - s) (DLMF 8.9.2).  The Wallis
+    recurrence A_j = b_j A_(j-1) + a_j A_(j-2), and the same for B, from
+    (A_-1, A_0) = (1, b_0), (B_-1, B_0) = (0, 1), runs on Gaussian integers
+    at the scale 2^P, P = -log2(eps) + guard bits; each pair is shifted back
+    to about P bits on its own, so a large |f| costs B no precision.  Since
+    A_j B_(j-1) - A_(j-1) B_j = (-1)^(j+1) a_1 ... a_j, the step satisfies
+    |f_n - f_(n-1)| / |f_n| = |a_1 ... a_n| / |A_n B_(n-1)|; the sum of
+    float log2 |a_j| against bit lengths stops the loop once that is below
+    ``eps``, with no division.  At a positive integer order a_s = 0 and the
+    fraction ends exactly.  The result is B_n / A_n: an mpf for real s and
+    x, an mpc otherwise.
+    """
+    P = _CF_GUARD_BITS - mp.mag(eps)
+    log2_eps = float(mp.mag(eps) - 1)
+    one = 1 << P
+    sr, si = _fixed(s, P)
+    br, bi = _fixed(x, P)
+    br += one - sr
+    bi -= si
+    sc = complex(s)
+    Ar2, Ai2, Ar1, Ai1 = one, 0, br, bi
+    Br2, Bi2, Br1, Bi1 = 0, 0, one, 0
+    eA = eB = -P
+    log2_a = 0.0
+    for j in range(1, 10 ** 6):
+        ar, ai = j * (sr - j * one), j * si
+        if not (ar or ai):
+            break
+        br += 2 * one
+        Ar = (br * Ar1 - bi * Ai1 + ar * Ar2 - ai * Ai2) >> P
+        Ai = (br * Ai1 + bi * Ar1 + ar * Ai2 + ai * Ar2) >> P
+        Br = (br * Br1 - bi * Bi1 + ar * Br2 - ai * Bi2) >> P
+        Bi = (br * Bi1 + bi * Br1 + ar * Bi2 + ai * Br2) >> P
+        log2_a += math.log2(abs(j * (j - sc)))
+        # 2^(bit length - 1) <= max(|re|, |im|) <= |A|, so this overestimates the step
+        nA = max(Ar.bit_length(), Ai.bit_length())
+        nB1 = max(Br1.bit_length(), Bi1.bit_length())
+        converged = log2_a - (nA - 1 + eA) - (nB1 - 1 + eB) < log2_eps
+        Ar2, Ai2, Ar1, Ai1 = Ar1, Ai1, Ar, Ai
+        Br2, Bi2, Br1, Bi1 = Br1, Bi1, Br, Bi
+        if converged:
+            break
+        # keep each pair within 8 bits of 2^P
+        d = nA - P
+        if d > 8:
+            Ar2, Ai2, Ar1, Ai1 = Ar2 >> d, Ai2 >> d, Ar1 >> d, Ai1 >> d
+            eA += d
+        elif d < -8:
+            Ar2, Ai2, Ar1, Ai1 = Ar2 << -d, Ai2 << -d, Ar1 << -d, Ai1 << -d
+            eA += d
+        d = max(Br.bit_length(), Bi.bit_length()) - P
+        if d > 8:
+            Br2, Bi2, Br1, Bi1 = Br2 >> d, Bi2 >> d, Br1 >> d, Bi1 >> d
+            eB += d
+        elif d < -8:
+            Br2, Bi2, Br1, Bi1 = Br2 << -d, Bi2 << -d, Br1 << -d, Bi1 << -d
+            eB += d
+    else:
+        raise NonConvergent("upper gamma continued fraction did not converge")
+    if isinstance(s, mp.mpc) or isinstance(x, mp.mpc):
+        return mp.mpc(mp.mpf((Br1, eB)), mp.mpf((Bi1, eB))) / mp.mpc(mp.mpf((Ar1, eA)), mp.mpf((Ai1, eA)))
+    return mp.mpf((Br1, eB)) / mp.mpf((Ar1, eA))
 
 
 @dataclass(frozen=True)

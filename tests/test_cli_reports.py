@@ -30,8 +30,10 @@ def sample_report(passes=True):
 def test_report_roundtrip_and_keys():
     rep = sample_report()
     d = rep.to_dict()
-    assert list(d.keys()) == ["identity", "points", "residuals", "max_residual", "tolerance", "pass"]
+    assert list(d.keys()) == ["identity", "points", "residuals", "max_residual", "tolerance", "headroom_digits", "pass"]
     assert d["pass"] is True
+    assert d["headroom_digits"] == "10.0"
+    assert "headroom 10.0 digits" in rep.summary_line()
     assert json.loads(rep.to_json())["identity"] == "sample"
 
 
@@ -131,7 +133,7 @@ def test_cli_verify_special_suite(tmp_path):
     proc = run_cli(["verify", "special", "--out", out, "--csv", csvp])
     assert proc.returncode == EXIT_OK
     payload = json.load(open(out))
-    assert payload["schema"] == "periodlab-report-1"
+    assert payload["schema"] == "periodlab-report-2"
     assert payload["all_pass"] is True
     assert payload["config"]["schema"] == "periodlab-config-1"
     identities = [r["identity"] for r in payload["reports"]]

@@ -11,6 +11,7 @@ from periodlab import (
     DomainError,
     NotRegularizable,
     PolynomialC,
+    PrecisionContext,
     QSeries,
     RegKernel,
     TailTooLarge,
@@ -91,6 +92,63 @@ def test_decaying_part_vs_quad_ray(ctx, f_delta, kind):
     got = reg_integral_to_icusp(f_delta, kern, w0, ctx)
     want = quad_ray(lambda w: _sum_q_series(f_delta, w, ctx) * written(w), w0, ctx)
     assert abs(got - want) <= ctx.tol_tight * abs(want)
+
+
+FOLD_Z = mp.mpc("0.3", "1.2")
+FOLD_KERNELS = {
+    "plus": RegKernel(kind="plus", k=12, z=FOLD_Z),
+    "sz": RegKernel(kind="sz", k=12, z=FOLD_Z),
+    "s=0": RegKernel(kind="one", k=12),
+    "s<0": RegKernel(kind="poly", k=12, poly=PolynomialC.from_coeffs([0, mp.mpc(0, 2), 0, -3], 10)),
+}
+FOLD_BASES = {"i": mp.mpc(0, 1), "-conj z": -mp.conj(FOLD_Z), "S-image": -1 / mp.mpc("0.2", "1.1")}
+
+
+@pytest.mark.parametrize("base", sorted(FOLD_BASES))
+@pytest.mark.parametrize("kind", sorted(FOLD_KERNELS))
+def test_folded_ray_sum_vs_unfolded(ctx, f_delta, kind, base):
+    # ray_sum folds each continued-fraction term to c_n q0^n (w0+a)^(1-s) / f_n;
+    # the unfolded sum takes exp_ray_integral term by term over the whole window
+    w0 = FOLD_BASES[base]
+    with mp.workdps(ctx.work_dps):
+        for a, s, scale in FOLD_KERNELS[kind].terms():
+            got = ray_sum(f_delta, w0, a, s, ctx, scale)[0]
+            want = scale * mp.fsum(
+                f_delta.coeff(n) * exp_ray_integral(n, w0, a, s, ctx) for n in range(1, f_delta.n_max + 1)
+            )
+            assert abs(got - want) <= mp.mpf(10) ** -ctx.digits * abs(want), (kind, base, s)
+
+
+@pytest.mark.parametrize("a", [mp.mpc("0.3", "1.5"), mp.mpc("0.1", "0.6")])
+def test_ray_sum_work_does_not_grow_with_length(f_delta, monkeypatch, a):
+    # per term, a folded ray sum runs only the continued fraction: the
+    # exponentials and complex powers it takes are the same for 50 and 100
+    # digits, though the longer sum has more terms (at a = 0.1 + 0.6i the
+    # term n = 1 lies below the fraction's threshold |x| > 12)
+    import periodlab.regint as regint
+
+    counts = {"exp": 0, "pow": 0, "fraction": 0}
+    exp, mpc_pow, fraction = mp.exp, mp.mpc.__pow__, regint.scaled_upper_gamma
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(mp, "exp", counted("exp", exp))
+    monkeypatch.setattr(mp.mpc, "__pow__", counted("pow", mpc_pow))
+    monkeypatch.setattr(regint, "scaled_upper_gamma", counted("fraction", fraction))
+    seen = []
+    for digits in (50, 100):
+        ctx = PrecisionContext(digits=digits)
+        counts.update(exp=0, pow=0, fraction=0)
+        with mp.workdps(ctx.work_dps):
+            ray_sum(f_delta, mp.mpc(0, 1), a, 12, ctx)
+        seen.append(dict(counts))
+    assert seen[1]["fraction"] > seen[0]["fraction"] > 0
+    assert seen[0]["exp"] == seen[1]["exp"] and seen[0]["pow"] == seen[1]["pow"]
 
 
 def test_short_window_raises(ctx):

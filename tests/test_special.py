@@ -1,8 +1,12 @@
 """Special functions: incomplete gamma, Whittaker M, seeds, iterated gamma."""
 
+import math
+import random
+
 import mpmath as mp
 import pytest
-import random
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodlab import (
     DomainError,
@@ -57,6 +61,62 @@ def test_gamma_precision_vs_mpmath(digits):
         with mp.workdps(2 * ctx.work_dps):
             want = mp.gammainc(s, x)
             assert abs(got - want) <= bound * abs(want), (s, x)
+
+
+def gamma_oracle(s, x, dps):
+    """Gamma(s, x) to dps digits, independent of the continued fraction.
+
+    mp.gammainc for complex orders.  At a nonpositive integer order -N and
+    complex x it takes seconds per call (its hypergeometric fallback), so
+    there mpmath's E1 with the exact finite sum
+    Gamma(-N, x) = (-1)^N/N! (E1(x) - e^(-x) sum_{j<N} (-1)^j j! x^(-j-1))
+    runs instead, with the digits that sum cancels, log10(N! |x|^N), added.
+    """
+    if isinstance(s, mp.mpc):
+        with mp.workdps(dps):
+            return mp.gammainc(s, x)
+    N = int(-s)
+    with mp.workdps(dps + int(mp.log10(mp.factorial(N) * abs(x) ** N)) + 5):
+        acc, term = mp.mpc(0), 1 / mp.mpc(x)
+        for j in range(N):
+            acc += term
+            term *= -(j + 1) / x
+        return (-1) ** N / mp.factorial(N) * (mp.e1(x) - mp.exp(-x) * acc)
+
+
+@st.composite
+def fraction_cases(draw):
+    """(s, x): s = 1-k with k <= 26 or complex, Re x > 0 and |s| + 1 < |x| <= 1e4."""
+    if draw(st.booleans()):
+        s = mp.mpf(1 - draw(st.integers(1, 26)))
+    else:
+        im = draw(st.floats(0.25, 20)) * draw(st.sampled_from([1, -1]))
+        s = mp.mpc(draw(st.floats(-20, 20)), im)
+    low = (float(abs(s)) + 1) * (1 + 1e-9)
+    r = low * (1e4 / low) ** draw(st.floats(0, 1))
+    # the angle comes within 1e-9 of the imaginary axis on either side
+    theta = draw(st.sampled_from([1, -1])) * (math.pi / 2 - draw(st.floats(1e-9, math.pi / 2)))
+    return s, mp.mpc(r * math.cos(theta), r * math.sin(theta))
+
+
+@pytest.mark.parametrize("digits", [50, 80, 120])
+def test_legendre_fraction_property(digits):
+    # the continued-fraction branch: relative error <= 10^-(digits+5) against
+    # an oracle at twice the working precision, up to |x| = 1e4 and close to
+    # the imaginary axis, where the fraction converges slowest
+    ctx = PrecisionContext(digits=digits)
+    bound = mp.mpf(10) ** -(digits + 5)
+
+    @settings(max_examples=60)
+    @given(fraction_cases())
+    def check(case):
+        s, x = case
+        got = upper_incomplete_gamma(s, x, ctx)
+        want = gamma_oracle(s, x, 2 * ctx.work_dps)
+        with mp.workdps(2 * ctx.work_dps):
+            assert abs(got - want) <= bound * abs(want), (s, x)
+
+    check()
 
 
 def test_gamma_real_axis_complex_arg(ctx):
