@@ -63,8 +63,9 @@ class QSeries:
     weight ``weight`` under the full modular group, enabling the low-height
     evaluation fallback.  ``_memo`` holds values derived from the
     coefficients (their mpc conversion per binary precision, the log of the
-    growth constant); it is not an init argument, so ``replace`` starts a
-    fresh one, and it takes no part in equality or hashing.
+    growth constant, a passed modularity spot check per context); it is not
+    an init argument, so ``replace`` starts a fresh one, and it takes no
+    part in equality or hashing.
     """
 
     weight: int
@@ -283,7 +284,13 @@ def weakly_holomorphic_m10(N: int) -> QSeries:
 
 
 def conjugate_form(f: QSeries) -> QSeries:
-    """Series of z -> conj(f(-conj z)): coefficients conjugated, weight kept."""
+    """Series of z -> conj(f(-conj z)): coefficients conjugated, weight kept.
+
+    A series with real coefficients is its own conjugate and comes back as
+    the same object, so the caches keyed on it are shared.
+    """
+    if all(isinstance(c, (int, Fraction)) or mp.im(c) == 0 for c in f.coeffs):
+        return f
     coeffs = tuple(c if isinstance(c, (int, Fraction)) else mp.conj(mp.mpc(c)) for c in f.coeffs)
     return replace(f, coeffs=coeffs, label=f"{f.label}^c")
 

@@ -293,8 +293,12 @@ class StarredPeriods:
 
 
 def _modularity_spot_check(M: QSeries, ctx: PrecisionContext) -> None:
+    """Raise DomainError unless M(Sz) = z^w M(z) at one fixed point; a pass is memoized per ctx."""
     from .qforms import evaluate
 
+    key = ("modular_at", ctx)
+    if key in M._memo:
+        return
     z = mp.mpc("0.37", "1.21")
     lhs = evaluate(M, S.apply(z), ctx)
     rhs = z ** M.weight * evaluate(M, z, ctx)
@@ -302,6 +306,7 @@ def _modularity_spot_check(M: QSeries, ctx: PrecisionContext) -> None:
         raise DomainError(
             "input is not modular; pass its period cocycle explicitly via `cocycle`"
         )
+    M._memo[key] = True
 
 
 def starred_periods(

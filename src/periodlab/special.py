@@ -14,10 +14,12 @@ Conventions used throughout:
   numerator and denominator pairs renormalized separately by shifts, and a
   stop test in float log2 that takes no division.  ``regint.ray_sum`` calls
   it directly, since its terms need only 1/f.
-* ``whittaker_M`` is computed from the confluent hypergeometric series
-  everywhere (entire in the argument); the classical integral representation
-  is provided separately and serves as an oracle only, since it degenerates
-  on the boundary Re(nu - mu + 1/2) = 0 that the seed functions sit on.
+* ``whittaker_M`` and ``cal_M`` are computed from the confluent
+  hypergeometric series everywhere (entire in the argument), summed on
+  fixed-point integers at the working precision plus guard bits; the
+  classical integral representation is provided separately and serves as an
+  oracle only, since it degenerates on the boundary Re(nu - mu + 1/2) = 0
+  that the seed functions sit on.
 * ``cal_M(k, s, u) = |u|^(-k/2) M_{sgn(u) k/2, s - 1/2}(|u|)``.
 """
 
@@ -36,6 +38,8 @@ _GAMMA_DPS_PAD = 10
 # absorb the rounding of the b_j and of the thousands of recurrence steps
 # that arguments near the imaginary axis with |x| close to |s| + 1 take
 _CF_GUARD_BITS = 32
+# bits the fixed-point confluent series carries beyond the working precision
+_KUMMER_GUARD_BITS = 20
 
 
 def upper_incomplete_gamma(s, x, ctx: PrecisionContext):
@@ -142,8 +146,11 @@ def scaled_upper_gamma(s, x, eps):
     br += one - sr
     bi -= si
     sc = complex(s)
+    # with both imaginary parts zero, every imaginary half below stays 0
+    real = not (si or bi)
     Ar2, Ai2, Ar1, Ai1 = one, 0, br, bi
     Br2, Bi2, Br1, Bi1 = 0, 0, one, 0
+    Ai = Bi = 0
     eA = eB = -P
     log2_a = 0.0
     for j in range(1, 10 ** 6):
@@ -151,10 +158,14 @@ def scaled_upper_gamma(s, x, eps):
         if not (ar or ai):
             break
         br += 2 * one
-        Ar = (br * Ar1 - bi * Ai1 + ar * Ar2 - ai * Ai2) >> P
-        Ai = (br * Ai1 + bi * Ar1 + ar * Ai2 + ai * Ar2) >> P
-        Br = (br * Br1 - bi * Bi1 + ar * Br2 - ai * Bi2) >> P
-        Bi = (br * Bi1 + bi * Br1 + ar * Bi2 + ai * Br2) >> P
+        if real:
+            Ar = (br * Ar1 + ar * Ar2) >> P
+            Br = (br * Br1 + ar * Br2) >> P
+        else:
+            Ar = (br * Ar1 - bi * Ai1 + ar * Ar2 - ai * Ai2) >> P
+            Ai = (br * Ai1 + bi * Ar1 + ar * Ai2 + ai * Ar2) >> P
+            Br = (br * Br1 - bi * Bi1 + ar * Br2 - ai * Bi2) >> P
+            Bi = (br * Bi1 + bi * Br1 + ar * Bi2 + ai * Br2) >> P
         log2_a += math.log2(abs(j * (j - sc)))
         # 2^(bit length - 1) <= max(|re|, |im|) <= |A|, so this overestimates the step
         nA = max(Ar.bit_length(), Ai.bit_length())
@@ -202,20 +213,31 @@ class WhittakerArgs:
             raise DomainError("1 + 2 nu must not be a nonpositive integer")
 
 
-def _kummer_series(a: mp.mpf, b: mp.mpf, y: mp.mpf, ctx: PrecisionContext) -> mp.mpf:
-    """Confluent hypergeometric 1F1(a; b; y) by direct summation (entire in y)."""
-    eps = ctx.eps()
-    total = mp.mpf(1)
-    term = mp.mpf(1)
-    j = 0
-    while True:
-        term = term * (a + j) / (b + j) * y / (j + 1)
+def _kummer_series(a, b, y, ctx: PrecisionContext) -> mp.mpf:
+    """Confluent hypergeometric 1F1(a; b; y) by direct summation (entire in y).
+
+    The terms T_(j+1) = T_j (a + j) y / ((b + j)(j + 1)) (DLMF 13.2.2) run
+    on integers at the scale 2^P, P = ``mp.prec`` + guard bits, each
+    quotient rounded toward zero.  The loop stops at the first term, from
+    the fifth on, with |T_j| 2^(1 - mag(eps)) < 2^P + |sum|, which implies
+    |T_j| < eps (1 + |sum|).
+    """
+    P = mp.mp.prec + _KUMMER_GUARD_BITS
+    one = 1 << P
+    A, B, Y = mp.mpf(a).to_fixed(P), mp.mpf(b).to_fixed(P), mp.mpf(y).to_fixed(P)
+    stop_shift = 1 - mp.mag(ctx.eps())
+    # ((A + j 2^P) Y) >> P = ((A Y) >> P) + j Y exactly, so N and D step by addition
+    N, D = (A * Y) >> P, B
+    term = total = one
+    for j in range(1, 10 ** 6):
+        num, den = term * N, D * j
+        term = num // den if (num < 0) == (den < 0) else -(-num // den)
         total += term
-        j += 1
-        if j > 4 and abs(term) < eps * (1 + abs(total)):
-            return total
-        if j > 10 ** 6:
-            raise NonConvergent("confluent series iteration cap reached")
+        if j > 4 and abs(term) << stop_shift < one + abs(total):
+            return mp.mpf((total, -P))
+        N += Y
+        D += one
+    raise NonConvergent("confluent series iteration cap reached")
 
 
 def whittaker_M(args: WhittakerArgs, ctx: PrecisionContext) -> mp.mpf:
@@ -223,8 +245,8 @@ def whittaker_M(args: WhittakerArgs, ctx: PrecisionContext) -> mp.mpf:
     args.validate()
     with mp.workdps(ctx.work_dps):
         mu, nu, y = mp.mpf(args.mu), mp.mpf(args.nu), mp.mpf(args.y)
-        phi = _kummer_series(nu - mu + mp.mpf("0.5"), 1 + 2 * nu, y, ctx)
-        return y ** (nu + mp.mpf("0.5")) * mp.exp(-y / 2) * phi
+        phi = _kummer_series(nu - mu + 0.5, 1 + 2 * nu, y, ctx)
+        return y ** (nu + 0.5) * mp.exp(-y / 2) * phi
 
 
 def whittaker_M_integral(args: WhittakerArgs, ctx: PrecisionContext) -> mp.mpf:
@@ -250,19 +272,21 @@ def whittaker_M_integral(args: WhittakerArgs, ctx: PrecisionContext) -> mp.mpf:
 
 
 def cal_M(k: int, s, u, ctx: PrecisionContext) -> mp.mpf:
-    """Normalized Whittaker value |u|^(-k/2) M_{sgn(u) k/2, s-1/2}(|u|), u != 0."""
+    """Normalized Whittaker value |u|^(-k/2) M_{sgn(u) k/2, s-1/2}(|u|), u != 0.
+
+    That is |u|^(s - k/2) e^(-|u|/2) 1F1(s - mu; 2 s; |u|) with mu = sgn(u) k/2.
+    """
     if u == 0:
         raise DomainError("cal_M requires u != 0")
     with mp.workdps(ctx.work_dps):
         s = mp.mpf(s)
-        u = mp.mpf(u)
         two_s = 2 * s
         if two_s <= 0 and mp.isint(two_s):
             raise DomainError("2s must not be a nonpositive integer")
-        kk = mp.mpf(k)
-        mu = mp.sign(u) * kk / 2
-        args = WhittakerArgs(mu=mu, nu=s - mp.mpf("0.5"), y=abs(u))
-        return abs(u) ** (-kk / 2) * whittaker_M(args, ctx)
+        y = abs(mp.mpf(u))
+        half_k = mp.mpf(k) / 2
+        mu = half_k if u > 0 else -half_k
+        return y ** (s - half_k) * mp.exp(-y / 2) * _kummer_series(s - mu, two_s, y, ctx)
 
 
 def psi_seed(k: int, m: int, z, ctx: PrecisionContext, step=None) -> mp.mpc:

@@ -99,6 +99,15 @@ def test_conjugate_form(f_delta):
     assert conjugate_form(g).coeffs == g.coeffs
 
 
+def test_conjugate_form_of_real_series_is_itself(f_delta, f_wh):
+    # the same object, so caches keyed on (f, ctx) are shared with f
+    assert conjugate_form(f_delta) is f_delta
+    assert conjugate_form(f_wh) is f_wh
+    assert conjugate_form(f_delta.scale(mp.mpf(3))) is not f_delta
+    i_delta = f_delta.scale(mp.mpc(0, 1))
+    assert conjugate_form(i_delta) is not i_delta
+
+
 def test_bol_operator():
     const = QSeries(weight=-10, n_min=0, coeffs=(Fraction(5),))
     assert bol(const).is_zero()

@@ -289,6 +289,37 @@ def test_starred_tildestar_with_cocycle(ctx, f_wh, f_delta):
     assert abs(sp.tildestar - want) <= ctx.tol_tight * (1 + abs(want))
 
 
+def test_modularity_spot_check_runs_once_per_context(f_wh, monkeypatch):
+    # a pass is memoized on the series per context; a failure raises every time
+    from dataclasses import replace
+
+    import periodlab.qforms as qforms
+    from periodlab.regint import _modularity_spot_check
+
+    calls = [0]
+    evaluate = qforms.evaluate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(qforms, "evaluate", counted)
+    M = replace(f_wh)
+    ctx50, ctx60 = PrecisionContext(digits=50), PrecisionContext(digits=60)
+    for _ in range(3):
+        _modularity_spot_check(M, ctx50)
+    assert calls[0] == 2
+    _modularity_spot_check(M, ctx60)
+    _modularity_spot_check(M, ctx60)
+    assert calls[0] == 4
+    # one principal-part coefficient off: not modular
+    bad = replace(M, coeffs=(M.coeffs[0], M.coeffs[1] + 1) + M.coeffs[2:])
+    for n in (1, 2):
+        with pytest.raises(DomainError):
+            _modularity_spot_check(bad, ctx50)
+        assert calls[0] == 4 + 2 * n
+
+
 def test_starred_zero_input(ctx, f_wh):
     zero = f_wh.scale(0)
     sp = starred_periods(zero, mp.mpc(0, 1), ctx)

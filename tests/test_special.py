@@ -20,6 +20,7 @@ from periodlab import (
     whittaker_M_integral,
     whittaker_derivative_identity_check,
 )
+from periodlab.special import _kummer_series
 
 
 def test_gamma_order_one(ctx):
@@ -200,6 +201,39 @@ def test_whittaker_positivity(ctx):
     # positive for real args with y > 0, 1 + 2 nu > 0 and nonnegative first parameter
     for (mu, nu, y) in ((-2, 1.5, 3.0), (0, 0.25, 1.0), (-6, 5.5, 0.5)):
         assert whittaker_M(WhittakerArgs(mu=mu, nu=nu, y=y), ctx) > 0
+
+
+@st.composite
+def kummer_cases(draw):
+    """(a, b, y): a in [-8, 20], often within 1e-12..1e-2 of an integer or one; b in [0.5, 30]; y in [1e-4, 80]."""
+    if draw(st.booleans()):
+        a = draw(st.floats(-8, 20))
+    else:
+        offset = draw(st.sampled_from([0, 1, -1])) * 10 ** draw(st.floats(-12, -2))
+        a = draw(st.integers(-8, 20)) + offset
+    b = draw(st.floats(0.5, 30))
+    y = 10 ** draw(st.floats(-4, math.log10(80)))
+    return mp.mpf(a), mp.mpf(b), mp.mpf(y)
+
+
+@pytest.mark.parametrize("digits", [50, 80, 120])
+def test_kummer_series_property(digits):
+    # absolute-or-relative error <= 10^-(digits+5) (1 + |v|) against mpmath's
+    # 1F1 at twice the working precision, across sign changes of a + j
+    ctx = PrecisionContext(digits=digits)
+    bound = mp.mpf(10) ** -(digits + 5)
+
+    @settings(max_examples=60)
+    @given(kummer_cases())
+    def check(case):
+        a, b, y = case
+        with mp.workdps(ctx.work_dps):
+            got = _kummer_series(a, b, y, ctx)
+        with mp.workdps(2 * ctx.work_dps):
+            want = mp.hyp1f1(a, b, y)
+            assert abs(got - want) <= bound * (1 + abs(want)), (a, b, y)
+
+    check()
 
 
 def test_cal_M_negative_u(ctx):
