@@ -18,7 +18,7 @@ import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, quad_ray
 from .lfun import l_completed
-from .qforms import QSeries, REDUCTION_HEIGHT, _sum_q_series, _to_mpc
+from .qforms import QSeries, REDUCTION_HEIGHT, _HALF, _sum_q_series, _to_mpc
 from .reports import RelationReport, residual_scale
 
 
@@ -305,19 +305,21 @@ class EichlerIntegral:
     def evaluate(self, z) -> mp.mpc:
         with mp.workdps(self.ctx.work_dps):
             z = mp.mpc(z)
-            if not mp.im(z) > 0:
+            if not z.imag > 0:
                 raise DomainError("Eichler integral evaluated off the upper half-plane")
-            total = mp.mpc(0)
-            factor = mp.mpc(1)
+            total = factor = None  # set by the first cocycle step
             k = self.f.weight
             for _ in range(8 * self.ctx.work_dps):
-                z = z - mp.floor(mp.re(z) + mp.mpf("0.5"))
-                if mp.im(z) >= REDUCTION_HEIGHT:
+                z = z - mp.floor(z.real + _HALF)
+                if z.imag >= REDUCTION_HEIGHT:
                     break
-                total += factor * self._period(z)
-                factor *= z ** (k - 2)
+                r = self._period(z)
+                total = r if total is None else total + factor * r
+                jac = z ** (k - 2)
+                factor = jac if factor is None else factor * jac
                 z = -1 / z
-            return total + factor * _sum_q_series(self.series, z, self.ctx)
+            value = _sum_q_series(self.series, z, self.ctx)
+            return value if factor is None else total + factor * value
 
     def __call__(self, z) -> mp.mpc:
         return self.evaluate(z)

@@ -63,6 +63,7 @@ class PrecisionContext:
     tol_tight: mp.mpf = field(default_factory=lambda: mp.mpf("1e-20"))
     tol_fd: mp.mpf = field(default_factory=lambda: mp.mpf("1e-6"))
     guard: int = 15
+    _eps: mp.mpf = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.digits < 30:
@@ -75,14 +76,19 @@ class PrecisionContext:
             object.__setattr__(self, "fd_step", h)
         if not self.fd_step ** 2 > mp.mpf(10) ** (-self.digits):
             raise ValueError("fd_step^2 must exceed 10^(-digits)")
+        with mp.workdps(self.work_dps):
+            object.__setattr__(self, "_eps", mp.mpf(10) ** (-(self.digits + 8)))
 
     @property
     def work_dps(self) -> int:
         return self.digits + self.guard
 
     def eps(self) -> mp.mpf:
-        """Series/quadrature cutoff well below the working precision."""
-        return mp.mpf(10) ** (-(self.digits + 8))
+        """Series/quadrature cutoff 10^-(digits+8), well below the working precision.
+
+        Computed once, at the working precision, whatever the ambient one.
+        """
+        return self._eps
 
 
 DEFAULT_CTX = PrecisionContext()

@@ -8,6 +8,10 @@ working precision, so no coefficient error enters downstream tolerance
 budgets.  Series are immutable
 and hashable, which lets evaluators memoize on the series itself.
 
+q-series sums: scaled Horner on fixed-point integers.  ``_sum_q_series``
+runs one Horner loop over the whole window on Gaussian Python integers,
+in a unit scaled to the largest term, and takes one exponential for q.
+
 Truncation follows one rule, shared by every windowed sum in the package (q-
 series here, the Eichler integral, the completed L-series, and
 ``regint.ray_sum``, which carries termwise F2 and r2, the non-critical
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import exp as _math_exp, inf as _math_inf, log as _math_log, log1p as _math_log1p
+from math import ceil as _math_ceil, exp as _math_exp, inf as _math_inf, log as _math_log, log1p as _math_log1p
 from math import pi as _MATH_PI, sqrt as _math_sqrt
 from typing import Optional, Sequence, Tuple, Union
 
@@ -48,6 +52,10 @@ ZERO_SPACE_WEIGHTS = (0, 2, 4, 6, 8, 10, 14)
 REDUCTION_HEIGHT = 0.5
 
 _LN10 = _math_log(10)
+# bits the fixed-point q-series sum carries beyond the working precision
+_Q_GUARD_BITS = 20
+# rounds Re z to the nearest integer in the modular reductions here and in eichler
+_HALF = mp.mpf(0.5)
 # fewest terms a windowed sum takes; see _certified_length
 _MIN_TERMS = 4
 
@@ -141,6 +149,35 @@ def _mpc_coeffs(f: "QSeries") -> tuple:
     if converted is None:
         converted = f._memo[mp.mp.prec] = tuple(_to_mpc(c) for c in f.coeffs)
     return converted
+
+
+def _fixed_coeffs(f: "QSeries") -> tuple:
+    """(first, mags, parts) of the coefficients at the working precision, memoized.
+
+    parts[j] = (Re mantissa, Im mantissa, exponent) gives coefficient
+    n_min + j exactly as (Re + i Im) 2^exponent, both mantissas signed ints
+    on a shared exponent; mags[j] is a float with |Re|, |Im| < 2^mags[j]
+    (-inf for a zero coefficient), and ``first`` the index of the first
+    nonzero coefficient (len(coeffs) if none).  ``_sum_q_series`` shifts
+    them into its fixed-point unit.
+    """
+    key = ("fixed", mp.mp.prec)
+    got = f._memo.get(key)
+    if got is None:
+        mags, parts = [], []
+        for c in _mpc_coeffs(f):
+            (rs, rm, rx, rb), (is_, im, ix, ib) = c.real._mpf_, c.imag._mpf_
+            rm, im = -rm if rs else rm, -im if is_ else im
+            if not im:
+                ix = rx
+            elif not rm:
+                rx = ix
+            ex = min(rx, ix)
+            parts.append((rm << (rx - ex), im << (ix - ex), ex))
+            mags.append(max(rx + rb if rm else -_math_inf, ix + ib if im else -_math_inf))
+        first = next((j for j, mag in enumerate(mags) if mag > -_math_inf), len(mags))
+        got = f._memo[key] = (first, tuple(mags), tuple(parts))
+    return got
 
 
 def _to_mpc(c: Coefficient) -> mp.mpc:
@@ -426,39 +463,69 @@ def evaluate(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
     """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        if not mp.im(z) > 0:
+        if not z.imag > 0:
             raise DomainError("evaluate requires Im z > 0")
-        factor = mp.mpc(1)
+        factor = None  # set by the first modular step
         if f.modular:
             for _ in range(8 * ctx.work_dps):
-                z = z - mp.floor(mp.re(z) + mp.mpf("0.5"))
-                if mp.im(z) >= REDUCTION_HEIGHT:
+                z = z - mp.floor(z.real + _HALF)
+                if z.imag >= REDUCTION_HEIGHT:
                     break
-                factor *= z ** (-f.weight)
+                jac = z ** (-f.weight)
+                factor = jac if factor is None else factor * jac
                 z = -1 / z
         value = _sum_q_series(f, z, ctx)
-        return factor * value
+        return value if factor is None else factor * value
 
 
 def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
+    """sum a(n) q^n over n_min <= n <= min(N, n_max), N from ``_certified_length``.
+
+    One Horner loop over the whole window (principal part, constant term
+    and holomorphic part) computes H = sum c_n q^(n - n_0) on Gaussian
+    integers in the unit 2^u, u = e - P, P = ``mp.prec`` + guard bits,
+    where n_0 is the window's first index with c_n != 0; q is one mp.exp,
+    held to P bits at its own scale, and the result is q^(n_0) H, one mpc
+    product.  The unit is scaled to the largest term, not to 1: 2^e bounds
+    max |c_n q^(n - n_0)|, found in float from the coefficients' exponents
+    (memoized per precision by ``_fixed_coeffs``).  Each Horner step and
+    each coefficient is cut to the unit, at most one unit per component,
+    and a cut made at index n reaches H times |q|^(n - n_0); so the integer
+    arithmetic adds at most about 2^(2 - P) max term / (1 - |q|), the same
+    relative digits for any size of coefficients and at every height.  The
+    rounding of q enters as it does in a loop of mpc products, whose bound
+    is eps sum |terms|; this bound is no worse.
+    """
+    log_q = -2 * _MATH_PI * float(z.imag)
+    N, log_tail = _certified_length(_coeff_model(f), log_q, max(f.n_max, 0), ctx)
     q = mp.exp(2j * mp.pi * z)
-    total = mp.mpc(0)
-    coeffs = _mpc_coeffs(f)
-    # principal part (exact negative powers)
-    if f.n_min < 0:
-        qinv = 1 / q
-        qn = mp.mpc(1)
-        for n in range(-1, f.n_min - 1, -1):
-            qn *= qinv
-            total += coeffs[n - f.n_min] * qn
-    if f.n_min <= 0 <= f.n_max:
-        total += coeffs[-f.n_min]
-    N, log_tail = _certified_length(_coeff_model(f), -2 * _MATH_PI * float(mp.im(z)), max(f.n_max, 0), ctx)
-    start = max(1, f.n_min)
-    qn = q ** (start - 1)
-    for n in range(start, N + 1):
-        qn *= q
-        total += coeffs[n - f.n_min] * qn
+    first, mags, parts = _fixed_coeffs(f)
+    m = min(N, f.n_max) - f.n_min
+    if m < first:
+        total = mp.mpc(0)
+    else:
+        log2_q = log_q / _math_log(2)
+        e = max(mags[j] + (j - first) * log2_q for j in range(first, m + 1))
+        P = mp.mp.prec + _Q_GUARD_BITS
+        u = _math_ceil(e) - P
+        # |q| 2^s lies between 2^(P-2) and 2^P
+        s = P - mp.mag(q)
+        Qr, Qi = q.real.to_fixed(s), q.imag.to_fixed(s)
+        Hr = Hi = 0
+        for j in range(m, first - 1, -1):
+            cr, ci, ex = parts[j]
+            Hr, Hi = (Hr * Qr - Hi * Qi) >> s, (Hr * Qi + Hi * Qr) >> s
+            sh = ex - u
+            if sh >= 0:
+                Hr += cr << sh
+                Hi += ci << sh
+            else:
+                Hr += cr >> -sh
+                Hi += ci >> -sh
+        total = mp.mpc(mp.mpf((Hr, u)), mp.mpf((Hi, u)))
+        n_0 = f.n_min + first
+        if n_0:
+            total *= q if n_0 == 1 else q ** n_0
     _check_tail(log_tail, total, ctx, f.label)
     return total
 

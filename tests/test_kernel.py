@@ -31,6 +31,17 @@ def test_context_invariants():
     assert ctx.fd_step ** 2 > mp.mpf(10) ** (-ctx.digits)
 
 
+def test_eps_computed_once():
+    # computed at the working precision, whatever the ambient one, and not
+    # part of equality or hashing
+    with mp.workdps(15):
+        ctx, again = PrecisionContext(digits=60), PrecisionContext(digits=60)
+    with mp.workdps(ctx.work_dps):
+        assert ctx.eps() == mp.mpf(10) ** -(ctx.digits + 8)
+    assert ctx.eps() is ctx.eps()
+    assert ctx == again and hash(ctx) == hash(again)
+
+
 def test_quad_ray_zero_integrand(ctx):
     val = quad_ray(lambda w: mp.mpc(0), mp.mpc(0, 1), ctx)
     assert val == 0

@@ -1,6 +1,7 @@
 """q-series constructors, evaluation, Bol operator, file format."""
 
 import gc
+import math
 import random
 import weakref
 from dataclasses import replace
@@ -8,9 +9,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodlab import (
     DomainError,
+    PrecisionContext,
     QSeries,
     RegKernel,
     TailTooLarge,
@@ -26,7 +30,8 @@ from periodlab import (
     weakly_holomorphic_m10,
     write_qexp,
 )
-from periodlab.eichler import GroupElement, S, T
+from periodlab.eichler import GroupElement, S, T, eichler_integral
+from periodlab.qforms import _certified_length, _check_tail, _coeff_model, _sum_q_series, _to_mpc
 
 
 def sigma(n, p):
@@ -170,6 +175,92 @@ def test_evaluate_window_starting_above_one(ctx):
     g = QSeries(weight=12, n_min=2, coeffs=(Fraction(1), Fraction(3)), tail_bound=(0.0, 0.0))
     q = mp.exp(-2 * mp.pi)
     assert abs(evaluate(g, mp.mpc(0, 1), ctx) - (q ** 2 + 3 * q ** 3)) <= mp.mpf(10) ** (-ctx.digits) * q ** 2
+
+
+# a window from n = 3 whose first six coefficients and every fourth one
+# vanish, with coefficients of size 10^-40 n^3, as a scaled series has
+_SPARSE = QSeries(
+    weight=12,
+    n_min=3,
+    coeffs=tuple(Fraction((-1) ** n * n ** 3, 10 ** 40) if n > 8 and n % 4 else 0 for n in range(3, 121)),
+    tail_bound=(1e-40, 3.0),
+    label="sparse",
+)
+
+
+def _q_sum_cases(ctx):
+    return {
+        "F[delta]": eichler_integral(delta(64), ctx).series,
+        "F[cusp16]": eichler_integral(cusp_form(16, 64), ctx).series,
+        "wh-10": weakly_holomorphic_m10(170),
+        "sparse": _SPARSE,
+    }
+
+
+@pytest.mark.parametrize("digits", [50, 80, 120])
+def test_sum_q_series_property(digits):
+    # the fixed-point Horner sum against the plain mpc sum of the same N
+    # terms at twice the working precision: error <= 10^-(digits+5) sum
+    # |c_n q^n| from the cusp's edge (Im z = 0.5) to where the whole sum is
+    # below 10^-60 (Im z = 30); windows that cannot certify the digits
+    # raise, and must raise exactly when the reference's tail check does
+    ctx = PrecisionContext(digits=digits)
+    cases = _q_sum_cases(ctx)
+    bound = mp.mpf(10) ** -(digits + 5)
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(sorted(cases)),
+        st.floats(-0.5, 0.5),
+        st.floats(math.log(0.5), math.log(30)),
+    )
+    def check(name, x, log_y):
+        f = cases[name]
+        z = mp.mpc(x, math.exp(log_y))
+        N, log_tail = _certified_length(_coeff_model(f), -2 * math.pi * float(z.imag), max(f.n_max, 0), ctx)
+        with mp.workdps(2 * ctx.work_dps):
+            q = mp.exp(2j * mp.pi * z)
+            terms = [_to_mpc(c) * q ** n for n, c in zip(range(f.n_min, N + 1), f.coeffs)]
+            want, size = mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+        with mp.workdps(ctx.work_dps):
+            try:
+                got = _sum_q_series(f, z, ctx)
+            except TailTooLarge:
+                with pytest.raises(TailTooLarge):
+                    _check_tail(log_tail, want, ctx, name)
+                return
+        with mp.workdps(2 * ctx.work_dps):
+            assert abs(got - want) <= bound * size, (name, z)
+
+    check()
+
+
+def test_q_sum_work_does_not_grow_with_length(ctx, f_cusp16, monkeypatch):
+    # the terms run on integers: one exponential and the same mpc products
+    # for a 4-term and a 28-term sum
+    F = eichler_integral(f_cusp16, ctx).series
+    counts = {"exp": 0, "mul": 0}
+    exp, mpc_mul = mp.exp, mp.mpc.__mul__
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(mp, "exp", counted("exp", exp))
+    monkeypatch.setattr(mp.mpc, "__mul__", counted("mul", mpc_mul))
+    seen = []
+    for y in (10, 0.6):
+        model = _coeff_model(F)
+        N = _certified_length(model, -2 * math.pi * y, F.n_max, ctx)[0]
+        counts.update(exp=0, mul=0)
+        with mp.workdps(ctx.work_dps):
+            _sum_q_series(F, mp.mpc("0.1", y), ctx)
+        seen.append((N, dict(counts)))
+    assert seen[0][0] == 4 and seen[1][0] > 20
+    assert seen[0][1] == seen[1][1] and seen[0][1]["exp"] == 1
 
 
 def test_evaluate_tail_too_large(ctx):
