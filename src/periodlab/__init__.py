@@ -45,7 +45,7 @@ from .qforms import (
     weakly_holomorphic_m10,
     write_qexp,
 )
-from .lfun import LValue, OutOfRegion, l_completed, l_dirichlet, lambda_completed
+from .lfun import LValue, OutOfRegion, l_completed, l_dirichlet
 from .eichler import (
     GroupElement,
     IDENTITY,

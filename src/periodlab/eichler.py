@@ -18,7 +18,7 @@ import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, quad_ray
 from .lfun import l_completed
-from .qforms import QSeries, REDUCTION_HEIGHT, _HALF, _sum_q_series, _to_mpc
+from .qforms import QSeries, _reduce_step, _sum_q_series, _to_mpc
 from .reports import RelationReport, residual_scale
 
 
@@ -304,18 +304,17 @@ class EichlerIntegral:
 
     def evaluate(self, z) -> mp.mpc:
         with mp.workdps(self.ctx.work_dps):
-            z = mp.mpc(z)
+            z = z if isinstance(z, mp.mpc) else mp.mpc(z)
             if not z.imag > 0:
                 raise DomainError("Eichler integral evaluated off the upper half-plane")
             total = factor = None  # set by the first cocycle step
-            k = self.f.weight
             for _ in range(8 * self.ctx.work_dps):
-                z = z - mp.floor(z.real + _HALF)
-                if z.imag >= REDUCTION_HEIGHT:
+                z, high = _reduce_step(z)
+                if high:
                     break
                 r = self._period(z)
                 total = r if total is None else total + factor * r
-                jac = z ** (k - 2)
+                jac = z ** (-self.weight)  # z^(k-2)
                 factor = jac if factor is None else factor * jac
                 z = -1 / z
             value = _sum_q_series(self.series, z, self.ctx)

@@ -53,15 +53,16 @@ class PrecisionContext:
     fd_step     real step for finite differences; default 10^(-digits/3),
                 which balances second-order truncation against roundoff
     tol_tight   tolerance for quadrature/series identities
-    tol_fd      tolerance for finite-difference based identities
+    tol_fd      tolerance for finite-difference based identities; both
+                defaults are doubles, the same whatever the ambient precision
     guard       extra working digits used inside kernels
     """
 
     digits: int = 50
     series_len: int = 64
     fd_step: Optional[mp.mpf] = None
-    tol_tight: mp.mpf = field(default_factory=lambda: mp.mpf("1e-20"))
-    tol_fd: mp.mpf = field(default_factory=lambda: mp.mpf("1e-6"))
+    tol_tight: mp.mpf = mp.mpf(1e-20)
+    tol_fd: mp.mpf = mp.mpf(1e-6)
     guard: int = 15
     _eps: mp.mpf = field(default=None, init=False, compare=False, hash=False, repr=False)
 
@@ -129,9 +130,9 @@ def quad_ray(
     are bounded but typically not smooth to machine order at a cusp
     endpoint), the upper piece uses Gauss-Legendre panels of geometrically
     growing width, truncated where e^(-2 pi y) has fallen by 10^(digits+24),
-    which absorbs moderate constants C and polynomial prefactors.  Start
-    points may sit on the real axis (cusps) only when the caller certifies
-    the integrand bounded there.
+    which absorbs moderate constants C and polynomial prefactors; i of dw =
+    i dt is taken once per ray (exact).  Start points may sit on the real
+    axis (cusps) only when the caller certifies the integrand bounded there.
 
     Raises NonConvergent when the internal error estimate exceeds
     tol_tight * (1 + |result|), BadPath when the start lies below the real
@@ -144,25 +145,18 @@ def quad_ray(
             raise BadPath("ray start below the real axis")
         if avoid:
             path_clearance(start, avoid)
-        g = lambda t: integrand(mp.mpc(x0, t)) * mp.mpc(0, 1)
-        pieces = []
-        errs = []
+        g = lambda t: integrand(mp.mpc(x0, t))  # dw = i dt, taken once below
         lo = max(mp.mpf(1), y0)
-        if y0 < lo:
-            val, err = _quad(g, [y0, lo], method="tanh-sinh")
-            pieces.append(val)
-            errs.append(err)
+        pieces = [_quad(g, [y0, lo], method="tanh-sinh")] if y0 < lo else []
         yend = lo + (ctx.digits + 24) * mp.log(10) / (2 * mp.pi)
         pts = [lo]
         step = mp.mpf(2)
         while pts[-1] < yend:
             pts.append(min(pts[-1] + step, yend))
             step *= 2
-        val, err = _quad(g, pts)
-        pieces.append(val)
-        errs.append(err)
-        total = mp.fsum(pieces)
-        toterr = mp.fsum(errs)
+        pieces.append(_quad(g, pts))
+        total = mp.mpc(0, 1) * mp.fsum(val for val, _ in pieces)
+        toterr = mp.fsum(err for _, err in pieces)
         ensure_finite(total, "quad_ray result")
         if not toterr <= ctx.tol_tight * (1 + abs(total)):
             raise NonConvergent(

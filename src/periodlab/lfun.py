@@ -88,11 +88,6 @@ def l_dirichlet(f: QSeries, s, ctx: PrecisionContext, tol=None) -> LValue:
         return LValue(s=s, value=total, method="dirichlet", est_error=tail)
 
 
-def lambda_completed(f: QSeries, s, ctx: PrecisionContext) -> mp.mpc:
-    """Completed value Lambda(s); entire in s, manifestly (-1)^(k/2)-symmetric."""
-    return _lambda_and_tail(f, s, ctx)[0]
-
-
 def _lambda_and_tail(f: QSeries, s, ctx: PrecisionContext) -> Tuple[mp.mpc, float]:
     """Lambda(s) and the log of its certified tail.
 

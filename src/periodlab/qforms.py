@@ -10,7 +10,8 @@ and hashable, which lets evaluators memoize on the series itself.
 
 q-series sums: scaled Horner on fixed-point integers.  ``_sum_q_series``
 runs one Horner loop over the whole window on Gaussian Python integers,
-in a unit scaled to the largest term, and takes one exponential for q.
+in a unit scaled to the largest term, with q from one real exponential
+and one cosine/sine pair.
 
 Truncation follows one rule, shared by every windowed sum in the package (q-
 series here, the Eichler integral, the completed L-series, and
@@ -33,6 +34,8 @@ from math import pi as _MATH_PI, sqrt as _math_sqrt
 from typing import Optional, Sequence, Tuple, Union
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_ge, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_shift
+from mpmath.libmp import round_nearest as _NEAREST, to_fixed, to_float
 
 from .kernel import DomainError, PrecisionContext, TailTooLarge
 
@@ -54,8 +57,9 @@ REDUCTION_HEIGHT = 0.5
 _LN10 = _math_log(10)
 # bits the fixed-point q-series sum carries beyond the working precision
 _Q_GUARD_BITS = 20
-# rounds Re z to the nearest integer in the modular reductions here and in eichler
+# 1/2, and as raw mpf values the strip -1/2 <= Re z < 1/2 and the reduction height
 _HALF = mp.mpf(0.5)
+_STRIP, _HEIGHT = (mp.mpf(-0.5)._mpf_, _HALF._mpf_), mp.mpf(REDUCTION_HEIGHT)._mpf_
 # fewest terms a windowed sum takes; see _certified_length
 _MIN_TERMS = 4
 
@@ -402,14 +406,15 @@ def _certified_length(model, log_q: float, n_max: int, ctx: PrecisionContext, n_
     consecutive term bounds fall at least by the ratio
     r = |q| ((N+2)/(N+1))^max(alpha, 0) e^(beta (sqrt(N+2) - sqrt(N+1))),
     so the tail is at most term(N+1) / (1 - r); once r < 1 this decreases
-    in N.  N is the smallest length whose tail is <= ctx.eps(), found by
-    bisection in float logs, but at least ``_MIN_TERMS``: far up the cusp
-    the whole sum drops below eps, and a sum cut to nothing there would
-    jump with each step of N under a quadrature whose kernel grows with the
-    height (the period polynomial oracle, the non-critical L-value
-    integral), keeping it from converging.  When the window end ``n_max``
-    is shorter, N = n_max.  Returns (N, log of the certified tail past N),
-    which the caller hands to ``_check_tail`` after summing.
+    in N.  N is the smallest length whose tail is <= ctx.eps(), but at least
+    ``_MIN_TERMS``: far up the cusp the whole sum drops below eps, and a sum
+    cut to nothing there would jump with each step of N under a quadrature
+    whose kernel grows with the height (the period polynomial oracle, the
+    non-critical L-value integral), keeping it from converging.  When the
+    window end ``n_max`` is shorter, N = n_max.  N is estimated in closed
+    form, then stepped by one to that length, which is exact: the bound is
+    infinite while r >= 1 and strictly decreasing after.  Returns (N, log of
+    the certified tail past N), for ``_check_tail`` after summing.
     """
     log_c, alpha, beta = model
     up = max(alpha, 0.0)
@@ -421,24 +426,23 @@ def _certified_length(model, log_q: float, n_max: int, ctx: PrecisionContext, n_
             return _math_inf
         return log_c + alpha * _math_log(m) + beta * _math_sqrt(m) + m * log_q - _math_log1p(-_math_exp(log_r))
 
-    if n_max < n_first - 1:
+    if n_max < n_first - 1 or not log_q < 0:
         return n_max, _math_inf
     lo = max(n_first - 1, min(_MIN_TERMS, n_max))
     log_eps = -(ctx.digits + 8) * _LN10
-    top = log_tail(n_max)
-    if not top <= log_eps:
-        return n_max, top
-    low = log_tail(lo)
-    if low <= log_eps:
-        return lo, low
-    hi = n_max
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if log_tail(mid) <= log_eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi, log_tail(hi)
+    # log C + alpha log m + beta sqrt m + m log q = log eps, m = N + 1, is a
+    # quadratic in sqrt m once alpha log m is frozen at the last root
+    m = 1.0
+    for _ in range(2):
+        d = max(log_c + alpha * _math_log(m) - log_eps, 0.0)
+        t = (beta + _math_sqrt(beta * beta - 4 * log_q * d)) / (-2 * log_q)
+        m = max(t * t, 1.0) if t * t < n_max + 2 else n_max + 2.0
+    N = min(max(_math_ceil(m) - 1, lo), n_max)
+    while N > lo and log_tail(N - 1) <= log_eps:
+        N -= 1
+    while N < n_max and not log_tail(N) <= log_eps:
+        N += 1
+    return N, log_tail(N)
 
 
 def _check_tail(log_tail: float, total, ctx: PrecisionContext, what: str) -> None:
@@ -452,6 +456,14 @@ def _check_tail(log_tail: float, total, ctx: PrecisionContext, what: str) -> Non
     )
 
 
+def _reduce_step(z: mp.mpc) -> Tuple[mp.mpc, bool]:
+    """One modular reduction step: z moved into -1/2 <= Re z < 1/2, and Im z >= REDUCTION_HEIGHT."""
+    x, y = z._mpc_
+    if mpf_lt(x, _STRIP[0]) or mpf_ge(x, _STRIP[1]):
+        z = z - mp.floor(z.real + _HALF)  # leaves Im z as it is
+    return z, mpf_ge(y, _HEIGHT)
+
+
 def evaluate(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
     """Evaluate sum a(n) q^n at z in the upper half-plane.
 
@@ -462,14 +474,14 @@ def evaluate(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
     ends before the certified tail reaches 10^-digits (1 + |f(z)|).
     """
     with mp.workdps(ctx.work_dps):
-        z = mp.mpc(z)
+        z = z if isinstance(z, mp.mpc) else mp.mpc(z)
         if not z.imag > 0:
             raise DomainError("evaluate requires Im z > 0")
         factor = None  # set by the first modular step
         if f.modular:
             for _ in range(8 * ctx.work_dps):
-                z = z - mp.floor(z.real + _HALF)
-                if z.imag >= REDUCTION_HEIGHT:
+                z, high = _reduce_step(z)
+                if high:
                     break
                 jac = z ** (-f.weight)
                 factor = jac if factor is None else factor * jac
@@ -484,33 +496,39 @@ def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
     One Horner loop over the whole window (principal part, constant term
     and holomorphic part) computes H = sum c_n q^(n - n_0) on Gaussian
     integers in the unit 2^u, u = e - P, P = ``mp.prec`` + guard bits,
-    where n_0 is the window's first index with c_n != 0; q is one mp.exp,
-    held to P bits at its own scale, and the result is q^(n_0) H, one mpc
-    product.  The unit is scaled to the largest term, not to 1: 2^e bounds
+    where n_0 is the window's first index with c_n != 0 and 2^e bounds
     max |c_n q^(n - n_0)|, found in float from the coefficients' exponents
-    (memoized per precision by ``_fixed_coeffs``).  Each Horner step and
-    each coefficient is cut to the unit, at most one unit per component,
-    and a cut made at index n reaches H times |q|^(n - n_0); so the integer
-    arithmetic adds at most about 2^(2 - P) max term / (1 - |q|), the same
-    relative digits for any size of coefficients and at every height.  The
-    rounding of q enters as it does in a loop of mpc products, whose bound
-    is eps sum |terms|; this bound is no worse.
+    (memoized per precision by ``_fixed_coeffs``).  q = e^(-2 pi y) e^(2 pi i x)
+    is held to P bits at its own scale, each component off by about one
+    unit at any height: one real exponential, of 2 pi y rounded 8 bits
+    beyond P + mag y, and one cosine/sine pair of pi (2x), exact in x.  Each
+    Horner step and each coefficient is cut to the unit, at most one unit
+    per component, and a cut at index n reaches H times |q|^(n - n_0); so
+    the integers add at most about 2^(2 - P) max term / (1 - |q|), the same
+    relative digits for any size of coefficients and at every height, and
+    q's rounding enters as in a loop of mpc products (eps sum |terms|).  For
+    n_0 >= 0, q^(n_0) H is one exact integer product, rounded once (a
+    Horner step cut to 2^u would lose log2 1/|q| bits); a principal part
+    takes one mpc power of q.
     """
-    log_q = -2 * _MATH_PI * float(z.imag)
+    x, y = z._mpc_
+    log_q = -2 * _MATH_PI * to_float(y)
     N, log_tail = _certified_length(_coeff_model(f), log_q, max(f.n_max, 0), ctx)
-    q = mp.exp(2j * mp.pi * z)
     first, mags, parts = _fixed_coeffs(f)
     m = min(N, f.n_max) - f.n_min
+    prec = mp.mp.prec
     if m < first:
         total = mp.mpc(0)
     else:
         log2_q = log_q / _math_log(2)
         e = max(mags[j] + (j - first) * log2_q for j in range(first, m + 1))
-        P = mp.mp.prec + _Q_GUARD_BITS
+        P = prec + _Q_GUARD_BITS
         u = _math_ceil(e) - P
-        # |q| 2^s lies between 2^(P-2) and 2^P
-        s = P - mp.mag(q)
-        Qr, Qi = q.real.to_fixed(s), q.imag.to_fixed(s)
+        wp = P + 8 + max(y[2] + y[3], 0)
+        E = mpf_exp(mpf_neg(mpf_mul(mpf_shift(mpf_pi(wp), 1), y, wp)), wp)
+        cos, sin = mpf_cos_sin_pi(mpf_shift(x, 1), wp)
+        s = P - E[2] - E[3]
+        Qr, Qi = to_fixed(mpf_mul(E, cos), s), to_fixed(mpf_mul(E, sin), s)
         Hr = Hi = 0
         for j in range(m, first - 1, -1):
             cr, ci, ex = parts[j]
@@ -522,10 +540,13 @@ def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
             else:
                 Hr += cr >> -sh
                 Hi += ci >> -sh
-        total = mp.mpc(mp.mpf((Hr, u)), mp.mpf((Hi, u)))
         n_0 = f.n_min + first
-        if n_0:
-            total *= q if n_0 == 1 else q ** n_0
+        for _ in range(n_0):
+            Hr, Hi = Hr * Qr - Hi * Qi, Hr * Qi + Hi * Qr
+            u -= s
+        total = mp.make_mpc((from_man_exp(Hr, u, prec, _NEAREST), from_man_exp(Hi, u, prec, _NEAREST)))
+        if n_0 < 0:
+            total *= mp.mpc(mp.mpf((Qr, -s)), mp.mpf((Qi, -s))) ** n_0
     _check_tail(log_tail, total, ctx, f.label)
     return total
 

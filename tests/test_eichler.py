@@ -160,6 +160,16 @@ def test_object_caches_key_on_whole_context(ctx, f_delta):
     assert period_polynomial(f_delta, PrecisionContext(guard=40)) is not period_polynomial(f_delta, ctx)
 
 
+def test_contexts_equal_across_ambient_precision(f_delta):
+    # the default tolerances do not depend on the precision a context is
+    # built at, so equal arguments give equal contexts and share the caches
+    with mp.workdps(15):
+        low = PrecisionContext(digits=60)
+    high = PrecisionContext(digits=60)
+    assert low == high and hash(low) == hash(high)
+    assert eichler_integral(f_delta, low) is eichler_integral(f_delta, high)
+
+
 def test_eichler_cocycle_relation(ctx, f_delta):
     # F|_{2-k}(1-S) = r at points where both evaluations are direct
     F = eichler_integral(f_delta, ctx)

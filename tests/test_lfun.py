@@ -3,8 +3,8 @@
 import mpmath as mp
 import pytest
 
-from periodlab import OutOfRegion, l_completed, l_dirichlet, lambda_completed
-from periodlab.lfun import dirichlet_truncation_length
+from periodlab import OutOfRegion, l_completed, l_dirichlet
+from periodlab.lfun import _lambda_and_tail, dirichlet_truncation_length
 
 
 def test_dirichlet_truncation_consistency(ctx, f_delta_long):
@@ -50,8 +50,8 @@ def test_cross_method_agreement(ctx, f_delta_long):
 
 def test_completed_functional_equation(ctx, f_delta):
     s = mp.mpf("3.7")
-    lhs = lambda_completed(f_delta, s, ctx)
-    rhs = (-1) ** 6 * lambda_completed(f_delta, 12 - s, ctx)
+    lhs = _lambda_and_tail(f_delta, s, ctx)[0]
+    rhs = (-1) ** 6 * _lambda_and_tail(f_delta, 12 - s, ctx)[0]
     assert abs(lhs - rhs) <= ctx.tol_tight * (1 + abs(lhs))
 
 
@@ -68,7 +68,7 @@ def test_central_value_real_finite(ctx, f_delta):
 
 def test_lambda_entire_no_poles(ctx, f_delta):
     for s in (0, 1, 12):
-        v = lambda_completed(f_delta, s, ctx)
+        v = _lambda_and_tail(f_delta, s, ctx)[0]
         assert mp.isfinite(v)
 
 
@@ -82,8 +82,8 @@ def test_completed_matches_dirichlet_value(ctx, f_delta_long):
 
 def test_completed_functional_equation_complex_s(ctx, f_delta):
     s = mp.mpc("3.7", "0.4")
-    lhs = lambda_completed(f_delta, s, ctx)
-    rhs = (-1) ** 6 * lambda_completed(f_delta, 12 - s, ctx)
+    lhs = _lambda_and_tail(f_delta, s, ctx)[0]
+    rhs = (-1) ** 6 * _lambda_and_tail(f_delta, 12 - s, ctx)[0]
     assert abs(lhs - rhs) <= ctx.tol_tight * (1 + abs(lhs))
 
 

@@ -23,6 +23,7 @@ from periodlab import (
     laplace_fd,
 )
 from periodlab import mockcore
+from periodlab.eichler import EichlerIntegral
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,30 @@ def test_F_f2_two_routes_agree(ctx, f_delta):
         v1 = F_f2(f_delta, z, ctx)
         v2 = F_f2(f_delta, z, ctx, method="termwise")
         assert abs(v1 - v2) <= ctx.tol_tight * (1 + abs(v1))
+
+
+def test_F_f2_quadrature_evaluates_F_once_per_node(ctx, f_cusp16, monkeypatch):
+    # one EichlerIntegral.evaluate per quad_ray integrand call, counted the
+    # way perfbench's tracer counts them: the integrand wrapped on its way
+    # into quad_ray, the method wrapped on the class
+    counts = {"F": 0, "nodes": 0}
+    evaluate, quad_ray = EichlerIntegral.evaluate, mockcore.quad_ray
+
+    def counted_evaluate(self, z):
+        counts["F"] += 1
+        return evaluate(self, z)
+
+    def counting_quad_ray(integrand, *args, **kwargs):
+        def counted(w):
+            counts["nodes"] += 1
+            return integrand(w)
+
+        return quad_ray(counted, *args, **kwargs)
+
+    monkeypatch.setattr(EichlerIntegral, "evaluate", counted_evaluate)
+    monkeypatch.setattr(mockcore, "quad_ray", counting_quad_ray)
+    F_f2(f_cusp16, mp.mpc("0.2", "0.4"), ctx, method="quadrature")
+    assert counts["nodes"] > 0 and counts["F"] == counts["nodes"]
 
 
 def test_F_f2_t_invariance(ctx, f_delta):

@@ -30,6 +30,7 @@ from periodlab import (
     weakly_holomorphic_m10,
     write_qexp,
 )
+from periodlab import qforms
 from periodlab.eichler import GroupElement, S, T, eichler_integral
 from periodlab.qforms import _certified_length, _check_tail, _coeff_model, _sum_q_series, _to_mpc
 
@@ -235,12 +236,75 @@ def test_sum_q_series_property(digits):
     check()
 
 
+def _bisected_length(model, log_q, n_max, ctx, n_first=1):
+    # the bisection _certified_length replaced, kept as its reference
+    log_c, alpha, beta = model
+    up = max(alpha, 0.0)
+
+    def log_tail(N):
+        m = N + 1
+        log_r = log_q + up * math.log((m + 1) / m) + beta * (math.sqrt(m + 1) - math.sqrt(m))
+        if not log_r < 0:
+            return math.inf
+        return log_c + alpha * math.log(m) + beta * math.sqrt(m) + m * log_q - math.log1p(-math.exp(log_r))
+
+    if n_max < n_first - 1:
+        return n_max, math.inf
+    lo = max(n_first - 1, min(4, n_max))
+    log_eps = -(ctx.digits + 8) * math.log(10)
+    top = log_tail(n_max)
+    if not top <= log_eps:
+        return n_max, top
+    low = log_tail(lo)
+    if low <= log_eps:
+        return lo, low
+    hi = n_max
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_tail(mid) <= log_eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi, log_tail(hi)
+
+
+@pytest.mark.parametrize("digits", [50, 80, 120])
+def test_certified_length_matches_bisection(digits):
+    # the closed-form estimate and its unit steps land on the length and
+    # tail the bisection found, on the coefficient models of F[delta],
+    # F[cusp16], wh-10 and the sparse window, the completed L-series' model
+    # (from n_first > 1 on), wh-10 scaled by 10^-60, whose estimate
+    # overshoots, and a zero bound, over heights from Im z = 0.05 to 50
+    ctx = PrecisionContext(digits=digits)
+    models = {name: _coeff_model(f) for name, f in _q_sum_cases(ctx).items()}
+    log_c, alpha, beta = _coeff_model(delta(64))
+    models["L[delta]"] = (log_c + math.log(2), alpha, beta)
+    log_c, alpha, beta = models["wh-10"]
+    models["wh-10/1e60"] = (log_c - 60 * math.log(10), alpha, beta)
+    models["zero"] = (-math.inf, 0.0, 0.0)
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(sorted(models)),
+        st.floats(math.log(0.05), math.log(50)),
+        st.integers(0, 250),
+        st.integers(1, 4),
+    )
+    def check(name, log_y, n_max, n_first):
+        if name == "L[delta]":
+            n_first += 1
+        log_q = -2 * math.pi * math.exp(log_y)
+        want = _bisected_length(models[name], log_q, n_max, ctx, n_first)
+        assert _certified_length(models[name], log_q, n_max, ctx, n_first) == want
+
+    check()
+
+
 def test_q_sum_work_does_not_grow_with_length(ctx, f_cusp16, monkeypatch):
-    # the terms run on integers: one exponential and the same mpc products
-    # for a 4-term and a 28-term sum
+    # the terms run on integers: one real exponential, one cosine/sine pair
+    # and the same mpc products for a 4-term and a 28-term sum
     F = eichler_integral(f_cusp16, ctx).series
-    counts = {"exp": 0, "mul": 0}
-    exp, mpc_mul = mp.exp, mp.mpc.__mul__
+    counts = {"exp": 0, "cos_sin": 0, "mul": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -249,18 +313,19 @@ def test_q_sum_work_does_not_grow_with_length(ctx, f_cusp16, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(mp, "exp", counted("exp", exp))
-    monkeypatch.setattr(mp.mpc, "__mul__", counted("mul", mpc_mul))
+    monkeypatch.setattr(qforms, "mpf_exp", counted("exp", qforms.mpf_exp))
+    monkeypatch.setattr(qforms, "mpf_cos_sin_pi", counted("cos_sin", qforms.mpf_cos_sin_pi))
+    monkeypatch.setattr(mp.mpc, "__mul__", counted("mul", mp.mpc.__mul__))
     seen = []
     for y in (10, 0.6):
         model = _coeff_model(F)
         N = _certified_length(model, -2 * math.pi * y, F.n_max, ctx)[0]
-        counts.update(exp=0, mul=0)
+        counts.update(exp=0, cos_sin=0, mul=0)
         with mp.workdps(ctx.work_dps):
             _sum_q_series(F, mp.mpc("0.1", y), ctx)
         seen.append((N, dict(counts)))
     assert seen[0][0] == 4 and seen[1][0] > 20
-    assert seen[0][1] == seen[1][1] and seen[0][1]["exp"] == 1
+    assert seen[0][1] == seen[1][1] and seen[0][1]["exp"] == seen[0][1]["cos_sin"] == 1
 
 
 def test_evaluate_tail_too_large(ctx):
