@@ -41,9 +41,7 @@ from .qforms import (
     delta,
     eisenstein,
     evaluate,
-    read_qexp,
     weakly_holomorphic_m10,
-    write_qexp,
 )
 from .lfun import LValue, OutOfRegion, l_completed, l_dirichlet
 from .eichler import (

@@ -33,7 +33,7 @@ from .qforms import (
     delta,
     weakly_holomorphic_m10,
 )
-from .reports import SCHEMA_VERSION, RelationReport, reports_to_csv, reports_to_json
+from .reports import SCHEMA_VERSION, RelationReport, _point_pair, reports_to_csv, reports_to_json
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -261,13 +261,9 @@ def cmd_periodpoly(args) -> int:
             "schema": SCHEMA_VERSION,
             "form": args.form,
             "weight": k,
-            "coefficients": [
-                [mp.nstr(mp.re(c), ctx.digits), mp.nstr(mp.im(c), ctx.digits)]
-                for c in rp.base.coeffs
-            ],
+            "coefficients": [_point_pair(c, ctx.digits) for c in rp.base.coeffs],
             "critical_values": [
-                {"s": n + 1, "value": [mp.nstr(mp.re(v), ctx.digits), mp.nstr(mp.im(v), ctx.digits)]}
-                for n, v in enumerate(rp.critical_values)
+                {"s": n + 1, "value": _point_pair(v, ctx.digits)} for n, v in enumerate(rp.critical_values)
             ],
         }
         if args.check:

@@ -10,7 +10,6 @@ reduction height.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -142,16 +141,6 @@ class PolynomialC:
 
     def is_zero(self, tol=0) -> bool:
         return self.sup_norm() <= tol
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [[mp.nstr(mp.re(c), mp.mp.dps), mp.nstr(mp.im(c), mp.mp.dps)] for c in self.coeffs]
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolynomialC":
-        pairs = json.loads(text)
-        return cls.from_coeffs([mp.mpc(mp.mpf(re), mp.mpf(im)) for re, im in pairs])
 
 
 def _binomial_row(n: int) -> list:

@@ -24,6 +24,7 @@ import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, TailTooLarge
 from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _to_mpc
+from .reports import _point_pair
 from .special import upper_incomplete_gamma
 
 
@@ -40,8 +41,8 @@ class LValue:
 
     def to_dict(self) -> dict:
         return {
-            "s": [mp.nstr(mp.re(self.s), 30), mp.nstr(mp.im(self.s), 30)],
-            "value": [mp.nstr(mp.re(self.value), 30), mp.nstr(mp.im(self.value), 30)],
+            "s": _point_pair(self.s),
+            "value": _point_pair(self.value),
             "method": self.method,
             "est_error": mp.nstr(self.est_error, 10),
         }

@@ -6,9 +6,8 @@ Eichler integral and r its period polynomial:
 * F2(z)     = int_{-conj z}^{i oo} F(w) (w+z)^(-k) dw      (quadrature), also
               sum b(n) int_{-conj z}^{i oo} e^(2 pi i n w) (w+z)^(-k) dw   (termwise);
 * r2(z)     = int_0^{i oo} F(w) (wz-1)^(-k) dw              (quadrature), also
-              z^(-k) sum b(n) I_n(-1/z) - sum b(n) I_n(z) + int_i^{i oo} r(w) (w+z)^(-k) dw  (termwise),
-              I_n(a) = int_i^{i oo} e^(2 pi i n w) (w+a)^(-k) dw = e^(-lam a) (-lam)^(k-1) Gamma(1-k, -lam (i+a)),
-              lam = 2 pi i n;
+              z^(-k) sum b(n) I_n(iT, -1/z) - sum b(n) I_n(i/T, z) + int_{i/T}^{i oo} r(w) (w+z)^(-k) dw
+              (termwise), I_n(w0, a) = int_{w0}^{i oo} e^(2 pi i n w) (w+a)^(-k) dw;
 * tilde(z)  = int_{-conj z}^{i oo} r(w) (w+z)^(-k) dw, exact by
               ``PolynomialC.kernel_integral`` (purely non-holomorphic: every
               y-exponent is negative);
@@ -16,18 +15,17 @@ Eichler integral and r its period polynomial:
 
 Termwise F2 is ``regint.ray_sum`` of F's series from w0 = -conj z with
 a = z: w0 + a = 2iy, so every Gamma argument is the real 4 pi n y.
-Termwise r2 splits its ray at i and maps the leg [0, i] onto [i, i oo) by
-w -> -1/w, using F(-1/w) = w^(2-k) (F(w) - r(w)); every Gamma argument has
-real part 2 pi n (1 + Im a) > 0, so the principal branch applies.  Each sum
-over n is ``regint.ray_sum`` from w0 = i, with its certified tail.
-Quadrature is the default of F_f2 and r_f2 as their definitional oracle; the
-verifiers pass method="termwise", except where an identity would compare
-the termwise route with itself: r2|(1+S) and hat|(1+S) take the S-image by
-quadrature, since the ray sums of r2(z) and of z^(-k) r2(-1/z) are the same
-numbers and cancel.  Non-critical L-values are read off from derivatives of
-r2 at 0:
+Termwise r2 splits its ray at iT, T = ``R2_SPLIT`` = 5/4, and maps the leg
+[0, iT] onto [i/T, i oo) by w -> -1/w, using F(-1/w) = w^(2-k) (F(w) - r(w)).
+Every Gamma argument has positive real part, and each sum over n is
+``regint.ray_sum`` with its certified tail.  Since T != 1, r2(z) sums from
+(iT, -1/z) and (i/T, z) while r2(Sz) sums from (iT, z) and (i/T, -1/z):
+the sums in r2|(1+S) do not cancel, so the verifiers take every image of r2
+termwise.  Quadrature is the default of F_f2 and r_f2 as their
+definitional oracle.  Non-critical L-values are read off from derivatives
+of r2 at 0:
 d^m/dz^m r2(z) |_{z -> 0+} = i^(k+m) (m+k-1)! m! / ((k-1)(2 pi)^(m+k)) L(k+m),
-by differentiating under the integral sign and splitting at i in the same way.
+by differentiating under the integral sign and splitting at i.
 """
 
 from __future__ import annotations
@@ -57,6 +55,8 @@ from .lfun import LValue
 from .qforms import QSeries, conjugate_form
 from .regint import ray_sum
 from .reports import RelationReport, residual_scale
+
+R2_SPLIT = 5 / 4  # height T at which termwise r2 splits its ray
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,11 @@ def r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
         if method == "termwise":
             if not mp.im(z) > 0:
                 raise DomainError("termwise r_f2 requires Im z > 0")
-            b, i = eichler_integral(f, ctx).series, mp.mpc(0, 1)
-            upper = ray_sum(b, i, -1 / z, k, ctx, z ** (-k))[0]
-            lower = ray_sum(b, i, z, k, ctx)[0]
-            return upper - lower + period_polynomial(f, ctx).base.kernel_integral(k, z, i)
+            b = eichler_integral(f, ctx).series
+            top, bottom = mp.mpc(0, R2_SPLIT), mp.mpc(0, 1 / mp.mpf(R2_SPLIT))
+            upper = ray_sum(b, top, -1 / z, k, ctx, z ** (-k))[0]
+            lower = ray_sum(b, bottom, z, k, ctx)[0]
+            return upper - lower + period_polynomial(f, ctx).base.kernel_integral(k, z, bottom)
         F = eichler_integral(f, ctx)
         pole = 1 / z if z != 0 else None
         integrand = lambda w: F(w) * (w * z - 1) ** (-k)
@@ -171,7 +172,7 @@ def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
     d^m/dz^m r2(z) = (-1)^m (k)_m int_0^{i oo} F(w) w^m (wz-1)^(-k-m) dw,
     absolutely convergent down to z = 0, where it collapses to
     (-1)^k (k)_m int F(w) w^m dw, so L(k+m) = (-1)^k (-2 pi i)^(k+m) / ((k-2)! m!)
-    int F(w) w^m dw.  Split at i as for r2, with real Gamma arguments 2 pi n,
+    int F(w) w^m dw.  Split at i and mapping [0, i] by w -> -1/w, with real Gamma arguments 2 pi n,
     int_0^{i oo} F(w) w^m dw = sum b(n) I_n^(-m)
                              - (-1)^m (sum b(n) I_n^(k+m) - int_i^{i oo} r(w) w^(-k-m) dw),
     I_n^(s) = int_i^{i oo} e^(2 pi i n w) w^(-s) dw.  Any m >= 0 works: the
@@ -229,9 +230,7 @@ def verify_w_k2(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> li
     """Period relations and xi-image of the completion: three reports.
 
     hat|(1+S) = hat|(1+U+U^2) = 0 at tol_tight, and
-    xi_k(hat) = (2i)^(1-k) r_{f^c} at tol_fd (finite differences).  In
-    hat|(1+S) the S-image is r2 by quadrature minus the closed correction
-    term: termwise at both points, the ray sums would cancel exactly.
+    xi_k(hat) = (2i)^(1-k) r_{f^c} at tol_fd (finite differences).
     """
     k = f.weight
     h = hat_function(f, ctx)
@@ -241,8 +240,7 @@ def verify_w_k2(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> li
         for z in pts:
             z = mp.mpc(z)
             v0 = h(z)
-            sz = S.apply(z)
-            vs = v0 + (r_f2(f, sz, ctx, method="quadrature") - tilde_r_f2(f, sz, ctx)) * z ** (-k)
+            vs = v0 + slash_function(h, k, S)(z)
             vu = v0 + slash_function(h, k, U)(z) + slash_function(h, k, U * U)(z)
             scale = residual_scale(v0)
             res_s.append(abs(vs) / scale)
@@ -266,9 +264,7 @@ def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) ->
 
     The right-hand sides are polynomials against (w+z)^(-k), integrated
     exactly by ``PolynomialC.kernel_integral``; the left-hand sides take r2
-    termwise, except r2(Sz), which is taken by quadrature: termwise, its ray
-    sums are those of r2(z) with opposite signs, and r2|(1+S) would check
-    only the split at i and r|(1+S) = 0.
+    termwise.
     """
     from .eichler import slash_polynomial
 
@@ -280,7 +276,7 @@ def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) ->
         for z in pts:
             z = mp.mpc(z)
             r2 = r_f2(f, z, ctx, method="termwise")
-            lhs1 = r2 + r_f2(f, S.apply(z), ctx, method="quadrature") * z ** (-k)
+            lhs1 = r2 + r_f2(f, S.apply(z), ctx, method="termwise") * S.jfactor(z) ** (-k)
             rhs1 = r.kernel_integral(k, z, 0)
             res1.append(abs(lhs1 - rhs1) / residual_scale(lhs1, rhs1))
 

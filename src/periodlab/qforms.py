@@ -550,58 +550,3 @@ def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
     _check_tail(log_tail, total, ctx, f.label)
     return total
 
-
-# ---------------------------------------------------------------------------
-# q-expansion file format: line 1 "weight <k> <n_min> <N>", one coefficient
-# per line afterwards, exact rationals "p/q" or decimal strings; UTF-8, LF.
-# ---------------------------------------------------------------------------
-
-def write_qexp(f: QSeries, path: str) -> None:
-    lines = [f"weight {f.weight} {f.n_min} {f.n_max}"]
-    for c in f.coeffs:
-        if isinstance(c, (int, Fraction)):
-            fr = Fraction(c)
-            lines.append(f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator))
-        else:
-            c = mp.mpc(c)
-            if mp.im(c) != 0:
-                raise ValueError("file format stores real coefficients only")
-            lines.append(mp.nstr(mp.re(c), mp.mp.dps))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_qexp(path: str) -> QSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "weight":
-        raise ValueError("malformed q-expansion header")
-    weight, n_min, n_max = int(head[1]), int(head[2]), int(head[3])
-    raw = lines[1:]
-    if len(raw) != n_max - n_min + 1:
-        raise ValueError("coefficient count does not match header")
-    coeffs = []
-    for tok in raw:
-        if "/" in tok:
-            p, q = tok.split("/")
-            coeffs.append(Fraction(int(p), int(q)))
-        elif _is_int(tok):
-            coeffs.append(Fraction(int(tok)))
-        else:
-            coeffs.append(mp.mpc(mp.mpf(tok)))
-    cuspidal = n_min >= 1
-    return QSeries(
-        weight=weight,
-        n_min=n_min,
-        coeffs=tuple(coeffs),
-        tail_bound=None,
-        cuspidal=cuspidal,
-        modular=False,
-        label=f"file:{path}",
-    )
-
-
-def _is_int(tok: str) -> bool:
-    t = tok.lstrip("+-")
-    return t.isdigit()

@@ -37,9 +37,9 @@ def _numstr(x, dps: int = 30) -> str:
     return mp.nstr(mp.mpf(x) if not isinstance(x, mp.mpc) else x, dps)
 
 
-def _point_pair(z) -> list:
-    z = mp.mpc(z)
-    return [_numstr(mp.re(z)), _numstr(mp.im(z))]
+def _point_pair(z, dps: int = 30) -> list:
+    """[re, im] of z as decimal strings with dps digits, at z's own precision."""
+    return [mp.nstr(mp.re(z), dps), mp.nstr(mp.im(z), dps)]
 
 
 @dataclass(frozen=True)

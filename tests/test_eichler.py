@@ -1,6 +1,5 @@
 """Slash action, period polynomials, Eichler integrals, decomposition."""
 
-import json
 import random
 
 import mpmath as mp
@@ -231,16 +230,6 @@ def test_es_decompose_rejects_non_member(ctx):
     P = PolynomialC.from_coeffs([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 10)
     with pytest.raises(NotInW):
         es_decompose(P, 12, ctx)
-
-
-def test_polynomial_json_roundtrip():
-    P = PolynomialC.from_coeffs([mp.mpc(1, 2), mp.mpc(-3, "0.5")], 3)
-    back = PolynomialC.from_json(P.to_json())
-    assert back.degree_bound == 3
-    assert all(abs(x - y) < mp.mpf("1e-45") for x, y in zip(back.coeffs, P.coeffs))
-    # lowest degree first in the serialized array
-    arr = json.loads(P.to_json())
-    assert mp.mpf(arr[0][0]) == 1 and mp.mpf(arr[0][1]) == 2
 
 
 def test_slash_wrong_weight_rejected():

@@ -16,6 +16,8 @@ from periodlab import (
     quad_ray,
     r_f2,
     starred_periods,
+    verify_mock_es,
+    verify_w_k2,
     xi_fd,
 )
 
@@ -166,5 +168,7 @@ def test_quad_ray_is_oracle_only(ctx, f_delta, f_wh, monkeypatch):
     r_f2(f_delta, z, ctx, method="termwise")
     hat_r_f2(f_delta, z, ctx)
     noncritical_lvalue(f_delta, 2, ctx)
+    verify_w_k2(f_delta, [z], ctx)
+    verify_mock_es(f_delta, [z], ctx)
     with pytest.raises(AssertionError):
         F_f2(f_delta, z, ctx)

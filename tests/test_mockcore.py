@@ -2,11 +2,17 @@
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from periodlab import (
     F_f2,
+    IDENTITY,
+    PrecisionContext,
     S,
+    T,
     U,
+    cusp_form,
     delta,
     hat_function,
     hat_r_f2,
@@ -15,6 +21,7 @@ from periodlab import (
     noncritical_lvalue,
     period_polynomial,
     r_f2,
+    residual_scale,
     tilde_r_f2,
     verify_mock_es,
     verify_superm,
@@ -23,7 +30,7 @@ from periodlab import (
     laplace_fd,
 )
 from periodlab import mockcore
-from periodlab.eichler import EichlerIntegral
+from periodlab.eichler import EichlerIntegral, slash_function
 
 
 @pytest.fixture(scope="module")
@@ -85,10 +92,15 @@ def test_r_f2_zero(ctx, zero):
     assert r_f2(zero, mp.mpc(0, 1), ctx, method="termwise") == 0
 
 
-def test_r_f2_two_routes_agree(ctx, f_delta):
+@pytest.mark.parametrize("digits", [50, 80])
+@pytest.mark.parametrize("label", ["delta", "cusp16"])
+def test_r_f2_two_routes_agree(label, digits):
+    # the quadrature oracle against the ray sums split at i R2_SPLIT
+    ctx = PrecisionContext(digits=digits)
+    f = delta(90) if label == "delta" else cusp_form(16, 90)
     for z in (mp.mpc("0.1", "0.6"), mp.mpc(1, 1), S.apply(mp.mpc("0.3", "0.9")), U.apply(mp.mpc("0.2", "0.8"))):
-        q = r_f2(f_delta, z, ctx)
-        t = r_f2(f_delta, z, ctx, method="termwise")
+        q = r_f2(f, z, ctx)
+        t = r_f2(f, z, ctx, method="termwise")
         assert abs(q - t) <= ctx.tol_tight * (1 + abs(q)), z
 
 
@@ -173,8 +185,9 @@ def test_noncritical_est_error_covers_deviation(ctx, f_delta):
 
 
 def test_s_image_relations_see_the_ray_sums(ctx, f_delta, monkeypatch):
-    # r2|(1+S) and hat|(1+S) take r2(Sz) by quadrature: termwise at both
-    # points the ray sums cancel, and a relative error in them would not show
+    # r2(z) and r2(Sz) sum from different base points (the split is at
+    # i R2_SPLIT, not at i), so a relative error in the ray sums does not
+    # cancel in r2|(1+S) or hat|(1+S)
     ray_sum = mockcore.ray_sum
 
     def bumped(*args, **kwargs):
@@ -230,6 +243,31 @@ def test_mock_es_relations(ctx, f_delta):
     reps = verify_mock_es(f_delta, [mp.mpc(0, 1), mp.mpc(1, 1), mp.mpc("-0.5", "1.5")], ctx)
     for r in reps:
         assert r.passed, r.summary_line()
+
+
+@st.composite
+def _sl2z_images(draw):
+    # z moved by a word of length <= 3 in S and T
+    z = mp.mpc(draw(st.floats(-0.6, 0.6)), draw(st.floats(0.5, 1.6)))
+    g = IDENTITY
+    for letter in draw(st.lists(st.sampled_from([S, T]), max_size=3)):
+        g = g * letter
+    return g.apply(z)
+
+
+@settings(max_examples=15)
+@given(_sl2z_images())
+def test_relations_at_sl2z_images(ctx, f_delta, w):
+    # superm takes F2 at w and at Sw, so both stay at height >= 0.3
+    assume(mp.im(w) >= mp.mpf("0.3") and mp.im(S.apply(w)) >= mp.mpf("0.3"))
+    h = hat_function(f_delta, ctx)
+    with mp.workdps(ctx.work_dps):
+        v0 = h(w)
+        rel_s = v0 + slash_function(h, 12, S)(w)
+        rel_u = v0 + slash_function(h, 12, U)(w) + slash_function(h, 12, U * U)(w)
+    assert abs(rel_s) <= ctx.tol_tight * residual_scale(v0), w
+    assert abs(rel_u) <= ctx.tol_tight * residual_scale(v0), w
+    assert verify_superm(f_delta, [w], ctx).passed, w
 
 
 def test_mock_es_zero(ctx, zero):

@@ -1,4 +1,4 @@
-"""q-series constructors, evaluation, Bol operator, file format."""
+"""q-series constructors, evaluation, Bol operator."""
 
 import gc
 import math
@@ -25,10 +25,8 @@ from periodlab import (
     delta,
     eisenstein,
     evaluate,
-    read_qexp,
     reg_integral_to_icusp,
     weakly_holomorphic_m10,
-    write_qexp,
 )
 from periodlab import qforms
 from periodlab.eichler import GroupElement, S, T, eichler_integral
@@ -337,46 +335,11 @@ def test_evaluate_tail_too_large(ctx):
         evaluate(replace(short, modular=False), mp.mpc(0, "0.05"), ctx)
 
 
-def test_qexp_file_roundtrip(tmp_path, f_delta):
-    path = str(tmp_path / "delta.qexp")
-    write_qexp(f_delta, path)
-    back = read_qexp(path)
-    assert back.weight == 12 and back.n_min == 1
-    assert back.coeffs == f_delta.coeffs
-    with open(path) as fh:
-        head = fh.readline().split()
-    assert head[0] == "weight" and head[1] == "12"
-
-
-def test_qexp_file_negative_indices(tmp_path, f_wh):
-    path = str(tmp_path / "m10.qexp")
-    write_qexp(f_wh, path)
-    back = read_qexp(path)
-    assert back.n_min == -2
-    assert back.coeffs == f_wh.coeffs
-
-
-def test_qexp_malformed(tmp_path):
-    p = tmp_path / "bad.qexp"
-    p.write_text("nonsense 1 2 3\n1\n")
-    with pytest.raises(ValueError):
-        read_qexp(str(p))
-
-
 def test_cusp_form_remaining_weights():
     for k in (18, 20, 22):
         f = cusp_form(k, 24)
         assert f.coeff(1) == 1 and f.weight == k and f.cuspidal
         assert f.coeff(2) * f.coeff(3) == f.coeff(6)  # Hecke eigenform
-
-
-def test_qexp_decimal_coefficients(tmp_path):
-    p = tmp_path / "dec.qexp"
-    p.write_text("weight 12 1 3\n1\n-0.5\n2.25\n")
-    back = read_qexp(str(p))
-    assert back.coeff(1) == 1
-    assert abs(back.coeff(2) + mp.mpf("0.5")) < mp.mpf("1e-60")
-    assert abs(back.coeff(3) - mp.mpf("2.25")) < mp.mpf("1e-60")
 
 
 def test_evaluated_series_is_not_kept_alive(ctx, f_wh):
