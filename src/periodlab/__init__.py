@@ -74,12 +74,10 @@ from .mockcore import (
     verify_w_k2,
 )
 from .regint import (
-    CUSP_IOO,
-    CUSP_ZERO,
     NotRegularizable,
-    RegKernel,
     StarredPeriods,
-    reg_integral_cusp_to_cusp,
+    f_star,
+    r_star,
     reg_integral_to_icusp,
     starred_periods,
     verify_per_star,

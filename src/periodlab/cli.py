@@ -56,7 +56,6 @@ class SuiteConfig:
     tol_tight: Optional[str] = None
     tol_fd: Optional[str] = None
     forms: List[str] = field(default_factory=lambda: ["delta", "cusp16"])
-    suites: List[str] = field(default_factory=lambda: ["all"])
 
     @classmethod
     def from_file(cls, path: str) -> "SuiteConfig":
@@ -65,12 +64,9 @@ class SuiteConfig:
         if not isinstance(raw, dict) or raw.get("schema") != CONFIG_SCHEMA:
             raise ValueError(f"config must carry schema = {CONFIG_SCHEMA}")
         cfg = cls()
-        for key in ("digits", "series_len", "tol_tight", "tol_fd", "forms", "suites"):
+        for key in ("digits", "series_len", "tol_tight", "tol_fd", "forms"):
             if key in raw:
                 setattr(cfg, key, raw[key])
-        for s in cfg.suites:
-            if s not in SUITES:
-                raise ValueError(f"unknown suite {s!r}")
         for f in cfg.forms:
             if f not in _FORM_WEIGHTS:
                 raise ValueError(f"unknown form {f!r}")
@@ -92,7 +88,6 @@ class SuiteConfig:
             "tol_tight": self.tol_tight,
             "tol_fd": self.tol_fd,
             "forms": list(self.forms),
-            "suites": list(self.suites),
         }
 
 
@@ -245,7 +240,7 @@ def cmd_periodpoly(args) -> int:
         if k in ZERO_SPACE_WEIGHTS:
             payload = {
                 "schema": SCHEMA_VERSION,
-                "form": args.form,
+                "form": None,
                 "weight": k,
                 "coefficients": [["0", "0"] for _ in range(max(k - 1, 0))],
                 "critical_values": [],
@@ -255,11 +250,12 @@ def cmd_periodpoly(args) -> int:
             return EXIT_OK
         if k not in DIM_ONE_WEIGHTS:
             raise UnsupportedWeight(f"weight {k} not supported (dim > 1 or odd)")
-        f = holomorphic_form("delta" if k == 12 else f"cusp{k}", ctx)
+        label = "delta" if k == 12 else f"cusp{k}"
+        f = holomorphic_form(label, ctx)
         rp = period_polynomial(f, ctx)
         payload = {
             "schema": SCHEMA_VERSION,
-            "form": args.form,
+            "form": label,
             "weight": k,
             "coefficients": [_point_pair(c, ctx.digits) for c in rp.base.coeffs],
             "critical_values": [
@@ -294,18 +290,12 @@ def cmd_verify(args) -> int:
             if args.form not in _FORM_WEIGHTS:
                 raise ValueError(f"unknown form {args.form!r}")
             cfg.forms = [args.form]
-        if args.suite != "all":
-            cfg.suites = [args.suite]
-        elif not cfg.suites:
-            cfg.suites = ["all"]
         ctx = cfg.context()
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc), "kind": "config"}))
         return EXIT_DOMAIN
     try:
-        names = list(cfg.suites)
-        if "all" in names or args.suite == "all":
-            names = ["superm", "wk2", "mockes", "perstar", "poincare", "special"]
+        names = SUITES[:-1] if args.suite == "all" else (args.suite,)  # SUITES ends with "all"
         reports: List[RelationReport] = []
         for name in names:
             reports.extend(run_suite(name, cfg, ctx))

@@ -13,17 +13,18 @@ Eichler integral and r its period polynomial:
               y-exponent is negative);
 * hat = r2 - tilde, the completion satisfying the period relations.
 
-Termwise F2 is ``regint.ray_sum`` of F's series from w0 = -conj z with
-a = z: w0 + a = 2iy, so every Gamma argument is the real 4 pi n y.
-Termwise r2 splits its ray at iT, T = ``R2_SPLIT`` = 5/4, and maps the leg
-[0, iT] onto [i/T, i oo) by w -> -1/w, using F(-1/w) = w^(2-k) (F(w) - r(w)).
-Every Gamma argument has positive real part, and each sum over n is
-``regint.ray_sum`` with its certified tail.  Since T != 1, r2(z) sums from
-(iT, -1/z) and (i/T, z) while r2(Sz) sums from (iT, z) and (i/T, -1/z):
-the sums in r2|(1+S) do not cancel, so the verifiers take every image of r2
-termwise.  Quadrature is the default of F_f2 and r_f2 as their
-definitional oracle.  Non-critical L-values are read off from derivatives
-of r2 at 0:
+Termwise F2 and r2 are the starred periods of F's q-series (weight 2-k)
+with its period cocycle F|(1-S) = r: F2 = ``regint.f_star``, from
+w0 = -conj z with a = z, so w0 + a = 2iy and every Gamma argument is the
+real 4 pi n y; r2 = ``regint.r_star`` with cocycle r and base point iT,
+T = ``R2_SPLIT`` = 5/4, which maps the leg [0, iT] onto [i/T, i oo) by
+w -> -1/w using F(-1/w) = w^(2-k) (F(w) - r(w)).  Every Gamma argument has
+positive real part, and each sum over n is ``regint.ray_sum`` with its
+certified tail.  Since T != 1, r2(z) sums from (iT, -1/z) and (i/T, z)
+while r2(Sz) sums from (iT, z) and (i/T, -1/z): the sums in r2|(1+S) do
+not cancel, so the verifiers take every image of r2 termwise.  Quadrature
+is the default of F_f2 and r_f2 as their definitional oracle.
+Non-critical L-values are read off from derivatives of r2 at 0:
 d^m/dz^m r2(z) |_{z -> 0+} = i^(k+m) (m+k-1)! m! / ((k-1)(2 pi)^(m+k)) L(k+m),
 by differentiating under the integral sign and splitting at i.
 """
@@ -53,7 +54,7 @@ from .kernel import (
 )
 from .lfun import LValue
 from .qforms import QSeries, conjugate_form
-from .regint import ray_sum
+from .regint import f_star, r_star, ray_sum
 from .reports import RelationReport, residual_scale
 
 R2_SPLIT = 5 / 4  # height T at which termwise r2 splits its ray
@@ -73,8 +74,8 @@ class MockPeriodEvaluation:
 def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:
     """Iterated integral F2(z); ``method`` is "quadrature" or "termwise".
 
-    Termwise, F2(z) is the certified ``ray_sum`` of F's q-series from
-    w0 = -conj z against (w + a)^(-k) with a = z.
+    Termwise, F2(z) is ``regint.f_star`` of F's q-series: its certified
+    ``ray_sum`` from w0 = -conj z against (w + a)^(-k) with a = z.
     """
     if method not in ("quadrature", "termwise"):
         raise ValueError("method must be 'quadrature' or 'termwise'")
@@ -86,7 +87,7 @@ def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
             return mp.mpc(0)
         F, k = eichler_integral(f, ctx), f.weight
         if method == "termwise":
-            return ray_sum(F.series, -mp.conj(z), z, k, ctx)[0]
+            return f_star(F.series, z, ctx)
         integrand = lambda w: F(w) * (w + z) ** (-k)
         return quad_ray(integrand, -mp.conj(z), ctx, avoid=(-z,))
 
@@ -104,16 +105,9 @@ def r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
         z = mp.mpc(z)
         if f.is_zero():
             return mp.mpc(0)
-        k = f.weight
+        F, k = eichler_integral(f, ctx), f.weight
         if method == "termwise":
-            if not mp.im(z) > 0:
-                raise DomainError("termwise r_f2 requires Im z > 0")
-            b = eichler_integral(f, ctx).series
-            top, bottom = mp.mpc(0, R2_SPLIT), mp.mpc(0, 1 / mp.mpf(R2_SPLIT))
-            upper = ray_sum(b, top, -1 / z, k, ctx, z ** (-k))[0]
-            lower = ray_sum(b, bottom, z, k, ctx)[0]
-            return upper - lower + period_polynomial(f, ctx).base.kernel_integral(k, z, bottom)
-        F = eichler_integral(f, ctx)
+            return r_star(F.series, z, ctx, cocycle=period_polynomial(f, ctx).base, z0=mp.mpc(0, R2_SPLIT))
         pole = 1 / z if z != 0 else None
         integrand = lambda w: F(w) * (w * z - 1) ** (-k)
         return quad_ray(integrand, mp.mpc(0), ctx, avoid=(pole,) if pole is not None else ())

@@ -75,9 +75,9 @@ class QSeries:
     weight ``weight`` under the full modular group, enabling the low-height
     evaluation fallback.  ``_memo`` holds values derived from the
     coefficients (their mpc conversion per binary precision, the log of the
-    growth constant, a passed modularity spot check per context); it is not
-    an init argument, so ``replace`` starts a fresh one, and it takes no
-    part in equality or hashing.
+    growth constant, a passed cocycle spot check per context and cocycle);
+    it is not an init argument, so ``replace`` starts a fresh one, and it
+    takes no part in equality or hashing.
     """
 
     weight: int

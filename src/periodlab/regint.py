@@ -32,9 +32,17 @@ sum takes one exponential and one power besides the fractions.  Ray
 quadrature is not used here; it remains the oracle that the tests compare
 against.
 
-Cusp-to-cusp integrals follow the base-point split
-R.int_a^b = R.int_{z0}^b - R.int_{z0}^a with each cusp leg damped in its own
-scaling-matrix coordinate; the level-1 cusps are 0 and i oo with sigma_0 = S.
+The starred period rstar(z) = R.int_0^{i oo} M(w) (wz-1)^(-k) dw splits at a
+base point z0.  The leg [z0, i oo) is regularized as it stands; the leg
+[0, z0] maps by w -> -1/w onto [S z0, i oo), where M(-1/w) = w^(2-k) (M(w) - Q(w))
+with Q = M|(1-S) the input's period cocycle, so
+
+    rstar(z) = R.int_{z0}^{i oo} M(w) z^(-k) (w - 1/z)^(-k) dw
+             - R.int_{S z0}^{i oo} M(w) (w + z)^(-k) dw
+             + int_{S z0}^{i oo} Q(w) (w + z)^(-k) dw,
+
+the last exact by ``PolynomialC.kernel_integral``; the value does not
+depend on z0.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .eichler import PolynomialC, S
+from .eichler import PolynomialC, S, U, slash_function
 from .kernel import DomainError, PrecisionContext, xi_fd
 from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _mpc_coeffs
 from .reports import RelationReport, residual_scale
@@ -53,58 +61,9 @@ from .special import scaled_upper_gamma, upper_incomplete_gamma
 
 DEFAULT_BRANCH = "L"
 
-CUSP_ZERO = 0
-CUSP_IOO = "ioo"
-
 
 class NotRegularizable(DomainError):
     """A principal term yields a pole at u = 0 (constant against a polynomial)."""
-
-
-@dataclass(frozen=True)
-class RegKernel:
-    """Rational or polynomial kernel composed against the input series.
-
-    kind "plus": (w + z)^(-k); "sz": (wz - 1)^(-k); "one": constant 1;
-    "poly": a polynomial in w.  k is the kernel exponent (even, >= 2).
-    """
-
-    kind: str
-    k: int
-    z: Optional[mp.mpc] = None
-    poly: Optional[PolynomialC] = None
-
-    def __post_init__(self):
-        if self.kind not in ("plus", "sz", "one", "poly"):
-            raise ValueError("unknown kernel kind")
-        if self.kind in ("plus", "sz") and self.z is None:
-            raise ValueError("rational kernel needs its z parameter")
-        if self.kind == "poly" and self.poly is None:
-            raise ValueError("poly kernel needs a polynomial")
-
-    def terms(self) -> Tuple[Tuple[mp.mpc, int, mp.mpc], ...]:
-        """(a, s, scale) with kernel(w) = sum scale (w + a)^(-s)."""
-        if self.kind == "plus":
-            return ((self.z, self.k, mp.mpc(1)),)
-        if self.kind == "sz" and self.z != 0:
-            return ((-1 / self.z, self.k, self.z ** (-self.k)),)
-        if self.kind == "sz":  # (w 0 - 1)^(-k) is the constant (-1)^k
-            return ((mp.mpc(0), 0, mp.mpc((-1) ** self.k)),)
-        if self.kind == "one":
-            return ((mp.mpc(0), 0, mp.mpc(1)),)
-        return tuple((mp.mpc(0), -j, c) for j, c in enumerate(self.poly.coeffs) if c != 0)
-
-    def s_transformed(self) -> "RegKernel":
-        """Kernel of (M K)|_2 S for modular M of weight 2-k."""
-        if self.kind == "plus":
-            if self.z == 0:
-                return RegKernel(kind="one", k=self.k)
-            return RegKernel(kind="sz", k=self.k, z=self.z)
-        if self.kind == "sz":
-            return RegKernel(kind="plus", k=self.k, z=self.z)
-        if self.kind == "one":
-            return RegKernel(kind="plus", k=self.k, z=mp.mpc(0))
-        raise DomainError("polynomial kernels have no cusp-zero transform here")
 
 
 def _gamma_negint_on_branch(N: int, x: mp.mpc, branch: str, ctx: PrecisionContext) -> mp.mpc:
@@ -203,17 +162,17 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> T
 
 def reg_integral_to_icusp(
     M: QSeries,
-    kernel: RegKernel,
+    terms: Sequence[Tuple[mp.mpc, int, mp.mpc]],
     z0,
     ctx: PrecisionContext,
     branch: str = DEFAULT_BRANCH,
 ) -> mp.mpc:
-    """R.int_{z0}^{i oo} M(w) * kernel(w) dw.
+    """R.int_{z0}^{i oo} M(w) * kernel(w) dw for kernel(w) = sum scale (w + a)^(-s).
 
-    For each kernel term scale (w + a)^(-s): the principal terms n < 0 of M
-    are continued in closed form on the sheet ``branch`` selects, the
-    constant term is elementary, and the decaying remainder n >= 1 is the
-    certified ``ray_sum`` (which needs Im(z0 + a) > 0).  Raises
+    ``terms`` lists the kernel's (a, s, scale).  For each term: the principal
+    terms n < 0 of M are continued in closed form on the sheet ``branch``
+    selects, the constant term is elementary, and the decaying remainder
+    n >= 1 is the certified ``ray_sum`` (which needs Im(z0 + a) > 0).  Raises
     NotRegularizable when the constant term has a genuine pole at u = 0
     (s <= 1).
     """
@@ -221,7 +180,7 @@ def reg_integral_to_icusp(
         z0 = mp.mpc(z0)
         coeffs = _mpc_coeffs(M)
         total = mp.mpc(0)
-        for a, s, scale in kernel.terms():
+        for a, s, scale in terms:
             if s >= 1 and z0 + a == 0:
                 raise DomainError("kernel pole sits at the base point")
             for n in range(M.n_min, min(M.n_max, 0) + 1):
@@ -239,46 +198,56 @@ def reg_integral_to_icusp(
         return total
 
 
-def _leg_to_cusp(
-    M: QSeries,
-    kernel: RegKernel,
-    cusp,
-    z0: mp.mpc,
-    ctx: PrecisionContext,
-    branch: str,
-) -> mp.mpc:
-    """R.int_{z0}^{cusp} with the damping taken in the cusp's own coordinate."""
-    if cusp == CUSP_IOO:
-        return reg_integral_to_icusp(M, kernel, z0, ctx, branch)
-    if cusp == CUSP_ZERO:
-        if not M.modular:
-            raise DomainError("cusp-zero leg needs a modular series")
-        return reg_integral_to_icusp(M, kernel.s_transformed(), S.apply(z0), ctx, branch)
-    raise DomainError("supported cusps: 0 and 'ioo'")
+def _cocycle_spot_check(M: QSeries, Q: Optional[PolynomialC], ctx: PrecisionContext) -> None:
+    """Raise DomainError unless M|(1-S) = Q (0 for None) at one fixed point; a pass is memoized per (ctx, Q)."""
+    from .qforms import evaluate
+
+    key = ("cocycle_at", ctx, Q)
+    if key in M._memo:
+        return
+    z = mp.mpc("0.37", "1.21")
+    lhs = evaluate(M, S.apply(z), ctx)
+    rhs = z ** M.weight * (evaluate(M, z, ctx) - (0 if Q is None else Q(z)))
+    if not abs(lhs - rhs) <= mp.mpf("1e-10") * residual_scale(lhs, rhs):
+        raise DomainError("M|(1-S) does not match the cocycle (None stands for a modular M); pass M's period cocycle")
+    M._memo[key] = True
 
 
-def reg_integral_cusp_to_cusp(
+def f_star(M: QSeries, z, ctx: PrecisionContext, branch: str = DEFAULT_BRANCH) -> mp.mpc:
+    """Fstar(z) = R.int_{-conj z}^{i oo} M(w) (w+z)^(-k) dw, k = 2 - weight of M."""
+    with mp.workdps(ctx.work_dps):
+        z = mp.mpc(z)
+        if not mp.im(z) > 0:
+            raise DomainError("starred periods need Im z > 0")
+        return reg_integral_to_icusp(M, ((z, 2 - M.weight, 1),), -mp.conj(z), ctx, branch)
+
+
+def r_star(
     M: QSeries,
-    kernel: RegKernel,
-    cusp_a,
-    cusp_b,
-    z0,
+    z,
     ctx: PrecisionContext,
     branch: str = DEFAULT_BRANCH,
+    cocycle: Optional[PolynomialC] = None,
+    z0=None,
 ) -> mp.mpc:
-    """R.int_{cusp_a}^{cusp_b} = R.int_{z0}^{cusp_b} - R.int_{z0}^{cusp_a}.
+    """rstar(z) = R.int_0^{i oo} M(w) (wz-1)^(-k) dw, split at z0 (default i).
 
-    Independent of the base point z0; antisymmetric in (a, b) by construction.
+    See the module docstring: the leg [0, z0] is taken from S z0 with the
+    cocycle ``cocycle`` = M|(1-S), None for a modular M.  Raises DomainError
+    unless Im z0 > 0 and M|(1-S) matches the cocycle at a fixed point.
     """
     with mp.workdps(ctx.work_dps):
-        z0 = mp.mpc(z0)
-        if not mp.im(z0) > 0:
-            raise DomainError("base point must lie in the upper half-plane")
-        if cusp_a == cusp_b:
-            return mp.mpc(0)
-        leg_b = _leg_to_cusp(M, kernel, cusp_b, z0, ctx, branch)
-        leg_a = _leg_to_cusp(M, kernel, cusp_a, z0, ctx, branch)
-        return leg_b - leg_a
+        z = mp.mpc(z)
+        z0 = mp.mpc(z0) if z0 is not None else mp.mpc(0, 1)
+        if not (mp.im(z) > 0 and mp.im(z0) > 0):
+            raise DomainError("rstar needs Im z > 0 and a base point z0 in the upper half-plane")
+        _cocycle_spot_check(M, cocycle, ctx)
+        k, sz0 = 2 - M.weight, S.apply(z0)
+        value = reg_integral_to_icusp(M, ((-1 / z, k, z ** (-k)),), z0, ctx, branch)
+        value -= reg_integral_to_icusp(M, ((z, k, 1),), sz0, ctx, branch)
+        if cocycle is not None:
+            value += cocycle.kernel_integral(k, z, sz0)
+        return value
 
 
 @dataclass(frozen=True)
@@ -292,23 +261,6 @@ class StarredPeriods:
     hatstar: mp.mpc
 
 
-def _modularity_spot_check(M: QSeries, ctx: PrecisionContext) -> None:
-    """Raise DomainError unless M(Sz) = z^w M(z) at one fixed point; a pass is memoized per ctx."""
-    from .qforms import evaluate
-
-    key = ("modular_at", ctx)
-    if key in M._memo:
-        return
-    z = mp.mpc("0.37", "1.21")
-    lhs = evaluate(M, S.apply(z), ctx)
-    rhs = z ** M.weight * evaluate(M, z, ctx)
-    if not abs(lhs - rhs) <= mp.mpf("1e-10") * residual_scale(lhs, rhs):
-        raise DomainError(
-            "input is not modular; pass its period cocycle explicitly via `cocycle`"
-        )
-    M._memo[key] = True
-
-
 def starred_periods(
     M: QSeries,
     z,
@@ -319,37 +271,24 @@ def starred_periods(
 ) -> StarredPeriods:
     """Starred period objects of a weight-(2-k) input at z.
 
-    Fstar(z)     = R.int_{-conj z}^{i oo} M(w) (w+z)^(-k) dw
+    Fstar(z)     = R.int_{-conj z}^{i oo} M(w) (w+z)^(-k) dw         (``f_star``)
     rstar(z)     = [R.int_0^{i oo} M(w) (w+.)^(-k) dw] |_k S (z)
-                 = R.int_0^{i oo} M(w) (wz-1)^(-k) dw
+                 = R.int_0^{i oo} M(w) (wz-1)^(-k) dw               (``r_star``)
     tildestar(z) = int_{-conj z}^{i oo} Q(w) (w+z)^(-k) dw,
 
     where Q = M |_{2-k} (1 - S) is the period cocycle of the input.  For a
-    genuinely modular M the cocycle vanishes and tildestar = 0; a nonzero
-    cocycle must be supplied by the caller (synthetic inputs here are
-    modular, and the cocycle of a general harmonic-part candidate is not
-    recoverable from its expansion alone).  tildestar is integrated exactly
-    by ``PolynomialC.kernel_integral``, so the cocycle must have degree <= k-2.
+    genuinely modular M the cocycle vanishes (``cocycle`` None) and
+    tildestar = 0; a nonzero cocycle must be supplied by the caller, since
+    it is not recoverable from the expansion alone, and is spot-checked
+    against M.  tildestar is integrated exactly by
+    ``PolynomialC.kernel_integral``, so the cocycle must have degree <= k-2.
     """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        if not mp.im(z) > 0:
-            raise DomainError("starred periods need Im z > 0")
-        k = 2 - M.weight
-        if cocycle is None:
-            if M.is_zero():
-                return StarredPeriods(z=z, Fstar=mp.mpc(0), rstar=mp.mpc(0), tildestar=mp.mpc(0), hatstar=mp.mpc(0))
-            _modularity_spot_check(M, ctx)
-        base = mp.mpc(z0) if z0 is not None else mp.mpc(0, 1)
-        fstar = reg_integral_to_icusp(M, RegKernel(kind="plus", k=k, z=z), -mp.conj(z), ctx, branch)
-        rst = reg_integral_cusp_to_cusp(
-            M, RegKernel(kind="sz", k=k, z=z), CUSP_ZERO, CUSP_IOO, base, ctx, branch
-        )
-        if cocycle is None or cocycle.is_zero():
-            tst = mp.mpc(0)
-        else:
-            tst = cocycle.kernel_integral(k, z, -mp.conj(z))
-        return StarredPeriods(z=z, Fstar=fstar, rstar=rst, tildestar=tst, hatstar=rst - tst)
+        fst = f_star(M, z, ctx, branch)
+        rst = r_star(M, z, ctx, branch, cocycle, z0)
+        tst = mp.mpc(0) if cocycle is None else cocycle.kernel_integral(2 - M.weight, z, -mp.conj(z))
+        return StarredPeriods(z=z, Fstar=fst, rstar=rst, tildestar=tst, hatstar=rst - tst)
 
 
 def verify_per_star(
@@ -360,35 +299,30 @@ def verify_per_star(
 ) -> list:
     """Reports: Fstar|_k(S-1) = hatstar, the two period relations, xi-image.
 
-    For the modular synthetic input the cocycle vanishes, so the xi-image of
-    hatstar must vanish to FD tolerance (holomorphy of the starred
+    For the modular synthetic input the cocycle vanishes, so hatstar = rstar
+    and its xi-image must vanish to FD tolerance (holomorphy of the starred
     completion); the xi residual is scaled by the magnitude of hatstar.
+    Fstar is taken twice per point, at z and at S z.
     """
     k = 2 - M.weight
-    hat = lambda w: starred_periods(M, w, ctx, branch).hatstar
+    hat = lambda w: r_star(M, w, ctx, branch)
     res_eq, res_s, res_u, res_xi = [], [], [], []
-    from .eichler import U, slash_function
-
     with mp.workdps(ctx.work_dps):
         for z in pts:
             z = mp.mpc(z)
-            sp = starred_periods(M, z, ctx, branch)
-            sp_s = starred_periods(M, S.apply(z), ctx, branch)
-            lhs = sp_s.Fstar * z ** (-k) - sp.Fstar
-            res_eq.append(abs(lhs - sp.hatstar) / residual_scale(lhs, sp.hatstar))
+            sz = S.apply(z)
+            h = hat(z)
+            lhs = f_star(M, sz, ctx, branch) * z ** (-k) - f_star(M, z, ctx, branch)
+            res_eq.append(abs(lhs - h) / residual_scale(lhs, h))
 
-            hs = sp.hatstar + sp_s.hatstar * z ** (-k)
-            hu = (
-                sp.hatstar
-                + slash_function(hat, k, U)(z)
-                + slash_function(hat, k, U * U)(z)
-            )
-            scale = residual_scale(sp.hatstar)
+            hs = h + hat(sz) * z ** (-k)
+            hu = h + slash_function(hat, k, U)(z) + slash_function(hat, k, U * U)(z)
+            scale = residual_scale(h)
             res_s.append(abs(hs) / scale)
             res_u.append(abs(hu) / scale)
 
             xv = xi_fd(hat, k, z, ctx)
-            res_xi.append(abs(xv) / residual_scale(sp.hatstar))
+            res_xi.append(abs(xv) / scale)
     return [
         RelationReport.from_residuals(f"perstar_eq[{M.label}]", pts, res_eq, ctx.tol_tight),
         RelationReport.from_residuals(f"perstar_slash_S[{M.label}]", pts, res_s, ctx.tol_tight),

@@ -70,19 +70,15 @@ def test_suite_config_rejects_bad_schema(tmp_path):
 
 
 def test_suite_config_ignores_unknown_keys(tmp_path):
-    # "points" was once a config key; files that still carry it load as before
+    # "points" and "suites" were once config keys; files that still carry
+    # them load as before (the positional suite picks what runs)
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"schema": "periodlab-config-1", "digits": 40, "points": "generic10"}))
+    p.write_text(
+        json.dumps({"schema": "periodlab-config-1", "digits": 40, "points": "generic10", "suites": ["special"]})
+    )
     cfg = SuiteConfig.from_file(str(p))
     assert cfg.digits == 40
-    assert "points" not in cfg.to_dict()
-
-
-def test_suite_config_rejects_unknown_suite(tmp_path):
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"schema": "periodlab-config-1", "suites": ["bogus"]}))
-    with pytest.raises(ValueError):
-        SuiteConfig.from_file(str(p))
+    assert "points" not in cfg.to_dict() and "suites" not in cfg.to_dict()
 
 
 def test_cli_lvalue_dirichlet():
@@ -120,6 +116,14 @@ def test_cli_periodpoly_zero_space():
     assert proc.returncode == EXIT_OK
     payload = json.loads(proc.stdout)
     assert all(c == ["0", "0"] for c in payload["coefficients"])
+
+
+@pytest.mark.parametrize("weight, form", [(20, "cusp20"), (12, "delta"), (14, None)])
+def test_cli_periodpoly_names_the_emitted_form(capsys, weight, form):
+    # "form" names the form whose period polynomial is printed, not --form's default
+    assert main(["periodpoly", "--weight", str(weight)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["form"] == form and payload["weight"] == weight
 
 
 def test_cli_periodpoly_unsupported_weight():

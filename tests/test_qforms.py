@@ -16,7 +16,6 @@ from periodlab import (
     DomainError,
     PrecisionContext,
     QSeries,
-    RegKernel,
     TailTooLarge,
     UnsupportedWeight,
     bol,
@@ -347,7 +346,7 @@ def test_evaluated_series_is_not_kept_alive(ctx, f_wh):
     # are memoized on it and go with it
     g = replace(f_wh, label="wh-copy")
     z = mp.mpc("0.2", "1.1")
-    reg_integral_to_icusp(g, RegKernel(kind="plus", k=12, z=z), -mp.conj(z), ctx)
+    reg_integral_to_icusp(g, ((z, 12, 1),), -mp.conj(z), ctx)
     assert g._memo
     ref = weakref.ref(g)
     del g

@@ -1,4 +1,4 @@
-"""Regularized integrals: continuation correctness, cusp legs, starred periods."""
+"""Regularized integrals: continuation correctness, starred periods and their cocycle leg."""
 
 import random
 
@@ -6,19 +6,19 @@ import mpmath as mp
 import pytest
 
 from periodlab import (
-    CUSP_IOO,
-    CUSP_ZERO,
     DomainError,
     NotRegularizable,
     PolynomialC,
     PrecisionContext,
     QSeries,
-    RegKernel,
     TailTooLarge,
+    eichler_integral,
     period_polynomial,
     quad_ray,
-    reg_integral_cusp_to_cusp,
+    r_f2,
+    r_star,
     reg_integral_to_icusp,
+    residual_scale,
     starred_periods,
     verify_per_star,
     weakly_holomorphic_m10,
@@ -30,6 +30,21 @@ from periodlab.regint import _gamma_negint_on_branch, exp_ray_integral, ray_sum
 
 def one_term_series(n, coeff=1):
     return QSeries(-10, n_min=n, coeffs=(mp.mpc(coeff),))
+
+
+def plus_terms(z, k=12):
+    """(w + z)^(-k) as kernel terms (a, s, scale)."""
+    return ((z, k, 1),)
+
+
+def sz_terms(z, k=12):
+    """(wz - 1)^(-k) = z^(-k) (w - 1/z)^(-k) as kernel terms."""
+    return ((-1 / z, k, z ** (-k)),)
+
+
+def poly_terms(P):
+    """The polynomial P(w) as kernel terms: c_j w^j = c_j (w + 0)^(-(-j))."""
+    return tuple((0, -j, c) for j, c in enumerate(P.coeffs) if c != 0)
 
 
 def slant_oracle(n, w0, z, k, branch="L"):
@@ -68,38 +83,37 @@ def test_empty_principal_equals_plain_quad(ctx, f_delta):
         g = f_delta.scale(c)
         assert g.n_min == 1
         z = mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 1.5))
-        kern = RegKernel(kind="plus", k=12, z=z)
         w0 = -mp.conj(z)
-        got = reg_integral_to_icusp(g, kern, w0, ctx)
+        got = reg_integral_to_icusp(g, plus_terms(z), w0, ctx)
         plain = quad_ray(lambda w: _sum_q_series(g, w, ctx) * (w + z) ** (-12), w0, ctx)
         assert abs(got - plain) <= ctx.tol_tight * (1 + abs(got))
 
 
 @pytest.mark.parametrize("kind", ["plus", "sz", "sz_at_0", "one", "poly"])
 def test_decaying_part_vs_quad_ray(ctx, f_delta, kind):
-    # the termwise ray sums of every kernel kind against quadrature of the
+    # the termwise ray sums of every kernel shape against quadrature of the
     # summed q-series times the kernel written out
     z = mp.mpc("0.3", "1.2")
     P = PolynomialC.from_coeffs([1, mp.mpc(0, 2), 0, -3], 10)
-    kern, written = {
-        "plus": (RegKernel(kind="plus", k=12, z=z), lambda w: (w + z) ** (-12)),
-        "sz": (RegKernel(kind="sz", k=12, z=z), lambda w: (w * z - 1) ** (-12)),
-        "sz_at_0": (RegKernel(kind="sz", k=12, z=mp.mpc(0)), lambda w: (w * 0 - 1) ** (-12)),
-        "one": (RegKernel(kind="one", k=12), lambda w: 1),
-        "poly": (RegKernel(kind="poly", k=12, poly=P), P),
+    terms, written = {
+        "plus": (plus_terms(z), lambda w: (w + z) ** (-12)),
+        "sz": (sz_terms(z), lambda w: (w * z - 1) ** (-12)),
+        "sz_at_0": (((0, 0, (-1) ** 12),), lambda w: (w * 0 - 1) ** (-12)),
+        "one": (((0, 0, 1),), lambda w: 1),
+        "poly": (poly_terms(P), P),
     }[kind]
     w0 = mp.mpc("-0.1", "0.9")
-    got = reg_integral_to_icusp(f_delta, kern, w0, ctx)
+    got = reg_integral_to_icusp(f_delta, terms, w0, ctx)
     want = quad_ray(lambda w: _sum_q_series(f_delta, w, ctx) * written(w), w0, ctx)
     assert abs(got - want) <= ctx.tol_tight * abs(want)
 
 
 FOLD_Z = mp.mpc("0.3", "1.2")
 FOLD_KERNELS = {
-    "plus": RegKernel(kind="plus", k=12, z=FOLD_Z),
-    "sz": RegKernel(kind="sz", k=12, z=FOLD_Z),
-    "s=0": RegKernel(kind="one", k=12),
-    "s<0": RegKernel(kind="poly", k=12, poly=PolynomialC.from_coeffs([0, mp.mpc(0, 2), 0, -3], 10)),
+    "plus": plus_terms(FOLD_Z),
+    "sz": sz_terms(FOLD_Z),
+    "s=0": ((0, 0, 1),),
+    "s<0": poly_terms(PolynomialC.from_coeffs([0, mp.mpc(0, 2), 0, -3], 10)),
 }
 FOLD_BASES = {"i": mp.mpc(0, 1), "-conj z": -mp.conj(FOLD_Z), "S-image": -1 / mp.mpc("0.2", "1.1")}
 
@@ -111,7 +125,7 @@ def test_folded_ray_sum_vs_unfolded(ctx, f_delta, kind, base):
     # the unfolded sum takes exp_ray_integral term by term over the whole window
     w0 = FOLD_BASES[base]
     with mp.workdps(ctx.work_dps):
-        for a, s, scale in FOLD_KERNELS[kind].terms():
+        for a, s, scale in FOLD_KERNELS[kind]:
             got = ray_sum(f_delta, w0, a, s, ctx, scale)[0]
             want = scale * mp.fsum(
                 f_delta.coeff(n) * exp_ray_integral(n, w0, a, s, ctx) for n in range(1, f_delta.n_max + 1)
@@ -156,12 +170,12 @@ def test_short_window_raises(ctx):
     # certify 50 digits at height 1.2
     z = mp.mpc("0.3", "1.2")
     with pytest.raises(TailTooLarge):
-        reg_integral_to_icusp(weakly_holomorphic_m10(20), RegKernel(kind="plus", k=12, z=z), -mp.conj(z), ctx)
+        reg_integral_to_icusp(weakly_holomorphic_m10(20), plus_terms(z), -mp.conj(z), ctx)
 
 
 def test_ray_sum_needs_positive_height(ctx, f_delta):
     with pytest.raises(DomainError):
-        reg_integral_to_icusp(f_delta, RegKernel(kind="plus", k=12, z=mp.mpc("0.3", -2)), mp.mpc(0, 1), ctx)
+        reg_integral_to_icusp(f_delta, plus_terms(mp.mpc("0.3", -2)), mp.mpc(0, 1), ctx)
     with pytest.raises(DomainError):
         ray_sum(f_delta, mp.mpc("0.3", 1), mp.mpc(0, -1), 12, ctx)
 
@@ -210,7 +224,7 @@ def test_e1_continued_branches(ctx):
 
 def test_reg_linearity(ctx):
     z = mp.mpc("0.2", "1.1")
-    kern = RegKernel(kind="plus", k=12, z=z)
+    kern = plus_terms(z)
     w0 = -mp.conj(z)
     e1 = one_term_series(-1, 2)
     e2 = one_term_series(-2, mp.mpc(0, 3))
@@ -224,13 +238,13 @@ def test_reg_linearity(ctx):
 def test_not_regularizable_poly_kernel(ctx):
     P = PolynomialC.from_coeffs([1, 2], 10)
     with pytest.raises(NotRegularizable):
-        reg_integral_to_icusp(one_term_series(0), RegKernel(kind="poly", k=12, poly=P), mp.mpc(0, 1), ctx)
+        reg_integral_to_icusp(one_term_series(0), poly_terms(P), mp.mpc(0, 1), ctx)
 
 
 def test_poly_kernel_negative_index(ctx):
     # e^(2 pi i n w) against a polynomial: entire positive-order gammas
     P = PolynomialC.from_coeffs([1, 0, 2], 10)
-    got = reg_integral_to_icusp(one_term_series(-1), RegKernel(kind="poly", k=12, poly=P), mp.mpc(0, 1), ctx)
+    got = reg_integral_to_icusp(one_term_series(-1), poly_terms(P), mp.mpc(0, 1), ctx)
     # slant-contour oracle
     delta = mp.pi / 4
     direc = mp.exp(-1j * delta)
@@ -241,31 +255,41 @@ def test_poly_kernel_negative_index(ctx):
 
 
 def test_cusp_to_cusp_z0_independence(ctx, f_wh):
+    # rstar = R.int_0^{i oo} M(w) (wz-1)^(-k) dw does not depend on the base
+    # point z0 at which r_star splits its path
     z = mp.mpc("0.3", "1.3")
-    kern = RegKernel(kind="sz", k=12, z=z)
     rng = random.Random(29)
-    vals, rvals = [], []
-    for i in range(5):
+    vals = [r_star(f_wh, z, ctx)]
+    for _ in range(4):
         z0 = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
-        vals.append(reg_integral_cusp_to_cusp(f_wh, kern, CUSP_ZERO, CUSP_IOO, z0, ctx))
-        if i < 2:  # reversed cusp order
-            rvals.append(reg_integral_cusp_to_cusp(f_wh, kern, CUSP_IOO, CUSP_ZERO, z0, ctx))
+        vals.append(r_star(f_wh, z, ctx, z0=z0))
     for v in vals[1:]:
         assert abs(v - vals[0]) <= mp.mpf("1e-15") * (1 + abs(vals[0]))
-    assert abs(rvals[1] - rvals[0]) <= mp.mpf("1e-15") * (1 + abs(rvals[0]))
 
 
-def test_cusp_to_cusp_antisymmetry(ctx, f_wh):
-    z = mp.mpc("0.2", "1.2")
-    kern = RegKernel(kind="plus", k=12, z=z)
-    ab = reg_integral_cusp_to_cusp(f_wh, kern, CUSP_ZERO, CUSP_IOO, mp.mpc(0, 1), ctx)
-    ba = reg_integral_cusp_to_cusp(f_wh, kern, CUSP_IOO, CUSP_ZERO, mp.mpc(0, 1), ctx)
-    assert abs(ab + ba) <= ctx.tol_tight * (1 + abs(ab))
+@pytest.mark.parametrize("form", ["f_delta", "f_cusp16"])
+def test_r_star_of_eichler_series_is_r2(ctx, form, request):
+    # r2 = int_0^{i oo} F(w) (wz-1)^(-k) dw is rstar of F's series with its
+    # cocycle F|(1-S) = r, for any base point on the imaginary axis
+    f = request.getfixturevalue(form)
+    b, r = eichler_integral(f, ctx).series, period_polynomial(f, ctx).base
+    z = mp.mpc("0.2", "0.9")
+    want = r_f2(f, z, ctx, method="quadrature")
+    for t in (mp.mpf("0.8"), 1, mp.mpf(5) / 4):
+        got = r_star(b, z, ctx, cocycle=r, z0=mp.mpc(0, t))
+        assert abs(got - want) <= ctx.tol_tight * residual_scale(want), t
 
 
-def test_cusp_to_cusp_degenerate(ctx, f_wh):
-    kern = RegKernel(kind="plus", k=12, z=mp.mpc(0, 1))
-    assert reg_integral_cusp_to_cusp(f_wh, kern, CUSP_IOO, CUSP_IOO, mp.mpc(0, 1), ctx) == 0
+def test_wrong_cocycle_raises(ctx, f_delta, f_wh):
+    b, r = eichler_integral(f_delta, ctx).series, period_polynomial(f_delta, ctx).base
+    z = mp.mpc("0.3", "1.2")
+    for cocycle in (None, r.scale(2)):
+        with pytest.raises(DomainError):
+            r_star(b, z, ctx, cocycle=cocycle)
+    with pytest.raises(DomainError):
+        starred_periods(f_wh, z, ctx, cocycle=r)
+    with pytest.raises(DomainError):
+        r_star(f_wh, z, ctx, z0=mp.mpc(1, 0))
 
 
 def test_starred_modular_input_kills_cocycle(ctx, f_wh):
@@ -274,13 +298,13 @@ def test_starred_modular_input_kills_cocycle(ctx, f_wh):
     assert sp.hatstar == sp.rstar
 
 
-def test_starred_tildestar_with_cocycle(ctx, f_wh, f_delta):
-    # an explicit cocycle skips the modularity check; tildestar integrates
-    # it against (w+z)^(-k) exactly, checked here by quadrature on the ray
-    # w = -x + it from -conj z, where w + z = i(t + y)
-    Q = period_polynomial(f_delta, ctx).base.scale(mp.mpc("0.7", "-1.3"))
+def test_starred_tildestar_with_cocycle(ctx, f_delta):
+    # the Eichler integral's series with its true cocycle r = F|(1-S):
+    # tildestar integrates r against (w+z)^(-k) exactly, checked here by
+    # quadrature on the ray w = -x + it from -conj z, where w + z = i(t + y)
+    M, Q = eichler_integral(f_delta, ctx).series, period_polynomial(f_delta, ctx).base
     z = mp.mpc("0.3", "1.2")
-    sp = starred_periods(f_wh, z, ctx, cocycle=Q)
+    sp = starred_periods(M, z, ctx, cocycle=Q)
     with mp.workdps(ctx.work_dps):
         x, y = mp.re(z), mp.im(z)
         want = mp.quad(lambda t: Q(mp.mpc(-x, t)) * mp.mpc(0, t + y) ** (-12) * 1j, [y, mp.inf])
@@ -290,11 +314,12 @@ def test_starred_tildestar_with_cocycle(ctx, f_wh, f_delta):
 
 
 def test_modularity_spot_check_runs_once_per_context(f_wh, monkeypatch):
-    # a pass is memoized on the series per context; a failure raises every time
+    # a pass is memoized on the series per context and cocycle; a failure
+    # raises every time
     from dataclasses import replace
 
     import periodlab.qforms as qforms
-    from periodlab.regint import _modularity_spot_check
+    from periodlab.regint import _cocycle_spot_check
 
     calls = [0]
     evaluate = qforms.evaluate
@@ -307,16 +332,16 @@ def test_modularity_spot_check_runs_once_per_context(f_wh, monkeypatch):
     M = replace(f_wh)
     ctx50, ctx60 = PrecisionContext(digits=50), PrecisionContext(digits=60)
     for _ in range(3):
-        _modularity_spot_check(M, ctx50)
+        _cocycle_spot_check(M, None, ctx50)
     assert calls[0] == 2
-    _modularity_spot_check(M, ctx60)
-    _modularity_spot_check(M, ctx60)
+    _cocycle_spot_check(M, None, ctx60)
+    _cocycle_spot_check(M, None, ctx60)
     assert calls[0] == 4
     # one principal-part coefficient off: not modular
     bad = replace(M, coeffs=(M.coeffs[0], M.coeffs[1] + 1) + M.coeffs[2:])
     for n in (1, 2):
         with pytest.raises(DomainError):
-            _modularity_spot_check(bad, ctx50)
+            _cocycle_spot_check(bad, None, ctx50)
         assert calls[0] == 4 + 2 * n
 
 
@@ -340,7 +365,7 @@ def test_elementary_third_term(ctx):
     k = 12
     F = lambda z: (2j * mp.im(z)) ** (1 - k) / (k - 1)
     for z in (mp.mpc("0.3", "1.2"), mp.mpc(0, 1)):
-        got = reg_integral_to_icusp(one_term_series(0), RegKernel(kind="plus", k=k, z=z), -mp.conj(z), ctx)
+        got = reg_integral_to_icusp(one_term_series(0), plus_terms(z, k), -mp.conj(z), ctx)
         assert abs(got - F(z)) <= ctx.tol_tight * (1 + abs(got))
         xv = xi_fd(F, k, z, ctx)
         assert abs(xv - (2j) ** (1 - k)) <= ctx.tol_fd
@@ -351,6 +376,23 @@ def test_per_star_verifier(ctx, f_wh):
     assert len(reps) == 4
     for r in reps:
         assert r.passed, r.summary_line()
+
+
+def test_per_star_takes_fstar_twice_per_point(ctx, f_wh, monkeypatch):
+    # Fstar enters only perstar_eq, at z and S z; the hat relations take rstar
+    import periodlab.regint as regint
+
+    calls = [0]
+    f_star = regint.f_star
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return f_star(*args, **kwargs)
+
+    monkeypatch.setattr(regint, "f_star", counted)
+    monkeypatch.setattr(regint, "r_star", lambda *args, **kwargs: mp.mpc(0))
+    verify_per_star(f_wh, [mp.mpc("0.3", "1.3"), mp.mpc("0.45", "1.1")], ctx)
+    assert calls[0] == 4
 
 
 def test_per_star_zero(ctx, f_wh):
