@@ -10,7 +10,7 @@ reduction height.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -75,6 +75,14 @@ class PolynomialC:
 
     degree_bound: int
     coeffs: Tuple[mp.mpc, ...]
+    # hashed once: mpc hashes are slow, and a polynomial keys the cocycle memo of every termwise r2
+    _hash: int = field(default=None, init=False, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.degree_bound, self.coeffs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence, degree_bound: Optional[int] = None) -> "PolynomialC":

@@ -40,7 +40,7 @@ class TailTooLarge(KernelError):
     """A certified series tail exceeds the requested tolerance."""
 
 
-# maximal mpmath quadrature degree per panel, for every quadrature in the package
+# maximal mpmath quadrature degree, for every quadrature in the package
 QUAD_MAXDEGREE = 10
 
 
@@ -112,10 +112,6 @@ def path_clearance(start: mp.mpc, points: Sequence[complex], min_dist: float = 1
             raise BadPath(f"pole {p} too close to vertical ray")
 
 
-def _quad(f, pts, method: str = "gauss-legendre"):
-    return mp.quad(f, pts, method=method, maxdegree=QUAD_MAXDEGREE, error=True)
-
-
 def quad_ray(
     integrand: Callable[[mp.mpc], mp.mpc],
     start,
@@ -125,14 +121,18 @@ def quad_ray(
     """Integrate ``integrand`` up the vertical ray from ``start`` to i*infinity.
 
     The caller certifies |integrand(x+iy)| <= C e^(-2 pi y): every integrand
-    is a q-series times a kernel of polynomial size.  The ray is split at
-    height max(1, Im start): the lower piece uses tanh-sinh nodes (integrands
-    are bounded but typically not smooth to machine order at a cusp
-    endpoint), the upper piece uses Gauss-Legendre panels of geometrically
-    growing width, truncated where e^(-2 pi y) has fallen by 10^(digits+24),
-    which absorbs moderate constants C and polynomial prefactors; i of dw =
-    i dt is taken once per ray (exact).  Start points may sit on the real
-    axis (cusps) only when the caller certifies the integrand bounded there.
+    is a q-series times a kernel of polynomial size.  The ray w = x0 + i t,
+    t >= y0, is mapped onto u in (0, 1] by u = e^(-pi (t - y0)), so that
+    int_{w0}^{i oo} g dw = (i/pi) int_0^1 g(x0 + i t(u)) du/u, one tanh-sinh
+    pass.  The u-integrand is at most C e^(-2 pi y0) u/pi: it vanishes at
+    u = 0, with only (ln 1/u)^j factors from polynomial kernels, and a cusp
+    start (y0 = 0) sits at the endpoint u = 1, where tanh-sinh copes with
+    bounded integrands that are not smooth.  The deepest node, u about
+    2^(-prec) at the quadrature's precision, reaches t - y0 of about
+    prec ln 2 / pi (about 50 at 50 digits); the rate pi rather than 2 pi
+    doubles that depth, which the (ln 1/u)^j kernels need.  Start points
+    may sit on the real axis (cusps) only when the caller certifies the
+    integrand bounded there.
 
     Raises NonConvergent when the internal error estimate exceeds
     tol_tight * (1 + |result|), BadPath when the start lies below the real
@@ -145,18 +145,9 @@ def quad_ray(
             raise BadPath("ray start below the real axis")
         if avoid:
             path_clearance(start, avoid)
-        g = lambda t: integrand(mp.mpc(x0, t))  # dw = i dt, taken once below
-        lo = max(mp.mpf(1), y0)
-        pieces = [_quad(g, [y0, lo], method="tanh-sinh")] if y0 < lo else []
-        yend = lo + (ctx.digits + 24) * mp.log(10) / (2 * mp.pi)
-        pts = [lo]
-        step = mp.mpf(2)
-        while pts[-1] < yend:
-            pts.append(min(pts[-1] + step, yend))
-            step *= 2
-        pieces.append(_quad(g, pts))
-        total = mp.mpc(0, 1) * mp.fsum(val for val, _ in pieces)
-        toterr = mp.fsum(err for _, err in pieces)
+        h = lambda u: integrand(mp.mpc(x0, y0 - mp.log(u) / mp.pi)) / u
+        val, err = mp.quad(h, [0, 1], method="tanh-sinh", maxdegree=QUAD_MAXDEGREE, error=True)
+        total, toterr = mp.mpc(0, 1) * val / mp.pi, err / mp.pi
         ensure_finite(total, "quad_ray result")
         if not toterr <= ctx.tol_tight * (1 + abs(total)):
             raise NonConvergent(

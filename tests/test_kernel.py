@@ -13,6 +13,7 @@ from periodlab import (
     hat_r_f2,
     laplace_fd,
     noncritical_lvalue,
+    period_polynomial_quadrature,
     quad_ray,
     r_f2,
     starred_periods,
@@ -20,6 +21,9 @@ from periodlab import (
     verify_w_k2,
     xi_fd,
 )
+import periodlab.eichler as eichler
+import periodlab.mockcore as mockcore
+from periodlab.regint import exp_ray_integral
 
 
 def test_context_invariants():
@@ -77,6 +81,48 @@ def test_quad_ray_path_split_invariance(ctx):
             low = mp.quad(lambda t: f(mp.mpc("0.2", t)) * 1j, [mp.mpf("0.4"), mp.mpf(h)])
         high = quad_ray(f, mp.mpc("0.2", h), ctx)
         assert abs(whole - (low + high)) < ctx.tol_tight * (1 + abs(whole))
+
+
+RAY_KERNELS = ((-24, 0), (-10, 0), (-4, "0.3"), (12, mp.mpc("0.2", "0.5")), (16, mp.mpc("-0.1", "0.1")))
+
+
+@pytest.mark.parametrize("digits", [50, 80], ids=["50", "80"])
+def test_quad_ray_vs_exp_ray_integral(digits):
+    # e^(2 pi i n w) (w + a)^(-s) against its incomplete-gamma closed form,
+    # from cusp starts to high ones; the polynomial kernels (s < 0) need
+    # nodes far up the ray
+    ctx = PrecisionContext(digits=digits)
+    bound = mp.mpf(10) ** -(digits + 5)
+    for y0 in ("0", "0.05", "0.4", "1", "3.7"):
+        w0 = mp.mpc("0.1", y0)
+        for n in (1, 3):
+            for s, a in RAY_KERNELS:
+                a = mp.mpc(a)
+                got = quad_ray(lambda w: mp.exp(2j * mp.pi * n * w) * (w + a) ** (-s), w0, ctx)
+                with mp.workdps(ctx.work_dps):
+                    want = exp_ray_integral(n, w0, a, s, ctx)
+                    assert abs(got - want) <= bound * max(1, abs(want)), (y0, n, s)
+
+
+def test_quad_ray_evaluation_budget(ctx, f_delta, f_cusp16, monkeypatch):
+    # integrand calls per oracle, counted by wrapping the integrand on its
+    # way into quad_ray; one tanh-sinh pass per ray
+    nodes = [0]
+
+    def counting_quad_ray(integrand, *args, **kwargs):
+        def counted(w):
+            nodes[0] += 1
+            return integrand(w)
+
+        return quad_ray(counted, *args, **kwargs)
+
+    monkeypatch.setattr(mockcore, "quad_ray", counting_quad_ray)
+    monkeypatch.setattr(eichler, "quad_ray", counting_quad_ray)
+    F_f2(f_cusp16, mp.mpc("0.2", "0.4"), ctx, method="quadrature")
+    assert 0 < nodes[0] <= 400
+    nodes[0] = 0
+    period_polynomial_quadrature(f_delta, mp.mpc("0.3", "0.2"), ctx)
+    assert 0 < nodes[0] <= 800
 
 
 def test_quad_ray_bad_path(ctx):

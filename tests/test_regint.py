@@ -345,6 +345,33 @@ def test_modularity_spot_check_runs_once_per_context(f_wh, monkeypatch):
         assert calls[0] == 4 + 2 * n
 
 
+def test_cocycle_memo_shared_by_equal_polynomials(ctx, f_delta, monkeypatch):
+    # a polynomial is hashed once, at construction: equal cocycles built
+    # apart hash equal and share one memo entry, and a different one raises
+    from dataclasses import replace
+
+    import periodlab.qforms as qforms
+    from periodlab.regint import _cocycle_spot_check
+
+    calls = [0]
+    evaluate = qforms.evaluate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(qforms, "evaluate", counted)
+    M = replace(eichler_integral(f_delta, ctx).series)
+    r = period_polynomial(f_delta, ctx).base
+    again = PolynomialC.from_coeffs(list(r.coeffs), r.degree_bound)
+    assert again is not r and again == r and hash(again) == hash(r)
+    _cocycle_spot_check(M, r, ctx)
+    _cocycle_spot_check(M, again, ctx)
+    assert calls[0] == 2
+    with pytest.raises(DomainError):
+        _cocycle_spot_check(M, r.scale(2), ctx)
+
+
 def test_starred_zero_input(ctx, f_wh):
     zero = f_wh.scale(0)
     sp = starred_periods(zero, mp.mpc(0, 1), ctx)
