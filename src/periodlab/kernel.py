@@ -11,9 +11,11 @@ bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
+from mpmath.libmp import mpf_add, mpf_mul
 
 
 class KernelError(Exception):
@@ -112,6 +114,80 @@ def path_clearance(start: mp.mpc, points: Sequence[complex], min_dist: float = 1
             raise BadPath(f"pole {p} too close to vertical ray")
 
 
+class RayPoint(mp.mpc):
+    """A node w of ``quad_ray``: an mpc that also carries q = e^(2 pi i w).
+
+    ``q`` = (P, E, cos, sin), the parts of ``qforms.q_parts`` held to P bits.
+    Arithmetic never sets it: a translation or w -> -1/w returns a plain
+    mpc, or a RayPoint without q (mpmath types an mpf-op-mpc result after
+    its right operand), so either drops the carried q; read it as
+    ``getattr(w, "q", None)``.
+    """
+
+    __slots__ = ("q",)
+
+
+@lru_cache(maxsize=None)
+def _ray_nodes(degree: int, prec: int) -> tuple:
+    """(heights s, weights, e^(-2 pi s)) of mp.quad's tanh-sinh nodes on [0, 1].
+
+    From the rule's own nodes (u, w) of that degree at precision ``prec``:
+    the height s = -ln(u)/pi above the start, rounded as mp.quad's integrand
+    would round it at prec + 20 bits (raw mpf), the weight w/u (mpf), and
+    e^(-2 pi s) to prec + Q_GUARD_BITS bits (raw mpf).
+    """
+    from .qforms import Q_GUARD_BITS, q_parts
+
+    heights, weights, decays = [], [], []
+    zero, P = mp.mpf(0)._mpf_, prec + Q_GUARD_BITS
+    with mp.workprec(prec + 20):
+        for u, w in mp.mp._tanh_sinh.get_nodes(mp.mpf(0), mp.mpf(1), degree, prec):
+            s = (-(mp.log(u) / mp.pi))._mpf_
+            heights.append(s)
+            weights.append(w / u)
+            decays.append(q_parts(zero, s, P)[0])
+    return tuple(heights), tuple(weights), tuple(decays)
+
+
+def _ray_tanh_sinh(integrand, x0: mp.mpf, y0: mp.mpf) -> tuple:
+    """(int_0^1 g(x0 + i t(u)) du/u, error estimate), t = y0 - ln(u)/pi.
+
+    The pass, nodes and stop rule of ``mp.quad(..., [0, 1],
+    method="tanh-sinh", maxdegree=QUAD_MAXDEGREE, error=True)`` at the
+    current precision: the integrand sees the same points in the same
+    order, at prec + 20 bits, each as a RayPoint whose q is
+    q(w0) e^(-2 pi s), so a ray takes one exponential and one cosine/sine
+    pair and each node one product.
+    """
+    from .qforms import Q_GUARD_BITS, q_parts
+
+    rule, prec = mp.mp._tanh_sinh, mp.mp.prec
+    epsilon = mp.eps / 8
+    P = prec + Q_GUARD_BITS
+    x0, y0, new = x0._mpf_, y0._mpf_, object.__new__
+    E0, cos, sin = q_parts(x0, y0, P)
+    results, err = [], mp.mpf(0)
+    with mp.extraprec(20):
+        wp = mp.mp.prec
+        for degree in range(1, QUAD_MAXDEGREE + 1):
+            heights, weights, decays = _ray_nodes(degree, prec)
+            values = []
+            for s, Es in zip(heights, decays):
+                w = new(RayPoint)
+                w._mpc_ = (x0, mpf_add(y0, s, wp))
+                w.q = (P, mpf_mul(E0, Es, P + 8), cos, sin)
+                values.append(integrand(w))
+            # TanhSinh.sum_next: half the nodes are the previous degree's
+            h = mp.mpf(2) ** (-degree)
+            S = results[-1] / (h * 2) if results else mp.mpf(0)
+            results.append(h * (S + mp.fdot(weights, values)))
+            if degree > 1:
+                err = rule.estimate_error(results, prec, epsilon)
+                if err <= epsilon:
+                    break
+    return +results[-1], err
+
+
 def quad_ray(
     integrand: Callable[[mp.mpc], mp.mpc],
     start,
@@ -134,6 +210,13 @@ def quad_ray(
     may sit on the real axis (cusps) only when the caller certifies the
     integrand bounded there.
 
+    The pass is mp.quad's own (same nodes, degrees and stop rule, so the
+    same integrand calls), run over nodes cached per degree and precision
+    as (t - y0, weight/u, e^(-2 pi (t - y0))).  Each node reaches the
+    integrand as a RayPoint carrying q = q(w0) e^(-2 pi (t - y0)), which
+    the q-series sums use in place of their own exponential and
+    cosine/sine pair: those are taken once per ray, not once per node.
+
     Raises NonConvergent when the internal error estimate exceeds
     tol_tight * (1 + |result|), BadPath when the start lies below the real
     axis or a point of ``avoid`` lies on the ray.
@@ -145,8 +228,7 @@ def quad_ray(
             raise BadPath("ray start below the real axis")
         if avoid:
             path_clearance(start, avoid)
-        h = lambda u: integrand(mp.mpc(x0, y0 - mp.log(u) / mp.pi)) / u
-        val, err = mp.quad(h, [0, 1], method="tanh-sinh", maxdegree=QUAD_MAXDEGREE, error=True)
+        val, err = _ray_tanh_sinh(integrand, x0, y0)
         total, toterr = mp.mpc(0, 1) * val / mp.pi, err / mp.pi
         ensure_finite(total, "quad_ray result")
         if not toterr <= ctx.tol_tight * (1 + abs(total)):

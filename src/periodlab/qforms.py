@@ -11,7 +11,8 @@ and hashable, which lets evaluators memoize on the series itself.
 q-series sums: scaled Horner on fixed-point integers.  ``_sum_q_series``
 runs one Horner loop over the whole window on Gaussian Python integers,
 in a unit scaled to the largest term, with q from one real exponential
-and one cosine/sine pair.
+and one cosine/sine pair, or carried by a ``quad_ray`` node, whose ray
+takes that pair once for all its nodes.
 
 Truncation follows one rule, shared by every windowed sum in the package (q-
 series here, the Eichler integral, the completed L-series, and
@@ -55,8 +56,9 @@ ZERO_SPACE_WEIGHTS = (0, 2, 4, 6, 8, 10, 14)
 REDUCTION_HEIGHT = 0.5
 
 _LN10 = _math_log(10)
-# bits the fixed-point q-series sum carries beyond the working precision
-_Q_GUARD_BITS = 20
+# bits beyond the working precision to which q = e^(2 pi i z) is held, by
+# the q-series sums and by the q that quad_ray's nodes carry
+Q_GUARD_BITS = 20
 # 1/2, and as raw mpf values the strip -1/2 <= Re z < 1/2 and the reduction height
 _HALF = mp.mpf(0.5)
 _STRIP, _HEIGHT = (mp.mpf(-0.5)._mpf_, _HALF._mpf_), mp.mpf(REDUCTION_HEIGHT)._mpf_
@@ -490,6 +492,20 @@ def evaluate(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
         return value if factor is None else factor * value
 
 
+def q_parts(x, y, P: int) -> tuple:
+    """(E, cos, sin), raw mpf values with e^(2 pi i (x + i y)) = E (cos + i sin).
+
+    ``x`` and ``y`` are raw mpf values.  Each part is within about one unit
+    at P bits of its own scale, at any height: one real exponential, of
+    2 pi y rounded 8 bits beyond P + mag y, and one cosine/sine pair of
+    pi (2x), exact in x.
+    """
+    wp = P + 8 + max(y[2] + y[3], 0)
+    E = mpf_exp(mpf_neg(mpf_mul(mpf_shift(mpf_pi(wp), 1), y, wp)), wp)
+    cos, sin = mpf_cos_sin_pi(mpf_shift(x, 1), wp)
+    return E, cos, sin
+
+
 def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
     """sum a(n) q^n over n_min <= n <= min(N, n_max), N from ``_certified_length``.
 
@@ -500,8 +516,13 @@ def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
     max |c_n q^(n - n_0)|, found in float from the coefficients' exponents
     (memoized per precision by ``_fixed_coeffs``).  q = e^(-2 pi y) e^(2 pi i x)
     is held to P bits at its own scale, each component off by about one
-    unit at any height: one real exponential, of 2 pi y rounded 8 bits
-    beyond P + mag y, and one cosine/sine pair of pi (2x), exact in x.  Each
+    unit at any height (``q_parts``).  A ``quad_ray`` node carries its q,
+    made for P bits or more, as the ray's q(w0) times e^(-2 pi s) for its
+    height s above w0 (a few units at P bits); as the node holds y0 + s
+    rounded to prec + 20 bits, that q is the one of a point within
+    y 2^-(prec + 20) of z, off q(z) by a relative 2 pi y 2^-(prec + 20),
+    below 2^-(prec + 11) up to the deepest node (y about 50 at 50
+    digits), and it enters like q's own rounding.  Each
     Horner step and each coefficient is cut to the unit, at most one unit
     per component, and a cut at index n reaches H times |q|^(n - n_0); so
     the integers add at most about 2^(2 - P) max term / (1 - |q|), the same
@@ -522,11 +543,13 @@ def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
     else:
         log2_q = log_q / _math_log(2)
         e = max(mags[j] + (j - first) * log2_q for j in range(first, m + 1))
-        P = prec + _Q_GUARD_BITS
+        P = prec + Q_GUARD_BITS
         u = _math_ceil(e) - P
-        wp = P + 8 + max(y[2] + y[3], 0)
-        E = mpf_exp(mpf_neg(mpf_mul(mpf_shift(mpf_pi(wp), 1), y, wp)), wp)
-        cos, sin = mpf_cos_sin_pi(mpf_shift(x, 1), wp)
+        carried = getattr(z, "q", None)
+        if carried is not None and carried[0] >= P:
+            _, E, cos, sin = carried
+        else:
+            E, cos, sin = q_parts(x, y, P)
         s = P - E[2] - E[3]
         Qr, Qi = to_fixed(mpf_mul(E, cos), s), to_fixed(mpf_mul(E, sin), s)
         Hr = Hi = 0

@@ -250,17 +250,22 @@ def whittaker_M(args: WhittakerArgs, ctx: PrecisionContext) -> mp.mpf:
 
 
 def whittaker_M_integral(args: WhittakerArgs, ctx: PrecisionContext) -> mp.mpf:
-    """Integral-representation oracle, valid for Re(nu +- mu + 1/2) > 0."""
+    """Integral-representation oracle, valid for Re(nu +- mu + 1/2) > 0.
+
+    Raises NonConvergent when the quadrature's error estimate, times the
+    prefactor, exceeds tol_tight (1 + |value|).
+    """
     args.validate()
     mu, nu, y = mp.mpf(args.mu), mp.mpf(args.nu), mp.mpf(args.y)
     if not (nu + mu + mp.mpf("0.5") > 0 and nu - mu + mp.mpf("0.5") > 0):
         raise DomainError("integral representation needs Re(nu +- mu + 1/2) > 0")
     with mp.workdps(ctx.work_dps):
-        integ = mp.quad(
+        integ, err = mp.quad(
             lambda t: t ** (nu + mu - mp.mpf("0.5")) * (1 - t) ** (nu - mu - mp.mpf("0.5")) * mp.exp(-y * t),
             [0, 1],
             method="tanh-sinh",
             maxdegree=QUAD_MAXDEGREE,
+            error=True,
         )
         pref = (
             y ** (nu + mp.mpf("0.5"))
@@ -268,7 +273,10 @@ def whittaker_M_integral(args: WhittakerArgs, ctx: PrecisionContext) -> mp.mpf:
             * mp.gamma(1 + 2 * nu)
             / (mp.gamma(nu + mu + mp.mpf("0.5")) * mp.gamma(nu - mu + mp.mpf("0.5")))
         )
-        return pref * integ
+        value = pref * integ
+        if not abs(pref) * err <= ctx.tol_tight * (1 + abs(value)):
+            raise NonConvergent(f"Whittaker integral error estimate {mp.nstr(abs(pref) * err, 5)} exceeds tolerance")
+        return value
 
 
 def cal_M(k: int, s, u, ctx: PrecisionContext) -> mp.mpf:

@@ -23,6 +23,10 @@ from periodlab import (
 )
 import periodlab.eichler as eichler
 import periodlab.mockcore as mockcore
+import periodlab.qforms as qforms
+from periodlab.eichler import eichler_integral
+from periodlab.kernel import QUAD_MAXDEGREE, _ray_tanh_sinh
+from periodlab.qforms import evaluate, q_parts
 from periodlab.regint import exp_ray_integral
 
 
@@ -123,6 +127,78 @@ def test_quad_ray_evaluation_budget(ctx, f_delta, f_cusp16, monkeypatch):
     nodes[0] = 0
     period_polynomial_quadrature(f_delta, mp.mpc("0.3", "0.2"), ctx)
     assert 0 < nodes[0] <= 800
+
+
+@pytest.mark.parametrize("digits", [50, 80, 50], ids=["50", "80", "50-again"])
+def test_quad_ray_matches_mp_quad(digits):
+    # the cached ray nodes run mp.quad's own pass: same integrand calls, same
+    # value and error estimate; digits 50 -> 80 -> 50 catches a node cache
+    # that does not key on the precision
+    ctx = PrecisionContext(digits=digits)
+    rays = (
+        (mp.mpc("0.1", 0), lambda w: mp.exp(2j * mp.pi * w) * w ** 10),
+        (mp.mpc("0.3", "0.7"), lambda w: mp.exp(6j * mp.pi * w) * (w + 2j) ** (-4)),
+    )
+    for start, g in rays:
+        with mp.workdps(ctx.work_dps):
+            start = mp.mpc(start)  # rounded as quad_ray rounds it
+            x0, y0 = start.real, start.imag
+            calls = [0, 0]
+
+            def u_integrand(u):
+                calls[0] += 1
+                return g(mp.mpc(x0, y0 - mp.log(u) / mp.pi)) / u
+
+            def ray_integrand(w):
+                calls[1] += 1
+                return g(w)
+
+            want, want_err = mp.quad(u_integrand, [0, 1], method="tanh-sinh", maxdegree=QUAD_MAXDEGREE, error=True)
+            got, got_err = _ray_tanh_sinh(ray_integrand, x0, y0)
+            tiny = mp.mpf(2) ** -mp.mp.prec
+            assert calls[0] == calls[1] > 0
+            assert abs(got - want) <= tiny * abs(want)
+            assert abs(got_err - want_err) <= tiny * want_err
+            assert quad_ray(g, start, ctx) == 1j * got / mp.pi
+
+
+@pytest.mark.parametrize("digits", [50, 80], ids=["50", "80"])
+def test_ray_points_carry_q(digits, f_delta, f_cusp16, f_wh, monkeypatch):
+    # F and the wh-10 q-sum (principal part, n_0 < 0) at every node of a ray
+    # from height 0.5, with the carried q and at the same point as a plain
+    # mpc; at x0 = 1/2 the translation into the strip drops the carried q,
+    # and a q carried at a lower precision is not used
+    ctx = PrecisionContext(digits=digits)
+    low = PrecisionContext(digits=digits - 20)
+    bound = mp.mpf(10) ** -(digits + 5)
+    Fs = [eichler_integral(f, ctx) for f in (f_delta, f_cusp16)]
+    funcs = [F.evaluate for F in Fs] + [lambda w: evaluate(f_wh, w, ctx)]
+    q_computed = [0]
+
+    def counting_q_parts(*args):
+        q_computed[0] += 1
+        return q_parts(*args)
+
+    for x0 in ("0.1", "-0.37", "0.5"):
+        for node_ctx in (ctx, low):
+            nodes = []
+            quad_ray(lambda w: nodes.append(w) or Fs[0](w), mp.mpc(x0, "0.5"), node_ctx)
+            with mp.workdps(ctx.work_dps):
+                assert min(w.imag for w in nodes) >= 0.5 and max(w.imag for w in nodes) > 0.6 * node_ctx.digits
+                for w in nodes:
+                    assert getattr(w, "q", None) is not None
+                    assert getattr(w - 1, "q", None) is None and getattr(-1 / w, "q", None) is None
+                    plain = mp.make_mpc(w._mpc_)  # the same point, not rounded
+                    assert getattr(plain, "q", None) is None
+                    for func in funcs:
+                        q_computed[0] = 0
+                        monkeypatch.setattr(qforms, "q_parts", counting_q_parts)
+                        carried = func(w)
+                        monkeypatch.undo()
+                        # the carried q is used exactly when it is valid here
+                        assert q_computed[0] == (x0 == "0.5" or node_ctx is low)
+                        want = func(plain)
+                        assert abs(carried - want) <= bound * abs(want), (x0, w)
 
 
 def test_quad_ray_bad_path(ctx):

@@ -69,6 +69,36 @@ def test_F_f2_quadrature_evaluates_F_once_per_node(ctx, f_cusp16, monkeypatch):
     assert counts["nodes"] > 0 and counts["F"] == counts["nodes"]
 
 
+def test_wrapped_integrand_gives_identical_quadrature(ctx, f_cusp16, monkeypatch):
+    # the contract perfbench's --selfcheck and its eichler.F.calls gate rely
+    # on: an integrand wrapped in a one-argument function on its way into
+    # quad_ray gives bit-identical F_f2 and r_f2, with one
+    # EichlerIntegral.evaluate per integrand call
+    z = mp.mpc("0.2", "0.4")
+    plain = [F_f2(f_cusp16, z, ctx), r_f2(f_cusp16, z, ctx)]
+    counts = {"F": 0, "nodes": 0}
+    evaluate, quad_ray = EichlerIntegral.evaluate, mockcore.quad_ray
+
+    def counted_evaluate(self, w):
+        counts["F"] += 1
+        return evaluate(self, w)
+
+    def wrapping_quad_ray(integrand, *args, **kwargs):
+        def wrapped(w):
+            counts["nodes"] += 1
+            return integrand(w)
+
+        return quad_ray(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(EichlerIntegral, "evaluate", counted_evaluate)
+    monkeypatch.setattr(mockcore, "quad_ray", wrapping_quad_ray)
+    for route, want in zip((F_f2, r_f2), plain):
+        counts.update(F=0, nodes=0)
+        got = route(f_cusp16, z, ctx)
+        assert got._mpc_ == want._mpc_
+        assert counts["nodes"] > 0 and counts["F"] == counts["nodes"]
+
+
 def test_F_f2_t_invariance(ctx, f_delta):
     z = mp.mpc("0.3", 1)
     a = F_f2(f_delta, z + 1, ctx)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from periodlab import (
     DomainError,
+    NonConvergent,
     PrecisionContext,
     WhittakerArgs,
     bold_gamma,
@@ -20,6 +21,7 @@ from periodlab import (
     whittaker_M_integral,
     whittaker_derivative_identity_check,
 )
+import periodlab.special as special
 from periodlab.special import _kummer_series
 
 
@@ -185,6 +187,13 @@ def test_whittaker_vs_integral_representation(ctx):
         assert abs(series - integral) <= ctx.tol_tight * abs(series)
     with pytest.raises(DomainError):
         whittaker_M_integral(WhittakerArgs(mu=-6, nu=5.5, y=1), ctx)
+
+
+def test_whittaker_integral_raises_when_unconverged(ctx, monkeypatch):
+    # two tanh-sinh degrees leave the error estimate far above tol_tight
+    monkeypatch.setattr(special, "QUAD_MAXDEGREE", 2)
+    with pytest.raises(NonConvergent):
+        whittaker_M_integral(WhittakerArgs(mu=-2, nu=2.5, y=3), ctx)
 
 
 def test_whittaker_vs_mpmath(ctx):
