@@ -43,7 +43,7 @@ from .qforms import (
     evaluate,
     weakly_holomorphic_m10,
 )
-from .lfun import LValue, OutOfRegion, l_completed, l_dirichlet
+from .lfun import LValue, OutOfRegion, critical_lvalues, l_completed, l_dirichlet
 from .eichler import (
     GroupElement,
     IDENTITY,

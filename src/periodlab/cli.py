@@ -207,7 +207,8 @@ def cmd_lvalue(args) -> int:
         weight = _FORM_WEIGHTS.get(args.form)
         if weight is None:
             raise UnsupportedWeight(f"unknown form {args.form!r}")
-        s = mp.mpf(args.s)
+        with mp.workdps(ctx.work_dps):
+            s = mp.mpf(args.s)
         if args.method == "dirichlet":
             from .lfun import dirichlet_truncation_length
 
@@ -263,11 +264,12 @@ def cmd_periodpoly(args) -> int:
             ],
         }
         if args.check:
-            devs = []
-            for z0 in (mp.mpc(0, 1), mp.mpc(1, 1), mp.mpc(0, 2)):
-                oracle = period_polynomial_quadrature(f, z0, ctx)
-                devs.append(abs(oracle - rp.base(z0)) / (1 + abs(oracle)))
-            payload["quadrature_max_deviation"] = mp.nstr(max(devs), 10)
+            with mp.workdps(ctx.work_dps):
+                devs = []
+                for z0 in (mp.mpc(0, 1), mp.mpc(1, 1), mp.mpc(0, 2)):
+                    oracle = period_polynomial_quadrature(f, z0, ctx)
+                    devs.append(abs(oracle - rp.base(z0)) / (1 + abs(oracle)))
+                payload["quadrature_max_deviation"] = mp.nstr(max(devs), 10)
         print(json.dumps(payload))
         return EXIT_OK
     except (UnsupportedWeight, DomainError, ValueError) as exc:

@@ -1,11 +1,13 @@
 """Slash action, period polynomials and Eichler integrals.
 
-The period polynomial of a weight-k cusp form is assembled from completed
-L-values (exponentially convergent and exactly symmetric), with the
-definitional integral int_0^{i oo} f(w)(w - z)^(k-2) dw retained as a
-quadrature oracle.  The Eichler integral F(z) is evaluated from its termwise
-closed form with the cocycle rule F = r + z^(k-2) F(-1/z) applied below the
-reduction height.
+The period polynomial of a weight-k cusp form is assembled from its critical
+L-values L(1), ..., L(k-1), which ``lfun.critical_lvalues`` takes from one
+pass of k-1 power sums over the coefficient window (the completed series in
+closed form: exponentially convergent and exactly symmetric, with no
+incomplete gamma), and the definitional integral
+int_0^{i oo} f(w)(w - z)^(k-2) dw is retained as a quadrature oracle.  The
+Eichler integral F(z) is evaluated from its termwise closed form with the
+cocycle rule F = r + z^(k-2) F(-1/z) applied below the reduction height.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, quad_ray
-from .lfun import l_completed
+from .lfun import critical_lvalues
 from .qforms import QSeries, _reduce_step, _sum_q_series, _to_mpc
 from .reports import RelationReport, residual_scale
 
@@ -220,6 +222,9 @@ def period_polynomial(f: QSeries, ctx: PrecisionContext) -> PeriodPolynomial:
 
     Coefficient of z^(k-2-n) is
     -(k-2)!/(2 pi i)^(k-1) * (2 pi i)^(k-2-n) L(n+1) / (k-2-n)!.
+    The values L(1), ..., L(k-1) and their est_error come from one call of
+    ``critical_lvalues``, which raises TailTooLarge when f's window is too
+    short; ``l_completed`` at each s is their oracle.
     """
     if not f.cuspidal:
         raise DomainError("period polynomial requires a cusp form")
@@ -229,7 +234,7 @@ def period_polynomial(f: QSeries, ctx: PrecisionContext) -> PeriodPolynomial:
         return cached
     k = f.weight
     with mp.workdps(ctx.work_dps):
-        lvs = [l_completed(f, n + 1, ctx) for n in range(k - 1)]
+        lvs = critical_lvalues(f, ctx)
         lvals = tuple(lv.value for lv in lvs)
         pref = -mp.factorial(k - 2) / (2j * mp.pi) ** (k - 1)
         coeffs = [mp.mpc(0)] * (k - 1)

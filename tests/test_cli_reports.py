@@ -8,7 +8,8 @@ import sys
 import mpmath as mp
 import pytest
 
-from periodlab import RelationReport, reports_to_csv, reports_to_json
+import periodlab.cli as cli
+from periodlab import RelationReport, l_completed, reports_to_csv, reports_to_json
 from periodlab.cli import EXIT_DOMAIN, EXIT_IDENTITY_FAILURE, EXIT_OK, SuiteConfig, main
 
 
@@ -108,6 +109,34 @@ def test_cli_periodpoly_delta():
     assert payload["weight"] == 12
     assert len(payload["coefficients"]) == 11
     assert len(payload["critical_values"]) == 11
+
+
+def test_cli_periodpoly_check_at_working_precision(capsys):
+    # the quadrature oracle agrees to about 1e-46 at digits 50; evaluated at
+    # 15 digits the deviation would read about 1e-11
+    assert main(["periodpoly", "--form", "cusp26", "--digits", "50", "--check"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert mp.mpf(payload["quadrature_max_deviation"]) <= mp.mpf("1e-40")
+
+
+def test_cli_lvalue_parses_s_at_working_precision(capsys, monkeypatch):
+    # 6.1 rounded to a double is 6.0999999999999996447..., which moves L(s)
+    # by 4e-17, far beyond the claimed est_error
+    seen = []
+
+    def spy(f, s, ctx):
+        seen.append((f, ctx, l_completed(f, s, ctx)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(cli, "l_completed", spy)
+    assert main(["lvalue", "--form", "delta", "--s", "6.1", "--digits", "50"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["s"] == ["6.1", "0.0"]
+    f, ctx, got = seen[0]
+    with mp.workdps(ctx.work_dps):
+        want = l_completed(f, mp.mpf("6.1"), ctx)
+        assert abs(got.value - want.value) <= want.est_error
+    assert out["value"][0] == mp.nstr(mp.re(want.value), 30)
 
 
 def test_cli_periodpoly_zero_space():

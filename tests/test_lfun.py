@@ -1,10 +1,24 @@
-"""L-value engines: Dirichlet summation and the completed series."""
+"""L-value engines: Dirichlet summation, the completed series and its closed form at critical s."""
+
+import sys
 
 import mpmath as mp
 import pytest
 
-from periodlab import OutOfRegion, l_completed, l_dirichlet
-from periodlab.lfun import _lambda_and_tail, dirichlet_truncation_length
+import periodlab.eichler as eichler
+from periodlab import (
+    OutOfRegion,
+    PrecisionContext,
+    critical_lvalues,
+    cusp_form,
+    delta,
+    l_completed,
+    l_dirichlet,
+    period_polynomial,
+    upper_incomplete_gamma,
+)
+from periodlab.lfun import _critical_lambdas, _lambda_and_tail, dirichlet_truncation_length
+from periodlab.qforms import DIM_ONE_WEIGHTS
 
 
 def test_dirichlet_truncation_consistency(ctx, f_delta_long):
@@ -96,3 +110,61 @@ def test_completed_est_error_covers_short_window(ctx, f_delta):
     want = l_completed(f_delta, 6, ctx).value
     assert abs(short.value - want) <= short.est_error
     assert l_completed(f_delta, 6, ctx).est_error >= ctx.eps()
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_completed_est_error_covers_rounding(digits):
+    # each Gamma(s, 2 pi n) stops at eps relative, and for cusp26 at s = 2
+    # the terms run 10^3 above L(2); the reference is the closed form 40
+    # digits up, whose own error is below 10^-(digits+40)
+    ctx, hi = PrecisionContext(digits=digits), PrecisionContext(digits=digits + 40)
+    for k in DIM_ONE_WEIGHTS:
+        f = cusp_form(k, 100)
+        for want in critical_lvalues(f, hi):
+            got = l_completed(f, want.s, ctx)
+            with mp.workdps(hi.work_dps):
+                assert abs(got.value - want.value) <= got.est_error, (k, want.s)
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_critical_lvalues_match_completed(digits):
+    ctx, hi = PrecisionContext(digits=digits), PrecisionContext(digits=digits + 40)
+    for f in (delta(100), cusp_form(16, 100), cusp_form(26, 100)):
+        lvs = critical_lvalues(f, ctx)
+        assert [int(lv.s.real) for lv in lvs] == list(range(1, f.weight))
+        for lv in lvs:
+            want = l_completed(f, lv.s, hi).value
+            with mp.workdps(hi.work_dps):
+                assert abs(lv.value - want) <= lv.est_error, (f.label, lv.s)
+            assert lv.est_error >= ctx.eps()
+
+
+def test_critical_functional_equation_is_exact(ctx):
+    # Lambda(s) = A(s) + e A(k-s) with e = (-1)^(k/2): the two halves of the
+    # pair sum the same two numbers, so the symmetry holds bit for bit
+    for k in DIM_ONE_WEIGHTS:
+        lams, _ = _critical_lambdas(cusp_form(k, 64), ctx)
+        sign = (-1) ** (k // 2)
+        with mp.workdps(ctx.work_dps):
+            for s in range(1, k):
+                assert lams[k - s - 1] == sign * lams[s - 1], (k, s)
+    # root number -1: the central value vanishes exactly
+    assert critical_lvalues(cusp_form(26, 64), ctx)[12].value == 0
+
+
+def test_period_polynomial_needs_no_incomplete_gamma(ctx, monkeypatch):
+    # the critical values come from the closed form alone; l_completed and
+    # the incomplete gamma stay the engines for every other s
+    def refuse(*args, **kwargs):
+        raise AssertionError("incomplete-gamma route called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "periodlab" or name.startswith("periodlab."):
+            for key, value in list(vars(module).items()):
+                if value is l_completed or value is upper_incomplete_gamma:
+                    monkeypatch.setattr(module, key, refuse)
+    monkeypatch.setattr(eichler, "_PERIOD_CACHE", {})
+    rp = period_polynomial(delta(64), ctx)
+    assert len(rp.critical_values) == 11
+    with pytest.raises(AssertionError):
+        l_completed(delta(64), 6, ctx)
