@@ -11,14 +11,15 @@ import mpmath as mp
 from periodlab import (
     PrecisionContext,
     delta,
-    hat_r_f2,
+    hat_function,
     l_dirichlet,
     noncritical_lvalue,
     period_polynomial,
+    r_f2,
+    tilde_r_f2,
     verify_superm,
     xi_fd,
 )
-from periodlab.mockcore import hat_function
 
 ctx = PrecisionContext(digits=50)
 mp.mp.dps = ctx.work_dps
@@ -26,11 +27,12 @@ mp.mp.dps = ctx.work_dps
 f = delta(64)
 z = mp.mpc("0.3", "1.2")
 
-ev = hat_r_f2(f, z, ctx)
+r2 = r_f2(f, z, ctx, method="termwise")
+tilde = tilde_r_f2(f, z, ctx)
 print(f"at z = {z}:")
-print("  r2    =", mp.nstr(ev.r_f2, 20))
-print("  tilde =", mp.nstr(ev.tilde, 20))
-print("  hat   =", mp.nstr(ev.hat, 20))
+print("  r2    =", mp.nstr(r2, 20))
+print("  tilde =", mp.nstr(tilde, 20))
+print("  hat   =", mp.nstr(r2 - tilde, 20))
 
 rep = verify_superm(f, [z, mp.mpc(0, 1)], ctx)
 print("\ncompletion identity F2|_k(S-1) = hat:")

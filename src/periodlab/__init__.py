@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .kernel import (
     BadPath,
-    DEFAULT_CTX,
     DomainError,
     KernelError,
     NonConvergent,
@@ -23,12 +22,9 @@ from .kernel import (
 )
 from .reports import RelationReport, reports_to_csv, reports_to_json, residual_scale
 from .special import (
-    WhittakerArgs,
-    bold_gamma,
     cal_M,
     psi_seed,
     upper_incomplete_gamma,
-    whittaker_M,
     whittaker_M_integral,
     whittaker_derivative_identity_check,
 )
@@ -63,7 +59,6 @@ from .eichler import (
 )
 from .mockcore import (
     F_f2,
-    MockPeriodEvaluation,
     hat_function,
     hat_r_f2,
     noncritical_lvalue,

@@ -202,8 +202,8 @@ def _write_report(reports: List[RelationReport], cfg: SuiteConfig, out: Optional
 # ---------------------------------------------------------------------------
 
 def cmd_lvalue(args) -> int:
-    ctx = PrecisionContext(digits=args.digits)
     try:
+        ctx = PrecisionContext(digits=args.digits)
         weight = _FORM_WEIGHTS.get(args.form)
         if weight is None:
             raise UnsupportedWeight(f"unknown form {args.form!r}")
@@ -233,9 +233,9 @@ def cmd_lvalue(args) -> int:
 def cmd_periodpoly(args) -> int:
     from .eichler import period_polynomial, period_polynomial_quadrature
 
-    ctx = PrecisionContext(digits=args.digits)
     try:
-        k = args.weight if args.weight else _FORM_WEIGHTS.get(args.form)
+        ctx = PrecisionContext(digits=args.digits)
+        k = args.weight if args.weight is not None else _FORM_WEIGHTS.get(args.form)
         if k is None:
             raise UnsupportedWeight(f"unknown form {args.form!r}")
         if k in ZERO_SPACE_WEIGHTS:
@@ -286,7 +286,7 @@ def cmd_verify(args) -> int:
             cfg = SuiteConfig.from_file(args.config)
         else:
             cfg = SuiteConfig()
-        if args.digits:
+        if args.digits is not None:
             cfg.digits = args.digits
         if args.form:
             if args.form not in _FORM_WEIGHTS:
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("periodpoly", help="emit period polynomial JSON")
     pp.add_argument("--form", default="delta")
-    pp.add_argument("--weight", type=int, default=0)
+    pp.add_argument("--weight", type=int, default=None)
     pp.add_argument("--digits", type=int, default=50)
     pp.add_argument("--check", action="store_true", help="re-run the quadrature oracle")
     pp.set_defaults(func=cmd_periodpoly)
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("suite", choices=SUITES)
     pv.add_argument("--form", default=None)
-    pv.add_argument("--digits", type=int, default=0)
+    pv.add_argument("--digits", type=int, default=None)
     pv.add_argument("--config", default=None)
     pv.add_argument("--out", default=None)
     pv.add_argument("--csv", default=None)

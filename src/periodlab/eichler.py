@@ -149,9 +149,6 @@ class PolynomialC:
     def sup_norm(self) -> mp.mpf:
         return max(abs(c) for c in self.coeffs) if self.coeffs else mp.mpf(0)
 
-    def is_zero(self, tol=0) -> bool:
-        return self.sup_norm() <= tol
-
 
 def _binomial_row(n: int) -> list:
     row = [1] * (n + 1)
@@ -206,7 +203,6 @@ class PeriodPolynomial:
 
     base: PolynomialC
     weight: int
-    source: str
     critical_values: Tuple[mp.mpc, ...]  # L(1), ..., L(k-1)
     critical_errors: Tuple[mp.mpf, ...]  # their est_error
 
@@ -244,7 +240,6 @@ def period_polynomial(f: QSeries, ctx: PrecisionContext) -> PeriodPolynomial:
         result = PeriodPolynomial(
             base=PolynomialC.from_coeffs(coeffs, degree_bound=k - 2),
             weight=k,
-            source=f.label,
             critical_values=lvals,
             critical_errors=tuple(lv.est_error for lv in lvs),
         )
@@ -338,57 +333,21 @@ def eichler_integral(f: QSeries, ctx: PrecisionContext) -> EichlerIntegral:
     return inst
 
 
-def w_membership(
-    P,
-    m: int,
-    ctx: PrecisionContext,
-    pts: Sequence[complex] = (),
-    tol=None,
-) -> RelationReport:
-    """Residuals of P|(1+S) and P|(1+U+U^2) (coefficient norm or pointwise).
+def w_membership(P: PolynomialC, m: int, ctx: PrecisionContext) -> RelationReport:
+    """Residuals of P|(1+S) and P|(1+U+U^2), exact in coefficient space, at tol_tight.
 
-    For a PolynomialC the two relations are evaluated exactly in coefficient
-    space (relative to the coefficient sup norm); for a black-box function
-    they are sampled at ``pts``.
+    Each is the coefficient sup norm of the relation relative to P's.
     """
-    tol = mp.mpf(tol) if tol is not None else mp.mpf(ctx.tol_tight)
     with mp.workdps(ctx.work_dps):
-        if isinstance(P, PolynomialC):
-            rel_s = slash_polynomial(P, m, IDENTITY) + slash_polynomial(P, m, S)
-            rel_u = (
-                slash_polynomial(P, m, IDENTITY)
-                + slash_polynomial(P, m, U)
-                + slash_polynomial(P, m, U * U)
-            )
-            scale = residual_scale(P.sup_norm())
-            residuals = [rel_s.sup_norm() / scale, rel_u.sup_norm() / scale]
-            return RelationReport.from_residuals(
-                identity="w_membership(coefficient-norm)",
-                points=[mp.mpc(0), mp.mpc(0)],
-                residuals=residuals,
-                tolerance=tol,
-                labels=("1+S", "1+U+U^2"),
-            )
-        if not pts:
-            raise ValueError("function membership test needs sample points")
-        residuals = []
-        labels = []
-        points = []
-        for z in pts:
-            z = mp.mpc(z)
-            v0 = P(z)
-            vs = v0 + slash_function(P, m, S)(z)
-            vu = v0 + slash_function(P, m, U)(z) + slash_function(P, m, U * U)(z)
-            scale = residual_scale(v0)
-            residuals.extend([abs(vs) / scale, abs(vu) / scale])
-            labels.extend(["1+S", "1+U+U^2"])
-            points.extend([z, z])
+        rel_s = slash_polynomial(P, m, IDENTITY) + slash_polynomial(P, m, S)
+        rel_u = slash_polynomial(P, m, IDENTITY) + slash_polynomial(P, m, U) + slash_polynomial(P, m, U * U)
+        scale = residual_scale(P.sup_norm())
         return RelationReport.from_residuals(
-            identity="w_membership(pointwise)",
-            points=points,
-            residuals=residuals,
-            tolerance=tol,
-            labels=labels,
+            identity="w_membership(coefficient-norm)",
+            points=[mp.mpc(0), mp.mpc(0)],
+            residuals=[rel_s.sup_norm() / scale, rel_u.sup_norm() / scale],
+            tolerance=ctx.tol_tight,
+            labels=("1+S", "1+U+U^2"),
         )
 
 

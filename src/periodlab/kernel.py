@@ -94,9 +94,6 @@ class PrecisionContext:
         return self._eps
 
 
-DEFAULT_CTX = PrecisionContext()
-
-
 def ensure_finite(value: mp.mpc, what: str = "result") -> mp.mpc:
     if not mp.isfinite(value):
         raise NonConvergent(f"{what} is not finite")

@@ -31,7 +31,6 @@ by differentiating under the integral sign and splitting at i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import mpmath as mp
@@ -58,17 +57,6 @@ from .regint import f_star, r_star, ray_sum
 from .reports import RelationReport, residual_scale
 
 R2_SPLIT = 5 / 4  # height T at which termwise r2 splits its ray
-
-
-@dataclass(frozen=True)
-class MockPeriodEvaluation:
-    """Pointwise bundle (r2, tilde, hat) with hat = r2 - tilde exactly."""
-
-    z: mp.mpc
-    r_f2: mp.mpc
-    tilde: mp.mpc
-    hat: mp.mpc
-    method: str
 
 
 def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:
@@ -141,22 +129,16 @@ def tilde_r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "closed") -> 
         return r.kernel_integral(k, z, -mp.conj(z))
 
 
-def hat_r_f2(f: QSeries, z, ctx: PrecisionContext) -> MockPeriodEvaluation:
-    """Completion r2 - tilde at z (termwise r2, exact correction term)."""
+def hat_r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
+    """Completion r2 - tilde at z: termwise ``r_f2`` minus the closed ``tilde_r_f2``."""
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        r2 = r_f2(f, z, ctx, method="termwise")
-        tl = tilde_r_f2(f, z, ctx)
-        return MockPeriodEvaluation(z=z, r_f2=r2, tilde=tl, hat=r2 - tl, method="termwise+closed")
+        return r_f2(f, z, ctx, method="termwise") - tilde_r_f2(f, z, ctx)
 
 
 def hat_function(f: QSeries, ctx: PrecisionContext) -> Callable[[mp.mpc], mp.mpc]:
-    """The completion as a plain function of z (for slash/xi probing)."""
-
-    def h(z):
-        return hat_r_f2(f, z, ctx).hat
-
-    return h
+    """The completion ``hat_r_f2`` as a plain function of z (for slash/xi probing)."""
+    return lambda z: hat_r_f2(f, z, ctx)
 
 
 def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
@@ -210,8 +192,8 @@ def verify_superm(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> 
         for z in pts:
             z = mp.mpc(z)
             lhs = F_f2(f, S.apply(z), ctx, method="termwise") * z ** (-k) - F_f2(f, z, ctx, method="termwise")
-            ev = hat_r_f2(f, z, ctx)
-            residuals.append(abs(lhs - ev.hat) / residual_scale(lhs, ev.hat))
+            hat = hat_r_f2(f, z, ctx)
+            residuals.append(abs(lhs - hat) / residual_scale(lhs, hat))
     return RelationReport.from_residuals(
         identity=f"superm[{f.label}]",
         points=pts,

@@ -102,9 +102,6 @@ class RelationReport:
             d["labels"] = list(self.labels)
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (

@@ -1,4 +1,4 @@
-"""Special functions: incomplete gamma, Whittaker M, seeds.
+"""Special functions: incomplete gamma, normalized Whittaker values, seeds.
 
 Conventions used throughout:
 
@@ -14,19 +14,17 @@ Conventions used throughout:
   numerator and denominator pairs renormalized separately by shifts, and a
   stop test in float log2 that takes no division.  ``regint.ray_sum`` calls
   it directly, since its terms need only 1/f.
-* ``whittaker_M`` and ``cal_M`` are computed from the confluent
-  hypergeometric series everywhere (entire in the argument), summed on
-  fixed-point integers at the working precision plus guard bits; the
-  classical integral representation is provided separately and serves as an
-  oracle only, since it degenerates on the boundary Re(nu - mu + 1/2) = 0
-  that the seed functions sit on.
-* ``cal_M(k, s, u) = |u|^(-k/2) M_{sgn(u) k/2, s - 1/2}(|u|)``.
+* ``cal_M(k, s, u) = |u|^(-k/2) M_{sgn(u) k/2, s - 1/2}(|u|)`` is computed
+  from the confluent hypergeometric series everywhere (entire in the
+  argument), summed on fixed-point integers at the working precision plus
+  guard bits.  The classical integral representation of M_{mu, nu}(y),
+  ``whittaker_M_integral``, serves as an oracle only, since it degenerates
+  on the boundary Re(nu - mu + 1/2) = 0 that the seed functions sit on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -197,22 +195,6 @@ def scaled_upper_gamma(s, x, eps):
     return mp.mpf((Br1, eB)) / mp.mpf((Ar1, eA))
 
 
-@dataclass(frozen=True)
-class WhittakerArgs:
-    """Arguments (mu, nu, y) of the M-Whittaker function M_{mu, nu}(y)."""
-
-    mu: float
-    nu: float
-    y: float
-
-    def validate(self) -> None:
-        if not self.y > 0:
-            raise DomainError("Whittaker argument y must be positive")
-        b = 1 + 2 * mp.mpf(self.nu)
-        if b <= 0 and mp.isint(b):
-            raise DomainError("1 + 2 nu must not be a nonpositive integer")
-
-
 def _kummer_series(a, b, y, ctx: PrecisionContext) -> mp.mpf:
     """Confluent hypergeometric 1F1(a; b; y) by direct summation (entire in y).
 
@@ -240,26 +222,18 @@ def _kummer_series(a, b, y, ctx: PrecisionContext) -> mp.mpf:
     raise NonConvergent("confluent series iteration cap reached")
 
 
-def whittaker_M(args: WhittakerArgs, ctx: PrecisionContext) -> mp.mpf:
-    """M_{mu, nu}(y) = y^(nu+1/2) e^(-y/2) 1F1(nu - mu + 1/2; 1 + 2 nu; y)."""
-    args.validate()
-    with mp.workdps(ctx.work_dps):
-        mu, nu, y = mp.mpf(args.mu), mp.mpf(args.nu), mp.mpf(args.y)
-        phi = _kummer_series(nu - mu + 0.5, 1 + 2 * nu, y, ctx)
-        return y ** (nu + 0.5) * mp.exp(-y / 2) * phi
-
-
-def whittaker_M_integral(args: WhittakerArgs, ctx: PrecisionContext) -> mp.mpf:
-    """Integral-representation oracle, valid for Re(nu +- mu + 1/2) > 0.
+def whittaker_M_integral(mu, nu, y, ctx: PrecisionContext) -> mp.mpf:
+    """Integral-representation oracle for M_{mu, nu}(y), y > 0 and Re(nu +- mu + 1/2) > 0.
 
     Raises NonConvergent when the quadrature's error estimate, times the
     prefactor, exceeds tol_tight (1 + |value|).
     """
-    args.validate()
-    mu, nu, y = mp.mpf(args.mu), mp.mpf(args.nu), mp.mpf(args.y)
-    if not (nu + mu + mp.mpf("0.5") > 0 and nu - mu + mp.mpf("0.5") > 0):
-        raise DomainError("integral representation needs Re(nu +- mu + 1/2) > 0")
     with mp.workdps(ctx.work_dps):
+        mu, nu, y = mp.mpf(mu), mp.mpf(nu), mp.mpf(y)
+        if not y > 0:
+            raise DomainError("Whittaker argument y must be positive")
+        if not (nu + mu + mp.mpf("0.5") > 0 and nu - mu + mp.mpf("0.5") > 0):
+            raise DomainError("integral representation needs Re(nu +- mu + 1/2) > 0")
         integ, err = mp.quad(
             lambda t: t ** (nu + mu - mp.mpf("0.5")) * (1 - t) ** (nu - mu - mp.mpf("0.5")) * mp.exp(-y * t),
             [0, 1],
@@ -324,39 +298,6 @@ def psi_seed(k: int, m: int, z, ctx: PrecisionContext, step=None) -> mp.mpc:
                 - cal_M(k, s0 + 2 * h, u, ctx)
             ) / (2 * h)
         return d * mp.exp(2j * mp.pi * m * mp.re(z))
-
-
-def bold_gamma(s, y, ctx: PrecisionContext) -> mp.mpf:
-    """Iterated incomplete gamma int_y^oo Gamma(s, t) t^(-s) e^t dt/t for y > 0.
-
-    For y < 0 the integral runs to -oo instead ("from -infinity" convention,
-    real-axis path); that branch is implemented for positive integer s only,
-    where Gamma(s, t) = (s-1)! e^(-t) sum_{j<s} t^j/j! makes the integrand a
-    rational function with the closed antiderivative used below.
-    """
-    with mp.workdps(ctx.work_dps):
-        s = mp.mpf(s)
-        y = mp.mpf(y)
-        if y == 0:
-            raise DomainError("bold_gamma requires y != 0")
-        if y > 0:
-            val, err = mp.quad(
-                lambda t: upper_incomplete_gamma(s, t, ctx) * t ** (-s - 1) * mp.exp(t),
-                [y, y + 9, y + 99, mp.inf],
-                maxdegree=QUAD_MAXDEGREE,
-                error=True,
-            )
-            if not err <= ctx.tol_tight * (1 + abs(val)):
-                raise NonConvergent("bold_gamma tail did not converge")
-            return val
-        if not (mp.isint(s) and s > 0):
-            raise DomainError("bold_gamma for y < 0 is implemented for positive integer s only")
-        si = int(s)
-        # int_y^{-oo} (s-1)! sum_j t^(j-s-1)/j! dt = -(s-1)! sum_j y^(j-s)/(j! (j-s))
-        total = mp.mpf(0)
-        for j in range(si):
-            total += y ** (j - si) / (mp.factorial(j) * (j - si))
-        return -mp.factorial(si - 1) * total
 
 
 def whittaker_derivative_identity_check(k: int, y, ctx: PrecisionContext) -> RelationReport:

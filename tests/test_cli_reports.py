@@ -35,7 +35,7 @@ def test_report_roundtrip_and_keys():
     assert d["pass"] is True
     assert d["headroom_digits"] == "10.0"
     assert "headroom 10.0 digits" in rep.summary_line()
-    assert json.loads(rep.to_json())["identity"] == "sample"
+    assert json.loads(reports_to_json([rep]))["reports"][0]["identity"] == "sample"
 
 
 def test_report_fail_flag():
@@ -153,6 +153,30 @@ def test_cli_periodpoly_names_the_emitted_form(capsys, weight, form):
     assert main(["periodpoly", "--weight", str(weight)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["form"] == form and payload["weight"] == weight
+
+
+def test_cli_periodpoly_weight_zero(capsys):
+    # 0 is a weight with a zero cusp space, not "--weight not given"
+    assert main(["periodpoly", "--weight", "0"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["weight"] == 0 and payload["form"] is None and payload["coefficients"] == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["lvalue", "--form", "delta", "--s", "6", "--digits", "10"], ["periodpoly", "--digits", "10"]],
+    ids=["lvalue", "periodpoly"],
+)
+def test_cli_low_digits_is_a_domain_error(capsys, args):
+    # digits below 30 are refused with exit 2 and a JSON error, not a traceback
+    assert main(args) == EXIT_DOMAIN
+    assert json.loads(capsys.readouterr().out)["kind"] == "domain"
+
+
+def test_cli_verify_digits_zero_is_a_domain_error(capsys):
+    # --digits 0 is a (refused) precision, not "--digits not given"
+    assert main(["verify", "special", "--digits", "0"]) == EXIT_DOMAIN
+    assert "digits" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_cli_periodpoly_unsupported_weight():

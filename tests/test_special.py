@@ -1,4 +1,4 @@
-"""Special functions: incomplete gamma, Whittaker M, seeds, iterated gamma."""
+"""Special functions: incomplete gamma, normalized Whittaker values, seeds."""
 
 import math
 import random
@@ -12,12 +12,9 @@ from periodlab import (
     DomainError,
     NonConvergent,
     PrecisionContext,
-    WhittakerArgs,
-    bold_gamma,
     cal_M,
     psi_seed,
     upper_incomplete_gamma,
-    whittaker_M,
     whittaker_M_integral,
     whittaker_derivative_identity_check,
 )
@@ -170,46 +167,55 @@ def test_gamma_negint_continued_off_cut(ctx):
     assert abs(got - mp.gammainc(-11, x)) < mp.mpf("1e-55") * (1 + abs(got))
 
 
-def test_whittaker_terminating(ctx):
-    # mu=6, nu=5.5, y=2: first series parameter 0, so M = y^6 e^(-y/2) = 64/e
-    got = whittaker_M(WhittakerArgs(mu=6, nu=5.5, y=2), ctx)
-    assert abs(got - 64 / mp.e) < mp.mpf("1e-55")
+def whitm_cal_M(k, s, u, dps):
+    """cal_M(k, s, u) = |u|^(-k/2) M_{mu, s-1/2}(|u|), mu = sgn(u) k/2, by mpmath's whitm at dps digits."""
+    with mp.workdps(dps):
+        half_k, y = mp.mpf(k) / 2, abs(mp.mpf(u))
+        return y ** -half_k * mp.whitm(half_k if u > 0 else -half_k, mp.mpf(s) - mp.mpf("0.5"), y)
 
 
 def test_whittaker_vs_integral_representation(ctx):
-    # interior of the representation's validity region Re(nu +- mu + 1/2) > 0;
-    # the boundary case nu + mu + 1/2 = 0 (e.g. mu=-6, nu=5.5) degenerates,
-    # which is why the series is the primary route everywhere
-    for (mu, nu, y) in ((-6, 6, 1), (-2, 2.5, 3), (1, 3, 0.5)):
-        args = WhittakerArgs(mu=mu, nu=nu, y=y)
-        series = whittaker_M(args, ctx)
-        integral = whittaker_M_integral(args, ctx)
-        assert abs(series - integral) <= ctx.tol_tight * abs(series)
+    # interior of the representation's validity region Re(nu +- mu + 1/2) > 0,
+    # with (mu, nu, y) = (-6, 6, 1), (-2, 2.5, 3), (1, 3, 0.5); the boundary
+    # case nu + mu + 1/2 = 0 (e.g. mu=-6, nu=5.5) degenerates, which is why
+    # the series is the primary route everywhere
+    for (k, s, u) in ((12, 6.5, -1), (4, 3, -3), (2, 3.5, 0.5)):
+        series = cal_M(k, s, u, ctx)
+        with mp.workdps(ctx.work_dps):
+            half_k, y = mp.mpf(k) / 2, abs(mp.mpf(u))
+            integral = y ** -half_k * whittaker_M_integral(half_k if u > 0 else -half_k, s - 0.5, y, ctx)
+            assert abs(series - integral) <= ctx.tol_tight * abs(series)
     with pytest.raises(DomainError):
-        whittaker_M_integral(WhittakerArgs(mu=-6, nu=5.5, y=1), ctx)
+        whittaker_M_integral(-6, 5.5, 1, ctx)
+    with pytest.raises(DomainError):
+        whittaker_M_integral(-2, 2.5, 0, ctx)
 
 
 def test_whittaker_integral_raises_when_unconverged(ctx, monkeypatch):
     # two tanh-sinh degrees leave the error estimate far above tol_tight
     monkeypatch.setattr(special, "QUAD_MAXDEGREE", 2)
     with pytest.raises(NonConvergent):
-        whittaker_M_integral(WhittakerArgs(mu=-2, nu=2.5, y=3), ctx)
+        whittaker_M_integral(-2, 2.5, 3, ctx)
 
 
 def test_whittaker_vs_mpmath(ctx):
+    # seeded random (k, s, u) on both signs of u: error <= 10^-(digits+5) (1 + |v|)
+    # against mpmath's whitm at twice the working precision
+    bound = mp.mpf(10) ** -(ctx.digits + 5)
     rng = random.Random(3)
-    for _ in range(5):
-        mu = mp.mpf(rng.uniform(-4, 4))
-        nu = mp.mpf(rng.uniform(0.5, 5))
-        y = mp.mpf(rng.uniform(0.2, 8))
-        got = whittaker_M(WhittakerArgs(mu=float(mu), nu=float(nu), y=float(y)), ctx)
-        assert abs(got - mp.whitm(mu, nu, y)) < mp.mpf("1e-48") * (1 + abs(got))
+    for _ in range(20):
+        k, s, u = rng.choice([-10, 2, 4, 12, 16]), mp.mpf(rng.uniform(0.6, 8)), mp.mpf(rng.uniform(-8, 8))
+        got = cal_M(k, s, u, ctx)
+        want = whitm_cal_M(k, s, u, 2 * ctx.work_dps)
+        with mp.workdps(2 * ctx.work_dps):
+            assert abs(got - want) <= bound * (1 + abs(want)), (k, s, u)
 
 
 def test_whittaker_positivity(ctx):
-    # positive for real args with y > 0, 1 + 2 nu > 0 and nonnegative first parameter
-    for (mu, nu, y) in ((-2, 1.5, 3.0), (0, 0.25, 1.0), (-6, 5.5, 0.5)):
-        assert whittaker_M(WhittakerArgs(mu=mu, nu=nu, y=y), ctx) > 0
+    # positive for y = |u| > 0, 1 + 2 nu = 2 s > 0 and nonnegative first
+    # parameter s - mu; (mu, nu, y) = (-2, 1.5, 3), (0, 0.25, 1), (-6, 5.5, 0.5)
+    for (k, s, u) in ((4, 2, -3), (0, 0.75, 1), (12, 6, -0.5)):
+        assert cal_M(k, s, u, ctx) > 0
 
 
 @st.composite
@@ -246,11 +252,12 @@ def test_kummer_series_property(digits):
 
 
 def test_cal_M_negative_u(ctx):
-    # k=12, s=6, u<0 is |u|^(-6) M_{-6, 5.5}(|u|) by definition
-    u = mp.mpf(-3)
-    got = cal_M(12, 6, u, ctx)
-    want = abs(u) ** (-6) * whittaker_M(WhittakerArgs(mu=-6, nu=5.5, y=3), ctx)
-    assert abs(got - want) <= mp.mpf("1e-60") * abs(want)
+    # k=12, s=6, u<0 is |u|^(-6) M_{-6, 5.5}(|u|) by definition; the series
+    # stops at eps (1 + |sum|), so it is about 1e-60 off, within 10^-(digits+5)
+    got = cal_M(12, 6, -3, ctx)
+    want = whitm_cal_M(12, 6, -3, 2 * ctx.work_dps)
+    with mp.workdps(2 * ctx.work_dps):
+        assert abs(got - want) <= mp.mpf(10) ** -(ctx.digits + 5) * abs(want)
 
 
 def test_cal_M_terminating_positive_u(ctx):
@@ -305,36 +312,3 @@ def test_psi_seed_small_y(ctx):
 def test_whittaker_derivative_identity(ctx, k, y):
     rep = whittaker_derivative_identity_check(k, mp.mpf(y), ctx)
     assert rep.passed, rep.summary_line()
-
-
-def test_bold_gamma_derivative_property(ctx):
-    # d/dy at (s, y) = (11, 2) equals -Gamma(11, y) y^(-12) e^y
-    s, y = mp.mpf(11), mp.mpf(2)
-    h = mp.mpf("1e-10")
-    fd = (bold_gamma(s, y + h, ctx) - bold_gamma(s, y - h, ctx)) / (2 * h)
-    want = -upper_incomplete_gamma(s, y, ctx) * y ** (-s - 1) * mp.exp(y)
-    assert abs(fd - want) <= ctx.tol_fd * (1 + abs(want))
-
-
-def test_bold_gamma_collapses_at_order_one(ctx):
-    # s=1: Gamma(1,t) = e^(-t), integrand t^(-2): int_3^oo = 1/3
-    got = bold_gamma(1, mp.mpf(3), ctx)
-    assert abs(got - mp.mpf(1) / 3) < mp.mpf("1e-45")
-
-
-def test_bold_gamma_monotone(ctx):
-    vals = [bold_gamma(11, mp.mpf(y), ctx) for y in (1, 2, 3)]
-    assert vals[0] > vals[1] > vals[2] > 0
-
-
-def test_bold_gamma_negative_argument_convention(ctx):
-    # positive integer order only; derivative property transfers
-    s = mp.mpf(3)
-    y = mp.mpf(-2)
-    h = mp.mpf("1e-10")
-    fd = (bold_gamma(s, y + h, ctx) - bold_gamma(s, y - h, ctx)) / (2 * h)
-    gam = mp.factorial(2) * mp.exp(-y) * (1 + y + y ** 2 / 2)  # entire form of Gamma(3, y)
-    want = -gam * y ** (-s - 1) * mp.exp(y)
-    assert abs(fd - want) <= ctx.tol_fd * (1 + abs(want))
-    with pytest.raises(DomainError):
-        bold_gamma(mp.mpf("2.5"), mp.mpf(-1), ctx)
