@@ -19,7 +19,7 @@ k = f.weight
 
 print("termwise coefficients of F (first three):")
 for n in range(1, 4):
-    print(f"  n={n}:  {mp.nstr(F.coefficient(n), 20)}")
+    print(f"  n={n}:  {mp.nstr(F.series.coeffs[n - 1], 20)}")
 
 print("\ncocycle relation F(z) - z^(k-2) F(-1/z) = r(z):")
 for z in (mp.mpc("0.2", "0.9"), mp.mpc("-0.3", "1.1"), mp.mpc("0.05", "1.0")):

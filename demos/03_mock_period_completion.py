@@ -11,7 +11,7 @@ import mpmath as mp
 from periodlab import (
     PrecisionContext,
     delta,
-    hat_function,
+    hat_r_f2,
     l_dirichlet,
     noncritical_lvalue,
     period_polynomial,
@@ -38,7 +38,7 @@ rep = verify_superm(f, [z, mp.mpc(0, 1)], ctx)
 print("\ncompletion identity F2|_k(S-1) = hat:")
 print(" ", rep.summary_line())
 
-h = hat_function(f, ctx)
+h = lambda w: hat_r_f2(f, w, ctx)
 rp = period_polynomial(f, ctx)
 got = xi_fd(h, 12, z, ctx)
 want = (2j) ** (-11) * rp.base(z)

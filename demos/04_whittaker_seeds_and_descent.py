@@ -32,9 +32,9 @@ rep = verify_laplace_eigenvalue(2 - k, 1, k / 2, [mp.mpc(0, 1)], ctx)
 print(" ", rep.summary_line())
 
 print("\ntermwise and matched-truncation descent under xi:")
-for rep in verify_termwise_xi(k, 1, [mp.mpc(0, 1), mp.mpc("0.3", "0.8")], ctx, trunc_bound=10):
+for rep in verify_termwise_xi(k, 1, [mp.mpc(0, 1), mp.mpc("0.3", "0.8")], ctx):
     print(" ", rep.summary_line())
-for rep in verify_termwise_dipoincare(k, 1, [mp.mpc(0, 1)], ctx, trunc_bound=10):
+for rep in verify_termwise_dipoincare(k, 1, [mp.mpc(0, 1)], ctx):
     print(" ", rep.summary_line())
 
 print("\ncoset sums stabilize as the truncation bound grows (z = 2i):")

@@ -13,7 +13,8 @@ import mpmath as mp
 
 from periodlab import (
     PrecisionContext,
-    starred_periods,
+    f_star,
+    r_star,
     verify_per_star,
     weakly_holomorphic_m10,
 )
@@ -26,16 +27,16 @@ print("input:", M.label, " weight:", M.weight)
 print("principal part:", [int(M.coeff(n)) for n in range(-2, 1)], "+ O(q)")
 
 z = mp.mpc("0.3", "1.3")
-sp = starred_periods(M, z, ctx)
+rstar = r_star(M, z, ctx)
 print(f"\nstarred periods at z = {z}:")
-print("  Fstar     =", mp.nstr(sp.Fstar, 20))
-print("  rstar     =", mp.nstr(sp.rstar, 20))
-print("  tildestar =", mp.nstr(sp.tildestar, 10), " (modular input: cocycle vanishes)")
+print("  Fstar     =", mp.nstr(f_star(M, z, ctx), 20))
+print("  rstar     =", mp.nstr(rstar, 20))
+print("  tildestar = 0  (modular input: the cocycle vanishes, so hatstar = rstar)")
 
 print("\nbase-point independence of rstar = R.int_0^{i oo} M(w) (wz-1)^(-12) dw:")
 for z0 in (mp.mpc(1, 2), mp.mpc("-0.4", "0.8")):
-    v = starred_periods(M, z, ctx, z0=z0).rstar
-    print(f"  |rstar(z0=i) - rstar(z0={mp.nstr(z0, 3)})| = {mp.nstr(abs(v - sp.rstar), 3)}")
+    v = r_star(M, z, ctx, z0=z0)
+    print(f"  |rstar(z0=i) - rstar(z0={mp.nstr(z0, 3)})| = {mp.nstr(abs(v - rstar), 3)}")
 
 print("\nperiod relations for the starred completion:")
 for rep in verify_per_star(M, [z], ctx):

@@ -59,7 +59,6 @@ from .eichler import (
 )
 from .mockcore import (
     F_f2,
-    hat_function,
     hat_r_f2,
     noncritical_lvalue,
     r_f2,
@@ -70,11 +69,9 @@ from .mockcore import (
 )
 from .regint import (
     NotRegularizable,
-    StarredPeriods,
     f_star,
     r_star,
     reg_integral_to_icusp,
-    starred_periods,
     verify_per_star,
 )
 from .poincare import (

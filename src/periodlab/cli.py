@@ -20,7 +20,7 @@ import mpmath as mp
 
 from . import __version__
 from .kernel import DomainError, NonConvergent, PrecisionContext, TailTooLarge
-from .lfun import OutOfRegion, l_completed, l_dirichlet
+from .lfun import l_completed, l_dirichlet
 from .qforms import (
     DIM_ONE_WEIGHTS,
     REDUCTION_HEIGHT,
@@ -30,7 +30,6 @@ from .qforms import (
     _certified_length,
     _coeff_model,
     cusp_form,
-    delta,
     weakly_holomorphic_m10,
 )
 from .reports import SCHEMA_VERSION, RelationReport, _point_pair, reports_to_csv, reports_to_json
@@ -67,8 +66,10 @@ class SuiteConfig:
         for key in ("digits", "series_len", "tol_tight", "tol_fd", "forms"):
             if key in raw:
                 setattr(cfg, key, raw[key])
+        if not isinstance(cfg.forms, list) or not cfg.forms:
+            raise ValueError("forms must be a non-empty list of form labels")
         for f in cfg.forms:
-            if f not in _FORM_WEIGHTS:
+            if not isinstance(f, str) or f not in _FORM_WEIGHTS:
                 raise ValueError(f"unknown form {f!r}")
         return cfg
 
@@ -93,14 +94,11 @@ class SuiteConfig:
 
 def cached_form(label: str, N: int) -> QSeries:
     """Constructor dispatch by label; the constructors memoize in-process."""
-    builders = {
-        "delta": lambda: delta(N),
-        "wh-10": lambda: weakly_holomorphic_m10(N),
-        **{f"cusp{k}": (lambda kk: (lambda: cusp_form(kk, N)))(k) for k in DIM_ONE_WEIGHTS},
-    }
-    if label not in builders:
+    if label == "wh-10":
+        return weakly_holomorphic_m10(N)
+    if label not in _FORM_WEIGHTS:
         raise UnsupportedWeight(f"unknown form {label!r}")
-    return builders[label]()
+    return cusp_form(_FORM_WEIGHTS[label], N)
 
 
 def holomorphic_form(label: str, ctx: PrecisionContext) -> QSeries:
@@ -201,6 +199,18 @@ def _write_report(reports: List[RelationReport], cfg: SuiteConfig, out: Optional
 # commands
 # ---------------------------------------------------------------------------
 
+# what a command reports as an error payload; anything else is a bug and raises
+_CAUGHT = (DomainError, NonConvergent, TailTooLarge, ValueError)
+
+
+def _error_exit(exc: Exception, kind: str = "domain") -> int:
+    """Print {"error", "kind"} for exc; exit 3 for a convergence failure, else 2."""
+    if isinstance(exc, (NonConvergent, TailTooLarge)):
+        kind = "convergence"
+    print(json.dumps({"error": str(exc), "kind": kind}))
+    return EXIT_CONVERGENCE if kind == "convergence" else EXIT_DOMAIN
+
+
 def cmd_lvalue(args) -> int:
     try:
         ctx = PrecisionContext(digits=args.digits)
@@ -222,12 +232,8 @@ def cmd_lvalue(args) -> int:
             lv = l_completed(f, s, ctx)
         print(json.dumps({"schema": SCHEMA_VERSION, "form": args.form, **lv.to_dict()}))
         return EXIT_OK
-    except (OutOfRegion, UnsupportedWeight, DomainError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "domain"}))
-        return EXIT_DOMAIN
-    except (NonConvergent, TailTooLarge) as exc:
-        print(json.dumps({"error": str(exc), "kind": "convergence"}))
-        return EXIT_CONVERGENCE
+    except _CAUGHT as exc:
+        return _error_exit(exc)
 
 
 def cmd_periodpoly(args) -> int:
@@ -272,12 +278,8 @@ def cmd_periodpoly(args) -> int:
                 payload["quadrature_max_deviation"] = mp.nstr(max(devs), 10)
         print(json.dumps(payload))
         return EXIT_OK
-    except (UnsupportedWeight, DomainError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "domain"}))
-        return EXIT_DOMAIN
-    except (NonConvergent, TailTooLarge) as exc:
-        print(json.dumps({"error": str(exc), "kind": "convergence"}))
-        return EXIT_CONVERGENCE
+    except _CAUGHT as exc:
+        return _error_exit(exc)
 
 
 def cmd_verify(args) -> int:
@@ -293,20 +295,15 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"unknown form {args.form!r}")
             cfg.forms = [args.form]
         ctx = cfg.context()
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "config"}))
-        return EXIT_DOMAIN
+    except (ValueError, OSError) as exc:
+        return _error_exit(exc, "config")
     try:
         names = SUITES[:-1] if args.suite == "all" else (args.suite,)  # SUITES ends with "all"
         reports: List[RelationReport] = []
         for name in names:
             reports.extend(run_suite(name, cfg, ctx))
-    except (NonConvergent, TailTooLarge) as exc:
-        print(json.dumps({"error": str(exc), "kind": "convergence"}))
-        return EXIT_CONVERGENCE
-    except (DomainError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "domain"}))
-        return EXIT_DOMAIN
+    except _CAUGHT as exc:
+        return _error_exit(exc)
     _write_report(reports, cfg, args.out, args.csv)
     for r in reports:
         print(r.summary_line(), file=sys.stderr)

@@ -197,6 +197,14 @@ def slash_function(F: Callable[[mp.mpc], mp.mpc], m: int, gamma: GroupElement) -
     return slashed
 
 
+def period_relation_residuals(h: Callable[[mp.mpc], mp.mpc], v0: mp.mpc, k: int, z: mp.mpc) -> Tuple:
+    """|h|(1+S)(z)| and |h|(1+U+U^2)(z)| at weight k, relative to max(1, |v0|), v0 = h(z)."""
+    scale = residual_scale(v0)
+    rel_s = v0 + slash_function(h, k, S)(z)
+    rel_u = v0 + slash_function(h, k, U)(z) + slash_function(h, k, U * U)(z)
+    return abs(rel_s) / scale, abs(rel_u) / scale
+
+
 @dataclass(frozen=True)
 class PeriodPolynomial:
     """Degree-(k-2) period polynomial with the critical values that built it."""
@@ -292,12 +300,6 @@ class EichlerIntegral:
                 cuspidal=True,
                 label=f"F[{f.label}]",
             )
-
-    def coefficient(self, n: int) -> mp.mpc:
-        """Coefficient of q^n (n >= 1)."""
-        if n < 1 or n > self.series.n_max:
-            return mp.mpc(0)
-        return self.series.coeffs[n - 1]
 
     def evaluate(self, z) -> mp.mpc:
         with mp.workdps(self.ctx.work_dps):

@@ -45,27 +45,32 @@ class TailTooLarge(KernelError):
 # maximal mpmath quadrature degree, for every quadrature in the package
 QUAD_MAXDEGREE = 10
 
+# extra working digits used inside kernels, beyond a context's digits
+GUARD_DIGITS = 15
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
     """All numerical knobs in one immutable bundle.
 
-    digits      decimal working precision (>= 30)
+    digits      decimal working precision (>= 30); kernels work at
+                ``work_dps`` = digits + GUARD_DIGITS
     series_len  default q-series truncation length
-    fd_step     real step for finite differences; default 10^(-digits/3),
-                which balances second-order truncation against roundoff
     tol_tight   tolerance for quadrature/series identities
     tol_fd      tolerance for finite-difference based identities; both
                 defaults are doubles, the same whatever the ambient precision
-    guard       extra working digits used inside kernels
+
+    Derived, computed once at the working precision whatever the ambient
+    one: ``fd_step`` = 10^(-digits/3), the real step of the finite
+    differences, which balances second-order truncation against roundoff,
+    and the cutoff ``eps()``.
     """
 
     digits: int = 50
     series_len: int = 64
-    fd_step: Optional[mp.mpf] = None
     tol_tight: mp.mpf = mp.mpf(1e-20)
     tol_fd: mp.mpf = mp.mpf(1e-6)
-    guard: int = 15
+    fd_step: mp.mpf = field(default=None, init=False, compare=False, hash=False, repr=False)
     _eps: mp.mpf = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
@@ -73,24 +78,16 @@ class PrecisionContext:
             raise ValueError("digits must be >= 30")
         if self.series_len < 16:
             raise ValueError("series_len must be >= 16")
-        if self.fd_step is None:
-            with mp.workdps(self.digits + self.guard):
-                h = mp.mpf(10) ** (-mp.mpf(self.digits) / 3)
-            object.__setattr__(self, "fd_step", h)
-        if not self.fd_step ** 2 > mp.mpf(10) ** (-self.digits):
-            raise ValueError("fd_step^2 must exceed 10^(-digits)")
         with mp.workdps(self.work_dps):
+            object.__setattr__(self, "fd_step", mp.mpf(10) ** (-mp.mpf(self.digits) / 3))
             object.__setattr__(self, "_eps", mp.mpf(10) ** (-(self.digits + 8)))
 
     @property
     def work_dps(self) -> int:
-        return self.digits + self.guard
+        return self.digits + GUARD_DIGITS
 
     def eps(self) -> mp.mpf:
-        """Series/quadrature cutoff 10^-(digits+8), well below the working precision.
-
-        Computed once, at the working precision, whatever the ambient one.
-        """
+        """Series/quadrature cutoff 10^-(digits+8), well below the working precision."""
         return self._eps
 
 
@@ -235,9 +232,13 @@ def quad_ray(
         return total
 
 
-def _check_stencil(z: mp.mpc, h: mp.mpf) -> None:
+def _stencil(F: Callable[[mp.mpc], mp.mpc], z: mp.mpc, ctx: PrecisionContext, step) -> tuple:
+    """(h, F(z+h), F(z-h), F(z+ih), F(z-ih)) for the step ``step`` (default ctx.fd_step)."""
+    h = mp.mpf(step) if step is not None else mp.mpf(ctx.fd_step)
     if mp.im(z) - h <= 0:
         raise StepTooLarge("stencil leaves the upper half-plane")
+    ih = mp.mpc(0, 1) * h
+    return h, F(z + h), F(z - h), F(z + ih), F(z - ih)
 
 
 def xi_fd(
@@ -255,10 +256,9 @@ def xi_fd(
     """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        h = mp.mpf(step) if step is not None else mp.mpf(ctx.fd_step)
-        _check_stencil(z, h)
-        Fx = (F(z + h) - F(z - h)) / (2 * h)
-        Fy = (F(z + mp.mpc(0, 1) * h) - F(z - mp.mpc(0, 1) * h)) / (2 * h)
+        h, fxp, fxm, fyp, fym = _stencil(F, z, ctx, step)
+        Fx = (fxp - fxm) / (2 * h)
+        Fy = (fyp - fym) / (2 * h)
         dzbar = (Fx + mp.mpc(0, 1) * Fy) / 2
         return ensure_finite(2j * mp.im(z) ** k * mp.conj(dzbar), "xi_fd")
 
@@ -273,12 +273,8 @@ def laplace_fd(
     """Weight-k hyperbolic Laplacian -y^2(F_xx+F_yy) + iky(F_x+iF_y), 5-point stencil."""
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        h = mp.mpf(step) if step is not None else mp.mpf(ctx.fd_step)
-        _check_stencil(z, h)
+        h, fxp, fxm, fyp, fym = _stencil(F, z, ctx, step)
         f0 = F(z)
-        fxp, fxm = F(z + h), F(z - h)
-        ih = mp.mpc(0, 1) * h
-        fyp, fym = F(z + ih), F(z - ih)
         Fxx = (fxp - 2 * f0 + fxm) / h ** 2
         Fyy = (fyp - 2 * f0 + fym) / h ** 2
         Fx = (fxp - fxm) / (2 * h)

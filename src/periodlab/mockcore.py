@@ -31,18 +31,11 @@ by differentiating under the integral sign and splitting at i.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath as mp
 
-from .eichler import (
-    S,
-    U,
-    UTILDE,
-    eichler_integral,
-    period_polynomial,
-    slash_function,
-)
+from .eichler import S, U, UTILDE, eichler_integral, period_polynomial, period_relation_residuals
 from .kernel import (
     QUAD_MAXDEGREE,
     DomainError,
@@ -136,11 +129,6 @@ def hat_r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
         return r_f2(f, z, ctx, method="termwise") - tilde_r_f2(f, z, ctx)
 
 
-def hat_function(f: QSeries, ctx: PrecisionContext) -> Callable[[mp.mpc], mp.mpc]:
-    """The completion ``hat_r_f2`` as a plain function of z (for slash/xi probing)."""
-    return lambda z: hat_r_f2(f, z, ctx)
-
-
 def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
     """L(k+m) extracted from the m-th derivative of r2 at the cusp 0.
 
@@ -209,18 +197,15 @@ def verify_w_k2(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> li
     xi_k(hat) = (2i)^(1-k) r_{f^c} at tol_fd (finite differences).
     """
     k = f.weight
-    h = hat_function(f, ctx)
+    h = lambda w: hat_r_f2(f, w, ctx)
     rconj = period_polynomial(conjugate_form(f), ctx).base
     res_s, res_u, res_xi = [], [], []
     with mp.workdps(ctx.work_dps):
         for z in pts:
             z = mp.mpc(z)
-            v0 = h(z)
-            vs = v0 + slash_function(h, k, S)(z)
-            vu = v0 + slash_function(h, k, U)(z) + slash_function(h, k, U * U)(z)
-            scale = residual_scale(v0)
-            res_s.append(abs(vs) / scale)
-            res_u.append(abs(vu) / scale)
+            rel_s, rel_u = period_relation_residuals(h, h(z), k, z)
+            res_s.append(rel_s)
+            res_u.append(rel_u)
             xv = xi_fd(h, k, z, ctx)
             target = (2j) ** (1 - k) * rconj(z)
             res_xi.append(abs(xv - target) / residual_scale(xv, target))

@@ -95,97 +95,70 @@ def truncated_poincare(
         return mp.fsum(terms)
 
 
-def verify_termwise_xi(
-    k: int,
-    m: int,
-    pts: Sequence[complex],
-    ctx: PrecisionContext,
-    trunc_bound: int = 10,
-    matched_pts: Sequence[complex] = (mp.mpc(0, 2),),
-) -> list:
+DESCENT_BOUND = 10  # bottom-row bound C of the matched coset truncation
+
+
+def _verify_descent(name: str, tag: str, w: int, seed: Callable, target: Callable, pref,
+                    pts: Sequence[complex], matched_pt: mp.mpc, ctx: PrecisionContext) -> list:
+    """Reports ``name``_termwise[``tag``] and ``name``_matched[``tag``,C=..] of xi_w(seed) = pref target.
+
+    The seed has weight w, the target weight 2 - w.  Termwise at each of
+    ``pts``; matched at ``matched_pt``, where both sides are summed over one
+    coset set (bottom rows bounded by DESCENT_BOUND), so the identity holds
+    at every bound because xi commutes with the action.
+    """
+    res_term = []
+    with mp.workdps(ctx.work_dps):
+        for z in pts:
+            z = mp.mpc(z)
+            lhs = xi_fd(seed, w, z, ctx)
+            rhs = pref * target(z)
+            res_term.append(abs(lhs - rhs) / residual_scale(lhs, rhs))
+        trunc = CosetTruncation.build(DESCENT_BOUND)
+        big = lambda v: truncated_poincare(w, seed, v, trunc, ctx)
+        lhs = xi_fd(big, w, matched_pt, ctx)
+        rhs = pref * truncated_poincare(2 - w, target, matched_pt, trunc, ctx)
+        res_matched = abs(lhs - rhs) / residual_scale(lhs, rhs)
+    return [
+        RelationReport.from_residuals(f"{name}_termwise[{tag}]", pts, res_term, ctx.tol_fd),
+        RelationReport.single(f"{name}_matched[{tag},C={DESCENT_BOUND}]", matched_pt, res_matched, ctx.tol_fd),
+    ]
+
+
+def verify_termwise_xi(k: int, m: int, pts: Sequence[complex], ctx: PrecisionContext) -> list:
     """xi_k of the s-derivative seed against the dual-weight Whittaker seed.
 
     Termwise: xi_k(psi_{-m})(z) = (4 pi m)^(1-k) phi^{(2-k)}_{m, k/2}(z);
-    matched truncation: the same identity summed over one coset set on both
-    sides, which holds at every bound because xi commutes with the action.
+    matched truncation at 2i.
     """
     if m <= 0:
         raise DomainError("index m must be positive")
-    res_term = []
     with mp.workdps(ctx.work_dps):
         pref = (4 * mp.pi * m) ** (1 - k)
-        seed_psi = lambda w: psi_seed(k, -m, w, ctx)
-        seed_phi = lambda w: phi_seed(2 - k, m, mp.mpf(k) / 2, w, ctx)
-        for z in pts:
-            z = mp.mpc(z)
-            lhs = xi_fd(seed_psi, k, z, ctx)
-            rhs = pref * seed_phi(z)
-            res_term.append(abs(lhs - rhs) / residual_scale(lhs, rhs))
-        trunc = CosetTruncation.build(trunc_bound)
-        res_matched = []
-        for z in matched_pts:
-            z = mp.mpc(z)
-            big = lambda w: truncated_poincare(k, seed_psi, w, trunc, ctx)
-            lhs = xi_fd(big, k, z, ctx)
-            rhs = pref * truncated_poincare(2 - k, seed_phi, z, trunc, ctx)
-            res_matched.append(abs(lhs - rhs) / residual_scale(lhs, rhs))
-    return [
-        RelationReport.from_residuals(
-            f"xi_descent_termwise[k={k},m={m}]", pts, res_term, ctx.tol_fd
-        ),
-        RelationReport.from_residuals(
-            f"xi_descent_matched[k={k},m={m},C={trunc_bound}]",
-            matched_pts,
-            res_matched,
-            ctx.tol_fd,
-        ),
-    ]
+    return _verify_descent(
+        "xi_descent", f"k={k},m={m}", k,
+        lambda w: psi_seed(k, -m, w, ctx),
+        lambda w: phi_seed(2 - k, m, mp.mpf(k) / 2, w, ctx),
+        pref, pts, mp.mpc(0, 2), ctx,
+    )
 
 
-def verify_termwise_dipoincare(
-    k: int,
-    m: int,
-    pts: Sequence[complex],
-    ctx: PrecisionContext,
-    trunc_bound: int = 10,
-    matched_pts: Sequence[complex] = (mp.mpc(0, "1.5"),),
-) -> list:
+def verify_termwise_dipoincare(k: int, m: int, pts: Sequence[complex], ctx: PrecisionContext) -> list:
     """xi_{2-k} of the dual-weight seed against the exponential seed.
 
     Termwise: xi_{2-k}(phi^{(2-k)}_{-m, k/2})(z) = (k-1)(4 pi m)^(k-1) q^m;
-    matched truncation over one coset set on both sides.
+    matched truncation at 1.5i.
     """
     if m <= 0:
         raise DomainError("index m must be positive")
-    res_term = []
     with mp.workdps(ctx.work_dps):
         pref = (k - 1) * (4 * mp.pi * m) ** (k - 1)
-        seed_phi = lambda w: phi_seed(2 - k, -m, mp.mpf(k) / 2, w, ctx)
-        seed_exp = lambda w: mp.exp(2j * mp.pi * m * w)
-        for z in pts:
-            z = mp.mpc(z)
-            lhs = xi_fd(seed_phi, 2 - k, z, ctx)
-            rhs = pref * seed_exp(z)
-            res_term.append(abs(lhs - rhs) / residual_scale(lhs, rhs))
-        trunc = CosetTruncation.build(trunc_bound)
-        res_matched = []
-        for z in matched_pts:
-            z = mp.mpc(z)
-            big = lambda w: truncated_poincare(2 - k, seed_phi, w, trunc, ctx)
-            lhs = xi_fd(big, 2 - k, z, ctx)
-            rhs = pref * truncated_poincare(k, seed_exp, z, trunc, ctx)
-            res_matched.append(abs(lhs - rhs) / residual_scale(lhs, rhs))
-    return [
-        RelationReport.from_residuals(
-            f"bol_descent_termwise[k={k},m={m}]", pts, res_term, ctx.tol_fd
-        ),
-        RelationReport.from_residuals(
-            f"bol_descent_matched[k={k},m={m},C={trunc_bound}]",
-            matched_pts,
-            res_matched,
-            ctx.tol_fd,
-        ),
-    ]
+    return _verify_descent(
+        "bol_descent", f"k={k},m={m}", 2 - k,
+        lambda w: phi_seed(2 - k, -m, mp.mpf(k) / 2, w, ctx),
+        lambda w: mp.exp(2j * mp.pi * m * w),
+        pref, pts, mp.mpc(0, "1.5"), ctx,
+    )
 
 
 def verify_laplace_eigenvalue(

@@ -32,10 +32,21 @@ sum takes one exponential and one power besides the fractions.  Ray
 quadrature is not used here; it remains the oracle that the tests compare
 against.
 
-The starred period rstar(z) = R.int_0^{i oo} M(w) (wz-1)^(-k) dw splits at a
-base point z0.  The leg [z0, i oo) is regularized as it stands; the leg
-[0, z0] maps by w -> -1/w onto [S z0, i oo), where M(-1/w) = w^(2-k) (M(w) - Q(w))
-with Q = M|(1-S) the input's period cocycle, so
+The starred periods of a weight-(2-k) input M, with Q = M |_{2-k} (1 - S)
+its period cocycle, are
+
+    Fstar(z)     = R.int_{-conj z}^{i oo} M(w) (w+z)^(-k) dw            (``f_star``),
+    rstar(z)     = [R.int_0^{i oo} M(w) (w+.)^(-k) dw] |_k S (z)
+                 = R.int_0^{i oo} M(w) (wz-1)^(-k) dw                  (``r_star``),
+    tildestar(z) = int_{-conj z}^{i oo} Q(w) (w+z)^(-k) dw   (``Q.kernel_integral``),
+
+and hatstar = rstar - tildestar.  For a genuinely modular M the cocycle
+vanishes (``cocycle`` None), so tildestar = 0 and hatstar = rstar.  A
+nonzero cocycle must be supplied by the caller, since it is not recoverable
+from the expansion alone; it is spot-checked against M and, of degree
+<= k-2, integrated exactly.  rstar splits at a base point z0.  The leg
+[z0, i oo) is regularized as it stands; the leg [0, z0] maps by w -> -1/w
+onto [S z0, i oo), where M(-1/w) = w^(2-k) (M(w) - Q(w)), so
 
     rstar(z) = R.int_{z0}^{i oo} M(w) z^(-k) (w - 1/z)^(-k) dw
              - R.int_{S z0}^{i oo} M(w) (w + z)^(-k) dw
@@ -48,12 +59,11 @@ depend on z0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .eichler import PolynomialC, S, U, slash_function
+from .eichler import PolynomialC, S, period_relation_residuals
 from .kernel import DomainError, PrecisionContext, xi_fd
 from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _mpc_coeffs
 from .reports import RelationReport, residual_scale
@@ -250,47 +260,6 @@ def r_star(
         return value
 
 
-@dataclass(frozen=True)
-class StarredPeriods:
-    """Pointwise starred periods; hatstar = rstar - tildestar exactly."""
-
-    z: mp.mpc
-    Fstar: mp.mpc
-    rstar: mp.mpc
-    tildestar: mp.mpc
-    hatstar: mp.mpc
-
-
-def starred_periods(
-    M: QSeries,
-    z,
-    ctx: PrecisionContext,
-    branch: str = DEFAULT_BRANCH,
-    cocycle: Optional[PolynomialC] = None,
-    z0=None,
-) -> StarredPeriods:
-    """Starred period objects of a weight-(2-k) input at z.
-
-    Fstar(z)     = R.int_{-conj z}^{i oo} M(w) (w+z)^(-k) dw         (``f_star``)
-    rstar(z)     = [R.int_0^{i oo} M(w) (w+.)^(-k) dw] |_k S (z)
-                 = R.int_0^{i oo} M(w) (wz-1)^(-k) dw               (``r_star``)
-    tildestar(z) = int_{-conj z}^{i oo} Q(w) (w+z)^(-k) dw,
-
-    where Q = M |_{2-k} (1 - S) is the period cocycle of the input.  For a
-    genuinely modular M the cocycle vanishes (``cocycle`` None) and
-    tildestar = 0; a nonzero cocycle must be supplied by the caller, since
-    it is not recoverable from the expansion alone, and is spot-checked
-    against M.  tildestar is integrated exactly by
-    ``PolynomialC.kernel_integral``, so the cocycle must have degree <= k-2.
-    """
-    with mp.workdps(ctx.work_dps):
-        z = mp.mpc(z)
-        fst = f_star(M, z, ctx, branch)
-        rst = r_star(M, z, ctx, branch, cocycle, z0)
-        tst = mp.mpc(0) if cocycle is None else cocycle.kernel_integral(2 - M.weight, z, -mp.conj(z))
-        return StarredPeriods(z=z, Fstar=fst, rstar=rst, tildestar=tst, hatstar=rst - tst)
-
-
 def verify_per_star(
     M: QSeries,
     pts: Sequence[complex],
@@ -315,14 +284,12 @@ def verify_per_star(
             lhs = f_star(M, sz, ctx, branch) * z ** (-k) - f_star(M, z, ctx, branch)
             res_eq.append(abs(lhs - h) / residual_scale(lhs, h))
 
-            hs = h + hat(sz) * z ** (-k)
-            hu = h + slash_function(hat, k, U)(z) + slash_function(hat, k, U * U)(z)
-            scale = residual_scale(h)
-            res_s.append(abs(hs) / scale)
-            res_u.append(abs(hu) / scale)
+            rel_s, rel_u = period_relation_residuals(hat, h, k, z)
+            res_s.append(rel_s)
+            res_u.append(rel_u)
 
             xv = xi_fd(hat, k, z, ctx)
-            res_xi.append(abs(xv) / scale)
+            res_xi.append(abs(xv) / residual_scale(h))
     return [
         RelationReport.from_residuals(f"perstar_eq[{M.label}]", pts, res_eq, ctx.tol_tight),
         RelationReport.from_residuals(f"perstar_slash_S[{M.label}]", pts, res_s, ctx.tol_tight),

@@ -75,6 +75,9 @@ class RelationReport:
 
     @property
     def max_residual(self) -> mp.mpf:
+        """The largest residual; NaN when any residual is NaN, which max() would skip."""
+        if any(mp.isnan(r) for r in self.residuals):
+            return mp.nan
         return max(self.residuals) if self.residuals else mp.mpf(0)
 
     @property

@@ -12,14 +12,14 @@ import mpmath as mp
 from periodlab import (
     PolynomialC,
     es_decompose,
-    hat_function,
+    hat_r_f2,
     l_dirichlet,
     laplace_fd,
     noncritical_lvalue,
     period_polynomial,
     period_polynomial_quadrature,
     quad_ray,
-    starred_periods,
+    r_star,
     tilde_r_f2,
     verify_bol_xi_avatar,
     verify_laplace_eigenvalue,
@@ -106,7 +106,7 @@ def test_criterion_05_completion_relations(ctx, f_delta, f_cusp16):
             k = f.weight
             rep = verify_superm(f, pts, ctx)
             worst = max(worst, rep.max_residual)
-            h = hat_function(f, ctx)
+            h = lambda w: hat_r_f2(f, w, ctx)
             for z in pts:
                 z = mp.mpc(z)
                 v0 = h(z)
@@ -123,7 +123,7 @@ def test_criterion_05_completion_relations(ctx, f_delta, f_cusp16):
 
 def test_criterion_06_xi_image_and_harmonicity(ctx, f_delta):
     rp = period_polynomial(f_delta, ctx)
-    h = hat_function(f_delta, ctx)
+    h = lambda w: hat_r_f2(f_delta, w, ctx)
     worst_xi = mp.mpf(0)
     worst_harm = mp.mpf(0)
     with mp.workdps(ctx.work_dps):
@@ -155,8 +155,8 @@ def test_criterion_08_whittaker_identity(ctx):
 
 def test_criterion_09_poincare_descent(ctx):
     reps = []
-    reps += verify_termwise_xi(12, 1, [mp.mpc(0, 1), mp.mpc("0.3", "0.8")], ctx, trunc_bound=10)
-    reps += verify_termwise_dipoincare(12, 1, [mp.mpc(0, 1), mp.mpc("0.25", "1.5")], ctx, trunc_bound=10)
+    reps += verify_termwise_xi(12, 1, [mp.mpc(0, 1), mp.mpc("0.3", "0.8")], ctx)
+    reps += verify_termwise_dipoincare(12, 1, [mp.mpc(0, 1), mp.mpc("0.25", "1.5")], ctx)
     reps.append(verify_laplace_eigenvalue(2 - 12, 1, 6, [mp.mpc(0, 1), mp.mpc(0, 2)], ctx))
     worst = max(r.max_residual for r in reps)
     report(9, "termwise + matched-truncation descent identities", worst, mp.mpf("1e-6"))
@@ -165,8 +165,8 @@ def test_criterion_09_poincare_descent(ctx):
 def test_criterion_10_regularized_periods(ctx, f_wh):
     with mp.workdps(ctx.work_dps):
         z = mp.mpc("0.3", "1.3")
-        v1 = starred_periods(f_wh, z, ctx, z0=mp.mpc(0, 1)).rstar
-        v2 = starred_periods(f_wh, z, ctx, z0=mp.mpc(1, 2)).rstar
+        v1 = r_star(f_wh, z, ctx, z0=mp.mpc(0, 1))
+        v2 = r_star(f_wh, z, ctx, z0=mp.mpc(1, 2))
         indep = abs(v1 - v2) / (1 + abs(v1))
     report(10, "regularized integral z0-independence", indep, mp.mpf("1e-15"))
     reps = verify_per_star(f_wh, [mp.mpc("0.3", "1.3"), mp.mpc("0.45", "1.1")], ctx)

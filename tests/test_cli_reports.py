@@ -42,6 +42,14 @@ def test_report_fail_flag():
     assert not sample_report(passes=False).passed
 
 
+def test_nan_residual_fails_wherever_it_sits():
+    # max() skips a NaN that is not first; a NaN anywhere must fail the report
+    for residuals in ([0, mp.nan], [mp.nan, 0], [1, mp.nan, 0]):
+        rep = RelationReport.from_residuals("x", [0] * len(residuals), residuals, mp.mpf("1e-20"))
+        assert mp.isnan(rep.max_residual) and not rep.passed, residuals
+        assert rep.to_dict()["max_residual"] == "nan" and rep.to_dict()["pass"] is False
+
+
 def test_reports_json_deterministic():
     a = reports_to_json([sample_report()], config={"digits": 50})
     b = reports_to_json([sample_report()], config={"digits": 50})
@@ -80,6 +88,19 @@ def test_suite_config_ignores_unknown_keys(tmp_path):
     cfg = SuiteConfig.from_file(str(p))
     assert cfg.digits == 40
     assert "points" not in cfg.to_dict() and "suites" not in cfg.to_dict()
+
+
+@pytest.mark.parametrize("forms", [[], "delta", None])
+def test_suite_config_needs_a_nonempty_list_of_known_forms(tmp_path, capsys, forms):
+    # an empty list once passed vacuously, and a string was read letter by letter
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "periodlab-config-1", "forms": forms}))
+    with pytest.raises(ValueError, match="non-empty list"):
+        SuiteConfig.from_file(str(p))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "superm", "--config", str(p), "--out", str(out)]) == EXIT_DOMAIN
+    assert json.loads(capsys.readouterr().out)["kind"] == "config"
+    assert not out.exists()
 
 
 def test_cli_lvalue_dirichlet():
@@ -228,3 +249,40 @@ def test_cli_verify_identity_failure_exits_one(tmp_path):
     assert proc.returncode == EXIT_IDENTITY_FAILURE
     payload = json.load(open(out))
     assert payload["all_pass"] is False
+
+
+VERIFY_ALL_IDENTITIES = [
+    "superm[delta]",
+    "superm[cusp16]",
+    "wk2_slash_S[delta]",
+    "wk2_slash_U[delta]",
+    "wk2_xi_image[delta]",
+    "wk2_slash_S[cusp16]",
+    "wk2_slash_U[cusp16]",
+    "wk2_xi_image[cusp16]",
+    "mockes_1S[delta]",
+    "mockes_UU[delta]",
+    "mockes_1S[cusp16]",
+    "mockes_UU[cusp16]",
+    "perstar_eq[e4sq_e6_over_delta_sq]",
+    "perstar_slash_S[e4sq_e6_over_delta_sq]",
+    "perstar_slash_U[e4sq_e6_over_delta_sq]",
+    "perstar_xi_holomorphy[e4sq_e6_over_delta_sq]",
+    "xi_descent_termwise[k=12,m=1]",
+    "xi_descent_matched[k=12,m=1,C=10]",
+    "bol_descent_termwise[k=12,m=1]",
+    "bol_descent_matched[k=12,m=1,C=10]",
+    "laplace_eigenvalue[w=-10,m=1,s=6.0]",
+    "bol_xi_avatar_fd[delta]",
+    "bol_xi_avatar_chain[delta]",
+    *(f"whittaker_derivative_identity[k={k},y={y}]" for k in (4, 12) for y in ("0.5", "1.0", "2.0", "5.0")),
+]
+
+
+def test_cli_verify_all_identity_names_and_order(tmp_path):
+    # consumers read report entries by position: the names and their order are fixed
+    out = tmp_path / "all.json"
+    assert main(["verify", "all", "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert [r["identity"] for r in payload["reports"]] == VERIFY_ALL_IDENTITIES
+    assert payload["all_pass"] is True

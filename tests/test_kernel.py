@@ -10,13 +10,14 @@ from periodlab import (
     F_f2,
     PrecisionContext,
     StepTooLarge,
+    f_star,
     hat_r_f2,
     laplace_fd,
     noncritical_lvalue,
     period_polynomial_quadrature,
     quad_ray,
     r_f2,
-    starred_periods,
+    r_star,
     verify_mock_es,
     verify_w_k2,
     xi_fd,
@@ -35,8 +36,6 @@ def test_context_invariants():
         PrecisionContext(digits=20)
     with pytest.raises(ValueError):
         PrecisionContext(series_len=4)
-    with pytest.raises(ValueError):
-        PrecisionContext(digits=50, fd_step=mp.mpf("1e-30"))
     ctx = PrecisionContext()
     assert ctx.fd_step ** 2 > mp.mpf(10) ** (-ctx.digits)
 
@@ -285,7 +284,8 @@ def test_quad_ray_is_oracle_only(ctx, f_delta, f_wh, monkeypatch):
                 if value is quad_ray:
                     monkeypatch.setattr(module, key, refuse)
     z = mp.mpc("0.3", "1.2")
-    starred_periods(f_wh, z, ctx)
+    f_star(f_wh, z, ctx)
+    r_star(f_wh, z, ctx)
     F_f2(f_delta, z, ctx, method="termwise")
     r_f2(f_delta, z, ctx, method="termwise")
     hat_r_f2(f_delta, z, ctx)

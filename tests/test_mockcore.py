@@ -14,7 +14,6 @@ from periodlab import (
     U,
     cusp_form,
     delta,
-    hat_function,
     hat_r_f2,
     l_completed,
     l_dirichlet,
@@ -184,14 +183,14 @@ def test_hat_assembly_exact(ctx, f_delta):
 
 def test_hat_harmonicity(ctx, f_delta):
     z = mp.mpc(1, 1)
-    h = hat_function(f_delta, ctx)
+    h = lambda w: hat_r_f2(f_delta, w, ctx)
     v = laplace_fd(h, 12, z, ctx, step=mp.mpf("1e-10"))
     assert abs(v) <= ctx.tol_fd * max(1, abs(h(z)))
 
 
 def test_hat_xi_image(ctx, f_delta):
     z = mp.mpc("0.3", "1.1")
-    h = hat_function(f_delta, ctx)
+    h = lambda w: hat_r_f2(f_delta, w, ctx)
     rp = period_polynomial(f_delta, ctx)
     got = xi_fd(h, 12, z, ctx)
     want = (2j) ** (1 - 12) * rp.base(z)
@@ -299,7 +298,7 @@ def _sl2z_images(draw):
 def test_relations_at_sl2z_images(ctx, f_delta, w):
     # superm takes F2 at w and at Sw, so both stay at height >= 0.3
     assume(mp.im(w) >= mp.mpf("0.3") and mp.im(S.apply(w)) >= mp.mpf("0.3"))
-    h = hat_function(f_delta, ctx)
+    h = lambda w: hat_r_f2(f_delta, w, ctx)
     with mp.workdps(ctx.work_dps):
         v0 = h(w)
         rel_s = v0 + slash_function(h, 12, S)(w)
@@ -344,7 +343,7 @@ def test_xi_image_degree_bound(ctx, f_delta):
     # xi(hat) interpolated by a degree-(k-2) polynomial at k+3 samples;
     # residual at 3 holdout points stays at FD tolerance
     k = 12
-    h = hat_function(f_delta, ctx)
+    h = lambda w: hat_r_f2(f_delta, w, ctx)
     xs = [mp.mpc("0.1", "0.8") + j * mp.mpc("0.07", "0.12") for j in range(k + 3)]
     vals = [xi_fd(h, k, z, ctx) for z in xs]
     # least-squares fit of degree k-2 through k+3 points

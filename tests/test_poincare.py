@@ -108,16 +108,14 @@ def test_phi_seed_rejects_zero_index(ctx):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_xi_descent_termwise(ctx, m):
-    reps = verify_termwise_xi(12, m, [mp.mpc(0, 1), mp.mpc("0.3", "0.8")], ctx, trunc_bound=10)
+    reps = verify_termwise_xi(12, m, [mp.mpc(0, 1), mp.mpc("0.3", "0.8")], ctx)
     for r in reps:
         assert r.passed, r.summary_line()
 
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_bol_descent_termwise(ctx, m):
-    reps = verify_termwise_dipoincare(
-        12, m, [mp.mpc(0, 1), mp.mpc("0.25", "1.5")], ctx, trunc_bound=10
-    )
+    reps = verify_termwise_dipoincare(12, m, [mp.mpc(0, 1), mp.mpc("0.25", "1.5")], ctx)
     for r in reps:
         assert r.passed, r.summary_line()
 

@@ -13,13 +13,13 @@ from periodlab import (
     QSeries,
     TailTooLarge,
     eichler_integral,
+    f_star,
     period_polynomial,
     quad_ray,
     r_f2,
     r_star,
     reg_integral_to_icusp,
     residual_scale,
-    starred_periods,
     verify_per_star,
     weakly_holomorphic_m10,
     xi_fd,
@@ -287,30 +287,24 @@ def test_wrong_cocycle_raises(ctx, f_delta, f_wh):
         with pytest.raises(DomainError):
             r_star(b, z, ctx, cocycle=cocycle)
     with pytest.raises(DomainError):
-        starred_periods(f_wh, z, ctx, cocycle=r)
+        r_star(f_wh, z, ctx, cocycle=r)
     with pytest.raises(DomainError):
         r_star(f_wh, z, ctx, z0=mp.mpc(1, 0))
 
 
-def test_starred_modular_input_kills_cocycle(ctx, f_wh):
-    sp = starred_periods(f_wh, mp.mpc("0.3", "1.2"), ctx)
-    assert sp.tildestar == 0
-    assert sp.hatstar == sp.rstar
-
-
 def test_starred_tildestar_with_cocycle(ctx, f_delta):
-    # the Eichler integral's series with its true cocycle r = F|(1-S):
-    # tildestar integrates r against (w+z)^(-k) exactly, checked here by
-    # quadrature on the ray w = -x + it from -conj z, where w + z = i(t + y)
-    M, Q = eichler_integral(f_delta, ctx).series, period_polynomial(f_delta, ctx).base
+    # for the Eichler integral's series the cocycle is Q = r = F|(1-S):
+    # tildestar = Q.kernel_integral(k, z, -conj z) integrates r against
+    # (w+z)^(-k) exactly, checked here by quadrature on the ray w = -x + it
+    # from -conj z, where w + z = i(t + y)
+    Q = period_polynomial(f_delta, ctx).base
     z = mp.mpc("0.3", "1.2")
-    sp = starred_periods(M, z, ctx, cocycle=Q)
     with mp.workdps(ctx.work_dps):
+        tildestar = Q.kernel_integral(12, z, -mp.conj(z))
         x, y = mp.re(z), mp.im(z)
         want = mp.quad(lambda t: Q(mp.mpc(-x, t)) * mp.mpc(0, t + y) ** (-12) * 1j, [y, mp.inf])
-        assert sp.hatstar == sp.rstar - sp.tildestar
-    assert sp.tildestar != 0
-    assert abs(sp.tildestar - want) <= ctx.tol_tight * (1 + abs(want))
+    assert tildestar != 0
+    assert abs(tildestar - want) <= ctx.tol_tight * (1 + abs(want))
 
 
 def test_modularity_spot_check_runs_once_per_context(f_wh, monkeypatch):
@@ -374,13 +368,12 @@ def test_cocycle_memo_shared_by_equal_polynomials(ctx, f_delta, monkeypatch):
 
 def test_starred_zero_input(ctx, f_wh):
     zero = f_wh.scale(0)
-    sp = starred_periods(zero, mp.mpc(0, 1), ctx)
-    assert sp.Fstar == 0 and sp.hatstar == 0
+    assert f_star(zero, mp.mpc(0, 1), ctx) == 0 and r_star(zero, mp.mpc(0, 1), ctx) == 0
 
 
 def test_starred_xi_holomorphy(ctx, f_wh):
     z = mp.mpc("0.25", "1.1")
-    hat = lambda w: starred_periods(f_wh, w, ctx).hatstar
+    hat = lambda w: r_star(f_wh, w, ctx)  # modular input: no cocycle, so hatstar = rstar
     v = xi_fd(hat, 12, z, ctx)
     scale = max(1, abs(hat(z)))
     assert abs(v) <= ctx.tol_fd * scale
@@ -432,8 +425,8 @@ def test_per_star_holds_under_other_branch(ctx, f_wh):
     # the verified identities are uniform in the continuation class; only
     # the values of individual regularized integrals depend on it
     z = mp.mpc("0.3", "1.3")
-    vl = starred_periods(f_wh, z, ctx, branch="L").rstar
-    vr = starred_periods(f_wh, z, ctx, branch="R").rstar
+    vl = r_star(f_wh, z, ctx, branch="L")
+    vr = r_star(f_wh, z, ctx, branch="R")
     assert abs(vl - vr) > mp.mpf("1e-6")  # genuinely different continuations
     for r in verify_per_star(f_wh, [z], ctx, branch="R"):
         assert r.passed, r.summary_line()
