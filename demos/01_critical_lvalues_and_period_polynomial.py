@@ -12,6 +12,7 @@ import mpmath as mp
 
 from periodlab import (
     PrecisionContext,
+    critical_lvalues,
     delta,
     l_completed,
     l_dirichlet,
@@ -38,13 +39,13 @@ for s in (12, 14):
     print(f"  s={s}: |completed - dirichlet| = {mp.nstr(abs(vd - vc), 3)}")
 
 rp = period_polynomial(f, ctx)
-gap = max(abs(a - b) for a, b in zip(completed, rp.critical_values))
+gap = max(abs(a - lv.value) for a, lv in zip(completed, critical_lvalues(f, ctx)))
 print(f"\nclosed-form critical values vs the completed series: max gap {mp.nstr(gap, 3)}")
 print("\nperiod polynomial coefficients (degree 0..10):")
-for j, c in enumerate(rp.base.coeffs):
+for j, c in enumerate(rp.coeffs):
     print(f"  z^{j:<2d}  {mp.nstr(c, 20)}")
 
 print("\ndefinitional integral oracle at three points:")
 for z0 in (mp.mpc(0, 1), mp.mpc(1, 1), mp.mpc(0, 2)):
     oracle = period_polynomial_quadrature(f, z0, ctx)
-    print(f"  z0={z0}:  |quadrature - polynomial| = {mp.nstr(abs(oracle - rp.base(z0)), 3)}")
+    print(f"  z0={z0}:  |quadrature - polynomial| = {mp.nstr(abs(oracle - rp(z0)), 3)}")

@@ -14,7 +14,7 @@ mp.mp.dps = ctx.work_dps
 
 f = delta(64)
 F = eichler_integral(f, ctx)
-r = period_polynomial(f, ctx).base
+r = period_polynomial(f, ctx)
 k = f.weight
 
 print("termwise coefficients of F (first three):")

@@ -41,7 +41,7 @@ print(" ", rep.summary_line())
 h = lambda w: hat_r_f2(f, w, ctx)
 rp = period_polynomial(f, ctx)
 got = xi_fd(h, 12, z, ctx)
-want = (2j) ** (-11) * rp.base(z)
+want = (2j) ** (-11) * rp(z)
 print("\nxi-image against the period polynomial:")
 print(f"  xi(hat)          = {mp.nstr(got, 15)}")
 print(f"  (2i)^(-11) r(z)  = {mp.nstr(want, 15)}")

@@ -44,7 +44,6 @@ from .eichler import (
     GroupElement,
     IDENTITY,
     NotInW,
-    PeriodPolynomial,
     PolynomialC,
     RankDeficient,
     S,

@@ -20,7 +20,7 @@ import mpmath as mp
 
 from . import __version__
 from .kernel import DomainError, NonConvergent, PrecisionContext, TailTooLarge
-from .lfun import l_completed, l_dirichlet
+from .lfun import critical_lvalues, l_completed, l_dirichlet
 from .qforms import (
     DIM_ONE_WEIGHTS,
     REDUCTION_HEIGHT,
@@ -66,6 +66,9 @@ class SuiteConfig:
         for key in ("digits", "series_len", "tol_tight", "tol_fd", "forms"):
             if key in raw:
                 setattr(cfg, key, raw[key])
+        for key in ("digits", "series_len"):
+            if type(getattr(cfg, key)) is not int:  # JSON true/false would pass isinstance(int)
+                raise ValueError(f"{key} must be an integer")
         if not isinstance(cfg.forms, list) or not cfg.forms:
             raise ValueError("forms must be a non-empty list of form labels")
         for f in cfg.forms:
@@ -74,7 +77,7 @@ class SuiteConfig:
         return cfg
 
     def context(self) -> PrecisionContext:
-        kwargs = {"digits": int(self.digits), "series_len": int(self.series_len)}
+        kwargs = {"digits": self.digits, "series_len": self.series_len}
         if self.tol_tight is not None:
             kwargs["tol_tight"] = mp.mpf(self.tol_tight)
         if self.tol_fd is not None:
@@ -118,22 +121,16 @@ def holomorphic_form(label: str, ctx: PrecisionContext) -> QSeries:
 # point grids
 # ---------------------------------------------------------------------------
 
-def generic_points(n: int = 10) -> list:
-    """Deterministic grid in 0.1 <= Re z <= 0.9, 0.6 <= Im z <= 2.4."""
-    pts = []
-    for i in range(n):
-        t = mp.mpf(i) / max(n - 1, 1)
-        pts.append(mp.mpc(mp.mpf("0.1") + mp.mpf("0.8") * t, mp.mpf("0.6") + mp.mpf("1.8") * t))
-    return pts
+def _grid(n: int, x0: str, dx: str, y0: str, dy: str) -> list:
+    """n points x0 + dx t + i (y0 + dy t), t = j/(n-1) for j < n, the offsets given as decimal strings.
 
-
-def perstar_points(n: int = 5) -> list:
-    """Points with |z|^2 <= 2.5 Im z so S-leg base heights stay moderate."""
-    pts = []
-    for i in range(n):
-        t = mp.mpf(i) / max(n - 1, 1)
-        pts.append(mp.mpc(mp.mpf("0.15") + mp.mpf("0.4") * t, mp.mpf("0.9") + mp.mpf("0.5") * t))
-    return pts
+    The generic grid ("0.1", "0.8", "0.6", "1.8") fills 0.1 <= Re z <= 0.9,
+    0.6 <= Im z <= 2.4; the perstar grid ("0.15", "0.4", "0.9", "0.5") keeps
+    |z|^2 <= 2.5 Im z so S-leg base heights stay moderate.
+    """
+    x0, dx, y0, dy = (mp.mpf(v) for v in (x0, dx, y0, dy))
+    ts = [mp.mpf(i) / max(n - 1, 1) for i in range(n)]
+    return [mp.mpc(x0 + dx * t, y0 + dy * t) for t in ts]
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +150,7 @@ def run_suite(name: str, cfg: SuiteConfig, ctx: PrecisionContext) -> List[Relati
 
     reports: List[RelationReport] = []
     forms = [holomorphic_form(label, ctx) for label in cfg.forms]
-    pts10 = generic_points(10)
-    pts5 = generic_points(5)
+    pts10, pts5 = (_grid(n, "0.1", "0.8", "0.6", "1.8") for n in (10, 5))
     if name == "superm":
         for f in forms:
             reports.append(verify_superm(f, pts10, ctx))
@@ -166,7 +162,7 @@ def run_suite(name: str, cfg: SuiteConfig, ctx: PrecisionContext) -> List[Relati
             reports.extend(verify_mock_es(f, [mp.mpc(0, 1), mp.mpc(1, 1), mp.mpc("-0.5", "1.5")], ctx))
     elif name == "perstar":
         M = cached_form("wh-10", max(ctx.series_len, 170))
-        reports.extend(verify_per_star(M, perstar_points(3), ctx))
+        reports.extend(verify_per_star(M, _grid(3, "0.15", "0.4", "0.9", "0.5"), ctx))
     elif name == "poincare":
         k = 12
         reports.extend(verify_termwise_xi(k, 1, [mp.mpc(0, 1), mp.mpc("0.3", "0.8")], ctx))
@@ -214,8 +210,7 @@ def _error_exit(exc: Exception, kind: str = "domain") -> int:
 def cmd_lvalue(args) -> int:
     try:
         ctx = PrecisionContext(digits=args.digits)
-        weight = _FORM_WEIGHTS.get(args.form)
-        if weight is None:
+        if args.form not in _FORM_WEIGHTS:
             raise UnsupportedWeight(f"unknown form {args.form!r}")
         with mp.workdps(ctx.work_dps):
             s = mp.mpf(args.s)
@@ -223,7 +218,7 @@ def cmd_lvalue(args) -> int:
             from .lfun import dirichlet_truncation_length
 
             tol = mp.mpf("1e-12")
-            tail_bound = (2.0, weight / 2)
+            tail_bound = cached_form(args.form, 32).tail_bound
             N = args.series_len or min(dirichlet_truncation_length(tail_bound, s, tol), 20000)
             f = cached_form(args.form, max(N, 32))
             lv = l_dirichlet(f, s, ctx, tol=tol)
@@ -259,14 +254,14 @@ def cmd_periodpoly(args) -> int:
             raise UnsupportedWeight(f"weight {k} not supported (dim > 1 or odd)")
         label = "delta" if k == 12 else f"cusp{k}"
         f = holomorphic_form(label, ctx)
-        rp = period_polynomial(f, ctx)
+        r = period_polynomial(f, ctx)
         payload = {
             "schema": SCHEMA_VERSION,
             "form": label,
             "weight": k,
-            "coefficients": [_point_pair(c, ctx.digits) for c in rp.base.coeffs],
+            "coefficients": [_point_pair(c, ctx.digits) for c in r.coeffs],
             "critical_values": [
-                {"s": n + 1, "value": _point_pair(v, ctx.digits)} for n, v in enumerate(rp.critical_values)
+                {"s": s, "value": _point_pair(lv.value, ctx.digits)} for s, lv in enumerate(critical_lvalues(f, ctx), 1)
             ],
         }
         if args.check:
@@ -274,7 +269,7 @@ def cmd_periodpoly(args) -> int:
                 devs = []
                 for z0 in (mp.mpc(0, 1), mp.mpc(1, 1), mp.mpc(0, 2)):
                     oracle = period_polynomial_quadrature(f, z0, ctx)
-                    devs.append(abs(oracle - rp.base(z0)) / (1 + abs(oracle)))
+                    devs.append(abs(oracle - r(z0)) / (1 + abs(oracle)))
                 payload["quadrature_max_deviation"] = mp.nstr(max(devs), 10)
         print(json.dumps(payload))
         return EXIT_OK

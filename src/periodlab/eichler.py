@@ -19,7 +19,7 @@ import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, quad_ray
 from .lfun import critical_lvalues
-from .qforms import QSeries, _reduce_step, _sum_q_series, _to_mpc
+from .qforms import QSeries, _reduced_sum, _to_mpc
 from .reports import RelationReport, residual_scale
 
 
@@ -197,62 +197,38 @@ def slash_function(F: Callable[[mp.mpc], mp.mpc], m: int, gamma: GroupElement) -
     return slashed
 
 
-def period_relation_residuals(h: Callable[[mp.mpc], mp.mpc], v0: mp.mpc, k: int, z: mp.mpc) -> Tuple:
-    """|h|(1+S)(z)| and |h|(1+U+U^2)(z)| at weight k, relative to max(1, |v0|), v0 = h(z)."""
-    scale = residual_scale(v0)
+def period_relations(h: Callable[[mp.mpc], mp.mpc], v0: mp.mpc, k: int, z: mp.mpc) -> Tuple[mp.mpc, mp.mpc]:
+    """h|(1+S)(z) and h|(1+U+U^2)(z) at weight k, given v0 = h(z)."""
     rel_s = v0 + slash_function(h, k, S)(z)
     rel_u = v0 + slash_function(h, k, U)(z) + slash_function(h, k, U * U)(z)
-    return abs(rel_s) / scale, abs(rel_u) / scale
+    return rel_s, rel_u
 
 
-@dataclass(frozen=True)
-class PeriodPolynomial:
-    """Degree-(k-2) period polynomial with the critical values that built it."""
-
-    base: PolynomialC
-    weight: int
-    critical_values: Tuple[mp.mpc, ...]  # L(1), ..., L(k-1)
-    critical_errors: Tuple[mp.mpf, ...]  # their est_error
-
-    def __call__(self, z) -> mp.mpc:
-        return self.base(z)
-
-
-_PERIOD_CACHE: dict = {}
-
-
-def period_polynomial(f: QSeries, ctx: PrecisionContext) -> PeriodPolynomial:
-    """Period polynomial from critical L-values.
+def period_polynomial(f: QSeries, ctx: PrecisionContext) -> PolynomialC:
+    """Period polynomial r of degree bound k-2 from critical L-values, memoized on f per context.
 
     Coefficient of z^(k-2-n) is
     -(k-2)!/(2 pi i)^(k-1) * (2 pi i)^(k-2-n) L(n+1) / (k-2-n)!.
-    The values L(1), ..., L(k-1) and their est_error come from one call of
-    ``critical_lvalues``, which raises TailTooLarge when f's window is too
-    short; ``l_completed`` at each s is their oracle.
+    The values L(1), ..., L(k-1) come from ``critical_lvalues``, which
+    raises TailTooLarge when f's window is too short; ``l_completed`` at
+    each s is their oracle.
     """
     if not f.cuspidal:
         raise DomainError("period polynomial requires a cusp form")
-    key = (f, ctx)
-    cached = _PERIOD_CACHE.get(key)
-    if cached is not None:
-        return cached
+    key = ("period_polynomial", ctx)
+    got = f._memo.get(key)
+    if got is not None:
+        return got
     k = f.weight
     with mp.workdps(ctx.work_dps):
-        lvs = critical_lvalues(f, ctx)
-        lvals = tuple(lv.value for lv in lvs)
+        lvals = [lv.value for lv in critical_lvalues(f, ctx)]
         pref = -mp.factorial(k - 2) / (2j * mp.pi) ** (k - 1)
         coeffs = [mp.mpc(0)] * (k - 1)
         for n in range(k - 1):
             j = k - 2 - n  # degree of this term
             coeffs[j] = pref * (2j * mp.pi) ** j * lvals[n] / mp.factorial(j)
-        result = PeriodPolynomial(
-            base=PolynomialC.from_coeffs(coeffs, degree_bound=k - 2),
-            weight=k,
-            critical_values=lvals,
-            critical_errors=tuple(lv.est_error for lv in lvs),
-        )
-    _PERIOD_CACHE[key] = result
-    return result
+        got = f._memo[key] = PolynomialC.from_coeffs(coeffs, degree_bound=k - 2)
+    return got
 
 
 def period_polynomial_quadrature(f: QSeries, z0, ctx: PrecisionContext) -> mp.mpc:
@@ -272,18 +248,16 @@ class EichlerIntegral:
     Termwise, F(z) = (k-2)! (-2 pi i)^(1-k) sum a(n) n^(1-k) q^n.  Below the
     reduction height the cocycle rule F(z) = r(z) + z^(k-2) F(-1/z) (together
     with exact T-translations) moves the argument into the fast-convergence
-    region; each step at least doubles Im z.  The q-sum is a QSeries,
-    ``series``, whose coefficients carry the prefactor, with tail bound
-    (|prefactor| C, alpha + 1 - k) from f's (C, alpha), so it is truncated
-    by the package's one certified rule and raises TailTooLarge when f's
-    window is too short.
+    region: ``qforms._reduced_sum`` with r as the cocycle.  The q-sum is a
+    QSeries, ``series``, whose coefficients carry the prefactor, with tail
+    bound (|prefactor| C, alpha + 1 - k) from f's (C, alpha), so it is
+    truncated by the package's one certified rule and raises TailTooLarge
+    when f's window is too short.
     """
 
     def __init__(self, f: QSeries, ctx: PrecisionContext):
         if not f.cuspidal:
             raise DomainError("Eichler integral requires a cusp form")
-        self.f = f
-        self.weight = 2 - f.weight
         self.ctx = ctx
         self._period = period_polynomial(f, ctx)
         with mp.workdps(ctx.work_dps):
@@ -293,7 +267,7 @@ class EichlerIntegral:
             if f.tail_bound is not None:
                 tail_bound = (float(abs(pref)) * f.tail_bound[0], f.tail_bound[1] + 1 - k)
             self.series = QSeries(
-                weight=self.weight,
+                weight=2 - k,
                 n_min=1,
                 coeffs=tuple(pref * _to_mpc(f.coeff(n)) * mp.mpf(n) ** (1 - k) for n in range(1, f.n_max + 1)),
                 tail_bound=tail_bound,
@@ -306,33 +280,19 @@ class EichlerIntegral:
             z = z if isinstance(z, mp.mpc) else mp.mpc(z)
             if not z.imag > 0:
                 raise DomainError("Eichler integral evaluated off the upper half-plane")
-            total = factor = None  # set by the first cocycle step
-            for _ in range(8 * self.ctx.work_dps):
-                z, high = _reduce_step(z)
-                if high:
-                    break
-                r = self._period(z)
-                total = r if total is None else total + factor * r
-                jac = z ** (-self.weight)  # z^(k-2)
-                factor = jac if factor is None else factor * jac
-                z = -1 / z
-            value = _sum_q_series(self.series, z, self.ctx)
-            return value if factor is None else total + factor * value
+            return _reduced_sum(self.series, z, self.ctx, cocycle=self._period)
 
     def __call__(self, z) -> mp.mpc:
         return self.evaluate(z)
 
 
-_EICHLER_CACHE: dict = {}
-
-
 def eichler_integral(f: QSeries, ctx: PrecisionContext) -> EichlerIntegral:
-    key = (f, ctx)
-    inst = _EICHLER_CACHE.get(key)
-    if inst is None:
-        inst = EichlerIntegral(f, ctx)
-        _EICHLER_CACHE[key] = inst
-    return inst
+    """F for f at ctx, memoized on f per context."""
+    key = ("eichler_integral", ctx)
+    got = f._memo.get(key)
+    if got is None:
+        got = f._memo[key] = EichlerIntegral(f, ctx)
+    return got
 
 
 def w_membership(P: PolynomialC, m: int, ctx: PrecisionContext) -> RelationReport:
@@ -371,7 +331,7 @@ def es_decompose(
     tol = mp.mpf(tol) if tol is not None else mp.mpf(10) ** (-10)
     with mp.workdps(ctx.work_dps):
         f0 = cusp_form(k, max(ctx.series_len, 32))
-        r = period_polynomial(f0, ctx).base
+        r = period_polynomial(f0, ctx)
         rminus = r.negate_variable()
         cob = PolynomialC.from_coeffs(
             [mp.mpc(-1)] + [mp.mpc(0)] * (k - 3) + [mp.mpc(1)], degree_bound=k - 2

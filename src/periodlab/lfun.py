@@ -199,8 +199,12 @@ def critical_lvalues(f: QSeries, ctx: PrecisionContext) -> Tuple[LValue, ...]:
     ``est_error`` follows ``l_completed``: the certified tail of Lambda(s)
     carried over to L(s) = (2 pi)^s Lambda(s)/(s-1)!, never less than
     ctx.eps().  The finite sums need no rounding term: they are elementary,
-    with no series of their own to stop.
+    with no series of their own to stop.  Memoized on f per context.
     """
+    key = ("critical_lvalues", ctx)
+    got = f._memo.get(key)
+    if got is not None:
+        return got
     lams, log_tail = _critical_lambdas(f, ctx)
     with mp.workdps(ctx.work_dps):
         tail, factor, out = mp.exp(log_tail), mp.mpf(1), []
@@ -208,4 +212,5 @@ def critical_lvalues(f: QSeries, ctx: PrecisionContext) -> Tuple[LValue, ...]:
             factor *= 2 * mp.pi / max(s - 1, 1)  # (2 pi)^s / (s-1)!
             err = max(ctx.eps(), tail * factor)
             out.append(LValue(s=mp.mpc(s), value=lam * factor, method="critical", est_error=err))
-        return tuple(out)
+    got = f._memo[key] = tuple(out)
+    return got

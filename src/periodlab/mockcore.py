@@ -35,7 +35,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .eichler import S, U, UTILDE, eichler_integral, period_polynomial, period_relation_residuals
+from .eichler import S, UTILDE, eichler_integral, period_polynomial, period_relations, slash_polynomial
 from .kernel import (
     QUAD_MAXDEGREE,
     DomainError,
@@ -44,7 +44,7 @@ from .kernel import (
     quad_ray,
     xi_fd,
 )
-from .lfun import LValue
+from .lfun import LValue, critical_lvalues
 from .qforms import QSeries, conjugate_form
 from .regint import f_star, r_star, ray_sum
 from .reports import RelationReport, residual_scale
@@ -88,7 +88,7 @@ def r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
             return mp.mpc(0)
         F, k = eichler_integral(f, ctx), f.weight
         if method == "termwise":
-            return r_star(F.series, z, ctx, cocycle=period_polynomial(f, ctx).base, z0=mp.mpc(0, R2_SPLIT))
+            return r_star(F.series, z, ctx, cocycle=period_polynomial(f, ctx), z0=mp.mpc(0, R2_SPLIT))
         pole = 1 / z if z != 0 else None
         integrand = lambda w: F(w) * (w * z - 1) ** (-k)
         return quad_ray(integrand, mp.mpc(0), ctx, avoid=(pole,) if pole is not None else ())
@@ -108,7 +108,7 @@ def tilde_r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "closed") -> 
             raise DomainError("tilde_r_f2 requires Im z > 0")
         if f.is_zero():
             return mp.mpc(0)
-        r = period_polynomial(f, ctx).base
+        r = period_polynomial(f, ctx)
         k = f.weight
         if method == "quadrature":
             x, y = mp.re(z), mp.im(z)
@@ -151,16 +151,16 @@ def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
         if f.is_zero():
             return LValue(s=mp.mpc(f.weight + m), value=mp.mpc(0), method="mock-period", est_error=mp.mpf(0))
         k = f.weight
-        pp = period_polynomial(f, ctx)
+        lvs = critical_lvalues(f, ctx)
         sign = (-1) ** m
         b, i = eichler_integral(f, ctx).series, mp.mpc(0, 1)
         upper, tail_up = ray_sum(b, i, 0, -m, ctx)
         lower, tail_low = ray_sum(b, i, 0, k + m, ctx, -sign)
-        integral = upper + lower + sign * pp.base.kernel_integral(k + m, 0, i)
+        integral = upper + lower + sign * period_polynomial(f, ctx).kernel_integral(k + m, 0, i)
         # an error e in L(k-1-j) moves r's w^j coefficient by (k-2)! (2 pi)^(j+1-k) e / j!,
         # and int_i^{i oo} r(w) w^(-k-m) dw by that over k+m-1-j
         coeff_err = mp.factorial(k - 2) * mp.fsum(
-            (2 * mp.pi) ** (j + 1 - k) * pp.critical_errors[k - 2 - j] / (mp.factorial(j) * (k + m - 1 - j))
+            (2 * mp.pi) ** (j + 1 - k) * lvs[k - 2 - j].est_error / (mp.factorial(j) * (k + m - 1 - j))
             for j in range(k - 1)
         )
         factor = (-1) ** k * (-2j * mp.pi) ** (k + m) / (mp.factorial(k - 2) * mp.factorial(m))
@@ -198,14 +198,15 @@ def verify_w_k2(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> li
     """
     k = f.weight
     h = lambda w: hat_r_f2(f, w, ctx)
-    rconj = period_polynomial(conjugate_form(f), ctx).base
+    rconj = period_polynomial(conjugate_form(f), ctx)
     res_s, res_u, res_xi = [], [], []
     with mp.workdps(ctx.work_dps):
         for z in pts:
             z = mp.mpc(z)
-            rel_s, rel_u = period_relation_residuals(h, h(z), k, z)
-            res_s.append(rel_s)
-            res_u.append(rel_u)
+            v0 = h(z)
+            rel_s, rel_u = period_relations(h, v0, k, z)
+            res_s.append(abs(rel_s) / residual_scale(v0))
+            res_u.append(abs(rel_u) / residual_scale(v0))
             xv = xi_fd(h, k, z, ctx)
             target = (2j) ** (1 - k) * rconj(z)
             res_xi.append(abs(xv - target) / residual_scale(xv, target))
@@ -227,25 +228,17 @@ def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) ->
     exactly by ``PolynomialC.kernel_integral``; the left-hand sides take r2
     termwise.
     """
-    from .eichler import slash_polynomial
-
     k = f.weight
+    r2 = lambda w: r_f2(f, w, ctx, method="termwise")
     res1, res2 = [], []
     with mp.workdps(ctx.work_dps):
-        r = period_polynomial(f, ctx).base
+        r = period_polynomial(f, ctx)
         r_ut = slash_polynomial(r, 2 - k, UTILDE)
         for z in pts:
             z = mp.mpc(z)
-            r2 = r_f2(f, z, ctx, method="termwise")
-            lhs1 = r2 + r_f2(f, S.apply(z), ctx, method="termwise") * S.jfactor(z) ** (-k)
+            lhs1, lhs2 = period_relations(r2, r2(z), k, z)
             rhs1 = r.kernel_integral(k, z, 0)
             res1.append(abs(lhs1 - rhs1) / residual_scale(lhs1, rhs1))
-
-            lhs2 = (
-                r2
-                + r_f2(f, U.apply(z), ctx, method="termwise") * U.jfactor(z) ** (-k)
-                + r_f2(f, (U * U).apply(z), ctx, method="termwise") * (U * U).jfactor(z) ** (-k)
-            )
             rhs2 = r.kernel_integral(k, z, -1) + r_ut.kernel_integral(k, z, -1, 0)
             res2.append(abs(lhs2 - rhs2) / residual_scale(lhs2, rhs2))
     return [

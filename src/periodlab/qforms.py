@@ -77,8 +77,10 @@ class QSeries:
     weight ``weight`` under the full modular group, enabling the low-height
     evaluation fallback.  ``_memo`` holds values derived from the
     coefficients (their mpc conversion per binary precision, the log of the
-    growth constant, a passed cocycle spot check per context and cocycle);
-    it is not an init argument, so ``replace`` starts a fresh one, and it
+    growth constant, a passed cocycle spot check per context and cocycle)
+    and the objects built from the series, each keyed (name, ctx): its
+    ``critical_lvalues``, ``period_polynomial`` and ``eichler_integral``.
+    It is not an init argument, so ``replace`` starts a fresh one, and it
     takes no part in equality or hashing.
     """
 
@@ -107,25 +109,6 @@ class QSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if self.weight != other.weight:
-            raise ValueError("cannot add series of different weights")
-        n_min = min(self.n_min, other.n_min)
-        n_max = max(self.n_max, other.n_max)
-        coeffs = tuple(_add(self.coeff(n), other.coeff(n)) for n in range(n_min, n_max + 1))
-        tb = None
-        if self.tail_bound and other.tail_bound:
-            tb = (self.tail_bound[0] + other.tail_bound[0], max(self.tail_bound[1], other.tail_bound[1]))
-        return QSeries(
-            weight=self.weight,
-            n_min=n_min,
-            coeffs=coeffs,
-            tail_bound=tb,
-            cuspidal=self.cuspidal and other.cuspidal,
-            modular=self.modular and other.modular,
-            label=f"({self.label}+{other.label})",
-        )
-
     def scale(self, c) -> "QSeries":
         if isinstance(c, int) or isinstance(c, Fraction):
             coeffs = tuple(Fraction(c) * Fraction(a) if isinstance(a, (int, Fraction)) else c * a for a in self.coeffs)
@@ -136,12 +119,6 @@ class QSeries:
         if self.tail_bound is not None:
             tb = (float(abs(mp.mpc(c))) * self.tail_bound[0], self.tail_bound[1])
         return replace(self, coeffs=coeffs, tail_bound=tb, label=f"scale({self.label})")
-
-
-def _add(a: Coefficient, b: Coefficient) -> Coefficient:
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) + Fraction(b)
-    return _to_mpc(a) + _to_mpc(b)
 
 
 def _mpc_coeffs(f: "QSeries") -> tuple:
@@ -479,17 +456,32 @@ def evaluate(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
         z = z if isinstance(z, mp.mpc) else mp.mpc(z)
         if not z.imag > 0:
             raise DomainError("evaluate requires Im z > 0")
-        factor = None  # set by the first modular step
-        if f.modular:
-            for _ in range(8 * ctx.work_dps):
-                z, high = _reduce_step(z)
-                if high:
-                    break
-                jac = z ** (-f.weight)
-                factor = jac if factor is None else factor * jac
-                z = -1 / z
-        value = _sum_q_series(f, z, ctx)
-        return value if factor is None else factor * value
+        return _reduced_sum(f, z, ctx) if f.modular else _sum_q_series(f, z, ctx)
+
+
+def _reduced_sum(f: QSeries, z: mp.mpc, ctx: PrecisionContext, cocycle=None) -> mp.mpc:
+    """f(z) from its q-series, applying f(z) = cocycle(z) + z^(-w) f(-1/z) below the reduction height.
+
+    w = f.weight, and ``cocycle`` None stands for 0 (a modular f).  Each
+    step first translates z into the strip -1/2 <= Re z < 1/2 and at least
+    doubles Im z; the sum runs once z is above REDUCTION_HEIGHT.  Call at
+    the working precision.
+    """
+    total = factor = None  # set by the first step
+    for _ in range(8 * ctx.work_dps):
+        z, high = _reduce_step(z)
+        if high:
+            break
+        if cocycle is not None:
+            r = cocycle(z)
+            total = r if total is None else total + factor * r
+        jac = z ** (-f.weight)
+        factor = jac if factor is None else factor * jac
+        z = -1 / z
+    value = _sum_q_series(f, z, ctx)
+    if factor is None:
+        return value
+    return factor * value if total is None else total + factor * value
 
 
 def q_parts(x, y, P: int) -> tuple:

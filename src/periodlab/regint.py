@@ -63,7 +63,7 @@ from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .eichler import PolynomialC, S, period_relation_residuals
+from .eichler import PolynomialC, S, period_relations
 from .kernel import DomainError, PrecisionContext, xi_fd
 from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _mpc_coeffs
 from .reports import RelationReport, residual_scale
@@ -284,9 +284,9 @@ def verify_per_star(
             lhs = f_star(M, sz, ctx, branch) * z ** (-k) - f_star(M, z, ctx, branch)
             res_eq.append(abs(lhs - h) / residual_scale(lhs, h))
 
-            rel_s, rel_u = period_relation_residuals(hat, h, k, z)
-            res_s.append(rel_s)
-            res_u.append(rel_u)
+            rel_s, rel_u = period_relations(hat, h, k, z)
+            res_s.append(abs(rel_s) / residual_scale(h))
+            res_u.append(abs(rel_u) / residual_scale(h))
 
             xv = xi_fd(hat, k, z, ctx)
             res_xi.append(abs(xv) / residual_scale(h))

@@ -103,6 +103,19 @@ def test_suite_config_needs_a_nonempty_list_of_known_forms(tmp_path, capsys, for
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,value", [("digits", [50]), ("digits", True), ("digits", 50.0), ("series_len", None)])
+def test_suite_config_needs_integer_digits_and_series_len(tmp_path, capsys, field, value):
+    # these once reached int() in context() and ended in a TypeError traceback
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "periodlab-config-1", field: value}))
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SuiteConfig.from_file(str(p))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "special", "--config", str(p), "--out", str(out)]) == EXIT_DOMAIN
+    assert json.loads(capsys.readouterr().out)["kind"] == "config"
+    assert not out.exists()
+
+
 def test_cli_lvalue_dirichlet():
     proc = run_cli(["lvalue", "--form", "delta", "--s", "12", "--method", "dirichlet"])
     assert proc.returncode == EXIT_OK

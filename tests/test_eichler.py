@@ -1,6 +1,7 @@
 """Slash action, period polynomials, Eichler integrals, decomposition."""
 
 import random
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -12,6 +13,7 @@ from periodlab import (
     NotInW,
     PolynomialC,
     PrecisionContext,
+    critical_lvalues,
     eichler_integral,
     es_decompose,
     period_polynomial,
@@ -102,17 +104,17 @@ def test_period_polynomial_coefficient_structure(ctx, f_delta):
             -mp.factorial(k - 2)
             / (2j * mp.pi) ** (k - 1)
             * (2j * mp.pi) ** j
-            * rp.critical_values[n]
+            * critical_lvalues(f_delta, ctx)[n].value
             / mp.factorial(j)
         )
-        assert abs(rp.base.coeffs[j] - want) < mp.mpf("1e-55") * (1 + abs(want))
+        assert abs(rp.coeffs[j] - want) < mp.mpf("1e-55") * (1 + abs(want))
 
 
 def test_period_polynomial_parity_structure(ctx, f_delta):
     # c_j i^(j+k-1) is real for real-coefficient forms
     rp = period_polynomial(f_delta, ctx)
     k = 12
-    for j, c in enumerate(rp.base.coeffs):
+    for j, c in enumerate(rp.coeffs):
         v = c * mp.mpc(0, 1) ** (j + k - 1)
         assert abs(mp.im(v)) < mp.mpf("1e-50") * (1 + abs(v))
 
@@ -121,13 +123,13 @@ def test_period_polynomial_vs_quadrature(ctx, f_delta):
     rp = period_polynomial(f_delta, ctx)
     for z0 in (mp.mpc(0, 1), mp.mpc(1, 1), mp.mpc(0, 2)):
         oracle = period_polynomial_quadrature(f_delta, z0, ctx)
-        assert abs(oracle - rp.base(z0)) <= mp.mpf("1e-18") * (1 + abs(oracle))
+        assert abs(oracle - rp(z0)) <= mp.mpf("1e-18") * (1 + abs(oracle))
 
 
 def test_period_zero_form(ctx, f_delta):
     z = f_delta.scale(0)
     rp = period_polynomial(z, ctx)
-    assert rp.base.sup_norm() < ctx.tol_tight
+    assert rp.sup_norm() < ctx.tol_tight
 
 
 def test_eichler_termwise_coefficient(ctx, f_delta):
@@ -159,6 +161,18 @@ def test_object_caches_key_on_whole_context(ctx, f_delta):
     assert period_polynomial(f_delta, tight) is not period_polynomial(f_delta, ctx)
 
 
+def test_derived_objects_memoize_on_the_series(ctx, f_delta):
+    # a repeated call returns the same object; a replace() copy is equal to
+    # f but starts a fresh memo, so it builds its own (equal) objects
+    copy = replace(f_delta)
+    assert copy == f_delta and copy._memo == {}
+    for build in (critical_lvalues, period_polynomial, eichler_integral):
+        assert build(f_delta, ctx) is build(f_delta, ctx)
+        assert build(copy, ctx) is build(copy, ctx) is not build(f_delta, ctx)
+    assert period_polynomial(copy, ctx) == period_polynomial(f_delta, ctx)
+    assert set(copy._memo) >= {(name, ctx) for name in ("critical_lvalues", "period_polynomial", "eichler_integral")}
+
+
 def test_contexts_equal_across_ambient_precision(f_delta):
     # the default tolerances do not depend on the precision a context is
     # built at, so equal arguments give equal contexts and share the caches
@@ -177,7 +191,7 @@ def test_eichler_cocycle_relation(ctx, f_delta):
     for _ in range(10):
         z = mp.mpc(rng.uniform(-0.45, 0.45), rng.uniform(0.8, 1.2))
         lhs = F(z) - F(-1 / z) * z ** 10
-        assert abs(lhs - rp.base(z)) <= ctx.tol_tight * (1 + abs(lhs))
+        assert abs(lhs - rp(z)) <= ctx.tol_tight * (1 + abs(lhs))
 
 
 def test_eichler_t_periodicity(ctx, f_delta):
@@ -188,7 +202,7 @@ def test_eichler_t_periodicity(ctx, f_delta):
 
 def test_w_membership_period_polynomial(ctx, f_delta):
     rp = period_polynomial(f_delta, ctx)
-    rep = w_membership(rp.base, 2 - 12, ctx)
+    rep = w_membership(rp, 2 - 12, ctx)
     assert rep.passed
 
 
@@ -206,9 +220,9 @@ def test_w_membership_generic_fails(ctx):
 
 def test_es_decompose_basis_elements(ctx, f_delta):
     rp = period_polynomial(f_delta, ctx)
-    a, b, c, resid = es_decompose(rp.base, 12, ctx)
+    a, b, c, resid = es_decompose(rp, 12, ctx)
     assert abs(a - 1) < mp.mpf("1e-10") and abs(b) < mp.mpf("1e-10") and abs(c) < mp.mpf("1e-10")
-    P = rp.base.negate_variable() + coboundary(12).scale(5)
+    P = rp.negate_variable() + coboundary(12).scale(5)
     a, b, c, resid = es_decompose(P, 12, ctx)
     assert abs(a) < mp.mpf("1e-10") and abs(b - 1) < mp.mpf("1e-10") and abs(c - 5) < mp.mpf("1e-10")
 
@@ -220,7 +234,7 @@ def test_es_decompose_roundtrip(ctx, f_delta):
         a = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
         b = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
         c = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        P = rp.base.scale(a) + rp.base.negate_variable().scale(b) + coboundary(12).scale(c)
+        P = rp.scale(a) + rp.negate_variable().scale(b) + coboundary(12).scale(c)
         ra, rb, rc, resid = es_decompose(P, 12, ctx)
         err = max(abs(ra - a), abs(rb - b), abs(rc - c))
         assert err <= mp.mpf("1e-10")

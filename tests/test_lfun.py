@@ -1,11 +1,11 @@
 """L-value engines: Dirichlet summation, the completed series and its closed form at critical s."""
 
 import sys
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
 
-import periodlab.eichler as eichler
 from periodlab import (
     OutOfRegion,
     PrecisionContext,
@@ -37,7 +37,7 @@ def test_dirichlet_zero_series(ctx, f_delta):
 def test_dirichlet_linearity(ctx, f_delta):
     # termwise: the partial sums agree exactly, whatever the certified tail
     g = f_delta.scale(2)
-    lv_sum = l_dirichlet(f_delta + g, 13, ctx, tol=mp.mpf("1e-9")).value
+    lv_sum = l_dirichlet(f_delta.scale(3), 13, ctx, tol=mp.mpf("1e-9")).value
     lv_parts = (
         l_dirichlet(f_delta, 13, ctx, tol=mp.mpf("1e-9")).value
         + l_dirichlet(g, 13, ctx, tol=mp.mpf("1e-9")).value
@@ -163,8 +163,8 @@ def test_period_polynomial_needs_no_incomplete_gamma(ctx, monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is l_completed or value is upper_incomplete_gamma:
                     monkeypatch.setattr(module, key, refuse)
-    monkeypatch.setattr(eichler, "_PERIOD_CACHE", {})
-    rp = period_polynomial(delta(64), ctx)
-    assert len(rp.critical_values) == 11
+    f = replace(delta(64))  # a fresh memo, so r is built under the patch
+    assert len(period_polynomial(f, ctx).coeffs) == 11
+    assert len(critical_lvalues(f, ctx)) == 11
     with pytest.raises(AssertionError):
         l_completed(delta(64), 6, ctx)

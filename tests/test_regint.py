@@ -272,7 +272,7 @@ def test_r_star_of_eichler_series_is_r2(ctx, form, request):
     # r2 = int_0^{i oo} F(w) (wz-1)^(-k) dw is rstar of F's series with its
     # cocycle F|(1-S) = r, for any base point on the imaginary axis
     f = request.getfixturevalue(form)
-    b, r = eichler_integral(f, ctx).series, period_polynomial(f, ctx).base
+    b, r = eichler_integral(f, ctx).series, period_polynomial(f, ctx)
     z = mp.mpc("0.2", "0.9")
     want = r_f2(f, z, ctx, method="quadrature")
     for t in (mp.mpf("0.8"), 1, mp.mpf(5) / 4):
@@ -281,7 +281,7 @@ def test_r_star_of_eichler_series_is_r2(ctx, form, request):
 
 
 def test_wrong_cocycle_raises(ctx, f_delta, f_wh):
-    b, r = eichler_integral(f_delta, ctx).series, period_polynomial(f_delta, ctx).base
+    b, r = eichler_integral(f_delta, ctx).series, period_polynomial(f_delta, ctx)
     z = mp.mpc("0.3", "1.2")
     for cocycle in (None, r.scale(2)):
         with pytest.raises(DomainError):
@@ -297,7 +297,7 @@ def test_starred_tildestar_with_cocycle(ctx, f_delta):
     # tildestar = Q.kernel_integral(k, z, -conj z) integrates r against
     # (w+z)^(-k) exactly, checked here by quadrature on the ray w = -x + it
     # from -conj z, where w + z = i(t + y)
-    Q = period_polynomial(f_delta, ctx).base
+    Q = period_polynomial(f_delta, ctx)
     z = mp.mpc("0.3", "1.2")
     with mp.workdps(ctx.work_dps):
         tildestar = Q.kernel_integral(12, z, -mp.conj(z))
@@ -356,7 +356,7 @@ def test_cocycle_memo_shared_by_equal_polynomials(ctx, f_delta, monkeypatch):
 
     monkeypatch.setattr(qforms, "evaluate", counted)
     M = replace(eichler_integral(f_delta, ctx).series)
-    r = period_polynomial(f_delta, ctx).base
+    r = period_polynomial(f_delta, ctx)
     again = PolynomialC.from_coeffs(list(r.coeffs), r.degree_bound)
     assert again is not r and again == r and hash(again) == hash(r)
     _cocycle_spot_check(M, r, ctx)

@@ -17,7 +17,7 @@ from periodlab import (
     r_f2,
     verify_superm,
 )
-from periodlab.cli import generic_points, holomorphic_form
+from periodlab.cli import _grid, holomorphic_form
 from periodlab.qforms import DIM_ONE_WEIGHTS
 
 CTX100 = PrecisionContext(digits=100)
@@ -51,7 +51,7 @@ def test_r2_termwise_short_window_raises():
 def test_superm_precision_ladder():
     # a silent cap on any route (a window, a quadrature, a guard) would stop
     # the residual from following the digits
-    pts = generic_points(3)
+    pts = _grid(3, "0.1", "0.8", "0.6", "1.8")
     worst = []
     for digits in (30, 50, 80):
         ctx = PrecisionContext(digits=digits)
