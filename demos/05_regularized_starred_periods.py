@@ -36,7 +36,7 @@ print("  tildestar = 0  (modular input: the cocycle vanishes, so hatstar = rstar
 print("\nbase-point independence of rstar = R.int_0^{i oo} M(w) (wz-1)^(-12) dw:")
 for z0 in (mp.mpc(1, 2), mp.mpc("-0.4", "0.8")):
     v = r_star(M, z, ctx, z0=z0)
-    print(f"  |rstar(z0=i) - rstar(z0={mp.nstr(z0, 3)})| = {mp.nstr(abs(v - rstar), 3)}")
+    print(f"  |rstar(z0=5i/4) - rstar(z0={mp.nstr(z0, 3)})| = {mp.nstr(abs(v - rstar), 3)}")
 
 print("\nperiod relations for the starred completion:")
 for rep in verify_per_star(M, [z], ctx):

@@ -69,6 +69,10 @@ class SuiteConfig:
         for key in ("digits", "series_len"):
             if type(getattr(cfg, key)) is not int:  # JSON true/false would pass isinstance(int)
                 raise ValueError(f"{key} must be an integer")
+        for key in ("tol_tight", "tol_fd"):
+            value = getattr(cfg, key)
+            if value is not None and not _positive_number(value):
+                raise ValueError(f"{key} must be a string holding a finite positive number")
         if not isinstance(cfg.forms, list) or not cfg.forms:
             raise ValueError("forms must be a non-empty list of form labels")
         for f in cfg.forms:
@@ -93,6 +97,14 @@ class SuiteConfig:
             "tol_fd": self.tol_fd,
             "forms": list(self.forms),
         }
+
+
+def _positive_number(value) -> bool:
+    """True for a string that mp.mpf parses to a finite positive number."""
+    try:
+        return isinstance(value, str) and mp.isfinite(mp.mpf(value)) and mp.mpf(value) > 0
+    except ValueError:
+        return False
 
 
 def cached_form(label: str, N: int) -> QSeries:
@@ -219,12 +231,11 @@ def cmd_lvalue(args) -> int:
 
             tol = mp.mpf("1e-12")
             tail_bound = cached_form(args.form, 32).tail_bound
-            N = args.series_len or min(dirichlet_truncation_length(tail_bound, s, tol), 20000)
+            N = min(dirichlet_truncation_length(tail_bound, s, tol), 20000)
             f = cached_form(args.form, max(N, 32))
             lv = l_dirichlet(f, s, ctx, tol=tol)
         else:
-            f = cached_form(args.form, args.series_len) if args.series_len else holomorphic_form(args.form, ctx)
-            lv = l_completed(f, s, ctx)
+            lv = l_completed(holomorphic_form(args.form, ctx), s, ctx)
         print(json.dumps({"schema": SCHEMA_VERSION, "form": args.form, **lv.to_dict()}))
         return EXIT_OK
     except _CAUGHT as exc:
@@ -315,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--s", required=True)
     pl.add_argument("--method", choices=("dirichlet", "completed"), default="completed")
     pl.add_argument("--digits", type=int, default=50)
-    pl.add_argument("--series-len", type=int, default=0)
     pl.set_defaults(func=cmd_lvalue)
 
     pp = sub.add_parser("periodpoly", help="emit period polynomial JSON")

@@ -16,14 +16,15 @@ Eichler integral and r its period polynomial:
 Termwise F2 and r2 are the starred periods of F's q-series (weight 2-k)
 with its period cocycle F|(1-S) = r: F2 = ``regint.f_star``, from
 w0 = -conj z with a = z, so w0 + a = 2iy and every Gamma argument is the
-real 4 pi n y; r2 = ``regint.r_star`` with cocycle r and base point iT,
-T = ``R2_SPLIT`` = 5/4, which maps the leg [0, iT] onto [i/T, i oo) by
-w -> -1/w using F(-1/w) = w^(2-k) (F(w) - r(w)).  Every Gamma argument has
-positive real part, and each sum over n is ``regint.ray_sum`` with its
-certified tail.  Since T != 1, r2(z) sums from (iT, -1/z) and (i/T, z)
-while r2(Sz) sums from (iT, z) and (i/T, -1/z): the sums in r2|(1+S) do
-not cancel, so the verifiers take every image of r2 termwise.  Quadrature
-is the default of F_f2 and r_f2 as their definitional oracle.
+real 4 pi n y; r2 = ``regint.r_star`` with cocycle r at its default base
+point iT, T = ``regint.SPLIT_HEIGHT`` = 5/4 (shared with the perstar
+suite), which maps the leg [0, iT] onto [i/T, i oo) by w -> -1/w using
+F(-1/w) = w^(2-k) (F(w) - r(w)).  Every Gamma argument has positive real
+part, and each sum over n is ``regint.ray_sum`` with its certified tail.
+Since T != 1, r2(z) sums from (iT, -1/z) and (i/T, z) while r2(Sz) sums
+from (iT, z) and (i/T, -1/z): the sums in r2|(1+S) do not cancel, so the
+verifiers take every image of r2 termwise.  Quadrature is the default of
+F_f2 and r_f2 as their definitional oracle.
 Non-critical L-values are read off from derivatives of r2 at 0:
 d^m/dz^m r2(z) |_{z -> 0+} = i^(k+m) (m+k-1)! m! / ((k-1)(2 pi)^(m+k)) L(k+m),
 by differentiating under the integral sign and splitting at i.
@@ -48,8 +49,6 @@ from .lfun import LValue, critical_lvalues
 from .qforms import QSeries, conjugate_form
 from .regint import f_star, r_star, ray_sum
 from .reports import RelationReport, residual_scale
-
-R2_SPLIT = 5 / 4  # height T at which termwise r2 splits its ray
 
 
 def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:
@@ -88,7 +87,7 @@ def r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
             return mp.mpc(0)
         F, k = eichler_integral(f, ctx), f.weight
         if method == "termwise":
-            return r_star(F.series, z, ctx, cocycle=period_polynomial(f, ctx), z0=mp.mpc(0, R2_SPLIT))
+            return r_star(F.series, z, ctx, cocycle=period_polynomial(f, ctx))
         pole = 1 / z if z != 0 else None
         integrand = lambda w: F(w) * (w * z - 1) ** (-k)
         return quad_ray(integrand, mp.mpc(0), ctx, avoid=(pole,) if pole is not None else ())

@@ -10,19 +10,17 @@ incomplete gamma functions of nonpositive integer order:
         = e^(-lam a) (-lam)^(k-1) Gamma(1-k, -lam (w0 + a)),   lam = 2 pi i n.
 
 Gamma(1-k, .) is log-branched, and the continuation path in u must pass the
-obstruction points u = -2 pi i n on one side or the other; the two choices
-differ by an explicit monodromy.  This module fixes the continuation through
-{Re u < 0} (branch "L", equivalently a contour slanted down-right), applies
-it uniformly to every term, and exposes the choice as a parameter.  All
-verified identities hold under either uniform choice; the value of an
-individual regularized integral does depend on it.  The principal value
-comes from ``special.upper_incomplete_gamma``; the chosen sheet adds the
-monodromy (-1)^(k-1)/(k-1)! (-+2 pi i) to it.  Branch "L" takes arg in
-(0, 2 pi) and branch "R" takes arg in (-2 pi, 0], so an argument on the
-negative real axis lies on the upper edge under "L" and the lower under "R".
+obstruction points u = -2 pi i n on a fixed side; the two sides differ by
+an explicit monodromy.  This module continues through {Re u < 0}, equivalently
+along a contour slanted down-right, uniformly for every principal term: there
+Gamma(1-k, x) takes arg x in (0, 2 pi), the principal value from
+``special.upper_incomplete_gamma`` minus the monodromy
+(-1)^(k-1)/(k-1)! 2 pi i when Im x < 0.  The verified identities hold under
+either uniform continuation; the value of an individual regularized integral
+depends on it.
 
-Each kernel is a sum of terms scale (w + a)^(-s): the principal terms n < 0
-take the formula above on the chosen sheet, the constant term n = 0 is
+Each kernel is one term scale (w + a)^(-s): the principal terms n < 0
+take the formula above on that sheet, the constant term n = 0 is
 elementary, and the decaying part n >= 1 is the same formula summed over the
 coefficients on the principal branch (``ray_sum``), whose length is fixed by
 a certified tail bound.  There, once |x| > |1-s| + 1, Gamma(1-s, x) is
@@ -44,7 +42,8 @@ and hatstar = rstar - tildestar.  For a genuinely modular M the cocycle
 vanishes (``cocycle`` None), so tildestar = 0 and hatstar = rstar.  A
 nonzero cocycle must be supplied by the caller, since it is not recoverable
 from the expansion alone; it is spot-checked against M and, of degree
-<= k-2, integrated exactly.  rstar splits at a base point z0.  The leg
+<= k-2, integrated exactly.  rstar splits at a base point z0, by default
+i ``SPLIT_HEIGHT`` = 5i/4.  The leg
 [z0, i oo) is regularized as it stands; the leg [0, z0] maps by w -> -1/w
 onto [S z0, i oo), where M(-1/w) = w^(2-k) (M(w) - Q(w)), so
 
@@ -53,7 +52,9 @@ onto [S z0, i oo), where M(-1/w) = w^(2-k) (M(w) - Q(w)), so
              + int_{S z0}^{i oo} Q(w) (w + z)^(-k) dw,
 
 the last exact by ``PolynomialC.kernel_integral``; the value does not
-depend on z0.
+depend on z0.  Off the unit circle S z0 != z0, so rstar(z) sums from
+(z0, -1/z) and (S z0, z) while rstar(S z) sums from (z0, z) and (S z0, -1/z):
+the sums in rstar|(1+S) do not cancel, and that relation checks them.
 """
 
 from __future__ import annotations
@@ -69,49 +70,28 @@ from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _mpc_
 from .reports import RelationReport, residual_scale
 from .special import scaled_upper_gamma, upper_incomplete_gamma
 
-DEFAULT_BRANCH = "L"
+SPLIT_HEIGHT = 5 / 4  # height of r_star's default base point
 
 
 class NotRegularizable(DomainError):
     """A principal term yields a pole at u = 0 (constant against a polynomial)."""
 
 
-def _gamma_negint_on_branch(N: int, x: mp.mpc, branch: str, ctx: PrecisionContext) -> mp.mpc:
-    """Gamma(-N, x) continued to the sheet that ``branch`` selects.
-
-    Branch "L" takes arg x in (0, 2 pi), branch "R" takes arg x in
-    (-2 pi, 0]; on the negative real axis "L" is the upper edge and "R" the
-    lower edge.  Each differs from the principal value by the explicit
-    monodromy (-1)^N/N! (-+2 pi i) of Gamma(-N, .) around 0.
-    """
-    x = mp.mpc(x)
-    if branch == "L":
-        turns = -1 if mp.im(x) < 0 else 0
-    elif branch == "R":
-        turns = 1 if mp.im(x) > 0 or (mp.im(x) == 0 and mp.re(x) < 0) else 0
-    else:
-        raise ValueError("branch must be 'L' or 'R'")
-    jump = (-1) ** N / mp.factorial(N) * 2j * mp.pi * turns
-    return upper_incomplete_gamma(-N, x, ctx) + jump
-
-
-def exp_ray_integral(n: int, w0, a, s: int, ctx: PrecisionContext, branch: Optional[str] = None) -> mp.mpc:
+def exp_ray_integral(n: int, w0, a, s: int, ctx: PrecisionContext) -> mp.mpc:
     """R.int_{w0}^{i oo} e^(2 pi i n w) (w + a)^(-s) dw for integer s and n != 0.
 
-    e^(-lam a) (-lam)^(s-1) Gamma(1-s, -lam (w0 + a)) with lam = 2 pi i n,
-    on the principal branch, which is the plain integral when
-    Re(-lam (w0 + a)) > 0 along the ray (n >= 1 and Im(w0 + a) > 0), or on
-    the sheet ``branch`` selects (s >= 1; for s <= 0 Gamma(1-s, .) is entire).
-    The principal terms n < 0 of ``reg_integral_to_icusp`` take it on a
-    sheet; the decaying terms n >= 1 run folded in ``ray_sum``, and the
-    principal-branch form is their unfolded oracle in the tests.
+    e^(-lam a) (-lam)^(s-1) Gamma(1-s, -lam (w0 + a)) with lam = 2 pi i n.
+    For n >= 1 Gamma takes its principal branch, which is the plain integral
+    when Re(-lam (w0 + a)) > 0 along the ray (Im(w0 + a) > 0); the decaying
+    terms run folded in ``ray_sum``, and this form is their unfolded oracle in
+    the tests.  For n < 0 and s >= 1 it takes the module's sheet, arg x in
+    (0, 2 pi); for s <= 0 Gamma(1-s, .) is entire.
     """
     lam = 2j * mp.pi * n
     x = -lam * (w0 + a)
-    if branch is None or s < 1:
-        g = upper_incomplete_gamma(1 - s, x, ctx)
-    else:
-        g = _gamma_negint_on_branch(s - 1, x, branch, ctx)
+    g = upper_incomplete_gamma(1 - s, x, ctx)
+    if n < 0 and s >= 1 and mp.im(x) < 0:
+        g -= (-1) ** (s - 1) / mp.factorial(s - 1) * 2j * mp.pi
     return mp.exp(-lam * a) * (-lam) ** (s - 1) * g
 
 
@@ -170,41 +150,33 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> T
     return total, log_tail
 
 
-def reg_integral_to_icusp(
-    M: QSeries,
-    terms: Sequence[Tuple[mp.mpc, int, mp.mpc]],
-    z0,
-    ctx: PrecisionContext,
-    branch: str = DEFAULT_BRANCH,
-) -> mp.mpc:
-    """R.int_{z0}^{i oo} M(w) * kernel(w) dw for kernel(w) = sum scale (w + a)^(-s).
+def reg_integral_to_icusp(M: QSeries, z0, a, s: int, ctx: PrecisionContext, scale=1) -> mp.mpc:
+    """R.int_{z0}^{i oo} M(w) scale (w + a)^(-s) dw.
 
-    ``terms`` lists the kernel's (a, s, scale).  For each term: the principal
-    terms n < 0 of M are continued in closed form on the sheet ``branch``
-    selects, the constant term is elementary, and the decaying remainder
-    n >= 1 is the certified ``ray_sum`` (which needs Im(z0 + a) > 0).  Raises
-    NotRegularizable when the constant term has a genuine pole at u = 0
-    (s <= 1).
+    The principal terms n < 0 of M are continued in closed form
+    (``exp_ray_integral``), the constant term is elementary, and the decaying
+    remainder n >= 1 is the certified ``ray_sum`` (which needs
+    Im(z0 + a) > 0).  Raises NotRegularizable when the constant term has a
+    genuine pole at u = 0 (s <= 1).
     """
     with mp.workdps(ctx.work_dps):
         z0 = mp.mpc(z0)
+        if s >= 1 and z0 + a == 0:
+            raise DomainError("kernel pole sits at the base point")
         coeffs = _mpc_coeffs(M)
         total = mp.mpc(0)
-        for a, s, scale in terms:
-            if s >= 1 and z0 + a == 0:
-                raise DomainError("kernel pole sits at the base point")
-            for n in range(M.n_min, min(M.n_max, 0) + 1):
-                c = coeffs[n - M.n_min]
-                if c == 0:
-                    continue
-                if n < 0:
-                    total += c * scale * exp_ray_integral(n, z0, a, s, ctx, branch)
-                elif s < 2:
-                    raise NotRegularizable("constant term against a non-decaying kernel has a pole at u = 0")
-                else:
-                    total += c * scale * (z0 + a) ** (1 - s) / (s - 1)
-            if M.n_max >= 1:
-                total += ray_sum(M, z0, a, s, ctx, scale)[0]
+        for n in range(M.n_min, min(M.n_max, 0) + 1):
+            c = coeffs[n - M.n_min]
+            if c == 0:
+                continue
+            if n < 0:
+                total += c * scale * exp_ray_integral(n, z0, a, s, ctx)
+            elif s < 2:
+                raise NotRegularizable("constant term against a non-decaying kernel has a pole at u = 0")
+            else:
+                total += c * scale * (z0 + a) ** (1 - s) / (s - 1)
+        if M.n_max >= 1:
+            total += ray_sum(M, z0, a, s, ctx, scale)[0]
         return total
 
 
@@ -223,24 +195,17 @@ def _cocycle_spot_check(M: QSeries, Q: Optional[PolynomialC], ctx: PrecisionCont
     M._memo[key] = True
 
 
-def f_star(M: QSeries, z, ctx: PrecisionContext, branch: str = DEFAULT_BRANCH) -> mp.mpc:
+def f_star(M: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
     """Fstar(z) = R.int_{-conj z}^{i oo} M(w) (w+z)^(-k) dw, k = 2 - weight of M."""
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
         if not mp.im(z) > 0:
             raise DomainError("starred periods need Im z > 0")
-        return reg_integral_to_icusp(M, ((z, 2 - M.weight, 1),), -mp.conj(z), ctx, branch)
+        return reg_integral_to_icusp(M, -mp.conj(z), z, 2 - M.weight, ctx)
 
 
-def r_star(
-    M: QSeries,
-    z,
-    ctx: PrecisionContext,
-    branch: str = DEFAULT_BRANCH,
-    cocycle: Optional[PolynomialC] = None,
-    z0=None,
-) -> mp.mpc:
-    """rstar(z) = R.int_0^{i oo} M(w) (wz-1)^(-k) dw, split at z0 (default i).
+def r_star(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[PolynomialC] = None, z0=None) -> mp.mpc:
+    """rstar(z) = R.int_0^{i oo} M(w) (wz-1)^(-k) dw, split at z0 (default i SPLIT_HEIGHT).
 
     See the module docstring: the leg [0, z0] is taken from S z0 with the
     cocycle ``cocycle`` = M|(1-S), None for a modular M.  Raises DomainError
@@ -248,24 +213,19 @@ def r_star(
     """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        z0 = mp.mpc(z0) if z0 is not None else mp.mpc(0, 1)
+        z0 = mp.mpc(z0) if z0 is not None else mp.mpc(0, SPLIT_HEIGHT)
         if not (mp.im(z) > 0 and mp.im(z0) > 0):
             raise DomainError("rstar needs Im z > 0 and a base point z0 in the upper half-plane")
         _cocycle_spot_check(M, cocycle, ctx)
         k, sz0 = 2 - M.weight, S.apply(z0)
-        value = reg_integral_to_icusp(M, ((-1 / z, k, z ** (-k)),), z0, ctx, branch)
-        value -= reg_integral_to_icusp(M, ((z, k, 1),), sz0, ctx, branch)
+        value = reg_integral_to_icusp(M, z0, -1 / z, k, ctx, z ** (-k))
+        value -= reg_integral_to_icusp(M, sz0, z, k, ctx)
         if cocycle is not None:
             value += cocycle.kernel_integral(k, z, sz0)
         return value
 
 
-def verify_per_star(
-    M: QSeries,
-    pts: Sequence[complex],
-    ctx: PrecisionContext,
-    branch: str = DEFAULT_BRANCH,
-) -> list:
+def verify_per_star(M: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> list:
     """Reports: Fstar|_k(S-1) = hatstar, the two period relations, xi-image.
 
     For the modular synthetic input the cocycle vanishes, so hatstar = rstar
@@ -274,14 +234,14 @@ def verify_per_star(
     Fstar is taken twice per point, at z and at S z.
     """
     k = 2 - M.weight
-    hat = lambda w: r_star(M, w, ctx, branch)
+    hat = lambda w: r_star(M, w, ctx)
     res_eq, res_s, res_u, res_xi = [], [], [], []
     with mp.workdps(ctx.work_dps):
         for z in pts:
             z = mp.mpc(z)
             sz = S.apply(z)
             h = hat(z)
-            lhs = f_star(M, sz, ctx, branch) * z ** (-k) - f_star(M, z, ctx, branch)
+            lhs = f_star(M, sz, ctx) * z ** (-k) - f_star(M, z, ctx)
             res_eq.append(abs(lhs - h) / residual_scale(lhs, h))
 
             rel_s, rel_u = period_relations(hat, h, k, z)

@@ -116,6 +116,30 @@ def test_suite_config_needs_integer_digits_and_series_len(tmp_path, capsys, fiel
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["tol_tight", "tol_fd"])
+@pytest.mark.parametrize("value", [[1], {}, True, "inf", "-1", "nan"], ids=["list", "dict", "true", "inf", "-1", "nan"])
+def test_suite_config_needs_finite_positive_tolerances(tmp_path, capsys, field, value):
+    # a list or dict once ended in a TypeError traceback in context(), and
+    # true, "inf" and "-1" were accepted ("inf" passes every identity)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "periodlab-config-1", field: value}))
+    with pytest.raises(ValueError, match=f"{field} must be a string holding a finite positive number"):
+        SuiteConfig.from_file(str(p))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "special", "--config", str(p), "--out", str(out)]) == EXIT_DOMAIN
+    assert json.loads(capsys.readouterr().out)["kind"] == "config"
+    assert not out.exists()
+
+
+def test_suite_config_round_trips_its_tolerances(tmp_path):
+    # to_dict writes the tolerances back as given, null when unset
+    for tols in ({"tol_tight": "1e-25", "tol_fd": "1e-7"}, {"tol_tight": None, "tol_fd": None}):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"schema": "periodlab-config-1", **tols}))
+        cfg = SuiteConfig.from_file(str(p))
+        assert {k: cfg.to_dict()[k] for k in tols} == tols
+
+
 def test_cli_lvalue_dirichlet():
     proc = run_cli(["lvalue", "--form", "delta", "--s", "12", "--method", "dirichlet"])
     assert proc.returncode == EXIT_OK

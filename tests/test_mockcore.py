@@ -125,7 +125,7 @@ def test_r_f2_zero(ctx, zero):
 @pytest.mark.parametrize("digits", [50, 80])
 @pytest.mark.parametrize("label", ["delta", "cusp16"])
 def test_r_f2_two_routes_agree(label, digits):
-    # the quadrature oracle against the ray sums split at i R2_SPLIT
+    # the quadrature oracle against the ray sums split at i SPLIT_HEIGHT
     ctx = PrecisionContext(digits=digits)
     f = delta(90) if label == "delta" else cusp_form(16, 90)
     for z in (mp.mpc("0.1", "0.6"), mp.mpc(1, 1), S.apply(mp.mpc("0.3", "0.9")), U.apply(mp.mpc("0.2", "0.8"))):
@@ -218,7 +218,7 @@ def test_noncritical_est_error_covers_deviation(ctx, f_delta):
 
 def test_s_image_relations_see_the_ray_sums(ctx, f_delta, monkeypatch):
     # r2(z) and r2(Sz) sum from different base points (the split is at
-    # i R2_SPLIT, not at i), so a relative error in the ray sums does not
+    # i SPLIT_HEIGHT, not at i), so a relative error in the ray sums does not
     # cancel in r2|(1+S) or hat|(1+S); every module's binding of ray_sum is
     # bumped, wherever the sums of r2 run
     import sys

@@ -346,7 +346,7 @@ def test_evaluated_series_is_not_kept_alive(ctx, f_wh):
     # are memoized on it and go with it
     g = replace(f_wh, label="wh-copy")
     z = mp.mpc("0.2", "1.1")
-    reg_integral_to_icusp(g, ((z, 12, 1),), -mp.conj(z), ctx)
+    reg_integral_to_icusp(g, -mp.conj(z), z, 12, ctx)
     assert g._memo
     ref = weakref.ref(g)
     del g

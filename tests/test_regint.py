@@ -11,6 +11,7 @@ from periodlab import (
     PolynomialC,
     PrecisionContext,
     QSeries,
+    S,
     TailTooLarge,
     eichler_integral,
     f_star,
@@ -25,7 +26,7 @@ from periodlab import (
     xi_fd,
 )
 from periodlab.qforms import _sum_q_series
-from periodlab.regint import _gamma_negint_on_branch, exp_ray_integral, ray_sum
+from periodlab.regint import exp_ray_integral, ray_sum
 
 
 def one_term_series(n, coeff=1):
@@ -47,10 +48,16 @@ def poly_terms(P):
     return tuple((0, -j, c) for j, c in enumerate(P.coeffs) if c != 0)
 
 
-def slant_oracle(n, w0, z, k, branch="L"):
-    """Contour-deformation oracle: rotate the ray down-right (L) / down-left (R)."""
+def reg_terms(M, terms, z0, ctx):
+    """R.int_{z0}^{i oo} M(w) sum scale (w + a)^(-s) dw, one regularized integral per term."""
+    with mp.workdps(ctx.work_dps):
+        return mp.fsum(reg_integral_to_icusp(M, z0, a, s, ctx, scale) for a, s, scale in terms)
+
+
+def slant_oracle(n, w0, z, k):
+    """Contour-deformation oracle: rotate the ray down-right, the module's continuation."""
     delta = mp.pi / 4
-    direction = mp.exp(-1j * delta) if branch == "L" else mp.exp(1j * (mp.pi + delta))
+    direction = mp.exp(-1j * delta)
     decay = 2 * mp.pi * abs(n) * mp.sin(delta)
     T = (mp.mp.dps + 8) * mp.log(10) / decay
     g = lambda t: mp.exp(2j * mp.pi * n * (w0 + t * direction)) * (w0 + t * direction + z) ** (-k) * direction
@@ -62,7 +69,7 @@ def ibp_oracle(n, w0, z, k):
 
     I_j = int e^(lam w)(w+z)^(-j) dw satisfies
     I_j = -(w0+z)^(1-j) e^(lam w0)/(1-j) - lam/(1-j) I_{j-1} down to
-    I_1 = e^(-lam z) E1(-lam (w0+z)) (branch "L": upper-edge continuation).
+    I_1 = e^(-lam z) E1(-lam (w0+z)) (continued with arg in (0, 2 pi)).
     """
     lam = 2j * mp.pi * n
     u0 = w0 + z
@@ -84,7 +91,7 @@ def test_empty_principal_equals_plain_quad(ctx, f_delta):
         assert g.n_min == 1
         z = mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 1.5))
         w0 = -mp.conj(z)
-        got = reg_integral_to_icusp(g, plus_terms(z), w0, ctx)
+        got = reg_integral_to_icusp(g, w0, z, 12, ctx)
         plain = quad_ray(lambda w: _sum_q_series(g, w, ctx) * (w + z) ** (-12), w0, ctx)
         assert abs(got - plain) <= ctx.tol_tight * (1 + abs(got))
 
@@ -103,7 +110,7 @@ def test_decaying_part_vs_quad_ray(ctx, f_delta, kind):
         "poly": (poly_terms(P), P),
     }[kind]
     w0 = mp.mpc("-0.1", "0.9")
-    got = reg_integral_to_icusp(f_delta, terms, w0, ctx)
+    got = reg_terms(f_delta, terms, w0, ctx)
     want = quad_ray(lambda w: _sum_q_series(f_delta, w, ctx) * written(w), w0, ctx)
     assert abs(got - want) <= ctx.tol_tight * abs(want)
 
@@ -170,81 +177,67 @@ def test_short_window_raises(ctx):
     # certify 50 digits at height 1.2
     z = mp.mpc("0.3", "1.2")
     with pytest.raises(TailTooLarge):
-        reg_integral_to_icusp(weakly_holomorphic_m10(20), plus_terms(z), -mp.conj(z), ctx)
+        reg_integral_to_icusp(weakly_holomorphic_m10(20), -mp.conj(z), z, 12, ctx)
 
 
 def test_ray_sum_needs_positive_height(ctx, f_delta):
     with pytest.raises(DomainError):
-        reg_integral_to_icusp(f_delta, plus_terms(mp.mpc("0.3", -2)), mp.mpc(0, 1), ctx)
+        reg_integral_to_icusp(f_delta, mp.mpc(0, 1), mp.mpc("0.3", -2), 12, ctx)
     with pytest.raises(DomainError):
         ray_sum(f_delta, mp.mpc("0.3", 1), mp.mpc(0, -1), 12, ctx)
 
 
 def test_principal_term_vs_slant_contour(ctx):
     for (n, w0, z) in ((-1, mp.mpc(0, 2), mp.mpc("0.3", "1.2")), (-2, mp.mpc("0.4", 1), mp.mpc("0.1", "0.9"))):
-        got = exp_ray_integral(n, w0, z, 12, ctx, "L")
-        oracle = slant_oracle(n, w0, z, 12, "L")
+        got = exp_ray_integral(n, w0, z, 12, ctx)
+        oracle = slant_oracle(n, w0, z, 12)
         assert abs(got - oracle) <= mp.mpf("1e-40") * (1 + abs(got))
-        got_r = exp_ray_integral(n, w0, z, 12, ctx, "R")
-        oracle_r = slant_oracle(n, w0, z, 12, "R")
-        assert abs(got_r - oracle_r) <= mp.mpf("1e-40") * (1 + abs(got_r))
 
 
 def test_principal_term_vs_ibp_closed_form(ctx):
     # the worked single-term example: e^(-2 pi i w) against 1/(w + i)^12, z0 = i
     n, w0, z, k = -1, mp.mpc(0, 1), mp.mpc(0, 1), 12
-    got = exp_ray_integral(n, w0, z, k, ctx, "L")
+    got = exp_ray_integral(n, w0, z, k, ctx)
     want = ibp_oracle(n, w0, z, k)
     assert abs(got - want) <= mp.mpf("1e-50") * (1 + abs(got))
     # and at a generic point
     n, w0, z = -2, mp.mpc("0.3", "1.5"), mp.mpc("0.2", "0.8")
-    got = exp_ray_integral(n, w0, z, 12, ctx, "L")
+    got = exp_ray_integral(n, w0, z, 12, ctx)
     want = ibp_oracle(n, w0, z, 12)
     assert abs(got - want) <= mp.mpf("1e-50") * (1 + abs(got))
 
 
-def test_branch_monodromy_is_explicit(ctx):
-    # the two continuations differ by the full monodromy of Gamma(1-k, .)
-    x = mp.mpc(-5, 0)
-    dl = _gamma_negint_on_branch(11, x, "L", ctx)
-    dr = _gamma_negint_on_branch(11, x, "R", ctx)
-    jump = (-1) ** 11 / mp.factorial(11) * (-2j * mp.pi)
-    assert abs((dl - dr) - jump) < mp.mpf("1e-55")
-
-
 def test_e1_continued_branches(ctx):
-    x = mp.mpc(-4, 0)
-    up = _gamma_negint_on_branch(0, x, "L", ctx)
-    dn = _gamma_negint_on_branch(0, x, "R", ctx)
-    assert abs((dn - up) - 2j * mp.pi) < mp.mpf("1e-60")
-    # off the cut both agree with the principal branch on their side
-    assert abs(_gamma_negint_on_branch(0, mp.mpc(-3, 2), "L", ctx) - mp.e1(mp.mpc(-3, 2))) < mp.mpf("1e-60")
-    assert abs(_gamma_negint_on_branch(0, mp.mpc(-3, -2), "R", ctx) - mp.e1(mp.mpc(-3, -2))) < mp.mpf("1e-60")
+    # s = 1, n = -1, a = 0: the term is Gamma(0, x) = E1(x) at x = 2 pi i w0,
+    # continued with arg x in (0, 2 pi): the upper edge of the negative real
+    # axis, the principal branch above it and one turn on below it
+    e1 = lambda x: exp_ray_integral(-1, x / (2j * mp.pi), 0, 1, ctx)
+    with mp.workdps(ctx.work_dps):
+        assert abs(e1(mp.mpc(-4, 0)) - (-mp.ei(4) - 1j * mp.pi)) < mp.mpf("1e-60")
+        assert abs(e1(mp.mpc(-3, 2)) - mp.e1(mp.mpc(-3, 2))) < mp.mpf("1e-60")
+        assert abs(e1(mp.mpc(-3, -2)) - (mp.e1(mp.mpc(-3, -2)) - 2j * mp.pi)) < mp.mpf("1e-60")
 
 
 def test_reg_linearity(ctx):
     z = mp.mpc("0.2", "1.1")
-    kern = plus_terms(z)
     w0 = -mp.conj(z)
     e1 = one_term_series(-1, 2)
     e2 = one_term_series(-2, mp.mpc(0, 3))
     both = QSeries(-10, n_min=-2, coeffs=(mp.mpc(0, 3), mp.mpc(2)))
-    v = reg_integral_to_icusp(both, kern, w0, ctx)
-    v1 = reg_integral_to_icusp(e1, kern, w0, ctx)
-    v2 = reg_integral_to_icusp(e2, kern, w0, ctx)
+    v, v1, v2 = (reg_integral_to_icusp(M, w0, z, 12, ctx) for M in (both, e1, e2))
     assert abs(v - (v1 + v2)) <= ctx.tol_tight * (1 + abs(v))
 
 
 def test_not_regularizable_poly_kernel(ctx):
     P = PolynomialC.from_coeffs([1, 2], 10)
     with pytest.raises(NotRegularizable):
-        reg_integral_to_icusp(one_term_series(0), poly_terms(P), mp.mpc(0, 1), ctx)
+        reg_terms(one_term_series(0), poly_terms(P), mp.mpc(0, 1), ctx)
 
 
 def test_poly_kernel_negative_index(ctx):
     # e^(2 pi i n w) against a polynomial: entire positive-order gammas
     P = PolynomialC.from_coeffs([1, 0, 2], 10)
-    got = reg_integral_to_icusp(one_term_series(-1), poly_terms(P), mp.mpc(0, 1), ctx)
+    got = reg_terms(one_term_series(-1), poly_terms(P), mp.mpc(0, 1), ctx)
     # slant-contour oracle
     delta = mp.pi / 4
     direc = mp.exp(-1j * delta)
@@ -252,6 +245,34 @@ def test_poly_kernel_negative_index(ctx):
     g = lambda t: mp.exp(-2j * mp.pi * (mp.mpc(0, 1) + t * direc)) * P(mp.mpc(0, 1) + t * direc) * direc
     oracle = mp.quad(g, [0, T / 64, T / 8, T])
     assert abs(got - oracle) <= mp.mpf("1e-40") * (1 + abs(got))
+
+
+def test_r_star_and_its_s_image_share_no_ray(ctx, f_wh, monkeypatch):
+    # rstar(z) and rstar(S z) regularize from four different (base point,
+    # shift) pairs, so the sums in rstar|(1+S) do not cancel and
+    # perstar_slash_S checks them; split at i, both take the same two pairs
+    import periodlab.regint as regint
+
+    calls = []
+    reg = regint.reg_integral_to_icusp
+
+    def recording(M, z0, a, s, ctx, scale=1):
+        calls.append((mp.mpc(z0), mp.mpc(a)))
+        return reg(M, z0, a, s, ctx, scale)
+
+    def pairs(z, **kwargs):
+        del calls[:]
+        regint.r_star(f_wh, z, ctx, **kwargs)
+        assert len(calls) == 2
+        return list(calls)
+
+    monkeypatch.setattr(regint, "reg_integral_to_icusp", recording)
+    close = lambda p, q: abs(p[0] - q[0]) + abs(p[1] - q[1]) <= mp.mpf("1e-10")
+    for z in (mp.mpc("0.3", "1.3"), mp.mpc("0.15", "0.9"), mp.mpc("0.55", "1.4")):
+        at_z, at_sz = pairs(z), pairs(S.apply(z))
+        assert not any(close(p, q) for p in at_z for q in at_sz), z
+        at_z, at_sz = pairs(z, z0=1j), pairs(S.apply(z), z0=1j)
+        assert all(any(close(p, q) for q in at_sz) for p in at_z), z
 
 
 def test_cusp_to_cusp_z0_independence(ctx, f_wh):
@@ -385,7 +406,7 @@ def test_elementary_third_term(ctx):
     k = 12
     F = lambda z: (2j * mp.im(z)) ** (1 - k) / (k - 1)
     for z in (mp.mpc("0.3", "1.2"), mp.mpc(0, 1)):
-        got = reg_integral_to_icusp(one_term_series(0), plus_terms(z, k), -mp.conj(z), ctx)
+        got = reg_integral_to_icusp(one_term_series(0), -mp.conj(z), z, k, ctx)
         assert abs(got - F(z)) <= ctx.tol_tight * (1 + abs(got))
         xv = xi_fd(F, k, z, ctx)
         assert abs(xv - (2j) ** (1 - k)) <= ctx.tol_fd
@@ -419,14 +440,3 @@ def test_per_star_zero(ctx, f_wh):
     reps = verify_per_star(f_wh.scale(0), [mp.mpc(0, 1)], ctx)
     for r in reps:
         assert r.max_residual == 0
-
-
-def test_per_star_holds_under_other_branch(ctx, f_wh):
-    # the verified identities are uniform in the continuation class; only
-    # the values of individual regularized integrals depend on it
-    z = mp.mpc("0.3", "1.3")
-    vl = r_star(f_wh, z, ctx, branch="L")
-    vr = r_star(f_wh, z, ctx, branch="R")
-    assert abs(vl - vr) > mp.mpf("1e-6")  # genuinely different continuations
-    for r in verify_per_star(f_wh, [z], ctx, branch="R"):
-        assert r.passed, r.summary_line()
