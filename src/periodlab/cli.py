@@ -13,22 +13,21 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence
 
 import mpmath as mp
 
 from . import __version__
 from .kernel import DomainError, NonConvergent, PrecisionContext, TailTooLarge
-from .lfun import critical_lvalues, l_completed, l_dirichlet
+from .lfun import critical_lvalues, dirichlet_truncation_length, l_completed, l_dirichlet
 from .qforms import (
     DIM_ONE_WEIGHTS,
-    REDUCTION_HEIGHT,
     QSeries,
     UnsupportedWeight,
     ZERO_SPACE_WEIGHTS,
-    _certified_length,
-    _coeff_model,
+    _deligne_bound,
+    certified_cusp_form,
     cusp_form,
     weakly_holomorphic_m10,
 )
@@ -45,13 +44,22 @@ SUITES = ("superm", "wk2", "mockes", "perstar", "poincare", "special", "all")
 
 _FORM_WEIGHTS = {"delta": 12, **{f"cusp{k}": k for k in DIM_ONE_WEIGHTS}}
 
+# wh-10 has no a-priori tail bound: its coefficient bound is read off the
+# stored window (qforms._wh_log_coeff_bound), so the window is fixed, not
+# derived.  170 terms certify every perstar sum up to digits 100, where the
+# longest takes 110.
+WH10_TERMS = 170
+
+# longest Dirichlet window `lvalue --method dirichlet` builds; the build
+# costs O(N^2) integer convolutions
+DIRICHLET_MAX_TERMS = 20000
+
 
 @dataclass
 class SuiteConfig:
     """Parsed, versioned configuration for verification runs."""
 
     digits: int = 50
-    series_len: int = 64
     tol_tight: Optional[str] = None
     tol_fd: Optional[str] = None
     forms: List[str] = field(default_factory=lambda: ["delta", "cusp16"])
@@ -63,12 +71,11 @@ class SuiteConfig:
         if not isinstance(raw, dict) or raw.get("schema") != CONFIG_SCHEMA:
             raise ValueError(f"config must carry schema = {CONFIG_SCHEMA}")
         cfg = cls()
-        for key in ("digits", "series_len", "tol_tight", "tol_fd", "forms"):
+        for key in ("digits", "tol_tight", "tol_fd", "forms"):
             if key in raw:
                 setattr(cfg, key, raw[key])
-        for key in ("digits", "series_len"):
-            if type(getattr(cfg, key)) is not int:  # JSON true/false would pass isinstance(int)
-                raise ValueError(f"{key} must be an integer")
+        if type(cfg.digits) is not int:  # JSON true/false would pass isinstance(int)
+            raise ValueError("digits must be an integer")
         for key in ("tol_tight", "tol_fd"):
             value = getattr(cfg, key)
             if value is not None and not _positive_number(value):
@@ -81,22 +88,11 @@ class SuiteConfig:
         return cfg
 
     def context(self) -> PrecisionContext:
-        kwargs = {"digits": self.digits, "series_len": self.series_len}
-        if self.tol_tight is not None:
-            kwargs["tol_tight"] = mp.mpf(self.tol_tight)
-        if self.tol_fd is not None:
-            kwargs["tol_fd"] = mp.mpf(self.tol_fd)
-        return PrecisionContext(**kwargs)
+        tols = {key: mp.mpf(getattr(self, key)) for key in ("tol_tight", "tol_fd") if getattr(self, key) is not None}
+        return PrecisionContext(digits=self.digits, **tols)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": CONFIG_SCHEMA,
-            "digits": self.digits,
-            "series_len": self.series_len,
-            "tol_tight": self.tol_tight,
-            "tol_fd": self.tol_fd,
-            "forms": list(self.forms),
-        }
+        return {"schema": CONFIG_SCHEMA, **asdict(self)}
 
 
 def _positive_number(value) -> bool:
@@ -107,26 +103,20 @@ def _positive_number(value) -> bool:
         return False
 
 
-def cached_form(label: str, N: int) -> QSeries:
-    """Constructor dispatch by label; the constructors memoize in-process."""
-    if label == "wh-10":
-        return weakly_holomorphic_m10(N)
+def _form_weight(label: str) -> int:
     if label not in _FORM_WEIGHTS:
         raise UnsupportedWeight(f"unknown form {label!r}")
-    return cusp_form(_FORM_WEIGHTS[label], N)
+    return _FORM_WEIGHTS[label]
+
+
+def cached_form(label: str, N: int) -> QSeries:
+    """The form ``label`` on N terms; the constructors memoize in-process."""
+    return cusp_form(_form_weight(label), N)
 
 
 def holomorphic_form(label: str, ctx: PrecisionContext) -> QSeries:
-    """The holomorphic form ``label`` on a window long enough for ctx.digits.
-
-    The window has ctx.series_len terms, or more when the form's coefficient
-    bound needs them for a certified tail at Im z = REDUCTION_HEIGHT, the
-    lowest height at which its q-series and Eichler sums are evaluated.
-    """
-    f = cached_form(label, ctx.series_len)
-    # each term gains log10(e^pi) > 1 digit there, so 10 (digits + 8) is ample
-    N, _ = _certified_length(_coeff_model(f), -2 * math.pi * REDUCTION_HEIGHT, 10 * (ctx.digits + 8), ctx)
-    return f if N <= ctx.series_len else cached_form(label, N)
+    """The form ``label`` on the window ctx.digits needs (``qforms.certified_cusp_form``)."""
+    return certified_cusp_form(_form_weight(label), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +163,7 @@ def run_suite(name: str, cfg: SuiteConfig, ctx: PrecisionContext) -> List[Relati
         for f in forms:
             reports.extend(verify_mock_es(f, [mp.mpc(0, 1), mp.mpc(1, 1), mp.mpc("-0.5", "1.5")], ctx))
     elif name == "perstar":
-        M = cached_form("wh-10", max(ctx.series_len, 170))
+        M = weakly_holomorphic_m10(WH10_TERMS)
         reports.extend(verify_per_star(M, _grid(3, "0.15", "0.4", "0.9", "0.5"), ctx))
     elif name == "poincare":
         k = 12
@@ -222,18 +212,17 @@ def _error_exit(exc: Exception, kind: str = "domain") -> int:
 def cmd_lvalue(args) -> int:
     try:
         ctx = PrecisionContext(digits=args.digits)
-        if args.form not in _FORM_WEIGHTS:
-            raise UnsupportedWeight(f"unknown form {args.form!r}")
+        k = _form_weight(args.form)
         with mp.workdps(ctx.work_dps):
             s = mp.mpf(args.s)
+        if not math.isfinite(float(s)):
+            raise DomainError(f"s = {args.s} is not a finite number")
         if args.method == "dirichlet":
-            from .lfun import dirichlet_truncation_length
-
             tol = mp.mpf("1e-12")
-            tail_bound = cached_form(args.form, 32).tail_bound
-            N = min(dirichlet_truncation_length(tail_bound, s, tol), 20000)
-            f = cached_form(args.form, max(N, 32))
-            lv = l_dirichlet(f, s, ctx, tol=tol)
+            N = dirichlet_truncation_length(_deligne_bound(k), s, tol)
+            if N > DIRICHLET_MAX_TERMS:
+                raise TailTooLarge(f"the Dirichlet tail at s = {args.s} needs {N} > {DIRICHLET_MAX_TERMS} terms")
+            lv = l_dirichlet(cached_form(args.form, max(N, 32)), s, ctx, tol=tol)
         else:
             lv = l_completed(holomorphic_form(args.form, ctx), s, ctx)
         print(json.dumps({"schema": SCHEMA_VERSION, "form": args.form, **lv.to_dict()}))
@@ -247,9 +236,7 @@ def cmd_periodpoly(args) -> int:
 
     try:
         ctx = PrecisionContext(digits=args.digits)
-        k = args.weight if args.weight is not None else _FORM_WEIGHTS.get(args.form)
-        if k is None:
-            raise UnsupportedWeight(f"unknown form {args.form!r}")
+        k = args.weight if args.weight is not None else _form_weight(args.form)
         if k in ZERO_SPACE_WEIGHTS:
             payload = {
                 "schema": SCHEMA_VERSION,
@@ -290,10 +277,7 @@ def cmd_periodpoly(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        if args.config:
-            cfg = SuiteConfig.from_file(args.config)
-        else:
-            cfg = SuiteConfig()
+        cfg = SuiteConfig.from_file(args.config) if args.config else SuiteConfig()
         if args.digits is not None:
             cfg.digits = args.digits
         if args.form:

@@ -19,7 +19,7 @@ import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, quad_ray
 from .lfun import critical_lvalues
-from .qforms import QSeries, _reduced_sum, _to_mpc
+from .qforms import QSeries, _reduced_sum, _to_mpc, certified_cusp_form
 from .reports import RelationReport, residual_scale
 
 
@@ -326,11 +326,9 @@ def es_decompose(
     residual exceeds tolerance and RankDeficient if the 3-column system
     degenerates.
     """
-    from .qforms import cusp_form
-
     tol = mp.mpf(tol) if tol is not None else mp.mpf(10) ** (-10)
     with mp.workdps(ctx.work_dps):
-        f0 = cusp_form(k, max(ctx.series_len, 32))
+        f0 = certified_cusp_form(k, ctx)
         r = period_polynomial(f0, ctx)
         rminus = r.negate_variable()
         cob = PolynomialC.from_coeffs(

@@ -51,11 +51,12 @@ GUARD_DIGITS = 15
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """All numerical knobs in one immutable bundle.
+    """The working precision and the tolerances in one immutable bundle.
 
     digits      decimal working precision (>= 30); kernels work at
-                ``work_dps`` = digits + GUARD_DIGITS
-    series_len  default q-series truncation length
+                ``work_dps`` = digits + GUARD_DIGITS.  No series length is
+                set here: each q-series sum derives its own from the digits
+                (``qforms._certified_length``)
     tol_tight   tolerance for quadrature/series identities
     tol_fd      tolerance for finite-difference based identities; both
                 defaults are doubles, the same whatever the ambient precision
@@ -67,7 +68,6 @@ class PrecisionContext:
     """
 
     digits: int = 50
-    series_len: int = 64
     tol_tight: mp.mpf = mp.mpf(1e-20)
     tol_fd: mp.mpf = mp.mpf(1e-6)
     fd_step: mp.mpf = field(default=None, init=False, compare=False, hash=False, repr=False)
@@ -76,8 +76,6 @@ class PrecisionContext:
     def __post_init__(self):
         if self.digits < 30:
             raise ValueError("digits must be >= 30")
-        if self.series_len < 16:
-            raise ValueError("series_len must be >= 16")
         with mp.workdps(self.work_dps):
             object.__setattr__(self, "fd_step", mp.mpf(10) ** (-mp.mpf(self.digits) / 3))
             object.__setattr__(self, "_eps", mp.mpf(10) ** (-(self.digits + 8)))

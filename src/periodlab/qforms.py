@@ -223,6 +223,11 @@ def eisenstein(weight: int, N: int) -> QSeries:
     )
 
 
+def _deligne_bound(weight: int) -> Tuple[float, float]:
+    """(C, alpha) with |a(n)| <= d(n) n^((k-1)/2) <= C n^alpha for a weight-k eigenform."""
+    return 2.0, weight / 2
+
+
 @lru_cache(maxsize=None)
 def delta(N: int) -> QSeries:
     """Discriminant form (E4^3 - E6^2)/1728 with integer coefficients tau(n)."""
@@ -235,12 +240,11 @@ def delta(N: int) -> QSeries:
     e62 = _convolve(e6, e6, N)
     coeffs = [_exact_div(x - y, 1728) for x, y in zip(e43, e62)]
     assert coeffs[0] == 0 and coeffs[1] == 1
-    # Deligne bound |tau(n)| <= d(n) n^(11/2) with d(n) <= 2 sqrt(n)
     return QSeries(
         weight=12,
         n_min=1,
         coeffs=tuple(coeffs[1:]),
-        tail_bound=(2.0, 6.0),
+        tail_bound=_deligne_bound(12),
         cuspidal=True,
         modular=True,
         label="delta",
@@ -265,11 +269,25 @@ def cusp_form(weight: int, N: int) -> QSeries:
         weight=weight,
         n_min=1,
         coeffs=tuple(coeffs[1:]),
-        tail_bound=(2.0, float(weight) / 2),
+        tail_bound=_deligne_bound(weight),
         cuspidal=True,
         modular=True,
         label=f"cusp{weight}",
     )
+
+
+def certified_cusp_form(weight: int, ctx: PrecisionContext) -> QSeries:
+    """``cusp_form(weight, N)`` on the window ctx.digits needs.
+
+    N is the certified length of the q-series at Im z = REDUCTION_HEIGHT,
+    the lowest height at which the form's q-series and Eichler sums are
+    evaluated.  Every sum over the form derives its own length from the same
+    coefficient bound and raises TailTooLarge if this window falls short.
+    """
+    C, alpha = _deligne_bound(weight)
+    # each term gains log10(e^pi) > 1 digit there, so 10 (digits + 8) is ample
+    N, _ = _certified_length((_math_log(C), alpha, 0.0), -2 * _MATH_PI * REDUCTION_HEIGHT, 10 * (ctx.digits + 8), ctx)
+    return cusp_form(weight, N)
 
 
 @lru_cache(maxsize=None)

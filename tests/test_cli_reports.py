@@ -10,7 +10,7 @@ import pytest
 
 import periodlab.cli as cli
 from periodlab import RelationReport, l_completed, reports_to_csv, reports_to_json
-from periodlab.cli import EXIT_DOMAIN, EXIT_IDENTITY_FAILURE, EXIT_OK, SuiteConfig, main
+from periodlab.cli import EXIT_CONVERGENCE, EXIT_DOMAIN, EXIT_IDENTITY_FAILURE, EXIT_OK, SuiteConfig, main
 
 
 def run_cli(args):
@@ -79,15 +79,15 @@ def test_suite_config_rejects_bad_schema(tmp_path):
 
 
 def test_suite_config_ignores_unknown_keys(tmp_path):
-    # "points" and "suites" were once config keys; files that still carry
-    # them load as before (the positional suite picks what runs)
+    # "points", "suites" and "series_len" were once config keys; files that
+    # still carry them load as before (the positional suite picks what runs,
+    # and every window is derived from the digits)
     p = tmp_path / "cfg.json"
-    p.write_text(
-        json.dumps({"schema": "periodlab-config-1", "digits": 40, "points": "generic10", "suites": ["special"]})
-    )
+    former = {"points": "generic10", "suites": ["special"], "series_len": 64}
+    p.write_text(json.dumps({"schema": "periodlab-config-1", "digits": 40, **former}))
     cfg = SuiteConfig.from_file(str(p))
     assert cfg.digits == 40
-    assert "points" not in cfg.to_dict() and "suites" not in cfg.to_dict()
+    assert not set(former) & set(cfg.to_dict())
 
 
 @pytest.mark.parametrize("forms", [[], "delta", None])
@@ -103,12 +103,12 @@ def test_suite_config_needs_a_nonempty_list_of_known_forms(tmp_path, capsys, for
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field,value", [("digits", [50]), ("digits", True), ("digits", 50.0), ("series_len", None)])
-def test_suite_config_needs_integer_digits_and_series_len(tmp_path, capsys, field, value):
+@pytest.mark.parametrize("value", [[50], True, 50.0])
+def test_suite_config_needs_integer_digits(tmp_path, capsys, value):
     # these once reached int() in context() and ended in a TypeError traceback
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"schema": "periodlab-config-1", field: value}))
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+    p.write_text(json.dumps({"schema": "periodlab-config-1", "digits": value}))
+    with pytest.raises(ValueError, match="digits must be an integer"):
         SuiteConfig.from_file(str(p))
     out = tmp_path / "rep.json"
     assert main(["verify", "special", "--config", str(p), "--out", str(out)]) == EXIT_DOMAIN
@@ -158,6 +158,30 @@ def test_cli_lvalue_out_of_region():
     proc = run_cli(["lvalue", "--form", "delta", "--s", "3", "--method", "dirichlet"])
     assert proc.returncode == EXIT_DOMAIN
     assert json.loads(proc.stdout)["kind"] == "domain"
+
+
+@pytest.mark.parametrize("method", ["completed", "dirichlet"])
+@pytest.mark.parametrize("s", ["inf", "nan", "1e400"])
+def test_cli_lvalue_needs_finite_s(capsys, s, method):
+    # inf and 1e400 once ended in an OverflowError traceback (completed) or a
+    # "tail 0.0" convergence error (dirichlet), and nan in a message about
+    # converting NaN to an integer
+    assert main(["lvalue", "--form", "delta", "--s", s, "--method", method]) == EXIT_DOMAIN
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "domain" and "finite" in out["error"]
+
+
+def test_cli_lvalue_dirichlet_fails_before_building(capsys, monkeypatch):
+    # Re s = 9 needs about 10^6 terms; the window was once capped without a
+    # word and built on 20000 terms, O(N^2) convolutions, before l_dirichlet
+    # raised
+    def short_only(label, N):
+        assert N <= 1000, f"built {label} on {N} terms"
+        return cli.cusp_form(12, N)
+
+    monkeypatch.setattr(cli, "cached_form", short_only)
+    assert main(["lvalue", "--form", "delta", "--s", "9", "--method", "dirichlet"]) == EXIT_CONVERGENCE
+    assert json.loads(capsys.readouterr().out)["kind"] == "convergence"
 
 
 def test_cli_periodpoly_delta():

@@ -34,8 +34,6 @@ from periodlab.regint import exp_ray_integral
 def test_context_invariants():
     with pytest.raises(ValueError):
         PrecisionContext(digits=20)
-    with pytest.raises(ValueError):
-        PrecisionContext(series_len=4)
     ctx = PrecisionContext()
     assert ctx.fd_step ** 2 > mp.mpf(10) ** (-ctx.digits)
 

@@ -71,9 +71,16 @@ def test_cli_window_follows_digits(digits):
 
 
 def test_cli_window_at_default_digits():
-    ctx = PrecisionContext()
-    for label in ["delta"] + [f"cusp{k}" for k in DIM_ONE_WEIGHTS]:
-        assert holomorphic_form(label, ctx).n_max == ctx.series_len
+    # every window is the certified length at Im z = 0.5 for the digits, and
+    # evaluate certifies on it there
+    z = mp.mpc("0.3", "0.5")
+    windows = {50: (50, 52, 54, 55, 56, 59), 80: (72, 75, 77, 78, 80, 83)}
+    for digits, lengths in windows.items():
+        ctx = PrecisionContext(digits=digits)
+        for k, n in zip(DIM_ONE_WEIGHTS, lengths):
+            f = holomorphic_form("delta" if k == 12 else f"cusp{k}", ctx)
+            assert f.n_max == n, (digits, k, f.n_max)
+            evaluate(f, z, ctx)
 
 
 def _route(name, f, z, ctx):
