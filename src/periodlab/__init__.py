@@ -69,6 +69,7 @@ from .mockcore import (
 from .regint import (
     NotRegularizable,
     f_star,
+    hat_star,
     r_star,
     reg_integral_to_icusp,
     verify_per_star,

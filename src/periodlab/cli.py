@@ -50,9 +50,10 @@ _FORM_WEIGHTS = {"delta": 12, **{f"cusp{k}": k for k in DIM_ONE_WEIGHTS}}
 # longest takes 110.
 WH10_TERMS = 170
 
-# longest Dirichlet window `lvalue --method dirichlet` builds; the build
-# costs O(N^2) integer convolutions
-DIRICHLET_MAX_TERMS = 20000
+# longest Dirichlet window `lvalue --method dirichlet` builds: the build
+# costs O(N^2) integer convolutions, seconds at 4000 terms but minutes at
+# 20000; the completed route answers every s
+DIRICHLET_MAX_TERMS = 4000
 
 
 @dataclass

@@ -3,28 +3,18 @@
 Objects attached to a weight-k cusp form f, with F = sum b(n) q^n its
 Eichler integral and r its period polynomial:
 
-* F2(z)     = int_{-conj z}^{i oo} F(w) (w+z)^(-k) dw      (quadrature), also
-              sum b(n) int_{-conj z}^{i oo} e^(2 pi i n w) (w+z)^(-k) dw   (termwise);
-* r2(z)     = int_0^{i oo} F(w) (wz-1)^(-k) dw              (quadrature), also
-              z^(-k) sum b(n) I_n(iT, -1/z) - sum b(n) I_n(i/T, z) + int_{i/T}^{i oo} r(w) (w+z)^(-k) dw
-              (termwise), I_n(w0, a) = int_{w0}^{i oo} e^(2 pi i n w) (w+a)^(-k) dw;
+* F2(z)     = int_{-conj z}^{i oo} F(w) (w+z)^(-k) dw;
+* r2(z)     = int_0^{i oo} F(w) (wz-1)^(-k) dw;
 * tilde(z)  = int_{-conj z}^{i oo} r(w) (w+z)^(-k) dw, exact by
               ``PolynomialC.kernel_integral`` (purely non-holomorphic: every
               y-exponent is negative);
 * hat = r2 - tilde, the completion satisfying the period relations.
 
-Termwise F2 and r2 are the starred periods of F's q-series (weight 2-k)
-with its period cocycle F|(1-S) = r: F2 = ``regint.f_star``, from
-w0 = -conj z with a = z, so w0 + a = 2iy and every Gamma argument is the
-real 4 pi n y; r2 = ``regint.r_star`` with cocycle r at its default base
-point iT, T = ``regint.SPLIT_HEIGHT`` = 5/4 (shared with the perstar
-suite), which maps the leg [0, iT] onto [i/T, i oo) by w -> -1/w using
-F(-1/w) = w^(2-k) (F(w) - r(w)).  Every Gamma argument has positive real
-part, and each sum over n is ``regint.ray_sum`` with its certified tail.
-Since T != 1, r2(z) sums from (iT, -1/z) and (i/T, z) while r2(Sz) sums
-from (iT, z) and (i/T, -1/z): the sums in r2|(1+S) do not cancel, so the
-verifiers take every image of r2 termwise.  Quadrature is the default of
-F_f2 and r_f2 as their definitional oracle.
+F2 and r2 are computed by ray quadrature, their definitional oracle and
+default, or termwise as ``regint``'s starred ``f_star`` and ``r_star`` of
+M = F's q-series (weight 2-k) with its period cocycle F|(1-S) = r; hat is
+``regint.hat_star``, and the verifiers check it through ``regint``'s
+identity helpers.  See ``regint`` for the starred definitions and sums.
 Non-critical L-values are read off from derivatives of r2 at 0:
 d^m/dz^m r2(z) |_{z -> 0+} = i^(k+m) (m+k-1)! m! / ((k-1)(2 pi)^(m+k)) L(k+m),
 by differentiating under the integral sign and splitting at i.
@@ -36,27 +26,16 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .eichler import S, UTILDE, eichler_integral, period_polynomial, period_relations, slash_polynomial
-from .kernel import (
-    QUAD_MAXDEGREE,
-    DomainError,
-    NonConvergent,
-    PrecisionContext,
-    quad_ray,
-    xi_fd,
-)
+from .eichler import UTILDE, eichler_integral, period_polynomial, period_relations, slash_polynomial
+from .kernel import QUAD_MAXDEGREE, DomainError, NonConvergent, PrecisionContext, quad_ray
 from .lfun import LValue, critical_lvalues
-from .qforms import QSeries, conjugate_form
-from .regint import f_star, r_star, ray_sum
+from .qforms import QSeries
+from .regint import f_star, hat_equation_residual, hat_relation_residuals, hat_star, r_star, ray_sum
 from .reports import RelationReport, residual_scale
 
 
 def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:
-    """Iterated integral F2(z); ``method`` is "quadrature" or "termwise".
-
-    Termwise, F2(z) is ``regint.f_star`` of F's q-series: its certified
-    ``ray_sum`` from w0 = -conj z against (w + a)^(-k) with a = z.
-    """
+    """Iterated integral F2(z); ``method`` is "quadrature" or "termwise" (``regint.f_star`` of F's q-series)."""
     if method not in ("quadrature", "termwise"):
         raise ValueError("method must be 'quadrature' or 'termwise'")
     with mp.workdps(ctx.work_dps):
@@ -77,7 +56,8 @@ def r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
 
     ``method="quadrature"``: the integrand is bounded at w = 0 (F tends to
     r(0) along the ray) and the kernel's pole 1/z lies off the path, in the
-    lower half-plane.  ``method="termwise"`` (Im z > 0): see the module docstring.
+    lower half-plane.  ``method="termwise"`` (Im z > 0) is ``regint.r_star``
+    of F's q-series with cocycle r.
     """
     if method not in ("quadrature", "termwise"):
         raise ValueError("method must be 'quadrature' or 'termwise'")
@@ -122,10 +102,8 @@ def tilde_r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "closed") -> 
 
 
 def hat_r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
-    """Completion r2 - tilde at z: termwise ``r_f2`` minus the closed ``tilde_r_f2``."""
-    with mp.workdps(ctx.work_dps):
-        z = mp.mpc(z)
-        return r_f2(f, z, ctx, method="termwise") - tilde_r_f2(f, z, ctx)
+    """Completion r2 - tilde at z: ``regint.hat_star`` of F's q-series with cocycle r."""
+    return hat_star(eichler_integral(f, ctx).series, z, ctx, period_polynomial(f, ctx))
 
 
 def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
@@ -172,43 +150,23 @@ def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
 # ---------------------------------------------------------------------------
 
 def verify_superm(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> RelationReport:
-    """Residuals of F2|_k(S-1)(z) - (r2 - tilde)(z) at each point."""
-    k = f.weight
-    residuals = []
+    """Residuals of F2|_k(S-1)(z) - (r2 - tilde)(z) at each point (``regint.hat_equation_residual``)."""
+    M, r = eichler_integral(f, ctx).series, period_polynomial(f, ctx)
     with mp.workdps(ctx.work_dps):
-        for z in pts:
-            z = mp.mpc(z)
-            lhs = F_f2(f, S.apply(z), ctx, method="termwise") * z ** (-k) - F_f2(f, z, ctx, method="termwise")
-            hat = hat_r_f2(f, z, ctx)
-            residuals.append(abs(lhs - hat) / residual_scale(lhs, hat))
-    return RelationReport.from_residuals(
-        identity=f"superm[{f.label}]",
-        points=pts,
-        residuals=residuals,
-        tolerance=ctx.tol_tight,
-    )
+        residuals = [hat_equation_residual(M, z, hat_star(M, z, ctx, r), ctx) for z in map(mp.mpc, pts)]
+    return RelationReport.from_residuals(f"superm[{f.label}]", pts, residuals, ctx.tol_tight)
 
 
 def verify_w_k2(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> list:
-    """Period relations and xi-image of the completion: three reports.
+    """Period relations and xi-image of the completion: three reports (``regint.hat_relation_residuals``).
 
     hat|(1+S) = hat|(1+U+U^2) = 0 at tol_tight, and
     xi_k(hat) = (2i)^(1-k) r_{f^c} at tol_fd (finite differences).
     """
-    k = f.weight
-    h = lambda w: hat_r_f2(f, w, ctx)
-    rconj = period_polynomial(conjugate_form(f), ctx)
-    res_s, res_u, res_xi = [], [], []
+    M, r = eichler_integral(f, ctx).series, period_polynomial(f, ctx)
     with mp.workdps(ctx.work_dps):
-        for z in pts:
-            z = mp.mpc(z)
-            v0 = h(z)
-            rel_s, rel_u = period_relations(h, v0, k, z)
-            res_s.append(abs(rel_s) / residual_scale(v0))
-            res_u.append(abs(rel_u) / residual_scale(v0))
-            xv = xi_fd(h, k, z, ctx)
-            target = (2j) ** (1 - k) * rconj(z)
-            res_xi.append(abs(xv - target) / residual_scale(xv, target))
+        rows = [hat_relation_residuals(M, z, hat_star(M, z, ctx, r), ctx, r) for z in map(mp.mpc, pts)]
+    res_s, res_u, res_xi = zip(*rows) if rows else [()] * 3
     return [
         RelationReport.from_residuals(f"wk2_slash_S[{f.label}]", pts, res_s, ctx.tol_tight),
         RelationReport.from_residuals(f"wk2_slash_U[{f.label}]", pts, res_u, ctx.tol_tight),

@@ -111,13 +111,13 @@ class QSeries:
 
     def scale(self, c) -> "QSeries":
         if isinstance(c, int) or isinstance(c, Fraction):
-            coeffs = tuple(Fraction(c) * Fraction(a) if isinstance(a, (int, Fraction)) else c * a for a in self.coeffs)
+            coeffs = tuple(Fraction(c) * a if isinstance(a, (int, Fraction)) else _to_mpc(c) * a for a in self.coeffs)
         else:
             c = mp.mpc(c)
             coeffs = tuple(c * _to_mpc(a) for a in self.coeffs)
         tb = None
         if self.tail_bound is not None:
-            tb = (float(abs(mp.mpc(c))) * self.tail_bound[0], self.tail_bound[1])
+            tb = (float(abs(c)) * self.tail_bound[0], self.tail_bound[1])
         return replace(self, coeffs=coeffs, tail_bound=tb, label=f"scale({self.label})")
 
 

@@ -38,8 +38,8 @@ its period cocycle, are
                  = R.int_0^{i oo} M(w) (wz-1)^(-k) dw                  (``r_star``),
     tildestar(z) = int_{-conj z}^{i oo} Q(w) (w+z)^(-k) dw   (``Q.kernel_integral``),
 
-and hatstar = rstar - tildestar.  For a genuinely modular M the cocycle
-vanishes (``cocycle`` None), so tildestar = 0 and hatstar = rstar.  A
+and hatstar = rstar - tildestar (``hat_star``).  For a genuinely modular M
+the cocycle vanishes (``cocycle`` None), so tildestar = 0 and hatstar = rstar.  A
 nonzero cocycle must be supplied by the caller, since it is not recoverable
 from the expansion alone; it is spot-checked against M and, of degree
 <= k-2, integrated exactly.  rstar splits at a base point z0, by default
@@ -225,31 +225,57 @@ def r_star(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[PolynomialC] 
         return value
 
 
-def verify_per_star(M: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> list:
-    """Reports: Fstar|_k(S-1) = hatstar, the two period relations, xi-image.
+def hat_star(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[PolynomialC] = None) -> mp.mpc:
+    """hatstar(z) = rstar(z) - int_{-conj z}^{i oo} Q(w) (w+z)^(-k) dw for the cocycle Q; rstar(z) when None."""
+    with mp.workdps(ctx.work_dps):
+        z = mp.mpc(z)
+        value = r_star(M, z, ctx, cocycle)
+        if cocycle is not None:
+            value -= cocycle.kernel_integral(2 - M.weight, z, -mp.conj(z))
+        return value
 
-    For the modular synthetic input the cocycle vanishes, so hatstar = rstar
-    and its xi-image must vanish to FD tolerance (holomorphy of the starred
-    completion); the xi residual is scaled by the magnitude of hatstar.
-    Fstar is taken twice per point, at z and at S z.
+
+def hat_equation_residual(M: QSeries, z, h, ctx: PrecisionContext) -> mp.mpf:
+    """Relative residual of Fstar|_k(S-1)(z) = h, given h = hatstar(z)."""
+    k = 2 - M.weight
+    with mp.workdps(ctx.work_dps):
+        lhs = f_star(M, S.apply(z), ctx) * z ** (-k) - f_star(M, z, ctx)
+        return abs(lhs - h) / residual_scale(lhs, h)
+
+
+def hat_relation_residuals(M: QSeries, z, h, ctx: PrecisionContext, cocycle: Optional[PolynomialC] = None) -> tuple:
+    """Relative residuals of h|(1+S) = 0, h|(1+U+U^2) = 0 and xi_k(hatstar)(z) = target, given h = hatstar(z).
+
+    rstar is holomorphic, and the z-bar derivative of
+    int_{-conj z}^{i oo} Q(w) (w+z)^(-k) dw is Q(-conj z) (2iy)^(-k), so for
+    even k xi_k(hatstar)(z) = -(2i)^(1-k) conj(Q(-conj z)): 0 for a modular M,
+    (2i)^(1-k) r_{f^c}(z) for Q = r_f.  The xi residual is scaled by
+    max(1, |xi|, |target|, |h|), since the stencil error of ``xi_fd`` is
+    relative to the size of hatstar near z.
     """
     k = 2 - M.weight
-    hat = lambda w: r_star(M, w, ctx)
-    res_eq, res_s, res_u, res_xi = [], [], [], []
+    hat = lambda w: hat_star(M, w, ctx, cocycle)
+    with mp.workdps(ctx.work_dps):
+        rel_s, rel_u = period_relations(hat, h, k, z)
+        xv = xi_fd(hat, k, z, ctx)
+        target = 0 if cocycle is None else -(2j) ** (1 - k) * mp.conj(cocycle(-mp.conj(z)))
+        scale = residual_scale(h)
+        return abs(rel_s) / scale, abs(rel_u) / scale, abs(xv - target) / residual_scale(xv, target, h)
+
+
+def verify_per_star(M: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> list:
+    """Reports: Fstar|_k(S-1) = hatstar, the two period relations, xi-image, for a modular M.
+
+    hatstar = rstar, and its xi-image must vanish to FD tolerance.  hatstar
+    is taken once at z for both helpers, Fstar at z and at S z.
+    """
+    rows = []
     with mp.workdps(ctx.work_dps):
         for z in pts:
             z = mp.mpc(z)
-            sz = S.apply(z)
-            h = hat(z)
-            lhs = f_star(M, sz, ctx) * z ** (-k) - f_star(M, z, ctx)
-            res_eq.append(abs(lhs - h) / residual_scale(lhs, h))
-
-            rel_s, rel_u = period_relations(hat, h, k, z)
-            res_s.append(abs(rel_s) / residual_scale(h))
-            res_u.append(abs(rel_u) / residual_scale(h))
-
-            xv = xi_fd(hat, k, z, ctx)
-            res_xi.append(abs(xv) / residual_scale(h))
+            h = hat_star(M, z, ctx)
+            rows.append((hat_equation_residual(M, z, h, ctx), *hat_relation_residuals(M, z, h, ctx)))
+    res_eq, res_s, res_u, res_xi = zip(*rows) if rows else [()] * 4
     return [
         RelationReport.from_residuals(f"perstar_eq[{M.label}]", pts, res_eq, ctx.tol_tight),
         RelationReport.from_residuals(f"perstar_slash_S[{M.label}]", pts, res_s, ctx.tol_tight),

@@ -171,16 +171,17 @@ def test_cli_lvalue_needs_finite_s(capsys, s, method):
     assert out["kind"] == "domain" and "finite" in out["error"]
 
 
-def test_cli_lvalue_dirichlet_fails_before_building(capsys, monkeypatch):
+@pytest.mark.parametrize("s", ["9", "10"])
+def test_cli_lvalue_dirichlet_fails_before_building(capsys, monkeypatch, s):
     # Re s = 9 needs about 10^6 terms; the window was once capped without a
     # word and built on 20000 terms, O(N^2) convolutions, before l_dirichlet
-    # raised
+    # raised.  Re s = 10 needs 8737 terms, over the cap of 4000
     def short_only(label, N):
         assert N <= 1000, f"built {label} on {N} terms"
         return cli.cusp_form(12, N)
 
     monkeypatch.setattr(cli, "cached_form", short_only)
-    assert main(["lvalue", "--form", "delta", "--s", "9", "--method", "dirichlet"]) == EXIT_CONVERGENCE
+    assert main(["lvalue", "--form", "delta", "--s", s, "--method", "dirichlet"]) == EXIT_CONVERGENCE
     assert json.loads(capsys.readouterr().out)["kind"] == "convergence"
 
 

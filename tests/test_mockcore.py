@@ -12,6 +12,7 @@ from periodlab import (
     S,
     T,
     U,
+    conjugate_form,
     critical_lvalues,
     cusp_form,
     delta,
@@ -31,6 +32,7 @@ from periodlab import (
 )
 from periodlab import mockcore
 from periodlab.eichler import EichlerIntegral, slash_function
+from periodlab.qforms import certified_cusp_form
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +272,27 @@ def test_wk2_families(ctx, f_delta):
     assert len(reps) == 3
     for r in reps:
         assert r.passed, r.summary_line()
+
+
+@pytest.fixture(scope="module")
+def f_complex(ctx):
+    # complex coefficients, so f^c != f and the conjugation is exercised
+    return certified_cusp_form(12, ctx).scale(mp.mpc(1, 2))
+
+
+def test_xi_target_from_cocycle_is_conjugate_period(ctx, f_complex):
+    # the wk2 xi target -(2i)^(1-k) conj(r_f(-conj z)) is (2i)^(1-k) r_{f^c}(z)
+    r, rc = period_polynomial(f_complex, ctx), period_polynomial(conjugate_form(f_complex), ctx)
+    assert conjugate_form(f_complex) is not f_complex
+    with mp.workdps(ctx.work_dps):
+        for z in (mp.mpc("0.2", "0.9"), mp.mpc("-0.6", "1.3"), mp.mpc("1.1", "0.4")):
+            want = rc(z)
+            assert abs(-mp.conj(r(-mp.conj(z))) - want) <= mp.mpf(10) ** -(ctx.digits + 5) * abs(want), z
+
+
+def test_wk2_complex_coefficients(ctx, f_complex):
+    for rep in verify_w_k2(f_complex, [mp.mpc("0.2", "0.9"), mp.mpc("0.7", "1.4")], ctx):
+        assert rep.passed, rep.summary_line()
 
 
 def test_wk2_weight16(ctx, f_cusp16):

@@ -25,6 +25,7 @@ from periodlab import (
     eisenstein,
     evaluate,
     reg_integral_to_icusp,
+    residual_scale,
     weakly_holomorphic_m10,
 )
 from periodlab import qforms
@@ -100,6 +101,21 @@ def test_conjugate_form(f_delta):
     assert all(abs(a - (-b)) == 0 for a, b in zip(back.coeffs, i_delta.coeffs))
     g = f_delta.scale(3)  # exact Fraction coefficients
     assert conjugate_form(g).coeffs == g.coeffs
+
+
+@pytest.mark.parametrize("kind", ["exact", "eichler"])
+def test_scale_by_fraction(ctx, kind):
+    # an exact coefficient times a Fraction stays exact, an mpc coefficient is
+    # multiplied by its conversion, and the tail bound's C scales by |c|; the
+    # smaller bound may certify a shorter sum, so the values agree relative
+    # to max(1, |value|), the scale of the certified tail
+    f = delta(50) if kind == "exact" else eichler_integral(delta(50), ctx).series
+    third = f.scale(Fraction(1, 3))
+    assert third.tail_bound[0] == pytest.approx(f.tail_bound[0] / 3, rel=1e-15)
+    assert third.tail_bound[1] == f.tail_bound[1]
+    for z in (mp.mpc("0.2", "0.9"), mp.mpc("-0.4", "1.5")):
+        want = evaluate(f, z, ctx) / 3
+        assert abs(evaluate(third, z, ctx) - want) <= mp.mpf(10) ** -(ctx.digits + 5) * residual_scale(want)
 
 
 def test_conjugate_form_of_real_series_is_itself(f_delta, f_wh):
