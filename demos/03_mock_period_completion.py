@@ -27,7 +27,7 @@ mp.mp.dps = ctx.work_dps
 f = delta(64)
 z = mp.mpc("0.3", "1.2")
 
-r2 = r_f2(f, z, ctx, method="termwise")
+r2 = r_f2(f, z, ctx)
 tilde = tilde_r_f2(f, z, ctx)
 print(f"at z = {z}:")
 print("  r2    =", mp.nstr(r2, 20))

@@ -25,7 +25,6 @@ from .special import (
     cal_M,
     psi_seed,
     upper_incomplete_gamma,
-    whittaker_M_integral,
     whittaker_derivative_identity_check,
 )
 from .qforms import (

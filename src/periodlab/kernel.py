@@ -144,8 +144,8 @@ def _ray_nodes(degree: int, prec: int) -> tuple:
 def _ray_tanh_sinh(integrand, x0: mp.mpf, y0: mp.mpf) -> tuple:
     """(int_0^1 g(x0 + i t(u)) du/u, error estimate), t = y0 - ln(u)/pi.
 
-    The pass, nodes and stop rule of ``mp.quad(..., [0, 1],
-    method="tanh-sinh", maxdegree=QUAD_MAXDEGREE, error=True)`` at the
+    The pass, nodes and stop rule of mp.quad on [0, 1] with
+    method="tanh-sinh", maxdegree=QUAD_MAXDEGREE and error=True, at the
     current precision: the integrand sees the same points in the same
     order, at prec + 20 bits, each as a RayPoint whose q is
     q(w0) e^(-2 pi s), so a ray takes one exponential and one cosine/sine

@@ -151,9 +151,10 @@ def l_completed(f: QSeries, s, ctx: PrecisionContext) -> LValue:
     with mp.workdps(ctx.work_dps):
         s = mp.mpc(s)
         lam, log_tail, size = _lambda_and_tail(f, s, ctx)
-        factor, gamma = (2 * mp.pi) ** s, mp.gamma(s)
-        value = lam * factor / gamma
-        err = (mp.exp(log_tail) + ctx.eps() * size) * abs(factor / gamma)
+        # 1/Gamma is entire: L has its trivial zeros at s = 0, -1, -2, ...
+        factor = (2 * mp.pi) ** s * mp.rgamma(s)
+        value = lam * factor
+        err = (mp.exp(log_tail) + ctx.eps() * size) * abs(factor)
         return LValue(s=s, value=value, method="completed", est_error=max(ctx.eps(), err))
 
 

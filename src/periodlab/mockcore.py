@@ -10,9 +10,10 @@ Eichler integral and r its period polynomial:
               y-exponent is negative);
 * hat = r2 - tilde, the completion satisfying the period relations.
 
-F2 and r2 are computed by ray quadrature, their definitional oracle and
-default, or termwise as ``regint``'s starred ``f_star`` and ``r_star`` of
-M = F's q-series (weight 2-k) with its period cocycle F|(1-S) = r; hat is
+F2 and r2 are ``regint``'s starred ``f_star`` and ``r_star`` of M = F's
+q-series (weight 2-k) with its period cocycle F|(1-S) = r; F2 also keeps ray
+quadrature, its definitional oracle, and off H (real axis, cusp 0, lower
+half-plane) r2 is its ray quadrature from 0, the only route there.  hat is
 ``regint.hat_star``, and the verifiers check it through ``regint``'s
 identity helpers.  See ``regint`` for the starred definitions and sums.
 Non-critical L-values are read off from derivatives of r2 at 0:
@@ -27,7 +28,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .eichler import UTILDE, eichler_integral, period_polynomial, period_relations, slash_polynomial
-from .kernel import QUAD_MAXDEGREE, DomainError, NonConvergent, PrecisionContext, quad_ray
+from .kernel import DomainError, PrecisionContext, quad_ray
 from .lfun import LValue, critical_lvalues
 from .qforms import QSeries
 from .regint import f_star, hat_equation_residual, hat_relation_residuals, hat_star, r_star, ray_sum
@@ -35,15 +36,17 @@ from .reports import RelationReport, residual_scale
 
 
 def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:
-    """Iterated integral F2(z); ``method`` is "quadrature" or "termwise" (``regint.f_star`` of F's q-series)."""
+    """Iterated integral F2(z); ``method`` is "quadrature" or "termwise" (``regint.f_star`` of F's q-series).
+
+    The quadrature route stays while the objects-warm benchmark workload
+    times it; it joins the test oracles when that workload changes (ROADMAP).
+    """
     if method not in ("quadrature", "termwise"):
         raise ValueError("method must be 'quadrature' or 'termwise'")
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
         if not mp.im(z) > 0:
             raise DomainError("F_f2 requires Im z > 0")
-        if f.is_zero():
-            return mp.mpc(0)
         F, k = eichler_integral(f, ctx), f.weight
         if method == "termwise":
             return f_star(F.series, z, ctx)
@@ -51,54 +54,35 @@ def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
         return quad_ray(integrand, -mp.conj(z), ctx, avoid=(-z,))
 
 
-def r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:
+def r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
     """Holomorphic second-order period function int_0^{i oo} F(w)(wz-1)^(-k) dw.
 
-    ``method="quadrature"``: the integrand is bounded at w = 0 (F tends to
-    r(0) along the ray) and the kernel's pole 1/z lies off the path, in the
-    lower half-plane.  ``method="termwise"`` (Im z > 0) is ``regint.r_star``
-    of F's q-series with cocycle r.
+    For Im z > 0 this is ``regint.r_star`` of F's q-series with cocycle r;
+    elsewhere, ray quadrature from 0 (``_r2_quadrature``).
     """
-    if method not in ("quadrature", "termwise"):
-        raise ValueError("method must be 'quadrature' or 'termwise'")
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        if f.is_zero():
-            return mp.mpc(0)
+        if mp.im(z) > 0:
+            return r_star(eichler_integral(f, ctx).series, z, ctx, cocycle=period_polynomial(f, ctx))
+        return _r2_quadrature(f, z, ctx)
+
+
+def _r2_quadrature(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
+    """r2(z) by ray quadrature up from 0, where F tends to r(0); the pole 1/z must lie off that ray."""
+    with mp.workdps(ctx.work_dps):
+        z = mp.mpc(z)
         F, k = eichler_integral(f, ctx), f.weight
-        if method == "termwise":
-            return r_star(F.series, z, ctx, cocycle=period_polynomial(f, ctx))
-        pole = 1 / z if z != 0 else None
         integrand = lambda w: F(w) * (w * z - 1) ** (-k)
-        return quad_ray(integrand, mp.mpc(0), ctx, avoid=(pole,) if pole is not None else ())
+        return quad_ray(integrand, mp.mpc(0), ctx, avoid=(1 / z,) if z != 0 else ())
 
 
-def tilde_r_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "closed") -> mp.mpc:
-    """Non-holomorphic correction term; ``PolynomialC.kernel_integral`` by default.
-
-    ``method="quadrature"`` is the oracle for it: mp.quad on the vertical
-    ray w = -x + it, t >= y, where the integrand r(w) (i(t+y))^(-k) decays
-    like t^(-2).  Raises NonConvergent when its error estimate exceeds
-    tol_tight (1 + |value|).
-    """
+def tilde_r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
+    """Non-holomorphic correction term, exact by ``PolynomialC.kernel_integral``."""
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
         if not mp.im(z) > 0:
             raise DomainError("tilde_r_f2 requires Im z > 0")
-        if f.is_zero():
-            return mp.mpc(0)
-        r = period_polynomial(f, ctx)
-        k = f.weight
-        if method == "quadrature":
-            x, y = mp.re(z), mp.im(z)
-            integrand = lambda t: r(mp.mpc(-x, t)) * mp.mpc(0, t + y) ** (-k) * mp.mpc(0, 1)
-            val, err = mp.quad(integrand, [y, mp.inf], method="tanh-sinh", maxdegree=QUAD_MAXDEGREE, error=True)
-            if not err <= ctx.tol_tight * (1 + abs(val)):
-                raise NonConvergent(f"correction-term quadrature error {mp.nstr(err, 5)} exceeds tolerance")
-            return val
-        if method != "closed":
-            raise ValueError("method must be 'closed' or 'quadrature'")
-        return r.kernel_integral(k, z, -mp.conj(z))
+        return period_polynomial(f, ctx).kernel_integral(f.weight, z, -mp.conj(z))
 
 
 def hat_r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
@@ -125,8 +109,6 @@ def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
     if m < 0:
         raise DomainError("derivative order m must be >= 0")
     with mp.workdps(ctx.work_dps):
-        if f.is_zero():
-            return LValue(s=mp.mpc(f.weight + m), value=mp.mpc(0), method="mock-period", est_error=mp.mpf(0))
         k = f.weight
         lvs = critical_lvalues(f, ctx)
         sign = (-1) ** m
@@ -186,7 +168,7 @@ def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) ->
     termwise.
     """
     k = f.weight
-    r2 = lambda w: r_f2(f, w, ctx, method="termwise")
+    r2 = lambda w: r_f2(f, w, ctx)
     res1, res2 = [], []
     with mp.workdps(ctx.work_dps):
         r = period_polynomial(f, ctx)

@@ -106,9 +106,6 @@ class QSeries:
             return Fraction(0)
         return self.coeffs[n - self.n_min]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def scale(self, c) -> "QSeries":
         if isinstance(c, int) or isinstance(c, Fraction):
             coeffs = tuple(Fraction(c) * a if isinstance(a, (int, Fraction)) else _to_mpc(c) * a for a in self.coeffs)

@@ -160,6 +160,16 @@ def test_cli_lvalue_out_of_region():
     assert json.loads(proc.stdout)["kind"] == "domain"
 
 
+@pytest.mark.parametrize("s", ["6.0000000000000000001", "0"])
+def test_cli_lvalue_near_and_at_integers(capsys, s):
+    # s within a float ulp of 6 once ended in "math domain error", and s = 0
+    # in "gamma function pole"; L(0) is a trivial zero
+    assert main(["lvalue", "--form", "delta", "--s", s]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    if s == "0":
+        assert out["value"] == ["0.0", "0.0"]
+
+
 @pytest.mark.parametrize("method", ["completed", "dirichlet"])
 @pytest.mark.parametrize("s", ["inf", "nan", "1e400"])
 def test_cli_lvalue_needs_finite_s(capsys, s, method):

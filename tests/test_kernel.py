@@ -271,8 +271,9 @@ def test_laplace_is_minus_xi_composition(ctx):
 
 
 def test_quad_ray_is_oracle_only(ctx, f_delta, f_wh, monkeypatch):
-    # every production route runs without ray quadrature, which stays the
-    # definitional oracle of F2 and r2 and of the tests
+    # every production route on H runs without ray quadrature, which stays
+    # the definitional oracle of F2, the tests' oracle of r2 on H, and r2's
+    # only route off H
     def refuse(*args, **kwargs):
         raise AssertionError("quad_ray called")
 
@@ -285,10 +286,12 @@ def test_quad_ray_is_oracle_only(ctx, f_delta, f_wh, monkeypatch):
     f_star(f_wh, z, ctx)
     r_star(f_wh, z, ctx)
     F_f2(f_delta, z, ctx, method="termwise")
-    r_f2(f_delta, z, ctx, method="termwise")
+    r_f2(f_delta, z, ctx)
     hat_r_f2(f_delta, z, ctx)
     noncritical_lvalue(f_delta, 2, ctx)
     verify_w_k2(f_delta, [z], ctx)
     verify_mock_es(f_delta, [z], ctx)
     with pytest.raises(AssertionError):
         F_f2(f_delta, z, ctx)
+    with pytest.raises(AssertionError):
+        r_f2(f_delta, 0, ctx)

@@ -86,6 +86,21 @@ def test_lambda_entire_no_poles(ctx, f_delta):
         assert mp.isfinite(v)
 
 
+@pytest.mark.parametrize("label", ["delta", "cusp16"])
+def test_completed_trivial_zeros(ctx, f_delta, f_cusp16, label):
+    # L(s) = (2 pi)^s Lambda(s) / Gamma(s) vanishes where Gamma has its poles,
+    # and near s = 0 it is s Lambda(0), Lambda(0) = (-1)^(k/2) Lambda(k)
+    f = f_delta if label == "delta" else f_cusp16
+    k = f.weight
+    for s in (0, -1, -3):
+        assert l_completed(f, s, ctx).value == 0, s
+    tiny = mp.mpf("1e-30")
+    lam0 = (-1) ** (k // 2) * mp.factorial(k - 1) * l_completed(f, k, ctx).value / (2 * mp.pi) ** k
+    for s in (tiny, -tiny):
+        got = l_completed(f, s, ctx).value / s
+        assert abs(got - lam0) <= mp.mpf("1e-25") * abs(lam0), s
+
+
 def test_completed_matches_dirichlet_value(ctx, f_delta_long):
     # sanity pin: L(12) ~ 0.99454369 (agrees with the direct partial sum)
     v = l_completed(f_delta_long, 12, ctx).value

@@ -34,6 +34,8 @@ from periodlab import mockcore
 from periodlab.eichler import EichlerIntegral, slash_function
 from periodlab.qforms import certified_cusp_form
 
+from oracles import tilde_quadrature
+
 
 @pytest.fixture(scope="module")
 def zero(f_delta):
@@ -75,9 +77,10 @@ def test_wrapped_integrand_gives_identical_quadrature(ctx, f_cusp16, monkeypatch
     # the contract perfbench's --selfcheck and its eichler.F.calls gate rely
     # on: an integrand wrapped in a one-argument function on its way into
     # quad_ray gives bit-identical F_f2 and r_f2, with one
-    # EichlerIntegral.evaluate per integrand call
-    z = mp.mpc("0.2", "0.4")
-    plain = [F_f2(f_cusp16, z, ctx), r_f2(f_cusp16, z, ctx)]
+    # EichlerIntegral.evaluate per integrand call; r_f2 takes quad_ray only
+    # off the upper half-plane
+    z, x = mp.mpc("0.2", "0.4"), mp.mpc("0.5")
+    plain = [F_f2(f_cusp16, z, ctx), r_f2(f_cusp16, x, ctx)]
     counts = {"F": 0, "nodes": 0}
     evaluate, quad_ray = EichlerIntegral.evaluate, mockcore.quad_ray
 
@@ -94,9 +97,9 @@ def test_wrapped_integrand_gives_identical_quadrature(ctx, f_cusp16, monkeypatch
 
     monkeypatch.setattr(EichlerIntegral, "evaluate", counted_evaluate)
     monkeypatch.setattr(mockcore, "quad_ray", wrapping_quad_ray)
-    for route, want in zip((F_f2, r_f2), plain):
+    for route, w, want in zip((F_f2, r_f2), (z, x), plain):
         counts.update(F=0, nodes=0)
-        got = route(f_cusp16, z, ctx)
+        got = route(f_cusp16, w, ctx)
         assert got._mpc_ == want._mpc_
         assert counts["nodes"] > 0 and counts["F"] == counts["nodes"]
 
@@ -121,7 +124,8 @@ def test_r_f2_holomorphy_probe(ctx, f_delta):
 
 def test_r_f2_zero(ctx, zero):
     assert r_f2(zero, mp.mpc(0, 1), ctx) == 0
-    assert r_f2(zero, mp.mpc(0, 1), ctx, method="termwise") == 0
+    assert r_f2(zero, 0, ctx) == 0
+    assert mockcore._r2_quadrature(zero, mp.mpc(0, 1), ctx) == 0
 
 
 @pytest.mark.parametrize("digits", [50, 80])
@@ -131,12 +135,34 @@ def test_r_f2_two_routes_agree(label, digits):
     ctx = PrecisionContext(digits=digits)
     f = delta(90) if label == "delta" else cusp_form(16, 90)
     for z in (mp.mpc("0.1", "0.6"), mp.mpc(1, 1), S.apply(mp.mpc("0.3", "0.9")), U.apply(mp.mpc("0.2", "0.8"))):
-        q = r_f2(f, z, ctx)
-        t = r_f2(f, z, ctx, method="termwise")
+        q = mockcore._r2_quadrature(f, z, ctx)
+        t = r_f2(f, z, ctx)
         assert abs(q - t) <= ctx.tol_tight * (1 + abs(q)), z
 
 
-@pytest.mark.parametrize("op", [F_f2, r_f2, tilde_r_f2])
+@pytest.mark.parametrize("label", ["delta", "cusp16"])
+def test_r_f2_at_the_cusp_is_a_noncritical_value(ctx, f_delta, f_cusp16, label):
+    # off H r2 is its defining integral; at z = 0 it is int_0^{i oo} F(w) dw
+    # = i^k (k-2)! / (2 pi)^k L(k)
+    f = f_delta if label == "delta" else f_cusp16
+    k = f.weight
+    got = r_f2(f, 0, ctx)
+    with mp.workdps(ctx.work_dps):
+        want = mp.mpc(0, 1) ** k * mp.factorial(k - 2) / (2 * mp.pi) ** k * l_completed(f, k, ctx).value
+    assert abs(got - want) <= ctx.tol_tight * abs(want)
+
+
+@pytest.mark.parametrize("label", ["delta", "cusp16"])
+def test_r_f2_routes_meet_at_the_real_axis(ctx, f_delta, f_cusp16, label):
+    # quadrature at x against the termwise route at x + 10^-40 i
+    f = f_delta if label == "delta" else f_cusp16
+    for x in (mp.mpf("0.5"), mp.mpf(-2), mp.mpf(0)):
+        on_axis = r_f2(f, x, ctx)
+        above = r_f2(f, mp.mpc(x, "1e-40"), ctx)
+        assert abs(on_axis - above) <= mp.mpf("1e-35") * abs(on_axis), x
+
+
+@pytest.mark.parametrize("op", [F_f2])
 def test_unknown_method_rejected(ctx, f_delta, op):
     with pytest.raises(ValueError):
         op(f_delta, mp.mpc(0, 1), ctx, method="simpson")
@@ -144,8 +170,8 @@ def test_unknown_method_rejected(ctx, f_delta, op):
 
 def test_tilde_closed_vs_quadrature(ctx, f_delta):
     for z in (mp.mpc(0, 1), mp.mpc(1, 1), mp.mpc("0.5", 2)):
-        c = tilde_r_f2(f_delta, z, ctx, method="closed")
-        q = tilde_r_f2(f_delta, z, ctx, method="quadrature")
+        c = tilde_r_f2(f_delta, z, ctx)
+        q = tilde_quadrature(f_delta, z, ctx)
         assert abs(c - q) <= ctx.tol_tight * (1 + abs(c)), z
 
 
@@ -181,7 +207,7 @@ def test_hat_assembly_exact(ctx, f_delta):
     z = mp.mpc("0.3", "1.2")
     hat = hat_r_f2(f_delta, z, ctx)
     with mp.workdps(ctx.work_dps):
-        assert hat == r_f2(f_delta, z, ctx, method="termwise") - tilde_r_f2(f_delta, z, ctx)
+        assert hat == r_f2(f_delta, z, ctx) - tilde_r_f2(f_delta, z, ctx)
 
 
 def test_hat_harmonicity(ctx, f_delta):

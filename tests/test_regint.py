@@ -17,7 +17,6 @@ from periodlab import (
     f_star,
     period_polynomial,
     quad_ray,
-    r_f2,
     r_star,
     reg_integral_to_icusp,
     residual_scale,
@@ -25,6 +24,7 @@ from periodlab import (
     weakly_holomorphic_m10,
     xi_fd,
 )
+from periodlab import mockcore
 from periodlab.qforms import _sum_q_series
 from periodlab.regint import exp_ray_integral, ray_sum
 
@@ -295,7 +295,7 @@ def test_r_star_of_eichler_series_is_r2(ctx, form, request):
     f = request.getfixturevalue(form)
     b, r = eichler_integral(f, ctx).series, period_polynomial(f, ctx)
     z = mp.mpc("0.2", "0.9")
-    want = r_f2(f, z, ctx, method="quadrature")
+    want = mockcore._r2_quadrature(f, z, ctx)
     for t in (mp.mpf("0.8"), 1, mp.mpf(5) / 4):
         got = r_star(b, z, ctx, cocycle=r, z0=mp.mpc(0, t))
         assert abs(got - want) <= ctx.tol_tight * residual_scale(want), t

@@ -45,7 +45,7 @@ def test_r2_termwise_short_window_raises():
     # the critical values that build r run out first: r2's own sums need
     # fewer terms, since |z|^(-k) |i - 1/z|^(-k) = |z + i|^(-k) <= 1
     with pytest.raises(TailTooLarge):
-        r_f2(delta(16), mp.mpc("0.1", "0.6"), CTX100, method="termwise")
+        r_f2(delta(16), mp.mpc("0.1", "0.6"), CTX100)
 
 
 def test_superm_precision_ladder():
@@ -89,7 +89,7 @@ def _route(name, f, z, ctx):
     if name == "F":
         return eichler_integral(f, ctx)(z)
     if name == "r2":
-        return r_f2(f, z, ctx, method="termwise")
+        return r_f2(f, z, ctx)
     return F_f2(f, z, ctx, method="termwise")
 
 
