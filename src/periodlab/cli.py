@@ -237,7 +237,9 @@ def cmd_periodpoly(args) -> int:
 
     try:
         ctx = PrecisionContext(digits=args.digits)
-        k = args.weight if args.weight is not None else _form_weight(args.form)
+        if args.weight is not None and args.form is not None:
+            raise ValueError("pass --form or --weight, not both")
+        k = args.weight if args.weight is not None else _form_weight(args.form or "delta")
         if k in ZERO_SPACE_WEIGHTS:
             payload = {
                 "schema": SCHEMA_VERSION,
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(func=cmd_lvalue)
 
     pp = sub.add_parser("periodpoly", help="emit period polynomial JSON")
-    pp.add_argument("--form", default="delta")
+    pp.add_argument("--form", default=None, help="default delta; not with --weight")
     pp.add_argument("--weight", type=int, default=None)
     pp.add_argument("--digits", type=int, default=50)
     pp.add_argument("--check", action="store_true", help="re-run the quadrature oracle")

@@ -105,12 +105,13 @@ def _lambda_and_tail(f: QSeries, s, ctx: PrecisionContext) -> Tuple[mp.mpc, floa
     The number of terms is fixed before summing.  With sigma = Re s and
     x = 2 pi n > sigma - 1, |Gamma(s, x)| <= Gamma(sigma, x)
     <= x^(sigma-1) e^(-x) x / (x - sigma + 1), so once 2 pi n >= max(sigma,
-    k - sigma) the n-th term is at most 2 |a(n)| e^(-2 pi n): f's
-    coefficient model against |q| = e^(-2 pi).  Raises TailTooLarge when the
-    window ends before that tail reaches 10^-digits (1 + |Lambda(s)|).  Each
-    incomplete gamma stops at ctx.eps() relative, so the size
-    sum_n |a(n)| (|t1| + |t2|) of the two terms times ctx.eps() bounds the
-    error of the sum itself, which can be far above ctx.eps() |Lambda(s)|.
+    k - sigma) the n-th term is at most 2 |a(n)| e^(-2 pi n): f's coefficient
+    model against |q| = e^(-2 pi).  Raises TailTooLarge when the window ends
+    before that tail reaches 10^-digits (1 + |Lambda(s)|), and before summing
+    when it ends short of that n.  Each incomplete gamma stops at ctx.eps()
+    relative, so the size sum_n |a(n)| (|t1| + |t2|) of the two terms times
+    ctx.eps() bounds the error of the sum itself, which can be far above
+    ctx.eps() |Lambda(s)|.
     """
     if not f.cuspidal:
         raise DomainError("completed L-series requires a cusp form")
@@ -121,6 +122,8 @@ def _lambda_and_tail(f: QSeries, s, ctx: PrecisionContext) -> Tuple[mp.mpc, floa
         sigma = float(mp.re(s))
         n_first = max(1, math.ceil(max(sigma, k - sigma) / (2 * math.pi)))
         N, log_tail = _certified_length(_lambda_model(f), -2 * math.pi, f.n_max, ctx, n_first)
+        if log_tail == math.inf:
+            raise TailTooLarge(f"Lambda({f.label}) at Re s = {sigma}: the term bound starts past n = {f.n_max}")
         total, size = mp.mpc(0), mp.mpf(0)
         for n in range(1, N + 1):
             c = f.coeff(n)

@@ -12,8 +12,8 @@ Eichler integral and r its period polynomial:
 
 F2 and r2 are ``regint``'s starred ``f_star`` and ``r_star`` of M = F's
 q-series (weight 2-k) with its period cocycle F|(1-S) = r; F2 also keeps ray
-quadrature, its definitional oracle, and off H (real axis, cusp 0, lower
-half-plane) r2 is its ray quadrature from 0, the only route there.  hat is
+quadrature, its definitional oracle.  r2 covers Im z >= 0, the cusp 0
+included, and raises below the real axis, where no route is certified.  hat is
 ``regint.hat_star``, and the verifiers check it through ``regint``'s
 identity helpers.  See ``regint`` for the starred definitions and sums.
 Non-critical L-values are read off from derivatives of r2 at 0:
@@ -55,25 +55,11 @@ def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
 
 
 def r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
-    """Holomorphic second-order period function int_0^{i oo} F(w)(wz-1)^(-k) dw.
+    """Holomorphic second-order period function int_0^{i oo} F(w)(wz-1)^(-k) dw for Im z >= 0.
 
-    For Im z > 0 this is ``regint.r_star`` of F's q-series with cocycle r;
-    elsewhere, ray quadrature from 0 (``_r2_quadrature``).
+    ``regint.r_star`` of F's q-series with cocycle r; DomainError for Im z < 0.
     """
-    with mp.workdps(ctx.work_dps):
-        z = mp.mpc(z)
-        if mp.im(z) > 0:
-            return r_star(eichler_integral(f, ctx).series, z, ctx, cocycle=period_polynomial(f, ctx))
-        return _r2_quadrature(f, z, ctx)
-
-
-def _r2_quadrature(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
-    """r2(z) by ray quadrature up from 0, where F tends to r(0); the pole 1/z must lie off that ray."""
-    with mp.workdps(ctx.work_dps):
-        z = mp.mpc(z)
-        F, k = eichler_integral(f, ctx), f.weight
-        integrand = lambda w: F(w) * (w * z - 1) ** (-k)
-        return quad_ray(integrand, mp.mpc(0), ctx, avoid=(1 / z,) if z != 0 else ())
+    return r_star(eichler_integral(f, ctx).series, z, ctx, cocycle=period_polynomial(f, ctx))
 
 
 def tilde_r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:

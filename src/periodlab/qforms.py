@@ -442,7 +442,7 @@ def _certified_length(model, log_q: float, n_max: int, ctx: PrecisionContext, n_
 def _check_tail(log_tail: float, total, ctx: PrecisionContext, what: str) -> None:
     """Raise TailTooLarge unless the tail is within the claimed 10^-digits (1 + |total|)."""
     bound = -ctx.digits * _LN10
-    if log_tail <= bound or log_tail <= bound + _math_log1p(float(abs(total))):
+    if log_tail <= bound or log_tail <= bound + mp.log1p(abs(total)):  # in mpmath: |total| may pass 1e308
         return
     raise TailTooLarge(
         f"certified tail 1e{log_tail / _LN10:.1f} of {what} exceeds 1e-{ctx.digits} (1 + |sum|): "

@@ -205,20 +205,24 @@ def f_star(M: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
 
 
 def r_star(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[PolynomialC] = None, z0=None) -> mp.mpc:
-    """rstar(z) = R.int_0^{i oo} M(w) (wz-1)^(-k) dw, split at z0 (default i SPLIT_HEIGHT).
+    """rstar(z) = R.int_0^{i oo} M(w) (wz-1)^(-k) dw for Im z >= 0, split at z0 (default i SPLIT_HEIGHT).
 
     See the module docstring: the leg [0, z0] is taken from S z0 with the
-    cocycle ``cocycle`` = M|(1-S), None for a modular M.  Raises DomainError
-    unless Im z0 > 0 and M|(1-S) matches the cocycle at a fixed point.
+    cocycle ``cocycle`` = M|(1-S), None for a modular M.  For real z both rays
+    stay Im z0 and Im S z0 above their kernel poles; at the cusp z = 0 the
+    first kernel (wz-1)^(-k) is the constant (-1)^k, so a constant term of M
+    raises NotRegularizable.  Raises DomainError for Im z < 0 (no certified
+    route), for Im z0 <= 0, and unless M|(1-S) matches the cocycle at a point.
     """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
         z0 = mp.mpc(z0) if z0 is not None else mp.mpc(0, SPLIT_HEIGHT)
-        if not (mp.im(z) > 0 and mp.im(z0) > 0):
-            raise DomainError("rstar needs Im z > 0 and a base point z0 in the upper half-plane")
+        if not (mp.im(z) >= 0 and mp.im(z0) > 0):
+            raise DomainError("rstar needs Im z >= 0 and a base point z0 in the upper half-plane")
         _cocycle_spot_check(M, cocycle, ctx)
         k, sz0 = 2 - M.weight, S.apply(z0)
-        value = reg_integral_to_icusp(M, z0, -1 / z, k, ctx, z ** (-k))
+        a, s, scale = (0, 0, (-1) ** k) if z == 0 else (-1 / z, k, z ** (-k))
+        value = reg_integral_to_icusp(M, z0, a, s, ctx, scale)
         value -= reg_integral_to_icusp(M, sz0, z, k, ctx)
         if cocycle is not None:
             value += cocycle.kernel_integral(k, z, sz0)

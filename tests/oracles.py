@@ -1,14 +1,25 @@
 """Quadrature oracles that only the tests call.
 
 Each is the defining integral of an object the package computes in closed
-form, evaluated by mp.quad, and raises NonConvergent when the quadrature's
-own error estimate exceeds tol_tight (1 + |value|).
+form or by certified series.  The mp.quad oracles raise NonConvergent when
+the quadrature's own error estimate exceeds tol_tight (1 + |value|);
+``r2_quadrature`` runs the package's ray quadrature, which raises by its
+own rule.
 """
 
 import mpmath as mp
 
-from periodlab import DomainError, NonConvergent, PrecisionContext, period_polynomial
+from periodlab import DomainError, NonConvergent, PrecisionContext, eichler_integral, period_polynomial, quad_ray
 from periodlab.kernel import QUAD_MAXDEGREE
+
+
+def r2_quadrature(f, z, ctx: PrecisionContext) -> mp.mpc:
+    """r2(z) by ray quadrature up from 0, where F tends to r(0); the pole 1/z must lie off that ray."""
+    with mp.workdps(ctx.work_dps):
+        z = mp.mpc(z)
+        F, k = eichler_integral(f, ctx), f.weight
+        integrand = lambda w: F(w) * (w * z - 1) ** (-k)
+        return quad_ray(integrand, mp.mpc(0), ctx, avoid=(1 / z,) if z != 0 else ())
 
 
 def tilde_quadrature(f, z, ctx: PrecisionContext) -> mp.mpc:

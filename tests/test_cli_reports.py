@@ -248,6 +248,13 @@ def test_cli_periodpoly_names_the_emitted_form(capsys, weight, form):
     assert payload["form"] == form and payload["weight"] == weight
 
 
+def test_cli_periodpoly_form_and_weight_conflict(capsys):
+    # --weight once overrode an explicit --form and printed delta's polynomial
+    assert main(["periodpoly", "--form", "cusp16", "--weight", "12"]) == EXIT_DOMAIN
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "domain" and "coefficients" not in out
+
+
 def test_cli_periodpoly_weight_zero(capsys):
     # 0 is a weight with a zero cusp space, not "--weight not given"
     assert main(["periodpoly", "--weight", "0"]) == EXIT_OK

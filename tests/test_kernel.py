@@ -271,9 +271,9 @@ def test_laplace_is_minus_xi_composition(ctx):
 
 
 def test_quad_ray_is_oracle_only(ctx, f_delta, f_wh, monkeypatch):
-    # every production route on H runs without ray quadrature, which stays
-    # the definitional oracle of F2, the tests' oracle of r2 on H, and r2's
-    # only route off H
+    # every production route runs without ray quadrature, which stays the
+    # definitional oracle of F2 and the tests' oracle of r2; r2 takes none
+    # on H, on the real axis or at the cusp 0
     def refuse(*args, **kwargs):
         raise AssertionError("quad_ray called")
 
@@ -286,12 +286,11 @@ def test_quad_ray_is_oracle_only(ctx, f_delta, f_wh, monkeypatch):
     f_star(f_wh, z, ctx)
     r_star(f_wh, z, ctx)
     F_f2(f_delta, z, ctx, method="termwise")
-    r_f2(f_delta, z, ctx)
+    for w in (z, 0, mp.mpf("0.5")):
+        r_f2(f_delta, w, ctx)
     hat_r_f2(f_delta, z, ctx)
     noncritical_lvalue(f_delta, 2, ctx)
     verify_w_k2(f_delta, [z], ctx)
     verify_mock_es(f_delta, [z], ctx)
     with pytest.raises(AssertionError):
         F_f2(f_delta, z, ctx)
-    with pytest.raises(AssertionError):
-        r_f2(f_delta, 0, ctx)

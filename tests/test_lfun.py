@@ -9,6 +9,7 @@ import pytest
 from periodlab import (
     OutOfRegion,
     PrecisionContext,
+    TailTooLarge,
     critical_lvalues,
     cusp_form,
     delta,
@@ -18,7 +19,7 @@ from periodlab import (
     upper_incomplete_gamma,
 )
 from periodlab.lfun import _critical_lambdas, _lambda_and_tail, dirichlet_truncation_length
-from periodlab.qforms import DIM_ONE_WEIGHTS
+from periodlab.qforms import DIM_ONE_WEIGHTS, certified_cusp_form
 
 
 def test_dirichlet_truncation_consistency(ctx, f_delta_long):
@@ -125,6 +126,15 @@ def test_completed_est_error_covers_short_window(ctx, f_delta):
     want = l_completed(f_delta, 6, ctx).value
     assert abs(short.value - want) <= short.est_error
     assert l_completed(f_delta, 6, ctx).est_error >= ctx.eps()
+
+
+@pytest.mark.parametrize("s", [1000, "-330.5"])
+def test_completed_raises_past_the_window(ctx, s):
+    # max(sigma, k - sigma) > 2 pi (n_max + 1): the term bound starts past the
+    # 50-term window, so no tail is certified; this once returned est_error
+    # +inf, and at s = 1e20 ran without end in Gamma(k - s, x)
+    with pytest.raises(TailTooLarge):
+        l_completed(certified_cusp_form(12, ctx), mp.mpf(s), ctx)
 
 
 @pytest.mark.parametrize("digits", [50, 80])

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from periodlab import (
+    DomainError,
     F_f2,
     IDENTITY,
     PrecisionContext,
@@ -34,7 +35,7 @@ from periodlab import mockcore
 from periodlab.eichler import EichlerIntegral, slash_function
 from periodlab.qforms import certified_cusp_form
 
-from oracles import tilde_quadrature
+from oracles import r2_quadrature, tilde_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -76,11 +77,10 @@ def test_F_f2_quadrature_evaluates_F_once_per_node(ctx, f_cusp16, monkeypatch):
 def test_wrapped_integrand_gives_identical_quadrature(ctx, f_cusp16, monkeypatch):
     # the contract perfbench's --selfcheck and its eichler.F.calls gate rely
     # on: an integrand wrapped in a one-argument function on its way into
-    # quad_ray gives bit-identical F_f2 and r_f2, with one
-    # EichlerIntegral.evaluate per integrand call; r_f2 takes quad_ray only
-    # off the upper half-plane
-    z, x = mp.mpc("0.2", "0.4"), mp.mpc("0.5")
-    plain = [F_f2(f_cusp16, z, ctx), r_f2(f_cusp16, x, ctx)]
+    # quad_ray gives a bit-identical F_f2, the one quadrature route the
+    # benchmark calls, with one EichlerIntegral.evaluate per integrand call
+    z = mp.mpc("0.2", "0.4")
+    want = F_f2(f_cusp16, z, ctx)
     counts = {"F": 0, "nodes": 0}
     evaluate, quad_ray = EichlerIntegral.evaluate, mockcore.quad_ray
 
@@ -97,11 +97,9 @@ def test_wrapped_integrand_gives_identical_quadrature(ctx, f_cusp16, monkeypatch
 
     monkeypatch.setattr(EichlerIntegral, "evaluate", counted_evaluate)
     monkeypatch.setattr(mockcore, "quad_ray", wrapping_quad_ray)
-    for route, w, want in zip((F_f2, r_f2), (z, x), plain):
-        counts.update(F=0, nodes=0)
-        got = route(f_cusp16, w, ctx)
-        assert got._mpc_ == want._mpc_
-        assert counts["nodes"] > 0 and counts["F"] == counts["nodes"]
+    got = F_f2(f_cusp16, z, ctx)
+    assert got._mpc_ == want._mpc_
+    assert counts["nodes"] > 0 and counts["F"] == counts["nodes"]
 
 
 def test_F_f2_t_invariance(ctx, f_delta):
@@ -123,9 +121,9 @@ def test_r_f2_holomorphy_probe(ctx, f_delta):
 
 
 def test_r_f2_zero(ctx, zero):
-    assert r_f2(zero, mp.mpc(0, 1), ctx) == 0
-    assert r_f2(zero, 0, ctx) == 0
-    assert mockcore._r2_quadrature(zero, mp.mpc(0, 1), ctx) == 0
+    for z in (mp.mpc(0, 1), 0, mp.mpf("0.5")):
+        assert r_f2(zero, z, ctx) == 0
+    assert r2_quadrature(zero, mp.mpc(0, 1), ctx) == 0
 
 
 @pytest.mark.parametrize("digits", [50, 80])
@@ -135,15 +133,15 @@ def test_r_f2_two_routes_agree(label, digits):
     ctx = PrecisionContext(digits=digits)
     f = delta(90) if label == "delta" else cusp_form(16, 90)
     for z in (mp.mpc("0.1", "0.6"), mp.mpc(1, 1), S.apply(mp.mpc("0.3", "0.9")), U.apply(mp.mpc("0.2", "0.8"))):
-        q = mockcore._r2_quadrature(f, z, ctx)
+        q = r2_quadrature(f, z, ctx)
         t = r_f2(f, z, ctx)
         assert abs(q - t) <= ctx.tol_tight * (1 + abs(q)), z
 
 
 @pytest.mark.parametrize("label", ["delta", "cusp16"])
 def test_r_f2_at_the_cusp_is_a_noncritical_value(ctx, f_delta, f_cusp16, label):
-    # off H r2 is its defining integral; at z = 0 it is int_0^{i oo} F(w) dw
-    # = i^k (k-2)! / (2 pi)^k L(k)
+    # at the cusp the starred split's first kernel is the constant (-1)^k,
+    # and r2(0) = int_0^{i oo} F(w) dw = i^k (k-2)! / (2 pi)^k L(k)
     f = f_delta if label == "delta" else f_cusp16
     k = f.weight
     got = r_f2(f, 0, ctx)
@@ -153,13 +151,25 @@ def test_r_f2_at_the_cusp_is_a_noncritical_value(ctx, f_delta, f_cusp16, label):
 
 
 @pytest.mark.parametrize("label", ["delta", "cusp16"])
-def test_r_f2_routes_meet_at_the_real_axis(ctx, f_delta, f_cusp16, label):
-    # quadrature at x against the termwise route at x + 10^-40 i
-    f = f_delta if label == "delta" else f_cusp16
-    for x in (mp.mpf("0.5"), mp.mpf(-2), mp.mpf(0)):
-        on_axis = r_f2(f, x, ctx)
-        above = r_f2(f, mp.mpc(x, "1e-40"), ctx)
-        assert abs(on_axis - above) <= mp.mpf("1e-35") * abs(on_axis), x
+def test_r_f2_routes_meet_at_the_real_axis(label):
+    # on the real axis and at the cusp r2 is the starred split, checked
+    # against the quadrature oracle from 0 and against itself at x + 10^-40 i
+    f = delta(120) if label == "delta" else cusp_form(16, 120)
+    for ctx in (PrecisionContext(digits=50), PrecisionContext(digits=80)):
+        for x in ("1e-30", "0.5", "-2", "-40", "1e6", "0"):
+            x = mp.mpf(x)
+            on_axis = r_f2(f, x, ctx)
+            want = r2_quadrature(f, x, ctx)
+            assert abs(on_axis - want) <= ctx.tol_tight * abs(want), (ctx.digits, x)
+            above = r_f2(f, mp.mpc(x, "1e-40"), ctx)
+            assert abs(on_axis - above) <= mp.mpf("1e-35") * abs(on_axis), (ctx.digits, x)
+
+
+def test_r_f2_raises_below_the_real_axis(ctx, f_delta):
+    # no certified route exists for Im z < 0
+    for z in (mp.mpc("0.0001", -1), mp.mpc("0.3", "-0.5"), mp.mpc(1, -2)):
+        with pytest.raises(DomainError):
+            r_f2(f_delta, z, ctx)
 
 
 @pytest.mark.parametrize("op", [F_f2])

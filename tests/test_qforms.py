@@ -341,6 +341,12 @@ def test_q_sum_work_does_not_grow_with_length(ctx, f_cusp16, monkeypatch):
     assert seen[0][1] == seen[1][1] and seen[0][1]["exp"] == seen[0][1]["cos_sin"] == 1
 
 
+def test_check_tail_raises_for_an_infinite_tail_past_float_range(ctx):
+    # log1p of |total| > 1.8e308 overflowed to inf as a float, and inf <= inf let an infinite tail pass
+    with pytest.raises(TailTooLarge):
+        _check_tail(math.inf, mp.mpf("1e400"), ctx, "a sum past float range")
+
+
 def test_evaluate_tail_too_large(ctx):
     short = delta(16)
     with pytest.raises(TailTooLarge):

@@ -13,6 +13,7 @@ from periodlab import (
     QSeries,
     S,
     TailTooLarge,
+    delta,
     eichler_integral,
     f_star,
     period_polynomial,
@@ -20,13 +21,16 @@ from periodlab import (
     r_star,
     reg_integral_to_icusp,
     residual_scale,
+    verify_mock_es,
     verify_per_star,
     weakly_holomorphic_m10,
     xi_fd,
 )
-from periodlab import mockcore
+from periodlab.eichler import period_relations
 from periodlab.qforms import _sum_q_series
 from periodlab.regint import exp_ray_integral, ray_sum
+
+from oracles import r2_quadrature
 
 
 def one_term_series(n, coeff=1):
@@ -295,10 +299,28 @@ def test_r_star_of_eichler_series_is_r2(ctx, form, request):
     f = request.getfixturevalue(form)
     b, r = eichler_integral(f, ctx).series, period_polynomial(f, ctx)
     z = mp.mpc("0.2", "0.9")
-    want = mockcore._r2_quadrature(f, z, ctx)
+    want = r2_quadrature(f, z, ctx)
     for t in (mp.mpf("0.8"), 1, mp.mpf(5) / 4):
         got = r_star(b, z, ctx, cocycle=r, z0=mp.mpc(0, t))
         assert abs(got - want) <= ctx.tol_tight * residual_scale(want), t
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_period_relations_on_the_real_axis(f_wh, digits):
+    # the split reaches the real axis: wh-10's rstar|(1+S) and
+    # rstar|(1+U+U^2) vanish there, and delta's r2 meets its two mock
+    # relations; at the cusp wh-10's constant term meets a constant kernel
+    ctx = PrecisionContext(digits=digits)
+    xs = [mp.mpf(x) for x in ("0.5", "-3", "2", "-0.25")]
+    rstar = lambda w: r_star(f_wh, w, ctx)
+    for x in xs:
+        h = rstar(x)
+        for rel in period_relations(rstar, h, 12, x):
+            assert abs(rel) <= ctx.tol_tight * residual_scale(h), x
+    for rep in verify_mock_es(delta(120), xs, ctx):
+        assert rep.passed, rep.identity
+    with pytest.raises(NotRegularizable):
+        r_star(f_wh, 0, ctx)
 
 
 def test_wrong_cocycle_raises(ctx, f_delta, f_wh):
