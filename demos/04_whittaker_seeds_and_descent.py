@@ -3,7 +3,9 @@
 The s-derivative seed of the weight-k series maps under xi_k to the
 dual-weight Whittaker seed, and the dual-weight seed maps under xi_{2-k} to
 an exponential; both identities hold termwise and at matched truncation of
-the coset sums, because xi commutes with the slash action.
+the coset sums, because xi commutes with the slash action.  The s-derivative
+seed psi_seed is in closed form: Kummer's series and its s-derivative are
+summed in one loop, so the only difference left is xi's stencil in z.
 """
 
 import mpmath as mp
@@ -13,6 +15,7 @@ from periodlab import (
     PrecisionContext,
     cal_M,
     phi_seed,
+    psi_seed,
     truncated_poincare,
     verify_laplace_eigenvalue,
     verify_termwise_dipoincare,
@@ -26,6 +29,10 @@ k = 12
 print("normalized Whittaker values cal_M(k, s, u):")
 for u in ("-3", "0.5", "4"):
     print(f"  cal_M(12, 6, {u}) = {mp.nstr(cal_M(12, 6, mp.mpf(u), ctx), 20)}")
+
+print("\ns-derivative seeds psi_m(z) = d/ds cal_M(k, s, 4 pi m y)|_(s=k/2) e(m x):")
+for m in (-1, 1):
+    print(f"  psi_{m}(i) = {mp.nstr(psi_seed(k, m, mp.mpc(0, 1), ctx).real, 20)}")
 
 print("\nLaplacian eigenvalue at the harmonic parameter (weight 2-k, s = k/2):")
 rep = verify_laplace_eigenvalue(2 - k, 1, k / 2, [mp.mpc(0, 1)], ctx)

@@ -28,6 +28,7 @@ from .qforms import (
     ZERO_SPACE_WEIGHTS,
     _deligne_bound,
     certified_cusp_form,
+    certified_window,
     cusp_form,
     weakly_holomorphic_m10,
 )
@@ -50,10 +51,9 @@ _FORM_WEIGHTS = {"delta": 12, **{f"cusp{k}": k for k in DIM_ONE_WEIGHTS}}
 # longest takes 110.
 WH10_TERMS = 170
 
-# longest Dirichlet window `lvalue --method dirichlet` builds: the build
-# costs O(N^2) integer convolutions, seconds at 4000 terms but minutes at
-# 20000; the completed route answers every s
-DIRICHLET_MAX_TERMS = 4000
+# longest window `lvalue` builds, by either method: the build costs O(N^2)
+# integer convolutions, seconds at 4000 terms but minutes at 20000
+MAX_WINDOW_TERMS = 4000
 
 
 @dataclass
@@ -218,14 +218,16 @@ def cmd_lvalue(args) -> int:
             s = mp.mpf(args.s)
         if not math.isfinite(float(s)):
             raise DomainError(f"s = {args.s} is not a finite number")
+        tol = mp.mpf("1e-12")
         if args.method == "dirichlet":
-            tol = mp.mpf("1e-12")
-            N = dirichlet_truncation_length(_deligne_bound(k), s, tol)
-            if N > DIRICHLET_MAX_TERMS:
-                raise TailTooLarge(f"the Dirichlet tail at s = {args.s} needs {N} > {DIRICHLET_MAX_TERMS} terms")
-            lv = l_dirichlet(cached_form(args.form, max(N, 32)), s, ctx, tol=tol)
+            N = max(dirichlet_truncation_length(_deligne_bound(k), s, tol), 32)
         else:
-            lv = l_completed(holomorphic_form(args.form, ctx), s, ctx)
+            # Lambda's term bound holds from 2 pi n >= max(sigma, k - sigma) on (lfun._lambda_and_tail)
+            N = certified_window(k, ctx) + math.ceil(max(float(s), k - float(s)) / (2 * math.pi))
+        if N > MAX_WINDOW_TERMS:
+            raise TailTooLarge(f"the window at s = {args.s} needs {N} > {MAX_WINDOW_TERMS} terms")
+        f = cached_form(args.form, N)
+        lv = l_dirichlet(f, s, ctx, tol=tol) if args.method == "dirichlet" else l_completed(f, s, ctx)
         print(json.dumps({"schema": SCHEMA_VERSION, "form": args.form, **lv.to_dict()}))
         return EXIT_OK
     except _CAUGHT as exc:

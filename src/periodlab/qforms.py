@@ -273,8 +273,8 @@ def cusp_form(weight: int, N: int) -> QSeries:
     )
 
 
-def certified_cusp_form(weight: int, ctx: PrecisionContext) -> QSeries:
-    """``cusp_form(weight, N)`` on the window ctx.digits needs.
+def certified_window(weight: int, ctx: PrecisionContext) -> int:
+    """The window N of ``certified_cusp_form``, which ctx.digits needs.
 
     N is the certified length of the q-series at Im z = REDUCTION_HEIGHT,
     the lowest height at which the form's q-series and Eichler sums are
@@ -283,8 +283,12 @@ def certified_cusp_form(weight: int, ctx: PrecisionContext) -> QSeries:
     """
     C, alpha = _deligne_bound(weight)
     # each term gains log10(e^pi) > 1 digit there, so 10 (digits + 8) is ample
-    N, _ = _certified_length((_math_log(C), alpha, 0.0), -2 * _MATH_PI * REDUCTION_HEIGHT, 10 * (ctx.digits + 8), ctx)
-    return cusp_form(weight, N)
+    return _certified_length((_math_log(C), alpha, 0.0), -2 * _MATH_PI * REDUCTION_HEIGHT, 10 * (ctx.digits + 8), ctx)[0]
+
+
+def certified_cusp_form(weight: int, ctx: PrecisionContext) -> QSeries:
+    """``cusp_form(weight, N)`` on the window N = ``certified_window(weight, ctx)``."""
+    return cusp_form(weight, certified_window(weight, ctx))
 
 
 @lru_cache(maxsize=None)

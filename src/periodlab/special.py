@@ -17,8 +17,9 @@ Conventions used throughout:
 * ``cal_M(k, s, u) = |u|^(-k/2) M_{sgn(u) k/2, s - 1/2}(|u|)`` is computed
   from the confluent hypergeometric series everywhere (entire in the
   argument), summed on fixed-point integers at the working precision plus
-  guard bits.  The classical integral representation of M_{mu, nu}(y) is a
-  test oracle only (``tests/oracles.py``), since it degenerates on the
+  guard bits; the same loop sums its s-derivative, so the seed ``psi_seed``
+  takes no difference in s.  The integral representation of M_{mu, nu}(y)
+  is a test oracle only (``tests/oracles.py``): it degenerates on the
   boundary Re(nu - mu + 1/2) = 0 that the seed functions sit on.
 """
 
@@ -197,37 +198,46 @@ def scaled_upper_gamma(s, x, eps):
     return mp.mpf((Br1, eB)) / mp.mpf((Ar1, eA))
 
 
-def _kummer_series(a, b, y, ctx: PrecisionContext) -> mp.mpf:
-    """Confluent hypergeometric 1F1(a; b; y) by direct summation (entire in y).
+def _kummer_series(a, b, y, ctx: PrecisionContext, ds: bool = False):
+    """1F1(a; b; y) by direct summation (entire in y); with ``ds``, (1F1, d/ds 1F1) along (a, b) = (s - mu, 2 s).
 
-    The terms T_(j+1) = T_j (a + j) y / ((b + j)(j + 1)) (DLMF 13.2.2) run
-    on integers at the scale 2^P, P = ``mp.prec`` + guard bits, each
-    quotient rounded toward zero.  The loop stops at the first term, from
-    the fifth on, with |T_j| 2^(1 - mag(eps)) < 2^P + |sum|, which implies
-    |T_j| < eps (1 + |sum|).
+    The terms T_(j+1) = T_j N_j / ((b + j)(j + 1)), N_j = (a + j) y (DLMF
+    13.2.2), and dT_(j+1) = [dT_j N_j + T_j C_j / (b + j)] / ((b + j)(j + 1)),
+    C_j = (b - 2 a - j) y, run on integers at the scale 2^P, P = ``mp.prec``
+    + guard bits, each quotient rounded toward zero.  No 1/(a + j) appears,
+    so a = 0, where T_j = 0 from j = 1 on but dT_j is not, needs no case.
+    The loop stops at the first j from the fifth on where each term summed
+    has |T_j| 2^(1 - mag(eps)) < 2^P + |its sum|, so |T_j| < eps (1 + |sum|).
     """
     P = mp.mp.prec + _KUMMER_GUARD_BITS
     one = 1 << P
     A, B, Y = mp.mpf(a).to_fixed(P), mp.mpf(b).to_fixed(P), mp.mpf(y).to_fixed(P)
     stop_shift = 1 - mp.mag(ctx.eps())
-    # ((A + j 2^P) Y) >> P = ((A Y) >> P) + j Y exactly, so N and D step by addition
-    N, D = (A * Y) >> P, B
+    # ((A + j 2^P) Y) >> P = ((A Y) >> P) + j Y exactly, so N, C and D step by addition
+    N, C, D = (A * Y) >> P, ((B - 2 * A) * Y) >> P, B
     term = total = one
+    dterm = dtotal = 0
+    div = lambda num, den: num // den if (num < 0) == (den < 0) else -(-num // den)
     for j in range(1, 10 ** 6):
-        num, den = term * N, D * j
-        term = num // den if (num < 0) == (den < 0) else -(-num // den)
+        den = D * j
+        if ds:
+            dterm = div(dterm * N + (div(term * C, D) << P), den)
+            dtotal += dterm
+        term = div(term * N, den)
         total += term
-        if j > 4 and abs(term) << stop_shift < one + abs(total):
-            return mp.mpf((total, -P))
+        if j > 4 and abs(term) << stop_shift < one + abs(total) and abs(dterm) << stop_shift < one + abs(dtotal):
+            return (mp.mpf((total, -P)), mp.mpf((dtotal, -P))) if ds else mp.mpf((total, -P))
         N += Y
+        C -= Y
         D += one
     raise NonConvergent("confluent series iteration cap reached")
 
 
-def cal_M(k: int, s, u, ctx: PrecisionContext) -> mp.mpf:
-    """Normalized Whittaker value |u|^(-k/2) M_{sgn(u) k/2, s-1/2}(|u|), u != 0.
+def cal_M(k: int, s, u, ctx: PrecisionContext, ds: bool = False) -> mp.mpf:
+    """Normalized Whittaker value |u|^(-k/2) M_{sgn(u) k/2, s-1/2}(|u|), u != 0; with ``ds``, its s-derivative.
 
-    That is |u|^(s - k/2) e^(-|u|/2) 1F1(s - mu; 2 s; |u|) with mu = sgn(u) k/2.
+    That is y^(s - k/2) e^(-y/2) 1F1(s - mu; 2 s; y), y = |u|, mu = sgn(u) k/2,
+    and its s-derivative y^(s - k/2) e^(-y/2) (log y 1F1 + d/ds 1F1).
     """
     if u == 0:
         raise DomainError("cal_M requires u != 0")
@@ -239,15 +249,15 @@ def cal_M(k: int, s, u, ctx: PrecisionContext) -> mp.mpf:
         y = abs(mp.mpf(u))
         half_k = mp.mpf(k) / 2
         mu = half_k if u > 0 else -half_k
-        return y ** (s - half_k) * mp.exp(-y / 2) * _kummer_series(s - mu, two_s, y, ctx)
+        F = _kummer_series(s - mu, two_s, y, ctx, ds)
+        return y ** (s - half_k) * mp.exp(-y / 2) * (mp.log(y) * F[0] + F[1] if ds else F)
 
 
-def psi_seed(k: int, m: int, z, ctx: PrecisionContext, step=None) -> mp.mpc:
-    """Seed d/ds[cal_M(k, s, 4 pi m y)]_{s=k/2} e(m x) for the weight-k series.
+def psi_seed(k: int, m: int, z, ctx: PrecisionContext) -> mp.mpc:
+    """Seed d/ds[cal_M(k, s, 4 pi m y)]_{s=k/2} e(m x) for the weight-k series, k >= 1.
 
-    Central difference in s for m < 0; for m > 0 the point s = k/2 is the
-    boundary of the terminating regime, so a one-sided second-order stencil
-    from s > k/2 is used instead.
+    The s-derivative is in closed form: ``cal_M(..., ds=True)``, which sums
+    Kummer's series and its s-derivative in one loop.
     """
     if m == 0:
         raise DomainError("psi_seed requires m != 0")
@@ -255,43 +265,27 @@ def psi_seed(k: int, m: int, z, ctx: PrecisionContext, step=None) -> mp.mpc:
         z = mp.mpc(z)
         if not mp.im(z) > 0:
             raise DomainError("psi_seed requires Im z > 0")
-        h = mp.mpf(step) if step is not None else mp.mpf(ctx.fd_step)
-        s0 = mp.mpf(k) / 2
-        u = 4 * mp.pi * m * mp.im(z)
-        if 2 * (s0 - h) <= 0:
-            raise StepTooLarge("s-step crosses the confluent series pole")
-        if m < 0:
-            d = (cal_M(k, s0 + h, u, ctx) - cal_M(k, s0 - h, u, ctx)) / (2 * h)
-        else:
-            d = (
-                -3 * cal_M(k, s0, u, ctx)
-                + 4 * cal_M(k, s0 + h, u, ctx)
-                - cal_M(k, s0 + 2 * h, u, ctx)
-            ) / (2 * h)
+        d = cal_M(k, mp.mpf(k) / 2, 4 * mp.pi * m * mp.im(z), ctx, ds=True)
         return d * mp.exp(2j * mp.pi * m * mp.re(z))
 
 
 def whittaker_derivative_identity_check(k: int, y, ctx: PrecisionContext) -> RelationReport:
     """Residual of the nested-derivative collapse of the normalized Whittaker seed.
 
-    Left side: d/ds [ d/dy' ( cal_M(k, s + k/2, -y') e^(-y'/2) ) ]_{s=0, y'=y}
-    by central differences; right side: e^(-y/2) y^(-k) cal_M(2-k, k/2, y).
-    The s- and y-steps use 10^(-digits/5), balancing the nested truncation
-    against roundoff at the elevated working precision.
+    Left side: d/dy' [ d/ds cal_M(k, s, -y') e^(-y'/2) ]_{s=k/2, y'=y}, the
+    s-derivative in closed form, the y-derivative by a central difference at
+    ``ctx.fd_step``; right side: e^(-y/2) y^(-k) cal_M(2-k, k/2, y).  Raises
+    StepTooLarge when the stencil reaches y' <= 0, where -y' would flip mu.
     """
     with mp.workdps(ctx.work_dps):
         y = mp.mpf(y)
         if y <= 0:
             raise DomainError("identity check requires y > 0")
-        h = mp.mpf(10) ** (-mp.mpf(ctx.digits) / 5)
-
-        def inner(s, yy):
-            return cal_M(k, s + mp.mpf(k) / 2, -yy, ctx) * mp.exp(-yy / 2)
-
-        def ddy(s):
-            return (inner(s, y + h) - inner(s, y - h)) / (2 * h)
-
-        lhs = (ddy(h) - ddy(-h)) / (2 * h)
+        h = mp.mpf(ctx.fd_step)
+        if y - h <= 0:
+            raise StepTooLarge("y-stencil crosses y = 0")
+        inner = lambda t: cal_M(k, mp.mpf(k) / 2, -t, ctx, ds=True) * mp.exp(-t / 2)
+        lhs = (inner(y + h) - inner(y - h)) / (2 * h)
         rhs = mp.exp(-y / 2) * y ** mp.mpf(-k) * cal_M(2 - k, mp.mpf(k) / 2, y, ctx)
         resid = abs(lhs - rhs) / residual_scale(lhs, rhs)
         return RelationReport.single(

@@ -1,15 +1,17 @@
-"""Quadrature oracles that only the tests call.
+"""Quadrature and difference oracles that only the tests call.
 
-Each is the defining integral of an object the package computes in closed
-form or by certified series.  The mp.quad oracles raise NonConvergent when
-the quadrature's own error estimate exceeds tol_tight (1 + |value|);
-``r2_quadrature`` runs the package's ray quadrature, which raises by its
-own rule.
+Each quadrature oracle is the defining integral of an object the package
+computes in closed form or by certified series.  The mp.quad oracles raise
+NonConvergent when the quadrature's own error estimate exceeds
+tol_tight (1 + |value|); ``r2_quadrature`` runs the package's ray
+quadrature, which raises by its own rule.  The difference oracles take the
+s-derivative of the Whittaker seed by finite differences of ``cal_M``, which
+the package sums in closed form; their error is O(step^2).
 """
 
 import mpmath as mp
 
-from periodlab import DomainError, NonConvergent, PrecisionContext, eichler_integral, period_polynomial, quad_ray
+from periodlab import DomainError, NonConvergent, PrecisionContext, cal_M, eichler_integral, period_polynomial, quad_ray
 from periodlab.kernel import QUAD_MAXDEGREE
 
 
@@ -64,3 +66,33 @@ def whittaker_M_integral(mu, nu, y, ctx: PrecisionContext) -> mp.mpf:
         if not abs(pref) * err <= ctx.tol_tight * (1 + abs(value)):
             raise NonConvergent(f"Whittaker integral error estimate {mp.nstr(abs(pref) * err, 5)} exceeds tolerance")
         return value
+
+
+def psi_seed_difference(k: int, m: int, z, ctx: PrecisionContext, step) -> mp.mpc:
+    """psi_seed(k, m, z) with d/ds cal_M by a difference in s at ``step``.
+
+    Central for m < 0; for m > 0, where s = k/2 is the edge of the
+    terminating regime, the one-sided second-order stencil from s > k/2.
+    """
+    with mp.workdps(ctx.work_dps):
+        z, h, s0 = mp.mpc(z), mp.mpf(step), mp.mpf(k) / 2
+        M = lambda s: cal_M(k, s, 4 * mp.pi * m * mp.im(z), ctx)
+        if m < 0:
+            d = (M(s0 + h) - M(s0 - h)) / (2 * h)
+        else:
+            d = (-3 * M(s0) + 4 * M(s0 + h) - M(s0 + 2 * h)) / (2 * h)
+        return d * mp.exp(2j * mp.pi * m * mp.re(z))
+
+
+def whittaker_nested_difference(k: int, y, ctx: PrecisionContext) -> mp.mpf:
+    """d/ds [ d/dy' ( cal_M(k, s + k/2, -y') e^(-y'/2) ) ]_{s=0, y'=y} by nested central differences.
+
+    Both steps are h = 10^(-digits/5), which balances the O(h^2) truncation
+    against roundoff divided by h^2; y must exceed h.
+    """
+    with mp.workdps(ctx.work_dps):
+        y = mp.mpf(y)
+        h = mp.mpf(10) ** (-mp.mpf(ctx.digits) / 5)
+        inner = lambda s, t: cal_M(k, s + mp.mpf(k) / 2, -t, ctx) * mp.exp(-t / 2)
+        ddy = lambda s: (inner(s, y + h) - inner(s, y - h)) / (2 * h)
+        return (ddy(h) - ddy(-h)) / (2 * h)

@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 
 import periodlab.cli as cli
-from periodlab import RelationReport, l_completed, reports_to_csv, reports_to_json
+from periodlab import RelationReport, cusp_form, l_completed, reports_to_csv, reports_to_json
 from periodlab.cli import EXIT_CONVERGENCE, EXIT_DOMAIN, EXIT_IDENTITY_FAILURE, EXIT_OK, SuiteConfig, main
 
 
@@ -230,6 +230,39 @@ def test_cli_lvalue_parses_s_at_working_precision(capsys, monkeypatch):
         want = l_completed(f, mp.mpf("6.1"), ctx)
         assert abs(got.value - want.value) <= want.est_error
     assert out["value"][0] == mp.nstr(mp.re(want.value), 30)
+
+
+@pytest.mark.parametrize("form", ["delta", "cusp16"])
+def test_cli_lvalue_window_follows_s(capsys, monkeypatch, form):
+    # max(sigma, k - sigma) >= 342.5 puts Lambda's term bound past the window
+    # digits 50 certify (50 terms for delta), so `lvalue` once exited 3 here;
+    # the window now adds ceil(max(sigma, k - sigma) / 2 pi) terms
+    seen = []
+
+    def spy(f, s, ctx):
+        seen.append((ctx, l_completed(f, s, ctx)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "l_completed", spy)
+    assert main(["lvalue", "--form", form, "--s=-330.5"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    ctx, got = seen[0]
+    want = l_completed(cusp_form(cli._form_weight(form), 200), mp.mpf("-330.5"), ctx)
+    with mp.workdps(ctx.work_dps):
+        assert abs(got.value - want.value) <= got.est_error
+        assert got.est_error <= mp.mpf("1e-50") * abs(got.value)
+    assert out["value"][0] == mp.nstr(mp.re(got.value), 30)
+
+
+def test_cli_lvalue_completed_cap_before_building(capsys, monkeypatch):
+    # Re s = 1e20 needs about 1.6e19 terms of the completed series, and the
+    # window is checked against cli.MAX_WINDOW_TERMS before a form is built
+    def refuse(label, N):
+        raise AssertionError(f"built {label} on {N} terms")
+
+    monkeypatch.setattr(cli, "cached_form", refuse)
+    assert main(["lvalue", "--form", "delta", "--s", "1e20"]) == EXIT_CONVERGENCE
+    assert json.loads(capsys.readouterr().out)["kind"] == "convergence"
 
 
 def test_cli_periodpoly_zero_space():

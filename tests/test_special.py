@@ -5,13 +5,14 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodlab import (
     DomainError,
     NonConvergent,
     PrecisionContext,
+    StepTooLarge,
     cal_M,
     psi_seed,
     upper_incomplete_gamma,
@@ -240,6 +241,31 @@ def kummer_cases(draw):
 
 
 @pytest.mark.parametrize("digits", [50, 80, 120])
+def test_kummer_series_ds_property(digits):
+    # the s-derivative along (a, b) = (s - mu, 2 s), against mpmath's 1F1
+    # differentiated by mp.diff at twice the working precision, a = 0 included
+    ctx = PrecisionContext(digits=digits)
+    bound = mp.mpf(10) ** -(digits + 5)
+
+    @settings(max_examples=40)
+    @given(kummer_cases())
+    @example((mp.mpf(0), mp.mpf(12), mp.mpf(12)))
+    @example((mp.mpf(0), mp.mpf(4), mp.mpf("0.5")))
+    @example((mp.mpf(-3) + mp.mpf("1e-12"), mp.mpf("2.5"), mp.mpf(40)))
+    def check(case):
+        a, b, y = case
+        with mp.workdps(ctx.work_dps):
+            value, got = _kummer_series(a, b, y, ctx, ds=True)
+        with mp.workdps(2 * ctx.work_dps):
+            want = mp.diff(lambda t: mp.hyp1f1(a + t, b + 2 * t, y), 0)
+            assert abs(got - want) <= bound * (1 + abs(want)), (a, b, y)
+            want = mp.hyp1f1(a, b, y)
+            assert abs(value - want) <= bound * (1 + abs(want)), (a, b, y)
+
+    check()
+
+
+@pytest.mark.parametrize("digits", [50, 80, 120])
 def test_kummer_series_property(digits):
     # absolute-or-relative error <= 10^-(digits+5) (1 + |v|) against mpmath's
     # 1F1 at twice the working precision, across sign changes of a + j
@@ -286,18 +312,47 @@ def test_cal_M_small_u_scaling(ctx, k, s):
 
 
 def test_psi_seed_richardson_consistency(ctx):
+    # the s-difference oracle at steps h and h/2 meets the closed form, and
+    # its error falls by 4 with the step: O(h^2), about 4e-34 relative at h
     rng = random.Random(5)
     for _ in range(10):
         z = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
-        a = psi_seed(12, -1, z, ctx, step=ctx.fd_step)
-        b = psi_seed(12, -1, z, ctx, step=ctx.fd_step / 2)
-        assert abs(a - b) <= ctx.tol_fd * (1 + abs(a))
+        v = psi_seed(12, -1, z, ctx)
+        e1, e2 = (abs(oracles.psi_seed_difference(12, -1, z, ctx, h) - v) for h in (ctx.fd_step, ctx.fd_step / 2))
+        assert e1 <= ctx.tol_fd * (1 + abs(v))
+        assert 3.9 < e1 / e2 < 4.1
 
 
 def test_psi_seed_positive_index(ctx):
-    v = psi_seed(12, 1, mp.mpc(0, 1), ctx)
-    w = psi_seed(12, 1, mp.mpc(0, 1), ctx, step=ctx.fd_step / 2)
-    assert abs(v - w) <= ctx.tol_fd * (1 + abs(v))
+    # m > 0 puts s = k/2 at a = 0 of the series, where the closed form takes
+    # no special case and the oracle a one-sided stencil
+    z = mp.mpc(0, 1)
+    v = psi_seed(12, 1, z, ctx)
+    e1, e2 = (abs(oracles.psi_seed_difference(12, 1, z, ctx, h) - v) for h in (ctx.fd_step, ctx.fd_step / 2))
+    assert e1 <= ctx.tol_fd * (1 + abs(v))
+    assert 3.9 < e1 / e2 < 4.1
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_psi_seed_meets_fine_difference(digits):
+    # the difference oracle at 4x the digits with step 10^-(digits+20) is
+    # off by about 1e-(2 digits+40); z is exact in binary
+    ctx, hi = PrecisionContext(digits=digits), PrecisionContext(digits=4 * digits)
+    bound = mp.mpf(10) ** -(digits + 5)
+    for k in (4, 12):
+        for m in (-1, 1, 2):
+            for y in ("0.5", "1", "2.5"):
+                z = mp.mpc("0.25", y)
+                got = psi_seed(k, m, z, ctx)
+                want = oracles.psi_seed_difference(k, m, z, hi, mp.mpf(10) ** -(digits + 20))
+                with mp.workdps(hi.work_dps):
+                    assert abs(got - want) <= bound * abs(want), (k, m, y)
+
+
+def test_psi_seed_needs_positive_weight(ctx):
+    # 2s = k must not be a nonpositive integer
+    with pytest.raises(DomainError):
+        psi_seed(0, -1, mp.mpc(0, 1), ctx)
 
 
 def test_psi_seed_growth_linear_exponential(ctx):
@@ -320,3 +375,29 @@ def test_psi_seed_small_y(ctx):
 def test_whittaker_derivative_identity(ctx, k, y):
     rep = whittaker_derivative_identity_check(k, mp.mpf(y), ctx)
     assert rep.passed, rep.summary_line()
+
+
+@pytest.mark.parametrize("y", ["1e-30", "1e-17"])
+def test_whittaker_identity_stencil_stays_above_zero(ctx, y):
+    # fd_step is 2.2e-17 at digits 50; a stencil through y' <= 0 flips mu,
+    # and once returned a failed report (residual 1.0) on the wrong function
+    with pytest.raises(StepTooLarge):
+        whittaker_derivative_identity_check(4, mp.mpf(y), ctx)
+    assert whittaker_derivative_identity_check(4, mp.mpf("1e-11"), ctx).passed
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_whittaker_nested_difference_oracle(digits):
+    # the nested s- and y-difference, with its own step h = 10^(-digits/5),
+    # meets the check's left side (closed s-derivative) within 10 h^2
+    ctx = PrecisionContext(digits=digits)
+    hn = mp.mpf(10) ** (-mp.mpf(digits) / 5)
+    for k in (4, 12):
+        for y in ("0.5", "1", "2", "5"):
+            y = mp.mpf(y)
+            nested = oracles.whittaker_nested_difference(k, y, ctx)
+            with mp.workdps(ctx.work_dps):
+                h = ctx.fd_step
+                inner = lambda t: cal_M(k, mp.mpf(k) / 2, -t, ctx, ds=True) * mp.exp(-t / 2)
+                lhs = (inner(y + h) - inner(y - h)) / (2 * h)
+                assert abs(nested - lhs) <= 10 * hn ** 2 * abs(lhs), (k, y)

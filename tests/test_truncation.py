@@ -16,8 +16,9 @@ from periodlab import (
     l_completed,
     r_f2,
     verify_superm,
+    verify_termwise_xi,
 )
-from periodlab.cli import _grid, holomorphic_form
+from periodlab.cli import SuiteConfig, _grid, holomorphic_form, run_suite
 from periodlab.qforms import DIM_ONE_WEIGHTS
 
 CTX100 = PrecisionContext(digits=100)
@@ -58,6 +59,21 @@ def test_superm_precision_ladder():
         worst.append(verify_superm(holomorphic_form("delta", ctx), pts, ctx).max_residual)
     for lo, hi in zip(worst, worst[1:]):
         assert hi <= lo * mp.mpf("1e-10"), worst
+
+
+def test_seed_precision_ladder():
+    # each Whittaker identity and xi_descent_termwise take one difference (in
+    # y, in z) at fd_step of a closed-form seed, so from digits 50 to 80 they
+    # gain 2 (80 - 50)/3 = 20 digits; a difference in s under them gained 11.5
+    worst = []
+    for digits in (50, 80):
+        ctx = PrecisionContext(digits=digits)
+        reps = run_suite("special", SuiteConfig(digits=digits), ctx)
+        reps.append(verify_termwise_xi(12, 1, [mp.mpc(0, 1), mp.mpc("0.3", "0.8")], ctx)[0])
+        worst.append({r.identity: r.max_residual for r in reps})
+    assert "xi_descent_termwise[k=12,m=1]" in worst[0] and len(worst[0]) == 9
+    for name, lo in worst[0].items():
+        assert worst[1][name] <= lo * mp.mpf("1e-19"), (name, lo, worst[1][name])
 
 
 @pytest.mark.parametrize("digits", [80, 100])
