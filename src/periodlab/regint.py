@@ -23,12 +23,12 @@ Each kernel is one term scale (w + a)^(-s): the principal terms n < 0
 take the formula above on that sheet, the constant term n = 0 is
 elementary, and the decaying part n >= 1 is the same formula summed over the
 coefficients on the principal branch (``ray_sum``), whose length is fixed by
-a certified tail bound.  There, once |x| > |1-s| + 1, Gamma(1-s, x) is
-e^(-x) x^(1-s) / f with f the Legendre continued fraction, and the term
-folds to c_n q0^n (w0 + a)^(1-s) / f with q0 = e^(2 pi i w0), so a whole
-sum takes one exponential and one power besides the fractions.  Ray
-quadrature is not used here; it remains the oracle that the tests compare
-against.
+a certified tail bound.  There Gamma(1-s, x) is mostly e^(-x) x^(1-s) / f
+with f the Legendre continued fraction, and the term folds to
+c_n q0^n (w0 + a)^(1-s) / f with q0 = e^(2 pi i w0): a sum is one pass on
+fixed-point integers with one exponential and one power, and each fraction
+stops at its term's share of the error budget.  Ray quadrature is not used
+here; it remains the oracle that the tests compare against.
 
 The starred periods of a weight-(2-k) input M, with Q = M |_{2-k} (1 - S)
 its period cocycle, are
@@ -63,12 +63,13 @@ import math
 from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
+from mpmath.libmp import mpf_mul, to_fixed
 
 from .eichler import PolynomialC, S, period_relations
 from .kernel import DomainError, PrecisionContext, xi_fd
-from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _mpc_coeffs
+from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _fixed_coeffs, _mpc_coeffs, q_parts
 from .reports import RelationReport, residual_scale
-from .special import scaled_upper_gamma, upper_incomplete_gamma
+from .special import _CF_GUARD_BITS, _fixed, _legendre_fraction, _on_fraction, upper_incomplete_gamma
 
 SPLIT_HEIGHT = 5 / 4  # height of r_star's default base point
 
@@ -96,7 +97,7 @@ def exp_ray_integral(n: int, w0, a, s: int, ctx: PrecisionContext) -> mp.mpc:
 
 
 def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> Tuple[mp.mpc, float]:
-    """(scale sum_{n>=1} c_n int_{w0}^{i oo} e^(2 pi i n w) (w+a)^(-s) dw, log of its certified tail).
+    """(scale sum_{n>=1} c_n int_{w0}^{i oo} e^(2 pi i n w) (w+a)^(-s) dw, log of its certified error).
 
     c_n are the n >= 1 coefficients of ``series``; needs Im(w0 + a) > 0.
     With x = -2 pi i n (w0+a), Re x = 2 pi n Im(w0+a) > 0 and
@@ -104,50 +105,81 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> T
     |Gamma(1-s, x)| <= |x|^(-s) e^(-Re x) (rotate the integration path of
     Gamma(1-s, x) = x^(1-s) e^(-x) int_0^oo e^(-xt) (1+t)^(-s) dt onto arg t = -arg x);
     for s < 0 the finite sum gives |Gamma(1-s, x)| <= e^(-Re x) (|x| - s)^(-s),
-    at most |x|^(-s) e^(-Re x) (1 - s/(2 pi Im(w0+a)))^(-s) for every n.  So
-    the n-th term is at most |scale c_n| (2 pi n)^(-1) |w0+a|^(-s) e^(-2 pi n Im w0),
-    times that factor when s < 0.  Raises TailTooLarge when the window
-    cannot certify the digits.
+    at most |x|^(-s) e^(-Re x) F, F = (1 - s/(2 pi Im(w0+a)))^(-s), for every n.
+    So the n-th term is at most |scale c_n| (2 pi n)^(-1) |w0+a|^(-s) e^(-2 pi n Im w0),
+    times F when s < 0.  Raises TailTooLarge when the window cannot certify
+    the digits.
 
-    For integer s the n-th term folds to c_n q0^n (w0+a)^(1-s) G_n with
-    q0 = e^(2 pi i w0) and G_n = e^x x^(s-1) Gamma(1-s, x): q0^n is a running
-    product and (w0+a)^(1-s) one power per sum.  Once |x| > |1-s| + 1,
-    G_n = 1/f_n for the Legendre continued fraction f_n
-    (``special.scaled_upper_gamma``), so those terms take no exponential or
-    power of their own; the few terms below that threshold take G_n from
-    ``upper_incomplete_gamma``.
+    For integer s the n-th term folds to C c_n q0^n G_n, C = scale (w0+a)^(1-s),
+    G_n = e^x x^(s-1) Gamma(1-s, x), so |c_n q0^n G_n| <= t_n = |c_n| |q0|^n F / |x_n|.
+    Where Gamma(1-s, x) takes the Legendre fraction f_n (``special._on_fraction``),
+    G_n = 1/f_n, which stops at the relative eps T / (N t_n), T = max t_n,
+    kept within [eps, 2^-20]; the few terms below take G_n from
+    ``upper_incomplete_gamma``.  The certified error, returned and checked by
+    ``_check_tail``, is the tail plus |C| sum_n tol_n t_n, about eps T |C|.
+    One pass on Gaussian integers at P = -log2(eps) + 32 bits adds
+    c_n q0^n B_n conj(A_n) / |A_n|^2 for 1/f_n = B_n / A_n in the unit 2^-P T
+    (N roundings, below N 2^-30 eps T), q0^n renormalized to P bits per step
+    and x_n = n x_1 an integer multiple.
     """
     height = mp.im(w0 + a)
     if not height > 0:
         raise DomainError("ray sum needs Im(w0 + a) > 0")
-    bound = abs(scale) / (2 * mp.pi) / abs(w0 + a) ** s
-    if s < 0:
-        bound *= (1 - s / (2 * mp.pi * height)) ** (-s)
+    log2_F = -s * math.log2(1 - s / (2 * math.pi * float(height))) if s < 0 else 0.0
+    bound = abs(scale) / (2 * mp.pi) / abs(w0 + a) ** s * mp.mpf(2) ** log2_F
     log_b, alpha, beta = _coeff_model(series)
     model = (log_b + float(mp.log(bound)), alpha - 1, beta)
-    N, log_tail = _certified_length(model, -2 * math.pi * float(mp.im(w0)), series.n_max, ctx)
-    coeffs = _mpc_coeffs(series)
+    log_q = -2 * math.pi * float(mp.im(w0))
+    N, log_tail = _certified_length(model, log_q, series.n_max, ctx)
+    first, mags, parts = _fixed_coeffs(series)
     x1 = -2j * mp.pi * (w0 + a)
-    order, eps = mp.mpf(1 - s), ctx.eps()
-    n_fold = int((abs(1 - s) + 1) / abs(x1)) + 1  # first n on the continued-fraction branch
-    q0 = mp.exp(2j * mp.pi * w0)
-    start = max(1, series.n_min)
-    qn = q0 ** (start - 1)
-    total = mp.mpc(0)
-    for n in range(start, N + 1):
-        qn *= q0
-        c = coeffs[n - series.n_min]
-        if c == 0:
+    abs_x1 = float(abs(x1))
+    # log2 t_n for the nonzero c_n, n >= 1, in the window; |c_n| < 2^(mags + 1/2)
+    log2_t = {
+        n: mags[n - series.n_min] + 0.5 + n * log_q / math.log(2) - math.log2(n * abs_x1) + log2_F
+        for n in range(max(1, series.n_min + first), min(N, series.n_max) + 1)
+        if mags[n - series.n_min] > -math.inf
+    }
+    if not log2_t:
+        _check_tail(log_tail, 0, ctx, f"ray sum of {series.label}")
+        return mp.mpc(0), log_tail
+    eps = ctx.eps()
+    P, log2_eps, log2_T = _CF_GUARD_BITS - mp.mag(eps), float(mp.mag(eps) - 1), max(log2_t.values())
+    order, (X1r, X1i) = ((1 - s) << P, 0), _fixed(x1, P)
+    E, cos, sin = q_parts(w0.real._mpf_, w0.imag._mpf_, P)
+    sq = P - E[2] - E[3]
+    Qr, Qi = to_fixed(mpf_mul(E, cos), sq), to_fixed(mpf_mul(E, sin), sq)
+    qr, qi, eq = 1 << P, 0, -P  # q0^n = (qr + i qi) 2^eq
+    u, Tr, Ti, budget = math.ceil(log2_T) - P, 0, 0, 0.0  # budget: sum_n tol_n t_n / T
+    for n in range(1, max(log2_t) + 1):
+        qr, qi = qr * Qr - qi * Qi, qr * Qi + qi * Qr
+        d = max(qr.bit_length(), qi.bit_length()) - P
+        qr, qi, eq = qr >> d, qi >> d, eq + d - sq
+        if n not in log2_t:
             continue
-        x = n * x1
-        if n < n_fold:
-            g = upper_incomplete_gamma(order, x, ctx) * mp.exp(x) * x ** (s - 1)
+        if _on_fraction(1 - s, n * abs_x1):
+            tol = min(max(log2_eps + log2_T - math.log2(N) - log2_t[n], log2_eps), -20.0)
+            Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(order, (n * X1r, n * X1i), P, tol)
+            gr, gi, den, eg = Br * Ar + Bi * Ai, Bi * Ar - Br * Ai, Ar * Ar + Ai * Ai, eB - eA
         else:
-            g = scaled_upper_gamma(order, x, eps)
-        total += c * qn * g
-    total *= scale * (w0 + a) ** (1 - s)
-    _check_tail(log_tail, total, ctx, f"ray sum of {series.label}")
-    return total, log_tail
+            tol, x = log2_eps, n * x1
+            g = upper_incomplete_gamma(1 - s, x, ctx) * mp.exp(x) * x ** (s - 1)
+            eg = mp.mag(g) - P
+            (gr, gi), den = _fixed(g, -eg), 1
+        budget += 2 ** (tol + log2_t[n] - log2_T)
+        cr, ci, ex = parts[n - series.n_min]
+        pr, pi = cr * qr - ci * qi, cr * qi + ci * qr
+        vr, vi = pr * gr - pi * gi, pr * gi + pi * gr
+        sh = ex + eq + eg - u
+        vr, vi, den = (vr << sh, vi << sh, den) if sh >= 0 else (vr, vi, den << -sh)
+        Tr, Ti = Tr + vr // den, Ti + vi // den
+    common = scale * (w0 + a) ** (1 - s)
+    total = mp.mpc(mp.mpf((Tr, u)), mp.mpf((Ti, u))) * common
+    log_err = math.log(2) * (log2_T + math.log2(budget)) + float(mp.log(abs(common)))
+    if log_tail > -math.inf:
+        log_err = max(log_err, log_tail) + math.log1p(math.exp(-abs(log_err - log_tail)))
+    _check_tail(log_err, total, ctx, f"ray sum of {series.label}")
+    return total, log_err
 
 
 def reg_integral_to_icusp(M: QSeries, z0, a, s: int, ctx: PrecisionContext, scale=1) -> mp.mpc:

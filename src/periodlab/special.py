@@ -5,15 +5,17 @@ Conventions used throughout:
 * ``upper_incomplete_gamma(s, x)`` is Gamma(s, x) = int_x^oo t^(s-1) e^(-t) dt
   for real or complex s and x, on the principal branch; it is the package's
   only incomplete-gamma/E1 routine.  Its branches are the Legendre continued
-  fraction for large x in the right half-plane, the E1 anchor plus a finite
-  sum for nonpositive integer order, and Gamma(s) minus the lower-gamma
-  series otherwise.
+  fraction in the right half-plane for large x or a large negative order
+  (``_on_fraction``), the E1 anchor plus a finite sum for other nonpositive
+  integer orders, and Gamma(s) minus the lower-gamma series otherwise.
 * ``scaled_upper_gamma(s, x, eps)`` = e^x x^(-s) Gamma(s, x) is 1/f for
-  that continued fraction f.  It runs the Wallis forward recurrence on
-  Gaussian fixed-point integers at -log2(eps) plus guard bits, with the
-  numerator and denominator pairs renormalized separately by shifts, and a
-  stop test in float log2 that takes no division.  ``regint.ray_sum`` calls
-  it directly, since its terms need only 1/f.
+  that continued fraction f, from its one implementation
+  ``_legendre_fraction``: the Wallis forward recurrence on Gaussian
+  fixed-point integers at a given scale 2^P, with the numerator and
+  denominator pairs renormalized separately by shifts, and a stop test in
+  float log2 that takes no division, at any relative tolerance.
+  ``regint.ray_sum`` runs it directly, on its own fixed-point arguments and
+  at each term's share of the sum's error budget.
 * ``cal_M(k, s, u) = |u|^(-k/2) M_{sgn(u) k/2, s - 1/2}(|u|)`` is computed
   from the confluent hypergeometric series everywhere (entire in the
   argument), summed on fixed-point integers at the working precision plus
@@ -50,8 +52,9 @@ def upper_incomplete_gamma(s, x, ctx: PrecisionContext):
     the positive real axis, are taken as real and run real arithmetic.  The
     branches:
 
-    * Re x > 0 and |x| > |s| + 1: the Legendre continued fraction
-      (DLMF 8.9), ``scaled_upper_gamma``; it holds for every order.
+    * Re x > 0 and |x| > |s| + 1, or |x| > 6 and Re s <= 1 - |x| where
+      the sums below fail (``_on_fraction``): the Legendre continued
+      fraction (DLMF 8.9), ``scaled_upper_gamma``.
     * s = -N for an integer N >= 0:
       Gamma(-N, x) = (-1)^N/N! (E1(x) - e^(-x) sum_{j<N} (-1)^j j! x^(-j-1)).
     * otherwise: Gamma(s) minus the lower-gamma series.
@@ -85,7 +88,7 @@ def _gamma_upper_terms(s, x, eps):
 
     ``eps`` bounds the truncation error relative to the result.
     """
-    if mp.re(x) > 0 and abs(x) > abs(s) + 1:
+    if mp.re(x) > 0 and _on_fraction(s, abs(x)):
         value = mp.exp(-x) * x ** s * scaled_upper_gamma(s, x, eps)
         return value, abs(value)
     if mp.isint(s) and s <= 0:
@@ -114,6 +117,27 @@ def _gamma_upper_terms(s, x, eps):
     raise NonConvergent("lower gamma series did not converge")
 
 
+def _on_fraction(s, r) -> bool:
+    """Whether Gamma(s, x) with Re x > 0 and |x| = r takes the Legendre continued fraction.
+
+    It does for r > |s| + 1, and for r > 6 with Re s = -N <= 1 - r, where
+    the sums fail: at integer -N the finite sum outgrows the result by about
+    r^(N-1) N / N! (75 digits at N = 288, r = 62 pi), and at any other order
+    the lower-gamma series stops in the dip its terms take while |s + j| > r
+    (10^218 off at s = -288.5, x = 80 pi).  There the fraction converges
+    fast: at real order |a_j| / (b_(j-1) b_j) < 1/4, as (N + 2j)^2 >= 4 j (j + N),
+    and it stops within a few hundred steps up to 100 digits.  At integer
+    order E1 stays while the sum loses at most ``_GAMMA_DPS_PAD`` digits, as
+    for every r <= 6, where the fraction would take about (ln 1/eps)^2 / 16 r steps.
+    """
+    if r > abs(s) + 1:
+        return True
+    N, r = -float(mp.re(s)), float(r)
+    if not (r > 6 and N >= r - 1):
+        return False
+    return not mp.isint(s) or (N - 1) * math.log(r) + math.log(N) - math.lgamma(N + 1) > _GAMMA_DPS_PAD * math.log(10)
+
+
 def _fixed(v, P: int) -> tuple:
     """(Re v, Im v) times 2^P, as integers."""
     if isinstance(v, mp.mpc):
@@ -122,29 +146,36 @@ def _fixed(v, P: int) -> tuple:
 
 
 def scaled_upper_gamma(s, x, eps):
-    """e^x x^(-s) Gamma(s, x) = 1/f to relative ``eps``, for Re x > 0 and |x| > |s| + 1.
+    """e^x x^(-s) Gamma(s, x) = 1/f to relative ``eps`` for Re x > 0 (``_legendre_fraction``); mpc unless s, x are real."""
+    P = _CF_GUARD_BITS - mp.mag(eps)
+    Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(_fixed(s, P), _fixed(x, P), P, float(mp.mag(eps) - 1))
+    if isinstance(s, mp.mpc) or isinstance(x, mp.mpc):
+        return mp.mpc(mp.mpf((Br, eB)), mp.mpf((Bi, eB))) / mp.mpc(mp.mpf((Ar, eA)), mp.mpf((Ai, eA)))
+    return mp.mpf((Br, eB)) / mp.mpf((Ar, eA))
 
-    f is the Legendre continued fraction b_0 + a_1/(b_1 + a_2/(b_2 + ...))
-    with b_j = x + 2j + 1 - s and a_j = -j (j - s) (DLMF 8.9.2).  The Wallis
-    recurrence A_j = b_j A_(j-1) + a_j A_(j-2), and the same for B, from
+
+def _legendre_fraction(s: tuple, x: tuple, P: int, log2_tol: float) -> tuple:
+    """(Br, Bi, eB, Ar, Ai, eA, steps): 1/f = (Br + i Bi) 2^eB / ((Ar + i Ai) 2^eA) to relative 2^log2_tol.
+
+    ``s`` and ``x`` are (Re, Im) integer pairs times 2^P.  f is the Legendre
+    continued fraction b_0 + a_1/(b_1 + a_2/(b_2 + ...)) with
+    b_j = x + 2j + 1 - s and a_j = -j (j - s) (DLMF 8.9.2).  The Wallis recurrence
+    A_j = b_j A_(j-1) + a_j A_(j-2), and the same for B, from
     (A_-1, A_0) = (1, b_0), (B_-1, B_0) = (0, 1), runs on Gaussian integers
-    at the scale 2^P, P = -log2(eps) + guard bits; each pair is shifted back
-    to about P bits on its own, so a large |f| costs B no precision.  Since
+    at the scale 2^P; each pair is shifted back to about P bits on its own,
+    so a large |f| costs B no precision.  Since
     A_j B_(j-1) - A_(j-1) B_j = (-1)^(j+1) a_1 ... a_j, the step satisfies
     |f_n - f_(n-1)| / |f_n| = |a_1 ... a_n| / |A_n B_(n-1)|; the sum of
     float log2 |a_j| against bit lengths stops the loop once that is below
-    ``eps``, with no division.  At a positive integer order a_s = 0 and the
-    fraction ends exactly.  The result is B_n / A_n: an mpf for real s and
-    x, an mpc otherwise.
+    2^log2_tol, with no division, after ``steps`` steps.  At a positive
+    integer order a_s = 0 and the fraction ends exactly.
     """
-    P = _CF_GUARD_BITS - mp.mag(eps)
-    log2_eps = float(mp.mag(eps) - 1)
     one = 1 << P
-    sr, si = _fixed(s, P)
-    br, bi = _fixed(x, P)
+    sr, si = s
+    br, bi = x
     br += one - sr
     bi -= si
-    sc = complex(s)
+    sc = complex(sr / one, si / one)
     # with both imaginary parts zero, every imaginary half below stays 0
     real = not (si or bi)
     Ar2, Ai2, Ar1, Ai1 = one, 0, br, bi
@@ -171,7 +202,7 @@ def scaled_upper_gamma(s, x, eps):
         # 2^(bit length - 1) <= max(|re|, |im|) <= |A|, so this overestimates the step
         nA = max(Ar.bit_length(), Ai.bit_length())
         nB1 = max(Br1.bit_length(), Bi1.bit_length())
-        converged = log2_a - (nA - 1 + eA) - (nB1 - 1 + eB) < log2_eps
+        converged = log2_a - (nA - 1 + eA) - (nB1 - 1 + eB) < log2_tol
         Ar2, Ai2, Ar1, Ai1 = Ar1, Ai1, Ar, Ai
         Br2, Bi2, Br1, Bi1 = Br1, Bi1, Br, Bi
         if converged:
@@ -193,9 +224,7 @@ def scaled_upper_gamma(s, x, eps):
             eB += d
     else:
         raise NonConvergent("upper gamma continued fraction did not converge")
-    if isinstance(s, mp.mpc) or isinstance(x, mp.mpc):
-        return mp.mpc(mp.mpf((Br1, eB)), mp.mpf((Bi1, eB))) / mp.mpc(mp.mpf((Ar1, eA)), mp.mpf((Ai1, eA)))
-    return mp.mpf((Br1, eB)) / mp.mpf((Ar1, eA))
+    return Br1, Bi1, eB, Ar1, Ai1, eA, j
 
 
 def _kummer_series(a, b, y, ctx: PrecisionContext, ds: bool = False):

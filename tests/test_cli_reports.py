@@ -254,6 +254,30 @@ def test_cli_lvalue_window_follows_s(capsys, monkeypatch, form):
     assert out["value"][0] == mp.nstr(mp.re(got.value), 30)
 
 
+@pytest.mark.parametrize("form, s", [("delta", "300"), ("cusp16", "400")])
+def test_cli_lvalue_far_right_of_the_strip(capsys, monkeypatch, form, s):
+    # Lambda(s) there takes Gamma(k - s, 2 pi n) at orders near -288 and -384,
+    # where E1 with its finite sum once cancelled beyond recovery (exit 3);
+    # the completed series now answers, and agrees with the Dirichlet series
+    seen = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            seen[name] = fn(*args, **kwargs)
+            return seen[name]
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "l_completed", spy("completed", l_completed))
+    monkeypatch.setattr(cli, "l_dirichlet", spy("dirichlet", cli.l_dirichlet))
+    for method in ("completed", "dirichlet"):
+        assert main(["lvalue", "--form", form, "--s", s, "--method", method]) == EXIT_OK
+    capsys.readouterr()
+    got, want = seen["completed"], seen["dirichlet"]
+    with mp.workdps(60):
+        assert abs(got.value - want.value) <= got.est_error + want.est_error
+
+
 def test_cli_lvalue_completed_cap_before_building(capsys, monkeypatch):
     # Re s = 1e20 needs about 1.6e19 terms of the completed series, and the
     # window is checked against cli.MAX_WINDOW_TERMS before a form is built

@@ -23,6 +23,7 @@ from periodlab import (
     residual_scale,
     verify_mock_es,
     verify_per_star,
+    verify_superm,
     weakly_holomorphic_m10,
     xi_fd,
 )
@@ -129,31 +130,50 @@ FOLD_KERNELS = {
 FOLD_BASES = {"i": mp.mpc(0, 1), "-conj z": -mp.conj(FOLD_Z), "S-image": -1 / mp.mpc("0.2", "1.1")}
 
 
-@pytest.mark.parametrize("base", sorted(FOLD_BASES))
-@pytest.mark.parametrize("kind", sorted(FOLD_KERNELS))
-def test_folded_ray_sum_vs_unfolded(ctx, f_delta, kind, base):
-    # ray_sum folds each continued-fraction term to c_n q0^n (w0+a)^(1-s) / f_n;
-    # the unfolded sum takes exp_ray_integral term by term over the whole window
+def assert_folded_matches_unfolded(series, ctx, kind, base):
+    # ray_sum folds each continued-fraction term to c_n q0^n (w0+a)^(1-s) / f_n,
+    # each fraction stopped at its share of the error budget; the unfolded sum
+    # takes exp_ray_integral term by term over the whole window, each term to
+    # eps relative.  The certified error returned covers the difference, and
+    # the budget keeps it 10^5 below the digits claimed
     w0 = FOLD_BASES[base]
     with mp.workdps(ctx.work_dps):
         for a, s, scale in FOLD_KERNELS[kind]:
-            got = ray_sum(f_delta, w0, a, s, ctx, scale)[0]
-            want = scale * mp.fsum(
-                f_delta.coeff(n) * exp_ray_integral(n, w0, a, s, ctx) for n in range(1, f_delta.n_max + 1)
-            )
+            got, log_err = ray_sum(series, w0, a, s, ctx, scale)
+            terms = [scale * series.coeff(n) * exp_ray_integral(n, w0, a, s, ctx) for n in range(1, series.n_max + 1)]
+            want = mp.fsum(terms)
             assert abs(got - want) <= mp.mpf(10) ** -ctx.digits * abs(want), (kind, base, s)
+            assert abs(got - want) <= mp.exp(log_err) + ctx.eps() * mp.fsum(map(abs, terms)), (kind, base, s)
+            assert mp.exp(log_err) <= mp.mpf(10) ** -(ctx.digits + 5) * (1 + abs(want)), (kind, base, s)
+
+
+@pytest.mark.parametrize("base", sorted(FOLD_BASES))
+@pytest.mark.parametrize("kind", sorted(FOLD_KERNELS))
+def test_folded_ray_sum_vs_unfolded(ctx, f_delta, kind, base):
+    assert_folded_matches_unfolded(f_delta, ctx, kind, base)
+
+
+@pytest.mark.parametrize("base", sorted(FOLD_BASES))
+@pytest.mark.parametrize("kind", sorted(FOLD_KERNELS))
+@pytest.mark.parametrize("form, digits", [("delta", 80), ("wh-10", 50), ("wh-10", 80)])
+def test_folded_ray_sum_vs_unfolded_budget(f_delta, f_wh, form, digits, kind, base):
+    # the budget's other cases: more digits, and wh-10, whose n >= 1
+    # coefficients grow like e^(4 pi sqrt(2n)), so its largest term is far
+    # from n = 1 and the terms below it span many orders of magnitude
+    series = f_delta if form == "delta" else f_wh
+    assert_folded_matches_unfolded(series, PrecisionContext(digits=digits), kind, base)
 
 
 @pytest.mark.parametrize("a", [mp.mpc("0.3", "1.5"), mp.mpc("0.1", "0.6")])
 def test_ray_sum_work_does_not_grow_with_length(f_delta, monkeypatch, a):
     # per term, a folded ray sum runs only the continued fraction: the
     # exponentials and complex powers it takes are the same for 50 and 100
-    # digits, though the longer sum has more terms (at a = 0.1 + 0.6i the
-    # term n = 1 lies below the fraction's threshold |x| > 12)
+    # digits, though the longer sum runs more fractions (at a = 0.1 + 0.6i
+    # the term n = 1 lies below the fraction's threshold |x| > 12)
     import periodlab.regint as regint
 
     counts = {"exp": 0, "pow": 0, "fraction": 0}
-    exp, mpc_pow, fraction = mp.exp, mp.mpc.__pow__, regint.scaled_upper_gamma
+    exp, mpc_pow, fraction = mp.exp, mp.mpc.__pow__, regint._legendre_fraction
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -164,7 +184,7 @@ def test_ray_sum_work_does_not_grow_with_length(f_delta, monkeypatch, a):
 
     monkeypatch.setattr(mp, "exp", counted("exp", exp))
     monkeypatch.setattr(mp.mpc, "__pow__", counted("pow", mpc_pow))
-    monkeypatch.setattr(regint, "scaled_upper_gamma", counted("fraction", fraction))
+    monkeypatch.setattr(regint, "_legendre_fraction", counted("fraction", fraction))
     seen = []
     for digits in (50, 100):
         ctx = PrecisionContext(digits=digits)
@@ -174,6 +194,40 @@ def test_ray_sum_work_does_not_grow_with_length(f_delta, monkeypatch, a):
         seen.append(dict(counts))
     assert seen[1]["fraction"] > seen[0]["fraction"] > 0
     assert seen[0]["exp"] == seen[1]["exp"] and seen[0]["pow"] == seen[1]["pow"]
+
+
+@pytest.mark.parametrize("digits, most", [(50, 17500), (80, 43000)])
+def test_superm_ray_sums_stop_at_their_budget(monkeypatch, digits, most):
+    # the 40 ray sums of `verify superm --form delta` ran 27,410 Wallis steps
+    # at digits 50 and 68,222 at 80 when every fraction went to the full eps;
+    # each now stops at its share of the error budget
+    import sys
+
+    import periodlab.regint as regint
+    from periodlab.cli import _grid, holomorphic_form
+    from periodlab.special import _legendre_fraction
+
+    work = {"steps": 0, "sums": 0}
+
+    def counted(*args):
+        got = _legendre_fraction(*args)
+        work["steps"] += got[-1]
+        return got
+
+    def summed(*args, **kwargs):
+        work["sums"] += 1
+        return ray_sum(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "periodlab" or name.startswith("periodlab."):
+            for key, value in list(vars(module).items()):
+                if value is _legendre_fraction:
+                    monkeypatch.setattr(module, key, counted)
+    monkeypatch.setattr(regint, "ray_sum", summed)
+    ctx = PrecisionContext(digits=digits)
+    report = verify_superm(holomorphic_form("delta", ctx), _grid(10, "0.1", "0.8", "0.6", "1.8"), ctx)
+    assert report.passed and work["sums"] == 40
+    assert 0 < work["steps"] <= most
 
 
 def test_short_window_raises(ctx):

@@ -72,6 +72,28 @@ def test_gamma_precision_vs_mpmath(digits):
             assert abs(got - want) <= bound * abs(want), (s, x)
 
 
+@pytest.mark.parametrize("digits", [50, 80])
+def test_gamma_order_far_below_minus_x(digits):
+    # Gamma(-N, x) for N well above x: E1 with the finite sum cancels by about
+    # x^(N-1) N / N!, 75 digits at N = 288, x = 62 pi, where it once raised
+    # NonConvergent; the lower-gamma series at a non-integer or complex order
+    # stopped in the dip of its terms (10^218 and 10^44 off in the last two
+    # cases).  The continued fraction takes all of them.  x is rounded to the
+    # working precision first, as an L-series hands it over; mpmath's
+    # gammainc cancels much as E1 does (75 digits at N = 384), so it runs at
+    # four times the working precision
+    ctx = PrecisionContext(digits=digits)
+    bound = mp.mpf(10) ** -(digits + 5)
+    cases = ((-288, "31"), (-384, "37"), (mp.mpf("-288.5"), "40"), (mp.mpc(-288, -5), mp.mpc(100, 50)))
+    for s, x in cases:
+        with mp.workdps(ctx.work_dps):
+            x = 2 * mp.pi * mp.mpf(x) if isinstance(x, str) else x
+            got = upper_incomplete_gamma(s, x, ctx)
+        with mp.workdps(4 * ctx.work_dps):
+            want = mp.gammainc(s, x)
+            assert abs(got - want) <= bound * abs(want), (s, x)
+
+
 def gamma_oracle(s, x, dps):
     """Gamma(s, x) to dps digits, independent of the continued fraction.
 
