@@ -42,18 +42,14 @@ from .lfun import LValue, OutOfRegion, critical_lvalues, l_completed, l_dirichle
 from .eichler import (
     GroupElement,
     IDENTITY,
-    NotInW,
     PolynomialC,
-    RankDeficient,
     S,
     T,
     U,
     UTILDE,
     eichler_integral,
-    es_decompose,
     period_polynomial,
     period_polynomial_quadrature,
-    w_membership,
 )
 from .mockcore import (
     F_f2,

@@ -20,7 +20,7 @@ import mpmath as mp
 
 from . import __version__
 from .kernel import DomainError, NonConvergent, PrecisionContext, TailTooLarge
-from .lfun import critical_lvalues, dirichlet_truncation_length, l_completed, l_dirichlet
+from .lfun import critical_lvalues, dirichlet_truncation_length, l_completed, l_dirichlet, lambda_first_term
 from .qforms import (
     DIM_ONE_WEIGHTS,
     QSeries,
@@ -86,6 +86,8 @@ class SuiteConfig:
         for f in cfg.forms:
             if not isinstance(f, str) or f not in _FORM_WEIGHTS:
                 raise ValueError(f"unknown form {f!r}")
+        if len(set(cfg.forms)) < len(cfg.forms):
+            raise ValueError("forms must be a non-empty list of distinct form labels")
         return cfg
 
     def context(self) -> PrecisionContext:
@@ -222,8 +224,7 @@ def cmd_lvalue(args) -> int:
         if args.method == "dirichlet":
             N = max(dirichlet_truncation_length(_deligne_bound(k), s, tol), 32)
         else:
-            # Lambda's term bound holds from 2 pi n >= max(sigma, k - sigma) on (lfun._lambda_and_tail)
-            N = certified_window(k, ctx) + math.ceil(max(float(s), k - float(s)) / (2 * math.pi))
+            N = certified_window(k, ctx) + lambda_first_term(k, float(s))
         if N > MAX_WINDOW_TERMS:
             raise TailTooLarge(f"the window at s = {args.s} needs {N} > {MAX_WINDOW_TERMS} terms")
         f = cached_form(args.form, N)

@@ -8,6 +8,9 @@ incomplete gamma), and the definitional integral
 int_0^{i oo} f(w)(w - z)^(k-2) dw is retained as a quadrature oracle.  The
 Eichler integral F(z) is evaluated from its termwise closed form with the
 cocycle rule F = r + z^(k-2) F(-1/z) applied below the reduction height.
+The slash action on polynomials is exact in coefficient space
+(``slash_polynomial``), so the relations r|(1+S) = r|(1+U+U^2) = 0 that put
+r in W_k can be checked on r's coefficients.
 """
 
 from __future__ import annotations
@@ -19,20 +22,11 @@ import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, quad_ray
 from .lfun import critical_lvalues
-from .qforms import QSeries, _reduced_sum, _to_mpc, certified_cusp_form
-from .reports import RelationReport, residual_scale
+from .qforms import QSeries, _reduced_sum, _to_mpc, evaluate
 
 
 class NonPolynomialResult(DomainError):
     """A polynomial slashed at an incompatible weight left V_n."""
-
-
-class NotInW(DomainError):
-    """Polynomial fails the period relations beyond tolerance."""
-
-
-class RankDeficient(DomainError):
-    """The decomposition system degenerated (impossible for dim-1 spaces)."""
 
 
 @dataclass(frozen=True)
@@ -102,23 +96,6 @@ class PolynomialC:
             acc = acc * z + c
         return acc
 
-    def __add__(self, other: "PolynomialC") -> "PolynomialC":
-        n = max(self.degree_bound, other.degree_bound)
-        a = self.coeffs + (mp.mpc(0),) * (n + 1 - len(self.coeffs))
-        b = other.coeffs + (mp.mpc(0),) * (n + 1 - len(other.coeffs))
-        return PolynomialC(n, tuple(x + y for x, y in zip(a, b)))
-
-    def scale(self, c) -> "PolynomialC":
-        c = mp.mpc(c)
-        return PolynomialC(self.degree_bound, tuple(c * x for x in self.coeffs))
-
-    def negate_variable(self) -> "PolynomialC":
-        """P(z) -> P(-z)."""
-        return PolynomialC(
-            self.degree_bound,
-            tuple(c if j % 2 == 0 else -c for j, c in enumerate(self.coeffs)),
-        )
-
     def kernel_integral(self, k: int, z, a, b=None) -> mp.mpc:
         """Exact int_a^b P(w) (w+z)^(-k) dw; b = None stands for i*infinity.
 
@@ -145,9 +122,6 @@ class PolynomialC:
             return mp.fsum(cj * u ** (j - k + 1) / (j - k + 1) for j, cj in enumerate(c))
 
         return (G(b) if b is not None else mp.mpc(0)) - G(a)
-
-    def sup_norm(self) -> mp.mpf:
-        return max(abs(c) for c in self.coeffs) if self.coeffs else mp.mpf(0)
 
 
 def _binomial_row(n: int) -> list:
@@ -233,8 +207,6 @@ def period_polynomial(f: QSeries, ctx: PrecisionContext) -> PolynomialC:
 
 def period_polynomial_quadrature(f: QSeries, z0, ctx: PrecisionContext) -> mp.mpc:
     """Definitional oracle r(z0) = int_0^{i oo} f(w)(w - z0)^(k-2) dw."""
-    from .qforms import evaluate
-
     k = f.weight
     with mp.workdps(ctx.work_dps):
         z0 = mp.mpc(z0)
@@ -293,65 +265,3 @@ def eichler_integral(f: QSeries, ctx: PrecisionContext) -> EichlerIntegral:
     if got is None:
         got = f._memo[key] = EichlerIntegral(f, ctx)
     return got
-
-
-def w_membership(P: PolynomialC, m: int, ctx: PrecisionContext) -> RelationReport:
-    """Residuals of P|(1+S) and P|(1+U+U^2), exact in coefficient space, at tol_tight.
-
-    Each is the coefficient sup norm of the relation relative to P's.
-    """
-    with mp.workdps(ctx.work_dps):
-        rel_s = slash_polynomial(P, m, IDENTITY) + slash_polynomial(P, m, S)
-        rel_u = slash_polynomial(P, m, IDENTITY) + slash_polynomial(P, m, U) + slash_polynomial(P, m, U * U)
-        scale = residual_scale(P.sup_norm())
-        return RelationReport.from_residuals(
-            identity="w_membership(coefficient-norm)",
-            points=[mp.mpc(0), mp.mpc(0)],
-            residuals=[rel_s.sup_norm() / scale, rel_u.sup_norm() / scale],
-            tolerance=ctx.tol_tight,
-            labels=("1+S", "1+U+U^2"),
-        )
-
-
-def es_decompose(
-    P: PolynomialC,
-    k: int,
-    ctx: PrecisionContext,
-    tol=None,
-) -> Tuple[mp.mpc, mp.mpc, mp.mpc, mp.mpf]:
-    """Solve P = alpha r + beta r(-.) + c (z^(k-2) - 1) over the dim-1 space.
-
-    r is the period polynomial of the normalized eigenform of weight k.
-    Returns (alpha, beta, c, residual); raises NotInW when the least-squares
-    residual exceeds tolerance and RankDeficient if the 3-column system
-    degenerates.
-    """
-    tol = mp.mpf(tol) if tol is not None else mp.mpf(10) ** (-10)
-    with mp.workdps(ctx.work_dps):
-        f0 = certified_cusp_form(k, ctx)
-        r = period_polynomial(f0, ctx)
-        rminus = r.negate_variable()
-        cob = PolynomialC.from_coeffs(
-            [mp.mpc(-1)] + [mp.mpc(0)] * (k - 3) + [mp.mpc(1)], degree_bound=k - 2
-        )
-        ncoef = k - 1
-        cols = [r.coeffs, rminus.coeffs, cob.coeffs]
-        rhs = [P.coeffs[i] if i < len(P.coeffs) else mp.mpc(0) for i in range(ncoef)]
-        # normal equations at working precision; the 3x3 system is tiny
-        G = mp.matrix(3, 3)
-        b = mp.matrix(3, 1)
-        for p in range(3):
-            for q in range(3):
-                G[p, q] = mp.fsum(mp.conj(cols[p][i]) * cols[q][i] for i in range(ncoef))
-            b[p] = mp.fsum(mp.conj(cols[p][i]) * rhs[i] for i in range(ncoef))
-        if abs(mp.det(G)) < mp.mpf(10) ** (-ctx.digits):
-            raise RankDeficient("decomposition basis is numerically dependent")
-        sol = mp.lu_solve(G, b)
-        resid = max(
-            abs(mp.fsum(cols[p][i] * sol[p] for p in range(3)) - rhs[i]) for i in range(ncoef)
-        )
-        scale = residual_scale(P.sup_norm())
-        resid = resid / scale
-        if resid > tol:
-            raise NotInW(f"decomposition residual {mp.nstr(resid, 5)} exceeds tolerance")
-        return sol[0], sol[1], sol[2], resid

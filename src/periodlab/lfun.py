@@ -99,6 +99,11 @@ def l_dirichlet(f: QSeries, s, ctx: PrecisionContext, tol=None) -> LValue:
         return LValue(s=s, value=total, method="dirichlet", est_error=tail)
 
 
+def lambda_first_term(k: int, sigma: float) -> int:
+    """The first n of Lambda's term bound at Re s = sigma: 2 pi n >= max(sigma, k - sigma), n >= 1."""
+    return max(1, math.ceil(max(sigma, k - sigma) / (2 * math.pi)))
+
+
 def _lambda_and_tail(f: QSeries, s, ctx: PrecisionContext) -> Tuple[mp.mpc, float, mp.mpf]:
     """Lambda(s), the log of its certified tail, and the size of its terms.
 
@@ -120,8 +125,7 @@ def _lambda_and_tail(f: QSeries, s, ctx: PrecisionContext) -> Tuple[mp.mpc, floa
         k = f.weight
         sign = (-1) ** (k // 2)
         sigma = float(mp.re(s))
-        n_first = max(1, math.ceil(max(sigma, k - sigma) / (2 * math.pi)))
-        N, log_tail = _certified_length(_lambda_model(f), -2 * math.pi, f.n_max, ctx, n_first)
+        N, log_tail = _certified_length(_lambda_model(f), -2 * math.pi, f.n_max, ctx, lambda_first_term(k, sigma))
         if log_tail == math.inf:
             raise TailTooLarge(f"Lambda({f.label}) at Re s = {sigma}: the term bound starts past n = {f.n_max}")
         total, size = mp.mpc(0), mp.mpf(0)
@@ -164,19 +168,19 @@ def l_completed(f: QSeries, s, ctx: PrecisionContext) -> LValue:
 def _critical_lambdas(f: QSeries, ctx: PrecisionContext) -> Tuple[list, float]:
     """[Lambda(1), ..., Lambda(k-1)] in closed form and the log of their certified tail.
 
-    One window serves every s: n_first = ceil((k-1)/(2 pi)) is the largest
-    of ``_lambda_and_tail``'s per-s starts, so the term bound holds for all
-    of them, and N is never shorter than that of any single s.  The power
-    sums take q^n = e^(-2 pi n) as a running product and (2 pi n)^(-m) as
-    running powers of 1/(2 pi n).  Raises TailTooLarge as ``_lambda_and_tail``.
+    One window serves every s: ``lambda_first_term`` at sigma = 1,
+    ceil((k-1)/(2 pi)), is the largest of its starts over s = 1, ..., k-1, so
+    the term bound holds for all of them, and N is never shorter than that
+    of any single s.  The power sums take q^n = e^(-2 pi n) as a running
+    product and (2 pi n)^(-m) as running powers of 1/(2 pi n).  Raises
+    TailTooLarge as ``_lambda_and_tail``.
     """
     if not f.cuspidal:
         raise DomainError("completed L-series requires a cusp form")
     k = f.weight
     with mp.workdps(ctx.work_dps):
         sign = (-1) ** (k // 2)
-        n_first = max(1, math.ceil((k - 1) / (2 * math.pi)))
-        N, log_tail = _certified_length(_lambda_model(f), -2 * math.pi, f.n_max, ctx, n_first)
+        N, log_tail = _certified_length(_lambda_model(f), -2 * math.pi, f.n_max, ctx, lambda_first_term(k, 1))
         two_pi, q = 2 * mp.pi, mp.exp(-2 * mp.pi)
         T = [mp.mpc(0)] * k  # T[m], m = 1, ..., k-1
         qn = mp.mpf(1)

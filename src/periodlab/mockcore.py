@@ -32,7 +32,7 @@ from .kernel import DomainError, PrecisionContext, quad_ray
 from .lfun import LValue, critical_lvalues
 from .qforms import QSeries
 from .regint import f_star, hat_equation_residual, hat_relation_residuals, hat_star, r_star, ray_sum
-from .reports import RelationReport, residual_scale
+from .reports import RelationReport, relative_residual, tabulate
 
 
 def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp.mpc:
@@ -120,9 +120,8 @@ def noncritical_lvalue(f: QSeries, m: int, ctx: PrecisionContext) -> LValue:
 def verify_superm(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> RelationReport:
     """Residuals of F2|_k(S-1)(z) - (r2 - tilde)(z) at each point (``regint.hat_equation_residual``)."""
     M, r = eichler_integral(f, ctx).series, period_polynomial(f, ctx)
-    with mp.workdps(ctx.work_dps):
-        residuals = [hat_equation_residual(M, z, hat_star(M, z, ctx, r), ctx) for z in map(mp.mpc, pts)]
-    return RelationReport.from_residuals(f"superm[{f.label}]", pts, residuals, ctx.tol_tight)
+    row = lambda z: (hat_equation_residual(M, z, hat_star(M, z, ctx, r), ctx),)
+    return tabulate(pts, row, [(f"superm[{f.label}]", ctx.tol_tight)], ctx.work_dps)[0]
 
 
 def verify_w_k2(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> list:
@@ -132,14 +131,10 @@ def verify_w_k2(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> li
     xi_k(hat) = (2i)^(1-k) r_{f^c} at tol_fd (finite differences).
     """
     M, r = eichler_integral(f, ctx).series, period_polynomial(f, ctx)
-    with mp.workdps(ctx.work_dps):
-        rows = [hat_relation_residuals(M, z, hat_star(M, z, ctx, r), ctx, r) for z in map(mp.mpc, pts)]
-    res_s, res_u, res_xi = zip(*rows) if rows else [()] * 3
-    return [
-        RelationReport.from_residuals(f"wk2_slash_S[{f.label}]", pts, res_s, ctx.tol_tight),
-        RelationReport.from_residuals(f"wk2_slash_U[{f.label}]", pts, res_u, ctx.tol_tight),
-        RelationReport.from_residuals(f"wk2_xi_image[{f.label}]", pts, res_xi, ctx.tol_fd),
-    ]
+    row = lambda z: hat_relation_residuals(M, z, hat_star(M, z, ctx, r), ctx, r)
+    names = [(f"wk2_slash_S[{f.label}]", ctx.tol_tight), (f"wk2_slash_U[{f.label}]", ctx.tol_tight),
+             (f"wk2_xi_image[{f.label}]", ctx.tol_fd)]
+    return tabulate(pts, row, names, ctx.work_dps)
 
 
 def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> list:
@@ -155,18 +150,15 @@ def verify_mock_es(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) ->
     """
     k = f.weight
     r2 = lambda w: r_f2(f, w, ctx)
-    res1, res2 = [], []
     with mp.workdps(ctx.work_dps):
         r = period_polynomial(f, ctx)
         r_ut = slash_polynomial(r, 2 - k, UTILDE)
-        for z in pts:
-            z = mp.mpc(z)
-            lhs1, lhs2 = period_relations(r2, r2(z), k, z)
-            rhs1 = r.kernel_integral(k, z, 0)
-            res1.append(abs(lhs1 - rhs1) / residual_scale(lhs1, rhs1))
-            rhs2 = r.kernel_integral(k, z, -1) + r_ut.kernel_integral(k, z, -1, 0)
-            res2.append(abs(lhs2 - rhs2) / residual_scale(lhs2, rhs2))
-    return [
-        RelationReport.from_residuals(f"mockes_1S[{f.label}]", pts, res1, ctx.tol_tight),
-        RelationReport.from_residuals(f"mockes_UU[{f.label}]", pts, res2, ctx.tol_tight),
-    ]
+
+    def row(z):
+        lhs1, lhs2 = period_relations(r2, r2(z), k, z)
+        rhs1 = r.kernel_integral(k, z, 0)
+        rhs2 = r.kernel_integral(k, z, -1) + r_ut.kernel_integral(k, z, -1, 0)
+        return relative_residual(lhs1, rhs1), relative_residual(lhs2, rhs2)
+
+    names = [(f"mockes_1S[{f.label}]", ctx.tol_tight), (f"mockes_UU[{f.label}]", ctx.tol_tight)]
+    return tabulate(pts, row, names, ctx.work_dps)

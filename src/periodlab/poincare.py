@@ -14,10 +14,11 @@ from typing import Callable, Sequence, Tuple
 
 import mpmath as mp
 
-from .eichler import GroupElement, IDENTITY
+from .eichler import GroupElement, IDENTITY, eichler_integral
 from .kernel import DomainError, PrecisionContext, laplace_fd, xi_fd
+from .mockcore import F_f2
 from .qforms import QSeries, conjugate_form, bol, evaluate
-from .reports import RelationReport, residual_scale
+from .reports import RelationReport, relative_residual, tabulate
 from .special import cal_M, psi_seed
 
 
@@ -107,20 +108,14 @@ def _verify_descent(name: str, tag: str, w: int, seed: Callable, target: Callabl
     coset set (bottom rows bounded by DESCENT_BOUND), so the identity holds
     at every bound because xi commutes with the action.
     """
-    res_term = []
+    row = lambda z: (relative_residual(xi_fd(seed, w, z, ctx), pref * target(z)),)
+    termwise = tabulate(pts, row, [(f"{name}_termwise[{tag}]", ctx.tol_fd)], ctx.work_dps)
     with mp.workdps(ctx.work_dps):
-        for z in pts:
-            z = mp.mpc(z)
-            lhs = xi_fd(seed, w, z, ctx)
-            rhs = pref * target(z)
-            res_term.append(abs(lhs - rhs) / residual_scale(lhs, rhs))
         trunc = CosetTruncation.build(DESCENT_BOUND)
         big = lambda v: truncated_poincare(w, seed, v, trunc, ctx)
         lhs = xi_fd(big, w, matched_pt, ctx)
-        rhs = pref * truncated_poincare(2 - w, target, matched_pt, trunc, ctx)
-        res_matched = abs(lhs - rhs) / residual_scale(lhs, rhs)
-    return [
-        RelationReport.from_residuals(f"{name}_termwise[{tag}]", pts, res_term, ctx.tol_fd),
+        res_matched = relative_residual(lhs, pref * truncated_poincare(2 - w, target, matched_pt, trunc, ctx))
+    return termwise + [
         RelationReport.single(f"{name}_matched[{tag},C={DESCENT_BOUND}]", matched_pt, res_matched, ctx.tol_fd),
     ]
 
@@ -177,20 +172,14 @@ def verify_laplace_eigenvalue(
     with mp.workdps(ctx.work_dps):
         s = mp.mpf(s)
         lam = s * (1 - s) + mp.mpf(series_weight ** 2 - 2 * series_weight) / 4
-        seed = lambda w: phi_seed(series_weight, m, s, w, ctx)
-        residuals = []
-        for z in pts:
-            z = mp.mpc(z)
-            lhs = laplace_fd(seed, series_weight, z, ctx)
-            val = seed(z)
-            rhs = lam * val
-            residuals.append(abs(lhs - rhs) / residual_scale(lhs, rhs, val))
-    return RelationReport.from_residuals(
-        f"laplace_eigenvalue[w={series_weight},m={m},s={mp.nstr(s, 6)}]",
-        pts,
-        residuals,
-        ctx.tol_fd,
-    )
+    seed = lambda w: phi_seed(series_weight, m, s, w, ctx)
+
+    def row(z):
+        lhs, val = laplace_fd(seed, series_weight, z, ctx), seed(z)
+        return (relative_residual(lhs, lam * val, val),)
+
+    name = f"laplace_eigenvalue[w={series_weight},m={m},s={mp.nstr(s, 6)}]"
+    return tabulate(pts, row, [(name, ctx.tol_fd)], ctx.work_dps)[0]
 
 
 def verify_bol_xi_avatar(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> list:
@@ -201,31 +190,17 @@ def verify_bol_xi_avatar(f: QSeries, pts: Sequence[complex], ctx: PrecisionConte
     family: applying the termwise (k-1)-fold derivative to that series gives
     -(k-2)!/(4 pi)^(k-1) f^c, checked by evaluating both sides.
     """
-    from .eichler import eichler_integral
-    from .mockcore import F_f2
-
     k = f.weight
     fc = conjugate_form(f)
     Fc = eichler_integral(fc, ctx)
-    res_fd, res_chain = [], []
     with mp.workdps(ctx.work_dps):
         pref = (2j) ** (1 - k)
-        F2 = lambda w: F_f2(f, w, ctx, method="termwise")
         # D^(k-1) of the weight 2-k series (2i)^(1-k) F^c = -(2i)^(1-k) F_{f^c},
         # which carries F's tail bound; expect -(k-2)!/(4 pi)^(k-1) f^c
         chain = bol(Fc.series.scale(-pref))
         chain_pref = -mp.factorial(k - 2) / (4 * mp.pi) ** (k - 1)
-        for z in pts:
-            z = mp.mpc(z)
-            lhs = xi_fd(F2, k, z, ctx)
-            rhs = -pref * Fc(z)
-            res_fd.append(abs(lhs - rhs) / residual_scale(lhs, rhs))
-            cv = evaluate(chain, z, ctx)
-            tv = chain_pref * evaluate(fc, z, ctx)
-            res_chain.append(abs(cv - tv) / residual_scale(cv, tv))
-    return [
-        RelationReport.from_residuals(f"bol_xi_avatar_fd[{f.label}]", pts, res_fd, ctx.tol_fd),
-        RelationReport.from_residuals(
-            f"bol_xi_avatar_chain[{f.label}]", pts, res_chain, ctx.tol_tight
-        ),
-    ]
+    F2 = lambda w: F_f2(f, w, ctx, method="termwise")
+    row = lambda z: (relative_residual(xi_fd(F2, k, z, ctx), -pref * Fc(z)),
+                     relative_residual(evaluate(chain, z, ctx), chain_pref * evaluate(fc, z, ctx)))
+    names = [(f"bol_xi_avatar_fd[{f.label}]", ctx.tol_fd), (f"bol_xi_avatar_chain[{f.label}]", ctx.tol_tight)]
+    return tabulate(pts, row, names, ctx.work_dps)

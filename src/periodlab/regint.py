@@ -67,8 +67,8 @@ from mpmath.libmp import mpf_mul, to_fixed
 
 from .eichler import PolynomialC, S, period_relations
 from .kernel import DomainError, PrecisionContext, xi_fd
-from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _fixed_coeffs, _mpc_coeffs, q_parts
-from .reports import RelationReport, residual_scale
+from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _fixed_coeffs, _mpc_coeffs, evaluate, q_parts
+from .reports import relative_residual, residual_scale, tabulate
 from .special import _CF_GUARD_BITS, _fixed, _legendre_fraction, _on_fraction, upper_incomplete_gamma
 
 SPLIT_HEIGHT = 5 / 4  # height of r_star's default base point
@@ -214,8 +214,6 @@ def reg_integral_to_icusp(M: QSeries, z0, a, s: int, ctx: PrecisionContext, scal
 
 def _cocycle_spot_check(M: QSeries, Q: Optional[PolynomialC], ctx: PrecisionContext) -> None:
     """Raise DomainError unless M|(1-S) = Q (0 for None) at one fixed point; a pass is memoized per (ctx, Q)."""
-    from .qforms import evaluate
-
     key = ("cocycle_at", ctx, Q)
     if key in M._memo:
         return
@@ -276,7 +274,7 @@ def hat_equation_residual(M: QSeries, z, h, ctx: PrecisionContext) -> mp.mpf:
     k = 2 - M.weight
     with mp.workdps(ctx.work_dps):
         lhs = f_star(M, S.apply(z), ctx) * z ** (-k) - f_star(M, z, ctx)
-        return abs(lhs - h) / residual_scale(lhs, h)
+        return relative_residual(lhs, h)
 
 
 def hat_relation_residuals(M: QSeries, z, h, ctx: PrecisionContext, cocycle: Optional[PolynomialC] = None) -> tuple:
@@ -296,7 +294,7 @@ def hat_relation_residuals(M: QSeries, z, h, ctx: PrecisionContext, cocycle: Opt
         xv = xi_fd(hat, k, z, ctx)
         target = 0 if cocycle is None else -(2j) ** (1 - k) * mp.conj(cocycle(-mp.conj(z)))
         scale = residual_scale(h)
-        return abs(rel_s) / scale, abs(rel_u) / scale, abs(xv - target) / residual_scale(xv, target, h)
+        return abs(rel_s) / scale, abs(rel_u) / scale, relative_residual(xv, target, h)
 
 
 def verify_per_star(M: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> list:
@@ -305,16 +303,11 @@ def verify_per_star(M: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -
     hatstar = rstar, and its xi-image must vanish to FD tolerance.  hatstar
     is taken once at z for both helpers, Fstar at z and at S z.
     """
-    rows = []
-    with mp.workdps(ctx.work_dps):
-        for z in pts:
-            z = mp.mpc(z)
-            h = hat_star(M, z, ctx)
-            rows.append((hat_equation_residual(M, z, h, ctx), *hat_relation_residuals(M, z, h, ctx)))
-    res_eq, res_s, res_u, res_xi = zip(*rows) if rows else [()] * 4
-    return [
-        RelationReport.from_residuals(f"perstar_eq[{M.label}]", pts, res_eq, ctx.tol_tight),
-        RelationReport.from_residuals(f"perstar_slash_S[{M.label}]", pts, res_s, ctx.tol_tight),
-        RelationReport.from_residuals(f"perstar_slash_U[{M.label}]", pts, res_u, ctx.tol_tight),
-        RelationReport.from_residuals(f"perstar_xi_holomorphy[{M.label}]", pts, res_xi, ctx.tol_fd),
-    ]
+
+    def row(z):
+        h = hat_star(M, z, ctx)
+        return (hat_equation_residual(M, z, h, ctx), *hat_relation_residuals(M, z, h, ctx))
+
+    names = [(f"perstar_eq[{M.label}]", ctx.tol_tight), (f"perstar_slash_S[{M.label}]", ctx.tol_tight),
+             (f"perstar_slash_U[{M.label}]", ctx.tol_tight), (f"perstar_xi_holomorphy[{M.label}]", ctx.tol_fd)]
+    return tabulate(pts, row, names, ctx.work_dps)

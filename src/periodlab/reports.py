@@ -1,10 +1,16 @@
 """Relation reports: named identity checks with per-point residuals.
 
+A verifier that checks its identities at a list of points builds its
+reports through ``tabulate``: it hands over a row function, the tuple of its
+identities' residuals at one point, and gets one report per identity, the
+columns of the table of rows over its points.  A one-point check takes
+``RelationReport.single``.
+
 A report stores the evaluation points, the relative residual at each point,
 the maximum residual, the tolerance it was judged against, and the headroom
 log10(tolerance / max residual) in digits.  Residuals are relative to
-scale = max(1, |LHS|, |RHS|) (for eigen-style identities the operand
-magnitude is folded into the scale by the caller).  JSON
+scale = max(1, |LHS|, |RHS|) (``relative_residual``; for eigen-style
+identities the operand magnitude is folded into the scale by the caller).  JSON
 serialization keeps numbers as decimal strings at full precision, with a
 fixed key order, so reports are byte-reproducible for a fixed configuration.
 """
@@ -14,11 +20,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import mpmath as mp
 
 from . import __version__
+from .kernel import DomainError
 
 SCHEMA_VERSION = "periodlab-report-2"
 
@@ -31,6 +38,11 @@ def residual_scale(*values) -> mp.mpf:
         if a > s:
             s = a
     return s
+
+
+def relative_residual(lhs, rhs, *more) -> mp.mpf:
+    """|lhs - rhs| / residual_scale(lhs, rhs, *more)."""
+    return abs(lhs - rhs) / residual_scale(lhs, rhs, *more)
 
 
 def _numstr(x, dps: int = 30) -> str:
@@ -50,23 +62,14 @@ class RelationReport:
     points: tuple
     residuals: tuple
     tolerance: mp.mpf
-    labels: tuple = ()
 
     @classmethod
-    def from_residuals(
-        cls,
-        identity: str,
-        points: Sequence,
-        residuals: Sequence,
-        tolerance,
-        labels: Sequence[str] = (),
-    ) -> "RelationReport":
+    def from_residuals(cls, identity: str, points: Sequence, residuals: Sequence, tolerance) -> "RelationReport":
         return cls(
             identity=identity,
             points=tuple(mp.mpc(p) for p in points),
             residuals=tuple(mp.mpf(r) for r in residuals),
             tolerance=mp.mpf(tolerance),
-            labels=tuple(labels),
         )
 
     @classmethod
@@ -92,7 +95,7 @@ class RelationReport:
         return bool(self.max_residual <= self.tolerance)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "identity": self.identity,
             "points": [_point_pair(p) for p in self.points],
             "residuals": [_numstr(r, 15) for r in self.residuals],
@@ -101,9 +104,6 @@ class RelationReport:
             "headroom_digits": _numstr(self.headroom_digits, 4),
             "pass": self.passed,
         }
-        if self.labels:
-            d["labels"] = list(self.labels)
-        return d
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -112,6 +112,22 @@ class RelationReport:
             f"{_numstr(self.max_residual, 8)} (tol {_numstr(self.tolerance, 5)}, "
             f"headroom {_numstr(self.headroom_digits, 4)} digits, {len(self.points)} points)"
         )
+
+
+def tabulate(pts: Sequence, row: Callable, identities: Sequence[Tuple[str, mp.mpf]], dps: int) -> List[RelationReport]:
+    """One report per (name, tolerance) of ``identities``, in order, from the residual rows at ``pts``.
+
+    ``row(z)`` is the tuple of the identities' residuals at z, evaluated at
+    ``dps`` digits for each point in turn.  Raises DomainError on an empty
+    point list: an identity checked at no point would pass vacuously.
+    """
+    pts = list(pts)
+    if not pts:
+        raise DomainError(f"{identities[0][0]}: no points to check")
+    with mp.workdps(dps):
+        rows = [row(mp.mpc(z)) for z in pts]
+    columns = zip(identities, zip(*rows), strict=True)
+    return [RelationReport.from_residuals(name, pts, col, tol) for (name, tol), col in columns]
 
 
 def reports_to_json(reports: Iterable[RelationReport], config: dict | None = None) -> str:
@@ -128,17 +144,16 @@ def reports_to_json(reports: Iterable[RelationReport], config: dict | None = Non
 
 
 def reports_to_csv(reports: Iterable[RelationReport], path: str) -> None:
-    """Flat residual table (one row per point) for plotting."""
+    """Flat residual table (one row per point) for plotting; the label column is kept, empty."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["identity", "label", "re", "im", "residual", "tolerance", "pass"])
         for r in reports:
-            labels: List[str] = list(r.labels) if r.labels else [""] * len(r.points)
-            for p, res, lab in zip(r.points, r.residuals, labels):
+            for p, res in zip(r.points, r.residuals):
                 writer.writerow(
                     [
                         r.identity,
-                        lab,
+                        "",
                         _numstr(mp.re(p)),
                         _numstr(mp.im(p)),
                         _numstr(res, 15),

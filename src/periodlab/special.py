@@ -32,7 +32,7 @@ import math
 import mpmath as mp
 
 from .kernel import DomainError, NonConvergent, PrecisionContext, StepTooLarge
-from .reports import RelationReport, residual_scale
+from .reports import RelationReport, relative_residual
 
 _GAMMA_DPS_PAD = 10
 # bits the fixed-point continued fraction carries beyond -log2(eps): they
@@ -316,10 +316,9 @@ def whittaker_derivative_identity_check(k: int, y, ctx: PrecisionContext) -> Rel
         inner = lambda t: cal_M(k, mp.mpf(k) / 2, -t, ctx, ds=True) * mp.exp(-t / 2)
         lhs = (inner(y + h) - inner(y - h)) / (2 * h)
         rhs = mp.exp(-y / 2) * y ** mp.mpf(-k) * cal_M(2 - k, mp.mpf(k) / 2, y, ctx)
-        resid = abs(lhs - rhs) / residual_scale(lhs, rhs)
         return RelationReport.single(
             identity=f"whittaker_derivative_identity[k={k},y={mp.nstr(y, 15)}]",
             point=mp.mpc(y),
-            residual=resid,
+            residual=relative_residual(lhs, rhs),
             tolerance=ctx.tol_fd,
         )

@@ -6,12 +6,26 @@ NonConvergent when the quadrature's own error estimate exceeds
 tol_tight (1 + |value|); ``r2_quadrature`` runs the package's ray
 quadrature, which raises by its own rule.  The difference oracles take the
 s-derivative of the Whittaker seed by finite differences of ``cal_M``, which
-the package sums in closed form; their error is O(step^2).
+the package sums in closed form; their error is O(step^2).  The W_k check
+reads the period relations of a polynomial off its coefficients, slashed
+exactly by ``slash_polynomial``.
 """
 
 import mpmath as mp
 
-from periodlab import DomainError, NonConvergent, PrecisionContext, cal_M, eichler_integral, period_polynomial, quad_ray
+from periodlab import (
+    DomainError,
+    NonConvergent,
+    PrecisionContext,
+    S,
+    U,
+    cal_M,
+    eichler_integral,
+    period_polynomial,
+    quad_ray,
+    residual_scale,
+)
+from periodlab.eichler import slash_polynomial
 from periodlab.kernel import QUAD_MAXDEGREE
 
 
@@ -96,3 +110,18 @@ def whittaker_nested_difference(k: int, y, ctx: PrecisionContext) -> mp.mpf:
         inner = lambda s, t: cal_M(k, s + mp.mpf(k) / 2, -t, ctx) * mp.exp(-t / 2)
         ddy = lambda s: (inner(s, y + h) - inner(s, y - h)) / (2 * h)
         return (ddy(h) - ddy(-h)) / (2 * h)
+
+
+def w_relation_norms(P) -> tuple:
+    """Coefficient sup norms of P|(1+S) and P|(1+U+U^2) at weight -deg P, relative to max(1, P's).
+
+    Both vanish exactly for P in W_k, k - 2 = P's degree bound.
+    """
+    n = P.degree_bound
+    scale = residual_scale(*P.coeffs)
+
+    def norm(*gammas):
+        images = [slash_polynomial(P, -n, g).coeffs for g in gammas]
+        return max(abs(sum(cs)) for cs in zip(P.coeffs, *images)) / scale
+
+    return norm(S), norm(U, U * U)

@@ -10,8 +10,6 @@ import random
 import mpmath as mp
 
 from periodlab import (
-    PolynomialC,
-    es_decompose,
     hat_r_f2,
     l_dirichlet,
     laplace_fd,
@@ -32,8 +30,9 @@ from periodlab import (
     xi_fd,
 )
 from periodlab.eichler import S, U, eichler_integral
+from periodlab.qforms import DIM_ONE_WEIGHTS, certified_cusp_form
 
-from oracles import tilde_quadrature
+from oracles import tilde_quadrature, w_relation_norms
 
 
 def report(num, label, max_resid, tol):
@@ -182,20 +181,13 @@ def test_criterion_10_regularized_periods(ctx, f_wh):
     report(10, "starred periods: xi-holomorphy", named["perstar_xi_holomorphy"].max_residual, mp.mpf("1e-6"))
 
 
-def test_criterion_11_es_decomposition_roundtrip(ctx, f_delta):
-    rng = random.Random(97)
-    rp = period_polynomial(f_delta, ctx)
-    cob = PolynomialC.from_coeffs([mp.mpc(-1)] + [mp.mpc(0)] * 9 + [mp.mpc(1)], 10)
+def test_criterion_11_period_polynomial_in_W(ctx):
+    # r|(1+S) = r|(1+U+U^2) = 0 in coefficient space, for every dim-1 form
     worst = mp.mpf(0)
     with mp.workdps(ctx.work_dps):
-        for _ in range(20):
-            a = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            b = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            c = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            P = rp.scale(a) + rp.negate_variable().scale(b) + cob.scale(c)
-            ra, rb, rc, _ = es_decompose(P, 12, ctx)
-            worst = max(worst, abs(ra - a), abs(rb - b), abs(rc - c))
-    report(11, "Eichler-Shimura decomposition round trip (20 trials)", worst, mp.mpf("1e-10"))
+        for k in DIM_ONE_WEIGHTS:
+            worst = max(worst, *w_relation_norms(period_polynomial(certified_cusp_form(k, ctx), ctx)))
+    report(11, "period polynomial in W_k (6 dim-1 forms)", worst, ctx.tol_tight)
 
 
 def test_criterion_12_bol_xi_chain(ctx, f_delta):

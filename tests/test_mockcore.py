@@ -26,6 +26,7 @@ from periodlab import (
     residual_scale,
     tilde_r_f2,
     verify_mock_es,
+    verify_per_star,
     verify_superm,
     verify_w_k2,
     xi_fd,
@@ -431,3 +432,11 @@ def test_wk2_weight18(ctx):
     reps = verify_w_k2(cusp_form(18, 64), [mp.mpc("0.3", "1.1")], ctx)
     for r in reps:
         assert r.passed, r.summary_line()
+
+
+def test_verifiers_reject_an_empty_point_list(ctx, f_delta, f_wh):
+    # an identity checked at no point once passed with headroom +inf
+    cases = ((verify_superm, f_delta), (verify_w_k2, f_delta), (verify_mock_es, f_delta), (verify_per_star, f_wh))
+    for verify, form in cases:
+        with pytest.raises(DomainError, match="no points"):
+            verify(form, [], ctx)
