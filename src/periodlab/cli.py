@@ -86,8 +86,9 @@ class SuiteConfig:
         for f in cfg.forms:
             if not isinstance(f, str) or f not in _FORM_WEIGHTS:
                 raise ValueError(f"unknown form {f!r}")
-        if len(set(cfg.forms)) < len(cfg.forms):
-            raise ValueError("forms must be a non-empty list of distinct form labels")
+        # distinct by weight: "cusp12" names the same form as "delta"
+        if len({_FORM_WEIGHTS[f] for f in cfg.forms}) < len(cfg.forms):
+            raise ValueError("forms must be a non-empty list of distinct forms")
         return cfg
 
     def context(self) -> PrecisionContext:

@@ -15,6 +15,7 @@ r in W_k can be checked on r's coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -124,13 +125,6 @@ class PolynomialC:
         return (G(b) if b is not None else mp.mpc(0)) - G(a)
 
 
-def _binomial_row(n: int) -> list:
-    row = [1] * (n + 1)
-    for j in range(1, n + 1):
-        row[j] = row[j - 1] * (n - j + 1) // j
-    return row
-
-
 def slash_polynomial(P: PolynomialC, m: int, gamma: GroupElement) -> PolynomialC:
     """Exact weight-m action on polynomials: P(gamma z) (cz+d)^(-m).
 
@@ -147,12 +141,12 @@ def slash_polynomial(P: PolynomialC, m: int, gamma: GroupElement) -> PolynomialC
             continue
         # (a z + b)^j
         pj = [mp.mpc(0)] * (j + 1)
-        for t, binom in enumerate(_binomial_row(j)):
-            pj[t] = mp.mpc(binom) * mp.mpc(a) ** t * mp.mpc(b) ** (j - t)
+        for t in range(j + 1):
+            pj[t] = mp.mpc(math.comb(j, t)) * mp.mpc(a) ** t * mp.mpc(b) ** (j - t)
         # (c z + d)^(n - j)
         qj = [mp.mpc(0)] * (n - j + 1)
-        for t, binom in enumerate(_binomial_row(n - j)):
-            qj[t] = mp.mpc(binom) * mp.mpc(c) ** t * mp.mpc(d) ** (n - j - t)
+        for t in range(n - j + 1):
+            qj[t] = mp.mpc(math.comb(n - j, t)) * mp.mpc(c) ** t * mp.mpc(d) ** (n - j - t)
         for t1, p1 in enumerate(pj):
             if p1 == 0:
                 continue
@@ -243,7 +237,6 @@ class EichlerIntegral:
                 n_min=1,
                 coeffs=tuple(pref * _to_mpc(f.coeff(n)) * mp.mpf(n) ** (1 - k) for n in range(1, f.n_max + 1)),
                 tail_bound=tail_bound,
-                cuspidal=True,
                 label=f"F[{f.label}]",
             )
 

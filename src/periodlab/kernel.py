@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import mpmath as mp
 from mpmath.libmp import mpf_add, mpf_mul
@@ -27,7 +27,7 @@ class NonConvergent(KernelError):
 
 
 class BadPath(KernelError):
-    """An integration path leaves the certified region (or hits a pole)."""
+    """A ray of integration starts below the real axis."""
 
 
 class StepTooLarge(KernelError):
@@ -93,17 +93,6 @@ def ensure_finite(value: mp.mpc, what: str = "result") -> mp.mpc:
     if not mp.isfinite(value):
         raise NonConvergent(f"{what} is not finite")
     return value
-
-
-def path_clearance(start: mp.mpc, points: Sequence[complex], min_dist: float = 1e-6) -> None:
-    """Raise BadPath when any of ``points`` comes within ``min_dist`` of the ray up from ``start``."""
-    x0, y0 = mp.re(start), mp.im(start)
-    for p in points:
-        p = mp.mpc(p)
-        dx = abs(mp.re(p) - x0)
-        dy = mp.mpf(0) if mp.im(p) >= y0 else y0 - mp.im(p)
-        if mp.sqrt(dx * dx + dy * dy) < min_dist:
-            raise BadPath(f"pole {p} too close to vertical ray")
 
 
 class RayPoint(mp.mpc):
@@ -180,12 +169,7 @@ def _ray_tanh_sinh(integrand, x0: mp.mpf, y0: mp.mpf) -> tuple:
     return +results[-1], err
 
 
-def quad_ray(
-    integrand: Callable[[mp.mpc], mp.mpc],
-    start,
-    ctx: PrecisionContext,
-    avoid: Sequence[complex] = (),
-) -> mp.mpc:
+def quad_ray(integrand: Callable[[mp.mpc], mp.mpc], start, ctx: PrecisionContext) -> mp.mpc:
     """Integrate ``integrand`` up the vertical ray from ``start`` to i*infinity.
 
     The caller certifies |integrand(x+iy)| <= C e^(-2 pi y): every integrand
@@ -211,15 +195,13 @@ def quad_ray(
 
     Raises NonConvergent when the internal error estimate exceeds
     tol_tight * (1 + |result|), BadPath when the start lies below the real
-    axis or a point of ``avoid`` lies on the ray.
+    axis.
     """
     with mp.workdps(ctx.work_dps):
         start = mp.mpc(start)
         x0, y0 = mp.re(start), mp.im(start)
         if y0 < 0:
             raise BadPath("ray start below the real axis")
-        if avoid:
-            path_clearance(start, avoid)
         val, err = _ray_tanh_sinh(integrand, x0, y0)
         total, toterr = mp.mpc(0, 1) * val / mp.pi, err / mp.pi
         ensure_finite(total, "quad_ray result")
@@ -230,22 +212,16 @@ def quad_ray(
         return total
 
 
-def _stencil(F: Callable[[mp.mpc], mp.mpc], z: mp.mpc, ctx: PrecisionContext, step) -> tuple:
-    """(h, F(z+h), F(z-h), F(z+ih), F(z-ih)) for the step ``step`` (default ctx.fd_step)."""
-    h = mp.mpf(step) if step is not None else mp.mpf(ctx.fd_step)
+def _stencil(F: Callable[[mp.mpc], mp.mpc], z: mp.mpc, ctx: PrecisionContext) -> tuple:
+    """(h, F(z+h), F(z-h), F(z+ih), F(z-ih)) for the context's one step h = ctx.fd_step."""
+    h = ctx.fd_step
     if mp.im(z) - h <= 0:
         raise StepTooLarge("stencil leaves the upper half-plane")
     ih = mp.mpc(0, 1) * h
     return h, F(z + h), F(z - h), F(z + ih), F(z - ih)
 
 
-def xi_fd(
-    F: Callable[[mp.mpc], mp.mpc],
-    k: int,
-    z: complex,
-    ctx: PrecisionContext,
-    step: Optional[mp.mpf] = None,
-) -> mp.mpc:
+def xi_fd(F: Callable[[mp.mpc], mp.mpc], k: int, z: complex, ctx: PrecisionContext) -> mp.mpc:
     """Weight-k xi operator 2i y^k conj(dF/dzbar) by central differences.
 
     dF/dzbar = (F_x + i F_y)/2 with second-order stencils of width
@@ -254,24 +230,18 @@ def xi_fd(
     """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        h, fxp, fxm, fyp, fym = _stencil(F, z, ctx, step)
+        h, fxp, fxm, fyp, fym = _stencil(F, z, ctx)
         Fx = (fxp - fxm) / (2 * h)
         Fy = (fyp - fym) / (2 * h)
         dzbar = (Fx + mp.mpc(0, 1) * Fy) / 2
         return ensure_finite(2j * mp.im(z) ** k * mp.conj(dzbar), "xi_fd")
 
 
-def laplace_fd(
-    F: Callable[[mp.mpc], mp.mpc],
-    k: int,
-    z: complex,
-    ctx: PrecisionContext,
-    step: Optional[mp.mpf] = None,
-) -> mp.mpc:
+def laplace_fd(F: Callable[[mp.mpc], mp.mpc], k: int, z: complex, ctx: PrecisionContext) -> mp.mpc:
     """Weight-k hyperbolic Laplacian -y^2(F_xx+F_yy) + iky(F_x+iF_y), 5-point stencil."""
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        h, fxp, fxm, fyp, fym = _stencil(F, z, ctx, step)
+        h, fxp, fxm, fyp, fym = _stencil(F, z, ctx)
         f0 = F(z)
         Fxx = (fxp - 2 * f0 + fxm) / h ** 2
         Fyy = (fyp - 2 * f0 + fym) / h ** 2

@@ -51,7 +51,7 @@ def F_f2(f: QSeries, z, ctx: PrecisionContext, method: str = "quadrature") -> mp
         if method == "termwise":
             return f_star(F.series, z, ctx)
         integrand = lambda w: F(w) * (w + z) ** (-k)
-        return quad_ray(integrand, -mp.conj(z), ctx, avoid=(-z,))
+        return quad_ray(integrand, -mp.conj(z), ctx)
 
 
 def r_f2(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:

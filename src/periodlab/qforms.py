@@ -75,10 +75,11 @@ class QSeries:
     series, whose tails are estimated from the e^(c sqrt(n)) coefficient
     growth at evaluation time).  ``modular`` marks series that transform with
     weight ``weight`` under the full modular group, enabling the low-height
-    evaluation fallback.  ``_memo`` holds values derived from the
-    coefficients (their mpc conversion per binary precision, the log of the
-    growth constant, a passed cocycle spot check per context and cocycle)
-    and the objects built from the series, each keyed (name, ctx): its
+    evaluation fallback.  ``cuspidal`` is read off the window, n_min >= 1,
+    and not stored.  ``_memo`` holds values derived from the coefficients
+    (their mpc conversion per binary precision, the log of the growth
+    constant, a passed cocycle spot check per context and cocycle) and the
+    objects built from the series, each keyed (name, ctx): its
     ``critical_lvalues``, ``period_polynomial`` and ``eichler_integral``.
     It is not an init argument, so ``replace`` starts a fresh one, and it
     takes no part in equality or hashing.
@@ -88,14 +89,13 @@ class QSeries:
     n_min: int
     coeffs: Tuple[Coefficient, ...]
     tail_bound: Optional[Tuple[float, float]] = None
-    cuspidal: bool = False
     modular: bool = False
     label: str = ""
     _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
-    def __post_init__(self):
-        if self.cuspidal and self.n_min < 1:
-            raise ValueError("cuspidal series must have n_min >= 1")
+    @property
+    def cuspidal(self) -> bool:
+        return self.n_min >= 1
 
     @property
     def n_max(self) -> int:
@@ -242,7 +242,6 @@ def delta(N: int) -> QSeries:
         n_min=1,
         coeffs=tuple(coeffs[1:]),
         tail_bound=_deligne_bound(12),
-        cuspidal=True,
         modular=True,
         label="delta",
     )
@@ -267,7 +266,6 @@ def cusp_form(weight: int, N: int) -> QSeries:
         n_min=1,
         coeffs=tuple(coeffs[1:]),
         tail_bound=_deligne_bound(weight),
-        cuspidal=True,
         modular=True,
         label=f"cusp{weight}",
     )
@@ -360,7 +358,6 @@ def bol(f: QSeries) -> QSeries:
         n_min=f.n_min,
         coeffs=tuple(coeffs),
         tail_bound=tb,
-        cuspidal=f.n_min >= 1,
         modular=False,
         label=f"D^{power}({f.label})",
     )

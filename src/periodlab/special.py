@@ -8,12 +8,11 @@ Conventions used throughout:
   fraction in the right half-plane for large x or a large negative order
   (``_on_fraction``), the E1 anchor plus a finite sum for other nonpositive
   integer orders, and Gamma(s) minus the lower-gamma series otherwise.
-* ``scaled_upper_gamma(s, x, eps)`` = e^x x^(-s) Gamma(s, x) is 1/f for
-  that continued fraction f, from its one implementation
-  ``_legendre_fraction``: the Wallis forward recurrence on Gaussian
-  fixed-point integers at a given scale 2^P, with the numerator and
-  denominator pairs renormalized separately by shifts, and a stop test in
-  float log2 that takes no division, at any relative tolerance.
+* e^x x^(-s) Gamma(s, x) is 1/f for that continued fraction f, from its
+  one implementation ``_legendre_fraction``: the Wallis forward recurrence
+  on Gaussian fixed-point integers at a given scale 2^P, with the numerator
+  and denominator pairs renormalized separately by shifts, and a stop test
+  in float log2 that takes no division, at any relative tolerance.
   ``regint.ray_sum`` runs it directly, on its own fixed-point arguments and
   at each term's share of the sum's error budget.
 * ``cal_M(k, s, u) = |u|^(-k/2) M_{sgn(u) k/2, s - 1/2}(|u|)`` is computed
@@ -54,7 +53,7 @@ def upper_incomplete_gamma(s, x, ctx: PrecisionContext):
 
     * Re x > 0 and |x| > |s| + 1, or |x| > 6 and Re s <= 1 - |x| where
       the sums below fail (``_on_fraction``): the Legendre continued
-      fraction (DLMF 8.9), ``scaled_upper_gamma``.
+      fraction (DLMF 8.9), ``_legendre_fraction``.
     * s = -N for an integer N >= 0:
       Gamma(-N, x) = (-1)^N/N! (E1(x) - e^(-x) sum_{j<N} (-1)^j j! x^(-j-1)).
     * otherwise: Gamma(s) minus the lower-gamma series.
@@ -89,7 +88,14 @@ def _gamma_upper_terms(s, x, eps):
     ``eps`` bounds the truncation error relative to the result.
     """
     if mp.re(x) > 0 and _on_fraction(s, abs(x)):
-        value = mp.exp(-x) * x ** s * scaled_upper_gamma(s, x, eps)
+        # e^x x^(-s) Gamma(s, x) = 1/f, the Legendre continued fraction
+        P = _CF_GUARD_BITS - mp.mag(eps)
+        Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(_fixed(s, P), _fixed(x, P), P, float(mp.mag(eps) - 1))
+        if isinstance(s, mp.mpc) or isinstance(x, mp.mpc):
+            scaled = mp.mpc(mp.mpf((Br, eB)), mp.mpf((Bi, eB))) / mp.mpc(mp.mpf((Ar, eA)), mp.mpf((Ai, eA)))
+        else:
+            scaled = mp.mpf((Br, eB)) / mp.mpf((Ar, eA))
+        value = mp.exp(-x) * x ** s * scaled
         return value, abs(value)
     if mp.isint(s) and s <= 0:
         N = int(-s)
@@ -143,15 +149,6 @@ def _fixed(v, P: int) -> tuple:
     if isinstance(v, mp.mpc):
         return v.real.to_fixed(P), v.imag.to_fixed(P)
     return mp.mpf(v).to_fixed(P), 0
-
-
-def scaled_upper_gamma(s, x, eps):
-    """e^x x^(-s) Gamma(s, x) = 1/f to relative ``eps`` for Re x > 0 (``_legendre_fraction``); mpc unless s, x are real."""
-    P = _CF_GUARD_BITS - mp.mag(eps)
-    Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(_fixed(s, P), _fixed(x, P), P, float(mp.mag(eps) - 1))
-    if isinstance(s, mp.mpc) or isinstance(x, mp.mpc):
-        return mp.mpc(mp.mpf((Br, eB)), mp.mpf((Bi, eB))) / mp.mpc(mp.mpf((Ar, eA)), mp.mpf((Ai, eA)))
-    return mp.mpf((Br, eB)) / mp.mpf((Ar, eA))
 
 
 def _legendre_fraction(s: tuple, x: tuple, P: int, log2_tol: float) -> tuple:

@@ -30,12 +30,12 @@ from periodlab.kernel import QUAD_MAXDEGREE
 
 
 def r2_quadrature(f, z, ctx: PrecisionContext) -> mp.mpc:
-    """r2(z) by ray quadrature up from 0, where F tends to r(0); the pole 1/z must lie off that ray."""
+    """r2(z) by ray quadrature up from 0, where F tends to r(0); for Im z >= 0 the pole 1/z lies off that ray."""
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
         F, k = eichler_integral(f, ctx), f.weight
         integrand = lambda w: F(w) * (w * z - 1) ** (-k)
-        return quad_ray(integrand, mp.mpc(0), ctx, avoid=(1 / z,) if z != 0 else ())
+        return quad_ray(integrand, mp.mpc(0), ctx)
 
 
 def tilde_quadrature(f, z, ctx: PrecisionContext) -> mp.mpc:

@@ -133,7 +133,7 @@ def test_criterion_06_xi_image_and_harmonicity(ctx, f_delta):
             want = (2j) ** (-11) * rp(z)
             worst_xi = max(worst_xi, abs(got - want) / abs(want))
         z = mp.mpc("0.4", "1.2")
-        lap = laplace_fd(h, 12, z, ctx, step=mp.mpf("1e-10"))
+        lap = laplace_fd(h, 12, z, ctx)
         worst_harm = abs(lap) / max(1, abs(h(z)))
     report(6, "xi(hat) = (2i)^(1-k) r (5 pts, rel)", worst_xi, mp.mpf("1e-6"))
     report(6, "harmonicity |Delta_k hat|", worst_harm, mp.mpf("1e-6"))

@@ -90,10 +90,10 @@ def test_suite_config_ignores_unknown_keys(tmp_path):
     assert not set(former) & set(cfg.to_dict())
 
 
-@pytest.mark.parametrize("forms", [[], "delta", None, ["delta", "delta"]])
+@pytest.mark.parametrize("forms", [[], "delta", None, ["delta", "delta"], ["delta", "cusp12"]])
 def test_suite_config_needs_a_nonempty_list_of_known_forms(tmp_path, capsys, forms):
     # an empty list once passed vacuously, a string was read letter by letter,
-    # and a repeated label ran its suites twice
+    # and a repeated label, or delta under its alias cusp12, ran its suites twice
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"schema": "periodlab-config-1", "forms": forms}))
     with pytest.raises(ValueError, match="non-empty list"):

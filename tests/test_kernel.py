@@ -201,9 +201,6 @@ def test_ray_points_carry_q(digits, f_delta, f_cusp16, f_wh, monkeypatch):
 def test_quad_ray_bad_path(ctx):
     with pytest.raises(BadPath):
         quad_ray(lambda w: w, mp.mpc(0, -1), ctx)
-    with pytest.raises(BadPath):
-        # a pole on the ray
-        quad_ray(lambda w: 1 / (w - 2j), mp.mpc(0, 1), ctx, avoid=(mp.mpc(0, 2),))
 
 
 def test_xi_holomorphic_annihilation(ctx):
@@ -263,9 +260,9 @@ def test_laplace_is_minus_xi_composition(ctx):
     k = 8
     z = mp.mpc("0.3", "1.2")
     F = lambda w: mp.im(w) ** 3 * mp.exp(2j * mp.pi * w)
-    inner = lambda w: xi_fd(F, k, w, ctx, step=mp.mpf("1e-12"))
-    lhs = laplace_fd(F, k, z, ctx, step=mp.mpf("1e-8"))
-    rhs = -xi_fd(inner, 2 - k, z, ctx, step=mp.mpf("1e-8"))
+    inner = lambda w: xi_fd(F, k, w, ctx)
+    lhs = laplace_fd(F, k, z, ctx)
+    rhs = -xi_fd(inner, 2 - k, z, ctx)
     scale = max(1, abs(lhs), abs(rhs))
     assert abs(lhs - rhs) < mp.mpf("1e-6") * scale
 
