@@ -77,7 +77,7 @@ class QSeries:
     weight ``weight`` under the full modular group, enabling the low-height
     evaluation fallback.  ``cuspidal`` is read off the window, n_min >= 1,
     and not stored.  ``_memo`` holds values derived from the coefficients
-    (their mpc conversion per binary precision, the log of the growth
+    (their fixed-point parts per binary precision, the log of the growth
     constant, a passed cocycle spot check per context and cocycle) and the
     objects built from the series, each keyed (name, ctx): its
     ``critical_lvalues``, ``period_polynomial`` and ``eichler_integral``.
@@ -118,19 +118,6 @@ class QSeries:
         return replace(self, coeffs=coeffs, tail_bound=tb, label=f"scale({self.label})")
 
 
-def _mpc_coeffs(f: "QSeries") -> tuple:
-    """Coefficients converted to mpc at the current working precision, memoized.
-
-    Conversion of exact rationals with very large numerators dominates
-    repeated evaluation otherwise; the memo lives on the (immutable) series,
-    keyed by the binary precision, and goes when the series goes.
-    """
-    converted = f._memo.get(mp.mp.prec)
-    if converted is None:
-        converted = f._memo[mp.mp.prec] = tuple(_to_mpc(c) for c in f.coeffs)
-    return converted
-
-
 def _fixed_coeffs(f: "QSeries") -> tuple:
     """(first, mags, parts) of the coefficients at the working precision, memoized.
 
@@ -145,7 +132,7 @@ def _fixed_coeffs(f: "QSeries") -> tuple:
     got = f._memo.get(key)
     if got is None:
         mags, parts = [], []
-        for c in _mpc_coeffs(f):
+        for c in map(_to_mpc, f.coeffs):
             (rs, rm, rx, rb), (is_, im, ix, ib) = c.real._mpf_, c.imag._mpf_
             rm, im = -rm if rs else rm, -im if is_ else im
             if not im:
@@ -369,9 +356,8 @@ def _wh_log_coeff_bound(f: QSeries) -> float:
     if got is not None:
         return got
     best = mp.mpf(1)
-    coeffs = _mpc_coeffs(f)
     for n in range(max(1, f.n_min), f.n_max + 1):
-        c = abs(coeffs[n - f.n_min])
+        c = abs(_to_mpc(f.coeffs[n - f.n_min]))
         if c == 0:
             continue
         ratio = c / mp.exp(4 * mp.pi * mp.sqrt(2 * mp.mpf(n)))

@@ -23,7 +23,7 @@ Each kernel is one term scale (w + a)^(-s): the principal terms n < 0
 take the formula above on that sheet, the constant term n = 0 is
 elementary, and the decaying part n >= 1 is the same formula summed over the
 coefficients on the principal branch (``ray_sum``), whose length is fixed by
-a certified tail bound.  There Gamma(1-s, x) is mostly e^(-x) x^(1-s) / f
+a certified tail bound.  There Gamma(1-s, x) is e^(-x) x^(1-s) / f
 with f the Legendre continued fraction, and the term folds to
 c_n q0^n (w0 + a)^(1-s) / f with q0 = e^(2 pi i w0): a sum is one pass on
 fixed-point integers with one exponential and one power, and each fraction
@@ -67,9 +67,9 @@ from mpmath.libmp import mpf_mul, to_fixed
 
 from .eichler import PolynomialC, S, period_relations
 from .kernel import DomainError, PrecisionContext, xi_fd
-from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _fixed_coeffs, _mpc_coeffs, evaluate, q_parts
+from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _fixed_coeffs, _to_mpc, evaluate, q_parts
 from .reports import relative_residual, residual_scale, tabulate
-from .special import _CF_GUARD_BITS, _fixed, _legendre_fraction, _on_fraction, upper_incomplete_gamma
+from .special import _CF_GUARD_BITS, _fixed, _legendre_fraction, upper_incomplete_gamma
 
 SPLIT_HEIGHT = 5 / 4  # height of r_star's default base point
 
@@ -112,10 +112,10 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> T
 
     For integer s the n-th term folds to C c_n q0^n G_n, C = scale (w0+a)^(1-s),
     G_n = e^x x^(s-1) Gamma(1-s, x), so |c_n q0^n G_n| <= t_n = |c_n| |q0|^n F / |x_n|.
-    Where Gamma(1-s, x) takes the Legendre fraction f_n (``special._on_fraction``),
-    G_n = 1/f_n, which stops at the relative eps T / (N t_n), T = max t_n,
-    kept within [eps, 2^-20]; the few terms below take G_n from
-    ``upper_incomplete_gamma``.  The certified error, returned and checked by
+    Every term takes G_n = 1/f_n from the Legendre fraction f_n, which
+    converges for Re x > 0 and ends exactly at a positive integer order 1-s;
+    it stops at the relative eps T / (N t_n), T = max t_n, kept within
+    [eps, 2^-20].  The certified error, returned and checked by
     ``_check_tail``, is the tail plus |C| sum_n tol_n t_n, about eps T |C|.
     One pass on Gaussian integers at P = -log2(eps) + 32 bits adds
     c_n q0^n B_n conj(A_n) / |A_n|^2 for 1/f_n = B_n / A_n in the unit 2^-P T
@@ -157,15 +157,9 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> T
         qr, qi, eq = qr >> d, qi >> d, eq + d - sq
         if n not in log2_t:
             continue
-        if _on_fraction(1 - s, n * abs_x1):
-            tol = min(max(log2_eps + log2_T - math.log2(N) - log2_t[n], log2_eps), -20.0)
-            Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(order, (n * X1r, n * X1i), P, tol)
-            gr, gi, den, eg = Br * Ar + Bi * Ai, Bi * Ar - Br * Ai, Ar * Ar + Ai * Ai, eB - eA
-        else:
-            tol, x = log2_eps, n * x1
-            g = upper_incomplete_gamma(1 - s, x, ctx) * mp.exp(x) * x ** (s - 1)
-            eg = mp.mag(g) - P
-            (gr, gi), den = _fixed(g, -eg), 1
+        tol = min(max(log2_eps + log2_T - math.log2(N) - log2_t[n], log2_eps), -20.0)
+        Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(order, (n * X1r, n * X1i), P, tol)
+        gr, gi, den, eg = Br * Ar + Bi * Ai, Bi * Ar - Br * Ai, Ar * Ar + Ai * Ai, eB - eA
         budget += 2 ** (tol + log2_t[n] - log2_T)
         cr, ci, ex = parts[n - series.n_min]
         pr, pi = cr * qr - ci * qi, cr * qi + ci * qr
@@ -195,10 +189,9 @@ def reg_integral_to_icusp(M: QSeries, z0, a, s: int, ctx: PrecisionContext, scal
         z0 = mp.mpc(z0)
         if s >= 1 and z0 + a == 0:
             raise DomainError("kernel pole sits at the base point")
-        coeffs = _mpc_coeffs(M)
         total = mp.mpc(0)
         for n in range(M.n_min, min(M.n_max, 0) + 1):
-            c = coeffs[n - M.n_min]
+            c = _to_mpc(M.coeff(n))
             if c == 0:
                 continue
             if n < 0:

@@ -13,8 +13,9 @@ Conventions used throughout:
   on Gaussian fixed-point integers at a given scale 2^P, with the numerator
   and denominator pairs renormalized separately by shifts, and a stop test
   in float log2 that takes no division, at any relative tolerance.
-  ``regint.ray_sum`` runs it directly, on its own fixed-point arguments and
-  at each term's share of the sum's error budget.
+  ``regint.ray_sum`` runs it directly for every term, on its own
+  fixed-point arguments and at each term's share of the sum's error budget;
+  ``_on_fraction`` picks only ``upper_incomplete_gamma``'s branch.
 * ``cal_M(k, s, u) = |u|^(-k/2) M_{sgn(u) k/2, s - 1/2}(|u|)`` is computed
   from the confluent hypergeometric series everywhere (entire in the
   argument), summed on fixed-point integers at the working precision plus
@@ -36,7 +37,7 @@ from .reports import RelationReport, relative_residual
 _GAMMA_DPS_PAD = 10
 # bits the fixed-point continued fraction carries beyond -log2(eps): they
 # absorb the rounding of the b_j and of the thousands of recurrence steps
-# that arguments near the imaginary axis with |x| close to |s| + 1 take
+# that arguments near the imaginary axis with |x| near or below |s| + 1 take
 _CF_GUARD_BITS = 32
 # bits the fixed-point confluent series carries beyond the working precision
 _KUMMER_GUARD_BITS = 20
@@ -124,7 +125,7 @@ def _gamma_upper_terms(s, x, eps):
 
 
 def _on_fraction(s, r) -> bool:
-    """Whether Gamma(s, x) with Re x > 0 and |x| = r takes the Legendre continued fraction.
+    """Whether ``upper_incomplete_gamma(s, x)`` takes the Legendre continued fraction for Re x > 0 and |x| = r.
 
     It does for r > |s| + 1, and for r > 6 with Re s = -N <= 1 - r, where
     the sums fail: at integer -N the finite sum outgrows the result by about
@@ -135,6 +136,8 @@ def _on_fraction(s, r) -> bool:
     and it stops within a few hundred steps up to 100 digits.  At integer
     order E1 stays while the sum loses at most ``_GAMMA_DPS_PAD`` digits, as
     for every r <= 6, where the fraction would take about (ln 1/eps)^2 / 16 r steps.
+    The fraction converges for every Re x > 0, and ``regint.ray_sum`` runs
+    it below this threshold too, at each term's share of its error budget.
     """
     if r > abs(s) + 1:
         return True

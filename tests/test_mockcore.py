@@ -426,10 +426,13 @@ def test_xi_image_degree_bound(ctx, f_delta):
         assert abs(fit - val) <= ctx.tol_fd * max(1, abs(val))
 
 
-def test_wk2_weight18(ctx):
+@pytest.mark.parametrize("weight", [18, 26])
+def test_wk2_weight(ctx, weight):
+    # at weight 26 the first terms of the completion's ray sums have
+    # |x_n| <= |1 - s| + 1 = 26 and take the fraction all the same
     from periodlab import cusp_form
 
-    reps = verify_w_k2(cusp_form(18, 64), [mp.mpc("0.3", "1.1")], ctx)
+    reps = verify_w_k2(cusp_form(weight, 64), [mp.mpc("0.3", "1.1")], ctx)
     for r in reps:
         assert r.passed, r.summary_line()
 

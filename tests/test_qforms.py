@@ -364,7 +364,7 @@ def test_cusp_form_remaining_weights():
 
 
 def test_evaluated_series_is_not_kept_alive(ctx, f_wh):
-    # a series integrated by regint: its mpc coefficients and growth bound
+    # a series integrated by regint: its fixed-point coefficients and growth bound
     # are memoized on it and go with it
     g = replace(f_wh, label="wh-copy")
     z = mp.mpc("0.2", "1.1")

@@ -28,7 +28,7 @@ from periodlab import (
     xi_fd,
 )
 from periodlab.eichler import period_relations
-from periodlab.qforms import _sum_q_series
+from periodlab.qforms import REDUCTION_HEIGHT, _sum_q_series, certified_cusp_form
 from periodlab.regint import exp_ray_integral, ray_sum
 
 from oracles import r2_quadrature
@@ -130,27 +130,26 @@ FOLD_KERNELS = {
 FOLD_BASES = {"i": mp.mpc(0, 1), "-conj z": -mp.conj(FOLD_Z), "S-image": -1 / mp.mpc("0.2", "1.1")}
 
 
-def assert_folded_matches_unfolded(series, ctx, kind, base):
-    # ray_sum folds each continued-fraction term to c_n q0^n (w0+a)^(1-s) / f_n,
-    # each fraction stopped at its share of the error budget; the unfolded sum
+def assert_folded_matches_unfolded(series, ctx, kernel_terms, w0):
+    # ray_sum folds each term to c_n q0^n (w0+a)^(1-s) / f_n, each continued
+    # fraction stopped at its share of the error budget; the unfolded sum
     # takes exp_ray_integral term by term over the whole window, each term to
     # eps relative.  The certified error returned covers the difference, and
     # the budget keeps it 10^5 below the digits claimed
-    w0 = FOLD_BASES[base]
     with mp.workdps(ctx.work_dps):
-        for a, s, scale in FOLD_KERNELS[kind]:
+        for a, s, scale in kernel_terms:
             got, log_err = ray_sum(series, w0, a, s, ctx, scale)
             terms = [scale * series.coeff(n) * exp_ray_integral(n, w0, a, s, ctx) for n in range(1, series.n_max + 1)]
             want = mp.fsum(terms)
-            assert abs(got - want) <= mp.mpf(10) ** -ctx.digits * abs(want), (kind, base, s)
-            assert abs(got - want) <= mp.exp(log_err) + ctx.eps() * mp.fsum(map(abs, terms)), (kind, base, s)
-            assert mp.exp(log_err) <= mp.mpf(10) ** -(ctx.digits + 5) * (1 + abs(want)), (kind, base, s)
+            assert abs(got - want) <= mp.mpf(10) ** -ctx.digits * abs(want), (w0, a, s)
+            assert abs(got - want) <= mp.exp(log_err) + ctx.eps() * mp.fsum(map(abs, terms)), (w0, a, s)
+            assert mp.exp(log_err) <= mp.mpf(10) ** -(ctx.digits + 5) * (1 + abs(want)), (w0, a, s)
 
 
 @pytest.mark.parametrize("base", sorted(FOLD_BASES))
 @pytest.mark.parametrize("kind", sorted(FOLD_KERNELS))
 def test_folded_ray_sum_vs_unfolded(ctx, f_delta, kind, base):
-    assert_folded_matches_unfolded(f_delta, ctx, kind, base)
+    assert_folded_matches_unfolded(f_delta, ctx, FOLD_KERNELS[kind], FOLD_BASES[base])
 
 
 @pytest.mark.parametrize("base", sorted(FOLD_BASES))
@@ -161,7 +160,51 @@ def test_folded_ray_sum_vs_unfolded_budget(f_delta, f_wh, form, digits, kind, ba
     # coefficients grow like e^(4 pi sqrt(2n)), so its largest term is far
     # from n = 1 and the terms below it span many orders of magnitude
     series = f_delta if form == "delta" else f_wh
-    assert_folded_matches_unfolded(series, PrecisionContext(digits=digits), kind, base)
+    assert_folded_matches_unfolded(series, PrecisionContext(digits=digits), FOLD_KERNELS[kind], FOLD_BASES[base])
+
+
+CUSP26_Z = mp.mpc("0.3", "0.6")
+CUSP26_KERNELS = (
+    plus_terms(CUSP26_Z, 26)
+    + sz_terms(CUSP26_Z, 26)
+    + poly_terms(PolynomialC.from_coeffs([1, 0, mp.mpc(0, 2), 0, -3, 0, mp.mpc(1, -1)], 24))
+)
+
+
+@pytest.mark.parametrize("base", ["-conj z", "-0.2+0.5i"])
+@pytest.mark.parametrize("digits", [50, 80, 100])
+def test_folded_ray_sum_vs_unfolded_order_minus_25(digits, base):
+    # F(cusp26)'s series against the kernels of weight 26 (order 1 - s = -25)
+    # and a polynomial of degree 6 (order 7): the first terms have
+    # |x_n| <= |1 - s| + 1, where Gamma(1 - s, x) itself leaves the fraction,
+    # and take it in ray_sum all the same.  Both bases keep Im w0 at the
+    # reduction height or above, where the certified window holds
+    ctx = PrecisionContext(digits=digits)
+    series = eichler_integral(certified_cusp_form(26, ctx), ctx).series
+    w0 = -mp.conj(CUSP26_Z) if base == "-conj z" else mp.mpc("-0.2", "0.5")
+    assert mp.im(w0) >= REDUCTION_HEIGHT
+    assert_folded_matches_unfolded(series, ctx, CUSP26_KERNELS, w0)
+
+
+def test_ray_sum_takes_no_incomplete_gamma(ctx, f_delta, monkeypatch):
+    # |x_1| = 2 pi |i + 0.1 + 0.6i| ~ 10.1 <= |1 - 12| + 1, so Gamma(-11, x_1)
+    # is off upper_incomplete_gamma's fraction branch; ray_sum's first term
+    # runs the fraction anyway and never calls upper_incomplete_gamma
+    import periodlab.regint as regint
+    from periodlab.special import _on_fraction
+
+    w0, a = mp.mpc(0, 1), mp.mpc("0.1", "0.6")
+    assert not _on_fraction(-11, abs(2 * mp.pi * (w0 + a)))
+    with mp.workdps(ctx.work_dps):
+        want = mp.fsum(f_delta.coeff(n) * exp_ray_integral(n, w0, a, 12, ctx) for n in range(1, f_delta.n_max + 1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ray_sum called upper_incomplete_gamma")
+
+    monkeypatch.setattr(regint, "upper_incomplete_gamma", refuse)
+    with mp.workdps(ctx.work_dps):
+        got, _ = ray_sum(f_delta, w0, a, 12, ctx)
+    assert abs(got - want) <= mp.mpf(10) ** -ctx.digits * abs(want)
 
 
 @pytest.mark.parametrize("a", [mp.mpc("0.3", "1.5"), mp.mpc("0.1", "0.6")])
@@ -169,7 +212,7 @@ def test_ray_sum_work_does_not_grow_with_length(f_delta, monkeypatch, a):
     # per term, a folded ray sum runs only the continued fraction: the
     # exponentials and complex powers it takes are the same for 50 and 100
     # digits, though the longer sum runs more fractions (at a = 0.1 + 0.6i
-    # the term n = 1 lies below the fraction's threshold |x| > 12)
+    # the term n = 1 has |x| <= 12, and runs the fraction too)
     import periodlab.regint as regint
 
     counts = {"exp": 0, "pow": 0, "fraction": 0}
@@ -196,21 +239,25 @@ def test_ray_sum_work_does_not_grow_with_length(f_delta, monkeypatch, a):
     assert seen[0]["exp"] == seen[1]["exp"] and seen[0]["pow"] == seen[1]["pow"]
 
 
-@pytest.mark.parametrize("digits, most", [(50, 17500), (80, 43000)])
+@pytest.mark.parametrize("digits, most", [(50, 21400), (80, 51800)])
 def test_superm_ray_sums_stop_at_their_budget(monkeypatch, digits, most):
-    # the 40 ray sums of `verify superm --form delta` ran 27,410 Wallis steps
-    # at digits 50 and 68,222 at 80 when every fraction went to the full eps;
-    # each now stops at its share of the error budget
+    # the 40 ray sums of `verify superm --form delta`, run once with each
+    # fraction at its share of the error budget and once with every fraction
+    # at the full eps: the budget saves more than 30% of the Wallis steps.
+    # The budgeted run took 19,805 steps at digits 50 and 47,940 at 80, the
+    # full-eps run 31,112 and 76,106
     import sys
 
     import periodlab.regint as regint
     from periodlab.cli import _grid, holomorphic_form
     from periodlab.special import _legendre_fraction
 
-    work = {"steps": 0, "sums": 0}
+    ctx = PrecisionContext(digits=digits)
+    log2_eps = float(mp.mag(ctx.eps()) - 1)
+    work = {"steps": 0, "sums": 0, "full_eps": False}
 
-    def counted(*args):
-        got = _legendre_fraction(*args)
+    def counted(s, x, P, log2_tol):
+        got = _legendre_fraction(s, x, P, log2_eps if work["full_eps"] else log2_tol)
         work["steps"] += got[-1]
         return got
 
@@ -224,10 +271,15 @@ def test_superm_ray_sums_stop_at_their_budget(monkeypatch, digits, most):
                 if value is _legendre_fraction:
                     monkeypatch.setattr(module, key, counted)
     monkeypatch.setattr(regint, "ray_sum", summed)
-    ctx = PrecisionContext(digits=digits)
-    report = verify_superm(holomorphic_form("delta", ctx), _grid(10, "0.1", "0.8", "0.6", "1.8"), ctx)
-    assert report.passed and work["sums"] == 40
-    assert 0 < work["steps"] <= most
+    steps = []
+    for full_eps in (False, True):
+        work.update(steps=0, sums=0, full_eps=full_eps)
+        report = verify_superm(holomorphic_form("delta", ctx), _grid(10, "0.1", "0.8", "0.6", "1.8"), ctx)
+        assert report.passed and work["sums"] == 40
+        steps.append(work["steps"])
+    budgeted, full = steps
+    assert 0 < budgeted <= most
+    assert budgeted <= 0.7 * full
 
 
 def test_short_window_raises(ctx):
