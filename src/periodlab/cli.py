@@ -230,7 +230,15 @@ def cmd_lvalue(args) -> int:
             raise TailTooLarge(f"the window at s = {args.s} needs {N} > {MAX_WINDOW_TERMS} terms")
         f = cached_form(args.form, N)
         lv = l_dirichlet(f, s, ctx, tol=tol) if args.method == "dirichlet" else l_completed(f, s, ctx)
-        print(json.dumps({"schema": SCHEMA_VERSION, "form": args.form, **lv.to_dict()}))
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "form": args.form,
+            "s": _point_pair(lv.s, ctx.digits),
+            "value": _point_pair(lv.value, ctx.digits),
+            "method": lv.method,
+            "est_error": mp.nstr(lv.est_error, 10),
+        }
+        print(json.dumps(payload))
         return EXIT_OK
     except _CAUGHT as exc:
         return _error_exit(exc)

@@ -1,20 +1,21 @@
 """Numerical kernel: precision context, ray quadrature, finite-difference operators.
 
-All arithmetic is mpmath-based.  "Complex value" throughout the package means
-an ``mpmath.mpc`` carried at the working precision of the active
+All arithmetic is mpmath-based.  "Complex value" throughout the package
+means an ``mpmath.mpc`` carried at the working precision of the active
 :class:`PrecisionContext`; no wrapper type is introduced.  Every routine is
 pure: a context object is read-only and may be shared between concurrent
 callers, and quadrature/summation orders are fixed so repeated runs are
-bit-identical.
+bit-identical.  Ray quadrature is mp.quad's own tanh-sinh pass, with a rule
+whose nodes are ray heights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
+from mpmath.calculus.quadrature import TanhSinh
 from mpmath.libmp import mpf_add, mpf_mul
 
 
@@ -108,65 +109,34 @@ class RayPoint(mp.mpc):
     __slots__ = ("q",)
 
 
-@lru_cache(maxsize=None)
-def _ray_nodes(degree: int, prec: int) -> tuple:
-    """(heights s, weights, e^(-2 pi s)) of mp.quad's tanh-sinh nodes on [0, 1].
+class _RayRule(TanhSinh):
+    """mp.quad's tanh-sinh rule on [0, 1], its nodes moved up a ray.
 
-    From the rule's own nodes (u, w) of that degree at precision ``prec``:
-    the height s = -ln(u)/pi above the start, rounded as mp.quad's integrand
-    would round it at prec + 20 bits (raw mpf), the weight w/u (mpf), and
-    e^(-2 pi s) to prec + Q_GUARD_BITS bits (raw mpf).
+    Each tanh-sinh node u on [0, 1] with weight w becomes the node
+    (s, e^(-2 pi s)) with weight w/u: s = -ln(u)/pi is the height above the
+    ray's start (raw mpf, rounded at prec + 20 bits, the precision mp.quad
+    calls its integrand at) and e^(-2 pi s) is held to prec + Q_GUARD_BITS
+    bits (raw mpf).
+    These are the rule's nodes on its standard interval [-1, 1], which
+    mp.quad does not transform, so mpmath caches them per degree and
+    precision from the first ray on.
     """
-    from .qforms import Q_GUARD_BITS, q_parts
 
-    heights, weights, decays = [], [], []
-    zero, P = mp.mpf(0)._mpf_, prec + Q_GUARD_BITS
-    with mp.workprec(prec + 20):
-        for u, w in mp.mp._tanh_sinh.get_nodes(mp.mpf(0), mp.mpf(1), degree, prec):
-            s = (-(mp.log(u) / mp.pi))._mpf_
-            heights.append(s)
-            weights.append(w / u)
-            decays.append(q_parts(zero, s, P)[0])
-    return tuple(heights), tuple(weights), tuple(decays)
+    def calc_nodes(self, degree, prec, verbose=False):
+        from .qforms import Q_GUARD_BITS, q_parts
+
+        ctx = self.ctx
+        zero, P = ctx.zero._mpf_, prec + Q_GUARD_BITS
+        ray_nodes = []
+        with ctx.workprec(prec + 20):
+            nodes = super().calc_nodes(degree, prec, verbose)
+            for u, w in self.transform_nodes(nodes, 0, 1):
+                s = (-(ctx.log(u) / ctx.pi))._mpf_
+                ray_nodes.append(((s, q_parts(zero, s, P)[0]), w / u))
+        return ray_nodes
 
 
-def _ray_tanh_sinh(integrand, x0: mp.mpf, y0: mp.mpf) -> tuple:
-    """(int_0^1 g(x0 + i t(u)) du/u, error estimate), t = y0 - ln(u)/pi.
-
-    The pass, nodes and stop rule of mp.quad on [0, 1] with
-    method="tanh-sinh", maxdegree=QUAD_MAXDEGREE and error=True, at the
-    current precision: the integrand sees the same points in the same
-    order, at prec + 20 bits, each as a RayPoint whose q is
-    q(w0) e^(-2 pi s), so a ray takes one exponential and one cosine/sine
-    pair and each node one product.
-    """
-    from .qforms import Q_GUARD_BITS, q_parts
-
-    rule, prec = mp.mp._tanh_sinh, mp.mp.prec
-    epsilon = mp.eps / 8
-    P = prec + Q_GUARD_BITS
-    x0, y0, new = x0._mpf_, y0._mpf_, object.__new__
-    E0, cos, sin = q_parts(x0, y0, P)
-    results, err = [], mp.mpf(0)
-    with mp.extraprec(20):
-        wp = mp.mp.prec
-        for degree in range(1, QUAD_MAXDEGREE + 1):
-            heights, weights, decays = _ray_nodes(degree, prec)
-            values = []
-            for s, Es in zip(heights, decays):
-                w = new(RayPoint)
-                w._mpc_ = (x0, mpf_add(y0, s, wp))
-                w.q = (P, mpf_mul(E0, Es, P + 8), cos, sin)
-                values.append(integrand(w))
-            # TanhSinh.sum_next: half the nodes are the previous degree's
-            h = mp.mpf(2) ** (-degree)
-            S = results[-1] / (h * 2) if results else mp.mpf(0)
-            results.append(h * (S + mp.fdot(weights, values)))
-            if degree > 1:
-                err = rule.estimate_error(results, prec, epsilon)
-                if err <= epsilon:
-                    break
-    return +results[-1], err
+_RAY_RULE = _RayRule(mp.mp)
 
 
 def quad_ray(integrand: Callable[[mp.mpc], mp.mpc], start, ctx: PrecisionContext) -> mp.mpc:
@@ -186,9 +156,9 @@ def quad_ray(integrand: Callable[[mp.mpc], mp.mpc], start, ctx: PrecisionContext
     may sit on the real axis (cusps) only when the caller certifies the
     integrand bounded there.
 
-    The pass is mp.quad's own (same nodes, degrees and stop rule, so the
-    same integrand calls), run over nodes cached per degree and precision
-    as (t - y0, weight/u, e^(-2 pi (t - y0))).  Each node reaches the
+    mp.quad runs the pass (its degrees, summation, error estimate and stop
+    rule) with ``_RayRule``, a tanh-sinh rule whose nodes are ray heights
+    t - y0 paired with e^(-2 pi (t - y0)).  Each node reaches the
     integrand as a RayPoint carrying q = q(w0) e^(-2 pi (t - y0)), which
     the q-series sums use in place of their own exponential and
     cosine/sine pair: those are taken once per ray, not once per node.
@@ -197,12 +167,28 @@ def quad_ray(integrand: Callable[[mp.mpc], mp.mpc], start, ctx: PrecisionContext
     tol_tight * (1 + |result|), BadPath when the start lies below the real
     axis.
     """
+    from .qforms import Q_GUARD_BITS, q_parts
+
     with mp.workdps(ctx.work_dps):
         start = mp.mpc(start)
-        x0, y0 = mp.re(start), mp.im(start)
-        if y0 < 0:
+        if mp.im(start) < 0:
             raise BadPath("ray start below the real axis")
-        val, err = _ray_tanh_sinh(integrand, x0, y0)
+        x0, y0 = start._mpc_
+        P = mp.mp.prec + Q_GUARD_BITS
+        E0, cos, sin = q_parts(x0, y0, P)
+        new = object.__new__
+
+        def on_ray(node):
+            # the height y0 + s at the precision mp.quad evaluates at
+            s, Es = node
+            w = new(RayPoint)
+            w._mpc_ = (x0, mpf_add(y0, s, mp.mp.prec))
+            w.q = (P, mpf_mul(E0, Es, P + 8), cos, sin)
+            return integrand(w)
+
+        # mp.quad builds its rule as method(ctx): one instance keeps one node
+        # cache; [-1, 1] is the interval the ray nodes are given on
+        val, err = mp.quad(on_ray, [-1, 1], method=lambda _: _RAY_RULE, maxdegree=QUAD_MAXDEGREE, error=True)
         total, toterr = mp.mpc(0, 1) * val / mp.pi, err / mp.pi
         ensure_finite(total, "quad_ray result")
         if not toterr <= ctx.tol_tight * (1 + abs(total)):

@@ -34,7 +34,6 @@ import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, TailTooLarge
 from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _to_mpc
-from .reports import _point_pair
 from .special import upper_incomplete_gamma
 
 
@@ -48,14 +47,6 @@ class LValue:
     value: mp.mpc
     method: str
     est_error: mp.mpf
-
-    def to_dict(self) -> dict:
-        return {
-            "s": _point_pair(self.s),
-            "value": _point_pair(self.value),
-            "method": self.method,
-            "est_error": mp.nstr(self.est_error, 10),
-        }
 
 
 def dirichlet_truncation_length(tail_bound, s, tol) -> int:

@@ -42,30 +42,10 @@ class CosetTruncation:
             for d in range(-bound, bound + 1):
                 if gcd(c, d) != 1:
                     continue
-                # solve a d - b c = 1
-                a, b = _solve_row(c, d)
-                reps.append(GroupElement(a, b, c, d))
+                # a = d^(-1) mod c, so that a d - b c = 1
+                a = pow(d, -1, c)
+                reps.append(GroupElement(a, (a * d - 1) // c, c, d))
         return cls(bound=bound, representatives=tuple(reps))
-
-
-def _solve_row(c: int, d: int) -> Tuple[int, int]:
-    # extended euclid: u c + v d = 1  ->  (a, b) = (v, -u)
-    u, v = _ext_gcd(c, d)
-    return v, -u
-
-
-def _ext_gcd(c: int, d: int) -> Tuple[int, int]:
-    old_r, r = c, d
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r == -1:
-        old_u, old_v = -old_u, -old_v
-    return old_u, old_v
 
 
 def phi_seed(k: int, m: int, s, z, ctx: PrecisionContext) -> mp.mpc:

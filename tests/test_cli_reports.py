@@ -230,7 +230,7 @@ def test_cli_lvalue_parses_s_at_working_precision(capsys, monkeypatch):
     with mp.workdps(ctx.work_dps):
         want = l_completed(f, mp.mpf("6.1"), ctx)
         assert abs(got.value - want.value) <= want.est_error
-    assert out["value"][0] == mp.nstr(mp.re(want.value), 30)
+    assert out["value"][0] == mp.nstr(mp.re(want.value), ctx.digits)
 
 
 @pytest.mark.parametrize("form", ["delta", "cusp16"])
@@ -252,7 +252,28 @@ def test_cli_lvalue_window_follows_s(capsys, monkeypatch, form):
     with mp.workdps(ctx.work_dps):
         assert abs(got.value - want.value) <= got.est_error
         assert got.est_error <= mp.mpf("1e-50") * abs(got.value)
-    assert out["value"][0] == mp.nstr(mp.re(got.value), 30)
+    assert out["value"][0] == mp.nstr(mp.re(got.value), ctx.digits)
+
+
+def test_cli_lvalue_prints_the_working_digits(capsys, monkeypatch):
+    # L(s) is printed to --digits significant digits: within est_error plus
+    # half a unit in the 80th digit of the value; printed to 30 digits it
+    # was off by about 3e-31
+    seen = []
+
+    def spy(f, s, ctx):
+        seen.append((ctx, l_completed(f, s, ctx)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "l_completed", spy)
+    assert main(["lvalue", "--form", "delta", "--s", "6", "--digits", "80"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    ctx, got = seen[0]
+    assert ctx.digits == 80 and out["s"] == ["6.0", "0.0"]
+    with mp.workdps(ctx.work_dps):
+        printed = mp.mpc(*out["value"])
+        half_unit = mp.mpf(10) ** (1 - ctx.digits) / 2 * abs(got.value)
+        assert abs(printed - got.value) <= mp.mpf(out["est_error"]) + half_unit
 
 
 @pytest.mark.parametrize("form, s", [("delta", "300"), ("cusp16", "400")])

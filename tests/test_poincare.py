@@ -15,19 +15,21 @@ from periodlab import (
     verify_termwise_dipoincare,
     verify_termwise_xi,
 )
+from periodlab.poincare import DESCENT_BOUND
 from periodlab.special import psi_seed
 
 
 def test_coset_enumeration_matches_bruteforce():
-    C = 7
-    trunc = CosetTruncation.build(C)
-    rows = {(g.c, g.d) for g in trunc.representatives}
-    want = {(0, 1)} | {
-        (c, d) for c in range(1, C + 1) for d in range(-C, C + 1) if gcd(c, d) == 1
-    }
-    assert rows == want
-    for g in trunc.representatives:
-        assert g.a * g.d - g.b * g.c == 1
+    # DESCENT_BOUND is the truncation both *_matched identities sum over
+    for C in (7, DESCENT_BOUND):
+        trunc = CosetTruncation.build(C)
+        rows = {(g.c, g.d) for g in trunc.representatives}
+        want = {(0, 1)} | {
+            (c, d) for c in range(1, C + 1) for d in range(-C, C + 1) if gcd(c, d) == 1
+        }
+        assert rows == want
+        for g in trunc.representatives:
+            assert g.a * g.d - g.b * g.c == 1
 
 
 def test_truncation_bound_zero_is_seed(ctx):
