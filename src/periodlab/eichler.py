@@ -101,11 +101,12 @@ class PolynomialC:
         """Exact int_a^b P(w) (w+z)^(-k) dw; b = None stands for i*infinity.
 
         Taylor-shifted to the pole, P(w) = sum_j c_j (w+z)^j, so for
-        deg P <= k-2 the antiderivative G(w) = sum_j c_j (w+z)^(j-k+1)/(j-k+1)
-        has no logarithm: G is single-valued and rational, G(i oo) = 0, and
-        the integral is G(b) - G(a) along any path that misses -z.  Raises
-        DomainError for a nonzero coefficient above degree k-2, where the
-        integral to i oo diverges, and for an endpoint at the pole -z.
+        deg P <= k-2 the antiderivative G(w) = u^(1-k) sum_j c_j u^j/(j-k+1),
+        u = w + z, one power times a Horner sum, has no logarithm: G is
+        single-valued and rational, G(i oo) = 0, and the integral is
+        G(b) - G(a) along any path that misses -z.  Raises DomainError for a
+        nonzero coefficient above degree k-2, where the integral to i oo
+        diverges, and for an endpoint at the pole -z.
         """
         if any(c != 0 for c in self.coeffs[max(k - 1, 0):]):
             raise DomainError(f"polynomial degree exceeds k-2 = {k - 2}")
@@ -115,12 +116,13 @@ class PolynomialC:
         for i in range(len(c) - 1):
             for j in range(len(c) - 2, i - 1, -1):
                 c[j] -= z * c[j + 1]
+        d = [cj / (j - k + 1) for j, cj in reversed(list(enumerate(c)))]
 
         def G(w) -> mp.mpc:
             u = mp.mpc(w) + z
             if u == 0:
                 raise DomainError("integration endpoint at the kernel pole -z")
-            return mp.fsum(cj * u ** (j - k + 1) / (j - k + 1) for j, cj in enumerate(c))
+            return mp.polyval(d, u) * u ** (1 - k)
 
         return (G(b) if b is not None else mp.mpc(0)) - G(a)
 

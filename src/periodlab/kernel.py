@@ -198,25 +198,33 @@ def quad_ray(integrand: Callable[[mp.mpc], mp.mpc], start, ctx: PrecisionContext
         return total
 
 
-def _stencil(F: Callable[[mp.mpc], mp.mpc], z: mp.mpc, ctx: PrecisionContext) -> tuple:
-    """(h, F(z+h), F(z-h), F(z+ih), F(z-ih)) for the context's one step h = ctx.fd_step."""
+def _stencil(F: Callable[[mp.mpc], mp.mpc], z: mp.mpc, ctx: PrecisionContext, values=None) -> tuple:
+    """(h, F(z+h), F(z-h), F(z+ih), F(z-ih)) for the context's one step h = ctx.fd_step.
+
+    ``values``, when given, maps the four points to F at them in one call.
+    """
     h = ctx.fd_step
     if mp.im(z) - h <= 0:
         raise StepTooLarge("stencil leaves the upper half-plane")
     ih = mp.mpc(0, 1) * h
-    return h, F(z + h), F(z - h), F(z + ih), F(z - ih)
+    points = (z + h, z - h, z + ih, z - ih)
+    return (h, *(values(points) if values else map(F, points)))
 
 
-def xi_fd(F: Callable[[mp.mpc], mp.mpc], k: int, z: complex, ctx: PrecisionContext) -> mp.mpc:
+def xi_fd(F: Callable[[mp.mpc], mp.mpc], k: int, z: complex, ctx: PrecisionContext, stencil=None) -> mp.mpc:
     """Weight-k xi operator 2i y^k conj(dF/dzbar) by central differences.
 
     dF/dzbar = (F_x + i F_y)/2 with second-order stencils of width
     ctx.fd_step.  The error is O(fd_step^2) relative to the magnitude of F
     near z, so F must be evaluated essentially to full working precision.
+    ``stencil``, when given, is a stencil evaluator: it maps the four
+    points z +- h, z +- ih to F at them in one call (``regint`` sums
+    hatstar's stencil from one ray-sum jet), in place of four calls of F;
+    the points, step and formula are the same.
     """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        h, fxp, fxm, fyp, fym = _stencil(F, z, ctx)
+        h, fxp, fxm, fyp, fym = _stencil(F, z, ctx, stencil)
         Fx = (fxp - fxm) / (2 * h)
         Fy = (fyp - fym) / (2 * h)
         dzbar = (Fx + mp.mpc(0, 1) * Fy) / 2

@@ -27,8 +27,11 @@ a certified tail bound.  There Gamma(1-s, x) is e^(-x) x^(1-s) / f
 with f the Legendre continued fraction, and the term folds to
 c_n q0^n (w0 + a)^(1-s) / f with q0 = e^(2 pi i w0): a sum is one pass on
 fixed-point integers with one exponential and one power, and each fraction
-stops at its term's share of the error budget.  Ray quadrature is not used
-here; it remains the oracle that the tests compare against.
+stops at its term's share of the error budget.  One pass can also return a
+jet, the sums at orders s..s+J for the Taylor expansion in the shift a:
+each term then takes one fraction at the top order and recurs down in the
+order where that is stable.  Ray quadrature is not used here; it remains
+the oracle that the tests compare against.
 
 The starred periods of a weight-(2-k) input M, with Q = M |_{2-k} (1 - S)
 its period cocycle, are
@@ -52,21 +55,26 @@ onto [S z0, i oo), where M(-1/w) = w^(2-k) (M(w) - Q(w)), so
              + int_{S z0}^{i oo} Q(w) (w + z)^(-k) dw,
 
 the last exact by ``PolynomialC.kernel_integral``; the value does not
-depend on z0.  Off the unit circle S z0 != z0, so rstar(z) sums from
+depend on z0.  hatstar takes that integral and tildestar's as one, from
+S z0 to -conj z.  Off the unit circle S z0 != z0, so rstar(z) sums from
 (z0, -1/z) and (S z0, z) while rstar(S z) sums from (z0, z) and (S z0, -1/z):
-the sums in rstar|(1+S) do not cancel, and that relation checks them.
+the sums in rstar|(1+S) do not cancel, and that relation checks them.  The
+xi stencil of hatstar around z moves only the shifts -1/z and z, so it
+takes each leg's decaying part from one jet at z (``_hat_stencil``); the
+test of jet against direct sums keeps that stencil sensitive to how the
+direct sums move with the shift.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 from mpmath.libmp import mpf_mul, to_fixed
 
 from .eichler import PolynomialC, S, period_relations
-from .kernel import DomainError, PrecisionContext, xi_fd
+from .kernel import DomainError, PrecisionContext, StepTooLarge, xi_fd
 from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _fixed_coeffs, _to_mpc, evaluate, q_parts
 from .reports import relative_residual, residual_scale, tabulate
 from .special import _CF_GUARD_BITS, _fixed, _legendre_fraction, upper_incomplete_gamma
@@ -96,7 +104,7 @@ def exp_ray_integral(n: int, w0, a, s: int, ctx: PrecisionContext) -> mp.mpc:
     return mp.exp(-lam * a) * (-lam) ** (s - 1) * g
 
 
-def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> Tuple[mp.mpc, float]:
+def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: int = 0):
     """(scale sum_{n>=1} c_n int_{w0}^{i oo} e^(2 pi i n w) (w+a)^(-s) dw, log of its certified error).
 
     c_n are the n >= 1 coefficients of ``series``; needs Im(w0 + a) > 0.
@@ -121,88 +129,145 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1) -> T
     c_n q0^n B_n conj(A_n) / |A_n|^2 for 1/f_n = B_n / A_n in the unit 2^-P T
     (N roundings, below N 2^-30 eps T), q0^n renormalized to P bits per step
     and x_n = n x_1 an integer multiple.
+
+    With J > 0 it returns the list of (sum, log error) at the orders
+    s, s+1, ..., s+J in one pass, a jet in a: the sum against
+    (w+a+delta)^(-s) is sum_j (-delta)^j (s)_j / j! times the sum at order
+    s+j.  The window is the longest of the orders', and t_n takes the F of
+    order s, the largest.  A term with |x_n| > |sigma| + 1 for each order
+    sigma = s, ..., s+J-1 takes one fraction, at the top order s+J, and
+    recurs down by x G_sigma = 1 - sigma G_(sigma+1) (from
+    Gamma(b+1, x) = b Gamma(b, x) + x^b e^(-x)): an error in G_(sigma+1) enters
+    G_sigma times |sigma / x_n| < 1, so each order keeps the term's share
+    tol_n t_n of the budget.  A term below that bound takes one fraction
+    per order.  Each order's certified error is its own tail plus that
+    budget times its own |C|.
     """
     height = mp.im(w0 + a)
     if not height > 0:
         raise DomainError("ray sum needs Im(w0 + a) > 0")
-    log2_F = -s * math.log2(1 - s / (2 * math.pi * float(height))) if s < 0 else 0.0
-    bound = abs(scale) / (2 * mp.pi) / abs(w0 + a) ** s * mp.mpf(2) ** log2_F
+    orders = range(s, s + J + 1)
+    log2_F = [-o * math.log2(1 - o / (2 * math.pi * float(height))) if o < 0 else 0.0 for o in orders]
     log_b, alpha, beta = _coeff_model(series)
-    model = (log_b + float(mp.log(bound)), alpha - 1, beta)
     log_q = -2 * math.pi * float(mp.im(w0))
-    N, log_tail = _certified_length(model, log_q, series.n_max, ctx)
+    tails = []
+    for o, log2_Fo in zip(orders, log2_F):
+        bound = abs(scale) / (2 * mp.pi) / abs(w0 + a) ** o * mp.mpf(2) ** log2_Fo
+        model = (log_b + float(mp.log(bound)), alpha - 1, beta)
+        tails.append(_certified_length(model, log_q, series.n_max, ctx))
+    N = max(length for length, _ in tails)
     first, mags, parts = _fixed_coeffs(series)
     x1 = -2j * mp.pi * (w0 + a)
     abs_x1 = float(abs(x1))
     # log2 t_n for the nonzero c_n, n >= 1, in the window; |c_n| < 2^(mags + 1/2)
     log2_t = {
-        n: mags[n - series.n_min] + 0.5 + n * log_q / math.log(2) - math.log2(n * abs_x1) + log2_F
+        n: mags[n - series.n_min] + 0.5 + n * log_q / math.log(2) - math.log2(n * abs_x1) + log2_F[0]
         for n in range(max(1, series.n_min + first), min(N, series.n_max) + 1)
         if mags[n - series.n_min] > -math.inf
     }
-    if not log2_t:
-        _check_tail(log_tail, 0, ctx, f"ray sum of {series.label}")
-        return mp.mpc(0), log_tail
-    eps = ctx.eps()
-    P, log2_eps, log2_T = _CF_GUARD_BITS - mp.mag(eps), float(mp.mag(eps) - 1), max(log2_t.values())
-    order, (X1r, X1i) = ((1 - s) << P, 0), _fixed(x1, P)
-    E, cos, sin = q_parts(w0.real._mpf_, w0.imag._mpf_, P)
-    sq = P - E[2] - E[3]
-    Qr, Qi = to_fixed(mpf_mul(E, cos), sq), to_fixed(mpf_mul(E, sin), sq)
-    qr, qi, eq = 1 << P, 0, -P  # q0^n = (qr + i qi) 2^eq
-    u, Tr, Ti, budget = math.ceil(log2_T) - P, 0, 0, 0.0  # budget: sum_n tol_n t_n / T
-    for n in range(1, max(log2_t) + 1):
-        qr, qi = qr * Qr - qi * Qi, qr * Qi + qi * Qr
-        d = max(qr.bit_length(), qi.bit_length()) - P
-        qr, qi, eq = qr >> d, qi >> d, eq + d - sq
-        if n not in log2_t:
-            continue
-        tol = min(max(log2_eps + log2_T - math.log2(N) - log2_t[n], log2_eps), -20.0)
-        Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(order, (n * X1r, n * X1i), P, tol)
-        gr, gi, den, eg = Br * Ar + Bi * Ai, Bi * Ar - Br * Ai, Ar * Ar + Ai * Ai, eB - eA
-        budget += 2 ** (tol + log2_t[n] - log2_T)
-        cr, ci, ex = parts[n - series.n_min]
-        pr, pi = cr * qr - ci * qi, cr * qi + ci * qr
-        vr, vi = pr * gr - pi * gi, pr * gi + pi * gr
-        sh = ex + eq + eg - u
-        vr, vi, den = (vr << sh, vi << sh, den) if sh >= 0 else (vr, vi, den << -sh)
-        Tr, Ti = Tr + vr // den, Ti + vi // den
-    common = scale * (w0 + a) ** (1 - s)
-    total = mp.mpc(mp.mpf((Tr, u)), mp.mpf((Ti, u))) * common
-    log_err = math.log(2) * (log2_T + math.log2(budget)) + float(mp.log(abs(common)))
-    if log_tail > -math.inf:
-        log_err = max(log_err, log_tail) + math.log1p(math.exp(-abs(log_err - log_tail)))
-    _check_tail(log_err, total, ctx, f"ray sum of {series.label}")
-    return total, log_err
+    sums = [[0, 0] for _ in orders]  # sum_n c_n q0^n G_n per order, in the unit 2^u
+    budget = 0.0  # sum_n tol_n t_n / T
+    if log2_t:
+        eps = ctx.eps()
+        P, log2_eps, log2_T = _CF_GUARD_BITS - mp.mag(eps), float(mp.mag(eps) - 1), max(log2_t.values())
+        X1r, X1i = _fixed(x1, P)
+        E, cos, sin = q_parts(w0.real._mpf_, w0.imag._mpf_, P)
+        sq = P - E[2] - E[3]
+        Qr, Qi = to_fixed(mpf_mul(E, cos), sq), to_fixed(mpf_mul(E, sin), sq)
+        qr, qi, eq = 1 << P, 0, -P  # q0^n = (qr + i qi) 2^eq
+        u = math.ceil(log2_T) - P
+        recur_above = max(abs(s), abs(s + J - 1)) + 1  # |x_n| above this recurs down from the top order
+        for n in range(1, max(log2_t) + 1):
+            qr, qi = qr * Qr - qi * Qi, qr * Qi + qi * Qr
+            d = max(qr.bit_length(), qi.bit_length()) - P
+            qr, qi, eq = qr >> d, qi >> d, eq + d - sq
+            if n not in log2_t:
+                continue
+            tol = min(max(log2_eps + log2_T - math.log2(N) - log2_t[n], log2_eps), -20.0)
+            X = (n * X1r, n * X1i)
+            if n * abs_x1 > recur_above:
+                G = [_legendre_fraction(((1 - orders[-1]) << P, 0), X, P, tol)[:6]]
+                for o in reversed(orders[:-1]):
+                    G.append(_order_down(G[-1], o, X, P))
+                G.reverse()
+            else:
+                G = [_legendre_fraction(((1 - o) << P, 0), X, P, tol)[:6] for o in orders]
+            budget += 2 ** (tol + log2_t[n] - log2_T)
+            cr, ci, ex = parts[n - series.n_min]
+            pr, pi = cr * qr - ci * qi, cr * qi + ci * qr
+            for acc, (Br, Bi, eB, Ar, Ai, eA) in zip(sums, G):
+                gr, gi, den, eg = Br * Ar + Bi * Ai, Bi * Ar - Br * Ai, Ar * Ar + Ai * Ai, eB - eA
+                vr, vi = pr * gr - pi * gi, pr * gi + pi * gr
+                sh = ex + eq + eg - u
+                vr, vi, den = (vr << sh, vi << sh, den) if sh >= 0 else (vr, vi, den << -sh)
+                acc[0] += vr // den
+                acc[1] += vi // den
+    out, common = [], scale * (w0 + a) ** (1 - s)
+    for (Tr, Ti), (_, log_tail) in zip(sums, tails):
+        total, log_err = mp.mpc(0), -math.inf
+        if log2_t:
+            total = mp.mpc(mp.mpf((Tr, u)), mp.mpf((Ti, u))) * common
+            log_err = math.log(2) * (log2_T + math.log2(budget)) + float(mp.log(abs(common)))
+        if log_tail > -math.inf:
+            log_err = max(log_err, log_tail) + math.log1p(math.exp(-abs(log_err - log_tail)))
+        _check_tail(log_err, total, ctx, f"ray sum of {series.label}")
+        out.append((total, log_err))
+        common /= w0 + a
+    return out if J else out[0]
+
+
+def _order_down(g: tuple, order: int, X: tuple, P: int) -> tuple:
+    """G_order = (1 - order G_(order+1)) / x from G_(order+1) = (Br + i Bi) 2^eB / ((Ar + i Ai) 2^eA), x = X 2^-P.
+
+    The same form (Br, Bi, eB, Ar, Ai, eA): B' = A - order B on a common
+    exponent, A' = x A, each shifted back to P bits.
+    """
+    Br, Bi, eB, Ar, Ai, eA = g
+    e = min(eA, eB)
+    Nr, Ni = (Ar << eA - e) - order * (Br << eB - e), (Ai << eA - e) - order * (Bi << eB - e)
+    Dr, Di = X[0] * Ar - X[1] * Ai, X[0] * Ai + X[1] * Ar
+    dN = max(Nr.bit_length(), Ni.bit_length()) - P
+    dD = max(Dr.bit_length(), Di.bit_length()) - P
+    if dN < 0:
+        Nr, Ni = Nr << -dN, Ni << -dN
+    else:
+        Nr, Ni = Nr >> dN, Ni >> dN
+    return Nr, Ni, e + dN, Dr >> dD, Di >> dD, eA - P + dD
 
 
 def reg_integral_to_icusp(M: QSeries, z0, a, s: int, ctx: PrecisionContext, scale=1) -> mp.mpc:
     """R.int_{z0}^{i oo} M(w) scale (w + a)^(-s) dw.
 
     The principal terms n < 0 of M are continued in closed form
-    (``exp_ray_integral``), the constant term is elementary, and the decaying
-    remainder n >= 1 is the certified ``ray_sum`` (which needs
-    Im(z0 + a) > 0).  Raises NotRegularizable when the constant term has a
-    genuine pole at u = 0 (s <= 1).
+    (``exp_ray_integral``) and the constant term is elementary, both in
+    ``_principal_part``; the decaying remainder n >= 1 is the certified
+    ``ray_sum`` (which needs Im(z0 + a) > 0).  Raises NotRegularizable when
+    the constant term has a genuine pole at u = 0 (s <= 1).
     """
     with mp.workdps(ctx.work_dps):
         z0 = mp.mpc(z0)
-        if s >= 1 and z0 + a == 0:
-            raise DomainError("kernel pole sits at the base point")
-        total = mp.mpc(0)
-        for n in range(M.n_min, min(M.n_max, 0) + 1):
-            c = _to_mpc(M.coeff(n))
-            if c == 0:
-                continue
-            if n < 0:
-                total += c * scale * exp_ray_integral(n, z0, a, s, ctx)
-            elif s < 2:
-                raise NotRegularizable("constant term against a non-decaying kernel has a pole at u = 0")
-            else:
-                total += c * scale * (z0 + a) ** (1 - s) / (s - 1)
+        total = _principal_part(M, z0, a, s, ctx, scale)
         if M.n_max >= 1:
             total += ray_sum(M, z0, a, s, ctx, scale)[0]
         return total
+
+
+def _principal_part(M: QSeries, z0: mp.mpc, a, s: int, ctx: PrecisionContext, scale=1) -> mp.mpc:
+    """The principal and constant terms, n <= 0, of ``reg_integral_to_icusp``, at the current precision."""
+    if s >= 1 and z0 + a == 0:
+        raise DomainError("kernel pole sits at the base point")
+    total = mp.mpc(0)
+    for n in range(M.n_min, min(M.n_max, 0) + 1):
+        c = _to_mpc(M.coeff(n))
+        if c == 0:
+            continue
+        if n < 0:
+            total += c * scale * exp_ray_integral(n, z0, a, s, ctx)
+        elif s < 2:
+            raise NotRegularizable("constant term against a non-decaying kernel has a pole at u = 0")
+        else:
+            total += c * scale * (z0 + a) ** (1 - s) / (s - 1)
+    return total
 
 
 def _cocycle_spot_check(M: QSeries, Q: Optional[PolynomialC], ctx: PrecisionContext) -> None:
@@ -238,28 +303,96 @@ def r_star(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[PolynomialC] 
     route), for Im z0 <= 0, and unless M|(1-S) matches the cocycle at a point.
     """
     with mp.workdps(ctx.work_dps):
-        z = mp.mpc(z)
-        z0 = mp.mpc(z0) if z0 is not None else mp.mpc(0, SPLIT_HEIGHT)
-        if not (mp.im(z) >= 0 and mp.im(z0) > 0):
-            raise DomainError("rstar needs Im z >= 0 and a base point z0 in the upper half-plane")
-        _cocycle_spot_check(M, cocycle, ctx)
-        k, sz0 = 2 - M.weight, S.apply(z0)
-        a, s, scale = (0, 0, (-1) ** k) if z == 0 else (-1 / z, k, z ** (-k))
-        value = reg_integral_to_icusp(M, z0, a, s, ctx, scale)
-        value -= reg_integral_to_icusp(M, sz0, z, k, ctx)
+        value, sz0 = _r_star_legs(M, z, ctx, cocycle, z0)
         if cocycle is not None:
-            value += cocycle.kernel_integral(k, z, sz0)
+            value += cocycle.kernel_integral(2 - M.weight, z, sz0)
         return value
+
+
+def _r_star_legs(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[PolynomialC], z0=None) -> tuple:
+    """(rstar(z) without its cocycle integral, S z0): the two regularized legs, at the current precision."""
+    z = mp.mpc(z)
+    z0 = mp.mpc(z0) if z0 is not None else mp.mpc(0, SPLIT_HEIGHT)
+    if not (mp.im(z) >= 0 and mp.im(z0) > 0):
+        raise DomainError("rstar needs Im z >= 0 and a base point z0 in the upper half-plane")
+    _cocycle_spot_check(M, cocycle, ctx)
+    k, sz0 = 2 - M.weight, S.apply(z0)
+    a, s, scale = (0, 0, (-1) ** k) if z == 0 else (-1 / z, k, z ** (-k))
+    return reg_integral_to_icusp(M, z0, a, s, ctx, scale) - reg_integral_to_icusp(M, sz0, z, k, ctx), sz0
 
 
 def hat_star(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[PolynomialC] = None) -> mp.mpc:
-    """hatstar(z) = rstar(z) - int_{-conj z}^{i oo} Q(w) (w+z)^(-k) dw for the cocycle Q; rstar(z) when None."""
+    """hatstar(z) = rstar(z) - int_{-conj z}^{i oo} Q(w) (w+z)^(-k) dw for the cocycle Q; rstar(z) when None.
+
+    The two cocycle integrals, rstar's from S z0 and tildestar's from
+    -conj z, both to i oo, are taken as one exact
+    int_{S z0}^{-conj z} Q(w) (w+z)^(-k) dw: one Taylor shift of Q.
+    """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        value = r_star(M, z, ctx, cocycle)
+        value, sz0 = _r_star_legs(M, z, ctx, cocycle)
         if cocycle is not None:
-            value -= cocycle.kernel_integral(2 - M.weight, z, -mp.conj(z))
+            value += cocycle.kernel_integral(2 - M.weight, z, sz0, -mp.conj(z))
         return value
+
+
+def _hat_stencil(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[PolynomialC]) -> Callable:
+    """hatstar at ``xi_fd``'s stencil points w near z, with each rstar leg's ray sum from one jet at z.
+
+    The legs sum against (w' - 1/w)^(-k) from z0 and (w' + w)^(-k) from
+    S z0: their shifts -1/w and w move by delta = (w - z)/(z w) and w - z
+    from z.  Each leg takes one ``ray_sum`` jet at z, of the least order J
+    whose Taylor remainder is at most eps relative to the sum of the term
+    bounds t_n (``_jet_order``), and its stencil values are the Taylor sums
+    (``_jet_value``).  The principal terms, the factor w^(-k) and the
+    cocycle integral are taken at each point as ``hat_star`` takes them.
+    """
+    k, z0 = 2 - M.weight, mp.mpc(0, SPLIT_HEIGHT)
+    sz0 = S.apply(z0)
+
+    def values(points):
+        with mp.workdps(ctx.work_dps):
+            legs = []
+            for w0, a, deltas in ((z0, -1 / z, [(w - z) / (z * w) for w in points]), (sz0, z, [w - z for w in points])):
+                J = _jet_order(k, max(map(abs, deltas)) / abs(w0 + a), ctx)
+                jet = ray_sum(M, w0, a, k, ctx, J=J) if M.n_max >= 1 else []
+                legs.append([_principal_part(M, w0, a + d, k, ctx) + _jet_value(jet, k, d) for d in deltas])
+            out = []
+            for w, near, far in zip(points, *legs):
+                value = w ** (-k) * near - far
+                if cocycle is not None:
+                    value += cocycle.kernel_integral(k, w, sz0, -mp.conj(w))
+                out.append(value)
+            return out
+
+    return values
+
+
+def _jet_order(s: int, rho, ctx: PrecisionContext) -> int:
+    """Least J with sum_{j>J} (s)_j/j! rho^j <= eps, for s >= 1 and rho = |delta| / |w0 + a| < 1/2.
+
+    Along the ray |w + a| >= |w0 + a|, so each term of the sum against
+    (w + a + delta)^(-s) moves from its Taylor sum by at most this remainder
+    times its bound t_n |C|.  The ratio of consecutive remainder terms is
+    rho (s + j)/(j + 1), at most rho (s + J + 1)/(J + 2) past J, so the
+    remainder is at most C(s + J, J + 1) rho^(J + 1) over 1 minus that ratio.
+    """
+    if not rho < 0.5:
+        raise StepTooLarge("a jet step reaches half way to the kernel pole")
+    rho, log_eps = float(rho), -(ctx.digits + 8) * math.log(10)
+    J = 0
+    while math.log(math.comb(s + J, J + 1)) + (J + 1) * math.log(rho) - math.log1p(-rho * (s + J + 1) / (J + 2)) > log_eps:
+        J += 1
+    return J
+
+
+def _jet_value(jet: list, s: int, delta) -> mp.mpc:
+    """sum_j (-delta)^j (s)_j / j! S_(s+j), the Taylor sum of a ``ray_sum`` jet at the shift a + delta."""
+    total, power = mp.mpc(0), mp.mpf(1)
+    for j, (value, _) in enumerate(jet):
+        total += math.comb(s + j - 1, j) * power * value
+        power *= -delta
+    return total
 
 
 def hat_equation_residual(M: QSeries, z, h, ctx: PrecisionContext) -> mp.mpf:
@@ -278,13 +411,15 @@ def hat_relation_residuals(M: QSeries, z, h, ctx: PrecisionContext, cocycle: Opt
     even k xi_k(hatstar)(z) = -(2i)^(1-k) conj(Q(-conj z)): 0 for a modular M,
     (2i)^(1-k) r_{f^c}(z) for Q = r_f.  The xi residual is scaled by
     max(1, |xi|, |target|, |h|), since the stencil error of ``xi_fd`` is
-    relative to the size of hatstar near z.
+    relative to the size of hatstar near z.  The stencil takes its ray sums
+    from one jet per leg (``_hat_stencil``); the period relations take
+    hatstar directly at S z, U z and U^2 z.
     """
     k = 2 - M.weight
     hat = lambda w: hat_star(M, w, ctx, cocycle)
     with mp.workdps(ctx.work_dps):
         rel_s, rel_u = period_relations(hat, h, k, z)
-        xv = xi_fd(hat, k, z, ctx)
+        xv = xi_fd(hat, k, z, ctx, _hat_stencil(M, z, ctx, cocycle))
         target = 0 if cocycle is None else -(2j) ** (1 - k) * mp.conj(cocycle(-mp.conj(z)))
         scale = residual_scale(h)
         return abs(rel_s) / scale, abs(rel_u) / scale, relative_residual(xv, target, h)

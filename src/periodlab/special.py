@@ -12,10 +12,14 @@ Conventions used throughout:
   one implementation ``_legendre_fraction``: the Wallis forward recurrence
   on Gaussian fixed-point integers at a given scale 2^P, with the numerator
   and denominator pairs renormalized separately by shifts, and a stop test
-  in float log2 that takes no division, at any relative tolerance.
+  in float log2 that takes no division, at any relative tolerance.  At an
+  integer order, which every ray-sum term and Gamma(-N, x) take, a_j is a
+  small integer and each step multiplies by it with no P-bit product.
   ``regint.ray_sum`` runs it directly for every term, on its own
   fixed-point arguments and at each term's share of the sum's error budget;
   ``_on_fraction`` picks only ``upper_incomplete_gamma``'s branch.
+* The E1 branch sums its finite part by Horner in 1/x, and sizes its
+  cancellation from float magnitudes (lgamma and log |x|).
 * ``cal_M(k, s, u) = |u|^(-k/2) M_{sgn(u) k/2, s - 1/2}(|u|)`` is computed
   from the confluent hypergeometric series everywhere (entire in the
   argument), summed on fixed-point integers at the working precision plus
@@ -99,14 +103,16 @@ def _gamma_upper_terms(s, x, eps):
         value = mp.exp(-x) * x ** s * scaled
         return value, abs(value)
     if mp.isint(s) and s <= 0:
-        N = int(-s)
+        # sum_{j<N} (-1)^j j! y^(j+1) = y (1 - y (1 - 2 y (1 - ... (1 - (N-1) y)))), y = 1/x
+        N, y, acc = int(-s), 1 / x, 0
+        for j in range(N, 0, -1):
+            acc = y * (1 - j * acc)
         e1, emx = mp.e1(x), mp.exp(-x)
-        acc, term, top = 0, 1 / x, 0
-        for j in range(N):
-            acc += term
-            top = max(top, abs(term))
-            term *= -(j + 1) / x
         c = (-1) ** N / mp.factorial(N)
+        with mp.workprec(53):
+            log_x = float(mp.log(abs(x)))
+        # log(j! |x|^(-j-1)) is convex in j, so the largest summand is the first or the last
+        top = mp.exp(max(-log_x, math.lgamma(N) - N * log_x)) if N else 0
         return c * (e1 - emx * acc), abs(c) * max(abs(e1), abs(emx) * top)
     # lower gamma: x^s e^(-x) sum_j x^j / (s (s+1) ... (s+j)); the result
     # is pref (g - sum), so the stop test is relative to g - sum
@@ -163,12 +169,22 @@ def _legendre_fraction(s: tuple, x: tuple, P: int, log2_tol: float) -> tuple:
     A_j = b_j A_(j-1) + a_j A_(j-2), and the same for B, from
     (A_-1, A_0) = (1, b_0), (B_-1, B_0) = (0, 1), runs on Gaussian integers
     at the scale 2^P; each pair is shifted back to about P bits on its own,
-    so a large |f| costs B no precision.  Since
-    A_j B_(j-1) - A_(j-1) B_j = (-1)^(j+1) a_1 ... a_j, the step satisfies
+    so a large |f| costs B no precision.  At an integer order a_j is a small
+    integer, and the step adds a_j A_(j-2) after the shift, with no P-bit
+    product: since (a_j 2^P A) >> P = a_j A exactly, the result is the
+    same.  Since A_j B_(j-1) - A_(j-1) B_j = (-1)^(j+1) a_1 ... a_j, the step satisfies
     |f_n - f_(n-1)| / |f_n| = |a_1 ... a_n| / |A_n B_(n-1)|; the sum of
     float log2 |a_j| against bit lengths stops the loop once that is below
     2^log2_tol, with no division, after ``steps`` steps.  At a positive
-    integer order a_s = 0 and the fraction ends exactly.
+    integer order m, a_m = 0 and the fraction ends exactly after m - 1 steps.
+
+    That test bounds the last step, not the error: the steps left sum to
+    about the last one times r/(1 - r), r = |a_j A_(j-2) / A_j| the ratio of
+    consecutive steps, read off the leading bits.  For r <= 4/5 that factor
+    is at most 4.  Above it, where the fraction converges slowly (small |x|),
+    the loop runs on until the step times r/(1 - r) is below
+    2^(log2_tol + 2).  Either way the result is within about
+    2^(log2_tol + 2) relative.
     """
     one = 1 << P
     sr, si = s
@@ -178,31 +194,50 @@ def _legendre_fraction(s: tuple, x: tuple, P: int, log2_tol: float) -> tuple:
     sc = complex(sr / one, si / one)
     # with both imaginary parts zero, every imaginary half below stays 0
     real = not (si or bi)
+    # at an integer order m, a_j = j (m - j) is a small integer
+    whole, m = not (si or sr & (one - 1)), sr >> P
     Ar2, Ai2, Ar1, Ai1 = one, 0, br, bi
     Br2, Bi2, Br1, Bi1 = 0, 0, one, 0
     Ai = Bi = 0
     eA = eB = -P
     log2_a = 0.0
+    two = 2 * one
     for j in range(1, 10 ** 6):
-        ar, ai = j * (sr - j * one), j * si
-        if not (ar or ai):
-            break
-        br += 2 * one
-        if real:
-            Ar = (br * Ar1 + ar * Ar2) >> P
-            Br = (br * Br1 + ar * Br2) >> P
+        br += two
+        if whole:
+            a = j * (m - j)
+            if not a:
+                j -= 1
+                break
+            Ar = (br * Ar1 - bi * Ai1 >> P) + a * Ar2
+            Ai = (br * Ai1 + bi * Ar1 >> P) + a * Ai2
+            Br = (br * Br1 - bi * Bi1 >> P) + a * Br2
+            Bi = (br * Bi1 + bi * Br1 >> P) + a * Bi2
+            la = math.log2(abs(a))
         else:
-            Ar = (br * Ar1 - bi * Ai1 + ar * Ar2 - ai * Ai2) >> P
-            Ai = (br * Ai1 + bi * Ar1 + ar * Ai2 + ai * Ar2) >> P
-            Br = (br * Br1 - bi * Bi1 + ar * Br2 - ai * Bi2) >> P
-            Bi = (br * Bi1 + bi * Br1 + ar * Bi2 + ai * Br2) >> P
-        # s within a float ulp of the integer j: |j - s| from the fixed-point parts
-        a = abs(j * (j - sc))
-        log2_a += math.log2(a) if a else math.log2(j) + 0.5 * math.log2((j * one - sr) ** 2 + si * si) - P
+            ar, ai = j * (sr - j * one), j * si
+            if real:
+                Ar = (br * Ar1 + ar * Ar2) >> P
+                Br = (br * Br1 + ar * Br2) >> P
+            else:
+                Ar = (br * Ar1 - bi * Ai1 + ar * Ar2 - ai * Ai2) >> P
+                Ai = (br * Ai1 + bi * Ar1 + ar * Ai2 + ai * Ar2) >> P
+                Br = (br * Br1 - bi * Bi1 + ar * Br2 - ai * Bi2) >> P
+                Bi = (br * Bi1 + bi * Br1 + ar * Bi2 + ai * Br2) >> P
+            # s within a float ulp of the integer j: |j - s| from the fixed-point parts
+            a = abs(j * (j - sc))
+            la = math.log2(a) if a else math.log2(j) + 0.5 * math.log2((j * one - sr) ** 2 + si * si) - P
+        log2_a += la
         # 2^(bit length - 1) <= max(|re|, |im|) <= |A|, so this overestimates the step
-        nA = max(Ar.bit_length(), Ai.bit_length())
-        nB1 = max(Br1.bit_length(), Bi1.bit_length())
-        converged = log2_a - (nA - 1 + eA) - (nB1 - 1 + eB) < log2_tol
+        nA = (abs(Ar) | abs(Ai)).bit_length()  # max of the two bit lengths
+        nB1 = (abs(Br1) | abs(Bi1)).bit_length()
+        step = log2_a - (nA - 1 + eA) - (nB1 - 1 + eB)
+        converged = step < log2_tol
+        if converged:
+            # the steps left sum to about 2^step r/(1 - r): at most 2^(log2_tol + 2) for r <= 4/5
+            sh = max(nA - 60, 0)
+            r = 2 ** la * abs(complex(Ar2 >> sh, Ai2 >> sh)) / abs(complex(Ar >> sh, Ai >> sh))
+            converged = r <= 0.8 or r < 1 and step + math.log2(r / (1 - r)) < log2_tol + 2
         Ar2, Ai2, Ar1, Ai1 = Ar1, Ai1, Ar, Ai
         Br2, Bi2, Br1, Bi1 = Br1, Bi1, Br, Bi
         if converged:
@@ -215,7 +250,7 @@ def _legendre_fraction(s: tuple, x: tuple, P: int, log2_tol: float) -> tuple:
         elif d < -8:
             Ar2, Ai2, Ar1, Ai1 = Ar2 << -d, Ai2 << -d, Ar1 << -d, Ai1 << -d
             eA += d
-        d = max(Br.bit_length(), Bi.bit_length()) - P
+        d = (abs(Br) | abs(Bi)).bit_length() - P
         if d > 8:
             Br2, Bi2, Br1, Bi1 = Br2 >> d, Bi2 >> d, Br1 >> d, Bi1 >> d
             eB += d

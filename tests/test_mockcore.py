@@ -214,11 +214,30 @@ def test_tilde_zero(ctx, zero):
     assert tilde_r_f2(zero, mp.mpc(0, 1), ctx) == 0
 
 
-def test_hat_assembly_exact(ctx, f_delta):
-    z = mp.mpc("0.3", "1.2")
-    hat = hat_r_f2(f_delta, z, ctx)
-    with mp.workdps(ctx.work_dps):
-        assert hat == r_f2(f_delta, z, ctx) - tilde_r_f2(f_delta, z, ctx)
+def test_hat_assembly_exact(ctx, f_delta, f_cusp16, monkeypatch):
+    # hat = r2 - tilde, with the two exact cocycle integrals, r2's from S z0
+    # and tilde's from -conj z, taken as one from S z0 to -conj z: one
+    # kernel_integral call per point.  On the superm grid and at
+    # 0.4 + 0.01i, near the real axis where tilde is large
+    from periodlab.cli import _grid
+    from periodlab.eichler import PolynomialC
+
+    calls = [0]
+    integral = PolynomialC.kernel_integral
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return integral(*args, **kwargs)
+
+    monkeypatch.setattr(PolynomialC, "kernel_integral", counted)
+    for f in (f_delta, f_cusp16):
+        for z in _grid(10, "0.1", "0.8", "0.6", "1.8") + [mp.mpc("0.4", "0.01")]:
+            before = calls[0]
+            hat = hat_r_f2(f, z, ctx)
+            assert calls[0] == before + 1, (f.label, z)
+            with mp.workdps(ctx.work_dps):
+                want = r_f2(f, z, ctx) - tilde_r_f2(f, z, ctx)
+                assert abs(hat - want) <= ctx.tol_tight * residual_scale(hat, want), (f.label, z)
 
 
 def test_hat_harmonicity(ctx, f_delta):
@@ -265,8 +284,9 @@ def test_s_image_relations_see_the_ray_sums(ctx, f_delta, monkeypatch):
     from periodlab.regint import ray_sum
 
     def bumped(*args, **kwargs):
-        total, log_tail = ray_sum(*args, **kwargs)
-        return total * (1 + mp.mpf("1e-6")), log_tail
+        got = ray_sum(*args, **kwargs)
+        bump = lambda pair: (pair[0] * (1 + mp.mpf("1e-6")), pair[1])
+        return [bump(pair) for pair in got] if kwargs.get("J") else bump(got)
 
     for name, module in list(sys.modules.items()):
         if name == "periodlab" or name.startswith("periodlab."):

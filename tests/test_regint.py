@@ -29,7 +29,7 @@ from periodlab import (
 )
 from periodlab.eichler import period_relations
 from periodlab.qforms import REDUCTION_HEIGHT, _sum_q_series, certified_cusp_form
-from periodlab.regint import exp_ray_integral, ray_sum
+from periodlab.regint import SPLIT_HEIGHT, _hat_stencil, _jet_order, exp_ray_integral, hat_star, ray_sum
 
 from oracles import r2_quadrature
 
@@ -237,6 +237,56 @@ def test_ray_sum_work_does_not_grow_with_length(f_delta, monkeypatch, a):
         seen.append(dict(counts))
     assert seen[1]["fraction"] > seen[0]["fraction"] > 0
     assert seen[0]["exp"] == seen[1]["exp"] and seen[0]["pow"] == seen[1]["pow"]
+
+
+JET_POINTS = (mp.mpc("0.3", "0.6"), mp.mpc("0.15", "0.9"))
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+@pytest.mark.parametrize("form", ["delta", "cusp16", "wh-10"])
+def test_ray_sum_jet_vs_direct_stencil(form, digits):
+    # hatstar's xi stencil takes each rstar leg's ray sum from one jet at z:
+    # the sums at orders k..k+J in one pass, Taylor-summed to the four
+    # stencil points.  A jet is holomorphic in the shift by construction, so
+    # this comparison with direct sums at the stencil points is what keeps
+    # wk2_xi_image and perstar_xi_holomorphy checking how the direct sums
+    # move with the shift.  Each order of the jet also meets its own direct
+    # sum, and the whole stencil evaluator meets hat_star at the four points,
+    # each relative to max(1, |value|) as every residual is: a sum far below
+    # 1 is certified to 10^-(digits+8) absolute.
+    # The leg from S z0 has |x_1| < k + J, so its first term takes a fraction
+    # per order while the others recur down from the top order
+    from periodlab.cli import WH10_TERMS, holomorphic_form
+
+    ctx = PrecisionContext(digits=digits)
+    if form == "wh-10":
+        M, cocycle = weakly_holomorphic_m10(WH10_TERMS), None
+    else:
+        f = holomorphic_form(form, ctx)
+        M, cocycle = eichler_integral(f, ctx).series, period_polynomial(f, ctx)
+    k, z0 = 2 - M.weight, mp.mpc(0, SPLIT_HEIGHT)
+    bound = mp.mpf(10) ** -(digits + 5)
+    with mp.workdps(ctx.work_dps):
+        h = ctx.fd_step
+        for z in JET_POINTS:
+            points = [z + h, z - h, z + 1j * h, z - 1j * h]
+            for w0, shift in ((z0, lambda w: -1 / w), (S.apply(z0), lambda w: w)):
+                a = shift(z)
+                deltas = [shift(w) - a for w in points]
+                J = _jet_order(k, max(map(abs, deltas)) / abs(w0 + a), ctx)
+                jet = ray_sum(M, w0, a, k, ctx, J=J)
+                assert J >= 3 and len(jet) == J + 1
+                for j, (value, log_err) in enumerate(jet):
+                    direct, direct_err = ray_sum(M, w0, a, k + j, ctx)
+                    assert abs(value - direct) <= bound * residual_scale(direct), (z, j)
+                    assert log_err <= direct_err + 1, (z, j)
+                for w, d in zip(points, deltas):
+                    taylor = mp.fsum((-d) ** j * mp.rf(k, j) / mp.factorial(j) * value for j, (value, _) in enumerate(jet))
+                    direct = ray_sum(M, w0, shift(w), k, ctx)[0]
+                    assert abs(taylor - direct) <= bound * residual_scale(direct), (z, w)
+            for w, got in zip(points, _hat_stencil(M, z, ctx, cocycle)(points)):
+                want = hat_star(M, w, ctx, cocycle)
+                assert abs(got - want) <= bound * residual_scale(want), (z, w)
 
 
 @pytest.mark.parametrize("digits, most", [(50, 21400), (80, 51800)])
@@ -548,7 +598,8 @@ def test_per_star_verifier(ctx, f_wh):
 
 
 def test_per_star_takes_fstar_twice_per_point(ctx, f_wh, monkeypatch):
-    # Fstar enters only perstar_eq, at z and S z; the hat relations take rstar
+    # Fstar enters only perstar_eq, at z and S z; the hat relations take
+    # hatstar, directly and through its xi stencil, both stubbed out here
     import periodlab.regint as regint
 
     calls = [0]
@@ -559,7 +610,8 @@ def test_per_star_takes_fstar_twice_per_point(ctx, f_wh, monkeypatch):
         return f_star(*args, **kwargs)
 
     monkeypatch.setattr(regint, "f_star", counted)
-    monkeypatch.setattr(regint, "r_star", lambda *args, **kwargs: mp.mpc(0))
+    monkeypatch.setattr(regint, "hat_star", lambda *args, **kwargs: mp.mpc(0))
+    monkeypatch.setattr(regint, "_hat_stencil", lambda *args: lambda points: [mp.mpc(0)] * len(points))
     verify_per_star(f_wh, [mp.mpc("0.3", "1.3"), mp.mpc("0.45", "1.1")], ctx)
     assert calls[0] == 4
 

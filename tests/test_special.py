@@ -18,7 +18,7 @@ from periodlab import (
     upper_incomplete_gamma,
     whittaker_derivative_identity_check,
 )
-from periodlab.special import _kummer_series
+from periodlab.special import _CF_GUARD_BITS, _fixed, _kummer_series, _legendre_fraction
 
 import oracles
 from oracles import whittaker_M_integral
@@ -97,13 +97,14 @@ def test_gamma_order_far_below_minus_x(digits):
 def gamma_oracle(s, x, dps):
     """Gamma(s, x) to dps digits, independent of the continued fraction.
 
-    mp.gammainc for complex orders.  At a nonpositive integer order -N and
+    mp.gammainc for complex and positive integer orders (a finite sum at the
+    latter).  At a nonpositive integer order -N and
     complex x it takes seconds per call (its hypergeometric fallback), so
     there mpmath's E1 with the exact finite sum
     Gamma(-N, x) = (-1)^N/N! (E1(x) - e^(-x) sum_{j<N} (-1)^j j! x^(-j-1))
     runs instead, with the digits that sum cancels, log10(N! |x|^N), added.
     """
-    if isinstance(s, mp.mpc):
+    if isinstance(s, mp.mpc) or s > 0:
         with mp.workdps(dps):
             return mp.gammainc(s, x)
     N = int(-s)
@@ -146,6 +147,57 @@ def test_legendre_fraction_property(digits):
         want = gamma_oracle(s, x, 2 * ctx.work_dps)
         with mp.workdps(2 * ctx.work_dps):
             assert abs(got - want) <= bound * abs(want), (s, x)
+
+    check()
+
+
+def fraction_ratio(fraction) -> mp.mpc:
+    """B/A of a ``_legendre_fraction`` result, at the current precision."""
+    Br, Bi, eB, Ar, Ai, eA, _ = fraction
+    return mp.mpc(mp.mpf((Br, eB)), mp.mpf((Bi, eB))) / mp.mpc(mp.mpf((Ar, eA)), mp.mpf((Ai, eA)))
+
+
+@pytest.mark.parametrize("m, steps", [(1, 0), (2, 1), (4, 3)])
+def test_legendre_fraction_exact_end_steps(ctx, m, steps):
+    # at a positive integer order m, a_m = 0 and the fraction ends after the
+    # m - 1 steps it ran, at e^x x^(-m) Gamma(m, x) = (m-1)! sum_{j<m} x^(j-m)/j!
+    P = 200
+    for x in (mp.mpf("0.75"), mp.mpc("3.5", "-40")):  # exact at P bits
+        got = _legendre_fraction(_fixed(m, P), _fixed(x, P), P, -P)
+        assert got[-1] == steps
+        with mp.workdps(2 * ctx.work_dps):
+            want = mp.factorial(m - 1) * mp.fsum(x ** (j - m) / mp.factorial(j) for j in range(m))
+            assert abs(fraction_ratio(got) - want) <= mp.mpf(2) ** -P * abs(want), x
+
+
+@st.composite
+def ray_fraction_cases(draw):
+    """(order 1 - s, x, log2_tol) as ``regint.ray_sum`` runs the fraction: s in [-6, 26], Re x > 0, 0.5 <= |x| <= 1e4."""
+    s = draw(st.integers(-6, 26))
+    r = 0.5 * 2e4 ** draw(st.floats(0, 1))
+    theta = draw(st.sampled_from([1, -1])) * (math.pi / 2 - draw(st.floats(1e-9, math.pi / 2)))
+    return 1 - s, mp.mpc(r * math.cos(theta), r * math.sin(theta)), draw(st.floats(0, 1))
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_legendre_fraction_at_ray_sum_tolerances(digits):
+    # the fraction itself, where ray_sum runs it: every Re x > 0, also
+    # |x| <= |order| + 1 below upper_incomplete_gamma's threshold, and each
+    # term's tolerance from eps up to 2^-20; B/A is e^x x^(-order) Gamma(order, x)
+    # within 2^(log2_tol + 2) relative
+    ctx = PrecisionContext(digits=digits)
+    log2_eps = float(mp.mag(ctx.eps()) - 1)
+    P = _CF_GUARD_BITS - int(mp.mag(ctx.eps()))
+
+    @settings(max_examples=60)
+    @given(ray_fraction_cases())
+    def check(case):
+        order, x, u = case
+        log2_tol = log2_eps + u * (-20 - log2_eps)
+        got = _legendre_fraction(_fixed(order, P), _fixed(x, P), P, log2_tol)
+        with mp.workdps(2 * ctx.work_dps):
+            want = mp.exp(x) * x ** -order * gamma_oracle(order, x, 2 * ctx.work_dps)
+            assert abs(fraction_ratio(got) - want) <= mp.mpf(2) ** (log2_tol + 2) * abs(want), (order, x, log2_tol)
 
     check()
 
