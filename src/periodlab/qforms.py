@@ -1,12 +1,16 @@
 """q-expansion algebra and the level-1 modular forms used as inputs.
 
-Coefficients are exact whenever a series is built symbolically: ints for
-E4, E6, E8, E10, E14, Delta, the cusp forms and the weight -10 form, whose
-convolutions run in integer arithmetic with every division exact and
-asserted, and fractions.Fraction otherwise.  Evaluation converts to the
-working precision, so no coefficient error enters downstream tolerance
-budgets.  Series are immutable
-and hashable, which lets evaluators memoize on the series itself.
+Coefficients are exact whenever a series is built symbolically.  Every
+input form is E4^a E6^b Delta^j with integer coefficients, from the one
+builder ``_e4_e6_delta``: Delta (0, 0, 1), the eigenforms of the
+one-dimensional cusp spaces Delta E4^a E6^b, and the weight -10 form
+E4^2 E6 / Delta^2 (2, 1, -2).  It runs integer convolutions of E4 and E6,
+one exact and asserted division by 1728, and divides a pole out by a
+series with leading coefficient 1.  ``eisenstein`` gives ints at weights
+4, 6, 8, 10 and 14 and fractions.Fraction otherwise.  Evaluation converts
+to the working precision, so no coefficient error enters downstream
+tolerance budgets.  Series are immutable and hashable, which lets
+evaluators memoize on the series itself.
 
 q-series sums: scaled Horner on fixed-point integers.  ``_sum_q_series``
 runs one Horner loop over the whole window on Gaussian Python integers,
@@ -47,7 +51,11 @@ class UnsupportedWeight(DomainError):
     """Requested a cusp-form space this package does not construct."""
 
 
-DIM_ONE_WEIGHTS = (12, 16, 18, 20, 22, 26)
+# (a, b) with E_(k-12) = E4^a E6^b for each weight k with dim S_k = 1: the
+# modular forms of weight k - 12 are one-dimensional, so E8 = E4^2,
+# E10 = E4 E6 and E14 = E4^2 E6
+_DIM_ONE_EXPONENTS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
+DIM_ONE_WEIGHTS = tuple(_DIM_ONE_EXPONENTS)
 # S_k = 0 for these even weights; the zero form is still a valid answer.
 ZERO_SPACE_WEIGHTS = (0, 2, 4, 6, 8, 10, 14)
 
@@ -213,25 +221,42 @@ def _deligne_bound(weight: int) -> Tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
+def _e4_e6_delta(a: int, b: int, j: int, N: int) -> QSeries:
+    """E4^a E6^b Delta^j on q^j..q^N, of weight 4a + 6b + 12j, with integer coefficients.
+
+    Delta = (E4^3 - E6^2)/1728 is the case (0, 0, 1), and the one exact
+    division.  Otherwise, with M = N - j, the series is q^j times
+    E4^a E6^b (Delta/q)^j on q^0..q^M, Delta/q read from the memoized
+    Delta on q^1..q^(M+1), so each window builds it once, and each factor
+    enters by ``_convolve``.  A pole, j < 0, divides once by the series
+    (Delta/q)^(-j), whose leading coefficient is 1, so the long division
+    stays in integers and divides by nothing.
+    """
+    if (a, b, j) == (0, 0, 1):
+        e4, e6 = eisenstein(4, N).coeffs, eisenstein(6, N).coeffs
+        e43, e62 = _convolve(_convolve(e4, e4, N), e4, N), _convolve(e6, e6, N)
+        coeffs = [_exact_div(x - y, 1728) for x, y in zip(e43[1:], e62[1:])]
+        assert coeffs[0] == 1, "a pole divides by powers of Delta/q, which must lead with 1"
+    else:
+        M = N - j
+        delta_q = _e4_e6_delta(0, 0, 1, M + 1).coeffs
+        coeffs, den = [1] + [0] * M, [1]
+        for factor, power in ((eisenstein(4, M).coeffs, a), (eisenstein(6, M).coeffs, b), (delta_q, j)):
+            for _ in range(power):
+                coeffs = _convolve(coeffs, factor, M)
+        for _ in range(-j):
+            den = _convolve(den, delta_q, M)
+        for n in range(1, len(den)):
+            coeffs[n] -= sum(coeffs[i] * den[n - i] for i in range(n))
+    return QSeries(weight=4 * a + 6 * b + 12 * j, n_min=j, coeffs=tuple(coeffs), modular=True, label=f"E4^{a} E6^{b} delta^{j}")
+
+
+@lru_cache(maxsize=None)
 def delta(N: int) -> QSeries:
     """Discriminant form (E4^3 - E6^2)/1728 with integer coefficients tau(n)."""
     if N < 2:
         raise ValueError("need N >= 2")
-    e4 = list(eisenstein(4, N).coeffs)
-    e6 = list(eisenstein(6, N).coeffs)
-    e42 = _convolve(e4, e4, N)
-    e43 = _convolve(e42, e4, N)
-    e62 = _convolve(e6, e6, N)
-    coeffs = [_exact_div(x - y, 1728) for x, y in zip(e43, e62)]
-    assert coeffs[0] == 0 and coeffs[1] == 1
-    return QSeries(
-        weight=12,
-        n_min=1,
-        coeffs=tuple(coeffs[1:]),
-        tail_bound=_deligne_bound(12),
-        modular=True,
-        label="delta",
-    )
+    return replace(_e4_e6_delta(0, 0, 1, N), tail_bound=_deligne_bound(12), label="delta")
 
 
 @lru_cache(maxsize=None)
@@ -239,23 +264,14 @@ def cusp_form(weight: int, N: int) -> QSeries:
     """The normalized Hecke eigenform in a one-dimensional cusp space.
 
     Supported weights are exactly those with dim S_k = 1; the form is
-    delta * E_{k-12} (with E_0 = 1).
+    delta E_(k-12) = delta E4^a E6^b (``_DIM_ONE_EXPONENTS``).
     """
     if weight not in DIM_ONE_WEIGHTS:
         raise UnsupportedWeight(f"dim S_{weight} != 1; supported: {DIM_ONE_WEIGHTS}")
-    d = delta(N)
     if weight == 12:
-        return d
-    e = eisenstein(weight - 12, N)
-    coeffs = _convolve([0] + list(d.coeffs), list(e.coeffs), N)
-    return QSeries(
-        weight=weight,
-        n_min=1,
-        coeffs=tuple(coeffs[1:]),
-        tail_bound=_deligne_bound(weight),
-        modular=True,
-        label=f"cusp{weight}",
-    )
+        return delta(N)
+    a, b = _DIM_ONE_EXPONENTS[weight]
+    return replace(_e4_e6_delta(a, b, 1, N), tail_bound=_deligne_bound(weight), label=f"cusp{weight}")
 
 
 def certified_window(weight: int, ctx: PrecisionContext) -> int:
@@ -281,30 +297,7 @@ def weakly_holomorphic_m10(N: int) -> QSeries:
     """Weight -10 weakly holomorphic form E4^2 E6 / Delta^2 (pole order 2), integer coefficients."""
     if N < 1:
         raise ValueError("need N >= 1")
-    pad = N + 4
-    e4 = list(eisenstein(4, pad).coeffs)
-    e6 = list(eisenstein(6, pad).coeffs)
-    d = [0] + list(delta(pad).coeffs)
-    num = _convolve(_convolve(e4, e4, pad), e6, pad)
-    d2 = _convolve(d, d, pad)
-    # long division by q^2 (1 + ...): M = sum_{n >= -2} c_n q^n
-    denom = [d2[i + 2] for i in range(pad - 1)]
-    coeffs = []
-    acc: dict = {}
-    for n in range(-2, N + 1):
-        v = num[n + 2]
-        for j in range(-2, n):
-            v -= acc[j] * denom[n - j]
-        acc[n] = _exact_div(v, denom[0])
-        coeffs.append(acc[n])
-    return QSeries(
-        weight=-10,
-        n_min=-2,
-        coeffs=tuple(coeffs),
-        tail_bound=None,
-        modular=True,
-        label="e4sq_e6_over_delta_sq",
-    )
+    return replace(_e4_e6_delta(2, 1, -2, N), label="e4sq_e6_over_delta_sq")
 
 
 def conjugate_form(f: QSeries) -> QSeries:

@@ -123,8 +123,9 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
     Every term takes G_n = 1/f_n from the Legendre fraction f_n, which
     converges for Re x > 0 and ends exactly at a positive integer order 1-s;
     it stops at the relative eps T / (N t_n), T = max t_n, kept within
-    [eps, 2^-20].  The certified error, returned and checked by
-    ``_check_tail``, is the tail plus |C| sum_n tol_n t_n, about eps T |C|.
+    [eps, 2^-20], which leaves 1/f_n within 4 tol_n relative
+    (``_legendre_fraction``).  The certified error, returned and checked by
+    ``_check_tail``, is the tail plus |C| sum_n 4 tol_n t_n, about 4 eps T |C|.
     One pass on Gaussian integers at P = -log2(eps) + 32 bits adds
     c_n q0^n B_n conj(A_n) / |A_n|^2 for 1/f_n = B_n / A_n in the unit 2^-P T
     (N roundings, below N 2^-30 eps T), q0^n renormalized to P bits per step
@@ -139,7 +140,7 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
     recurs down by x G_sigma = 1 - sigma G_(sigma+1) (from
     Gamma(b+1, x) = b Gamma(b, x) + x^b e^(-x)): an error in G_(sigma+1) enters
     G_sigma times |sigma / x_n| < 1, so each order keeps the term's share
-    tol_n t_n of the budget.  A term below that bound takes one fraction
+    4 tol_n t_n of the budget.  A term below that bound takes one fraction
     per order.  Each order's certified error is its own tail plus that
     budget times its own |C|.
     """
@@ -166,7 +167,7 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
         if mags[n - series.n_min] > -math.inf
     }
     sums = [[0, 0] for _ in orders]  # sum_n c_n q0^n G_n per order, in the unit 2^u
-    budget = 0.0  # sum_n tol_n t_n / T
+    budget = 0.0  # sum_n 4 tol_n t_n / T
     if log2_t:
         eps = ctx.eps()
         P, log2_eps, log2_T = _CF_GUARD_BITS - mp.mag(eps), float(mp.mag(eps) - 1), max(log2_t.values())
@@ -192,7 +193,7 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
                 G.reverse()
             else:
                 G = [_legendre_fraction(((1 - o) << P, 0), X, P, tol)[:6] for o in orders]
-            budget += 2 ** (tol + log2_t[n] - log2_T)
+            budget += 2 ** (tol + 2 + log2_t[n] - log2_T)
             cr, ci, ex = parts[n - series.n_min]
             pr, pi = cr * qr - ci * qi, cr * qi + ci * qr
             for acc, (Br, Bi, eB, Ar, Ai, eA) in zip(sums, G):

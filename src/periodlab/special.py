@@ -53,8 +53,7 @@ def upper_incomplete_gamma(s, x, ctx: PrecisionContext):
     A real x must be positive.  A complex x may be any nonzero number; on
     the negative real axis the value is the limit from above (arg x = pi),
     as in mpmath.  A complex s with zero imaginary part, and a complex x on
-    the positive real axis, are taken as real and run real arithmetic.  The
-    branches:
+    the positive real axis, are taken as real.  The branches:
 
     * Re x > 0 and |x| > |s| + 1, or |x| > 6 and Re s <= 1 - |x| where
       the sums below fail (``_on_fraction``): the Legendre continued
@@ -93,9 +92,10 @@ def _gamma_upper_terms(s, x, eps):
     ``eps`` bounds the truncation error relative to the result.
     """
     if mp.re(x) > 0 and _on_fraction(s, abs(x)):
-        # e^x x^(-s) Gamma(s, x) = 1/f, the Legendre continued fraction
+        # e^x x^(-s) Gamma(s, x) = 1/f, the Legendre continued fraction, within
+        # 2^(log2_tol + 2) = 2^(mag(eps) - 1) <= eps relative
         P = _CF_GUARD_BITS - mp.mag(eps)
-        Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(_fixed(s, P), _fixed(x, P), P, float(mp.mag(eps) - 1))
+        Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(_fixed(s, P), _fixed(x, P), P, float(mp.mag(eps) - 3))
         if isinstance(s, mp.mpc) or isinstance(x, mp.mpc):
             scaled = mp.mpc(mp.mpf((Br, eB)), mp.mpf((Bi, eB))) / mp.mpc(mp.mpf((Ar, eA)), mp.mpf((Ai, eA)))
         else:
@@ -192,13 +192,10 @@ def _legendre_fraction(s: tuple, x: tuple, P: int, log2_tol: float) -> tuple:
     br += one - sr
     bi -= si
     sc = complex(sr / one, si / one)
-    # with both imaginary parts zero, every imaginary half below stays 0
-    real = not (si or bi)
     # at an integer order m, a_j = j (m - j) is a small integer
     whole, m = not (si or sr & (one - 1)), sr >> P
     Ar2, Ai2, Ar1, Ai1 = one, 0, br, bi
     Br2, Bi2, Br1, Bi1 = 0, 0, one, 0
-    Ai = Bi = 0
     eA = eB = -P
     log2_a = 0.0
     two = 2 * one
@@ -216,14 +213,10 @@ def _legendre_fraction(s: tuple, x: tuple, P: int, log2_tol: float) -> tuple:
             la = math.log2(abs(a))
         else:
             ar, ai = j * (sr - j * one), j * si
-            if real:
-                Ar = (br * Ar1 + ar * Ar2) >> P
-                Br = (br * Br1 + ar * Br2) >> P
-            else:
-                Ar = (br * Ar1 - bi * Ai1 + ar * Ar2 - ai * Ai2) >> P
-                Ai = (br * Ai1 + bi * Ar1 + ar * Ai2 + ai * Ar2) >> P
-                Br = (br * Br1 - bi * Bi1 + ar * Br2 - ai * Bi2) >> P
-                Bi = (br * Bi1 + bi * Br1 + ar * Bi2 + ai * Br2) >> P
+            Ar = (br * Ar1 - bi * Ai1 + ar * Ar2 - ai * Ai2) >> P
+            Ai = (br * Ai1 + bi * Ar1 + ar * Ai2 + ai * Ar2) >> P
+            Br = (br * Br1 - bi * Bi1 + ar * Br2 - ai * Bi2) >> P
+            Bi = (br * Bi1 + bi * Br1 + ar * Bi2 + ai * Br2) >> P
             # s within a float ulp of the integer j: |j - s| from the fixed-point parts
             a = abs(j * (j - sc))
             la = math.log2(a) if a else math.log2(j) + 0.5 * math.log2((j * one - sr) ** 2 + si * si) - P

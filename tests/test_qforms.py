@@ -94,6 +94,63 @@ def test_weakly_holomorphic_m10():
     assert M.coeff(0) == -196560
 
 
+def times(a, b, n):
+    """Cauchy product of two coefficient sequences from q^0, to q^n."""
+    return [sum(a[i] * b[m - i] for i in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1)) for m in range(n + 1)]
+
+
+def delta_oracle(N):
+    """Delta = (E4^3 - E6^2)/1728 on q^1..q^N, each division checked exact."""
+    e4, e6 = eisenstein(4, N).coeffs, eisenstein(6, N).coeffs
+    num = [x - y for x, y in zip(times(times(e4, e4, N), e4, N), times(e6, e6, N))]
+    assert num[0] == 0 and all(c % 1728 == 0 for c in num)
+    return QSeries(12, 1, tuple(c // 1728 for c in num[1:]), (2.0, 6.0), True, "delta")
+
+
+def cusp_oracle(k, N):
+    """Delta E_(k-12) on q^1..q^N, E_(k-12) from its Bernoulli normalisation."""
+    if k == 12:
+        return delta_oracle(N)
+    coeffs = times((0,) + delta_oracle(N).coeffs, eisenstein(k - 12, N).coeffs, N)[1:]
+    return QSeries(k, 1, tuple(coeffs), (2.0, k / 2), True, f"cusp{k}")
+
+
+def wh10_oracle(N):
+    """E4^2 E6 / Delta^2 on q^-2..q^N by long division, each division checked exact."""
+    e4, e6 = eisenstein(4, N + 2).coeffs, eisenstein(6, N + 2).coeffs
+    num = times(times(e4, e4, N + 2), e6, N + 2)
+    delta = delta_oracle(N + 4).coeffs
+    den = times((0,) + delta, (0,) + delta, N + 4)[2:]  # Delta^2 / q^2
+    coeffs = []
+    for n in range(N + 3):
+        v = num[n] - sum(coeffs[i] * den[n - i] for i in range(n))
+        assert v % den[0] == 0
+        coeffs.append(v // den[0])
+    return QSeries(-10, -2, tuple(coeffs), None, True, "e4sq_e6_over_delta_sq")
+
+
+@pytest.mark.parametrize("N", [1, 2, 50, 170, 300])
+def test_input_forms_match_their_constructions(N):
+    # every input form comes from the one builder E4^a E6^b Delta^j; each
+    # matches its own construction exactly: coefficients with their types,
+    # weight, window, tail bound, modularity and label (repr covers them all)
+    assert repr(weakly_holomorphic_m10(N)) == repr(wh10_oracle(N))
+    if N < 2:
+        return
+    assert repr(delta(N)) == repr(delta_oracle(N))
+    for k in qforms.DIM_ONE_WEIGHTS:
+        assert repr(cusp_form(k, N)) == repr(cusp_oracle(k, N)), k
+    assert cusp_form(12, N) is delta(N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 50, 170])
+def test_weakly_holomorphic_m10_times_delta_squared(N):
+    # (E4^2 E6 / Delta^2) Delta^2 = E4^2 E6 at every q^m the window reaches
+    wh, d = weakly_holomorphic_m10(N), (0,) + delta(N + 4).coeffs
+    e4, e6 = eisenstein(4, N + 2).coeffs, eisenstein(6, N + 2).coeffs
+    assert times(wh.coeffs, times(d, d, N + 4)[2:], N + 2) == times(times(e4, e4, N + 2), e6, N + 2)
+
+
 def test_conjugate_form(f_delta):
     assert conjugate_form(f_delta).coeffs == f_delta.coeffs  # real coefficients
     i_delta = f_delta.scale(mp.mpc(0, 1))

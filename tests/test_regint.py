@@ -1,5 +1,6 @@
 """Regularized integrals: continuation correctness, starred periods and their cocycle leg."""
 
+import math
 import random
 
 import mpmath as mp
@@ -287,6 +288,44 @@ def test_ray_sum_jet_vs_direct_stencil(form, digits):
             for w, got in zip(points, _hat_stencil(M, z, ctx, cocycle)(points)):
                 want = hat_star(M, w, ctx, cocycle)
                 assert abs(got - want) <= bound * residual_scale(want), (z, w)
+
+
+@pytest.mark.parametrize("s", [0, 12])
+@pytest.mark.parametrize("digits", [50, 80])
+def test_ray_sum_error_covers_the_fractions(monkeypatch, digits, s):
+    # each continued fraction stops within 4 2^tol relative
+    # (_legendre_fraction), so the certified error must cover every 1/f_n
+    # moved by 3.9 2^tol at once.  At w0 = i, a = 0 each x_n = 2 pi n is
+    # real and the coefficients of F[delta] share one phase, so a sign per
+    # term puts every move in phase.  The scale 10^6 lifts the sum to about
+    # 1: the tail is certified to eps absolute, and on a sum of 1e-6 it would
+    # hide the fractions' share.  Counting 2^tol per term, 4 times too
+    # little, the moved sum left that error by 1.1 to 2 times
+    import periodlab.regint as regint
+    from periodlab.cli import holomorphic_form
+
+    ctx = PrecisionContext(digits=digits)
+    F = eichler_integral(holomorphic_form("delta", ctx), ctx).series
+    fraction = regint._legendre_fraction
+
+    def moved(order, X, P, log2_tol):
+        Br, Bi, eB, Ar, Ai, eA, steps = fraction(order, X, P, log2_tol)
+        assert X[1] == Bi == Ai == 0
+        n = round(X[0] / (2 * math.pi * 2.0 ** P))
+        along = F.coeff(n) * mp.conj(F.coeff(1))
+        assert along.imag == 0
+        sign = 1 if (along.real > 0) == ((Br > 0) == (Ar > 0)) else -1
+        with mp.workprec(2 * P):
+            Br += sign * int(mp.mpf(Br) * mp.mpf(3.9) * mp.mpf(2) ** log2_tol)
+        return Br, Bi, eB, Ar, Ai, eA, steps
+
+    w0, scale = mp.mpc(0, 1), 10 ** 6
+    with mp.workdps(ctx.work_dps):
+        want, log_err = ray_sum(F, w0, 0, s, ctx, scale)
+        monkeypatch.setattr(regint, "_legendre_fraction", moved)
+        got, _ = ray_sum(F, w0, 0, s, ctx, scale)
+    # the moves fill more than a quarter of the error, so the old count fails
+    assert mp.exp(log_err) / 4 < abs(got - want) <= mp.exp(log_err)
 
 
 @pytest.mark.parametrize("digits, most", [(50, 21400), (80, 51800)])

@@ -18,7 +18,7 @@ from periodlab import (
     upper_incomplete_gamma,
     whittaker_derivative_identity_check,
 )
-from periodlab.special import _CF_GUARD_BITS, _fixed, _kummer_series, _legendre_fraction
+from periodlab.special import _CF_GUARD_BITS, _fixed, _kummer_series, _legendre_fraction, _on_fraction
 
 import oracles
 from oracles import whittaker_M_integral
@@ -92,6 +92,26 @@ def test_gamma_order_far_below_minus_x(digits):
         with mp.workdps(4 * ctx.work_dps):
             want = mp.gammainc(s, x)
             assert abs(got - want) <= bound * abs(want), (s, x)
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_gamma_fraction_within_eps(digits):
+    # l_completed's est_error takes each Gamma within ctx.eps() relative.  On
+    # the fraction branch, the fraction stops at 2^(mag(eps) - 3), which its
+    # own bound, 4 times that, keeps below eps: real and complex orders far
+    # right of and far below the argument, integer and not.  mpmath's
+    # gammainc cancels at the order -288, so it runs at four times the
+    # working precision
+    ctx = PrecisionContext(digits=digits)
+    cases = ((mp.mpf("6.5"), 6), (300, 100), (-288, 62), (mp.mpf("-330.5"), 80), (mp.mpc(10, 20), 10))
+    for s, x in cases:
+        with mp.workdps(ctx.work_dps):
+            x = x * mp.pi
+            assert _on_fraction(s, x)
+            got = upper_incomplete_gamma(s, x, ctx)
+        with mp.workdps(4 * ctx.work_dps):
+            want = mp.gammainc(s, x)
+            assert abs(got - want) <= ctx.eps() * abs(want), (s, x)
 
 
 def gamma_oracle(s, x, dps):
