@@ -22,8 +22,10 @@ from .kernel import (
 )
 from .reports import RelationReport, reports_to_csv, reports_to_json, residual_scale
 from .special import (
+    Seed,
     cal_M,
     psi_seed,
+    seed_values,
     upper_incomplete_gamma,
     whittaker_derivative_identity_check,
 )

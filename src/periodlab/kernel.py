@@ -219,7 +219,8 @@ def xi_fd(F: Callable[[mp.mpc], mp.mpc], k: int, z: complex, ctx: PrecisionConte
     near z, so F must be evaluated essentially to full working precision.
     ``stencil``, when given, is a stencil evaluator: it maps the four
     points z +- h, z +- ih to F at them in one call (``regint`` sums
-    hatstar's stencil from one ray-sum jet), in place of four calls of F;
+    hatstar's stencil from one ray-sum jet, ``poincare`` a seed's from one
+    confluent series), in place of four calls of F, which may then be None;
     the points, step and formula are the same.
     """
     with mp.workdps(ctx.work_dps):
@@ -231,11 +232,15 @@ def xi_fd(F: Callable[[mp.mpc], mp.mpc], k: int, z: complex, ctx: PrecisionConte
         return ensure_finite(2j * mp.im(z) ** k * mp.conj(dzbar), "xi_fd")
 
 
-def laplace_fd(F: Callable[[mp.mpc], mp.mpc], k: int, z: complex, ctx: PrecisionContext) -> mp.mpc:
-    """Weight-k hyperbolic Laplacian -y^2(F_xx+F_yy) + iky(F_x+iF_y), 5-point stencil."""
+def laplace_fd(F: Callable[[mp.mpc], mp.mpc], k: int, z: complex, ctx: PrecisionContext, stencil=None) -> mp.mpc:
+    """Weight-k hyperbolic Laplacian -y^2(F_xx+F_yy) + iky(F_x+iF_y), 5-point stencil.
+
+    ``stencil`` is a stencil evaluator for the four points around z, as in
+    ``xi_fd``; the center takes F(z).
+    """
     with mp.workdps(ctx.work_dps):
         z = mp.mpc(z)
-        h, fxp, fxm, fyp, fym = _stencil(F, z, ctx)
+        h, fxp, fxm, fyp, fym = _stencil(F, z, ctx, stencil)
         f0 = F(z)
         Fxx = (fxp - 2 * f0 + fxm) / h ** 2
         Fyy = (fyp - 2 * f0 + fym) / h ** 2

@@ -21,19 +21,45 @@ Conventions used throughout:
 * The E1 branch sums its finite part by Horner in 1/x, and sizes its
   cancellation from float magnitudes (lgamma and log |x|).
 * ``cal_M(k, s, u) = |u|^(-k/2) M_{sgn(u) k/2, s - 1/2}(|u|)`` is computed
-  from the confluent hypergeometric series everywhere (entire in the
-  argument), summed on fixed-point integers at the working precision plus
-  guard bits; the same loop sums its s-derivative, so the seed ``psi_seed``
-  takes no difference in s.  The integral representation of M_{mu, nu}(y)
-  is a test oracle only (``tests/oracles.py``): it degenerates on the
-  boundary Re(nu - mu + 1/2) = 0 that the seed functions sit on.
+  from the confluent hypergeometric series K = 1F1(s - mu; 2s; |u|)
+  everywhere (entire in the argument), summed on fixed-point integers at
+  the working precision plus guard bits (``_kummer_sums``).  s is a dyadic
+  rational, so each step multiplies and divides by integers, small for
+  every seed, and the loop stops on a bound of the whole tail.  The same
+  loop sums the s-derivative, so the seed ``psi_seed`` takes no difference
+  in s.  A cluster of nearby arguments of one sign (a stencil, or its
+  images under one coset) takes one series at its center, which also sums
+  y K'(y); Kummer's equation, and its s-derivative, give the rest of the
+  jet, and each argument takes its Taylor sum (``_whittaker``).  A seed is
+  a value, ``Seed(k, m, s, ds)``, not a function: ``seed_values``,
+  ``psi_seed`` and ``poincare.phi_seed`` evaluate it.  The integral
+  representation of M_{mu, nu}(y) is a test oracle only
+  (``tests/oracles.py``): it degenerates on the boundary
+  Re(nu - mu + 1/2) = 0 that the seed functions sit on.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    mpf_pi,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sub,
+    pi_fixed,
+    to_fixed,
+)
+from mpmath.libmp.libelefun import cos_sin_fixed
 
 from .kernel import DomainError, NonConvergent, PrecisionContext, StepTooLarge
 from .reports import RelationReport, relative_residual
@@ -255,75 +281,296 @@ def _legendre_fraction(s: tuple, x: tuple, P: int, log2_tol: float) -> tuple:
     return Br1, Bi1, eB, Ar1, Ai1, eA, j
 
 
-def _kummer_series(a, b, y, ctx: PrecisionContext, ds: bool = False):
-    """1F1(a; b; y) by direct summation (entire in y); with ``ds``, (1F1, d/ds 1F1) along (a, b) = (s - mu, 2 s).
 
-    The terms T_(j+1) = T_j N_j / ((b + j)(j + 1)), N_j = (a + j) y (DLMF
-    13.2.2), and dT_(j+1) = [dT_j N_j + T_j C_j / (b + j)] / ((b + j)(j + 1)),
-    C_j = (b - 2 a - j) y, run on integers at the scale 2^P, P = ``mp.prec``
-    + guard bits, each quotient rounded toward zero.  No 1/(a + j) appears,
-    so a = 0, where T_j = 0 from j = 1 on but dT_j is not, needs no case.
-    The loop stops at the first j from the fifth on where each term summed
-    has |T_j| 2^(1 - mag(eps)) < 2^P + |its sum|, so |T_j| < eps (1 + |sum|).
+
+def _log2_eps(ctx: PrecisionContext) -> float:
+    """log2 of the context's cutoff eps = 10^-(digits+8)."""
+    return -(ctx.digits + 8) * math.log2(10)
+
+
+def _dyadic(*values) -> tuple:
+    """(Q, N_1, ..., N_n): each value is N_i / Q exactly, Q the least power of two (at least 2) that serves."""
+    parts = [mp.mpf(v)._mpf_ for v in values]
+    e = max([1] + [-x for _, _, x, _ in parts])
+    return (1 << e, *((-m if sign else m) << (x + e) for sign, m, x, _ in parts))
+
+
+def _kummer_sums(A: int, B: int, Q: int, Y: int, P: int, log2_eps: float, ds: bool, jet: bool) -> tuple:
+    """(S0, S1, dS0, dS1) times 2^P: sum_j T_j and sum_j j T_j of 1F1(a; b; y), and the same of the s-derivatives dT_j.
+
+    a = A/Q and b = B/Q are exact, Q a power of two; y = Y 2^-P.  The
+    s-derivative runs along (a, b) = (s - mu, 2 s).  The terms
+    T_(j+1) = T_j y (a + j) / ((b + j)(j + 1)) (DLMF 13.2.2) and
+    dT_(j+1) = [dT_j y (a + j) + T_j y (b - 2a - j) / (b + j)] / ((b + j)(j + 1))
+    take one P-bit product by y each; the rest multiplies and divides by the
+    integers Q (a + j), Q (b + j) and Q (b - 2a - j), which are small for
+    every seed.  No 1/(a + j) appears, so a = 0, where T_j = 0 from j = 1 on
+    but dT_j is not, needs no case.  The weighted sums, y K'(y) and its
+    s-derivative, are summed only for a ``jet``.
+
+    The loop stops on a tail bound, not on a small term.  Past any j with
+    b + j > 0, each ratio |T_(i+1) / T_i| is at most r = kappa y / (j + 1),
+    kappa = 1 + |a - b| / (b + j), and |dT_(i+1)| <= r (|dT_i| + g |T_i|),
+    g = (1 + 2 kappa) / (kappa (b + j)), for every i >= j.  With
+    j + n <= (j + 1) n, sum n r^n = r / (1 - r)^2 and sum n^2 r^n <= 2 r / (1 - r)^3,
+    no sum moves past T_j by more than (j + 1) r / (1 - r)^2 |T_j|, and no
+    s-derivative sum by more than (j + 1) r / (1 - r)^2 (|dT_j| + 2 g |T_j| / (1 - r)).
+    For r <= 1/2 the loop stops once the first is below 2^log2_eps (1 + |S0|)
+    and the second below 2^log2_eps (1 + |dS0|).
     """
-    P = mp.mp.prec + _KUMMER_GUARD_BITS
     one = 1 << P
-    A, B, Y = mp.mpf(a).to_fixed(P), mp.mpf(b).to_fixed(P), mp.mpf(y).to_fixed(P)
-    stop_shift = 1 - mp.mag(ctx.eps())
-    # ((A + j 2^P) Y) >> P = ((A Y) >> P) + j Y exactly, so N, C and D step by addition
-    N, C, D = (A * Y) >> P, ((B - 2 * A) * Y) >> P, B
-    term = total = one
-    dterm = dtotal = 0
-    div = lambda num, den: num // den if (num < 0) == (den < 0) else -(-num // den)
+    b, y, gap = B / Q, Y / one, abs(A - B) / Q
+    T = S0 = one
+    S1 = dT = dS0 = dS1 = 0
+    N, D, C = A, B, B - 2 * A  # Q (a + j), Q (b + j) and Q (b - 2a - j), at j = 0
     for j in range(1, 10 ** 6):
+        Ty = T * Y >> P
         den = D * j
         if ds:
-            dterm = div(dterm * N + (div(term * C, D) << P), den)
-            dtotal += dterm
-        term = div(term * N, den)
-        total += term
-        if j > 4 and abs(term) << stop_shift < one + abs(total) and abs(dterm) << stop_shift < one + abs(dtotal):
-            return (mp.mpf((total, -P)), mp.mpf((dtotal, -P))) if ds else mp.mpf((total, -P))
-        N += Y
-        C -= Y
-        D += one
+            dT = ((dT * Y >> P) * N * D + Ty * C * Q) // (den * D)
+            dS0 += dT
+        T = Ty * N // den
+        S0 += T
+        if jet:
+            S1 += j * T
+            dS1 += j * dT
+        if not (N or ds):
+            return S0, S1, dS0, dS1  # a = 1 - j: the series ends at T_(j-1)
+        N += Q
+        D += Q
+        C -= Q
+        bj = b + j
+        if bj <= 0:
+            continue
+        kappa = 1 + gap / bj
+        r = kappa * y / (j + 1)
+        if r > 0.5:
+            continue
+        if not r:
+            return S0, S1, dS0, dS1  # y below 2^-P: every later term is 0
+        # 2^(n - 1) <= v < 2^n for n = v.bit_length(), v > 0
+        lead = math.log2((j + 1) * r) - 2 * math.log2(1 - r) - log2_eps + 1
+        if abs(T).bit_length() + lead >= (one + abs(S0)).bit_length():
+            continue
+        g = (1 + 2 * kappa) / (kappa * bj)
+        if not ds or (abs(dT) + math.ceil(2 * g / (1 - r)) * abs(T)).bit_length() + lead < (one + abs(dS0)).bit_length():
+            return S0, S1, dS0, dS1
     raise NonConvergent("confluent series iteration cap reached")
 
 
-def cal_M(k: int, s, u, ctx: PrecisionContext, ds: bool = False) -> mp.mpf:
+def _kummer_series(a, b, y, ctx: PrecisionContext, ds: bool = False):
+    """1F1(a; b; y) by direct summation (entire in y); with ``ds``, (1F1, d/ds 1F1) along (a, b) = (s - mu, 2 s).
+
+    ``_kummer_sums`` at P = ``mp.prec`` + guard bits, within eps (1 + |value|).
+    """
+    P = mp.mp.prec + _KUMMER_GUARD_BITS
+    Q, A, B = _dyadic(a, b)
+    S0, _, dS0, _ = _kummer_sums(A, B, Q, mp.mpf(y).to_fixed(P), P, _log2_eps(ctx), ds, False)
+    value = mp.mpf((S0, -P))
+    return (value, mp.mpf((dS0, -P))) if ds else value
+
+
+def _kummer_jet_order(a: float, b: float, y: float, rho: float, ds: bool, log2_eps: float) -> int:
+    """Least J with G rho^(J+1) / (1 - rho) <= 2^log2_eps, for 0 < rho < 1/2: the Taylor order of a jet at y.
+
+    Let kappa = max(1, sup_i |a + i| / |b + i|) and beta = min_i |b + i| over
+    i >= 0.  Then |(a)_j / ((b)_j j!)| <= kappa^j / j!, and its s-derivative
+    along (a, b) = (s - mu, 2 s) is at most (1 + 2 kappa) kappa^(j-1) j / (beta j!).
+    So on the circle of radius y about y, where |t| <= 2 y, |K| <= e^(2 kappa y)
+    and |dK/ds| <= (1 + 2 kappa)(2 y / beta) e^(2 kappa y).  By Cauchy's
+    estimate each jet coefficient c_r = y^r K^(r)(y) / r!, and d_r of dK/ds,
+    is at most that bound G, so the Taylor sum at (1 + rho) y leaves at most
+    G rho^(J+1) / (1 - rho) past order J.
+    """
+    near = range(max(0, math.ceil(-b)) + 1)  # |a + i| / |b + i| is monotone toward 1 past these i
+    kappa = max(1, *(abs(a + i) / abs(b + i) for i in near))
+    log2_G = 2 * kappa * y * math.log2(math.e)
+    if ds:
+        log2_G += max(0, math.log2((1 + 2 * kappa) * 2 * y / min(abs(b + i) for i in near)))
+    J = 0
+    while log2_G + (J + 1) * math.log2(rho) - math.log2(1 - rho) > log2_eps:
+        J += 1
+    return J
+
+
+def _kummer_jet(A: int, B: int, Q: int, Y: int, P: int, c: list, d: list, J: int, ds: bool) -> None:
+    """Extend c = [c_0, c_1] to c_0 .. c_J, c_r = y^r K^(r)(y) / r!, and with ``ds`` d = [d_0, d_1] to the same of dK/ds; all times 2^P.
+
+    Kummer's equation y K'' + (b - y) K' - a K = 0 (DLMF 13.2.1),
+    differentiated r times and multiplied by y^(r+1) / r!, reads
+    (r + 1)(r + 2) c_(r+2) = (y - b - r)(r + 1) c_(r+1) + (a + r) y c_r.
+    Its s-derivative along (a, b) = (s - mu, 2 s) adds the source
+    K^(r) - 2 K^(r+1), that is y c_r - 2 (r + 1) c_(r+1), to the same
+    recurrence for d_r.
+    """
+    for r in range(J - 1):
+        den = (Q * (r + 1) * (r + 2)) << P
+        lead = (Y * Q - ((B + r * Q) << P)) * (r + 1)
+        cross = (A + r * Q) * Y
+        if ds:
+            d.append((lead * d[r + 1] + cross * d[r] + Q * Y * c[r] - ((2 * (r + 1) * Q * c[r + 1]) << P)) // den)
+        c.append((lead * c[r + 1] + cross * c[r]) // den)
+
+
+def _taylor(c: list, R: int, P: int) -> int:
+    """sum_r c_r rho^r by Horner, rho = R 2^-P, every value times 2^P."""
+    v = c[-1]
+    for cr in reversed(c[:-1]):
+        v = cr + (v * R >> P)
+    return v
+
+
+def _whittaker(k: int, s, neg: bool, ds: bool, ctx: PrecisionContext) -> Callable[[list], list]:
+    """The cluster evaluator of cal_M(k, s, -+y) (- for ``neg``), or with ``ds`` of its s-derivative: raw mpf y > 0 to raw mpf values.
+
+    Built once per (k, s, sign) at the working precision: call both under
+    ``mp.workdps(ctx.work_dps)``.  For a cluster of y, one confluent series
+    at its center y_c (``_kummer_sums``) gives K = 1F1(a; b; y_c),
+    a = s - mu, b = 2 s, and c_1 = y_c K'(y_c) = sum j T_j, and the same of
+    dK/ds.  Kummer's equation gives the rest of the jet (``_kummer_jet``),
+    to the order ``_kummer_jet_order`` sets from max |rho|, and each y takes
+    its Taylor sum in rho = (y - y_c) / y_c.  A single y is a cluster of one
+    and takes no Taylor sum; a cluster with max |rho| >= 1/2 takes one
+    series per y.  The prefactor y^(s - k/2) e^(-y/2), and log y, is taken
+    per y.  Every value keeps the P = working precision + guard bits of the
+    series, so a finite difference of values at nearby points loses nothing
+    to their last rounding.
+    """
+    P = mp.mp.prec + _KUMMER_GUARD_BITS
+    Q, S = _dyadic(s)
+    if S <= 0 and not 2 * S % Q:
+        raise DomainError("2s must not be a nonpositive integer")
+    hk = k * Q >> 1  # Q k/2
+    A, B, E = S + hk if neg else S - hk, 2 * S, S - hk  # Q a, Q b and Q (s - k/2)
+    power = E // Q if not E % Q else None
+    E = from_man_exp(E, 1 - Q.bit_length())
+    log2_eps = _log2_eps(ctx)
+
+    def values(ys: list) -> list:
+        Ys = [to_fixed(y, P) for y in ys]
+        lo, hi = min(Ys), max(Ys)
+        Yc = (lo + hi) >> 1
+        S0, S1, dS0, dS1 = _kummer_sums(A, B, Q, Yc, P, log2_eps, ds, hi > lo)
+        if hi > lo:
+            rho = (hi - Yc) / Yc
+            if rho >= 0.5:
+                return [v for y in ys for v in values([y])]
+            c, d = [S0, S1], [dS0, dS1]
+            J = _kummer_jet_order(A / Q, B / Q, Yc / (1 << P), rho, ds, log2_eps)
+            _kummer_jet(A, B, Q, Yc, P, c, d, J, ds)
+            Rs = [((Y - Yc) << P) // Yc for Y in Ys]
+            Ks = [_taylor(c[:J + 1], R, P) for R in Rs]
+            Ls = [_taylor(d[:J + 1], R, P) for R in Rs] if ds else Ks
+        else:
+            Ks, Ls = [S0] * len(ys), [dS0] * len(ys)
+        out = []
+        for y, K, L in zip(ys, Ks, Ls):
+            half = mpf_shift(y, -1)
+            log_y = mpf_log(y, P) if ds or power is None else None
+            if power is None:
+                pref = mpf_exp(mpf_sub(mpf_mul(E, log_y, P), half, P), P)
+            else:
+                pref = mpf_exp(mpf_neg(half), P)
+                if power:
+                    pref = mpf_mul(pref, mpf_pow_int(y, power, P), P)
+            F = from_man_exp(K, -P)
+            if ds:
+                F = mpf_add(mpf_mul(log_y, F, P), from_man_exp(L, -P), P)
+            out.append(mpf_mul(pref, F, P))
+        return out
+
+    return values
+
+
+def cal_M(k: int, s, u, ctx: PrecisionContext, ds: bool = False):
     """Normalized Whittaker value |u|^(-k/2) M_{sgn(u) k/2, s-1/2}(|u|), u != 0; with ``ds``, its s-derivative.
 
     That is y^(s - k/2) e^(-y/2) 1F1(s - mu; 2 s; y), y = |u|, mu = sgn(u) k/2,
-    and its s-derivative y^(s - k/2) e^(-y/2) (log y 1F1 + d/ds 1F1).
+    and its s-derivative y^(s - k/2) e^(-y/2) (log y 1F1 + d/ds 1F1).  A list
+    or tuple ``u`` of arguments of one sign is a cluster: it returns the list
+    of values, from one confluent series (``_whittaker``).
     """
-    if u == 0:
-        raise DomainError("cal_M requires u != 0")
+    cluster = isinstance(u, (list, tuple))
     with mp.workdps(ctx.work_dps):
-        s = mp.mpf(s)
-        two_s = 2 * s
-        if two_s <= 0 and mp.isint(two_s):
-            raise DomainError("2s must not be a nonpositive integer")
-        y = abs(mp.mpf(u))
-        half_k = mp.mpf(k) / 2
-        mu = half_k if u > 0 else -half_k
-        F = _kummer_series(s - mu, two_s, y, ctx, ds)
-        return y ** (s - half_k) * mp.exp(-y / 2) * (mp.log(y) * F[0] + F[1] if ds else F)
+        us = [mp.mpf(v) for v in (u if cluster else [u])]
+        if not us or not all(us):
+            raise DomainError("cal_M requires u != 0")
+        neg = us[0] < 0
+        if any((v < 0) != neg for v in us):
+            raise DomainError("a cal_M cluster takes arguments of one sign")
+        values = _whittaker(k, s, neg, ds, ctx)([abs(v)._mpf_ for v in us])
+    values = [mp.make_mpf(v) for v in values]
+    return values if cluster else values[0]
+
+
+class Seed(NamedTuple):
+    """The seed cal_M(k, s, 4 pi m y) e(m x) of the weight-k Poincare series, m != 0; with ``ds``, its s-derivative."""
+
+    k: int
+    m: int
+    s: object
+    ds: bool = False
+
+
+def _seed_kernel(seed: Seed, ctx: PrecisionContext) -> Callable:
+    """The evaluator (X, ys, factors=None) -> raw (re, im) mpf pairs of ``seed`` at the points x + i y, each times its factor.
+
+    Built once per seed at the working precision, and called under it.
+    ``X`` holds each x times 2^P, P the working precision plus the guard
+    bits, and ``ys`` each y > 0 as a raw mpf; all points go to one
+    ``_whittaker`` cluster.  A factor (Fr, Fi, e) is the Gaussian number
+    (Fr + i Fi) 2^e.  The phase e(m x) = cos(2 pi t) + i sin(2 pi t), with
+    t = m x reduced exactly to [0, 1), is taken per point on fixed-point
+    integers.  Values keep P bits, as ``_whittaker``'s do.
+    """
+    P = mp.mp.prec + _KUMMER_GUARD_BITS
+    m = seed.m
+    scale, two_pi = mpf_mul(mpf_pi(P), from_int(4 * abs(m)), P), pi_fixed(P) << 1
+    whittaker = _whittaker(seed.k, seed.s, m < 0, seed.ds, ctx)
+
+    def values(X: list, ys: list, factors=None) -> list:
+        out = []
+        for i, (x, (sign, man, exp, _)) in enumerate(zip(X, whittaker([mpf_mul(y, scale, P) for y in ys]))):
+            re, im = cos_sin_fixed(((m * x) & ((1 << P) - 1)) * two_pi >> P, P)
+            e = exp - P
+            if factors:
+                fr, fi, f = factors[i]
+                re, im, e = re * fr - im * fi, re * fi + im * fr, e + f
+            if sign:
+                man = -man
+            out.append((from_man_exp(man * re, e, P), from_man_exp(man * im, e, P)))
+        return out
+
+    return values
+
+
+def _seed_points(seed: Seed, points) -> list:
+    """``points`` as mpc values, unrounded, once m != 0 and every Im z > 0 are checked."""
+    if seed.m == 0:
+        raise DomainError("a seed requires m != 0")
+    points = [mp.mpmathify(z) for z in points]
+    if not all(z.imag > 0 for z in points):
+        raise DomainError("a seed requires Im z > 0")
+    return points
+
+
+def seed_values(seed: Seed, points, ctx: PrecisionContext) -> list:
+    """``seed`` at each of ``points`` (Im > 0), from one cal_M cluster: a stencil's values in one call."""
+    with mp.workdps(ctx.work_dps):
+        points = _seed_points(seed, points)
+        P = mp.mp.prec + _KUMMER_GUARD_BITS
+        X = [to_fixed(z.real._mpf_, P) for z in points]
+        values = _seed_kernel(seed, ctx)(X, [z.imag._mpf_ for z in points])
+    return [mp.make_mpc(v) for v in values]
 
 
 def psi_seed(k: int, m: int, z, ctx: PrecisionContext) -> mp.mpc:
-    """Seed d/ds[cal_M(k, s, 4 pi m y)]_{s=k/2} e(m x) for the weight-k series, k >= 1.
+    """Seed d/ds[cal_M(k, s, 4 pi m y)]_{s=k/2} e(m x) for the weight-k series, k >= 1: ``Seed(k, m, k/2, ds=True)`` at z.
 
-    The s-derivative is in closed form: ``cal_M(..., ds=True)``, which sums
-    Kummer's series and its s-derivative in one loop.
+    The s-derivative is in closed form: Kummer's series and its s-derivative
+    are summed in one loop.
     """
-    if m == 0:
-        raise DomainError("psi_seed requires m != 0")
-    with mp.workdps(ctx.work_dps):
-        z = mp.mpc(z)
-        if not mp.im(z) > 0:
-            raise DomainError("psi_seed requires Im z > 0")
-        d = cal_M(k, mp.mpf(k) / 2, 4 * mp.pi * m * mp.im(z), ctx, ds=True)
-        return d * mp.exp(2j * mp.pi * m * mp.re(z))
+    return seed_values(Seed(k, m, mp.mpf(k) / 2, True), [z], ctx)[0]
 
 
 def whittaker_derivative_identity_check(k: int, y, ctx: PrecisionContext) -> RelationReport:
@@ -331,8 +578,9 @@ def whittaker_derivative_identity_check(k: int, y, ctx: PrecisionContext) -> Rel
 
     Left side: d/dy' [ d/ds cal_M(k, s, -y') e^(-y'/2) ]_{s=k/2, y'=y}, the
     s-derivative in closed form, the y-derivative by a central difference at
-    ``ctx.fd_step``; right side: e^(-y/2) y^(-k) cal_M(2-k, k/2, y).  Raises
-    StepTooLarge when the stencil reaches y' <= 0, where -y' would flip mu.
+    ``ctx.fd_step`` whose two values come from one cal_M cluster; right side:
+    e^(-y/2) y^(-k) cal_M(2-k, k/2, y).  Raises StepTooLarge when the stencil
+    reaches y' <= 0, where -y' would flip mu.
     """
     with mp.workdps(ctx.work_dps):
         y = mp.mpf(y)
@@ -341,8 +589,8 @@ def whittaker_derivative_identity_check(k: int, y, ctx: PrecisionContext) -> Rel
         h = mp.mpf(ctx.fd_step)
         if y - h <= 0:
             raise StepTooLarge("y-stencil crosses y = 0")
-        inner = lambda t: cal_M(k, mp.mpf(k) / 2, -t, ctx, ds=True) * mp.exp(-t / 2)
-        lhs = (inner(y + h) - inner(y - h)) / (2 * h)
+        up, down = cal_M(k, mp.mpf(k) / 2, [-(y + h), -(y - h)], ctx, ds=True)
+        lhs = (up * mp.exp(-(y + h) / 2) - down * mp.exp(-(y - h) / 2)) / (2 * h)
         rhs = mp.exp(-y / 2) * y ** mp.mpf(-k) * cal_M(2 - k, mp.mpf(k) / 2, y, ctx)
         return RelationReport.single(
             identity=f"whittaker_derivative_identity[k={k},y={mp.nstr(y, 15)}]",

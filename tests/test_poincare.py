@@ -8,7 +8,10 @@ import pytest
 from periodlab import (
     CosetTruncation,
     DomainError,
+    PrecisionContext,
+    Seed,
     phi_seed,
+    seed_values,
     truncated_poincare,
     verify_bol_xi_avatar,
     verify_laplace_eigenvalue,
@@ -33,20 +36,21 @@ def test_coset_enumeration_matches_bruteforce():
 
 
 def test_truncation_bound_zero_is_seed(ctx):
+    # phi(12, 1, 6) is the exponential seed e^(2 pi i z)
     trunc = CosetTruncation.build(0)
-    seed = lambda w: mp.exp(2j * mp.pi * w)
+    seed = Seed(12, 1, 6)
     z = mp.mpc("0.3", "1.4")
-    assert abs(truncated_poincare(12, seed, z, trunc, ctx) - seed(z)) < mp.mpf("1e-60")
+    assert abs(truncated_poincare(seed, z, trunc, ctx) - phi_seed(12, 1, 6, z, ctx)) < mp.mpf("1e-60")
 
 
 def test_truncation_stabilizes(ctx):
     # |P_C - P_2C| decreasing for C in {10, 20, 40} at z = 2i for the
     # dual-weight series at the harmonic parameter
     z = mp.mpc(0, 2)
-    seed = lambda w: phi_seed(2 - 12, 1, 6, w, ctx)
+    seed = Seed(2 - 12, 1, 6)
     vals = {}
     for C in (10, 20, 40, 80):
-        vals[C] = truncated_poincare(2 - 12, seed, z, CosetTruncation.build(C), ctx)
+        vals[C] = truncated_poincare(seed, z, CosetTruncation.build(C), ctx)
     d1 = abs(vals[10] - vals[20])
     d2 = abs(vals[20] - vals[40])
     d3 = abs(vals[40] - vals[80])
@@ -55,36 +59,69 @@ def test_truncation_stabilizes(ctx):
 
 def test_sum_t_reindexing(ctx):
     # Gamma_infty-coset structure: translating z by 1 re-indexes the sum over
-    # the right-translated representative set gamma T, term by term
+    # the right-translated representative set gamma T, term by term.  The
+    # seed takes all images in one call: a cluster far wider than a stencil
     from periodlab.eichler import T
 
     trunc = CosetTruncation.build(6)
-    seed = lambda w: phi_seed(2 - 12, 1, 6, w, ctx)
+    seed = Seed(2 - 12, 1, 6)
     z = mp.mpc("0.2", "1.7")
     w = 2 - 12
     with mp.workdps(ctx.work_dps):
-        lhs = truncated_poincare(w, seed, z + 1, trunc, ctx)
-        terms = [
-            seed((g * T).apply(z)) * (g * T).jfactor(z) ** (-w)
-            for g in trunc.representatives
-        ]
-        rhs = mp.fsum(terms)
+        lhs = truncated_poincare(seed, z + 1, trunc, ctx)
+        reps = [g * T for g in trunc.representatives]
+        values = seed_values(seed, [g.apply(z) for g in reps], ctx)
+        rhs = mp.fsum(v * g.jfactor(z) ** (-w) for g, v in zip(reps, values))
         assert abs(lhs - rhs) < mp.mpf("1e-50") * (1 + abs(lhs))
 
 
 def test_growth_sanity(ctx):
     # crude divergence guard: the truncated sum stays below seed + C^2 max-term
     trunc = CosetTruncation.build(10)
-    seed = lambda w: phi_seed(2 - 12, 1, 6, w, ctx)
+    seed = Seed(2 - 12, 1, 6)
     for y in range(1, 6):
         z = mp.mpc(0, y)
-        terms = [
-            seed(g.apply(z)) * g.jfactor(z) ** mp.mpf(-(2 - 12))
-            for g in trunc.representatives
-        ]
+        values = seed_values(seed, [g.apply(z) for g in trunc.representatives], ctx)
+        terms = [v * g.jfactor(z) ** mp.mpf(-(2 - 12)) for g, v in zip(trunc.representatives, values)]
         total = mp.fsum(terms)
         bound = abs(terms[0]) + len(terms) ** 2 * max(abs(t) for t in terms)
         assert abs(total) <= bound
+
+
+@pytest.mark.parametrize("k", [4, 12])
+def test_terminating_seed_is_exponential(ctx, k):
+    # phi(k, m, k/2) has a = s - k/2 = 0, so 1F1 = 1 and the seed is
+    # e^(-2 pi m y) e(m x) = e^(2 pi i m z): the target of bol_descent
+    for m in (1, 2):
+        for z in (mp.mpc("0.3", "0.8"), mp.mpc("-0.45", "1.5"), mp.mpc(0, 2)):
+            got = phi_seed(k, m, mp.mpf(k) / 2, z, ctx)
+            with mp.workdps(ctx.work_dps):
+                want = mp.exp(2j * mp.pi * m * z)
+            assert abs(got - want) <= ctx.eps() * abs(want), (m, z)
+
+
+@pytest.mark.parametrize("digits", [30, 50, 80, 100])
+def test_matched_stencil_sums_meet_pointwise_sums(digits):
+    # each matched truncation takes its xi stencil from one cal_M cluster per
+    # coset, Taylor-summed to the four images; each stencil sum meets
+    # truncated_poincare at that point alone (one series per coset, no
+    # Taylor sum) within eps relative, at xi_descent's and bol_descent's points
+    ctx = PrecisionContext(digits=digits)
+    trunc = CosetTruncation.build(DESCENT_BOUND)
+    for seed, z in ((Seed(12, -1, 6, True), mp.mpc(0, 2)), (Seed(2 - 12, -1, 6), mp.mpc(0, "1.5"))):
+        with mp.workdps(ctx.work_dps):
+            h = ctx.fd_step
+            points = [z + h, z - h, z + 1j * h, z - 1j * h]
+        for w, got in zip(points, truncated_poincare(seed, points, trunc, ctx)):
+            want = truncated_poincare(seed, w, trunc, ctx)
+            assert abs(got - want) <= ctx.eps() * abs(want), (seed, w)
+
+
+def test_seed_rejects_points_off_the_half_plane(ctx):
+    with pytest.raises(DomainError):
+        truncated_poincare(Seed(12, 1, 6), [mp.mpc(0, 1), mp.mpc(0, -1)], CosetTruncation.build(2), ctx)
+    with pytest.raises(DomainError):
+        seed_values(Seed(12, 0, 6), [mp.mpc(0, 1)], ctx)
 
 
 def test_phi_seed_x_periodicity(ctx):

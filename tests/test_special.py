@@ -18,6 +18,7 @@ from periodlab import (
     upper_incomplete_gamma,
     whittaker_derivative_identity_check,
 )
+from periodlab.eichler import GroupElement
 from periodlab.special import _CF_GUARD_BITS, _fixed, _kummer_series, _legendre_fraction, _on_fraction
 
 import oracles
@@ -362,12 +363,17 @@ def test_kummer_series_ds_property(digits):
 @pytest.mark.parametrize("digits", [50, 80, 120])
 def test_kummer_series_property(digits):
     # absolute-or-relative error <= 10^-(digits+5) (1 + |v|) against mpmath's
-    # 1F1 at twice the working precision, across sign changes of a + j
+    # 1F1 at twice the working precision, across sign changes of a + j.  At
+    # a = -6 + 2^-200 the terms fall to about 2^-200 at j = 7 and then grow
+    # again with y^j/j!: a stop at the first small term was 3.4e-44 (y = 80)
+    # and 1.4e-51 (y = 60) off at 50 digits, and a stop on the tail bound is not
     ctx = PrecisionContext(digits=digits)
     bound = mp.mpf(10) ** -(digits + 5)
 
     @settings(max_examples=60)
     @given(kummer_cases())
+    @example((mp.mpf(-6) + mp.mpf(2) ** -200, mp.mpf("0.5"), mp.mpf(80)))
+    @example((mp.mpf(-6) + mp.mpf(2) ** -200, mp.mpf(1), mp.mpf(60)))
     def check(case):
         a, b, y = case
         with mp.workdps(ctx.work_dps):
@@ -377,6 +383,45 @@ def test_kummer_series_property(digits):
             assert abs(got - want) <= bound * (1 + abs(want)), (a, b, y)
 
     check()
+
+
+# images of xi stencils under three cosets: the clusters truncated_poincare takes
+CLUSTER_MAPS = (GroupElement(1, 0, 0, 1), GroupElement(0, -1, 1, 0), GroupElement(2, 1, 5, 3))
+
+
+@pytest.mark.parametrize("digits", [30, 50, 80, 100])
+def test_cal_M_cluster_meets_single_calls(digits):
+    # a cluster takes one confluent series at its center and a Taylor sum per
+    # argument, its jet from Kummer's equation (the s-derivative's with the
+    # source term K - 2K'), to the order the remainder bound sets.  Each value
+    # of a stencil's cluster meets a single call (one series at that argument,
+    # no Taylor sum) within eps relative: at 30 digits about 1e-12 eps, where
+    # one Taylor order fewer is about 1e5 eps off.  Wide clusters, a long jet
+    # at max |rho| = 1/3 and one series per argument at 5/7, meet them within
+    # 10^-(digits+5)
+    ctx = PrecisionContext(digits=digits)
+    clusters = []
+    for z in (mp.mpc(0, 2), mp.mpc("0.3", "0.8")):
+        with mp.workdps(ctx.work_dps):
+            h = ctx.fd_step
+            points = [z + h, z - h, z + 1j * h, z - 1j * h]
+            clusters += [([4 * mp.pi * mp.im(g.apply(w)) for w in points], ctx.eps()) for g in CLUSTER_MAPS]
+    clusters += [([mp.mpf(u) for u in us], mp.mpf(10) ** -(digits + 5)) for us in ((1, "1.5", 2), ("0.5", 3))]
+    for k, s in ((4, 2), (12, 6), (-10, 6)):
+        for m in (1, -1):
+            for ds in (False, True):
+                for us, bound in clusters:
+                    us = [m * u for u in us]
+                    for u, got in zip(us, cal_M(k, s, us, ctx, ds=ds)):
+                        want = cal_M(k, s, u, ctx, ds=ds)
+                        assert abs(got - want) <= bound * abs(want), (k, m, ds, u)
+
+
+def test_cal_M_cluster_needs_one_sign(ctx):
+    with pytest.raises(DomainError):
+        cal_M(12, 6, [mp.mpf(1), mp.mpf(-1)], ctx)
+    with pytest.raises(DomainError):
+        cal_M(12, 6, [mp.mpf(1), mp.mpf(0)], ctx)
 
 
 def test_cal_M_negative_u(ctx):
