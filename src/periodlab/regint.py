@@ -13,25 +13,26 @@ Gamma(1-k, .) is log-branched, and the continuation path in u must pass the
 obstruction points u = -2 pi i n on a fixed side; the two sides differ by
 an explicit monodromy.  This module continues through {Re u < 0}, equivalently
 along a contour slanted down-right, uniformly for every principal term: there
-Gamma(1-k, x) takes arg x in (0, 2 pi), the principal value from
-``special.upper_incomplete_gamma`` minus the monodromy
-(-1)^(k-1)/(k-1)! 2 pi i when Im x < 0.  The verified identities hold under
-either uniform continuation; the value of an individual regularized integral
-depends on it.
+Gamma(1-k, x) takes arg x in (0, 2 pi), the principal value minus the
+monodromy (-1)^(k-1)/(k-1)! 2 pi i when Im x < 0.  The verified identities
+hold under either uniform continuation; the value of an individual
+regularized integral depends on it.
 
-Each kernel is one term scale (w + a)^(-s): the principal terms n < 0
-take the formula above on that sheet, the constant term n = 0 is
-elementary, and the decaying part n >= 1 is the same formula summed over the
-coefficients on the principal branch (``ray_sum``), whose length is fixed by
-a certified tail bound.  There Gamma(1-s, x) is e^(-x) x^(1-s) / f
-with f the Legendre continued fraction, and the term folds to
-c_n q0^n (w0 + a)^(1-s) / f with q0 = e^(2 pi i w0): a sum is one pass on
-fixed-point integers with one exponential and one power, and each fraction
-stops at its term's share of the error budget.  One pass can also return a
-jet, the sums at orders s..s+J for the Taylor expansion in the shift a:
-each term then takes one fraction at the top order and recurs down in the
-order where that is stable.  Ray quadrature is not used here; it remains
-the oracle that the tests compare against.
+Each kernel is one term scale (w + a)^(-s), and every term folds to
+c_n q0^n (w0 + a)^(1-s) G_n with q0 = e^(2 pi i w0) and
+G_n = e^x x^(s-1) Gamma(1-s, x), x = -2 pi i n (w0 + a).  The principal terms
+n < 0 take G on that sheet from the series of x^N Gamma(-N, x), DLMF 8.4.15,
+on fixed-point integers (``special._negint_series``; ``_folded_terms``), the
+constant term n = 0 is elementary, and the decaying part n >= 1 is the same
+fold summed over the coefficients on the principal branch (``ray_sum``),
+whose length is fixed by a certified tail bound.  There G_n = 1/f with f
+the Legendre continued fraction: a sum is one pass on fixed-point integers
+with one exponential and one power, and each fraction stops at its term's
+share of the error budget.  Both can also return a jet, the sums at orders
+s..s+J for the Taylor expansion in the shift a: each term then takes one G
+at one order and recurs to the others, in the direction where that is
+stable.  Ray quadrature is not used here; it remains the oracle that the
+tests compare against.
 
 The starred periods of a weight-(2-k) input M, with Q = M |_{2-k} (1 - S)
 its period cocycle, are
@@ -60,9 +61,9 @@ S z0 to -conj z.  Off the unit circle S z0 != z0, so rstar(z) sums from
 (z0, -1/z) and (S z0, z) while rstar(S z) sums from (z0, z) and (S z0, -1/z):
 the sums in rstar|(1+S) do not cancel, and that relation checks them.  The
 xi stencil of hatstar around z moves only the shifts -1/z and z, so it
-takes each leg's decaying part from one jet at z (``_hat_stencil``); the
-test of jet against direct sums keeps that stencil sensitive to how the
-direct sums move with the shift.
+takes each leg, principal terms and decaying part, from one jet at z
+(``_hat_stencil``); the tests of jet against direct values keep that
+stencil sensitive to how the direct values move with the shift.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .eichler import PolynomialC, S, period_relations
 from .kernel import DomainError, PrecisionContext, StepTooLarge, xi_fd
 from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _fixed_coeffs, _to_mpc, evaluate, q_parts
 from .reports import relative_residual, residual_scale, tabulate
-from .special import _CF_GUARD_BITS, _fixed, _legendre_fraction, upper_incomplete_gamma
+from .special import _CF_GUARD_BITS, _fixed, _legendre_fraction, _negint_series, _on_fraction
 
 SPLIT_HEIGHT = 5 / 4  # height of r_star's default base point
 
@@ -89,19 +90,63 @@ class NotRegularizable(DomainError):
 def exp_ray_integral(n: int, w0, a, s: int, ctx: PrecisionContext) -> mp.mpc:
     """R.int_{w0}^{i oo} e^(2 pi i n w) (w + a)^(-s) dw for integer s and n != 0.
 
-    e^(-lam a) (-lam)^(s-1) Gamma(1-s, -lam (w0 + a)) with lam = 2 pi i n.
-    For n >= 1 Gamma takes its principal branch, which is the plain integral
-    when Re(-lam (w0 + a)) > 0 along the ray (Im(w0 + a) > 0); the decaying
-    terms run folded in ``ray_sum``, and this form is their unfolded oracle in
-    the tests.  For n < 0 and s >= 1 it takes the module's sheet, arg x in
-    (0, 2 pi); for s <= 0 Gamma(1-s, .) is entire.
+    e^(-lam a) (-lam)^(s-1) Gamma(1-s, x) with lam = 2 pi i n and
+    x = -lam (w0 + a), folded as ``ray_sum`` folds it: q0^n (w0 + a)^(1-s) G
+    with q0 = e^(2 pi i w0) and G = e^x x^(s-1) Gamma(1-s, x)
+    (``_folded_terms``).  For n >= 1 Gamma takes its principal branch, which
+    is the plain integral when Re x > 0 along the ray (Im(w0 + a) > 0); the
+    decaying terms run in ``ray_sum``, and this form, one term at a time at
+    the full eps, is their oracle in the tests.  For n < 0 and s >= 1 it
+    takes the module's sheet, arg x in (0, 2 pi); for s <= 0 Gamma(1-s, .)
+    is entire.
     """
-    lam = 2j * mp.pi * n
-    x = -lam * (w0 + a)
-    g = upper_incomplete_gamma(1 - s, x, ctx)
-    if n < 0 and s >= 1 and mp.im(x) < 0:
-        g -= (-1) ** (s - 1) / mp.factorial(s - 1) * 2j * mp.pi
-    return mp.exp(-lam * a) * (-lam) ** (s - 1) * g
+    return (w0 + a) ** (1 - s) * _folded_terms(n, w0, a, s, 0, ctx)[0]
+
+
+def _folded_terms(n: int, w0, a, s: int, J: int, ctx: PrecisionContext) -> list:
+    """q0^n G_sigma for sigma = s..s+J: times (w0 + a)^(1-sigma), the term of ``exp_ray_integral`` at order sigma.
+
+    Here q0 = e^(2 pi i w0), x = -2 pi i n (w0 + a) and
+    G_sigma = e^x x^(sigma-1) Gamma(1-sigma, x), at the current precision.
+    The term takes one G, at the order sigma* of ``ray_sum``'s rule: the
+    least order with sigma* >= |x|, s + J if there is none.  For s + J <= 0
+    (a Gamma of positive order) it starts from G_0 = 1/x; for n >= 1 where
+    ``special._on_fraction`` holds, from the Legendre fraction at the full
+    eps; otherwise from the series H = x^N Gamma(-N, x), N = sigma* - 1, on
+    the module's sheet for n < 0 (``special._negint_series``), folded as
+    q0^n G = e^(-2 pi i n a) H with one exponential.  The other orders
+    recur by x G_sigma = 1 - sigma G_(sigma+1), from
+    Gamma(b+1, x) = b Gamma(b, x) + x^b e^(-x): at integer order the monodromy
+    (-1)^N/N! 2 pi i of Gamma(-N, .) obeys the same recurrence, so it holds on
+    every sheet.  Below sigma* an error enters times |sigma / x| < 1 for
+    sigma >= 0, above it times |x / sigma| <= 1; at the negative orders the
+    recurrence is Horner's rule for the finite sum
+    (-sigma)! sum_(j <= -sigma) x^(j+sigma-1) / j!.
+    """
+    u = w0 + a
+    if u == 0:
+        raise DomainError("a principal term needs w0 + a != 0")
+    x = mp.mpc(u.imag, -u.real) * (2 * n * mp.pi)
+    r, top = math.hypot(float(x.real), float(x.imag)), s + J
+    anchor = next((o for o in range(s, top + 1) if o >= r), top)
+    series = anchor >= 1 and not (n >= 1 and x.real > 0 and _on_fraction(1 - anchor, r))
+    q = None if series and J == 0 else mp.expjpi(2 * n * w0)  # q0^n, which the recurrence needs
+    if anchor <= 0:
+        anchor, F = 0, q / x
+    elif series:
+        Hr, Hi, P = _negint_series(anchor - 1, x, -mp.mp.prec, sheet=n < 0)
+        F = mp.expjpi(-2 * n * a) * mp.mpc(mp.mpf((Hr, -P)), mp.mpf((Hi, -P)))
+    else:
+        eps = ctx.eps()
+        P = _CF_GUARD_BITS - mp.mag(eps)
+        Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(((1 - anchor) << P, 0), _fixed(x, P), P, float(mp.mag(eps) - 3))
+        F = q * mp.mpc(mp.mpf((Br, eB)), mp.mpf((Bi, eB))) / mp.mpc(mp.mpf((Ar, eA)), mp.mpf((Ai, eA)))
+    Fs = {anchor: F}
+    for o in range(anchor - 1, s - 1, -1):
+        Fs[o] = (q - o * Fs[o + 1]) / x  # x q0^n G_sigma = q0^n - sigma q0^n G_(sigma+1)
+    for o in range(anchor, top):
+        Fs[o + 1] = (q - x * Fs[o]) / o
+    return [Fs[o] for o in range(s, top + 1)]
 
 
 def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: int = 0):
@@ -134,19 +179,24 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
     With J > 0 it returns the list of (sum, log error) at the orders
     s, s+1, ..., s+J in one pass, a jet in a: the sum against
     (w+a+delta)^(-s) is sum_j (-delta)^j (s)_j / j! times the sum at order
-    s+j.  The window is the longest of the orders', and t_n takes the F of
-    order s, the largest.  A term with |x_n| > |sigma| + 1 for each order
-    sigma = s, ..., s+J-1 takes one fraction, at the top order s+J, and
-    recurs down by x G_sigma = 1 - sigma G_(sigma+1) (from
-    Gamma(b+1, x) = b Gamma(b, x) + x^b e^(-x)): an error in G_(sigma+1) enters
-    G_sigma times |sigma / x_n| < 1, so each order keeps the term's share
-    4 tol_n t_n of the budget.  A term below that bound takes one fraction
-    per order.  Each order's certified error is its own tail plus that
-    budget times its own |C|.
+    s+j; it needs s >= 0.  The window is the longest of the orders', and t_n
+    takes the F of order s, the largest.  Each term takes one fraction, at
+    the least order sigma* with sigma* >= |x_n|, s+J if there is none, and
+    recurs from it by x G_sigma = 1 - sigma G_(sigma+1) (from
+    Gamma(b+1, x) = b Gamma(b, x) + x^b e^(-x)): down below sigma*, where an
+    error in G_(sigma+1) enters G_sigma times |sigma / x_n| < 1, and up above
+    it, G_(sigma+1) = (1 - x G_sigma) / sigma, where an error enters times
+    |x_n / sigma| <= 1.  So no order's G is off by more than the fraction's
+    4 tol_n relative of G_(sigma*), and |G_sigma| <= 1/|x_n| at every order
+    sigma >= 0: each order keeps the term's share 4 tol_n t_n of the budget,
+    and each order's certified error is its own tail plus that budget times
+    its own |C|.
     """
     height = mp.im(w0 + a)
     if not height > 0:
         raise DomainError("ray sum needs Im(w0 + a) > 0")
+    if J and s < 0:
+        raise DomainError("a ray-sum jet needs s >= 0")
     orders = range(s, s + J + 1)
     log2_F = [-o * math.log2(1 - o / (2 * math.pi * float(height))) if o < 0 else 0.0 for o in orders]
     log_b, alpha, beta = _coeff_model(series)
@@ -177,7 +227,6 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
         Qr, Qi = to_fixed(mpf_mul(E, cos), sq), to_fixed(mpf_mul(E, sin), sq)
         qr, qi, eq = 1 << P, 0, -P  # q0^n = (qr + i qi) 2^eq
         u = math.ceil(log2_T) - P
-        recur_above = max(abs(s), abs(s + J - 1)) + 1  # |x_n| above this recurs down from the top order
         for n in range(1, max(log2_t) + 1):
             qr, qi = qr * Qr - qi * Qi, qr * Qi + qi * Qr
             d = max(qr.bit_length(), qi.bit_length()) - P
@@ -186,17 +235,16 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
                 continue
             tol = min(max(log2_eps + log2_T - math.log2(N) - log2_t[n], log2_eps), -20.0)
             X = (n * X1r, n * X1i)
-            if n * abs_x1 > recur_above:
-                G = [_legendre_fraction(((1 - orders[-1]) << P, 0), X, P, tol)[:6]]
-                for o in reversed(orders[:-1]):
-                    G.append(_order_down(G[-1], o, X, P))
-                G.reverse()
-            else:
-                G = [_legendre_fraction(((1 - o) << P, 0), X, P, tol)[:6] for o in orders]
+            anchor = next((o for o in orders if o >= n * abs_x1), orders[-1])
+            G = {anchor: _legendre_fraction(((1 - anchor) << P, 0), X, P, tol)[:6]}
+            for o in range(anchor - 1, s - 1, -1):
+                G[o] = _order_step(G[o + 1], o, X, P, False)
+            for o in range(anchor, s + J):
+                G[o + 1] = _order_step(G[o], o, X, P, True)
             budget += 2 ** (tol + 2 + log2_t[n] - log2_T)
             cr, ci, ex = parts[n - series.n_min]
             pr, pi = cr * qr - ci * qi, cr * qi + ci * qr
-            for acc, (Br, Bi, eB, Ar, Ai, eA) in zip(sums, G):
+            for acc, (Br, Bi, eB, Ar, Ai, eA) in zip(sums, (G[o] for o in orders)):
                 gr, gi, den, eg = Br * Ar + Bi * Ai, Bi * Ar - Br * Ai, Ar * Ar + Ai * Ai, eB - eA
                 vr, vi = pr * gr - pi * gi, pr * gi + pi * gr
                 sh = ex + eq + eg - u
@@ -217,23 +265,28 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
     return out if J else out[0]
 
 
-def _order_down(g: tuple, order: int, X: tuple, P: int) -> tuple:
-    """G_order = (1 - order G_(order+1)) / x from G_(order+1) = (Br + i Bi) 2^eB / ((Ar + i Ai) 2^eA), x = X 2^-P.
+def _order_step(g: tuple, order: int, X: tuple, P: int, up: bool) -> tuple:
+    """By x G_order = 1 - order G_(order+1), x = X 2^-P: G_(order+1) from G_order when ``up``, else G_order from G_(order+1).
 
-    The same form (Br, Bi, eB, Ar, Ai, eA): B' = A - order B on a common
-    exponent, A' = x A, each shifted back to P bits.
+    Each G = (Br + i Bi) 2^eB / ((Ar + i Ai) 2^eA), the form
+    ``_legendre_fraction`` returns.  Down: B' = A - order B and A' = x A;
+    up: B' = A - x B and A' = order A.  The difference is taken on a common
+    exponent, and each pair is shifted back to P bits.
     """
     Br, Bi, eB, Ar, Ai, eA = g
+    if up:
+        Br, Bi = X[0] * Br - X[1] * Bi >> P, X[0] * Bi + X[1] * Br >> P
+        Dr, Di, eD = order * Ar, order * Ai, eA
+    else:
+        Br, Bi = order * Br, order * Bi
+        Dr, Di, eD = X[0] * Ar - X[1] * Ai, X[0] * Ai + X[1] * Ar, eA - P
     e = min(eA, eB)
-    Nr, Ni = (Ar << eA - e) - order * (Br << eB - e), (Ai << eA - e) - order * (Bi << eB - e)
-    Dr, Di = X[0] * Ar - X[1] * Ai, X[0] * Ai + X[1] * Ar
+    Nr, Ni = (Ar << eA - e) - (Br << eB - e), (Ai << eA - e) - (Bi << eB - e)
     dN = max(Nr.bit_length(), Ni.bit_length()) - P
     dD = max(Dr.bit_length(), Di.bit_length()) - P
-    if dN < 0:
-        Nr, Ni = Nr << -dN, Ni << -dN
-    else:
-        Nr, Ni = Nr >> dN, Ni >> dN
-    return Nr, Ni, e + dN, Dr >> dD, Di >> dD, eA - P + dD
+    Nr, Ni = (Nr >> dN, Ni >> dN) if dN >= 0 else (Nr << -dN, Ni << -dN)
+    Dr, Di = (Dr >> dD, Di >> dD) if dD >= 0 else (Dr << -dD, Di << -dD)
+    return Nr, Ni, e + dN, Dr, Di, eD + dD
 
 
 def reg_integral_to_icusp(M: QSeries, z0, a, s: int, ctx: PrecisionContext, scale=1) -> mp.mpc:
@@ -253,22 +306,31 @@ def reg_integral_to_icusp(M: QSeries, z0, a, s: int, ctx: PrecisionContext, scal
         return total
 
 
-def _principal_part(M: QSeries, z0: mp.mpc, a, s: int, ctx: PrecisionContext, scale=1) -> mp.mpc:
-    """The principal and constant terms, n <= 0, of ``reg_integral_to_icusp``, at the current precision."""
-    if s >= 1 and z0 + a == 0:
+def _principal_part(M: QSeries, z0: mp.mpc, a, s: int, ctx: PrecisionContext, scale=1, J: int = 0):
+    """The principal and constant terms, n <= 0, of ``reg_integral_to_icusp``, at the current precision.
+
+    With J > 0 it returns the list of their sums at the orders s..s+J, a
+    jet in a as ``ray_sum`` returns it.  Each principal term takes one G
+    and recurs to the other orders (``_folded_terms``); the constant term
+    is c_0 (z0 + a)^(1-sigma) / (sigma - 1) at each order sigma.
+    """
+    u = z0 + a
+    if s >= 1 and u == 0:
         raise DomainError("kernel pole sits at the base point")
-    total = mp.mpc(0)
+    sums = [mp.mpc(0)] * (J + 1)
     for n in range(M.n_min, min(M.n_max, 0) + 1):
         c = _to_mpc(M.coeff(n))
         if c == 0:
             continue
         if n < 0:
-            total += c * scale * exp_ray_integral(n, z0, a, s, ctx)
+            terms = _folded_terms(n, z0, a, s, J, ctx)
         elif s < 2:
             raise NotRegularizable("constant term against a non-decaying kernel has a pole at u = 0")
         else:
-            total += c * scale * (z0 + a) ** (1 - s) / (s - 1)
-    return total
+            terms = [mp.mpf(1) / (o - 1) for o in range(s, s + J + 1)]
+        sums = [total + c * term for total, term in zip(sums, terms)]
+    out = [total * scale * u ** (1 - o) for o, total in enumerate(sums, s)]
+    return out if J else out[0]
 
 
 def _cocycle_spot_check(M: QSeries, Q: Optional[PolynomialC], ctx: PrecisionContext) -> None:
@@ -338,15 +400,17 @@ def hat_star(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[PolynomialC
 
 
 def _hat_stencil(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[PolynomialC]) -> Callable:
-    """hatstar at ``xi_fd``'s stencil points w near z, with each rstar leg's ray sum from one jet at z.
+    """hatstar at ``xi_fd``'s stencil points w near z, with each rstar leg from one jet at z.
 
     The legs sum against (w' - 1/w)^(-k) from z0 and (w' + w)^(-k) from
     S z0: their shifts -1/w and w move by delta = (w - z)/(z w) and w - z
-    from z.  Each leg takes one ``ray_sum`` jet at z, of the least order J
-    whose Taylor remainder is at most eps relative to the sum of the term
-    bounds t_n (``_jet_order``), and its stencil values are the Taylor sums
-    (``_jet_value``).  The principal terms, the factor w^(-k) and the
-    cocycle integral are taken at each point as ``hat_star`` takes them.
+    from z.  Each leg takes one jet at z, of the least order J whose Taylor
+    remainder is at most eps relative to the sum of the term bounds t_n
+    (``_jet_order``): its principal and constant terms (``_principal_part``)
+    plus its ``ray_sum`` jet, so each principal term takes one series per
+    stencil, not one per point.  The stencil values are the Taylor sums
+    (``_jet_value``).  The factor w^(-k) and the cocycle integral are taken
+    at each point as ``hat_star`` takes them.
     """
     k, z0 = 2 - M.weight, mp.mpc(0, SPLIT_HEIGHT)
     sz0 = S.apply(z0)
@@ -356,8 +420,10 @@ def _hat_stencil(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[Polynom
             legs = []
             for w0, a, deltas in ((z0, -1 / z, [(w - z) / (z * w) for w in points]), (sz0, z, [w - z for w in points])):
                 J = _jet_order(k, max(map(abs, deltas)) / abs(w0 + a), ctx)
-                jet = ray_sum(M, w0, a, k, ctx, J=J) if M.n_max >= 1 else []
-                legs.append([_principal_part(M, w0, a + d, k, ctx) + _jet_value(jet, k, d) for d in deltas])
+                jet = _principal_part(M, w0, a, k, ctx, J=J)
+                if M.n_max >= 1:
+                    jet = [p + v for p, (v, _) in zip(jet, ray_sum(M, w0, a, k, ctx, J=J))]
+                legs.append([_jet_value(jet, k, d) for d in deltas])
             out = []
             for w, near, far in zip(points, *legs):
                 value = w ** (-k) * near - far
@@ -377,6 +443,11 @@ def _jet_order(s: int, rho, ctx: PrecisionContext) -> int:
     times its bound t_n |C|.  The ratio of consecutive remainder terms is
     rho (s + j)/(j + 1), at most rho (s + J + 1)/(J + 2) past J, so the
     remainder is at most C(s + J, J + 1) rho^(J + 1) over 1 minus that ratio.
+    A principal term takes the same J: its Taylor coefficients are
+    q0^n (w0 + a)^(1-s-j) G_(s+j) with G_sigma about 1/(x + sigma) at each of
+    the few orders, so its remainder follows the same powers of rho, and
+    ``test_principal_jet_vs_direct_stencil`` checks each leg's jet against
+    direct values at the stencil points.
     """
     if not rho < 0.5:
         raise StepTooLarge("a jet step reaches half way to the kernel pole")
@@ -388,9 +459,9 @@ def _jet_order(s: int, rho, ctx: PrecisionContext) -> int:
 
 
 def _jet_value(jet: list, s: int, delta) -> mp.mpc:
-    """sum_j (-delta)^j (s)_j / j! S_(s+j), the Taylor sum of a ``ray_sum`` jet at the shift a + delta."""
+    """sum_j (-delta)^j (s)_j / j! S_(s+j), the Taylor sum of a jet of sums S at the shift a + delta."""
     total, power = mp.mpc(0), mp.mpf(1)
-    for j, (value, _) in enumerate(jet):
+    for j, value in enumerate(jet):
         total += math.comb(s + j - 1, j) * power * value
         power *= -delta
     return total

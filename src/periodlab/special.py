@@ -4,10 +4,11 @@ Conventions used throughout:
 
 * ``upper_incomplete_gamma(s, x)`` is Gamma(s, x) = int_x^oo t^(s-1) e^(-t) dt
   for real or complex s and x, on the principal branch; it is the package's
-  only incomplete-gamma/E1 routine.  Its branches are the Legendre continued
+  only incomplete-gamma routine.  Its branches are the Legendre continued
   fraction in the right half-plane for large x or a large negative order
-  (``_on_fraction``), the E1 anchor plus a finite sum for other nonpositive
-  integer orders, and Gamma(s) minus the lower-gamma series otherwise.
+  (``_on_fraction``), the series DLMF 8.4.15 for other nonpositive integer
+  orders (``_negint_series``), and Gamma(s) minus the lower-gamma series
+  otherwise.
 * e^x x^(-s) Gamma(s, x) is 1/f for that continued fraction f, from its
   one implementation ``_legendre_fraction``: the Wallis forward recurrence
   on Gaussian fixed-point integers at a given scale 2^P, with the numerator
@@ -18,8 +19,11 @@ Conventions used throughout:
   ``regint.ray_sum`` runs it directly for every term, on its own
   fixed-point arguments and at each term's share of the sum's error budget;
   ``_on_fraction`` picks only ``upper_incomplete_gamma``'s branch.
-* The E1 branch sums its finite part by Horner in 1/x, and sizes its
-  cancellation from float magnitudes (lgamma and log |x|).
+* The series of x^N Gamma(-N, x) runs on Gaussian fixed-point integers,
+  T_(k+1) = T_k y / (k + 1) with y = -x, each divided by k - N, with guard
+  bits sized before the sum from float bounds (the peak term e^|x| against
+  the result) and checked after it, and stops on a bound of the whole tail.
+  ``regint``'s principal terms take it directly, on the module's sheet.
 * ``cal_M(k, s, u) = |u|^(-k/2) M_{sgn(u) k/2, s - 1/2}(|u|)`` is computed
   from the confluent hypergeometric series K = 1F1(s - mu; 2s; |u|)
   everywhere (entire in the argument), summed on fixed-point integers at
@@ -45,6 +49,7 @@ from typing import Callable, NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import (
+    euler_fixed,
     from_int,
     from_man_exp,
     mpf_add,
@@ -60,6 +65,7 @@ from mpmath.libmp import (
     to_fixed,
 )
 from mpmath.libmp.libelefun import cos_sin_fixed
+from mpmath.libmp.libmpc import mpc_log
 
 from .kernel import DomainError, NonConvergent, PrecisionContext, StepTooLarge
 from .reports import RelationReport, relative_residual
@@ -84,13 +90,14 @@ def upper_incomplete_gamma(s, x, ctx: PrecisionContext):
     * Re x > 0 and |x| > |s| + 1, or |x| > 6 and Re s <= 1 - |x| where
       the sums below fail (``_on_fraction``): the Legendre continued
       fraction (DLMF 8.9), ``_legendre_fraction``.
-    * s = -N for an integer N >= 0:
-      Gamma(-N, x) = (-1)^N/N! (E1(x) - e^(-x) sum_{j<N} (-1)^j j! x^(-j-1)).
+    * s = -N for an integer N >= 0: x^(-N) times the series DLMF 8.4.15
+      of x^N Gamma(-N, x) (``_negint_series``), which sizes and checks its
+      own guard bits and raises NonConvergent past 4 times the precision.
     * otherwise: Gamma(s) minus the lower-gamma series.
 
-    The two sums can cancel.  When they lose more digits than the guard
-    pad, the same branch runs again with that many more digits, so the
-    result always carries ``ctx.work_dps`` digits.
+    The lower-gamma sums can cancel.  When they lose more digits than the
+    guard pad, the same branch runs again with that many more digits, so
+    the result always carries ``ctx.work_dps`` digits.
     """
     with mp.workdps(ctx.work_dps + _GAMMA_DPS_PAD):
         s, x = mp.mpmathify(s), mp.mpmathify(x)
@@ -129,17 +136,12 @@ def _gamma_upper_terms(s, x, eps):
         value = mp.exp(-x) * x ** s * scaled
         return value, abs(value)
     if mp.isint(s) and s <= 0:
-        # sum_{j<N} (-1)^j j! y^(j+1) = y (1 - y (1 - 2 y (1 - ... (1 - (N-1) y)))), y = 1/x
-        N, y, acc = int(-s), 1 / x, 0
-        for j in range(N, 0, -1):
-            acc = y * (1 - j * acc)
-        e1, emx = mp.e1(x), mp.exp(-x)
-        c = (-1) ** N / mp.factorial(N)
-        with mp.workprec(53):
-            log_x = float(mp.log(abs(x)))
-        # log(j! |x|^(-j-1)) is convex in j, so the largest summand is the first or the last
-        top = mp.exp(max(-log_x, math.lgamma(N) - N * log_x)) if N else 0
-        return c * (e1 - emx * acc), abs(c) * max(abs(e1), abs(emx) * top)
+        # the series sizes its own guard bits: x^N Gamma(-N, x) within 2^(mag(eps) - 1) <= eps relative
+        N = int(-s)
+        Hr, Hi, P = _negint_series(N, x, float(mp.mag(eps) - 1))
+        H = mp.mpc(mp.mpf((Hr, -P)), mp.mpf((Hi, -P))) if isinstance(x, mp.mpc) else mp.mpf((Hr, -P))
+        value = H / x ** N
+        return value, abs(value)
     # lower gamma: x^s e^(-x) sum_j x^j / (s (s+1) ... (s+j)); the result
     # is pref (g - sum), so the stop test is relative to g - sum
     gs, pref = mp.gamma(s), mp.exp(-x) * x ** s
@@ -156,27 +158,118 @@ def _gamma_upper_terms(s, x, eps):
     raise NonConvergent("lower gamma series did not converge")
 
 
+def _negint_series(N: int, x, log2_tol: float, sheet: bool = False) -> tuple:
+    """(Hr, Hi, P): x^N Gamma(-N, x) = (Hr + i Hi) 2^-P within 2^log2_tol relative, for an integer N >= 0 and an mpf or mpc x != 0.
+
+    DLMF 8.4.15, times x^N: with y = -x and T_k = y^k / k!,
+
+        x^N Gamma(-N, x) = T_N (psi(N + 1) - ln x) - sum_{k != N} T_k / (k - N),
+
+    ln x on the principal branch (arg x = pi on the negative real axis), or
+    with ``sheet`` arg x in [0, 2 pi), which takes 2 pi i T_N off below the
+    axis.  The sum (``_negint_terms``) runs on Gaussian integers at the
+    scale 2^P, with P sized before the sum from float bounds: its rounding,
+    about e^|x| units of 2^-P per term, against the result, about
+    e^(-Re x) / (|x| + N + 1) (the Legendre fraction's first convergent);
+    the rounding and the tail left each get a quarter of 2^log2_tol.  After
+    the sum the same bound against the result found is the check: a
+    shortfall runs the sum again sized from the result found, and one past
+    4 log2(1/tol) bits raises NonConvergent.
+    """
+    re_x = float(mp.re(x))
+    r = math.hypot(re_x, float(mp.im(x)))
+    log2_H = -re_x * math.log2(math.e) - math.log2(r + N + 1)
+    log2_unit = 2 + r * math.log2(math.e)  # log2(4 e^|x|), the units of 2^-P each term may carry
+    while True:
+        P = max(0, math.ceil(log2_unit + math.log2(3 * r + N + 8 - log2_tol) + 2 - log2_H - log2_tol)) + 8
+        Hr, Hi, log2_err = _negint_terms(N, _fixed(x, P), P, P + log2_H + log2_tol - 2, sheet)
+        found = (abs(Hr) | abs(Hi)).bit_length() - 1 - P  # 2^found <= |H|
+        if log2_err <= P + found + log2_tol:
+            return Hr, Hi, P
+        if P > -4 * log2_tol:
+            raise NonConvergent("the series of Gamma(-N, x) cancels beyond recovery")
+        log2_H = found
+
+
+def _negint_terms(N: int, X: tuple, P: int, log2_tail: float, sheet: bool) -> tuple:
+    """(Hr, Hi, log2_err): the sum of ``_negint_series`` at x = (Xr + i Xi) 2^-P, as (Hr + i Hi) 2^-P within 2^(log2_err - P).
+
+    T_(k+1) = (T_k y >> P) // (k + 1) lands within 3 units (of 2^-P) of the
+    exact step from T_k, and an error in T_k reaches T_j times
+    |y|^(j-k) k! / j! <= e^|y|, so every T_k is within 3 e^|y| units; each
+    T_k / (k - N) adds one unit more.  psi(N + 1) = H_N - gamma and ln x are
+    summed only when the loop reaches k = N, within N + 3 units.  So after
+    term k the rounding is at most (k + N + 2 W + 6)(3 e^|y| + 1) units,
+    below (k + N + 2 W + 6) 4 e^|y|.
+
+    The loop stops on a bound of the whole tail, not on a small term: past
+    k + 1 >= 2 |y| each ratio |T_(j+1) / T_j| = |y| / (j + 1) is at most
+    rho = |y| / (k + 1) <= 1/2, and each later term carries a weight
+    1/|j - N|: at most 1/(k + 1 - N) for k >= N, and at most
+    W >= max(1, |psi(N + 1) - ln x|) before, since j = N takes the weight
+    of its logarithm.  So the terms left sum to at most
+    weight |T_k| rho / (1 - rho), and the loop stops once that is below
+    2^log2_tail units, past the peak at k ~ |y| and not at k > N: Gamma(-N, x)
+    for N far above |x| takes no more terms than e^-x does.
+    """
+    one = 1 << P
+    Yr, Yi = -X[0], -X[1]
+    r = math.hypot(Yr / one, Yi / one)
+    W = 1 + math.log(N + 1) + abs(math.log(r)) + 2 * math.pi
+    log2_W = math.log2(W)
+    start = math.ceil(2 * r) - 1  # rho <= 1/2 from here on
+    Tr, Ti, Sr, Si, TN = one, 0, 0, 0, None
+    for k in range(10 ** 6):
+        if k == N:
+            TN = Tr, Ti
+        else:
+            Sr += Tr // (k - N)
+            Si += Ti // (k - N)
+        # |Tr| + |Ti| < 2^b, and rho / (1 - rho) = |y| / (k + 1 - |y|)
+        if k >= start:
+            tail = max(Tr.bit_length(), Ti.bit_length()) + 1 + math.log2(r / (k + 1 - r))
+            tail += log2_W if k < N else -math.log2(k + 1 - N)
+            if tail <= log2_tail:
+                break
+        Tr, Ti = (Tr * Yr - Ti * Yi >> P) // (k + 1), (Tr * Yi + Ti * Yr >> P) // (k + 1)
+    else:
+        raise NonConvergent("the series of Gamma(-N, x) did not converge")
+    if TN is not None:
+        psi = sum(one // j for j in range(1, N + 1)) - euler_fixed(P)
+        log_re, log_im = mpc_log((from_man_exp(X[0], -P), from_man_exp(X[1], -P)), P)
+        Lr, Li = psi - to_fixed(log_re, P), -to_fixed(log_im, P)
+        if sheet and X[1] < 0:
+            Li -= pi_fixed(P) << 1
+        Sr -= TN[0] * Lr - TN[1] * Li >> P
+        Si -= TN[0] * Li + TN[1] * Lr >> P
+    rounding = math.log2(k + N + 2 * W + 6) + 2 + r * math.log2(math.e)
+    return -Sr, -Si, max(rounding, tail) + 1
+
+
 def _on_fraction(s, r) -> bool:
     """Whether ``upper_incomplete_gamma(s, x)`` takes the Legendre continued fraction for Re x > 0 and |x| = r.
 
     It does for r > |s| + 1, and for r > 6 with Re s = -N <= 1 - r, where
-    the sums fail: at integer -N the finite sum outgrows the result by about
-    r^(N-1) N / N! (75 digits at N = 288, r = 62 pi), and at any other order
-    the lower-gamma series stops in the dip its terms take while |s + j| > r
-    (10^218 off at s = -288.5, x = 80 pi).  There the fraction converges
-    fast: at real order |a_j| / (b_(j-1) b_j) < 1/4, as (N + 2j)^2 >= 4 j (j + N),
-    and it stops within a few hundred steps up to 100 digits.  At integer
-    order E1 stays while the sum loses at most ``_GAMMA_DPS_PAD`` digits, as
-    for every r <= 6, where the fraction would take about (ln 1/eps)^2 / 16 r steps.
-    The fraction converges for every Re x > 0, and ``regint.ray_sum`` runs
-    it below this threshold too, at each term's share of its error budget.
+    the sums fail or cost most.  At a non-integer order the lower-gamma
+    series stops in the dip its terms take while |s + j| > r (10^218 off at
+    s = -288.5, x = 80 pi).  At an integer order the series of Gamma(-N, x)
+    (``_negint_series``) sums terms up to e^r against a result of about
+    e^(-Re x) / (r + N + 1), so it takes about 2 r log2(e) guard bits and
+    more than e r terms; it stays while that cancellation is at most
+    ``_GAMMA_DPS_PAD`` digits (r <= 11.5), as for every r <= 6, where the
+    fraction would take about (ln 1/eps)^2 / 16 r steps.  Where it leaves,
+    the fraction converges fast: at real order |a_j| / (b_(j-1) b_j) < 1/4,
+    as (N + 2j)^2 >= 4 j (j + N), and it stops within a few hundred steps up
+    to 100 digits.  The fraction converges for every Re x > 0, and
+    ``regint.ray_sum`` runs it below this threshold too, at each term's
+    share of its error budget.
     """
     if r > abs(s) + 1:
         return True
     N, r = -float(mp.re(s)), float(r)
     if not (r > 6 and N >= r - 1):
         return False
-    return not mp.isint(s) or (N - 1) * math.log(r) + math.log(N) - math.lgamma(N + 1) > _GAMMA_DPS_PAD * math.log(10)
+    return not mp.isint(s) or 2 * r * math.log10(math.e) > _GAMMA_DPS_PAD
 
 
 def _fixed(v, P: int) -> tuple:

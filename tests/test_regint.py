@@ -190,9 +190,11 @@ def test_folded_ray_sum_vs_unfolded_order_minus_25(digits, base):
 def test_ray_sum_takes_no_incomplete_gamma(ctx, f_delta, monkeypatch):
     # |x_1| = 2 pi |i + 0.1 + 0.6i| ~ 10.1 <= |1 - 12| + 1, so Gamma(-11, x_1)
     # is off upper_incomplete_gamma's fraction branch; ray_sum's first term
-    # runs the fraction anyway and never calls upper_incomplete_gamma
-    import periodlab.regint as regint
-    from periodlab.special import _on_fraction
+    # runs the fraction anyway and never calls upper_incomplete_gamma, under
+    # any module's binding of it
+    import sys
+
+    from periodlab.special import _on_fraction, upper_incomplete_gamma
 
     w0, a = mp.mpc(0, 1), mp.mpc("0.1", "0.6")
     assert not _on_fraction(-11, abs(2 * mp.pi * (w0 + a)))
@@ -202,7 +204,9 @@ def test_ray_sum_takes_no_incomplete_gamma(ctx, f_delta, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ray_sum called upper_incomplete_gamma")
 
-    monkeypatch.setattr(regint, "upper_incomplete_gamma", refuse)
+    for name, module in list(sys.modules.items()):
+        if (name == "periodlab" or name.startswith("periodlab.")) and getattr(module, "upper_incomplete_gamma", None) is upper_incomplete_gamma:
+            monkeypatch.setattr(module, "upper_incomplete_gamma", refuse)
     with mp.workdps(ctx.work_dps):
         got, _ = ray_sum(f_delta, w0, a, 12, ctx)
     assert abs(got - want) <= mp.mpf(10) ** -ctx.digits * abs(want)
@@ -288,6 +292,117 @@ def test_ray_sum_jet_vs_direct_stencil(form, digits):
             for w, got in zip(points, _hat_stencil(M, z, ctx, cocycle)(points)):
                 want = hat_star(M, w, ctx, cocycle)
                 assert abs(got - want) <= bound * residual_scale(want), (z, w)
+
+
+def principal_oracle(M, w0, a, s):
+    """The principal and constant terms of M against (w + a)^(-s) from w0, by integration by parts from mpmath's E1 (``ibp_oracle``)."""
+    total = mp.mpc(0)
+    for n in range(M.n_min, 1):
+        if M.coeff(n):
+            term = ibp_oracle(n, w0, a, s) if n else (w0 + a) ** (1 - s) / (s - 1)
+            total += mp.mpc(M.coeff(n)) * term
+    return total
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_principal_jet_vs_direct_stencil(f_wh, digits):
+    # each rstar leg of hatstar's xi stencil takes its principal terms, like
+    # its decaying part, from one jet at z: one series per principal term
+    # and stencil, and the recurrence x G_sigma = 1 - sigma G_(sigma+1) to the
+    # other orders.  Each order of that jet meets the principal terms summed
+    # by integration by parts from mpmath's E1, which carries the sheet's
+    # monodromy on its own, and the principal-plus-decaying jet,
+    # Taylor-summed to the four stencil points, meets _principal_part +
+    # ray_sum at each point, each relative to max(1, |value|)
+    from periodlab.regint import _principal_part
+
+    ctx = PrecisionContext(digits=digits)
+    k, z0 = 2 - f_wh.weight, mp.mpc(0, SPLIT_HEIGHT)
+    bound = mp.mpf(10) ** -(digits + 5)
+    with mp.workdps(ctx.work_dps):
+        h = ctx.fd_step
+        for z in JET_POINTS:
+            points = [z + h, z - h, z + 1j * h, z - 1j * h]
+            for w0, shift in ((z0, lambda w: -1 / w), (S.apply(z0), lambda w: w)):
+                a = shift(z)
+                deltas = [shift(w) - a for w in points]
+                J = _jet_order(k, max(map(abs, deltas)) / abs(w0 + a), ctx)
+                principal = _principal_part(f_wh, w0, a, k, ctx, J=J)
+                assert J >= 3 and len(principal) == J + 1
+                for j, value in enumerate(principal):
+                    with mp.workdps(2 * ctx.work_dps):
+                        want = principal_oracle(f_wh, w0, a, k + j)
+                    assert abs(value - want) <= bound * residual_scale(want), (z, j)
+                jet = [p + v for p, (v, _) in zip(principal, ray_sum(f_wh, w0, a, k, ctx, J=J))]
+                for w, d in zip(points, deltas):
+                    taylor = mp.fsum((-d) ** j * mp.rf(k, j) / mp.factorial(j) * value for j, value in enumerate(jet))
+                    direct = _principal_part(f_wh, w0, shift(w), k, ctx) + ray_sum(f_wh, w0, shift(w), k, ctx)[0]
+                    assert abs(taylor - direct) <= bound * residual_scale(direct), (z, w)
+
+
+def test_ray_sum_jet_takes_one_fraction_per_term(f_wh, monkeypatch):
+    # each term of a jet takes one continued fraction, at the least order
+    # sigma* >= |x_n|, and recurs to the others: the jet runs as many
+    # fractions as the single sum at the same (w0, a, s), one per term.  The
+    # leg from S z0 has terms with |x_n| < k + J, which once took a fraction
+    # per order
+    import periodlab.regint as regint
+
+    ctx = PrecisionContext(digits=50)
+    calls = [0]
+    fraction = regint._legendre_fraction
+
+    def counted(*args):
+        calls[0] += 1
+        return fraction(*args)
+
+    monkeypatch.setattr(regint, "_legendre_fraction", counted)
+    k, z0 = 2 - f_wh.weight, mp.mpc(0, SPLIT_HEIGHT)
+    with mp.workdps(ctx.work_dps):
+        for z in JET_POINTS:
+            for w0, a in ((z0, -1 / z), (S.apply(z0), z)):
+                counts = []
+                for J in (0, 4):
+                    calls[0] = 0
+                    ray_sum(f_wh, w0, a, k, ctx, J=J)
+                    counts.append(calls[0])
+                assert counts[0] == counts[1] > 0, (z, w0)
+
+
+def test_per_star_principal_terms_take_one_series_each(monkeypatch):
+    # verify perstar at digits 50: 3 points, each with 12 rstar legs (two
+    # for hatstar, four for Fstar at z and S z, six for hatstar at S z, U z
+    # and U^2 z, and one jet for each of the xi stencil's two legs) and two
+    # principal terms per leg, so 72 series of Gamma(-N, x); the stencil
+    # once took them at each of its four points, 108 in all.  No principal
+    # term reaches mpmath's E1 or the upper_incomplete_gamma wrapper, under
+    # any module's binding
+    import sys
+
+    from periodlab.cli import WH10_TERMS, _grid
+    from periodlab.special import _negint_series, upper_incomplete_gamma
+
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return _negint_series(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a principal term called E1 or upper_incomplete_gamma")
+
+    for name, module in list(sys.modules.items()):
+        if name == "periodlab" or name.startswith("periodlab."):
+            for key, value in list(vars(module).items()):
+                if value is _negint_series:
+                    monkeypatch.setattr(module, key, counted)
+                elif value is upper_incomplete_gamma:
+                    monkeypatch.setattr(module, key, refuse)
+    monkeypatch.setattr(mp, "e1", refuse)
+    ctx = PrecisionContext(digits=50)
+    reports = verify_per_star(weakly_holomorphic_m10(WH10_TERMS), _grid(3, "0.15", "0.4", "0.9", "0.5"), ctx)
+    assert all(r.passed for r in reports)
+    assert calls[0] == 72
 
 
 @pytest.mark.parametrize("s", [0, 12])

@@ -19,7 +19,7 @@ from periodlab import (
     whittaker_derivative_identity_check,
 )
 from periodlab.eichler import GroupElement
-from periodlab.special import _CF_GUARD_BITS, _fixed, _kummer_series, _legendre_fraction, _on_fraction
+from periodlab.special import _CF_GUARD_BITS, _fixed, _kummer_series, _legendre_fraction, _negint_series, _on_fraction
 
 import oracles
 from oracles import whittaker_M_integral
@@ -168,6 +168,58 @@ def test_legendre_fraction_property(digits):
         want = gamma_oracle(s, x, 2 * ctx.work_dps)
         with mp.workdps(2 * ctx.work_dps):
             assert abs(got - want) <= bound * abs(want), (s, x)
+
+    check()
+
+
+@st.composite
+def negint_cases(draw):
+    """(N, x) on the integer-order branch's domain: N in [0, 40], 0.05 <= |x| <= 60, and Re x <= 0 or |x| <= N + 1.
+
+    On the left the angle takes |arg x| in [pi/2, pi], the negative real
+    axis as the limit from above; on the right |arg x| < pi/2.
+    """
+    N = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        r = 0.05 * 1200 ** draw(st.floats(0, 1))
+        theta = draw(st.floats(math.pi / 2, math.pi))
+        if theta == math.pi:
+            return N, mp.mpc(-r, 0)
+        theta *= draw(st.sampled_from([1, -1]))
+    else:
+        r = 0.05 * (min(60, N + 1) / 0.05) ** draw(st.floats(0, 1))
+        theta = draw(st.floats(-math.pi / 2, math.pi / 2, exclude_min=True, exclude_max=True))
+    return N, mp.mpc(r * math.cos(theta), r * math.sin(theta))
+
+
+@pytest.mark.parametrize("digits", [50, 80, 120])
+def test_negint_series_property(digits):
+    # the integer-order branch, the series DLMF 8.4.15 of x^N Gamma(-N, x)
+    # on fixed-point integers, within eps relative against an oracle at
+    # twice the working precision: mpmath's E1 with the exact finite sum
+    # (gamma_oracle), since mp.gammainc at a negative integer order and a
+    # complex x takes seconds per call at these digits.  The examples are
+    # perstar's principal terms (x = 2 pi i n (w0 + a) for n = -1 and -2
+    # on both rstar legs) and Gamma(-288, 2 pi), the n = 1 term of
+    # `lvalue --s 300`, where the loop stops on its tail bound at k < 100
+    # rather than after k > N = 288
+    ctx = PrecisionContext(digits=digits)
+
+    @settings(max_examples=60)
+    @given(negint_cases())
+    @example((11, mp.mpc("-13.19", "3.77")))
+    @example((11, mp.mpc("-21.36", "2.51")))
+    @example((11, mp.mpc("-45.2", 0)))
+    @example((288, 2 * mp.pi))
+    def check(case):
+        N, x = case
+        with mp.workdps(ctx.work_dps):
+            x = mp.mpmathify(x)
+            Hr, Hi, P = _negint_series(N, x, float(mp.mag(ctx.eps()) - 1))
+            got = mp.mpc(mp.mpf((Hr, -P)), mp.mpf((Hi, -P))) / x ** N
+        want = gamma_oracle(-N, x, 2 * ctx.work_dps)
+        with mp.workdps(2 * ctx.work_dps):
+            assert abs(got - want) <= ctx.eps() * abs(want), (N, x)
 
     check()
 
