@@ -226,8 +226,7 @@ class EichlerIntegral:
     def __init__(self, f: QSeries, ctx: PrecisionContext):
         if not f.cuspidal:
             raise DomainError("Eichler integral requires a cusp form")
-        self.ctx = ctx
-        self._period = period_polynomial(f, ctx)
+        self.ctx, self._f = ctx, f
         with mp.workdps(ctx.work_dps):
             k = f.weight
             pref = mp.factorial(k - 2) * (-2j * mp.pi) ** (1 - k)
@@ -247,7 +246,8 @@ class EichlerIntegral:
             z = z if isinstance(z, mp.mpc) else mp.mpc(z)
             if not z.imag > 0:
                 raise DomainError("Eichler integral evaluated off the upper half-plane")
-            return _reduced_sum(self.series, z, self.ctx, cocycle=self._period)
+            # r is taken (and memoized on f) only when z is reduced
+            return _reduced_sum(self.series, z, self.ctx, cocycle=lambda w: period_polynomial(self._f, self.ctx)(w))
 
     def __call__(self, z) -> mp.mpc:
         return self.evaluate(z)

@@ -131,7 +131,7 @@ def verify_w_k2(f: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> li
     xi_k(hat) = (2i)^(1-k) r_{f^c} at tol_fd (finite differences).
     """
     M, r = eichler_integral(f, ctx).series, period_polynomial(f, ctx)
-    row = lambda z: hat_relation_residuals(M, z, hat_star(M, z, ctx, r), ctx, r)
+    row = lambda z: hat_relation_residuals(M, z, hat_star(M, z, ctx, r), ctx, r)[1:]
     names = [(f"wk2_slash_S[{f.label}]", ctx.tol_tight), (f"wk2_slash_U[{f.label}]", ctx.tol_tight),
              (f"wk2_xi_image[{f.label}]", ctx.tol_fd)]
     return tabulate(pts, row, names, ctx.work_dps)

@@ -6,26 +6,30 @@ both sides over the identical finite coset set, turning slowly convergent
 series statements into exact pointwise checks at any truncation bound.
 
 A seed is a value, ``special.Seed(k, m, s, ds)``.  ``truncated_poincare``
-makes one pass over the cosets on fixed-point integers, and for a stencil
-takes the four images' seed values from one confluent series per coset;
-each descent hands ``xi_fd`` that evaluator as its stencil.
+makes one pass over the cosets on fixed-point integers.  For a stencil it
+takes, per coset, one set of transcendental values at the image of the
+stencil's centre (one exponential, one phase, one logarithm, one j-factor
+and one confluent series) and the four images from it by short series;
+each descent hands ``xi_fd`` that evaluator as its stencil.  The Bol-xi
+avatar takes F2's stencil from one ray-sum pass (``regint._star_stencil``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, to_fixed
+from mpmath.libmp import to_fixed
 
 from .eichler import GroupElement, IDENTITY, eichler_integral
 from .kernel import DomainError, PrecisionContext, laplace_fd, xi_fd
-from .mockcore import F_f2
 from .qforms import QSeries, conjugate_form, bol, evaluate
+from .regint import _star_stencil
 from .reports import RelationReport, relative_residual, tabulate
-from .special import _KUMMER_GUARD_BITS, Seed, _seed_kernel, _seed_points, seed_values
+from .special import _KUMMER_GUARD_BITS, Seed, _seed_kernel, _seed_points, _to_mpc, seed_values
 
 
 @dataclass(frozen=True)
@@ -87,14 +91,21 @@ def truncated_poincare(seed: Seed, z, trunc: CosetTruncation, ctx: PrecisionCont
 
     ``z`` is one point, or a list or tuple of points (a stencil), which
     returns the list of their sums.  The points are held as integers at the
-    scale 2^P, P the working precision plus guard bits.  Per coset, with
-    w = x + i y, c w + d = (c x + d) + i c y is exact, and
-    Im gamma w = y / |c w + d|^2 and Re gamma w = ((a x + b)(c x + d) + a c y^2) / |c w + d|^2
-    take one division each.  The seed takes every point's image in one
-    cluster call (``special._seed_kernel``: one confluent series, Taylor-summed
-    to each image), which also takes the phase e(m Re gamma w) and
-    j(gamma, w)^(-k) per point.  The sums keep P bits, as the seed's values
-    do, for the stencils of ``xi_fd``.
+    scale 2^P, P the working precision plus guard bits, and their mean z is
+    the cluster's centre.  Per coset, with c z + d = (c x + d) + i c y exact,
+    Im gamma z = y / |c z + d|^2 and
+    Re gamma z = ((a x + b)(c x + d) + a c y^2) / |c z + d|^2 take one
+    division each, and j(gamma, z)^(-k) one power (``_jfactor_power``).  A
+    point w = z + delta differs exactly by
+    gamma w - gamma z = delta / ((c z + d)(c w + d)) and
+    c w + d = (c z + d)(1 + t), t = c delta / (c z + d), each a division on
+    integers; ``special._seed_kernel`` takes the seed's transcendental set
+    once at gamma z, with one confluent series, and each point from it by
+    short series in ratios of size at most about |delta| / Im z.  A single
+    point is a cluster of one and takes none.  Points spread by Im z / 4 or
+    more are summed one at a time.  The coset terms are added on integers
+    at one scale, and the sums keep P bits, as the seed's values do, for the
+    stencils of ``xi_fd``.
     """
     many = isinstance(z, (list, tuple))
     with mp.workdps(ctx.work_dps):
@@ -102,21 +113,43 @@ def truncated_poincare(seed: Seed, z, trunc: CosetTruncation, ctx: PrecisionCont
         P = mp.mp.prec + _KUMMER_GUARD_BITS
         one = 1 << P
         coords = [(to_fixed(w.real._mpf_, P), to_fixed(w.imag._mpf_, P)) for w in points]
-        sums = [(fzero, fzero)] * len(points)
+        x, y = (sum(v) // len(coords) for v in zip(*coords))
+        deltas = [(X - x, Y - y) for X, Y in coords]
+        if max(math.hypot(dx / one, dy / one) for dx, dy in deltas) >= y / one / 4:
+            return [truncated_poincare(seed, w, trunc, ctx) for w in points]
         seed_at = _seed_kernel(seed, ctx)
+        terms = [[] for _ in points]
         for g in trunc.representatives:
             a, b, c, d = g.a, g.b, g.c, g.d
-            X, ys, factors = [], [], []
-            for x, y in coords:
-                re, im = c * x + d * one, c * y
-                N = re * re + im * im
-                X.append((((a * x + b * one) * re + a * c * y * y) << P) // N)
-                ys.append(mpf_div(from_int(y << P), from_int(N), P))
-                factors.append(_jfactor_power(re, im, -seed.k, P))
-            terms = seed_at(X, ys, factors)
-            sums = [(mpf_add(sr, tr, P), mpf_add(si, ti, P)) for (sr, si), (tr, ti) in zip(sums, terms)]
-        values = [mp.make_mpc(v) for v in sums]
+            re, im = c * x + d * one, c * y
+            N = re * re + im * im
+            U = (((a * x + b * one) * re + a * c * y * y) << P) // N
+            # c / (c z + d) and |c z + d|^2 / y, times 2^P
+            cr, ci, iv = (c * re << 2 * P) // N, (-c * im << 2 * P) // N, N // y
+            D = []
+            for dx, dy in deltas:
+                wr, wi = re + c * dx, im + c * dy  # (c w + d) 2^P
+                Mr, Mi = re * wr - im * wi >> P, re * wi + im * wr >> P  # (c z + d)(c w + d) 2^P
+                M2 = Mr * Mr + Mi * Mi
+                # gamma w - gamma z = delta conj(M) / |M|^2, its imaginary part over Im gamma z, and t
+                dU, dV = ((dx * Mr + dy * Mi) << P) // M2, ((dy * Mr - dx * Mi) << P) // M2
+                D.append((dU, dV, dV * iv >> P, dx * cr - dy * ci >> P, dx * ci + dy * cr >> P))
+            for acc, term in zip(terms, seed_at(U, (y << 2 * P) // N, D, _jfactor_power(re, im, -seed.k, P))):
+                acc.append(term)
+        values = [_to_mpc(_gauss_sum(acc, P), P) for acc in terms]
     return values if many else values[0]
+
+
+def _gauss_sum(terms: list, P: int) -> tuple:
+    """The sum of Gaussian values (re, im, e) as one (re, im, e), on integers at a scale that keeps P bits of the largest term."""
+    u = max(e + (abs(re) | abs(im)).bit_length() for re, im, e in terms) - P - len(terms).bit_length()
+    Sr = Si = 0
+    for re, im, e in terms:
+        if e >= u:
+            Sr, Si = Sr + (re << e - u), Si + (im << e - u)
+        else:
+            Sr, Si = Sr + (re >> u - e), Si + (im >> u - e)
+    return Sr, Si, u
 
 
 DESCENT_BOUND = 10  # bottom-row bound C of the matched coset truncation
@@ -215,7 +248,10 @@ def verify_bol_xi_avatar(f: QSeries, pts: Sequence[complex], ctx: PrecisionConte
     """q-series avatar of the D^(k-1) o xi_k chain on the iterated integral.
 
     First family (finite differences): xi_k(F2)(z) equals the q-series
-    (2i)^(1-k) conj(F(-conj z)) = -(2i)^(1-k) F^(c)(z) pointwise.  Second
+    (2i)^(1-k) conj(F(-conj z)) = -(2i)^(1-k) F^(c)(z) pointwise; F2 is
+    Fstar of F's q-series (``F_f2`` termwise), and ``xi_fd`` takes its four
+    stencil values from one ray-sum pass (``regint._star_stencil``), each
+    term's fraction once for the four points.  Second
     family: applying the termwise (k-1)-fold derivative to that series gives
     -(k-2)!/(4 pi)^(k-1) f^c, checked by evaluating both sides.
     """
@@ -228,8 +264,8 @@ def verify_bol_xi_avatar(f: QSeries, pts: Sequence[complex], ctx: PrecisionConte
         # which carries F's tail bound; expect -(k-2)!/(4 pi)^(k-1) f^c
         chain = bol(Fc.series.scale(-pref))
         chain_pref = -mp.factorial(k - 2) / (4 * mp.pi) ** (k - 1)
-    F2 = lambda w: F_f2(f, w, ctx, method="termwise")
-    row = lambda z: (relative_residual(xi_fd(F2, k, z, ctx), -pref * Fc(z)),
+    M = eichler_integral(f, ctx).series
+    row = lambda z: (relative_residual(xi_fd(None, k, z, ctx, _star_stencil(M, z, ctx)), -pref * Fc(z)),
                      relative_residual(evaluate(chain, z, ctx), chain_pref * evaluate(fc, z, ctx)))
     names = [(f"bol_xi_avatar_fd[{f.label}]", ctx.tol_fd), (f"bol_xi_avatar_chain[{f.label}]", ctx.tol_tight)]
     return tabulate(pts, row, names, ctx.work_dps)

@@ -344,20 +344,31 @@ def bol(f: QSeries) -> QSeries:
 
 
 def _wh_log_coeff_bound(f: QSeries) -> float:
-    """log C, C empirical with |a(n)| <= C e^(4 pi sqrt(2 n)) on the window."""
+    """log C, C empirical with |a(n)| <= C e^(4 pi sqrt(2 n)) on the window.
+
+    C = 10 max(1, max_n |a(n)| e^(-4 pi sqrt(2 n))), taken in float as
+    ln 10 + max(0, max_n (log |a(n)| - 4 pi sqrt(2 n))): the model only
+    needs log C, and the logarithm of an integer or a fraction of any size
+    is a float.
+    """
     got = f._memo.get("wh_log_c")
-    if got is not None:
-        return got
-    best = mp.mpf(1)
-    for n in range(max(1, f.n_min), f.n_max + 1):
-        c = abs(_to_mpc(f.coeffs[n - f.n_min]))
-        if c == 0:
-            continue
-        ratio = c / mp.exp(4 * mp.pi * mp.sqrt(2 * mp.mpf(n)))
-        if ratio > best:
-            best = ratio
-    result = f._memo["wh_log_c"] = float(mp.log(10 * best))
-    return result
+    if got is None:
+        best = 0.0
+        for n in range(max(1, f.n_min), f.n_max + 1):
+            c = f.coeffs[n - f.n_min]
+            if c:
+                best = max(best, _log_abs(c) - 4 * _MATH_PI * _math_sqrt(2 * n))
+        got = f._memo["wh_log_c"] = _LN10 + best
+    return got
+
+
+def _log_abs(c: Coefficient) -> float:
+    """log |c| in float, for a nonzero coefficient of any size."""
+    if isinstance(c, int):
+        return _math_log(abs(c))
+    if isinstance(c, Fraction):
+        return _math_log(abs(c.numerator)) - _math_log(c.denominator)
+    return float(mp.log(abs(c)))
 
 
 def _coeff_model(f: QSeries) -> Tuple[float, float, float]:

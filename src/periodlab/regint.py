@@ -62,8 +62,13 @@ S z0 to -conj z.  Off the unit circle S z0 != z0, so rstar(z) sums from
 the sums in rstar|(1+S) do not cancel, and that relation checks them.  The
 xi stencil of hatstar around z moves only the shifts -1/z and z, so it
 takes each leg, principal terms and decaying part, from one jet at z
-(``_hat_stencil``); the tests of jet against direct values keep that
-stencil sensitive to how the direct values move with the shift.
+(``_hat_stencil``), whose sum at z is hatstar(z) itself, which perstar
+takes from it; the tests of jet against direct values keep that stencil
+sensitive to how the direct values move with the shift.  The xi stencil of
+Fstar (F2 for F's q-series) keeps w0 + a = 2 i Im z at every point: a
+point w is the base -conj w of (-conj z, z), and off the real line also an
+a-shift 2 i Im(w - z), so one ``ray_sum`` pass with a base per point takes
+each term's fraction once for all four (``_star_stencil``).
 """
 
 from __future__ import annotations
@@ -149,7 +154,7 @@ def _folded_terms(n: int, w0, a, s: int, J: int, ctx: PrecisionContext) -> list:
     return [Fs[o] for o in range(s, top + 1)]
 
 
-def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: int = 0):
+def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: int = 0, bases=None):
     """(scale sum_{n>=1} c_n int_{w0}^{i oo} e^(2 pi i n w) (w+a)^(-s) dw, log of its certified error).
 
     c_n are the n >= 1 coefficients of ``series``; needs Im(w0 + a) > 0.
@@ -191,16 +196,27 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
     sigma >= 0: each order keeps the term's share 4 tol_n t_n of the budget,
     and each order's certified error is its own tail plus that budget times
     its own |C|.
+
+    ``bases``, a list of (eta, J_eta) in place of J, returns for each the
+    list of jet sums at orders s..s+J_eta from the base point w0 + eta
+    against (w + a - eta)^(-s).  Since (w0 + eta) + (a - eta) = w0 + a,
+    every x_n, and so every fraction, is the one of (w0, a): only q0 moves,
+    to e^(2 pi i (w0 + eta)), so the coefficient sets c_n e^(2 pi i n eta)
+    share one pass and each term takes its fraction once for all of them.
+    The window, the t_n and the tails take the lowest base point.
     """
     height = mp.im(w0 + a)
     if not height > 0:
         raise DomainError("ray sum needs Im(w0 + a) > 0")
+    one_base = bases is None
+    bases = [(0, J)] if one_base else bases
+    J = max(Jb for _, Jb in bases)
     if J and s < 0:
         raise DomainError("a ray-sum jet needs s >= 0")
     orders = range(s, s + J + 1)
     log2_F = [-o * math.log2(1 - o / (2 * math.pi * float(height))) if o < 0 else 0.0 for o in orders]
     log_b, alpha, beta = _coeff_model(series)
-    log_q = -2 * math.pi * float(mp.im(w0))
+    log_q = -2 * math.pi * min(float(mp.im(w0 + eta)) for eta, _ in bases)
     tails = []
     for o, log2_Fo in zip(orders, log2_F):
         bound = abs(scale) / (2 * mp.pi) / abs(w0 + a) ** o * mp.mpf(2) ** log2_Fo
@@ -216,21 +232,25 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
         for n in range(max(1, series.n_min + first), min(N, series.n_max) + 1)
         if mags[n - series.n_min] > -math.inf
     }
-    sums = [[0, 0] for _ in orders]  # sum_n c_n q0^n G_n per order, in the unit 2^u
+    sums = [[[0, 0] for _ in range(Jb + 1)] for _, Jb in bases]  # sum_n c_n q0^n G_n per base and order, in the unit 2^u
     budget = 0.0  # sum_n 4 tol_n t_n / T
     if log2_t:
         eps = ctx.eps()
         P, log2_eps, log2_T = _CF_GUARD_BITS - mp.mag(eps), float(mp.mag(eps) - 1), max(log2_t.values())
         X1r, X1i = _fixed(x1, P)
-        E, cos, sin = q_parts(w0.real._mpf_, w0.imag._mpf_, P)
-        sq = P - E[2] - E[3]
-        Qr, Qi = to_fixed(mpf_mul(E, cos), sq), to_fixed(mpf_mul(E, sin), sq)
-        qr, qi, eq = 1 << P, 0, -P  # q0^n = (qr + i qi) 2^eq
+        qs = []  # per base: [Qr, Qi, sq, qr, qi, eq] with q0^n = (qr + i qi) 2^eq
+        for eta, _ in bases:
+            wb = w0 + eta
+            E, cos, sin = q_parts(wb.real._mpf_, wb.imag._mpf_, P)
+            sq = P - E[2] - E[3]
+            qs.append([to_fixed(mpf_mul(E, cos), sq), to_fixed(mpf_mul(E, sin), sq), sq, 1 << P, 0, -P])
         u = math.ceil(log2_T) - P
         for n in range(1, max(log2_t) + 1):
-            qr, qi = qr * Qr - qi * Qi, qr * Qi + qi * Qr
-            d = max(qr.bit_length(), qi.bit_length()) - P
-            qr, qi, eq = qr >> d, qi >> d, eq + d - sq
+            for q in qs:
+                Qr, Qi, sq, qr, qi, eq = q
+                qr, qi = qr * Qr - qi * Qi, qr * Qi + qi * Qr
+                d = max(qr.bit_length(), qi.bit_length()) - P
+                q[3:] = qr >> d, qi >> d, eq + d - sq
             if n not in log2_t:
                 continue
             tol = min(max(log2_eps + log2_T - math.log2(N) - log2_t[n], log2_eps), -20.0)
@@ -243,26 +263,34 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
                 G[o + 1] = _order_step(G[o], o, X, P, True)
             budget += 2 ** (tol + 2 + log2_t[n] - log2_T)
             cr, ci, ex = parts[n - series.n_min]
-            pr, pi = cr * qr - ci * qi, cr * qi + ci * qr
-            for acc, (Br, Bi, eB, Ar, Ai, eA) in zip(sums, (G[o] for o in orders)):
-                gr, gi, den, eg = Br * Ar + Bi * Ai, Bi * Ar - Br * Ai, Ar * Ar + Ai * Ai, eB - eA
-                vr, vi = pr * gr - pi * gi, pr * gi + pi * gr
-                sh = ex + eq + eg - u
-                vr, vi, den = (vr << sh, vi << sh, den) if sh >= 0 else (vr, vi, den << -sh)
-                acc[0] += vr // den
-                acc[1] += vi // den
-    out, common = [], scale * (w0 + a) ** (1 - s)
-    for (Tr, Ti), (_, log_tail) in zip(sums, tails):
-        total, log_err = mp.mpc(0), -math.inf
-        if log2_t:
-            total = mp.mpc(mp.mpf((Tr, u)), mp.mpf((Ti, u))) * common
-            log_err = math.log(2) * (log2_T + math.log2(budget)) + float(mp.log(abs(common)))
-        if log_tail > -math.inf:
-            log_err = max(log_err, log_tail) + math.log1p(math.exp(-abs(log_err - log_tail)))
-        _check_tail(log_err, total, ctx, f"ray sum of {series.label}")
-        out.append((total, log_err))
-        common /= w0 + a
-    return out if J else out[0]
+            Gs = []  # B conj(A), |A|^2 and the exponent of each order's G = B / A
+            for Br, Bi, eB, Ar, Ai, eA in (G[o] for o in orders):
+                Gs.append((Br * Ar + Bi * Ai, Bi * Ar - Br * Ai, Ar * Ar + Ai * Ai, eB - eA))
+            for base_sums, (_, _, _, qr, qi, eq) in zip(sums, qs):
+                pr, pi = cr * qr - ci * qi, cr * qi + ci * qr
+                for acc, (gr, gi, den, eg) in zip(base_sums, Gs):
+                    vr, vi = pr * gr - pi * gi, pr * gi + pi * gr
+                    sh = ex + eq + eg - u
+                    vr, vi, den = (vr << sh, vi << sh, den) if sh >= 0 else (vr, vi, den << -sh)
+                    acc[0] += vr // den
+                    acc[1] += vi // den
+    out = []
+    for base_sums in sums:
+        jet, common = [], scale * (w0 + a) ** (1 - s)
+        for (Tr, Ti), (_, log_tail) in zip(base_sums, tails):
+            total, log_err = mp.mpc(0), -math.inf
+            if log2_t:
+                total = mp.mpc(mp.mpf((Tr, u)), mp.mpf((Ti, u))) * common
+                log_err = math.log(2) * (log2_T + math.log2(budget)) + float(mp.log(abs(common)))
+            if log_tail > -math.inf:
+                log_err = max(log_err, log_tail) + math.log1p(math.exp(-abs(log_err - log_tail)))
+            _check_tail(log_err, total, ctx, f"ray sum of {series.label}")
+            jet.append((total, log_err))
+            common /= w0 + a
+        out.append(jet)
+    if one_base:
+        return out[0] if J else out[0][0]
+    return out
 
 
 def _order_step(g: tuple, order: int, X: tuple, P: int, up: bool) -> tuple:
@@ -410,20 +438,25 @@ def _hat_stencil(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[Polynom
     plus its ``ray_sum`` jet, so each principal term takes one series per
     stencil, not one per point.  The stencil values are the Taylor sums
     (``_jet_value``).  The factor w^(-k) and the cocycle integral are taken
-    at each point as ``hat_star`` takes them.
+    at each point as ``hat_star`` takes them.  A leg's jet is kept for later
+    calls whose points it reaches: hatstar(z) itself is its order-s entry,
+    the Taylor sum at delta = 0.
     """
     k, z0 = 2 - M.weight, mp.mpc(0, SPLIT_HEIGHT)
     sz0 = S.apply(z0)
+    jets = {}  # per leg, (J, jet)
 
     def values(points):
         with mp.workdps(ctx.work_dps):
             legs = []
             for w0, a, deltas in ((z0, -1 / z, [(w - z) / (z * w) for w in points]), (sz0, z, [w - z for w in points])):
                 J = _jet_order(k, max(map(abs, deltas)) / abs(w0 + a), ctx)
-                jet = _principal_part(M, w0, a, k, ctx, J=J)
-                if M.n_max >= 1:
-                    jet = [p + v for p, (v, _) in zip(jet, ray_sum(M, w0, a, k, ctx, J=J))]
-                legs.append([_jet_value(jet, k, d) for d in deltas])
+                if jets.get(w0, (-1,))[0] < J:
+                    jet = _principal_part(M, w0, a, k, ctx, J=J)
+                    if M.n_max >= 1:
+                        jet = [p + v for p, (v, _) in zip(jet, ray_sum(M, w0, a, k, ctx, J=J))]
+                    jets[w0] = J, jet
+                legs.append([_jet_value(jets[w0][1], k, d) for d in deltas])
             out = []
             for w, near, far in zip(points, *legs):
                 value = w ** (-k) * near - far
@@ -431,6 +464,34 @@ def _hat_stencil(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[Polynom
                     value += cocycle.kernel_integral(k, w, sz0, -mp.conj(w))
                 out.append(value)
             return out
+
+    return values
+
+
+def _star_stencil(M: QSeries, z, ctx: PrecisionContext) -> Callable:
+    """Fstar at ``xi_fd``'s stencil points w near z, with the ray sums of all of them from one ``ray_sum`` pass.
+
+    Fstar(w) sums from -conj w against (v + w)^(-k).  With delta = w - z and
+    eta = -conj(delta), that is the sum from the base point -conj z + eta
+    against (v + z - eta + 2 i Im delta)^(-k): every point shares
+    w0 + a = 2 i Im z, so ``ray_sum`` takes each point as a base eta of
+    (-conj z, z), F2(z +- h) = sum_n e^(-+2 pi i n h) T_n, and the a-jet of
+    the points off the real line, of order ``_jet_order`` at
+    |2 Im delta| / (2 Im z), gives F2(z +- i h) = sum_n e^(-+2 pi n h) T_n(a +- 2 i h)
+    as its Taylor sum (``_jet_value``); T_n are the terms of Fstar(z).  Each
+    term takes one fraction for the four points.  The principal and
+    constant terms are taken at each point (``_principal_part``).
+    """
+    k = 2 - M.weight
+
+    def values(points):
+        with mp.workdps(ctx.work_dps):
+            w0, deltas = -mp.conj(z), [w - z for w in points]
+            J = _jet_order(k, max(abs(d.imag) for d in deltas) / mp.im(z), ctx)
+            bases = [(-mp.conj(d), J if d.imag else 0) for d in deltas]
+            jets = ray_sum(M, w0, z, k, ctx, bases=bases) if M.n_max >= 1 else [[(0, 0)]] * len(points)
+            return [_principal_part(M, -mp.conj(w), w, k, ctx) + _jet_value([v for v, _ in jet], k, 2j * d.imag)
+                    for w, d, jet in zip(points, deltas, jets)]
 
     return values
 
@@ -451,6 +512,8 @@ def _jet_order(s: int, rho, ctx: PrecisionContext) -> int:
     """
     if not rho < 0.5:
         raise StepTooLarge("a jet step reaches half way to the kernel pole")
+    if not rho:
+        return 0
     rho, log_eps = float(rho), -(ctx.digits + 8) * math.log(10)
     J = 0
     while math.log(math.comb(s + J, J + 1)) + (J + 1) * math.log(rho) - math.log1p(-rho * (s + J + 1) / (J + 2)) > log_eps:
@@ -476,7 +539,7 @@ def hat_equation_residual(M: QSeries, z, h, ctx: PrecisionContext) -> mp.mpf:
 
 
 def hat_relation_residuals(M: QSeries, z, h, ctx: PrecisionContext, cocycle: Optional[PolynomialC] = None) -> tuple:
-    """Relative residuals of h|(1+S) = 0, h|(1+U+U^2) = 0 and xi_k(hatstar)(z) = target, given h = hatstar(z).
+    """(h, and the relative residuals of h|(1+S) = 0, h|(1+U+U^2) = 0 and xi_k(hatstar)(z) = target), h = hatstar(z).
 
     rstar is holomorphic, and the z-bar derivative of
     int_{-conj z}^{i oo} Q(w) (w+z)^(-k) dw is Q(-conj z) (2iy)^(-k), so for
@@ -484,29 +547,35 @@ def hat_relation_residuals(M: QSeries, z, h, ctx: PrecisionContext, cocycle: Opt
     (2i)^(1-k) r_{f^c}(z) for Q = r_f.  The xi residual is scaled by
     max(1, |xi|, |target|, |h|), since the stencil error of ``xi_fd`` is
     relative to the size of hatstar near z.  The stencil takes its ray sums
-    from one jet per leg (``_hat_stencil``); the period relations take
-    hatstar directly at S z, U z and U^2 z.
+    from one jet per leg (``_hat_stencil``).  For h None, h is the same
+    jets' sum at z, delta = 0, with the same cocycle integral, so hatstar(z)
+    is not summed a second time.  The period relations take hatstar directly
+    at S z, U z and U^2 z.
     """
     k = 2 - M.weight
     hat = lambda w: hat_star(M, w, ctx, cocycle)
     with mp.workdps(ctx.work_dps):
+        stencil = _hat_stencil(M, z, ctx, cocycle)
+        xv = xi_fd(None, k, z, ctx, stencil)
+        if h is None:
+            h = stencil([mp.mpc(z)])[0]
         rel_s, rel_u = period_relations(hat, h, k, z)
-        xv = xi_fd(hat, k, z, ctx, _hat_stencil(M, z, ctx, cocycle))
         target = 0 if cocycle is None else -(2j) ** (1 - k) * mp.conj(cocycle(-mp.conj(z)))
         scale = residual_scale(h)
-        return abs(rel_s) / scale, abs(rel_u) / scale, relative_residual(xv, target, h)
+        return h, abs(rel_s) / scale, abs(rel_u) / scale, relative_residual(xv, target, h)
 
 
 def verify_per_star(M: QSeries, pts: Sequence[complex], ctx: PrecisionContext) -> list:
     """Reports: Fstar|_k(S-1) = hatstar, the two period relations, xi-image, for a modular M.
 
     hatstar = rstar, and its xi-image must vanish to FD tolerance.  hatstar
-    is taken once at z for both helpers, Fstar at z and at S z.
+    at z comes from the xi stencil's jets (``hat_relation_residuals``), and
+    serves both helpers; Fstar is taken at z and at S z.
     """
 
     def row(z):
-        h = hat_star(M, z, ctx)
-        return (hat_equation_residual(M, z, h, ctx), *hat_relation_residuals(M, z, h, ctx))
+        h, *relations = hat_relation_residuals(M, z, None, ctx)
+        return (hat_equation_residual(M, z, h, ctx), *relations)
 
     names = [(f"perstar_eq[{M.label}]", ctx.tol_tight), (f"perstar_slash_S[{M.label}]", ctx.tol_tight),
              (f"perstar_slash_U[{M.label}]", ctx.tol_tight), (f"perstar_xi_holomorphy[{M.label}]", ctx.tol_fd)]

@@ -34,7 +34,10 @@ Conventions used throughout:
   in s.  A cluster of nearby arguments of one sign (a stencil, or its
   images under one coset) takes one series at its center, which also sums
   y K'(y); Kummer's equation, and its s-derivative, give the rest of the
-  jet, and each argument takes its Taylor sum (``_whittaker``).  A seed is
+  jet, and each argument takes its Taylor sum (``_confluent``).  A seed
+  cluster (``_seed_kernel``) also takes its exponential, phase, logarithm
+  and j-factor once, at its centre, and each point from them by short
+  series on fixed-point integers.  A seed is
   a value, ``Seed(k, m, s, ds)``, not a function: ``seed_values``,
   ``psi_seed`` and ``poincare.phi_seed`` evaluate it.  The integral
   representation of M_{mu, nu}(y) is a test oracle only
@@ -45,6 +48,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import mpmath as mp
@@ -416,6 +420,11 @@ def _kummer_sums(A: int, B: int, Q: int, Y: int, P: int, log2_eps: float, ds: bo
     T = S0 = one
     S1 = dT = dS0 = dS1 = 0
     N, D, C = A, B, B - 2 * A  # Q (a + j), Q (b + j) and Q (b - 2a - j), at j = 0
+    # lead below is at least lead0, as (j + 1) r = kappa y >= y and 1 - r < 1,
+    # so a term that passes the stop test's first half with lead0 needs no logarithm
+    lead0 = math.log2(y) - log2_eps + 1 if y else 0.0
+    # the first j at which the stop test below gets past b + j > 0 and r <= 1/2
+    start = next(j for j in range(1, 10 ** 6) if b + j > 0 and (1 + gap / (b + j)) * y / (j + 1) <= 0.5)
     for j in range(1, 10 ** 6):
         Ty = T * Y >> P
         den = D * j
@@ -432,9 +441,9 @@ def _kummer_sums(A: int, B: int, Q: int, Y: int, P: int, log2_eps: float, ds: bo
         N += Q
         D += Q
         C -= Q
-        bj = b + j
-        if bj <= 0:
+        if j < start:
             continue
+        bj = b + j
         kappa = 1 + gap / bj
         r = kappa * y / (j + 1)
         if r > 0.5:
@@ -442,8 +451,11 @@ def _kummer_sums(A: int, B: int, Q: int, Y: int, P: int, log2_eps: float, ds: bo
         if not r:
             return S0, S1, dS0, dS1  # y below 2^-P: every later term is 0
         # 2^(n - 1) <= v < 2^n for n = v.bit_length(), v > 0
+        nT, nS = abs(T).bit_length(), (one + abs(S0)).bit_length()
+        if nT + lead0 >= nS:
+            continue
         lead = math.log2((j + 1) * r) - 2 * math.log2(1 - r) - log2_eps + 1
-        if abs(T).bit_length() + lead >= (one + abs(S0)).bit_length():
+        if nT + lead >= nS:
             continue
         g = (1 + 2 * kappa) / (kappa * bj)
         if not ds or (abs(dT) + math.ceil(2 * g / (1 - r)) * abs(T)).bit_length() + lead < (one + abs(dS0)).bit_length():
@@ -513,51 +525,126 @@ def _taylor(c: list, R: int, P: int) -> int:
     return v
 
 
-def _whittaker(k: int, s, neg: bool, ds: bool, ctx: PrecisionContext) -> Callable[[list], list]:
-    """The cluster evaluator of cal_M(k, s, -+y) (- for ``neg``), or with ``ds`` of its s-derivative: raw mpf y > 0 to raw mpf values.
+def _gauss_taylor(c: list, Xr: int, Xi: int, P: int) -> tuple:
+    """sum_r c_r x^r by Horner for real c_r and x = (Xr + i Xi) 2^-P, every value times 2^P, as a pair."""
+    vr, vi = c[-1], 0
+    for cr in reversed(c[:-1]):
+        vr, vi = cr + (vr * Xr - vi * Xi >> P), vr * Xi + vi * Xr >> P
+    return vr, vi
 
-    Built once per (k, s, sign) at the working precision: call both under
-    ``mp.workdps(ctx.work_dps)``.  For a cluster of y, one confluent series
-    at its center y_c (``_kummer_sums``) gives K = 1F1(a; b; y_c),
-    a = s - mu, b = 2 s, and c_1 = y_c K'(y_c) = sum j T_j, and the same of
-    dK/ds.  Kummer's equation gives the rest of the jet (``_kummer_jet``),
-    to the order ``_kummer_jet_order`` sets from max |rho|, and each y takes
-    its Taylor sum in rho = (y - y_c) / y_c.  A single y is a cluster of one
-    and takes no Taylor sum; a cluster with max |rho| >= 1/2 takes one
-    series per y.  The prefactor y^(s - k/2) e^(-y/2), and log y, is taken
-    per y.  Every value keeps the P = working precision + guard bits of the
-    series, so a finite difference of values at nearby points loses nothing
-    to their last rounding.
+
+def _series_order(rho: float, kappa, log2_tol: float) -> int:
+    """Least J with |c_(J+1)| rho^(J+1) / (1 - q) <= 2^log2_tol, q = rho |c_(J+2) / c_(J+1)| < 1: where sum_n c_n x^n, |x| <= rho, stops.
+
+    For ``kappa`` None the series is exp, c_n = 1/n!, so c_(n+1) / c_n = 1/(n + 1).
+    Otherwise it is a binomial series (1 + x)^e with |e| <= kappa, kappa >= 1:
+    |c_(n+1) / c_n| = |e - n| / (n + 1) <= (kappa + n) / (n + 1), which
+    falls toward 1 as n grows; log1p(x)/x, whose ratios are below 1, takes
+    kappa = 1.  Past order J every ratio is at most q, so the terms left sum
+    to at most the first of them over 1 - q.  rho is rounded up to a power
+    of two, so that the orders of a few hundred clusters take a few bounds.
     """
-    P = mp.mp.prec + _KUMMER_GUARD_BITS
+    return _series_order_pow2(math.frexp(rho)[1], kappa, log2_tol) if rho else 0
+
+
+@lru_cache(maxsize=1024)
+def _series_order_pow2(log2_rho: int, kappa, log2_tol: float) -> int:
+    """``_series_order`` at rho = 2^log2_rho."""
+    ratio = (lambda n: 1 / (n + 1)) if kappa is None else (lambda n: (kappa + n) / (n + 1))
+    J, log2_c = 0, math.log2(ratio(0))  # log2 of the bound on |c_(J+1)|
+    while True:
+        q = 2.0 ** log2_rho * ratio(J + 1)
+        if q < 1 and log2_c + (J + 1) * log2_rho - math.log2(1 - q) <= log2_tol:
+            return J
+        J += 1
+        log2_c += math.log2(ratio(J))
+
+
+@lru_cache(maxsize=256)
+def _exp_coeffs(J: int, P: int) -> tuple:
+    """1/n! times 2^P for n <= J: the coefficients of exp."""
+    c = [1 << P]
+    for n in range(1, J + 1):
+        c.append(c[-1] // n)
+    return tuple(c)
+
+
+@lru_cache(maxsize=256)
+def _binomial_coeffs(num: int, den: int, J: int, P: int) -> tuple:
+    """binom(e, n) times 2^P for n <= J, e = num/den: the coefficients of (1 + x)^e."""
+    c = [1 << P]
+    for n in range(J):
+        c.append(c[-1] * (num - n * den) // (den * (n + 1)))
+    return tuple(c)
+
+
+@lru_cache(maxsize=256)
+def _log1p_coeffs(J: int, P: int) -> tuple:
+    """(-1)^n / (n + 1) times 2^P for n <= J: the coefficients of log1p(x) / x."""
+    return tuple((-1) ** n * (1 << P) // (n + 1) for n in range(J + 1))
+
+
+def _confluent(k: int, s, neg: bool, ds: bool, ctx: PrecisionContext) -> tuple:
+    """(E, jet) for cal_M(k, s, -+y) (- for ``neg``): the prefactor's exponent s - k/2 = E_num/Q as (E_num, Q), and the cluster's confluent jet.
+
+    Built once per (k, s, sign) at the working precision: call ``jet``
+    under it.  jet(Yc, Rs) takes one confluent series at y_c = Yc 2^-P
+    (``_kummer_sums``), which gives K = 1F1(a; b; y_c), a = s - mu, b = 2 s,
+    and c_1 = y_c K'(y_c) = sum j T_j, and the same of dK/ds; Kummer's
+    equation gives the rest of the jet (``_kummer_jet``), to the order
+    ``_kummer_jet_order`` sets from max |rho| < 1/2, and it returns the
+    lists (Ks, Ls) of the Taylor sums of K and dK/ds at each
+    rho = R 2^-P = y / y_c - 1, all times 2^P.  A cluster of one (every
+    R = 0) takes no jet.
+    """
     Q, S = _dyadic(s)
     if S <= 0 and not 2 * S % Q:
         raise DomainError("2s must not be a nonpositive integer")
     hk = k * Q >> 1  # Q k/2
-    A, B, E = S + hk if neg else S - hk, 2 * S, S - hk  # Q a, Q b and Q (s - k/2)
+    A, B = S + hk if neg else S - hk, 2 * S  # Q a and Q b
+    P = mp.mp.prec + _KUMMER_GUARD_BITS
+    log2_eps = _log2_eps(ctx)
+
+    def jet(Yc: int, Rs: list) -> tuple:
+        wide = any(Rs)
+        S0, S1, dS0, dS1 = _kummer_sums(A, B, Q, Yc, P, log2_eps, ds, wide)
+        if not wide:
+            return [S0] * len(Rs), [dS0] * len(Rs)
+        c, d = [S0, S1], [dS0, dS1]
+        rho = max(map(abs, Rs)) / (1 << P)
+        J = _kummer_jet_order(A / Q, B / Q, Yc / (1 << P), rho, ds, log2_eps)
+        _kummer_jet(A, B, Q, Yc, P, c, d, J, ds)
+        Ks = [_taylor(c[:J + 1], R, P) for R in Rs]
+        return Ks, [_taylor(d[:J + 1], R, P) for R in Rs] if ds else Ks
+
+    return (S - hk, Q), jet
+
+
+def _whittaker(k: int, s, neg: bool, ds: bool, ctx: PrecisionContext) -> Callable[[list], list]:
+    """The cluster evaluator of cal_M(k, s, -+y) (- for ``neg``), or with ``ds`` of its s-derivative: raw mpf y > 0 to raw mpf values.
+
+    Built once per (k, s, sign) at the working precision: call both under
+    ``mp.workdps(ctx.work_dps)``.  A cluster of y takes the confluent jet
+    (``_confluent``) at its center y_c, and each y its Taylor sum in
+    rho = (y - y_c) / y_c; a cluster with max |rho| >= 1/2 takes one series
+    per y.  The prefactor y^(s - k/2) e^(-y/2), and log y, is taken per y.
+    Every value keeps the P = working precision + guard bits of the series,
+    so a finite difference of values at nearby points loses nothing to
+    their last rounding.
+    """
+    P = mp.mp.prec + _KUMMER_GUARD_BITS
+    (E, Q), jet = _confluent(k, s, neg, ds, ctx)
     power = E // Q if not E % Q else None
     E = from_man_exp(E, 1 - Q.bit_length())
-    log2_eps = _log2_eps(ctx)
 
     def values(ys: list) -> list:
         Ys = [to_fixed(y, P) for y in ys]
-        lo, hi = min(Ys), max(Ys)
-        Yc = (lo + hi) >> 1
-        S0, S1, dS0, dS1 = _kummer_sums(A, B, Q, Yc, P, log2_eps, ds, hi > lo)
-        if hi > lo:
-            rho = (hi - Yc) / Yc
-            if rho >= 0.5:
-                return [v for y in ys for v in values([y])]
-            c, d = [S0, S1], [dS0, dS1]
-            J = _kummer_jet_order(A / Q, B / Q, Yc / (1 << P), rho, ds, log2_eps)
-            _kummer_jet(A, B, Q, Yc, P, c, d, J, ds)
-            Rs = [((Y - Yc) << P) // Yc for Y in Ys]
-            Ks = [_taylor(c[:J + 1], R, P) for R in Rs]
-            Ls = [_taylor(d[:J + 1], R, P) for R in Rs] if ds else Ks
-        else:
-            Ks, Ls = [S0] * len(ys), [dS0] * len(ys)
+        Yc = (min(Ys) + max(Ys)) >> 1
+        Rs = [((Y - Yc) << P) // Yc for Y in Ys]
+        if max(map(abs, Rs)) >= 1 << P - 1:
+            return [v for y in ys for v in values([y])]
         out = []
-        for y, K, L in zip(ys, Ks, Ls):
+        for y, K, L in zip(ys, *jet(Yc, Rs)):
             half = mpf_shift(y, -1)
             log_y = mpf_log(y, P) if ds or power is None else None
             if power is None:
@@ -606,32 +693,87 @@ class Seed(NamedTuple):
 
 
 def _seed_kernel(seed: Seed, ctx: PrecisionContext) -> Callable:
-    """The evaluator (X, ys, factors=None) -> raw (re, im) mpf pairs of ``seed`` at the points x + i y, each times its factor.
+    """The cluster evaluator (U, V, D, factor=None) -> Gaussian values (re, im, e), (re + i im) 2^e, of ``seed`` at points near a centre.
 
-    Built once per seed at the working precision, and called under it.
-    ``X`` holds each x times 2^P, P the working precision plus the guard
-    bits, and ``ys`` each y > 0 as a raw mpf; all points go to one
-    ``_whittaker`` cluster.  A factor (Fr, Fi, e) is the Gaussian number
-    (Fr + i Fi) 2^e.  The phase e(m x) = cos(2 pi t) + i sin(2 pi t), with
-    t = m x reduced exactly to [0, 1), is taken per point on fixed-point
-    integers.  Values keep P bits, as ``_whittaker``'s do.
+    Built once per seed at the working precision, and called under it.  The
+    centre is x + i y, with U = x 2^P and V = y 2^P > 0 integers, P the
+    working precision plus the guard bits.  Each point w takes an entry
+    (dU, dV, R, Tr, Ti) of D: w - (x + i y) = (dU + i dV) 2^-P,
+    R = dV 2^P / V as an integer, and t = (Tr + i Ti) 2^-P; its value is
+    the seed at w times factor (1 + t)^(-k), where the Gaussian ``factor``
+    (Fr, Fi, f) = (Fr + i Fi) 2^f is the centre's j-factor (1 when None).
+
+    With y_c = 4 pi |m| y and r = R 2^-P, so that 4 pi |m| Im w = y_c (1 + r),
+    the seed at w is
+
+        y_c^E e^(-y_c/2) e(m x) (1 + r)^E F(r) exp(2 pi (i m dU - |m| dV) 2^-P),
+
+    E = s - k/2, F = K(y_c (1 + r)) or, for the s-derivative,
+    (log y_c + log1p(r)) K + dK/ds.  The centre takes the transcendental
+    set once: one exponential (y_c^E e^(-y_c/2)), one phase e(m x) with
+    m x reduced exactly to [0, 1), one logarithm (for ``ds`` or a
+    non-integer E) and the caller's one j-factor; the confluent series is
+    one per cluster (``_confluent``).  Each point then takes the binomial
+    series (1 + r)^E and (1 + t)^(-k), log1p(r) and the exponential's
+    series, on fixed-point integers, each to the order ``_series_order``
+    sets from the cluster's largest ratio for a remainder of
+    2^-(prec + 4), prec the working precision, so that together they stay
+    within 2^-prec of the value.  A single point is a cluster of one and
+    takes no series.  A cluster with max |r| >= 1/2 or an exponent of
+    modulus 1/2 or more takes each point as its own cluster.  Values keep
+    the P bits of the series.
     """
     P = mp.mp.prec + _KUMMER_GUARD_BITS
-    m = seed.m
-    scale, two_pi = mpf_mul(mpf_pi(P), from_int(4 * abs(m)), P), pi_fixed(P) << 1
-    whittaker = _whittaker(seed.k, seed.s, m < 0, seed.ds, ctx)
+    one, m, k, ds = 1 << P, seed.m, seed.k, seed.ds
+    scale, two_pi = to_fixed(mpf_mul(mpf_pi(P), from_int(4 * abs(m)), P), P), pi_fixed(P) << 1
+    (E, Q), jet = _confluent(k, seed.s, m < 0, ds, ctx)
+    power = E // Q if not E % Q else None
+    log2_tol = -mp.mp.prec - 4
+    kappa_E, kappa_k = max(abs(E) / Q, 1), max(abs(k), 1)
 
-    def values(X: list, ys: list, factors=None) -> list:
+    def values(U: int, V: int, D: list, factor=None) -> list:
+        Rs = [R for _, _, R, _, _ in D]
+        # 2 pi (i m dU - |m| dV), the exponent of e(m w) / e(m (x + i y)), times 2^P
+        W = [(-(two_pi * abs(m) * dV) >> P, two_pi * m * dU >> P) for dU, dV, _, _, _ in D]
+        rho = max(map(abs, Rs)) / one
+        w_max = max(math.hypot(Wr / one, Wi / one) for Wr, Wi in W)
+        if rho >= 0.5 or w_max >= 0.5:
+            return [v for dU, dV, _, Tr, Ti in D
+                    for v in values(U + dU, V + dV, [(0, 0, 0, Tr, Ti)], factor)]
+        yc = from_man_exp(V * scale, -2 * P, P)  # y_c = 4 pi |m| y
+        Ks, Ls = jet(V * scale >> P, Rs)
+        log_y = mpf_log(yc, P) if ds or power is None else None
+        if power is None:
+            pref = mpf_exp(mpf_sub(mpf_mul(from_man_exp(E, 1 - Q.bit_length()), log_y, P), mpf_shift(yc, -1), P), P)
+        else:
+            pref = mpf_exp(mpf_neg(mpf_shift(yc, -1)), P)
+            if power:
+                pref = mpf_mul(pref, mpf_pow_int(yc, power, P), P)
+        sign, man, e, _ = pref
+        cos, sin = cos_sin_fixed(((m * U) & (one - 1)) * two_pi >> P, P)
+        if sign:
+            man = -man
+        Zr, Zi = man * cos >> P, man * sin >> P  # the centre's value over F is (Zr + i Zi) 2^e
+        if factor:
+            Fr, Fi, f = factor
+            Zr, Zi, e = Zr * Fr - Zi * Fi >> P, Zr * Fi + Zi * Fr >> P, e + f + P
+        t_max = max(math.hypot(Tr / one, Ti / one) for _, _, _, Tr, Ti in D)
+        cR = _binomial_coeffs(E, Q, _series_order(rho, kappa_E, log2_tol), P) if rho and E else None
+        cL = _log1p_coeffs(_series_order(rho, 1, log2_tol), P) if rho and ds else None
+        cW = _exp_coeffs(_series_order(w_max, None, log2_tol), P) if w_max else None
+        cT = _binomial_coeffs(-k, 1, _series_order(t_max, kappa_k, log2_tol), P) if t_max else None
+        Lc = to_fixed(log_y, P) if ds else 0
         out = []
-        for i, (x, (sign, man, exp, _)) in enumerate(zip(X, whittaker([mpf_mul(y, scale, P) for y in ys]))):
-            re, im = cos_sin_fixed(((m * x) & ((1 << P) - 1)) * two_pi >> P, P)
-            e = exp - P
-            if factors:
-                fr, fi, f = factors[i]
-                re, im, e = re * fr - im * fi, re * fi + im * fr, e + f
-            if sign:
-                man = -man
-            out.append((from_man_exp(man * re, e, P), from_man_exp(man * im, e, P)))
+        for (_, _, R, Tr, Ti), (Wr, Wi), K, L in zip(D, W, Ks, Ls):
+            F = ((Lc + (R * _taylor(cL, R, P) >> P if cL else 0)) * K >> P) + L if ds else K
+            if cR:
+                F = F * _taylor(cR, R, P) >> P
+            Br, Bi = _gauss_taylor(cW, Wr, Wi, P) if cW else (one, 0)
+            if cT:
+                Cr, Ci = _gauss_taylor(cT, Tr, Ti, P)
+                Br, Bi = Br * Cr - Bi * Ci >> P, Br * Ci + Bi * Cr >> P
+            Br, Bi = Br * F >> P, Bi * F >> P
+            out.append((Zr * Br - Zi * Bi, Zr * Bi + Zi * Br, e - P))
         return out
 
     return values
@@ -647,14 +789,21 @@ def _seed_points(seed: Seed, points) -> list:
     return points
 
 
+def _to_mpc(value: tuple, P: int) -> mp.mpc:
+    """The Gaussian value (re, im, e) as an mpc that keeps P bits."""
+    re, im, e = value
+    return mp.make_mpc((from_man_exp(re, e, P), from_man_exp(im, e, P)))
+
+
 def seed_values(seed: Seed, points, ctx: PrecisionContext) -> list:
-    """``seed`` at each of ``points`` (Im > 0), from one cal_M cluster: a stencil's values in one call."""
+    """``seed`` at each of ``points`` (Im > 0), as one cluster about their mean: a stencil's values in one call."""
     with mp.workdps(ctx.work_dps):
         points = _seed_points(seed, points)
         P = mp.mp.prec + _KUMMER_GUARD_BITS
-        X = [to_fixed(z.real._mpf_, P) for z in points]
-        values = _seed_kernel(seed, ctx)(X, [z.imag._mpf_ for z in points])
-    return [mp.make_mpc(v) for v in values]
+        X, Y = [to_fixed(z.real._mpf_, P) for z in points], [to_fixed(z.imag._mpf_, P) for z in points]
+        U, V = sum(X) // len(X), sum(Y) // len(Y)
+        D = [(x - U, y - V, ((y - V) << P) // V, 0, 0) for x, y in zip(X, Y)]
+        return [_to_mpc(v, P) for v in _seed_kernel(seed, ctx)(U, V, D)]
 
 
 def psi_seed(k: int, m: int, z, ctx: PrecisionContext) -> mp.mpc:

@@ -181,3 +181,39 @@ def test_bol_xi_avatar(ctx, f_delta):
     assert len(reps) == 2
     for r in reps:
         assert r.passed, r.summary_line()
+
+
+def direct_coset_term(seed, g, w):
+    """(seed |_k g)(w) from mpmath alone, at the ambient precision: whitm (mp.diff of it in s for an s-derivative seed), expjpi and (c w + d)^(-k)."""
+    k, m, s = seed.k, seed.m, mp.mpf(seed.s)
+    gw = g.apply(w)
+    y = 4 * mp.pi * abs(m) * gw.imag
+    mu = mp.mpf(k) / 2 * (1 if m > 0 else -1)
+    whittaker = lambda s: y ** (-mp.mpf(k) / 2) * mp.whitm(mu, s - mp.mpf(1) / 2, y)
+    value = mp.diff(whittaker, s) if seed.ds else whittaker(s)
+    return value * mp.expjpi(2 * m * gw.real) * g.jfactor(w) ** (-k)
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+def test_stencil_coset_sums_meet_direct_sums(digits):
+    # truncated_poincare at C = 2 takes each stencil point from the centre's
+    # transcendental set by short series; each point's sum meets the sum of
+    # independent per-point terms over the same cosets.  The confluent series
+    # certifies eps, so the seeds and the non-terminating target meet eps; Bol's
+    # target q^m is the terminating seed, whose confluent series is exact, so
+    # there the series alone show, within 2^-prec relative
+    ctx = PrecisionContext(digits=digits)
+    trunc = CosetTruncation.build(2)
+    assert len(trunc.representatives) == 8
+    cases = ((Seed(12, -1, 6, True), mp.mpc(0, 2), ctx.eps()), (Seed(2 - 12, 1, 6), mp.mpc(0, 2), ctx.eps()),
+             (Seed(2 - 12, -1, 6), mp.mpc(0, "1.5"), ctx.eps()), (Seed(12, 1, 6), mp.mpc(0, "1.5"), None))
+    for seed, z, tol in cases:
+        with mp.workdps(ctx.work_dps):
+            h = ctx.fd_step
+            points = [z + h, z - h, z + 1j * h, z - 1j * h]
+            tol = tol or mp.mpf(2) ** -mp.mp.prec
+        got = truncated_poincare(seed, points, trunc, ctx)
+        with mp.workdps(2 * ctx.work_dps):
+            for w, value in zip(points, got):
+                want = mp.fsum(direct_coset_term(seed, g, w) for g in trunc.representatives)
+                assert abs(value - want) <= tol * abs(want), (seed, w)

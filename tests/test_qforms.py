@@ -431,3 +431,27 @@ def test_evaluated_series_is_not_kept_alive(ctx, f_wh):
     del g
     gc.collect()
     assert ref() is None
+
+
+def wh_log_coeff_bound_mpmath(f):
+    """log of 10 max(1, max_n |a(n)| / e^(4 pi sqrt(2 n))), every ratio taken in mpmath at the ambient precision."""
+    best = mp.mpf(1)
+    for n in range(max(1, f.n_min), f.n_max + 1):
+        c = abs(_to_mpc(f.coeffs[n - f.n_min]))
+        if c:
+            best = max(best, c / mp.exp(4 * mp.pi * mp.sqrt(2 * mp.mpf(n))))
+    return float(mp.log(10 * best))
+
+
+def test_wh_log_coeff_bound_float_pass(f_wh):
+    # the coefficient bound of a series without a tail bound is one float pass
+    # over log |a(n)| - 4 pi sqrt(2 n); on wh-10 every ratio is below 1, so it
+    # is ln 10 exactly, and on a copy scaled so that ratios exceed 1 it meets
+    # the mpmath pass within 1e-12
+    fresh = replace(f_wh)
+    assert qforms._wh_log_coeff_bound(fresh) == wh_log_coeff_bound_mpmath(f_wh) == math.log(10)
+    for scale in (100, Fraction(10 ** 30, 7)):
+        scaled = f_wh.scale(scale)
+        want = wh_log_coeff_bound_mpmath(scaled)
+        assert want > math.log(10) + 1
+        assert abs(qforms._wh_log_coeff_bound(scaled) - want) <= 1e-12

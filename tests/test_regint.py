@@ -30,7 +30,16 @@ from periodlab import (
 )
 from periodlab.eichler import period_relations
 from periodlab.qforms import REDUCTION_HEIGHT, _sum_q_series, certified_cusp_form
-from periodlab.regint import SPLIT_HEIGHT, _hat_stencil, _jet_order, exp_ray_integral, hat_star, ray_sum
+from periodlab.regint import (
+    SPLIT_HEIGHT,
+    _hat_stencil,
+    _jet_order,
+    _star_stencil,
+    exp_ray_integral,
+    hat_relation_residuals,
+    hat_star,
+    ray_sum,
+)
 
 from oracles import r2_quadrature
 
@@ -370,11 +379,12 @@ def test_ray_sum_jet_takes_one_fraction_per_term(f_wh, monkeypatch):
 
 
 def test_per_star_principal_terms_take_one_series_each(monkeypatch):
-    # verify perstar at digits 50: 3 points, each with 12 rstar legs (two
-    # for hatstar, four for Fstar at z and S z, six for hatstar at S z, U z
-    # and U^2 z, and one jet for each of the xi stencil's two legs) and two
-    # principal terms per leg, so 72 series of Gamma(-N, x); the stencil
-    # once took them at each of its four points, 108 in all.  No principal
+    # verify perstar at digits 50: 3 points, each with 10 rstar legs (four
+    # for Fstar at z and S z, six for hatstar at S z, U z and U^2 z, and one
+    # jet for each of the xi stencil's two legs, whose sum at z is hatstar(z))
+    # and two principal terms per leg, so 60 series of Gamma(-N, x); hatstar(z)
+    # once took two legs of its own, 72 in all, and the stencil once took
+    # them at each of its four points, 108 in all.  No principal
     # term reaches mpmath's E1 or the upper_incomplete_gamma wrapper, under
     # any module's binding
     import sys
@@ -402,7 +412,7 @@ def test_per_star_principal_terms_take_one_series_each(monkeypatch):
     ctx = PrecisionContext(digits=50)
     reports = verify_per_star(weakly_holomorphic_m10(WH10_TERMS), _grid(3, "0.15", "0.4", "0.9", "0.5"), ctx)
     assert all(r.passed for r in reports)
-    assert calls[0] == 72
+    assert calls[0] == 60
 
 
 @pytest.mark.parametrize("s", [0, 12])
@@ -774,3 +784,52 @@ def test_per_star_zero(ctx, f_wh):
     reps = verify_per_star(f_wh.scale(0), [mp.mpc(0, 1)], ctx)
     for r in reps:
         assert r.max_residual == 0
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_star_stencil_vs_separate_f_star(digits):
+    # Fstar's xi stencil takes the four points' ray sums from one pass, each
+    # point a base point -conj w of (-conj z, z) with the twist e^(-+2 pi i n h)
+    # or e^(-+2 pi n h) and, off the real line, an a-jet; each value meets a
+    # separate f_star call within that call's certified error
+    ctx = PrecisionContext(digits=digits)
+    f = certified_cusp_form(12, ctx)
+    M = eichler_integral(f, ctx).series
+    k = 2 - M.weight
+    with mp.workdps(ctx.work_dps):
+        h = ctx.fd_step
+        for z in (mp.mpc("0.1", "0.6"), mp.mpc("0.5", "1.5"), mp.mpc("0.9", "2.4")):
+            points = [z + h, z - h, z + 1j * h, z - 1j * h]
+            for w, got in zip(points, _star_stencil(M, z, ctx)(points)):
+                want = f_star(M, w, ctx)
+                _, log_err = ray_sum(M, -mp.conj(w), w, k, ctx)
+                assert abs(got - want) <= mp.exp(log_err), (z, w)
+
+
+@pytest.mark.parametrize("form", ["wh-10", "delta"])
+@pytest.mark.parametrize("digits", [50, 80])
+def test_hat_stencil_sum_at_z_meets_hat_star(form, digits):
+    # perstar takes hatstar(z) from the xi stencil's jets at delta = 0, with
+    # the same cocycle integral, in place of a second sum of its two legs; on
+    # wh-10, and with a cocycle on delta, it meets hat_star(M, z) within the
+    # certified errors of both routes' legs: the J = 0 sums and the jets'
+    # order-s entries
+    ctx = PrecisionContext(digits=digits)
+    if form == "wh-10":
+        M, cocycle = weakly_holomorphic_m10(170), None
+    else:
+        f = certified_cusp_form(12, ctx)
+        M, cocycle = eichler_integral(f, ctx).series, period_polynomial(f, ctx)
+    k, z0 = 2 - M.weight, mp.mpc(0, SPLIT_HEIGHT)
+    with mp.workdps(ctx.work_dps):
+        for z in (mp.mpc("0.15", "0.9"), mp.mpc("0.35", "1.15"), mp.mpc("0.55", "1.4")):
+            h, *_ = hat_relation_residuals(M, z, None, ctx, cocycle)
+            want = hat_star(M, z, ctx, cocycle)
+            step = ctx.fd_step
+            points = [z + step, z - step, z + 1j * step, z - 1j * step]
+            err = ctx.eps() * abs(want)
+            for w0, a, scale, deltas in ((z0, -1 / z, z ** (-k), [(w - z) / (z * w) for w in points]),
+                                         (S.apply(z0), z, 1, [w - z for w in points])):
+                J = _jet_order(k, max(map(abs, deltas)) / abs(w0 + a), ctx)
+                err += mp.exp(ray_sum(M, w0, a, k, ctx, scale)[1]) + abs(scale) * mp.exp(ray_sum(M, w0, a, k, ctx, J=J)[0][1])
+            assert abs(h - want) <= err, z

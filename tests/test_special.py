@@ -19,7 +19,20 @@ from periodlab import (
     whittaker_derivative_identity_check,
 )
 from periodlab.eichler import GroupElement
-from periodlab.special import _CF_GUARD_BITS, _fixed, _kummer_series, _legendre_fraction, _negint_series, _on_fraction
+from periodlab.special import (
+    _CF_GUARD_BITS,
+    _KUMMER_GUARD_BITS,
+    _binomial_coeffs,
+    _exp_coeffs,
+    _fixed,
+    _gauss_taylor,
+    _kummer_series,
+    _legendre_fraction,
+    _log1p_coeffs,
+    _negint_series,
+    _on_fraction,
+    _series_order,
+)
 
 import oracles
 from oracles import whittaker_M_integral
@@ -592,3 +605,32 @@ def test_whittaker_nested_difference_oracle(digits):
                 inner = lambda t: cal_M(k, mp.mpf(k) / 2, -t, ctx, ds=True) * mp.exp(-t / 2)
                 lhs = (inner(y + h) - inner(y - h)) / (2 * h)
                 assert abs(nested - lhs) <= 10 * hn ** 2 * abs(lhs), (k, y)
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+def test_seed_series_meet_their_bound(digits):
+    # each point of a seed cluster takes exp, (1 + x)^e and log1p series to the
+    # order _series_order sets for a remainder of 2^-(prec + 4); at the largest
+    # ratio a stencil of step fd_step gives them (2 pi h for the exponential,
+    # h / Im z with Im z = 1 for the others) each meets mpmath, taken far past
+    # that bound, within it
+    ctx = PrecisionContext(digits=digits)
+    rng = random.Random(digits)
+    with mp.workdps(ctx.work_dps):
+        prec, h = mp.mp.prec, ctx.fd_step
+    P = prec + _KUMMER_GUARD_BITS
+    log2_tol = -prec - 4
+    with mp.workprec(2 * P):
+        for rho, kind in ((2 * mp.pi * h, "exp"), (h, -12), (h, 10), (h, "log1p")):
+            for _ in range(8):
+                x = rho * (mp.expjpi(rng.uniform(-1, 1)) if kind != "log1p" else rng.choice((-1, 1)))
+                Xr, Xi = int(mp.nint(mp.re(x) * 2 ** P)), int(mp.nint(mp.im(x) * 2 ** P))
+                x = mp.mpc(Xr, Xi) / 2 ** P
+                if kind == "exp":
+                    c, want = _exp_coeffs(_series_order(float(rho), None, log2_tol), P), mp.exp(x)
+                elif kind == "log1p":
+                    c, want = _log1p_coeffs(_series_order(float(rho), 1, log2_tol), P), mp.log1p(x.real) / x.real
+                else:
+                    c, want = _binomial_coeffs(kind, 1, _series_order(float(rho), abs(kind), log2_tol), P), (1 + x) ** kind
+                got = mp.mpc(*_gauss_taylor(c, Xr, Xi, P)) / 2 ** P
+                assert abs(got - want) <= mp.mpf(2) ** log2_tol * abs(want), (kind, x)
