@@ -5,8 +5,9 @@ means an ``mpmath.mpc`` carried at the working precision of the active
 :class:`PrecisionContext`; no wrapper type is introduced.  Every routine is
 pure: a context object is read-only and may be shared between concurrent
 callers, and quadrature/summation orders are fixed so repeated runs are
-bit-identical.  Ray quadrature is mp.quad's own tanh-sinh pass, with a rule
-whose nodes are ray heights.
+bit-identical.  Ray quadrature is mp.quad's tanh-sinh pass, with a rule
+whose nodes are ray heights, stopped at the context's cutoff ``eps()``
+relative to the value, like every certified series.
 """
 
 from __future__ import annotations
@@ -114,12 +115,17 @@ class _RayRule(TanhSinh):
 
     Each tanh-sinh node u on [0, 1] with weight w becomes the node
     (s, e^(-2 pi s)) with weight w/u: s = -ln(u)/pi is the height above the
-    ray's start (raw mpf, rounded at prec + 20 bits, the precision mp.quad
+    ray's start (raw mpf, rounded at prec + 20 bits, the precision the pass
     calls its integrand at) and e^(-2 pi s) is held to prec + Q_GUARD_BITS
     bits (raw mpf).
-    These are the rule's nodes on its standard interval [-1, 1], which
-    mp.quad does not transform, so mpmath caches them per degree and
+    These are the rule's nodes on its standard interval [-1, 1], which the
+    pass does not transform, so mpmath caches them per degree and
     precision from the first ray on.
+
+    The error estimate is mpmath's extrapolation from the last three
+    degrees, divided by pi + |I| for the
+    pass's value I: the ray integral is i I/pi, so the estimate is relative
+    to 1 + |i I/pi|, the scale every cutoff in the package is relative to.
     """
 
     def calc_nodes(self, degree, prec, verbose=False):
@@ -134,6 +140,9 @@ class _RayRule(TanhSinh):
                 s = (-(ctx.log(u) / ctx.pi))._mpf_
                 ray_nodes.append(((s, q_parts(zero, s, P)[0]), w / u))
         return ray_nodes
+
+    def estimate_error(self, results, prec, epsilon):
+        return super().estimate_error(results, prec, epsilon) / (self.ctx.pi + abs(results[-1]))
 
 
 _RAY_RULE = _RayRule(mp.mp)
@@ -156,14 +165,18 @@ def quad_ray(integrand: Callable[[mp.mpc], mp.mpc], start, ctx: PrecisionContext
     may sit on the real axis (cusps) only when the caller certifies the
     integrand bounded there.
 
-    mp.quad runs the pass (its degrees, summation, error estimate and stop
-    rule) with ``_RayRule``, a tanh-sinh rule whose nodes are ray heights
-    t - y0 paired with e^(-2 pi (t - y0)).  Each node reaches the
-    integrand as a RayPoint carrying q = q(w0) e^(-2 pi (t - y0)), which
-    the q-series sums use in place of their own exponential and
-    cosine/sine pair: those are taken once per ray, not once per node.
+    The pass is mp.quad's: ``_RayRule``'s summation at degrees 1 to
+    QUAD_MAXDEGREE, 20 bits above the working precision, on a tanh-sinh
+    rule whose nodes are ray heights t - y0 paired with
+    e^(-2 pi (t - y0)).  It stops at the first degree whose error estimate
+    is at most ``ctx.eps()`` (1 + |result|), the cutoff every certified
+    series in the package stops at, not at mp.quad's 2^(-prec)/8, which
+    lies 9 digits below it.  Each node reaches the integrand as a RayPoint
+    carrying q = q(w0) e^(-2 pi (t - y0)), which the q-series sums use in
+    place of their own exponential and cosine/sine pair: those are taken
+    once per ray, not once per node.
 
-    Raises NonConvergent when the internal error estimate exceeds
+    Raises NonConvergent when the error estimate exceeds
     tol_tight * (1 + |result|), BadPath when the start lies below the real
     axis.
     """
@@ -186,14 +199,16 @@ def quad_ray(integrand: Callable[[mp.mpc], mp.mpc], start, ctx: PrecisionContext
             w.q = (P, mpf_mul(E0, Es, P + 8), cos, sin)
             return integrand(w)
 
-        # mp.quad builds its rule as method(ctx): one instance keeps one node
-        # cache; [-1, 1] is the interval the ray nodes are given on
-        val, err = mp.quad(on_ray, [-1, 1], method=lambda _: _RAY_RULE, maxdegree=QUAD_MAXDEGREE, error=True)
-        total, toterr = mp.mpc(0, 1) * val / mp.pi, err / mp.pi
+        # one rule instance keeps one node cache; [-1, 1] is the interval the
+        # ray nodes are given on; err comes back relative to 1 + |total|
+        prec = mp.mp.prec
+        with mp.workprec(prec + 20):
+            val, err = _RAY_RULE.summation(on_ray, [-1, 1], prec, ctx.eps(), QUAD_MAXDEGREE)
+        total = mp.mpc(0, 1) * val / mp.pi
         ensure_finite(total, "quad_ray result")
-        if not toterr <= ctx.tol_tight * (1 + abs(total)):
+        if not err <= ctx.tol_tight:
             raise NonConvergent(
-                f"quad_ray error estimate {mp.nstr(toterr, 5)} exceeds tolerance"
+                f"quad_ray error estimate {mp.nstr(err * (1 + abs(total)), 5)} exceeds tolerance"
             )
         return total
 

@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 import random
 import sys
+from mpmath.calculus.quadrature import TanhSinh
 
 from periodlab import (
     BadPath,
@@ -121,24 +122,43 @@ def test_quad_ray_evaluation_budget(ctx, f_delta, f_cusp16, monkeypatch):
     monkeypatch.setattr(eichler, "quad_ray", counting_quad_ray)
     F_f2(f_cusp16, mp.mpc("0.2", "0.4"), ctx, method="quadrature")
     assert 0 < nodes[0] <= 400
+    # a high ray stops at degree 4 (147 nodes), where its error estimate
+    # first falls below eps (1 + |F2|); degree 5 would add 148 more
+    nodes[0] = 0
+    F_f2(f_cusp16, mp.mpc("0.2", "1.6"), ctx, method="quadrature")
+    assert 0 < nodes[0] <= 150
     nodes[0] = 0
     period_polynomial_quadrature(f_delta, mp.mpc("0.3", "0.2"), ctx)
     assert 0 < nodes[0] <= 800
 
 
+class _RelativeTanhSinh(TanhSinh):
+    """mpmath's tanh-sinh rule with its error estimate relative to 1 + |I|/pi, the stop ``quad_ray`` claims."""
+
+    def estimate_error(self, results, prec, epsilon):
+        return super().estimate_error(results, prec, epsilon) / (self.ctx.pi + abs(results[-1]))
+
+
 @pytest.mark.parametrize("digits", [50, 80, 50], ids=["50", "80", "50-again"])
 def test_quad_ray_matches_mp_quad(digits):
-    # against mp.quad on the plain u-integrand g(x0 + i(y0 - ln u/pi))/u,
-    # which carries no q and no cached ray nodes: the same integrand calls
-    # and the same value; digits 50 -> 80 -> 50 catches a node cache that
-    # does not key on the precision
+    # against mpmath's tanh-sinh summation on the plain u-integrand
+    # g(x0 + i(y0 - ln u/pi))/u, which carries no q and no cached ray nodes,
+    # run as mp.quad runs it (20 extra bits) but stopped at quad_ray's
+    # cutoff eps (1 + |I/pi|): the same integrand calls and the same value;
+    # digits 50 -> 80 -> 50 catches a node cache that does not key on the
+    # precision.  mp.quad's own stop, 2^(-prec)/8, takes one degree more on
+    # the last ray at 50 digits and on the one before it at 80; there
+    # quad_ray stops a degree earlier, within eps of mp.quad's value
     ctx = PrecisionContext(digits=digits)
     rays = (
         (mp.mpc("0.1", 0), lambda w: mp.exp(2j * mp.pi * w) * w ** 10),
         (mp.mpc("0.3", "0.7"), lambda w: mp.exp(6j * mp.pi * w) * (w + 2j) ** (-4)),
+        (mp.mpc("0.2", "0.5"), lambda w: mp.exp(2j * mp.pi * w) * (w + mp.mpc("0.1", "0.4")) ** (-16)),
+        (mp.mpc("0.2", "1.6"), lambda w: mp.exp(2j * mp.pi * w)),
     )
+    fewer = []
     for start, g in rays:
-        calls = [0, 0]
+        calls = [0, 0, 0]
 
         def ray_integrand(w):
             calls[1] += 1
@@ -149,13 +169,21 @@ def test_quad_ray_matches_mp_quad(digits):
             start = mp.mpc(start)  # rounded as quad_ray rounds it
             x0, y0 = start.real, start.imag
 
-            def u_integrand(u):
-                calls[0] += 1
+            def u_integrand(u, counter=0):
+                calls[counter] += 1
                 return g(mp.mpc(x0, y0 - mp.log(u) / mp.pi)) / u
 
-            want = 1j * mp.quad(u_integrand, [0, 1], method="tanh-sinh", maxdegree=QUAD_MAXDEGREE) / mp.pi
+            prec = mp.mp.prec
+            with mp.workprec(prec + 20):
+                val, _ = _RelativeTanhSinh(mp.mp).summation(u_integrand, [0, 1], prec, ctx.eps(), QUAD_MAXDEGREE)
+            want = 1j * val / mp.pi
             assert calls[0] == calls[1] > 0
             assert abs(got - want) <= mp.mpf(2) ** -mp.mp.prec * abs(want)
+            default = 1j * mp.quad(lambda u: u_integrand(u, 2), [0, 1], method="tanh-sinh", maxdegree=QUAD_MAXDEGREE) / mp.pi
+            assert calls[2] >= calls[1]
+            assert abs(got - default) <= ctx.eps() * max(1, abs(default))
+            fewer.append(calls[2] > calls[1])
+    assert fewer == [False, False, digits == 80, digits == 50]
 
 
 @pytest.mark.parametrize("digits", [50, 80], ids=["50", "80"])

@@ -2,6 +2,7 @@
 
 import mpmath as mp
 import pytest
+import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +50,27 @@ def test_F_f2_two_routes_agree(ctx, f_delta):
         v1 = F_f2(f_delta, z, ctx)
         v2 = F_f2(f_delta, z, ctx, method="termwise")
         assert abs(v1 - v2) <= ctx.tol_tight * (1 + abs(v1))
+
+
+@pytest.mark.parametrize("digits", [50, 80, 100])
+def test_F_f2_quadrature_meets_termwise_within_eps(digits):
+    # quad_ray stops where its error estimate falls below eps (1 + |F2|);
+    # on 20 Latin-hypercube points (Re z in -0.5..0.5, Im z in 0.3..2.5) the
+    # quadrature stays within 100 eps of the certified ray sums
+    ctx = PrecisionContext(digits=digits)
+    f = cusp_form(16, 120)
+    rng = random.Random(2)
+
+    def strata(lo, hi, n=20):
+        cells = rng.sample(range(n), n)
+        return [mp.mpf(lo) + (hi - lo) * (c + mp.mpf(rng.random())) / n for c in cells]
+
+    for x, y in zip(strata(-0.5, 0.5), strata(0.3, 2.5)):
+        z = mp.mpc(x, y)
+        q = F_f2(f, z, ctx)
+        t = F_f2(f, z, ctx, method="termwise")
+        with mp.workdps(ctx.work_dps):
+            assert abs(q - t) <= 100 * ctx.eps() * max(1, abs(t)), z
 
 
 def test_F_f2_quadrature_evaluates_F_once_per_node(ctx, f_cusp16, monkeypatch):
