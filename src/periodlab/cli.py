@@ -1,7 +1,9 @@
 """Command-line surface: L-values, period polynomials, verification suites.
 
 Exit codes: 0 success (all identities pass), 1 at least one identity failed
-(report still written), 2 domain/configuration error, 3 convergence failure.
+(report still written) or ``periodpoly --check`` found the quadrature oracle
+off the period polynomial by more than 10^-digits, 2 domain/configuration
+error, 3 convergence failure.
 Reports are byte-reproducible for a fixed configuration and version: numbers
 are serialized as decimal strings, key order is fixed, and no timestamps are
 embedded.
@@ -277,15 +279,17 @@ def cmd_periodpoly(args) -> int:
                 {"s": s, "value": _point_pair(lv.value, ctx.digits)} for s, lv in enumerate(critical_lvalues(f, ctx), 1)
             ],
         }
+        deviation = 0
         if args.check:
             with mp.workdps(ctx.work_dps):
                 devs = []
                 for z0 in (mp.mpc(0, 1), mp.mpc(1, 1), mp.mpc(0, 2)):
                     oracle = period_polynomial_quadrature(f, z0, ctx)
                     devs.append(abs(oracle - r(z0)) / (1 + abs(oracle)))
-                payload["quadrature_max_deviation"] = mp.nstr(max(devs), 10)
+                deviation = max(devs)
+                payload["quadrature_max_deviation"] = mp.nstr(deviation, 10)
         print(json.dumps(payload))
-        return EXIT_OK
+        return EXIT_IDENTITY_FAILURE if deviation > mp.mpf(10) ** -ctx.digits else EXIT_OK
     except _CAUGHT as exc:
         return _error_exit(exc)
 
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--form", default=None, help="default delta; not with --weight")
     pp.add_argument("--weight", type=int, default=None)
     pp.add_argument("--digits", type=int, default=50)
-    pp.add_argument("--check", action="store_true", help="re-run the quadrature oracle")
+    pp.add_argument("--check", action="store_true", help="re-run the quadrature oracle; exit 1 if it is off by more than 10^-digits")
     pp.set_defaults(func=cmd_periodpoly)
 
     pv = sub.add_parser("verify", help="run verification suites")

@@ -10,19 +10,24 @@ makes one pass over the cosets on fixed-point integers.  For a stencil it
 takes, per coset, one set of transcendental values at the image of the
 stencil's centre (one exponential, one phase, one logarithm, one j-factor
 and one confluent series) and the four images from it by short series;
-each descent hands ``xi_fd`` that evaluator as its stencil.  The Bol-xi
+each descent hands ``xi_fd`` that evaluator as its stencil.  Where the
+points are closed under the mirror z -> -conj z, as a stencil or a point
+on the imaginary axis is, the cosets come in mirror pairs (c, +-d) whose
+terms are conjugate, and one seed cluster serves each pair.  The Bol-xi
 avatar takes F2's stencil from one ray-sum pass (``regint._star_stencil``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import mpf_abs, to_fixed
 
 from .eichler import GroupElement, IDENTITY, eichler_integral
 from .kernel import DomainError, PrecisionContext, laplace_fd, xi_fd
@@ -38,10 +43,27 @@ class CosetTruncation:
 
     One representative per coset with bottom row (c, d), gcd(c, d) = 1,
     1 <= c <= bound, |d| <= bound, plus the identity (c, d) = (0, 1).
+
+    ``mirror_half`` holds the representatives with c = 0 or d >= 0; each
+    with c d != 0 stands for itself and its mirror row (c, -d): for
+    gamma = (a b; c d) and gamma' = (-a b; c -d), gamma'(-conj w) =
+    -conj(gamma w) and j(gamma', -conj w) = -conj j(gamma, w), so
+    ``truncated_poincare`` takes the mirror's term from gamma's by
+    conjugation.  It is derived from the representatives once, and None
+    unless their bottom rows are closed under (c, d) -> (c, -d) with
+    multiplicity, as every ``build`` is; rows with c d = 0 are their own
+    mirrors.
     """
 
     bound: int
     representatives: Tuple[GroupElement, ...]
+
+    @cached_property
+    def mirror_half(self) -> Optional[Tuple[GroupElement, ...]]:
+        rows = Counter((g.c, g.d) for g in self.representatives)
+        if all(rows[c, -d] == n for (c, d), n in rows.items() if c):
+            return tuple(g for g in self.representatives if g.c == 0 or g.d >= 0)
+        return None
 
     @classmethod
     def build(cls, bound: int) -> "CosetTruncation":
@@ -106,20 +128,35 @@ def truncated_poincare(seed: Seed, z, trunc: CosetTruncation, ctx: PrecisionCont
     more are summed one at a time.  The coset terms are added on integers
     at one scale, and the sums keep P bits, as the seed's values do, for the
     stencils of ``xi_fd``.
+
+    The real parts are cut toward zero, so that the mirror iota w = -conj w
+    of a point has exactly the negated coordinates.  When the points are
+    closed under iota and ``trunc.mirror_half`` is set, one cluster serves
+    each mirror pair of cosets: the seed has real s (a dyadic rational, as
+    the kernel takes it) and integer m, so phi(iota w) = conj phi(w), and
+    the term of gamma' = (-a b; c -d) at w is (-1)^k conj of gamma's term
+    at iota w, read off gamma's cluster on the integers.  Any other cluster
+    or truncation takes one cluster per coset.
     """
     many = isinstance(z, (list, tuple))
     with mp.workdps(ctx.work_dps):
         points = _seed_points(seed, z if many else [z])
         P = mp.mp.prec + _KUMMER_GUARD_BITS
         one = 1 << P
-        coords = [(to_fixed(w.real._mpf_, P), to_fixed(w.imag._mpf_, P)) for w in points]
+        coords = []
+        for w in points:
+            X = to_fixed(mpf_abs(w.real._mpf_), P)
+            coords.append((-X if w.real < 0 else X, to_fixed(w.imag._mpf_, P)))
         x, y = (sum(v) // len(coords) for v in zip(*coords))
         deltas = [(X - x, Y - y) for X, Y in coords]
         if max(math.hypot(dx / one, dy / one) for dx, dy in deltas) >= y / one / 4:
             return [truncated_poincare(seed, w, trunc, ctx) for w in points]
         seed_at = _seed_kernel(seed, ctx)
+        index = {XY: i for i, XY in enumerate(coords)}
+        mirror = [index.get((-X, Y)) for X, Y in coords]
+        half = trunc.mirror_half if None not in mirror else None
         terms = [[] for _ in points]
-        for g in trunc.representatives:
+        for g in half or trunc.representatives:
             a, b, c, d = g.a, g.b, g.c, g.d
             re, im = c * x + d * one, c * y
             N = re * re + im * im
@@ -134,8 +171,13 @@ def truncated_poincare(seed: Seed, z, trunc: CosetTruncation, ctx: PrecisionCont
                 # gamma w - gamma z = delta conj(M) / |M|^2, its imaginary part over Im gamma z, and t
                 dU, dV = ((dx * Mr + dy * Mi) << P) // M2, ((dy * Mr - dx * Mi) << P) // M2
                 D.append((dU, dV, dV * iv >> P, dx * cr - dy * ci >> P, dx * ci + dy * cr >> P))
-            for acc, term in zip(terms, seed_at(U, (y << 2 * P) // N, D, _jfactor_power(re, im, -seed.k, P))):
+            row = seed_at(U, (y << 2 * P) // N, D, _jfactor_power(re, im, -seed.k, P))
+            for acc, term in zip(terms, row):
                 acc.append(term)
+            if half and g.c and g.d:
+                for acc, i in zip(terms, mirror):
+                    tr, ti, e = row[i]
+                    acc.append((-tr, ti, e) if seed.k & 1 else (tr, -ti, e))
         values = [_to_mpc(_gauss_sum(acc, P), P) for acc in terms]
     return values if many else values[0]
 
@@ -165,7 +207,8 @@ def _verify_descent(name: str, tag: str, seed: Seed, target: Seed, pref, pts: Se
     identity holds at every bound because xi commutes with the action.  Each
     xi stencil reaches ``xi_fd`` as one evaluator call: termwise the seed's
     four values come from one cal_M cluster (``seed_values``), and matched
-    the four sums from one cluster per coset (``truncated_poincare``).
+    the four sums from one cluster per mirror pair of cosets
+    (``truncated_poincare``): both matched points lie on the imaginary axis.
     """
     w = seed.k
     values = lambda points: seed_values(seed, points, ctx)

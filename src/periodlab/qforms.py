@@ -24,9 +24,11 @@ series here, the Eichler integral, the completed L-series, and
 L-values and the regularized integrals):
 ``_certified_length`` fixes the number of terms before the sum starts, from
 the series' coefficient-growth model, so that the certified tail is below
-ctx.eps().  A window too short for that is summed whole, and the result is
-returned only if its tail is within the claimed 10^-digits (1 + |sum|);
-otherwise ``_check_tail`` raises TailTooLarge.
+ctx.eps() times a scale the caller passes: 1, or for a modular cusp form
+the size of its leading term |a(n_0) q^(n_0)|, so that its value holds
+its digits near a cusp and up it.  A window too short for that is summed
+whole, and the result is returned only if its tail is within the claimed
+10^-digits (scale + |sum|); otherwise ``_check_tail`` raises TailTooLarge.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ Q_GUARD_BITS = 20
 # 1/2, and as raw mpf values the strip -1/2 <= Re z < 1/2 and the reduction height
 _HALF = mp.mpf(0.5)
 _STRIP, _HEIGHT = (mp.mpf(-0.5)._mpf_, _HALF._mpf_), mp.mpf(REDUCTION_HEIGHT)._mpf_
-# fewest terms a windowed sum takes; see _certified_length
+# fewest terms a windowed sum takes, so that one stopped at the absolute eps
+# (scale 1) is not cut to nothing far up the cusp; see _certified_length
 _MIN_TERMS = 4
 
 
@@ -383,7 +386,8 @@ def _coeff_model(f: QSeries) -> Tuple[float, float, float]:
     return _wh_log_coeff_bound(f), 0.0, 4 * _MATH_PI * _math_sqrt(2.0)
 
 
-def _certified_length(model, log_q: float, n_max: int, ctx: PrecisionContext, n_first: int = 1) -> Tuple[int, float]:
+def _certified_length(model, log_q: float, n_max: int, ctx: PrecisionContext, n_first: int = 1,
+                      log_scale: float = 0.0) -> Tuple[int, float]:
     """Number of terms N of a q-series sum, fixed before the sum starts.
 
     ``model`` = (log C, alpha, beta) bounds the n-th term, n >= ``n_first``,
@@ -391,11 +395,14 @@ def _certified_length(model, log_q: float, n_max: int, ctx: PrecisionContext, n_
     consecutive term bounds fall at least by the ratio
     r = |q| ((N+2)/(N+1))^max(alpha, 0) e^(beta (sqrt(N+2) - sqrt(N+1))),
     so the tail is at most term(N+1) / (1 - r); once r < 1 this decreases
-    in N.  N is the smallest length whose tail is <= ctx.eps(), but at least
-    ``_MIN_TERMS``: far up the cusp the whole sum drops below eps, and a sum
-    cut to nothing there would jump with each step of N under a quadrature
-    whose kernel grows with the height (the period polynomial oracle, the
-    non-critical L-value integral), keeping it from converging.  When the
+    in N.  N is the smallest length whose tail is <= ctx.eps() times the
+    scale e^``log_scale``, but at least ``_MIN_TERMS``.  A modular cusp
+    form's sum passes its leading term as the scale, and so keeps that term
+    at any height.  Under an absolute stop (scale 1) far up the cusp the
+    whole sum drops below eps, and a sum cut to nothing there would jump
+    with each step of N under a quadrature whose kernel grows with the
+    height (the period polynomial oracle, the non-critical L-value
+    integral), keeping it from converging.  When the
     window end ``n_max`` is shorter, N = n_max.  N is estimated in closed
     form, then stepped by one to that length, which is exact: the bound is
     infinite while r >= 1 and strictly decreasing after.  Returns (N, log of
@@ -414,7 +421,7 @@ def _certified_length(model, log_q: float, n_max: int, ctx: PrecisionContext, n_
     if n_max < n_first - 1 or not log_q < 0:
         return n_max, _math_inf
     lo = max(n_first - 1, min(_MIN_TERMS, n_max))
-    log_eps = -(ctx.digits + 8) * _LN10
+    log_eps = -(ctx.digits + 8) * _LN10 + log_scale
     # log C + alpha log m + beta sqrt m + m log q = log eps, m = N + 1, is a
     # quadratic in sqrt m once alpha log m is frozen at the last root
     m = 1.0
@@ -430,13 +437,15 @@ def _certified_length(model, log_q: float, n_max: int, ctx: PrecisionContext, n_
     return N, log_tail(N)
 
 
-def _check_tail(log_tail: float, total, ctx: PrecisionContext, what: str) -> None:
-    """Raise TailTooLarge unless the tail is within the claimed 10^-digits (1 + |total|)."""
-    bound = -ctx.digits * _LN10
-    if log_tail <= bound or log_tail <= bound + mp.log1p(abs(total)):  # in mpmath: |total| may pass 1e308
+def _check_tail(log_tail: float, total, ctx: PrecisionContext, what: str, log_scale: float = 0.0) -> None:
+    """Raise TailTooLarge unless the tail is within the claimed 10^-digits (scale + |total|), scale = e^``log_scale``."""
+    bound = -ctx.digits * _LN10 + log_scale
+    # in mpmath: |total| may pass 1e308
+    if log_tail <= bound or log_tail <= bound + mp.log1p(abs(total) / mp.exp(log_scale)):
         return
+    scale = "1" if not log_scale else f"1e{log_scale / _LN10:.1f}"
     raise TailTooLarge(
-        f"certified tail 1e{log_tail / _LN10:.1f} of {what} exceeds 1e-{ctx.digits} (1 + |sum|): "
+        f"certified tail 1e{log_tail / _LN10:.1f} of {what} exceeds 1e-{ctx.digits} ({scale} + |sum|): "
         "the coefficient window is too short"
     )
 
@@ -456,7 +465,12 @@ def evaluate(f: QSeries, z, ctx: PrecisionContext) -> mp.mpc:
     fast-convergence region with f(z) = z^(-k) f(-1/z) and exact integer
     translations.  The number of terms is fixed up front by
     ``_certified_length``; raises TailTooLarge when the coefficient window
-    ends before the certified tail reaches 10^-digits (1 + |f(z)|).
+    ends before the certified tail reaches 10^-digits (L + |f(z)|).  For a
+    modular cusp form L is the leading term |a(n_0) q^(n_0)| of the series
+    summed times the Jacobian of the reduction, so f(z) keeps its digits
+    relative to that size near a cusp and up the cusp, where f(z) and the
+    Jacobian are far from 1 (L <= y^(-k/2) (k / (4 pi e))^(k/2) |a(n_0)|,
+    y = Im z, for a form with n_0 = 1); otherwise L = 1.
     """
     with mp.workdps(ctx.work_dps):
         z = z if isinstance(z, mp.mpc) else mp.mpc(z)
@@ -470,8 +484,11 @@ def _reduced_sum(f: QSeries, z: mp.mpc, ctx: PrecisionContext, cocycle=None) -> 
 
     w = f.weight, and ``cocycle`` None stands for 0 (a modular f).  Each
     step first translates z into the strip -1/2 <= Re z < 1/2 and at least
-    doubles Im z; the sum runs once z is above REDUCTION_HEIGHT.  Call at
-    the working precision.
+    doubles Im z; the sum runs once z is above REDUCTION_HEIGHT.  A modular
+    cusp form's sum stops relative to its leading term, which the Jacobian
+    scales with the value; a sum with a cocycle stops at the absolute eps,
+    since the cocycle's size does not scale with it.  Call at the working
+    precision.
     """
     total = factor = None  # set by the first step
     for _ in range(8 * ctx.work_dps):
@@ -484,7 +501,7 @@ def _reduced_sum(f: QSeries, z: mp.mpc, ctx: PrecisionContext, cocycle=None) -> 
         jac = z ** (-f.weight)
         factor = jac if factor is None else factor * jac
         z = -1 / z
-    value = _sum_q_series(f, z, ctx)
+    value = _sum_q_series(f, z, ctx, leading=cocycle is None and f.cuspidal)
     if factor is None:
         return value
     return factor * value if total is None else total + factor * value
@@ -504,8 +521,13 @@ def q_parts(x, y, P: int) -> tuple:
     return E, cos, sin
 
 
-def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
+def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext, leading: bool = False) -> mp.mpc:
     """sum a(n) q^n over n_min <= n <= min(N, n_max), N from ``_certified_length``.
+
+    With ``leading`` the tail stops at eps times the leading term's size
+    2^(mag - 1) |q|^(n_0) <= |a(n_0) q^(n_0)|, n_0 the first index with
+    a(n_0) != 0 and 2^mag the bound ``_fixed_coeffs`` keeps of its parts;
+    otherwise at eps.
 
     One Horner loop over the whole window (principal part, constant term
     and holomorphic part) computes H = sum c_n q^(n - n_0) on Gaussian
@@ -532,8 +554,11 @@ def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
     """
     x, y = z._mpc_
     log_q = -2 * _MATH_PI * to_float(y)
-    N, log_tail = _certified_length(_coeff_model(f), log_q, max(f.n_max, 0), ctx)
     first, mags, parts = _fixed_coeffs(f)
+    log_scale = 0.0
+    if leading and first < len(mags):
+        log_scale = (mags[first] - 1) * _math_log(2) + (f.n_min + first) * log_q
+    N, log_tail = _certified_length(_coeff_model(f), log_q, max(f.n_max, 0), ctx, log_scale=log_scale)
     m = min(N, f.n_max) - f.n_min
     prec = mp.mp.prec
     if m < first:
@@ -568,6 +593,6 @@ def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext) -> mp.mpc:
         total = mp.make_mpc((from_man_exp(Hr, u, prec, _NEAREST), from_man_exp(Hi, u, prec, _NEAREST)))
         if n_0 < 0:
             total *= mp.mpc(mp.mpf((Qr, -s)), mp.mpf((Qi, -s))) ** n_0
-    _check_tail(log_tail, total, ctx, f.label)
+    _check_tail(log_tail, total, ctx, f.label, log_scale)
     return total
 

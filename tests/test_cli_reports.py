@@ -206,11 +206,23 @@ def test_cli_periodpoly_delta():
 
 
 def test_cli_periodpoly_check_at_working_precision(capsys):
-    # the quadrature oracle agrees to about 1e-46 at digits 50; evaluated at
-    # 15 digits the deviation would read about 1e-11
+    # the quadrature oracle agrees to about 6e-60 at digits 50, within the
+    # 10^-digits the check gates; evaluated at 15 digits the deviation would
+    # read about 1e-11
     assert main(["periodpoly", "--form", "cusp26", "--digits", "50", "--check"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert mp.mpf(payload["quadrature_max_deviation"]) <= mp.mpf("1e-40")
+    assert mp.mpf(payload["quadrature_max_deviation"]) <= mp.mpf("1e-50")
+
+
+def test_cli_periodpoly_check_fails_past_its_digits(capsys, monkeypatch):
+    # an oracle off by 10^-(digits-2) relative exits 1 and still prints the payload
+    from periodlab import eichler
+
+    oracle = eichler.period_polynomial_quadrature
+    off = lambda f, z0, ctx: oracle(f, z0, ctx) * (1 + mp.mpf("1e-28"))
+    monkeypatch.setattr(eichler, "period_polynomial_quadrature", off)
+    assert main(["periodpoly", "--form", "delta", "--digits", "30", "--check"]) == EXIT_IDENTITY_FAILURE
+    assert mp.mpf(json.loads(capsys.readouterr().out)["quadrature_max_deviation"]) > mp.mpf("1e-30")
 
 
 def test_cli_lvalue_parses_s_at_working_precision(capsys, monkeypatch):

@@ -103,9 +103,10 @@ def test_terminating_seed_is_exponential(ctx, k):
 @pytest.mark.parametrize("digits", [30, 50, 80, 100])
 def test_matched_stencil_sums_meet_pointwise_sums(digits):
     # each matched truncation takes its xi stencil from one cal_M cluster per
-    # coset, Taylor-summed to the four images; each stencil sum meets
-    # truncated_poincare at that point alone (one series per coset, no
-    # Taylor sum) within eps relative, at xi_descent's and bol_descent's points
+    # mirror pair of cosets, Taylor-summed to the four images; each stencil
+    # sum meets truncated_poincare at that point alone (one series per coset,
+    # no Taylor sum: an off-axis point has no mirror) within eps relative, at
+    # xi_descent's and bol_descent's points
     ctx = PrecisionContext(digits=digits)
     trunc = CosetTruncation.build(DESCENT_BOUND)
     for seed, z in ((Seed(12, -1, 6, True), mp.mpc(0, 2)), (Seed(2 - 12, -1, 6), mp.mpc(0, "1.5"))):
@@ -115,6 +116,31 @@ def test_matched_stencil_sums_meet_pointwise_sums(digits):
         for w, got in zip(points, truncated_poincare(seed, points, trunc, ctx)):
             want = truncated_poincare(seed, w, trunc, ctx)
             assert abs(got - want) <= ctx.eps() * abs(want), (seed, w)
+
+
+def test_mirror_pairs_of_cosets_share_one_cluster(ctx, monkeypatch):
+    # at DESCENT_BOUND the 128 cosets are the identity, (1, 0) and 63 mirror
+    # pairs (c, +-d): a stencil about 2i, closed under z -> -conj z, takes 65
+    # seed clusters, one per pair; about 0.3 + 0.8i it takes one per coset
+    from periodlab import poincare
+
+    calls = []
+
+    def counted(seed, ctx):
+        kernel = seed_kernel(seed, ctx)
+        return lambda *args: calls.append(1) or kernel(*args)
+
+    seed_kernel = poincare._seed_kernel
+    monkeypatch.setattr(poincare, "_seed_kernel", counted)
+    trunc = CosetTruncation.build(DESCENT_BOUND)
+    assert len(trunc.representatives) == 128 and len(trunc.mirror_half) == 65
+    for z, want in ((mp.mpc(0, 2), 65), (mp.mpc("0.3", "0.8"), 128)):
+        with mp.workdps(ctx.work_dps):
+            h = ctx.fd_step
+            points = [z + h, z - h, z + 1j * h, z - 1j * h]
+        calls.clear()
+        truncated_poincare(Seed(12, -1, 6, True), points, trunc, ctx)
+        assert len(calls) == want, z
 
 
 def test_seed_rejects_points_off_the_half_plane(ctx):
@@ -197,23 +223,35 @@ def direct_coset_term(seed, g, w):
 @pytest.mark.parametrize("digits", [30, 50, 100])
 def test_stencil_coset_sums_meet_direct_sums(digits):
     # truncated_poincare at C = 2 takes each stencil point from the centre's
-    # transcendental set by short series; each point's sum meets the sum of
-    # independent per-point terms over the same cosets.  The confluent series
-    # certifies eps, so the seeds and the non-terminating target meet eps; Bol's
-    # target q^m is the terminating seed, whose confluent series is exact, so
-    # there the series alone show, within 2^-prec relative
+    # transcendental set by short series, and about an axis point each
+    # mirror pair of cosets (c, +-d) from one cluster; each point's sum meets
+    # the sum of independent per-point terms over the same cosets.  The
+    # confluent series certifies eps, so the seeds and the non-terminating
+    # target meet eps; Bol's target q^m is the terminating seed, whose
+    # confluent series is exact, so there the series alone show, within
+    # 2^-prec relative.  An odd weight takes the mirror's term with the
+    # sign (-1)^k.  An off-axis stencil, and the cosets with d >= 0 alone,
+    # which are not closed under (c, d) -> (c, -d), take one cluster per
+    # coset
     ctx = PrecisionContext(digits=digits)
     trunc = CosetTruncation.build(2)
     assert len(trunc.representatives) == 8
-    cases = ((Seed(12, -1, 6, True), mp.mpc(0, 2), ctx.eps()), (Seed(2 - 12, 1, 6), mp.mpc(0, 2), ctx.eps()),
-             (Seed(2 - 12, -1, 6), mp.mpc(0, "1.5"), ctx.eps()), (Seed(12, 1, 6), mp.mpc(0, "1.5"), None))
-    for seed, z, tol in cases:
+    half = CosetTruncation(2, tuple(g for g in trunc.representatives if g.d >= 0))
+    assert len(half.representatives) == 5 and half.mirror_half is None
+    cases = ((Seed(12, -1, 6, True), mp.mpc(0, 2), ctx.eps(), trunc),
+             (Seed(2 - 12, 1, 6), mp.mpc(0, 2), ctx.eps(), trunc),
+             (Seed(2 - 12, -1, 6), mp.mpc(0, "1.5"), ctx.eps(), trunc),
+             (Seed(12, 1, 6), mp.mpc(0, "1.5"), None, trunc),
+             (Seed(3, -1, mp.mpf(3) / 2), mp.mpc(0, 2), ctx.eps(), trunc),
+             (Seed(2 - 12, 1, 6), mp.mpc("0.3", "1.5"), ctx.eps(), trunc),
+             (Seed(2 - 12, 1, 6), mp.mpc(0, 2), ctx.eps(), half))
+    for seed, z, tol, cosets in cases:
         with mp.workdps(ctx.work_dps):
             h = ctx.fd_step
             points = [z + h, z - h, z + 1j * h, z - 1j * h]
             tol = tol or mp.mpf(2) ** -mp.mp.prec
-        got = truncated_poincare(seed, points, trunc, ctx)
+        got = truncated_poincare(seed, points, cosets, ctx)
         with mp.workdps(2 * ctx.work_dps):
             for w, value in zip(points, got):
-                want = mp.fsum(direct_coset_term(seed, g, w) for g in trunc.representatives)
+                want = mp.fsum(direct_coset_term(seed, g, w) for g in cosets.representatives)
                 assert abs(value - want) <= tol * abs(want), (seed, w)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodlab import (
@@ -30,6 +30,7 @@ from periodlab import (
 )
 from periodlab import qforms
 from periodlab.eichler import GroupElement, S, T, eichler_integral
+from periodlab.qforms import DIM_ONE_WEIGHTS, certified_cusp_form
 from periodlab.qforms import _certified_length, _check_tail, _coeff_model, _sum_q_series, _to_mpc
 
 
@@ -238,6 +239,38 @@ def test_evaluate_wh_modularity(ctx, f_wh):
     lhs = evaluate(f_wh, -1 / z, ctx)
     rhs = z ** mp.mpf(-10) * evaluate(f_wh, z, ctx)
     assert abs(lhs - rhs) <= ctx.tol_tight * (1 + abs(lhs))
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_evaluate_meets_its_digits_near_the_cusps(digits):
+    # evaluate(f, z) against the same call 30 digits higher, for the six
+    # dim-1 forms, near the cusps 0, +-1 and +-1/2 (Im z down to 0.05) and
+    # up to Im z = 8: off by at most 10^-digits (|f(z)| + L), L =
+    # y^(-k/2) max_t t^(k/2) e^(-2 pi t) = y^(-k/2) (k / (4 pi e))^(k/2),
+    # since y^(k/2) |f(z)| is invariant and its q-series at height t starts
+    # at t^(k/2) e^(-2 pi t).  A stop at the absolute eps misses it where the
+    # Jacobian z^(-k) of the reduction is large (cusp26 at 0.2i: off by
+    # 6.6e-42 at 50 digits) and up the cusp, where f(z) is small (at 5i)
+    ctx, hi = PrecisionContext(digits=digits), PrecisionContext(digits=digits + 30)
+    forms = {k: certified_cusp_form(k, hi) for k in DIM_ONE_WEIGHTS}
+
+    @settings(max_examples=80)
+    @given(
+        st.sampled_from(DIM_ONE_WEIGHTS),
+        st.sampled_from([0, 1, -1, 0.5, -0.5]),
+        st.floats(-0.1, 0.1),
+        st.floats(math.log(0.05), math.log(8)),
+    )
+    @example(26, 0, 0.0, math.log(0.2))
+    @example(26, 0, 0.0, math.log(5))
+    def check(k, cusp, dx, log_y):
+        z = mp.mpc(cusp + dx, math.exp(log_y))
+        got, want = evaluate(forms[k], z, ctx), evaluate(forms[k], z, hi)
+        with mp.workdps(hi.work_dps):
+            scale = (mp.mpf(k) / (4 * mp.pi * mp.e) / z.imag) ** (mp.mpf(k) / 2)
+            assert abs(got - want) <= mp.mpf(10) ** -digits * (abs(want) + scale), (k, z)
+
+    check()
 
 
 def test_evaluate_window_starting_above_one(ctx):
