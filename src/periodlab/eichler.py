@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .kernel import DomainError, PrecisionContext, quad_ray
 from .lfun import critical_lvalues
@@ -101,30 +102,67 @@ class PolynomialC:
         """Exact int_a^b P(w) (w+z)^(-k) dw; b = None stands for i*infinity.
 
         Taylor-shifted to the pole, P(w) = sum_j c_j (w+z)^j, so for
-        deg P <= k-2 the antiderivative G(w) = u^(1-k) sum_j c_j u^j/(j-k+1),
-        u = w + z, one power times a Horner sum, has no logarithm: G is
-        single-valued and rational, G(i oo) = 0, and the integral is
-        G(b) - G(a) along any path that misses -z.  Raises DomainError for a
-        nonzero coefficient above degree k-2, where the integral to i oo
-        diverges, and for an endpoint at the pole -z.
+        deg P <= k-2 the antiderivative G(w) = sum_j c_j u^(j+1-k)/(j-k+1),
+        u = w + z, has no logarithm: G is single-valued and rational,
+        G(i oo) = 0, and the integral is G(b) - G(a) along any path that
+        misses -z.  G(w) is a polynomial in v = 1/u with no constant term,
+        summed by Horner's rule.  Raises DomainError for a nonzero
+        coefficient above degree k-2, where the integral to i oo diverges,
+        and for an endpoint at the pole -z.
+
+        The shift (repeated synthetic division by u = w + z) and both Horner
+        sums run on Gaussian integers in one unit 2^U, and G(b) - G(a) is
+        taken exactly in it.  U is sized from float bounds before the sums:
+        each rounding of a unit reaches G(w) times at most (2 + |z|)^n
+        (n = deg P), so U lies that far, the working precision and
+        8 + 2 log2 k guard bits below the least of the endpoints' term sizes
+        |c_j| |v|^(k-1-j) / (k-1), taken against sum_m |v|^m <= (k-1) max(|v|, |v|^(k-1)).
+        Each value so keeps the working precision relative to the size of its
+        terms, as a sum in mpc arithmetic would, and z is read to the bits
+        that keep its own error below a unit at every coefficient.
         """
         if any(c != 0 for c in self.coeffs[max(k - 1, 0):]):
             raise DomainError(f"polynomial degree exceeds k-2 = {k - 2}")
         z = mp.mpc(z)
-        c = list(self.coeffs[: max(k - 1, 0)])
-        # repeated synthetic division by (w + z)
-        for i in range(len(c) - 1):
-            for j in range(len(c) - 2, i - 1, -1):
-                c[j] -= z * c[j + 1]
-        d = [cj / (j - k + 1) for j, cj in reversed(list(enumerate(c)))]
-
-        def G(w) -> mp.mpc:
-            u = mp.mpc(w) + z
-            if u == 0:
-                raise DomainError("integration endpoint at the kernel pole -z")
-            return mp.polyval(d, u) * u ** (1 - k)
-
-        return (G(b) if b is not None else mp.mpc(0)) - G(a)
+        ends = [mp.mpc(w) + z for w in ((a,) if b is None else (b, a))]
+        if not all(ends):
+            raise DomainError("integration endpoint at the kernel pole -z")
+        c = self.coeffs[: max(k - 1, 0)]
+        mags = [mp.mag(cj) for cj in c]  # 2^(m - 2) <= |c_j| <= 2^m
+        if not any(m > -math.inf for m in mags):
+            return mp.mpc(0)
+        n, prec = len(c) - 1, mp.mp.prec
+        lz = max(mp.mag(z), 1) + 1  # 2 + |z| <= 2^lz
+        # each end: log2 of a lower bound on its term sizes over sum_m |v|^m, |v| in [2^-mu, 2^(2-mu)]
+        sizes = []
+        for u in ends:
+            mu = mp.mag(u)
+            top = max(m - 2 - (k - 1 - j) * mu for j, m in enumerate(mags))
+            sizes.append(top - 2 * math.log2(k - 1) - max(2 - mu, (k - 1) * (2 - mu)))
+        U = math.floor(min(sizes)) - prec - 8 - 2 * k.bit_length() - n * lz
+        E = max(m + j * lz for j, m in enumerate(mags)) + (n + 1).bit_length()  # every shifted value < 2^E
+        Wz = E - U + n.bit_length() + 1
+        C = [(to_fixed(cj.real._mpf_, -U), to_fixed(cj.imag._mpf_, -U)) for cj in c]
+        Zr, Zi = to_fixed(z.real._mpf_, Wz), to_fixed(z.imag._mpf_, Wz)
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                (cr, ci), (dr, di) = C[j], C[j + 1]
+                C[j] = cr - (Zr * dr - Zi * di >> Wz), ci - (Zr * di + Zi * dr >> Wz)
+        D = [(cr // (j + 1 - k), ci // (j + 1 - k)) for j, (cr, ci) in enumerate(C)]
+        total, K = [0, 0], 2 * (prec + 8)
+        for sign, u in zip((1, -1) if b is not None else (-1,), ends):
+            # u = (Ur + i Ui) 2^-Pu and v = 1/u = (Vr + i Vi) 2^-Pv, each of about prec + 8 bits
+            Pu = min(prec + 8 - mp.mag(u), K)
+            Pv = K - Pu
+            Ur, Ui = to_fixed(u.real._mpf_, Pu), to_fixed(u.imag._mpf_, Pu)
+            den = Ur * Ur + Ui * Ui
+            Vr, Vi = (Ur << K) // den, -(Ui << K) // den
+            Hr, Hi = D[0]
+            for dr, di in D[1:] + [(0, 0)] * (k - 1 - n):
+                Hr, Hi = (Vr * Hr - Vi * Hi >> Pv) + dr, (Vr * Hi + Vi * Hr >> Pv) + di
+            total[0] += sign * Hr
+            total[1] += sign * Hi
+        return mp.mpc(mp.mpf((total[0], U)), mp.mpf((total[1], U)))
 
 
 def slash_polynomial(P: PolynomialC, m: int, gamma: GroupElement) -> PolynomialC:

@@ -27,8 +27,12 @@ constant term n = 0 is elementary, and the decaying part n >= 1 is the same
 fold summed over the coefficients on the principal branch (``ray_sum``),
 whose length is fixed by a certified tail bound.  There G_n = 1/f with f
 the Legendre continued fraction: a sum is one pass on fixed-point integers
-with one exponential and one power, and each fraction stops at its term's
-share of the error budget.  Both can also return a jet, the sums at orders
+with one exponential and one power, each fraction evaluated at the depth
+that meets its term's share of the error budget, and each term's G taken
+to a fixed-point value with one division pair per order, which every base
+point shares.  Its set-up and its error are float log-magnitudes: the
+window, the term bounds and the certified error take no mpmath
+logarithm.  Both can also return a jet, the sums at orders
 s..s+J for the Taylor expansion in the shift a: each term then takes one G
 at one order and recurs to the others, in the direction where that is
 stable.  Ray quadrature is not used here; it remains the oracle that the
@@ -77,7 +81,7 @@ import math
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import mpf_mul, to_fixed
+from mpmath.libmp import mpf_mul, pi_fixed, to_fixed
 
 from .eichler import PolynomialC, S, period_relations
 from .kernel import DomainError, PrecisionContext, StepTooLarge, xi_fd
@@ -86,6 +90,7 @@ from .reports import relative_residual, residual_scale, tabulate
 from .special import _CF_GUARD_BITS, _fixed, _legendre_fraction, _negint_series, _on_fraction
 
 SPLIT_HEIGHT = 5 / 4  # height of r_star's default base point
+_LN2, _LOG_2PI = math.log(2), math.log(2 * math.pi)
 
 
 class NotRegularizable(DomainError):
@@ -172,14 +177,18 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
     G_n = e^x x^(s-1) Gamma(1-s, x), so |c_n q0^n G_n| <= t_n = |c_n| |q0|^n F / |x_n|.
     Every term takes G_n = 1/f_n from the Legendre fraction f_n, which
     converges for Re x > 0 and ends exactly at a positive integer order 1-s;
-    it stops at the relative eps T / (N t_n), T = max t_n, kept within
-    [eps, 2^-20], which leaves 1/f_n within 4 tol_n relative
-    (``_legendre_fraction``).  The certified error, returned and checked by
-    ``_check_tail``, is the tail plus |C| sum_n 4 tol_n t_n, about 4 eps T |C|.
-    One pass on Gaussian integers at P = -log2(eps) + 32 bits adds
-    c_n q0^n B_n conj(A_n) / |A_n|^2 for 1/f_n = B_n / A_n in the unit 2^-P T
-    (N roundings, below N 2^-30 eps T), q0^n renormalized to P bits per step
-    and x_n = n x_1 an integer multiple.
+    it is evaluated at the depth that meets the relative eps T / (N t_n),
+    T = max t_n, kept within [eps, 2^-20], which leaves 1/f_n within
+    4 tol_n relative (``_legendre_fraction``).  The certified error, returned
+    and checked by ``_check_tail``, is the tail plus
+    |C| sum_n 4 tol_n t_n, about 4 eps T |C|.  The window, the t_n and the
+    error come from float logarithms of |scale|, |w0 + a| and the
+    coefficients' exponents, with no mpmath logarithm.  One pass on Gaussian
+    integers at P = -log2(eps) + 32 bits takes each term's
+    g = B_n conj(A_n) / |A_n|^2 for 1/f_n = B_n / A_n as a P-bit value, one
+    division pair per order, and adds c_n g q0^n in the unit 2^-P T for each
+    base (N roundings, below N 2^-30 eps T), q0^n renormalized to P bits per
+    step and x_n = n x_1 an integer multiple.
 
     With J > 0 it returns the list of (sum, log error) at the orders
     s, s+1, ..., s+J in one pass, a jet in a: the sum against
@@ -202,10 +211,12 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
     against (w + a - eta)^(-s).  Since (w0 + eta) + (a - eta) = w0 + a,
     every x_n, and so every fraction, is the one of (w0, a): only q0 moves,
     to e^(2 pi i (w0 + eta)), so the coefficient sets c_n e^(2 pi i n eta)
-    share one pass and each term takes its fraction once for all of them.
-    The window, the t_n and the tails take the lowest base point.
+    share one pass and each term takes its fraction, and each order its
+    division pair, once for all of them.  The window, the t_n and the tails
+    take the lowest base point.
     """
-    height = mp.im(w0 + a)
+    u0 = w0 + a
+    height = float(u0.imag)
     if not height > 0:
         raise DomainError("ray sum needs Im(w0 + a) > 0")
     one_base = bases is None
@@ -214,83 +225,99 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
     if J and s < 0:
         raise DomainError("a ray-sum jet needs s >= 0")
     orders = range(s, s + J + 1)
-    log2_F = [-o * math.log2(1 - o / (2 * math.pi * float(height))) if o < 0 else 0.0 for o in orders]
+    log2_F = [-o * math.log2(1 - o / (2 * math.pi * height)) if o < 0 else 0.0 for o in orders]
     log_b, alpha, beta = _coeff_model(series)
-    log_q = -2 * math.pi * min(float(mp.im(w0 + eta)) for eta, _ in bases)
-    tails = []
-    for o, log2_Fo in zip(orders, log2_F):
-        bound = abs(scale) / (2 * mp.pi) / abs(w0 + a) ** o * mp.mpf(2) ** log2_Fo
-        model = (log_b + float(mp.log(bound)), alpha - 1, beta)
-        tails.append(_certified_length(model, log_q, series.n_max, ctx))
+    log_q = -2 * math.pi * min(float((w0 + eta).imag) for eta, _ in bases)
+    # log |scale (w0 + a)^(1-o)| per order o, and the tails from the bounds |scale| / (2 pi |w0+a|^o) F
+    log_scale, log_u = _log_abs(scale), _log_abs(u0)
+    log_C = [log_scale + (1 - o) * log_u for o in orders]
+    tails = [_certified_length((log_b + lc - log_u - _LOG_2PI + lf * _LN2, alpha - 1, beta), log_q, series.n_max, ctx)
+             for lc, lf in zip(log_C, log2_F)]
     N = max(length for length, _ in tails)
     first, mags, parts = _fixed_coeffs(series)
-    x1 = -2j * mp.pi * (w0 + a)
-    abs_x1 = float(abs(x1))
-    # log2 t_n for the nonzero c_n, n >= 1, in the window; |c_n| < 2^(mags + 1/2)
-    log2_t = {
-        n: mags[n - series.n_min] + 0.5 + n * log_q / math.log(2) - math.log2(n * abs_x1) + log2_F[0]
-        for n in range(max(1, series.n_min + first), min(N, series.n_max) + 1)
-        if mags[n - series.n_min] > -math.inf
-    }
-    sums = [[[0, 0] for _ in range(Jb + 1)] for _, Jb in bases]  # sum_n c_n q0^n G_n per base and order, in the unit 2^u
+    n0, n_last = max(1, series.n_min + first), min(N, series.n_max)
+    # log2 t_n for n <= n_last, -inf below n0 and where c_n = 0; |c_n| < 2^(mags + 1/2)
+    c = 0.5 + log2_F[0] - (_LOG_2PI + log_u) / _LN2
+    log2_t = [-math.inf] * n0 + [mags[n - series.n_min] + c + n * log_q / _LN2 - math.log2(n) for n in range(n0, n_last + 1)]
+    log2_T = max(log2_t, default=-math.inf)
+    sums = [[[0, 0] for _ in range(Jb + 1)] for _, Jb in bases]  # sum_n c_n q0^n G_n per base and order, in the unit 2^v
     budget = 0.0  # sum_n 4 tol_n t_n / T
-    if log2_t:
+    if log2_T > -math.inf:
         eps = ctx.eps()
-        P, log2_eps, log2_T = _CF_GUARD_BITS - mp.mag(eps), float(mp.mag(eps) - 1), max(log2_t.values())
-        X1r, X1i = _fixed(x1, P)
+        P, log2_eps = _CF_GUARD_BITS - mp.mag(eps), float(mp.mag(eps) - 1)
+        two_pi = pi_fixed(P) << 1
+        X1r, X1i = two_pi * to_fixed(u0.imag._mpf_, P) >> P, -(two_pi * to_fixed(u0.real._mpf_, P)) >> P
+        abs_x1 = math.exp(log_u) * 2 * math.pi
+        log2_budget = log2_eps + log2_T - math.log2(N)
         qs = []  # per base: [Qr, Qi, sq, qr, qi, eq] with q0^n = (qr + i qi) 2^eq
         for eta, _ in bases:
             wb = w0 + eta
             E, cos, sin = q_parts(wb.real._mpf_, wb.imag._mpf_, P)
             sq = P - E[2] - E[3]
             qs.append([to_fixed(mpf_mul(E, cos), sq), to_fixed(mpf_mul(E, sin), sq), sq, 1 << P, 0, -P])
-        u = math.ceil(log2_T) - P
-        for n in range(1, max(log2_t) + 1):
+        v = math.ceil(log2_T) - P
+        for n in range(1, n_last + 1):
             for q in qs:
                 Qr, Qi, sq, qr, qi, eq = q
                 qr, qi = qr * Qr - qi * Qi, qr * Qi + qi * Qr
                 d = max(qr.bit_length(), qi.bit_length()) - P
                 q[3:] = qr >> d, qi >> d, eq + d - sq
-            if n not in log2_t:
+            lt = log2_t[n]
+            if lt == -math.inf:
                 continue
-            tol = min(max(log2_eps + log2_T - math.log2(N) - log2_t[n], log2_eps), -20.0)
+            tol = min(max(log2_budget - lt, log2_eps), -20.0)
+            budget += 2 ** (tol + 2 + lt - log2_T)
             X = (n * X1r, n * X1i)
-            anchor = next((o for o in orders if o >= n * abs_x1), orders[-1])
-            G = {anchor: _legendre_fraction(((1 - anchor) << P, 0), X, P, tol)[:6]}
+            anchor = min(max(s, math.ceil(n * abs_x1)), s + J)  # the least order >= |x_n|, s + J if none
+            G = [None] * (J + 1)  # G_o at index o - s
+            G[anchor - s] = _legendre_fraction(((1 - anchor) << P, 0), X, P, tol)[:6]
             for o in range(anchor - 1, s - 1, -1):
-                G[o] = _order_step(G[o + 1], o, X, P, False)
+                G[o - s] = _order_step(G[o + 1 - s], o, X, P, False)
             for o in range(anchor, s + J):
-                G[o + 1] = _order_step(G[o], o, X, P, True)
-            budget += 2 ** (tol + 2 + log2_t[n] - log2_T)
+                G[o + 1 - s] = _order_step(G[o - s], o, X, P, True)
             cr, ci, ex = parts[n - series.n_min]
-            Gs = []  # B conj(A), |A|^2 and the exponent of each order's G = B / A
-            for Br, Bi, eB, Ar, Ai, eA in (G[o] for o in orders):
-                Gs.append((Br * Ar + Bi * Ai, Bi * Ar - Br * Ai, Ar * Ar + Ai * Ai, eB - eA))
+            Hs = []  # c_n G = (hr + i hi) 2^eh per order: one division pair each
+            for Br, Bi, eB, Ar, Ai, eA in G:
+                den = Ar * Ar + Ai * Ai
+                gr, gi = ((Br * Ar + Bi * Ai) << P) // den, ((Bi * Ar - Br * Ai) << P) // den
+                Hs.append((cr * gr - ci * gi, cr * gi + ci * gr, ex + eB - eA - P))
             for base_sums, (_, _, _, qr, qi, eq) in zip(sums, qs):
-                pr, pi = cr * qr - ci * qi, cr * qi + ci * qr
-                for acc, (gr, gi, den, eg) in zip(base_sums, Gs):
-                    vr, vi = pr * gr - pi * gi, pr * gi + pi * gr
-                    sh = ex + eq + eg - u
-                    vr, vi, den = (vr << sh, vi << sh, den) if sh >= 0 else (vr, vi, den << -sh)
-                    acc[0] += vr // den
-                    acc[1] += vi // den
+                for acc, (hr, hi, eh) in zip(base_sums, Hs):
+                    vr, vi = hr * qr - hi * qi, hr * qi + hi * qr
+                    sh = eh + eq - v
+                    if sh >= 0:
+                        acc[0] += vr << sh
+                        acc[1] += vi << sh
+                    else:
+                        acc[0] += vr >> -sh
+                        acc[1] += vi >> -sh
     out = []
+    log_budget = (log2_T + math.log2(budget)) * _LN2 if budget else -math.inf
+    commons = [scale * u0 ** (1 - s)]  # scale (w0 + a)^(1-o) per order
+    for _ in range(J):
+        commons.append(commons[-1] / u0)
     for base_sums in sums:
-        jet, common = [], scale * (w0 + a) ** (1 - s)
-        for (Tr, Ti), (_, log_tail) in zip(base_sums, tails):
-            total, log_err = mp.mpc(0), -math.inf
-            if log2_t:
-                total = mp.mpc(mp.mpf((Tr, u)), mp.mpf((Ti, u))) * common
-                log_err = math.log(2) * (log2_T + math.log2(budget)) + float(mp.log(abs(common)))
+        jet = []
+        for (Tr, Ti), (_, log_tail), lc, common in zip(base_sums, tails, log_C, commons):
+            total = mp.mpc(mp.mpf((Tr, v)), mp.mpf((Ti, v))) * common if budget else mp.mpc(0)
+            log_err = log_budget + lc
             if log_tail > -math.inf:
                 log_err = max(log_err, log_tail) + math.log1p(math.exp(-abs(log_err - log_tail)))
             _check_tail(log_err, total, ctx, f"ray sum of {series.label}")
             jet.append((total, log_err))
-            common /= w0 + a
         out.append(jet)
     if one_base:
         return out[0] if J else out[0][0]
     return out
+
+
+def _log_abs(v) -> float:
+    """ln |v| for a nonzero number v, from its mantissas, so that no float overflows at any size."""
+    v = mp.mpmathify(v)
+    parts = [p for p in (v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_,)) if p[1]]
+    top = max(e + bc for _, _, e, bc in parts)
+    size = math.hypot(*(math.ldexp(man >> max(bc - 60, 0), e + max(bc - 60, 0) - top) for _, man, e, bc in parts))
+    return math.log(size) + top * _LN2
 
 
 def _order_step(g: tuple, order: int, X: tuple, P: int, up: bool) -> tuple:

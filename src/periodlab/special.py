@@ -10,12 +10,13 @@ Conventions used throughout:
   orders (``_negint_series``), and Gamma(s) minus the lower-gamma series
   otherwise.
 * e^x x^(-s) Gamma(s, x) is 1/f for that continued fraction f, from its
-  one implementation ``_legendre_fraction``: the Wallis forward recurrence
-  on Gaussian fixed-point integers at a given scale 2^P, with the numerator
-  and denominator pairs renormalized separately by shifts, and a stop test
-  in float log2 that takes no division, at any relative tolerance.  At an
+  one implementation ``_legendre_fraction``, for every order: a forward
+  pass on Python floats fixes the depth n at which f_n meets a given
+  relative tolerance (``_fraction_depth``), and one backward pass on
+  Gaussian fixed-point integers at a given scale 2^P evaluates f_n, with
+  the numerator and denominator renormalized separately by shifts.  At an
   integer order, which every ray-sum term and Gamma(-N, x) take, a_j is a
-  small integer and each step multiplies by it with no P-bit product.
+  small integer and each step takes one P-bit complex product.
   ``regint.ray_sum`` runs it directly for every term, on its own
   fixed-point arguments and at each term's share of the sum's error budget;
   ``_on_fraction`` picks only ``upper_incomplete_gamma``'s branch.
@@ -76,8 +77,9 @@ from .reports import RelationReport, relative_residual
 
 _GAMMA_DPS_PAD = 10
 # bits the fixed-point continued fraction carries beyond -log2(eps): they
-# absorb the rounding of the b_j and of the thousands of recurrence steps
-# that arguments near the imaginary axis with |x| near or below |s| + 1 take
+# absorb the rounding of the b_j and of the backward pass, up to a unit of
+# 2^-P per step relative, over the thousands of steps that arguments near
+# the imaginary axis with |x| near or below |s| + 1 take
 _CF_GUARD_BITS = 32
 # bits the fixed-point confluent series carries beyond the working precision
 _KUMMER_GUARD_BITS = 20
@@ -288,96 +290,113 @@ def _legendre_fraction(s: tuple, x: tuple, P: int, log2_tol: float) -> tuple:
 
     ``s`` and ``x`` are (Re, Im) integer pairs times 2^P.  f is the Legendre
     continued fraction b_0 + a_1/(b_1 + a_2/(b_2 + ...)) with
-    b_j = x + 2j + 1 - s and a_j = -j (j - s) (DLMF 8.9.2).  The Wallis recurrence
-    A_j = b_j A_(j-1) + a_j A_(j-2), and the same for B, from
-    (A_-1, A_0) = (1, b_0), (B_-1, B_0) = (0, 1), runs on Gaussian integers
-    at the scale 2^P; each pair is shifted back to about P bits on its own,
-    so a large |f| costs B no precision.  At an integer order a_j is a small
-    integer, and the step adds a_j A_(j-2) after the shift, with no P-bit
-    product: since (a_j 2^P A) >> P = a_j A exactly, the result is the
-    same.  Since A_j B_(j-1) - A_(j-1) B_j = (-1)^(j+1) a_1 ... a_j, the step satisfies
-    |f_n - f_(n-1)| / |f_n| = |a_1 ... a_n| / |A_n B_(n-1)|; the sum of
-    float log2 |a_j| against bit lengths stops the loop once that is below
-    2^log2_tol, with no division, after ``steps`` steps.  At a positive
-    integer order m, a_m = 0 and the fraction ends exactly after m - 1 steps.
+    b_j = x + 2j + 1 - s and a_j = -j (j - s) (DLMF 8.9.2), and the result is
+    its convergent f_n at the depth n = ``steps``: n = m - 1 at a positive
+    integer order m, where a_m = 0 and the fraction ends exactly, and
+    otherwise the depth ``_fraction_depth`` fixes for the tolerance.
 
-    That test bounds the last step, not the error: the steps left sum to
-    about the last one times r/(1 - r), r = |a_j A_(j-2) / A_j| the ratio of
-    consecutive steps, read off the leading bits.  For r <= 4/5 that factor
-    is at most 4.  Above it, where the fraction converges slowly (small |x|),
-    the loop runs on until the step times r/(1 - r) is below
-    2^(log2_tol + 2).  Either way the result is within about
-    2^(log2_tol + 2) relative.
+    f_n is one backward pass on Gaussian integers at the scale 2^P:
+    t_n = b_n and t_(j-1) = b_(j-1) + a_j / t_j, so f_n = t_0.  Each t_j is
+    held as a pair p_j / q_j, with p_(j-1) = b_(j-1) p_j + a_j q_j and
+    q_(j-1) = p_j: one P-bit complex product per step, and at an integer
+    order a_j q_j is a small integer times q_j.  p is shifted back to P bits
+    at each step with its own exponent, and q keeps the exponent p had, so
+    a large |t_j| costs q no precision: the result is 1/f = q_0 / p_0.  Each
+    step rounds p within a few units of 2^-P relative, which the caller's
+    guard bits absorb (``_CF_GUARD_BITS``); with the depth pass's margin the
+    result is within 2^(log2_tol + 2) relative.
     """
     one = 1 << P
     sr, si = s
-    br, bi = x
-    br += one - sr
-    bi -= si
-    sc = complex(sr / one, si / one)
     # at an integer order m, a_j = j (m - j) is a small integer
     whole, m = not (si or sr & (one - 1)), sr >> P
-    Ar2, Ai2, Ar1, Ai1 = one, 0, br, bi
-    Br2, Bi2, Br1, Bi1 = 0, 0, one, 0
-    eA = eB = -P
-    log2_a = 0.0
+    n = m - 1 if whole and m >= 1 else _fraction_depth(s, x, P, log2_tol)
+    br, bi = x[0] + ((2 * n + 1) << P) - sr, x[1] - si  # b_n
     two = 2 * one
-    for j in range(1, 10 ** 6):
-        br += two
+    qr, qi = one, 0
+    e = d = (abs(br) | abs(bi)).bit_length() - P
+    pr, pi = (br >> d, bi >> d) if d >= 0 else (br << -d, bi << -d)
+    # p is (pr + i pi) 2^(e - P) and q is (qr + i qi) 2^(e - d - P), each of P bits
+    for j in range(n, 0, -1):
+        br -= two
         if whole:
             a = j * (m - j)
-            if not a:
-                j -= 1
-                break
-            Ar = (br * Ar1 - bi * Ai1 >> P) + a * Ar2
-            Ai = (br * Ai1 + bi * Ar1 >> P) + a * Ai2
-            Br = (br * Br1 - bi * Bi1 >> P) + a * Br2
-            Bi = (br * Bi1 + bi * Br1 >> P) + a * Bi2
-            la = math.log2(abs(a))
+            Yr, Yi = a * qr, a * qi
         else:
             ar, ai = j * (sr - j * one), j * si
-            Ar = (br * Ar1 - bi * Ai1 + ar * Ar2 - ai * Ai2) >> P
-            Ai = (br * Ai1 + bi * Ar1 + ar * Ai2 + ai * Ar2) >> P
-            Br = (br * Br1 - bi * Bi1 + ar * Br2 - ai * Bi2) >> P
-            Bi = (br * Bi1 + bi * Br1 + ar * Bi2 + ai * Br2) >> P
-            # s within a float ulp of the integer j: |j - s| from the fixed-point parts
-            a = abs(j * (j - sc))
-            la = math.log2(a) if a else math.log2(j) + 0.5 * math.log2((j * one - sr) ** 2 + si * si) - P
-        log2_a += la
-        # 2^(bit length - 1) <= max(|re|, |im|) <= |A|, so this overestimates the step
-        nA = (abs(Ar) | abs(Ai)).bit_length()  # max of the two bit lengths
-        nB1 = (abs(Br1) | abs(Bi1)).bit_length()
-        step = log2_a - (nA - 1 + eA) - (nB1 - 1 + eB)
-        converged = step < log2_tol
-        if converged:
-            # the steps left sum to about 2^step r/(1 - r): at most 2^(log2_tol + 2) for r <= 4/5
-            sh = max(nA - 60, 0)
-            r = 2 ** la * abs(complex(Ar2 >> sh, Ai2 >> sh)) / abs(complex(Ar >> sh, Ai >> sh))
-            converged = r <= 0.8 or r < 1 and step + math.log2(r / (1 - r)) < log2_tol + 2
-        Ar2, Ai2, Ar1, Ai1 = Ar1, Ai1, Ar, Ai
-        Br2, Bi2, Br1, Bi1 = Br1, Bi1, Br, Bi
-        if converged:
-            break
-        # keep each pair within 8 bits of 2^P
-        d = nA - P
-        if d > 8:
-            Ar2, Ai2, Ar1, Ai1 = Ar2 >> d, Ai2 >> d, Ar1 >> d, Ai1 >> d
-            eA += d
-        elif d < -8:
-            Ar2, Ai2, Ar1, Ai1 = Ar2 << -d, Ai2 << -d, Ar1 << -d, Ai1 << -d
-            eA += d
-        d = (abs(Br) | abs(Bi)).bit_length() - P
-        if d > 8:
-            Br2, Bi2, Br1, Bi1 = Br2 >> d, Bi2 >> d, Br1 >> d, Bi1 >> d
-            eB += d
-        elif d < -8:
-            Br2, Bi2, Br1, Bi1 = Br2 << -d, Bi2 << -d, Br1 << -d, Bi1 << -d
-            eB += d
-    else:
-        raise NonConvergent("upper gamma continued fraction did not converge")
-    return Br1, Bi1, eB, Ar1, Ai1, eA, j
+            Yr, Yi = ar * qr - ai * qi >> P, ar * qi + ai * qr >> P
+        # b_(j-1) p_j + a_j q_j on p_j's exponent
+        if d >= 0:
+            Xr = (br * pr - bi * pi >> P) + (Yr >> d)
+            Xi = (br * pi + bi * pr >> P) + (Yi >> d)
+        else:
+            Xr = (br * pr - bi * pi >> P) + (Yr << -d)
+            Xi = (br * pi + bi * pr >> P) + (Yi << -d)
+        qr, qi = pr, pi
+        d = (abs(Xr) | abs(Xi)).bit_length() - P
+        if d >= 0:
+            pr, pi = Xr >> d, Xi >> d
+        else:
+            pr, pi = Xr << -d, Xi << -d
+        e += d
+    return qr, qi, e - d - P, pr, pi, e - P, n
 
 
+def _fraction_depth(s: tuple, x: tuple, P: int, log2_tol: float) -> int:
+    """The depth n at which the convergent f_n of ``_legendre_fraction`` is within 2^(log2_tol + 2) of f relative.
+
+    A forward pass on Python floats, real when s and x are real and complex
+    otherwise.  The Wallis recurrence A_j = b_j A_(j-1) + a_j A_(j-2), and
+    the same for B, from (A_-1, A_0) = (1, b_0) and (B_-1, B_0) = (0, 1),
+    runs as the ratios alpha_j = A_j / A_(j-1) and beta_j = B_j / B_(j-1),
+    so no float overflows at any |x|.  Since
+    A_j B_(j-1) - A_(j-1) B_j = (-1)^(j+1) a_1 ... a_j, the step is
+    |f_j - f_(j-1)| / |f_j| = D_j = |a_1 ... a_j| / |A_j B_(j-1)|, and
+    D_j = D_(j-1) |a_j / (alpha_j beta_(j-1))|, held with an exponent of
+    its own past 2^-500.  The pass stops once D_j < 2^(log2_tol - 1), a bit
+    inside the bit-length test of a fixed-point pass, against rounding.
+
+    That test bounds the last step, not the error: the steps left sum to
+    about the last one times r/(1 - r), r = |a_j A_(j-2) / A_j| the ratio of
+    consecutive steps.  For r <= 4/5 that factor is at most 4.  Above it,
+    where the fraction converges slowly (small |x|), the pass runs on until
+    the step times r/(1 - r) is below 2^(log2_tol + 1).  s = m + frac with
+    m the integer nearest Re s, so a_j = j ((m - j) + frac) keeps its digits
+    when s lies within a float ulp of the integer j.
+    """
+    one = 1 << P
+    m = s[0] + (one >> 1) >> P
+    frac = (s[0] - (m << P)) / one
+    b = x[0] / one + (1 - m) - frac  # b_0
+    if s[1] or x[1]:
+        frac = complex(frac, s[1] / one)
+        b = complex(b, (x[1] - s[1]) / one)
+    # j = 1: alpha_0 = b_0, beta_1 = b_1 and D_1 = |a_1 / A_1|
+    a = m - 1 + frac
+    alpha0 = b
+    b += 2
+    u = a / alpha0
+    alpha = beta = b
+    alpha += u
+    D = abs(a / (alpha0 * alpha))
+    lim = log2_tol - 1  # the pass stops once D < 2^lim; D holds D_j 2^(lim - log2_tol + 1)
+    T = 2.0 ** lim
+    for j in range(2, 10 ** 6):
+        if D < T:
+            r = abs(u / alpha)
+            if r <= 0.8 or r < 1 and D * r / (1 - r) < 4 * T:
+                return j - 1
+        b += 2
+        a = j * (m - j + frac)
+        u, v = a / alpha, a / beta
+        alpha = b + u
+        D *= abs(v / alpha)
+        beta = b + v
+        if D < 1e-150:
+            D, k = math.frexp(D)
+            lim -= k
+            T = 2.0 ** lim
+    raise NonConvergent("upper gamma continued fraction did not converge")
 
 
 def _log2_eps(ctx: PrecisionContext) -> float:

@@ -8,8 +8,14 @@ quadrature, which raises by its own rule.  The difference oracles take the
 s-derivative of the Whittaker seed by finite differences of ``cal_M``, which
 the package sums in closed form; their error is O(step^2).  The W_k check
 reads the period relations of a polynomial off its coefficients, slashed
-exactly by ``slash_polynomial``.
+exactly by ``slash_polynomial``.  The incomplete-gamma oracles share no
+code with the package's continued fraction: ``gamma_oracle`` takes
+mpmath's gammainc, or E1 with an exact finite sum, and
+``legendre_fraction_forward`` evaluates the same continued fraction by the
+Wallis forward recurrence, the reference for the package's backward pass.
 """
+
+import math
 
 import mpmath as mp
 
@@ -142,3 +148,125 @@ def w_relation_norms(P) -> tuple:
         return max(abs(sum(cs)) for cs in zip(P.coeffs, *images)) / scale
 
     return norm(S), norm(U, U * U)
+
+
+def gamma_oracle(s, x, dps):
+    """Gamma(s, x) to dps digits, independent of the continued fraction.
+
+    mp.gammainc for complex and positive integer orders (a finite sum at the
+    latter).  At a nonpositive integer order -N and
+    complex x it takes seconds per call (its hypergeometric fallback), so
+    there mpmath's E1 with the exact finite sum
+    Gamma(-N, x) = (-1)^N/N! (E1(x) - e^(-x) sum_{j<N} (-1)^j j! x^(-j-1))
+    runs instead, with the digits that sum cancels, log10(N! |x|^N), added.
+    """
+    if isinstance(s, mp.mpc) or s > 0:
+        with mp.workdps(dps):
+            return mp.gammainc(s, x)
+    N = int(-s)
+    with mp.workdps(dps + int(mp.log10(mp.factorial(N) * abs(x) ** N)) + 5):
+        acc, term = mp.mpc(0), 1 / mp.mpc(x)
+        for j in range(N):
+            acc += term
+            term *= -(j + 1) / x
+        return (-1) ** N / mp.factorial(N) * (mp.e1(x) - mp.exp(-x) * acc)
+
+
+def ray_term(n: int, w0, a, s: int, dps: int) -> mp.mpc:
+    """int_{w0}^{i oo} e^(2 pi i n w) (w + a)^(-s) dw for n >= 1 and Im(w0 + a) > 0, from ``gamma_oracle``.
+
+    e^(-lam a) (-lam)^(s-1) Gamma(1-s, x) with lam = 2 pi i n and
+    x = -lam (w0 + a), Re x > 0, on Gamma's principal branch.
+    """
+    with mp.workdps(dps):
+        lam = 2j * mp.pi * n
+        gamma = gamma_oracle(1 - s, -lam * (w0 + a), dps)
+        return mp.exp(-lam * a) * (-lam) ** (s - 1) * gamma
+
+
+def legendre_fraction_forward(s: tuple, x: tuple, P: int, log2_tol: float) -> tuple:
+    """The reference for ``special._legendre_fraction``: the same (Br, Bi, eB, Ar, Ai, eA, steps) by the Wallis forward recurrence.
+
+    ``s`` and ``x`` are (Re, Im) integer pairs times 2^P, and f is the
+    Legendre continued fraction b_0 + a_1/(b_1 + a_2/(b_2 + ...)) with
+    b_j = x + 2j + 1 - s and a_j = -j (j - s) (DLMF 8.9.2).  The Wallis
+    recurrence A_j = b_j A_(j-1) + a_j A_(j-2), and the same for B, from
+    (A_-1, A_0) = (1, b_0), (B_-1, B_0) = (0, 1), runs on Gaussian integers
+    at the scale 2^P, each pair shifted back to about P bits on its own.
+    Since A_j B_(j-1) - A_(j-1) B_j = (-1)^(j+1) a_1 ... a_j, the step is
+    |f_n - f_(n-1)| / |f_n| = |a_1 ... a_n| / |A_n B_(n-1)|, read in float
+    log2 against bit lengths, which overestimate it; the loop stops once
+    it is below 2^log2_tol and the steps left, about the last one times
+    r/(1 - r) for the ratio r of consecutive steps, are below
+    2^(log2_tol + 2).  At a positive integer order m, a_m = 0 and the
+    fraction ends exactly after m - 1 steps.  Run with more bits and a
+    tighter tolerance, it is the tests' value of 1/f.
+    """
+    one = 1 << P
+    sr, si = s
+    br, bi = x
+    br += one - sr
+    bi -= si
+    sc = complex(sr / one, si / one)
+    # at an integer order m, a_j = j (m - j) is a small integer
+    whole, m = not (si or sr & (one - 1)), sr >> P
+    Ar2, Ai2, Ar1, Ai1 = one, 0, br, bi
+    Br2, Bi2, Br1, Bi1 = 0, 0, one, 0
+    eA = eB = -P
+    log2_a = 0.0
+    two = 2 * one
+    for j in range(1, 10 ** 6):
+        br += two
+        if whole:
+            a = j * (m - j)
+            if not a:
+                j -= 1
+                break
+            Ar = (br * Ar1 - bi * Ai1 >> P) + a * Ar2
+            Ai = (br * Ai1 + bi * Ar1 >> P) + a * Ai2
+            Br = (br * Br1 - bi * Bi1 >> P) + a * Br2
+            Bi = (br * Bi1 + bi * Br1 >> P) + a * Bi2
+            la = math.log2(abs(a))
+        else:
+            ar, ai = j * (sr - j * one), j * si
+            Ar = (br * Ar1 - bi * Ai1 + ar * Ar2 - ai * Ai2) >> P
+            Ai = (br * Ai1 + bi * Ar1 + ar * Ai2 + ai * Ar2) >> P
+            Br = (br * Br1 - bi * Bi1 + ar * Br2 - ai * Bi2) >> P
+            Bi = (br * Bi1 + bi * Br1 + ar * Bi2 + ai * Br2) >> P
+            # s within a float ulp of the integer j: |j - s| from the fixed-point parts
+            a = abs(j * (j - sc))
+            la = math.log2(a) if a else math.log2(j) + 0.5 * math.log2((j * one - sr) ** 2 + si * si) - P
+        log2_a += la
+        # 2^(bit length - 1) <= max(|re|, |im|) <= |A|, so this overestimates the step
+        nA = (abs(Ar) | abs(Ai)).bit_length()  # max of the two bit lengths
+        nB1 = (abs(Br1) | abs(Bi1)).bit_length()
+        step = log2_a - (nA - 1 + eA) - (nB1 - 1 + eB)
+        converged = step < log2_tol
+        if converged:
+            # the steps left sum to about 2^step r/(1 - r): at most 2^(log2_tol + 2) for r <= 4/5
+            sh = max(nA - 60, 0)
+            r = 2 ** la * abs(complex(Ar2 >> sh, Ai2 >> sh)) / abs(complex(Ar >> sh, Ai >> sh))
+            converged = r <= 0.8 or r < 1 and step + math.log2(r / (1 - r)) < log2_tol + 2
+        Ar2, Ai2, Ar1, Ai1 = Ar1, Ai1, Ar, Ai
+        Br2, Bi2, Br1, Bi1 = Br1, Bi1, Br, Bi
+        if converged:
+            break
+        # keep each pair within 8 bits of 2^P
+        d = nA - P
+        if d > 8:
+            Ar2, Ai2, Ar1, Ai1 = Ar2 >> d, Ai2 >> d, Ar1 >> d, Ai1 >> d
+            eA += d
+        elif d < -8:
+            Ar2, Ai2, Ar1, Ai1 = Ar2 << -d, Ai2 << -d, Ar1 << -d, Ai1 << -d
+            eA += d
+        d = (abs(Br) | abs(Bi)).bit_length() - P
+        if d > 8:
+            Br2, Bi2, Br1, Bi1 = Br2 >> d, Bi2 >> d, Br1 >> d, Bi1 >> d
+            eB += d
+        elif d < -8:
+            Br2, Bi2, Br1, Bi1 = Br2 << -d, Bi2 << -d, Br1 << -d, Bi1 << -d
+            eB += d
+    else:
+        raise NonConvergent("upper gamma continued fraction did not converge")
+    return Br1, Bi1, eB, Ar1, Ai1, eA, j
+

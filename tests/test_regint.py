@@ -41,7 +41,7 @@ from periodlab.regint import (
     ray_sum,
 )
 
-from oracles import r2_quadrature
+from oracles import r2_quadrature, ray_term
 
 
 def one_term_series(n, coeff=1):
@@ -143,13 +143,14 @@ FOLD_BASES = {"i": mp.mpc(0, 1), "-conj z": -mp.conj(FOLD_Z), "S-image": -1 / mp
 def assert_folded_matches_unfolded(series, ctx, kernel_terms, w0):
     # ray_sum folds each term to c_n q0^n (w0+a)^(1-s) / f_n, each continued
     # fraction stopped at its share of the error budget; the unfolded sum
-    # takes exp_ray_integral term by term over the whole window, each term to
-    # eps relative.  The certified error returned covers the difference, and
-    # the budget keeps it 10^5 below the digits claimed
+    # takes each term over the whole window from mpmath's incomplete gamma
+    # (oracles.ray_term), which shares no code with the fraction, 10 digits
+    # past the working precision.  The certified error returned covers the
+    # difference, and the budget keeps it 10^5 below the digits claimed
     with mp.workdps(ctx.work_dps):
         for a, s, scale in kernel_terms:
             got, log_err = ray_sum(series, w0, a, s, ctx, scale)
-            terms = [scale * series.coeff(n) * exp_ray_integral(n, w0, a, s, ctx) for n in range(1, series.n_max + 1)]
+            terms = [scale * series.coeff(n) * ray_term(n, w0, a, s, ctx.work_dps + 10) for n in range(1, series.n_max + 1)]
             want = mp.fsum(terms)
             assert abs(got - want) <= mp.mpf(10) ** -ctx.digits * abs(want), (w0, a, s)
             assert abs(got - want) <= mp.exp(log_err) + ctx.eps() * mp.fsum(map(abs, terms)), (w0, a, s)
@@ -208,7 +209,7 @@ def test_ray_sum_takes_no_incomplete_gamma(ctx, f_delta, monkeypatch):
     w0, a = mp.mpc(0, 1), mp.mpc("0.1", "0.6")
     assert not _on_fraction(-11, abs(2 * mp.pi * (w0 + a)))
     with mp.workdps(ctx.work_dps):
-        want = mp.fsum(f_delta.coeff(n) * exp_ray_integral(n, w0, a, 12, ctx) for n in range(1, f_delta.n_max + 1))
+        want = mp.fsum(f_delta.coeff(n) * ray_term(n, w0, a, 12, ctx.work_dps + 10) for n in range(1, f_delta.n_max + 1))
 
     def refuse(*args, **kwargs):
         raise AssertionError("ray_sum called upper_incomplete_gamma")
@@ -457,9 +458,10 @@ def test_ray_sum_error_covers_the_fractions(monkeypatch, digits, s):
 def test_superm_ray_sums_stop_at_their_budget(monkeypatch, digits, most):
     # the 40 ray sums of `verify superm --form delta`, run once with each
     # fraction at its share of the error budget and once with every fraction
-    # at the full eps: the budget saves more than 30% of the Wallis steps.
-    # The budgeted run took 19,805 steps at digits 50 and 47,940 at 80, the
-    # full-eps run 31,112 and 76,106
+    # at the full eps: the budget saves more than 30% of the steps.  The
+    # budgeted run takes 19,771 steps at digits 50 and 47,914 at 80, the
+    # full-eps run 31,090 and 76,062: the depths the float pass fixes for
+    # the backward pass (a fixed-point forward pass took 19,805 and 47,941)
     import sys
 
     import periodlab.regint as regint

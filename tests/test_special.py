@@ -35,7 +35,7 @@ from periodlab.special import (
 )
 
 import oracles
-from oracles import whittaker_M_integral
+from oracles import gamma_oracle, legendre_fraction_forward, whittaker_M_integral
 
 
 def test_gamma_order_one(ctx):
@@ -126,28 +126,6 @@ def test_gamma_fraction_within_eps(digits):
         with mp.workdps(4 * ctx.work_dps):
             want = mp.gammainc(s, x)
             assert abs(got - want) <= ctx.eps() * abs(want), (s, x)
-
-
-def gamma_oracle(s, x, dps):
-    """Gamma(s, x) to dps digits, independent of the continued fraction.
-
-    mp.gammainc for complex and positive integer orders (a finite sum at the
-    latter).  At a nonpositive integer order -N and
-    complex x it takes seconds per call (its hypergeometric fallback), so
-    there mpmath's E1 with the exact finite sum
-    Gamma(-N, x) = (-1)^N/N! (E1(x) - e^(-x) sum_{j<N} (-1)^j j! x^(-j-1))
-    runs instead, with the digits that sum cancels, log10(N! |x|^N), added.
-    """
-    if isinstance(s, mp.mpc) or s > 0:
-        with mp.workdps(dps):
-            return mp.gammainc(s, x)
-    N = int(-s)
-    with mp.workdps(dps + int(mp.log10(mp.factorial(N) * abs(x) ** N)) + 5):
-        acc, term = mp.mpc(0), 1 / mp.mpc(x)
-        for j in range(N):
-            acc += term
-            term *= -(j + 1) / x
-        return (-1) ** N / mp.factorial(N) * (mp.e1(x) - mp.exp(-x) * acc)
 
 
 @st.composite
@@ -284,6 +262,78 @@ def test_legendre_fraction_at_ray_sum_tolerances(digits):
         with mp.workdps(2 * ctx.work_dps):
             want = mp.exp(x) * x ** -order * gamma_oracle(order, x, 2 * ctx.work_dps)
             assert abs(fraction_ratio(got) - want) <= mp.mpf(2) ** (log2_tol + 2) * abs(want), (order, x, log2_tol)
+
+    check()
+
+
+@st.composite
+def backward_fraction_cases(draw):
+    """(order, x, u): order 1 - s with s in [-6, 26] as ``regint.ray_sum`` runs it, or a non-integer real or complex order with |Re| <= 20, and Re x > 0.
+
+    |x| is log-uniform in [0.5, 1e4], or in [1e39, 1e41] where r2 near the
+    cusp sums its legs; at a non-integer order with Re order > 0 it starts
+    at |order| + 1, as ``upper_incomplete_gamma`` takes the fraction.  The
+    angle comes within 1e-9 of the imaginary axis on either side, and u
+    places the tolerance between eps and 2^-20.
+    """
+    kind = draw(st.sampled_from(["integer", "real", "complex"]))
+    if kind == "integer":
+        order = mp.mpf(1 - draw(st.integers(-6, 26)))
+    elif kind == "real":
+        order = mp.mpf(draw(st.floats(-20, 20).filter(lambda v: v != round(v))))
+    else:
+        order = mp.mpc(draw(st.floats(-20, 20)), draw(st.floats(0.25, 20)) * draw(st.sampled_from([1, -1])))
+    low = float(abs(order)) + 1 if kind != "integer" and mp.re(order) > 0 else 0.5
+    if draw(st.booleans()):
+        r = low * (1e4 / low) ** draw(st.floats(0, 1))
+    else:
+        r = 1e39 * 100 ** draw(st.floats(0, 1))
+    theta = draw(st.sampled_from([1, -1])) * (math.pi / 2 - draw(st.floats(1e-9, math.pi / 2)))
+    return order, mp.mpc(r * math.cos(theta), r * math.sin(theta)), draw(st.floats(0, 1))
+
+
+def last_step(s, x, n):
+    """|f_n - f_(n-1)| / |f_n| for the convergents of the Legendre fraction at (s, x), by backward evaluation at the current precision."""
+
+    def convergent(n):
+        t = x + 2 * n + 1 - s
+        for j in range(n, 0, -1):
+            t = x + 2 * j - 1 - s - j * (j - s) / t
+        return t
+
+    f = convergent(n)
+    return abs(f - convergent(n - 1)) / abs(f)
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_legendre_fraction_vs_forward_wallis(digits):
+    # the backward pass at the depth the float pass fixes, against the
+    # Wallis forward recurrence (oracles.legendre_fraction_forward) run with
+    # 64 more bits to a tolerance 2^64 tighter: B/A within 2^(log2_tol + 2)
+    # relative, also at |x| near 1e40, where |f| is large and q must keep its
+    # own exponent.  The depth keeps the float pass's margin: the last step
+    # of the convergents, at twice the precision, is below 2^(log2_tol - 1),
+    # except at a positive integer order m, where the fraction ends at m - 1
+    ctx = PrecisionContext(digits=digits)
+    log2_eps = float(mp.mag(ctx.eps()) - 1)
+    P = _CF_GUARD_BITS - int(mp.mag(ctx.eps()))
+
+    @settings(max_examples=60)
+    @given(backward_fraction_cases())
+    @example((mp.mpf(-11), mp.mpc("1e-30", "1.2566e40"), 0.1))
+    def check(case):
+        order, x, u = case
+        log2_tol = log2_eps + u * (-20 - log2_eps)
+        S, X = _fixed(order, P), _fixed(x, P)
+        got = _legendre_fraction(S, X, P, log2_tol)
+        ref = legendre_fraction_forward(_fixed(order, P + 64), _fixed(x, P + 64), P + 64, log2_tol - 64)
+        with mp.workprec(2 * P):
+            want = fraction_ratio(ref)
+            assert abs(fraction_ratio(got) - want) <= mp.mpf(2) ** (log2_tol + 2) * abs(want), case
+            if not (mp.isint(order) and order >= 1):
+                s = mp.mpc(mp.mpf((S[0], -P)), mp.mpf((S[1], -P)))
+                step = last_step(s, mp.mpc(mp.mpf((X[0], -P)), mp.mpf((X[1], -P))), got[-1])
+                assert step <= mp.mpf(2) ** (log2_tol - 1) * (1 + mp.mpf(10) ** -6), case
 
     check()
 
