@@ -19,6 +19,7 @@ import mpmath as mp
 from mpmath.calculus.quadrature import TanhSinh
 from mpmath.libmp import mpf_add, mpf_mul
 
+from .fixedpoint import GUARD_BITS, q_parts
 
 class KernelError(Exception):
     """Base class for numerical-kernel failures."""
@@ -100,7 +101,7 @@ def ensure_finite(value: mp.mpc, what: str = "result") -> mp.mpc:
 class RayPoint(mp.mpc):
     """A node w of ``quad_ray``: an mpc that also carries q = e^(2 pi i w).
 
-    ``q`` = (P, E, cos, sin), the parts of ``qforms.q_parts`` held to P bits.
+    ``q`` = (P, E, cos, sin), the parts of ``fixedpoint.q_parts`` held to P bits.
     Arithmetic never sets it: a translation or w -> -1/w returns a plain
     mpc, or a RayPoint without q (mpmath types an mpf-op-mpc result after
     its right operand), so either drops the carried q; read it as
@@ -116,9 +117,8 @@ class _RayRule(TanhSinh):
     Each tanh-sinh node u on [0, 1] with weight w becomes the node
     (s, e^(-2 pi s)) with weight w/u: s = -ln(u)/pi is the height above the
     ray's start (raw mpf, rounded at prec + 20 bits, the precision the pass
-    calls its integrand at) and e^(-2 pi s) is held to prec + Q_GUARD_BITS
-    bits (raw mpf).
-    These are the rule's nodes on its standard interval [-1, 1], which the
+    calls its integrand at) and e^(-2 pi s) is held to prec + ``GUARD_BITS``
+    bits (raw mpf).  These are the rule's nodes on its standard interval [-1, 1], which the
     pass does not transform, so mpmath caches them per degree and
     precision from the first ray on.
 
@@ -129,10 +129,8 @@ class _RayRule(TanhSinh):
     """
 
     def calc_nodes(self, degree, prec, verbose=False):
-        from .qforms import Q_GUARD_BITS, q_parts
-
         ctx = self.ctx
-        zero, P = ctx.zero._mpf_, prec + Q_GUARD_BITS
+        zero, P = ctx.zero._mpf_, prec + GUARD_BITS
         ray_nodes = []
         with ctx.workprec(prec + 20):
             nodes = super().calc_nodes(degree, prec, verbose)
@@ -180,14 +178,12 @@ def quad_ray(integrand: Callable[[mp.mpc], mp.mpc], start, ctx: PrecisionContext
     tol_tight * (1 + |result|), BadPath when the start lies below the real
     axis.
     """
-    from .qforms import Q_GUARD_BITS, q_parts
-
     with mp.workdps(ctx.work_dps):
         start = mp.mpc(start)
         if mp.im(start) < 0:
             raise BadPath("ray start below the real axis")
         x0, y0 = start._mpc_
-        P = mp.mp.prec + Q_GUARD_BITS
+        P = mp.mp.prec + GUARD_BITS
         E0, cos, sin = q_parts(x0, y0, P)
         new = object.__new__
 

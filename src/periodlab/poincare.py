@@ -30,11 +30,12 @@ import mpmath as mp
 from mpmath.libmp import mpf_abs, to_fixed
 
 from .eichler import GroupElement, IDENTITY, eichler_integral
+from .fixedpoint import GUARD_BITS, gauss_mpc, gauss_power, gauss_sum
 from .kernel import DomainError, PrecisionContext, laplace_fd, xi_fd
 from .qforms import QSeries, conjugate_form, bol, evaluate
 from .regint import _star_stencil
 from .reports import RelationReport, relative_residual, tabulate
-from .special import _KUMMER_GUARD_BITS, Seed, _seed_kernel, _seed_points, _to_mpc, seed_values
+from .special import Seed, _seed_kernel, _seed_points, _y_scale, seed_values
 
 
 @dataclass(frozen=True)
@@ -85,29 +86,6 @@ def phi_seed(k: int, m: int, s, z, ctx: PrecisionContext) -> mp.mpc:
     return seed_values(Seed(k, m, s), [z], ctx)[0]
 
 
-def _jfactor_power(re: int, im: int, n: int, P: int) -> tuple:
-    """(Fr, Fi, e) with (Fr + i Fi) 2^e = ((re + i im) 2^-P)^n, the mantissas kept to about P bits."""
-    e = -P
-    if n < 0:
-        # 1/(re + i im) = (re - i im)/(re^2 + im^2)
-        N, sh = re * re + im * im, P + (abs(re) | abs(im)).bit_length()
-        re, im, e, n = (re << sh) // N, (-im << sh) // N, P - sh, -n
-    fr, fi, f = 1, 0, 0
-    while True:
-        if n & 1:
-            fr, fi, f = fr * re - fi * im, fr * im + fi * re, f + e
-            d = (abs(fr) | abs(fi)).bit_length() - P
-            if d > 0:
-                fr, fi, f = fr >> d, fi >> d, f + d
-        n >>= 1
-        if not n:
-            return fr, fi, f
-        re, im, e = re * re - im * im, 2 * re * im, 2 * e
-        d = (abs(re) | abs(im)).bit_length() - P
-        if d > 0:
-            re, im, e = re >> d, im >> d, e + d
-
-
 def truncated_poincare(seed: Seed, z, trunc: CosetTruncation, ctx: PrecisionContext):
     """sum over representatives of (seed |_k gamma)(z), k = seed.k, in a fixed order.
 
@@ -117,7 +95,7 @@ def truncated_poincare(seed: Seed, z, trunc: CosetTruncation, ctx: PrecisionCont
     the cluster's centre.  Per coset, with c z + d = (c x + d) + i c y exact,
     Im gamma z = y / |c z + d|^2 and
     Re gamma z = ((a x + b)(c x + d) + a c y^2) / |c z + d|^2 take one
-    division each, and j(gamma, z)^(-k) one power (``_jfactor_power``).  A
+    division each, and j(gamma, z)^(-k) one power (``gauss_power``).  A
     point w = z + delta differs exactly by
     gamma w - gamma z = delta / ((c z + d)(c w + d)) and
     c w + d = (c z + d)(1 + t), t = c delta / (c z + d), each a division on
@@ -141,7 +119,7 @@ def truncated_poincare(seed: Seed, z, trunc: CosetTruncation, ctx: PrecisionCont
     many = isinstance(z, (list, tuple))
     with mp.workdps(ctx.work_dps):
         points = _seed_points(seed, z if many else [z])
-        P = mp.mp.prec + _KUMMER_GUARD_BITS
+        P = mp.mp.prec + GUARD_BITS
         one = 1 << P
         coords = []
         for w in points:
@@ -151,7 +129,7 @@ def truncated_poincare(seed: Seed, z, trunc: CosetTruncation, ctx: PrecisionCont
         deltas = [(X - x, Y - y) for X, Y in coords]
         if max(math.hypot(dx / one, dy / one) for dx, dy in deltas) >= y / one / 4:
             return [truncated_poincare(seed, w, trunc, ctx) for w in points]
-        seed_at = _seed_kernel(seed, ctx)
+        seed_at, scale = _seed_kernel(seed, ctx), _y_scale(seed.m, P)
         index = {XY: i for i, XY in enumerate(coords)}
         mirror = [index.get((-X, Y)) for X, Y in coords]
         half = trunc.mirror_half if None not in mirror else None
@@ -171,27 +149,15 @@ def truncated_poincare(seed: Seed, z, trunc: CosetTruncation, ctx: PrecisionCont
                 # gamma w - gamma z = delta conj(M) / |M|^2, its imaginary part over Im gamma z, and t
                 dU, dV = ((dx * Mr + dy * Mi) << P) // M2, ((dy * Mr - dx * Mi) << P) // M2
                 D.append((dU, dV, dV * iv >> P, dx * cr - dy * ci >> P, dx * ci + dy * cr >> P))
-            row = seed_at(U, (y << 2 * P) // N, D, _jfactor_power(re, im, -seed.k, P))
+            row = seed_at(U, (y << 2 * P) // N * scale, D, gauss_power(re, im, -seed.k, P))
             for acc, term in zip(terms, row):
                 acc.append(term)
             if half and g.c and g.d:
                 for acc, i in zip(terms, mirror):
                     tr, ti, e = row[i]
                     acc.append((-tr, ti, e) if seed.k & 1 else (tr, -ti, e))
-        values = [_to_mpc(_gauss_sum(acc, P), P) for acc in terms]
+        values = [gauss_mpc(gauss_sum(acc, P), P) for acc in terms]
     return values if many else values[0]
-
-
-def _gauss_sum(terms: list, P: int) -> tuple:
-    """The sum of Gaussian values (re, im, e) as one (re, im, e), on integers at a scale that keeps P bits of the largest term."""
-    u = max(e + (abs(re) | abs(im)).bit_length() for re, im, e in terms) - P - len(terms).bit_length()
-    Sr = Si = 0
-    for re, im, e in terms:
-        if e >= u:
-            Sr, Si = Sr + (re << e - u), Si + (im << e - u)
-        else:
-            Sr, Si = Sr + (re >> u - e), Si + (im >> u - e)
-    return Sr, Si, u
 
 
 DESCENT_BOUND = 10  # bottom-row bound C of the matched coset truncation

@@ -41,9 +41,9 @@ from math import pi as _MATH_PI, sqrt as _math_sqrt
 from typing import Optional, Sequence, Tuple, Union
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_ge, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_shift
-from mpmath.libmp import round_nearest as _NEAREST, to_fixed, to_float
+from mpmath.libmp import from_man_exp, mpf_ge, mpf_lt, mpf_mul, round_nearest as _NEAREST, to_fixed, to_float
 
+from .fixedpoint import GUARD_BITS, log_abs, q_parts
 from .kernel import DomainError, PrecisionContext, TailTooLarge
 
 Coefficient = Union[Fraction, mp.mpc, mp.mpf, int]
@@ -66,9 +66,6 @@ ZERO_SPACE_WEIGHTS = (0, 2, 4, 6, 8, 10, 14)
 REDUCTION_HEIGHT = 0.5
 
 _LN10 = _math_log(10)
-# bits beyond the working precision to which q = e^(2 pi i z) is held, by
-# the q-series sums and by the q that quad_ray's nodes carry
-Q_GUARD_BITS = 20
 # 1/2, and as raw mpf values the strip -1/2 <= Re z < 1/2 and the reduction height
 _HALF = mp.mpf(0.5)
 _STRIP, _HEIGHT = (mp.mpf(-0.5)._mpf_, _HALF._mpf_), mp.mpf(REDUCTION_HEIGHT)._mpf_
@@ -360,18 +357,9 @@ def _wh_log_coeff_bound(f: QSeries) -> float:
         for n in range(max(1, f.n_min), f.n_max + 1):
             c = f.coeffs[n - f.n_min]
             if c:
-                best = max(best, _log_abs(c) - 4 * _MATH_PI * _math_sqrt(2 * n))
+                best = max(best, log_abs(c) - 4 * _MATH_PI * _math_sqrt(2 * n))
         got = f._memo["wh_log_c"] = _LN10 + best
     return got
-
-
-def _log_abs(c: Coefficient) -> float:
-    """log |c| in float, for a nonzero coefficient of any size."""
-    if isinstance(c, int):
-        return _math_log(abs(c))
-    if isinstance(c, Fraction):
-        return _math_log(abs(c.numerator)) - _math_log(c.denominator)
-    return float(mp.log(abs(c)))
 
 
 def _coeff_model(f: QSeries) -> Tuple[float, float, float]:
@@ -507,20 +495,6 @@ def _reduced_sum(f: QSeries, z: mp.mpc, ctx: PrecisionContext, cocycle=None) -> 
     return factor * value if total is None else total + factor * value
 
 
-def q_parts(x, y, P: int) -> tuple:
-    """(E, cos, sin), raw mpf values with e^(2 pi i (x + i y)) = E (cos + i sin).
-
-    ``x`` and ``y`` are raw mpf values.  Each part is within about one unit
-    at P bits of its own scale, at any height: one real exponential, of
-    2 pi y rounded 8 bits beyond P + mag y, and one cosine/sine pair of
-    pi (2x), exact in x.
-    """
-    wp = P + 8 + max(y[2] + y[3], 0)
-    E = mpf_exp(mpf_neg(mpf_mul(mpf_shift(mpf_pi(wp), 1), y, wp)), wp)
-    cos, sin = mpf_cos_sin_pi(mpf_shift(x, 1), wp)
-    return E, cos, sin
-
-
 def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext, leading: bool = False) -> mp.mpc:
     """sum a(n) q^n over n_min <= n <= min(N, n_max), N from ``_certified_length``.
 
@@ -566,7 +540,7 @@ def _sum_q_series(f: QSeries, z: mp.mpc, ctx: PrecisionContext, leading: bool = 
     else:
         log2_q = log_q / _math_log(2)
         e = max(mags[j] + (j - first) * log2_q for j in range(first, m + 1))
-        P = prec + Q_GUARD_BITS
+        P = prec + GUARD_BITS
         u = _math_ceil(e) - P
         carried = getattr(z, "q", None)
         if carried is not None and carried[0] >= P:

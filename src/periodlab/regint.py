@@ -35,8 +35,8 @@ window, the term bounds and the certified error take no mpmath
 logarithm.  Both can also return a jet, the sums at orders
 s..s+J for the Taylor expansion in the shift a: each term then takes one G
 at one order and recurs to the others, in the direction where that is
-stable.  Ray quadrature is not used here; it remains the oracle that the
-tests compare against.
+stable.  Ray quadrature is not used here; it remains, with mpmath's
+incomplete gamma, the oracle that the tests compare against.
 
 The starred periods of a weight-(2-k) input M, with Q = M |_{2-k} (1 - S)
 its period cocycle, are
@@ -84,10 +84,11 @@ import mpmath as mp
 from mpmath.libmp import mpf_mul, pi_fixed, to_fixed
 
 from .eichler import PolynomialC, S, period_relations
+from .fixedpoint import log2_eps, log_abs, q_parts, series_order
 from .kernel import DomainError, PrecisionContext, StepTooLarge, xi_fd
-from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _fixed_coeffs, _to_mpc, evaluate, q_parts
+from .qforms import QSeries, _certified_length, _check_tail, _coeff_model, _fixed_coeffs, _to_mpc, evaluate
 from .reports import relative_residual, residual_scale, tabulate
-from .special import _CF_GUARD_BITS, _fixed, _legendre_fraction, _negint_series, _on_fraction
+from .special import _CF_GUARD_BITS, _legendre_fraction, _negint_series
 
 SPLIT_HEIGHT = 5 / 4  # height of r_star's default base point
 _LN2, _LOG_2PI = math.log(2), math.log(2 * math.pi)
@@ -97,34 +98,17 @@ class NotRegularizable(DomainError):
     """A principal term yields a pole at u = 0 (constant against a polynomial)."""
 
 
-def exp_ray_integral(n: int, w0, a, s: int, ctx: PrecisionContext) -> mp.mpc:
-    """R.int_{w0}^{i oo} e^(2 pi i n w) (w + a)^(-s) dw for integer s and n != 0.
+def _folded_terms(n: int, w0, a, s: int, J: int) -> list:
+    """q0^n G_sigma for sigma = s..s+J, n < 0: times (w0 + a)^(1-sigma), R.int_{w0}^{i oo} e^(2 pi i n w) (w + a)^(-sigma) dw.
 
-    e^(-lam a) (-lam)^(s-1) Gamma(1-s, x) with lam = 2 pi i n and
-    x = -lam (w0 + a), folded as ``ray_sum`` folds it: q0^n (w0 + a)^(1-s) G
-    with q0 = e^(2 pi i w0) and G = e^x x^(s-1) Gamma(1-s, x)
-    (``_folded_terms``).  For n >= 1 Gamma takes its principal branch, which
-    is the plain integral when Re x > 0 along the ray (Im(w0 + a) > 0); the
-    decaying terms run in ``ray_sum``, and this form, one term at a time at
-    the full eps, is their oracle in the tests.  For n < 0 and s >= 1 it
-    takes the module's sheet, arg x in (0, 2 pi); for s <= 0 Gamma(1-s, .)
-    is entire.
-    """
-    return (w0 + a) ** (1 - s) * _folded_terms(n, w0, a, s, 0, ctx)[0]
-
-
-def _folded_terms(n: int, w0, a, s: int, J: int, ctx: PrecisionContext) -> list:
-    """q0^n G_sigma for sigma = s..s+J: times (w0 + a)^(1-sigma), the term of ``exp_ray_integral`` at order sigma.
-
-    Here q0 = e^(2 pi i w0), x = -2 pi i n (w0 + a) and
-    G_sigma = e^x x^(sigma-1) Gamma(1-sigma, x), at the current precision.
-    The term takes one G, at the order sigma* of ``ray_sum``'s rule: the
-    least order with sigma* >= |x|, s + J if there is none.  For s + J <= 0
-    (a Gamma of positive order) it starts from G_0 = 1/x; for n >= 1 where
-    ``special._on_fraction`` holds, from the Legendre fraction at the full
-    eps; otherwise from the series H = x^N Gamma(-N, x), N = sigma* - 1, on
-    the module's sheet for n < 0 (``special._negint_series``), folded as
-    q0^n G = e^(-2 pi i n a) H with one exponential.  The other orders
+    That is e^(-lam a) (-lam)^(sigma-1) Gamma(1-sigma, x), lam = 2 pi i n, folded
+    as ``ray_sum`` folds its terms: q0 = e^(2 pi i w0), x = -2 pi i n (w0 + a)
+    and G_sigma = e^x x^(sigma-1) Gamma(1-sigma, x) on the module's sheet, at
+    the current precision.  The term takes one G, at the order sigma* of
+    ``ray_sum``'s rule: the least order with sigma* >= |x|, s + J if there is
+    none.  For s + J <= 0 it starts from G_0 = 1/x; otherwise from the series
+    H = x^N Gamma(-N, x), N = sigma* - 1 (``special._negint_series``), folded
+    as q0^n G = e^(-2 pi i n a) H with one exponential.  The other orders
     recur by x G_sigma = 1 - sigma G_(sigma+1), from
     Gamma(b+1, x) = b Gamma(b, x) + x^b e^(-x): at integer order the monodromy
     (-1)^N/N! 2 pi i of Gamma(-N, .) obeys the same recurrence, so it holds on
@@ -139,18 +123,12 @@ def _folded_terms(n: int, w0, a, s: int, J: int, ctx: PrecisionContext) -> list:
     x = mp.mpc(u.imag, -u.real) * (2 * n * mp.pi)
     r, top = math.hypot(float(x.real), float(x.imag)), s + J
     anchor = next((o for o in range(s, top + 1) if o >= r), top)
-    series = anchor >= 1 and not (n >= 1 and x.real > 0 and _on_fraction(1 - anchor, r))
-    q = None if series and J == 0 else mp.expjpi(2 * n * w0)  # q0^n, which the recurrence needs
+    q = None if anchor >= 1 and J == 0 else mp.expjpi(2 * n * w0)  # q0^n, which the recurrence needs
     if anchor <= 0:
         anchor, F = 0, q / x
-    elif series:
-        Hr, Hi, P = _negint_series(anchor - 1, x, -mp.mp.prec, sheet=n < 0)
-        F = mp.expjpi(-2 * n * a) * mp.mpc(mp.mpf((Hr, -P)), mp.mpf((Hi, -P)))
     else:
-        eps = ctx.eps()
-        P = _CF_GUARD_BITS - mp.mag(eps)
-        Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(((1 - anchor) << P, 0), _fixed(x, P), P, float(mp.mag(eps) - 3))
-        F = q * mp.mpc(mp.mpf((Br, eB)), mp.mpf((Bi, eB))) / mp.mpc(mp.mpf((Ar, eA)), mp.mpf((Ai, eA)))
+        Hr, Hi, P = _negint_series(anchor - 1, x, -mp.mp.prec, sheet=True)
+        F = mp.expjpi(-2 * n * a) * mp.mpc(mp.mpf((Hr, -P)), mp.mpf((Hi, -P)))
     Fs = {anchor: F}
     for o in range(anchor - 1, s - 1, -1):
         Fs[o] = (q - o * Fs[o + 1]) / x  # x q0^n G_sigma = q0^n - sigma q0^n G_(sigma+1)
@@ -229,7 +207,7 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
     log_b, alpha, beta = _coeff_model(series)
     log_q = -2 * math.pi * min(float((w0 + eta).imag) for eta, _ in bases)
     # log |scale (w0 + a)^(1-o)| per order o, and the tails from the bounds |scale| / (2 pi |w0+a|^o) F
-    log_scale, log_u = _log_abs(scale), _log_abs(u0)
+    log_scale, log_u = log_abs(scale), log_abs(u0)
     log_C = [log_scale + (1 - o) * log_u for o in orders]
     tails = [_certified_length((log_b + lc - log_u - _LOG_2PI + lf * _LN2, alpha - 1, beta), log_q, series.n_max, ctx)
              for lc, lf in zip(log_C, log2_F)]
@@ -311,15 +289,6 @@ def ray_sum(series: QSeries, w0, a, s: int, ctx: PrecisionContext, scale=1, J: i
     return out
 
 
-def _log_abs(v) -> float:
-    """ln |v| for a nonzero number v, from its mantissas, so that no float overflows at any size."""
-    v = mp.mpmathify(v)
-    parts = [p for p in (v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_,)) if p[1]]
-    top = max(e + bc for _, _, e, bc in parts)
-    size = math.hypot(*(math.ldexp(man >> max(bc - 60, 0), e + max(bc - 60, 0) - top) for _, man, e, bc in parts))
-    return math.log(size) + top * _LN2
-
-
 def _order_step(g: tuple, order: int, X: tuple, P: int, up: bool) -> tuple:
     """By x G_order = 1 - order G_(order+1), x = X 2^-P: G_(order+1) from G_order when ``up``, else G_order from G_(order+1).
 
@@ -348,7 +317,7 @@ def reg_integral_to_icusp(M: QSeries, z0, a, s: int, ctx: PrecisionContext, scal
     """R.int_{z0}^{i oo} M(w) scale (w + a)^(-s) dw.
 
     The principal terms n < 0 of M are continued in closed form
-    (``exp_ray_integral``) and the constant term is elementary, both in
+    (``_folded_terms``) and the constant term is elementary, both in
     ``_principal_part``; the decaying remainder n >= 1 is the certified
     ``ray_sum`` (which needs Im(z0 + a) > 0).  Raises NotRegularizable when
     the constant term has a genuine pole at u = 0 (s <= 1).
@@ -378,7 +347,7 @@ def _principal_part(M: QSeries, z0: mp.mpc, a, s: int, ctx: PrecisionContext, sc
         if c == 0:
             continue
         if n < 0:
-            terms = _folded_terms(n, z0, a, s, J, ctx)
+            terms = _folded_terms(n, z0, a, s, J)
         elif s < 2:
             raise NotRegularizable("constant term against a non-decaying kernel has a pole at u = 0")
         else:
@@ -461,7 +430,7 @@ def _hat_stencil(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[Polynom
     S z0: their shifts -1/w and w move by delta = (w - z)/(z w) and w - z
     from z.  Each leg takes one jet at z, of the least order J whose Taylor
     remainder is at most eps relative to the sum of the term bounds t_n
-    (``_jet_order``): its principal and constant terms (``_principal_part``)
+    (``_jet_value``): its principal and constant terms (``_principal_part``)
     plus its ``ray_sum`` jet, so each principal term takes one series per
     stencil, not one per point.  The stencil values are the Taylor sums
     (``_jet_value``).  The factor w^(-k) and the cocycle integral are taken
@@ -477,7 +446,10 @@ def _hat_stencil(M: QSeries, z, ctx: PrecisionContext, cocycle: Optional[Polynom
         with mp.workdps(ctx.work_dps):
             legs = []
             for w0, a, deltas in ((z0, -1 / z, [(w - z) / (z * w) for w in points]), (sz0, z, [w - z for w in points])):
-                J = _jet_order(k, max(map(abs, deltas)) / abs(w0 + a), ctx)
+                rho = float(max(map(abs, deltas)) / abs(w0 + a))
+                if not rho < 0.5:
+                    raise StepTooLarge("a jet step reaches half way to the kernel pole")
+                J = series_order(rho, k, log2_eps(ctx))  # see _jet_value
                 if jets.get(w0, (-1,))[0] < J:
                     jet = _principal_part(M, w0, a, k, ctx, J=J)
                     if M.n_max >= 1:
@@ -503,8 +475,8 @@ def _star_stencil(M: QSeries, z, ctx: PrecisionContext) -> Callable:
     against (v + z - eta + 2 i Im delta)^(-k): every point shares
     w0 + a = 2 i Im z, so ``ray_sum`` takes each point as a base eta of
     (-conj z, z), F2(z +- h) = sum_n e^(-+2 pi i n h) T_n, and the a-jet of
-    the points off the real line, of order ``_jet_order`` at
-    |2 Im delta| / (2 Im z), gives F2(z +- i h) = sum_n e^(-+2 pi n h) T_n(a +- 2 i h)
+    the points off the real line, of the order ``_jet_value`` sets at
+    rho = |2 Im delta| / (2 Im z), gives F2(z +- i h) = sum_n e^(-+2 pi n h) T_n(a +- 2 i h)
     as its Taylor sum (``_jet_value``); T_n are the terms of Fstar(z).  Each
     term takes one fraction for the four points.  The principal and
     constant terms are taken at each point (``_principal_part``).
@@ -514,7 +486,10 @@ def _star_stencil(M: QSeries, z, ctx: PrecisionContext) -> Callable:
     def values(points):
         with mp.workdps(ctx.work_dps):
             w0, deltas = -mp.conj(z), [w - z for w in points]
-            J = _jet_order(k, max(abs(d.imag) for d in deltas) / mp.im(z), ctx)
+            rho = float(max(abs(d.imag) for d in deltas) / mp.im(z))
+            if not rho < 0.5:
+                raise StepTooLarge("a jet step reaches half way to the kernel pole")
+            J = series_order(rho, k, log2_eps(ctx))
             bases = [(-mp.conj(d), J if d.imag else 0) for d in deltas]
             jets = ray_sum(M, w0, z, k, ctx, bases=bases) if M.n_max >= 1 else [[(0, 0)]] * len(points)
             return [_principal_part(M, -mp.conj(w), w, k, ctx) + _jet_value([v for v, _ in jet], k, 2j * d.imag)
@@ -523,33 +498,15 @@ def _star_stencil(M: QSeries, z, ctx: PrecisionContext) -> Callable:
     return values
 
 
-def _jet_order(s: int, rho, ctx: PrecisionContext) -> int:
-    """Least J with sum_{j>J} (s)_j/j! rho^j <= eps, for s >= 1 and rho = |delta| / |w0 + a| < 1/2.
-
-    Along the ray |w + a| >= |w0 + a|, so each term of the sum against
-    (w + a + delta)^(-s) moves from its Taylor sum by at most this remainder
-    times its bound t_n |C|.  The ratio of consecutive remainder terms is
-    rho (s + j)/(j + 1), at most rho (s + J + 1)/(J + 2) past J, so the
-    remainder is at most C(s + J, J + 1) rho^(J + 1) over 1 minus that ratio.
-    A principal term takes the same J: its Taylor coefficients are
-    q0^n (w0 + a)^(1-s-j) G_(s+j) with G_sigma about 1/(x + sigma) at each of
-    the few orders, so its remainder follows the same powers of rho, and
-    ``test_principal_jet_vs_direct_stencil`` checks each leg's jet against
-    direct values at the stencil points.
-    """
-    if not rho < 0.5:
-        raise StepTooLarge("a jet step reaches half way to the kernel pole")
-    if not rho:
-        return 0
-    rho, log_eps = float(rho), -(ctx.digits + 8) * math.log(10)
-    J = 0
-    while math.log(math.comb(s + J, J + 1)) + (J + 1) * math.log(rho) - math.log1p(-rho * (s + J + 1) / (J + 2)) > log_eps:
-        J += 1
-    return J
-
-
 def _jet_value(jet: list, s: int, delta) -> mp.mpc:
-    """sum_j (-delta)^j (s)_j / j! S_(s+j), the Taylor sum of a jet of sums S at the shift a + delta."""
+    """sum_j (-delta)^j (s)_j / j! S_(s+j), the Taylor sum of a jet of sums S at the shift a + delta.
+
+    A jet's order is ``series_order`` at rho = |delta| / |w0 + a| < 1/2 and kappa = s,
+    as (s)_j / j! = C(s + j - 1, j) has the ratios (s + j)/(j + 1): |w + a| >= |w0 + a|
+    along the ray, so each term moves from its Taylor sum by at most eps times its bound
+    t_n |C|.  A principal term's coefficients q0^n (w0 + a)^(1-s-j) G_(s+j), G_sigma about
+    1/(x + sigma), follow the same powers of rho (``test_principal_jet_vs_direct_stencil``).
+    """
     total, power = mp.mpc(0), mp.mpf(1)
     for j, value in enumerate(jet):
         total += math.comb(s + j - 1, j) * power * value

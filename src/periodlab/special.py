@@ -38,12 +38,12 @@ Conventions used throughout:
   jet, and each argument takes its Taylor sum (``_confluent``).  A seed
   cluster (``_seed_kernel``) also takes its exponential, phase, logarithm
   and j-factor once, at its centre, and each point from them by short
-  series on fixed-point integers.  A seed is
-  a value, ``Seed(k, m, s, ds)``, not a function: ``seed_values``,
-  ``psi_seed`` and ``poincare.phi_seed`` evaluate it.  The integral
-  representation of M_{mu, nu}(y) is a test oracle only
-  (``tests/oracles.py``): it degenerates on the boundary
-  Re(nu - mu + 1/2) = 0 that the seed functions sit on.
+  series on fixed-point integers, stopped as the confluent jet is
+  (``fixedpoint.series_order``).  A seed is a value, ``Seed(k, m, s, ds)``:
+  ``seed_values``, ``psi_seed``, ``poincare.phi_seed`` and ``cal_M`` (the
+  seed ``Seed(k, sgn(u), s)`` at i |u| / (4 pi)) evaluate it.  The integral
+  representation of M_{mu, nu}(y) is a test oracle only (``tests/oracles.py``):
+  it degenerates on the boundary Re(nu - mu + 1/2) = 0 that the seeds sit on.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from mpmath.libmp import (
     euler_fixed,
     from_int,
     from_man_exp,
-    mpf_add,
     mpf_exp,
     mpf_log,
     mpf_mul,
@@ -72,6 +71,7 @@ from mpmath.libmp import (
 from mpmath.libmp.libelefun import cos_sin_fixed
 from mpmath.libmp.libmpc import mpc_log
 
+from .fixedpoint import GUARD_BITS, fixed, gauss_mpc, gauss_taylor, log2_eps, series_order, taylor
 from .kernel import DomainError, NonConvergent, PrecisionContext, StepTooLarge
 from .reports import RelationReport, relative_residual
 
@@ -81,8 +81,6 @@ _GAMMA_DPS_PAD = 10
 # 2^-P per step relative, over the thousands of steps that arguments near
 # the imaginary axis with |x| near or below |s| + 1 take
 _CF_GUARD_BITS = 32
-# bits the fixed-point confluent series carries beyond the working precision
-_KUMMER_GUARD_BITS = 20
 
 
 def upper_incomplete_gamma(s, x, ctx: PrecisionContext):
@@ -134,7 +132,7 @@ def _gamma_upper_terms(s, x, eps):
         # e^x x^(-s) Gamma(s, x) = 1/f, the Legendre continued fraction, within
         # 2^(log2_tol + 2) = 2^(mag(eps) - 1) <= eps relative
         P = _CF_GUARD_BITS - mp.mag(eps)
-        Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(_fixed(s, P), _fixed(x, P), P, float(mp.mag(eps) - 3))
+        Br, Bi, eB, Ar, Ai, eA, _ = _legendre_fraction(fixed(s, P), fixed(x, P), P, float(mp.mag(eps) - 3))
         if isinstance(s, mp.mpc) or isinstance(x, mp.mpc):
             scaled = mp.mpc(mp.mpf((Br, eB)), mp.mpf((Bi, eB))) / mp.mpc(mp.mpf((Ar, eA)), mp.mpf((Ai, eA)))
         else:
@@ -188,7 +186,7 @@ def _negint_series(N: int, x, log2_tol: float, sheet: bool = False) -> tuple:
     log2_unit = 2 + r * math.log2(math.e)  # log2(4 e^|x|), the units of 2^-P each term may carry
     while True:
         P = max(0, math.ceil(log2_unit + math.log2(3 * r + N + 8 - log2_tol) + 2 - log2_H - log2_tol)) + 8
-        Hr, Hi, log2_err = _negint_terms(N, _fixed(x, P), P, P + log2_H + log2_tol - 2, sheet)
+        Hr, Hi, log2_err = _negint_terms(N, fixed(x, P), P, P + log2_H + log2_tol - 2, sheet)
         found = (abs(Hr) | abs(Hi)).bit_length() - 1 - P  # 2^found <= |H|
         if log2_err <= P + found + log2_tol:
             return Hr, Hi, P
@@ -276,13 +274,6 @@ def _on_fraction(s, r) -> bool:
     if not (r > 6 and N >= r - 1):
         return False
     return not mp.isint(s) or 2 * r * math.log10(math.e) > _GAMMA_DPS_PAD
-
-
-def _fixed(v, P: int) -> tuple:
-    """(Re v, Im v) times 2^P, as integers."""
-    if isinstance(v, mp.mpc):
-        return v.real.to_fixed(P), v.imag.to_fixed(P)
-    return mp.mpf(v).to_fixed(P), 0
 
 
 def _legendre_fraction(s: tuple, x: tuple, P: int, log2_tol: float) -> tuple:
@@ -399,11 +390,6 @@ def _fraction_depth(s: tuple, x: tuple, P: int, log2_tol: float) -> int:
     raise NonConvergent("upper gamma continued fraction did not converge")
 
 
-def _log2_eps(ctx: PrecisionContext) -> float:
-    """log2 of the context's cutoff eps = 10^-(digits+8)."""
-    return -(ctx.digits + 8) * math.log2(10)
-
-
 def _dyadic(*values) -> tuple:
     """(Q, N_1, ..., N_n): each value is N_i / Q exactly, Q the least power of two (at least 2) that serves."""
     parts = [mp.mpf(v)._mpf_ for v in values]
@@ -482,41 +468,6 @@ def _kummer_sums(A: int, B: int, Q: int, Y: int, P: int, log2_eps: float, ds: bo
     raise NonConvergent("confluent series iteration cap reached")
 
 
-def _kummer_series(a, b, y, ctx: PrecisionContext, ds: bool = False):
-    """1F1(a; b; y) by direct summation (entire in y); with ``ds``, (1F1, d/ds 1F1) along (a, b) = (s - mu, 2 s).
-
-    ``_kummer_sums`` at P = ``mp.prec`` + guard bits, within eps (1 + |value|).
-    """
-    P = mp.mp.prec + _KUMMER_GUARD_BITS
-    Q, A, B = _dyadic(a, b)
-    S0, _, dS0, _ = _kummer_sums(A, B, Q, mp.mpf(y).to_fixed(P), P, _log2_eps(ctx), ds, False)
-    value = mp.mpf((S0, -P))
-    return (value, mp.mpf((dS0, -P))) if ds else value
-
-
-def _kummer_jet_order(a: float, b: float, y: float, rho: float, ds: bool, log2_eps: float) -> int:
-    """Least J with G rho^(J+1) / (1 - rho) <= 2^log2_eps, for 0 < rho < 1/2: the Taylor order of a jet at y.
-
-    Let kappa = max(1, sup_i |a + i| / |b + i|) and beta = min_i |b + i| over
-    i >= 0.  Then |(a)_j / ((b)_j j!)| <= kappa^j / j!, and its s-derivative
-    along (a, b) = (s - mu, 2 s) is at most (1 + 2 kappa) kappa^(j-1) j / (beta j!).
-    So on the circle of radius y about y, where |t| <= 2 y, |K| <= e^(2 kappa y)
-    and |dK/ds| <= (1 + 2 kappa)(2 y / beta) e^(2 kappa y).  By Cauchy's
-    estimate each jet coefficient c_r = y^r K^(r)(y) / r!, and d_r of dK/ds,
-    is at most that bound G, so the Taylor sum at (1 + rho) y leaves at most
-    G rho^(J+1) / (1 - rho) past order J.
-    """
-    near = range(max(0, math.ceil(-b)) + 1)  # |a + i| / |b + i| is monotone toward 1 past these i
-    kappa = max(1, *(abs(a + i) / abs(b + i) for i in near))
-    log2_G = 2 * kappa * y * math.log2(math.e)
-    if ds:
-        log2_G += max(0, math.log2((1 + 2 * kappa) * 2 * y / min(abs(b + i) for i in near)))
-    J = 0
-    while log2_G + (J + 1) * math.log2(rho) - math.log2(1 - rho) > log2_eps:
-        J += 1
-    return J
-
-
 def _kummer_jet(A: int, B: int, Q: int, Y: int, P: int, c: list, d: list, J: int, ds: bool) -> None:
     """Extend c = [c_0, c_1] to c_0 .. c_J, c_r = y^r K^(r)(y) / r!, and with ``ds`` d = [d_0, d_1] to the same of dK/ds; all times 2^P.
 
@@ -536,47 +487,12 @@ def _kummer_jet(A: int, B: int, Q: int, Y: int, P: int, c: list, d: list, J: int
         c.append((lead * c[r + 1] + cross * c[r]) // den)
 
 
-def _taylor(c: list, R: int, P: int) -> int:
-    """sum_r c_r rho^r by Horner, rho = R 2^-P, every value times 2^P."""
-    v = c[-1]
-    for cr in reversed(c[:-1]):
-        v = cr + (v * R >> P)
-    return v
+_cached_order = lru_cache(maxsize=1024)(series_order)
 
 
-def _gauss_taylor(c: list, Xr: int, Xi: int, P: int) -> tuple:
-    """sum_r c_r x^r by Horner for real c_r and x = (Xr + i Xi) 2^-P, every value times 2^P, as a pair."""
-    vr, vi = c[-1], 0
-    for cr in reversed(c[:-1]):
-        vr, vi = cr + (vr * Xr - vi * Xi >> P), vr * Xi + vi * Xr >> P
-    return vr, vi
-
-
-def _series_order(rho: float, kappa, log2_tol: float) -> int:
-    """Least J with |c_(J+1)| rho^(J+1) / (1 - q) <= 2^log2_tol, q = rho |c_(J+2) / c_(J+1)| < 1: where sum_n c_n x^n, |x| <= rho, stops.
-
-    For ``kappa`` None the series is exp, c_n = 1/n!, so c_(n+1) / c_n = 1/(n + 1).
-    Otherwise it is a binomial series (1 + x)^e with |e| <= kappa, kappa >= 1:
-    |c_(n+1) / c_n| = |e - n| / (n + 1) <= (kappa + n) / (n + 1), which
-    falls toward 1 as n grows; log1p(x)/x, whose ratios are below 1, takes
-    kappa = 1.  Past order J every ratio is at most q, so the terms left sum
-    to at most the first of them over 1 - q.  rho is rounded up to a power
-    of two, so that the orders of a few hundred clusters take a few bounds.
-    """
-    return _series_order_pow2(math.frexp(rho)[1], kappa, log2_tol) if rho else 0
-
-
-@lru_cache(maxsize=1024)
-def _series_order_pow2(log2_rho: int, kappa, log2_tol: float) -> int:
-    """``_series_order`` at rho = 2^log2_rho."""
-    ratio = (lambda n: 1 / (n + 1)) if kappa is None else (lambda n: (kappa + n) / (n + 1))
-    J, log2_c = 0, math.log2(ratio(0))  # log2 of the bound on |c_(J+1)|
-    while True:
-        q = 2.0 ** log2_rho * ratio(J + 1)
-        if q < 1 and log2_c + (J + 1) * log2_rho - math.log2(1 - q) <= log2_tol:
-            return J
-        J += 1
-        log2_c += math.log2(ratio(J))
+def _seed_order(rho: float, kappa, log2_tol: float) -> int:
+    """``series_order`` at rho > 0 rounded up to a power of two, memoized: a few hundred seed clusters take a few bounds."""
+    return _cached_order(2.0 ** math.frexp(rho)[1], kappa, log2_tol)
 
 
 @lru_cache(maxsize=256)
@@ -610,75 +526,41 @@ def _confluent(k: int, s, neg: bool, ds: bool, ctx: PrecisionContext) -> tuple:
     under it.  jet(Yc, Rs) takes one confluent series at y_c = Yc 2^-P
     (``_kummer_sums``), which gives K = 1F1(a; b; y_c), a = s - mu, b = 2 s,
     and c_1 = y_c K'(y_c) = sum j T_j, and the same of dK/ds; Kummer's
-    equation gives the rest of the jet (``_kummer_jet``), to the order
-    ``_kummer_jet_order`` sets from max |rho| < 1/2, and it returns the
+    equation gives the rest of the jet (``_kummer_jet``), and it returns the
     lists (Ks, Ls) of the Taylor sums of K and dK/ds at each
     rho = R 2^-P = y / y_c - 1, all times 2^P.  A cluster of one (every
-    R = 0) takes no jet.
+    R = 0) takes no jet.  The order is ``series_order`` at max |rho| < 1/2,
+    ratio 1 and a Cauchy bound G on |t - y_c| = y_c: |(a)_j / ((b)_j j!)| <=
+    kappa^j / j! and its s-derivative is at most (1 + 2 kappa) kappa^(j-1) j /
+    (beta j!), kappa = max(1, sup_i |a + i| / |b + i|) and beta = min_i |b + i|
+    over i >= 0, so every c_r is at most G = e^(2 kappa y_c), and every d_r
+    at most G max(1, (1 + 2 kappa) 2 y_c / beta), the G of a ``ds`` jet.
     """
     Q, S = _dyadic(s)
     if S <= 0 and not 2 * S % Q:
         raise DomainError("2s must not be a nonpositive integer")
     hk = k * Q >> 1  # Q k/2
     A, B = S + hk if neg else S - hk, 2 * S  # Q a and Q b
-    P = mp.mp.prec + _KUMMER_GUARD_BITS
-    log2_eps = _log2_eps(ctx)
+    P = mp.mp.prec + GUARD_BITS
+    tol, a, b = log2_eps(ctx), A / Q, B / Q
+    near = range(max(0, math.ceil(-b)) + 1)  # |a + i| / |b + i| is monotone toward 1 past these i
+    kappa, beta = max(1, *(abs(a + i) / abs(b + i) for i in near)), min(abs(b + i) for i in near)
 
     def jet(Yc: int, Rs: list) -> tuple:
         wide = any(Rs)
-        S0, S1, dS0, dS1 = _kummer_sums(A, B, Q, Yc, P, log2_eps, ds, wide)
+        S0, S1, dS0, dS1 = _kummer_sums(A, B, Q, Yc, P, tol, ds, wide)
         if not wide:
             return [S0] * len(Rs), [dS0] * len(Rs)
-        c, d = [S0, S1], [dS0, dS1]
-        rho = max(map(abs, Rs)) / (1 << P)
-        J = _kummer_jet_order(A / Q, B / Q, Yc / (1 << P), rho, ds, log2_eps)
+        c, d, y = [S0, S1], [dS0, dS1], Yc / (1 << P)
+        log2_G = 2 * kappa * y * math.log2(math.e)
+        if ds:
+            log2_G += max(0, math.log2((1 + 2 * kappa) * 2 * y / beta))
+        J = series_order(max(map(abs, Rs)) / (1 << P), 1, tol, log2_G)
         _kummer_jet(A, B, Q, Yc, P, c, d, J, ds)
-        Ks = [_taylor(c[:J + 1], R, P) for R in Rs]
-        return Ks, [_taylor(d[:J + 1], R, P) for R in Rs] if ds else Ks
+        Ks = [taylor(c[:J + 1], R, P) for R in Rs]
+        return Ks, [taylor(d[:J + 1], R, P) for R in Rs] if ds else Ks
 
     return (S - hk, Q), jet
-
-
-def _whittaker(k: int, s, neg: bool, ds: bool, ctx: PrecisionContext) -> Callable[[list], list]:
-    """The cluster evaluator of cal_M(k, s, -+y) (- for ``neg``), or with ``ds`` of its s-derivative: raw mpf y > 0 to raw mpf values.
-
-    Built once per (k, s, sign) at the working precision: call both under
-    ``mp.workdps(ctx.work_dps)``.  A cluster of y takes the confluent jet
-    (``_confluent``) at its center y_c, and each y its Taylor sum in
-    rho = (y - y_c) / y_c; a cluster with max |rho| >= 1/2 takes one series
-    per y.  The prefactor y^(s - k/2) e^(-y/2), and log y, is taken per y.
-    Every value keeps the P = working precision + guard bits of the series,
-    so a finite difference of values at nearby points loses nothing to
-    their last rounding.
-    """
-    P = mp.mp.prec + _KUMMER_GUARD_BITS
-    (E, Q), jet = _confluent(k, s, neg, ds, ctx)
-    power = E // Q if not E % Q else None
-    E = from_man_exp(E, 1 - Q.bit_length())
-
-    def values(ys: list) -> list:
-        Ys = [to_fixed(y, P) for y in ys]
-        Yc = (min(Ys) + max(Ys)) >> 1
-        Rs = [((Y - Yc) << P) // Yc for Y in Ys]
-        if max(map(abs, Rs)) >= 1 << P - 1:
-            return [v for y in ys for v in values([y])]
-        out = []
-        for y, K, L in zip(ys, *jet(Yc, Rs)):
-            half = mpf_shift(y, -1)
-            log_y = mpf_log(y, P) if ds or power is None else None
-            if power is None:
-                pref = mpf_exp(mpf_sub(mpf_mul(E, log_y, P), half, P), P)
-            else:
-                pref = mpf_exp(mpf_neg(half), P)
-                if power:
-                    pref = mpf_mul(pref, mpf_pow_int(y, power, P), P)
-            F = from_man_exp(K, -P)
-            if ds:
-                F = mpf_add(mpf_mul(log_y, F, P), from_man_exp(L, -P), P)
-            out.append(mpf_mul(pref, F, P))
-        return out
-
-    return values
 
 
 def cal_M(k: int, s, u, ctx: PrecisionContext, ds: bool = False):
@@ -687,7 +569,8 @@ def cal_M(k: int, s, u, ctx: PrecisionContext, ds: bool = False):
     That is y^(s - k/2) e^(-y/2) 1F1(s - mu; 2 s; y), y = |u|, mu = sgn(u) k/2,
     and its s-derivative y^(s - k/2) e^(-y/2) (log y 1F1 + d/ds 1F1).  A list
     or tuple ``u`` of arguments of one sign is a cluster: it returns the list
-    of values, from one confluent series (``_whittaker``).
+    of values, from one confluent series: the real seed ``Seed(k, sgn(u), s, ds)``
+    at i |u| / (4 pi) (``_seed_kernel``, with y_c = |u| and r exact to 2^-P).
     """
     cluster = isinstance(u, (list, tuple))
     with mp.workdps(ctx.work_dps):
@@ -697,8 +580,13 @@ def cal_M(k: int, s, u, ctx: PrecisionContext, ds: bool = False):
         neg = us[0] < 0
         if any((v < 0) != neg for v in us):
             raise DomainError("a cal_M cluster takes arguments of one sign")
-        values = _whittaker(k, s, neg, ds, ctx)([abs(v)._mpf_ for v in us])
-    values = [mp.make_mpf(v) for v in values]
+        P = mp.mp.prec + GUARD_BITS
+        scale = _y_scale(1, P)
+        Ys = [to_fixed(abs(v)._mpf_, 2 * P) for v in us]  # 4 pi Im w = |u|, times 2^(2P)
+        Y = (min(Ys) + max(Ys)) >> 1
+        D = [(0, (Z - Y + (scale >> 1)) // scale, ((Z - Y) << P) // Y, 0, 0) for Z in Ys]
+        values = _seed_kernel(Seed(k, -1 if neg else 1, s, ds), ctx)(0, Y, D)
+    values = [mp.make_mpf(from_man_exp(re, e, P)) for re, _, e in values]
     return values if cluster else values[0]
 
 
@@ -711,19 +599,26 @@ class Seed(NamedTuple):
     ds: bool = False
 
 
+@lru_cache(maxsize=64)
+def _y_scale(m: int, P: int) -> int:
+    """4 pi |m| times 2^P: the seed's argument 4 pi |m| Im w over Im w."""
+    return to_fixed(mpf_mul(mpf_pi(P), from_int(4 * abs(m)), P), P)
+
+
+@lru_cache(maxsize=64)
 def _seed_kernel(seed: Seed, ctx: PrecisionContext) -> Callable:
-    """The cluster evaluator (U, V, D, factor=None) -> Gaussian values (re, im, e), (re + i im) 2^e, of ``seed`` at points near a centre.
+    """The cluster evaluator (U, Y, D, factor=None) -> Gaussian values (re, im, e), (re + i im) 2^e, of ``seed`` at points near a centre.
 
-    Built once per seed at the working precision, and called under it.  The
-    centre is x + i y, with U = x 2^P and V = y 2^P > 0 integers, P the
-    working precision plus the guard bits.  Each point w takes an entry
-    (dU, dV, R, Tr, Ti) of D: w - (x + i y) = (dU + i dV) 2^-P,
-    R = dV 2^P / V as an integer, and t = (Tr + i Ti) 2^-P; its value is
-    the seed at w times factor (1 + t)^(-k), where the Gaussian ``factor``
+    Built once per seed and context (memoized), and called under the working
+    precision.  The centre is x + i y, with U = x 2^P and Y = y_c 2^(2P) > 0
+    integers for y_c = 4 pi |m| y (Y = V ``_y_scale`` for V = y 2^P on the
+    grid), P the working precision plus the guard bits.  Each point w takes
+    an entry (dU, dV, R, Tr, Ti) of D: w - (x + i y) = (dU + i dV) 2^-P, dV
+    within a unit, 4 pi |m| Im w = y_c (1 + r) for r = R 2^-P (R = dV 2^P / V
+    for a point on the grid), and t = (Tr + i Ti) 2^-P; its value is the seed
+    at w times factor (1 + t)^(-k), where the Gaussian ``factor``
     (Fr, Fi, f) = (Fr + i Fi) 2^f is the centre's j-factor (1 when None).
-
-    With y_c = 4 pi |m| y and r = R 2^-P, so that 4 pi |m| Im w = y_c (1 + r),
-    the seed at w is
+    The seed at w is
 
         y_c^E e^(-y_c/2) e(m x) (1 + r)^E F(r) exp(2 pi (i m dU - |m| dV) 2^-P),
 
@@ -733,34 +628,34 @@ def _seed_kernel(seed: Seed, ctx: PrecisionContext) -> Callable:
     m x reduced exactly to [0, 1), one logarithm (for ``ds`` or a
     non-integer E) and the caller's one j-factor; the confluent series is
     one per cluster (``_confluent``).  Each point then takes the binomial
-    series (1 + r)^E and (1 + t)^(-k), log1p(r) and the exponential's
-    series, on fixed-point integers, each to the order ``_series_order``
-    sets from the cluster's largest ratio for a remainder of
-    2^-(prec + 4), prec the working precision, so that together they stay
-    within 2^-prec of the value.  A single point is a cluster of one and
-    takes no series.  A cluster with max |r| >= 1/2 or an exponent of
-    modulus 1/2 or more takes each point as its own cluster.  Values keep
-    the P bits of the series.
+    series (1 + r)^E and (1 + t)^(-k), log1p(r) and the exponential's series
+    on fixed-point integers, each to the order ``_seed_order`` sets from the
+    cluster's largest ratio for a remainder of 2^-(prec + 4), prec the working
+    precision, so that together they stay within 2^-prec of the value: (1 + x)^e
+    has ratios |e - n|/(n + 1) <= (kappa + n)/(n + 1) for kappa = max(|e|, 1),
+    log1p(x)/x ratios below 1 (kappa 1).  A single point is a cluster of one and
+    takes no series.  A cluster with max |r| >= 1/2 or an exponent of modulus
+    1/2 or more takes each point as its own cluster.  Values keep P bits.
     """
-    P = mp.mp.prec + _KUMMER_GUARD_BITS
+    P = mp.mp.prec + GUARD_BITS
     one, m, k, ds = 1 << P, seed.m, seed.k, seed.ds
-    scale, two_pi = to_fixed(mpf_mul(mpf_pi(P), from_int(4 * abs(m)), P), P), pi_fixed(P) << 1
+    two_pi = pi_fixed(P) << 1
     (E, Q), jet = _confluent(k, seed.s, m < 0, ds, ctx)
     power = E // Q if not E % Q else None
     log2_tol = -mp.mp.prec - 4
     kappa_E, kappa_k = max(abs(E) / Q, 1), max(abs(k), 1)
 
-    def values(U: int, V: int, D: list, factor=None) -> list:
+    def values(U: int, Y: int, D: list, factor=None) -> list:
         Rs = [R for _, _, R, _, _ in D]
         # 2 pi (i m dU - |m| dV), the exponent of e(m w) / e(m (x + i y)), times 2^P
         W = [(-(two_pi * abs(m) * dV) >> P, two_pi * m * dU >> P) for dU, dV, _, _, _ in D]
         rho = max(map(abs, Rs)) / one
         w_max = max(math.hypot(Wr / one, Wi / one) for Wr, Wi in W)
         if rho >= 0.5 or w_max >= 0.5:
-            return [v for dU, dV, _, Tr, Ti in D
-                    for v in values(U + dU, V + dV, [(0, 0, 0, Tr, Ti)], factor)]
-        yc = from_man_exp(V * scale, -2 * P, P)  # y_c = 4 pi |m| y
-        Ks, Ls = jet(V * scale >> P, Rs)
+            return [v for dU, _, R, Tr, Ti in D
+                    for v in values(U + dU, Y + (Y * R >> P), [(0, 0, 0, Tr, Ti)], factor)]
+        yc = from_man_exp(Y, -2 * P, P)
+        Ks, Ls = jet(Y >> P, Rs)
         log_y = mpf_log(yc, P) if ds or power is None else None
         if power is None:
             pref = mpf_exp(mpf_sub(mpf_mul(from_man_exp(E, 1 - Q.bit_length()), log_y, P), mpf_shift(yc, -1), P), P)
@@ -769,7 +664,8 @@ def _seed_kernel(seed: Seed, ctx: PrecisionContext) -> Callable:
             if power:
                 pref = mpf_mul(pref, mpf_pow_int(yc, power, P), P)
         sign, man, e, _ = pref
-        cos, sin = cos_sin_fixed(((m * U) & (one - 1)) * two_pi >> P, P)
+        mx = (m * U) & (one - 1)  # m x reduced exactly to [0, 1), times 2^P
+        cos, sin = cos_sin_fixed(mx * two_pi >> P, P) if mx else (one, 0)
         if sign:
             man = -man
         Zr, Zi = man * cos >> P, man * sin >> P  # the centre's value over F is (Zr + i Zi) 2^e
@@ -777,19 +673,19 @@ def _seed_kernel(seed: Seed, ctx: PrecisionContext) -> Callable:
             Fr, Fi, f = factor
             Zr, Zi, e = Zr * Fr - Zi * Fi >> P, Zr * Fi + Zi * Fr >> P, e + f + P
         t_max = max(math.hypot(Tr / one, Ti / one) for _, _, _, Tr, Ti in D)
-        cR = _binomial_coeffs(E, Q, _series_order(rho, kappa_E, log2_tol), P) if rho and E else None
-        cL = _log1p_coeffs(_series_order(rho, 1, log2_tol), P) if rho and ds else None
-        cW = _exp_coeffs(_series_order(w_max, None, log2_tol), P) if w_max else None
-        cT = _binomial_coeffs(-k, 1, _series_order(t_max, kappa_k, log2_tol), P) if t_max else None
+        cR = _binomial_coeffs(E, Q, _seed_order(rho, kappa_E, log2_tol), P) if rho and E else None
+        cL = _log1p_coeffs(_seed_order(rho, 1, log2_tol), P) if rho and ds else None
+        cW = _exp_coeffs(_seed_order(w_max, None, log2_tol), P) if w_max else None
+        cT = _binomial_coeffs(-k, 1, _seed_order(t_max, kappa_k, log2_tol), P) if t_max else None
         Lc = to_fixed(log_y, P) if ds else 0
         out = []
         for (_, _, R, Tr, Ti), (Wr, Wi), K, L in zip(D, W, Ks, Ls):
-            F = ((Lc + (R * _taylor(cL, R, P) >> P if cL else 0)) * K >> P) + L if ds else K
+            F = ((Lc + (R * taylor(cL, R, P) >> P if cL else 0)) * K >> P) + L if ds else K
             if cR:
-                F = F * _taylor(cR, R, P) >> P
-            Br, Bi = _gauss_taylor(cW, Wr, Wi, P) if cW else (one, 0)
+                F = F * taylor(cR, R, P) >> P
+            Br, Bi = gauss_taylor(cW, Wr, Wi, P) if cW else (one, 0)
             if cT:
-                Cr, Ci = _gauss_taylor(cT, Tr, Ti, P)
+                Cr, Ci = gauss_taylor(cT, Tr, Ti, P)
                 Br, Bi = Br * Cr - Bi * Ci >> P, Br * Ci + Bi * Cr >> P
             Br, Bi = Br * F >> P, Bi * F >> P
             out.append((Zr * Br - Zi * Bi, Zr * Bi + Zi * Br, e - P))
@@ -808,21 +704,15 @@ def _seed_points(seed: Seed, points) -> list:
     return points
 
 
-def _to_mpc(value: tuple, P: int) -> mp.mpc:
-    """The Gaussian value (re, im, e) as an mpc that keeps P bits."""
-    re, im, e = value
-    return mp.make_mpc((from_man_exp(re, e, P), from_man_exp(im, e, P)))
-
-
 def seed_values(seed: Seed, points, ctx: PrecisionContext) -> list:
     """``seed`` at each of ``points`` (Im > 0), as one cluster about their mean: a stencil's values in one call."""
     with mp.workdps(ctx.work_dps):
         points = _seed_points(seed, points)
-        P = mp.mp.prec + _KUMMER_GUARD_BITS
+        P = mp.mp.prec + GUARD_BITS
         X, Y = [to_fixed(z.real._mpf_, P) for z in points], [to_fixed(z.imag._mpf_, P) for z in points]
         U, V = sum(X) // len(X), sum(Y) // len(Y)
         D = [(x - U, y - V, ((y - V) << P) // V, 0, 0) for x, y in zip(X, Y)]
-        return [_to_mpc(v, P) for v in _seed_kernel(seed, ctx)(U, V, D)]
+        return [gauss_mpc(v, P) for v in _seed_kernel(seed, ctx)(U, V * _y_scale(seed.m, P), D)]
 
 
 def psi_seed(k: int, m: int, z, ctx: PrecisionContext) -> mp.mpc:

@@ -173,10 +173,10 @@ def gamma_oracle(s, x, dps):
 
 
 def ray_term(n: int, w0, a, s: int, dps: int) -> mp.mpc:
-    """int_{w0}^{i oo} e^(2 pi i n w) (w + a)^(-s) dw for n >= 1 and Im(w0 + a) > 0, from ``gamma_oracle``.
+    """int_{w0}^{i oo} e^(2 pi i n w) (w + a)^(-s) dw for n >= 1, Im(w0 + a) >= 0 and w0 + a != 0, from ``gamma_oracle``.
 
     e^(-lam a) (-lam)^(s-1) Gamma(1-s, x) with lam = 2 pi i n and
-    x = -lam (w0 + a), Re x > 0, on Gamma's principal branch.
+    x = -lam (w0 + a), Re x >= 0, on Gamma's principal branch.
     """
     with mp.workdps(dps):
         lam = 2j * mp.pi * n

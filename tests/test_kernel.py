@@ -29,7 +29,8 @@ import periodlab.qforms as qforms
 from periodlab.eichler import eichler_integral
 from periodlab.kernel import QUAD_MAXDEGREE
 from periodlab.qforms import evaluate, q_parts
-from periodlab.regint import exp_ray_integral
+
+from oracles import ray_term
 
 
 def test_context_invariants():
@@ -89,10 +90,10 @@ RAY_KERNELS = ((-24, 0), (-10, 0), (-4, "0.3"), (12, mp.mpc("0.2", "0.5")), (16,
 
 
 @pytest.mark.parametrize("digits", [50, 80], ids=["50", "80"])
-def test_quad_ray_vs_exp_ray_integral(digits):
-    # e^(2 pi i n w) (w + a)^(-s) against its incomplete-gamma closed form,
-    # from cusp starts to high ones; the polynomial kernels (s < 0) need
-    # nodes far up the ray
+def test_quad_ray_vs_incomplete_gamma(digits):
+    # e^(2 pi i n w) (w + a)^(-s) against its incomplete-gamma closed form
+    # from mpmath, from cusp starts to high ones; the polynomial kernels
+    # (s < 0) need nodes far up the ray
     ctx = PrecisionContext(digits=digits)
     bound = mp.mpf(10) ** -(digits + 5)
     for y0 in ("0", "0.05", "0.4", "1", "3.7"):
@@ -102,7 +103,7 @@ def test_quad_ray_vs_exp_ray_integral(digits):
                 a = mp.mpc(a)
                 got = quad_ray(lambda w: mp.exp(2j * mp.pi * n * w) * (w + a) ** (-s), w0, ctx)
                 with mp.workdps(ctx.work_dps):
-                    want = exp_ray_integral(n, w0, a, s, ctx)
+                    want = ray_term(n, w0, a, s, ctx.work_dps + 10)
                     assert abs(got - want) <= bound * max(1, abs(want)), (y0, n, s)
 
 

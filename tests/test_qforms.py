@@ -28,7 +28,7 @@ from periodlab import (
     residual_scale,
     weakly_holomorphic_m10,
 )
-from periodlab import qforms
+from periodlab import fixedpoint, qforms
 from periodlab.eichler import GroupElement, S, T, eichler_integral
 from periodlab.qforms import DIM_ONE_WEIGHTS, certified_cusp_form
 from periodlab.qforms import _certified_length, _check_tail, _coeff_model, _sum_q_series, _to_mpc
@@ -405,7 +405,8 @@ def test_certified_length_matches_bisection(digits):
 
 def test_q_sum_work_does_not_grow_with_length(ctx, f_cusp16, monkeypatch):
     # the terms run on integers: one real exponential, one cosine/sine pair
-    # and the same mpc products for a 4-term and a 28-term sum
+    # (both in fixedpoint.q_parts) and the same mpc products for a 4-term and
+    # a 28-term sum
     F = eichler_integral(f_cusp16, ctx).series
     counts = {"exp": 0, "cos_sin": 0, "mul": 0}
 
@@ -416,8 +417,8 @@ def test_q_sum_work_does_not_grow_with_length(ctx, f_cusp16, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(qforms, "mpf_exp", counted("exp", qforms.mpf_exp))
-    monkeypatch.setattr(qforms, "mpf_cos_sin_pi", counted("cos_sin", qforms.mpf_cos_sin_pi))
+    monkeypatch.setattr(fixedpoint, "mpf_exp", counted("exp", fixedpoint.mpf_exp))
+    monkeypatch.setattr(fixedpoint, "mpf_cos_sin_pi", counted("cos_sin", fixedpoint.mpf_cos_sin_pi))
     monkeypatch.setattr(mp.mpc, "__mul__", counted("mul", mp.mpc.__mul__))
     seen = []
     for y in (10, 0.6):

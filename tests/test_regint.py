@@ -29,13 +29,12 @@ from periodlab import (
     xi_fd,
 )
 from periodlab.eichler import period_relations
+from periodlab.fixedpoint import log2_eps, series_order
 from periodlab.qforms import REDUCTION_HEIGHT, _sum_q_series, certified_cusp_form
 from periodlab.regint import (
     SPLIT_HEIGHT,
     _hat_stencil,
-    _jet_order,
     _star_stencil,
-    exp_ray_integral,
     hat_relation_residuals,
     hat_star,
     ray_sum,
@@ -288,7 +287,7 @@ def test_ray_sum_jet_vs_direct_stencil(form, digits):
             for w0, shift in ((z0, lambda w: -1 / w), (S.apply(z0), lambda w: w)):
                 a = shift(z)
                 deltas = [shift(w) - a for w in points]
-                J = _jet_order(k, max(map(abs, deltas)) / abs(w0 + a), ctx)
+                J = series_order(float(max(map(abs, deltas)) / abs(w0 + a)), k, log2_eps(ctx))
                 jet = ray_sum(M, w0, a, k, ctx, J=J)
                 assert J >= 3 and len(jet) == J + 1
                 for j, (value, log_err) in enumerate(jet):
@@ -336,7 +335,7 @@ def test_principal_jet_vs_direct_stencil(f_wh, digits):
             for w0, shift in ((z0, lambda w: -1 / w), (S.apply(z0), lambda w: w)):
                 a = shift(z)
                 deltas = [shift(w) - a for w in points]
-                J = _jet_order(k, max(map(abs, deltas)) / abs(w0 + a), ctx)
+                J = series_order(float(max(map(abs, deltas)) / abs(w0 + a)), k, log2_eps(ctx))
                 principal = _principal_part(f_wh, w0, a, k, ctx, J=J)
                 assert J >= 3 and len(principal) == J + 1
                 for j, value in enumerate(principal):
@@ -515,7 +514,7 @@ def test_ray_sum_needs_positive_height(ctx, f_delta):
 
 def test_principal_term_vs_slant_contour(ctx):
     for (n, w0, z) in ((-1, mp.mpc(0, 2), mp.mpc("0.3", "1.2")), (-2, mp.mpc("0.4", 1), mp.mpc("0.1", "0.9"))):
-        got = exp_ray_integral(n, w0, z, 12, ctx)
+        got = reg_integral_to_icusp(one_term_series(n), w0, z, 12, ctx)
         oracle = slant_oracle(n, w0, z, 12)
         assert abs(got - oracle) <= mp.mpf("1e-40") * (1 + abs(got))
 
@@ -523,12 +522,12 @@ def test_principal_term_vs_slant_contour(ctx):
 def test_principal_term_vs_ibp_closed_form(ctx):
     # the worked single-term example: e^(-2 pi i w) against 1/(w + i)^12, z0 = i
     n, w0, z, k = -1, mp.mpc(0, 1), mp.mpc(0, 1), 12
-    got = exp_ray_integral(n, w0, z, k, ctx)
+    got = reg_integral_to_icusp(one_term_series(n), w0, z, k, ctx)
     want = ibp_oracle(n, w0, z, k)
     assert abs(got - want) <= mp.mpf("1e-50") * (1 + abs(got))
     # and at a generic point
     n, w0, z = -2, mp.mpc("0.3", "1.5"), mp.mpc("0.2", "0.8")
-    got = exp_ray_integral(n, w0, z, 12, ctx)
+    got = reg_integral_to_icusp(one_term_series(n), w0, z, 12, ctx)
     want = ibp_oracle(n, w0, z, 12)
     assert abs(got - want) <= mp.mpf("1e-50") * (1 + abs(got))
 
@@ -537,7 +536,7 @@ def test_e1_continued_branches(ctx):
     # s = 1, n = -1, a = 0: the term is Gamma(0, x) = E1(x) at x = 2 pi i w0,
     # continued with arg x in (0, 2 pi): the upper edge of the negative real
     # axis, the principal branch above it and one turn on below it
-    e1 = lambda x: exp_ray_integral(-1, x / (2j * mp.pi), 0, 1, ctx)
+    e1 = lambda x: reg_integral_to_icusp(one_term_series(-1), x / (2j * mp.pi), 0, 1, ctx)
     with mp.workdps(ctx.work_dps):
         assert abs(e1(mp.mpc(-4, 0)) - (-mp.ei(4) - 1j * mp.pi)) < mp.mpf("1e-60")
         assert abs(e1(mp.mpc(-3, 2)) - mp.e1(mp.mpc(-3, 2))) < mp.mpf("1e-60")
@@ -832,6 +831,6 @@ def test_hat_stencil_sum_at_z_meets_hat_star(form, digits):
             err = ctx.eps() * abs(want)
             for w0, a, scale, deltas in ((z0, -1 / z, z ** (-k), [(w - z) / (z * w) for w in points]),
                                          (S.apply(z0), z, 1, [w - z for w in points])):
-                J = _jet_order(k, max(map(abs, deltas)) / abs(w0 + a), ctx)
+                J = series_order(float(max(map(abs, deltas)) / abs(w0 + a)), k, log2_eps(ctx))
                 err += mp.exp(ray_sum(M, w0, a, k, ctx, scale)[1]) + abs(scale) * mp.exp(ray_sum(M, w0, a, k, ctx, J=J)[0][1])
             assert abs(h - want) <= err, z

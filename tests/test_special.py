@@ -19,19 +19,19 @@ from periodlab import (
     whittaker_derivative_identity_check,
 )
 from periodlab.eichler import GroupElement
+from periodlab.fixedpoint import GUARD_BITS, fixed, gauss_taylor, log2_eps, series_order
 from periodlab.special import (
     _CF_GUARD_BITS,
-    _KUMMER_GUARD_BITS,
     _binomial_coeffs,
+    _confluent,
+    _dyadic,
     _exp_coeffs,
-    _fixed,
-    _gauss_taylor,
-    _kummer_series,
+    _kummer_sums,
     _legendre_fraction,
     _log1p_coeffs,
     _negint_series,
     _on_fraction,
-    _series_order,
+    _seed_order,
 )
 
 import oracles
@@ -227,7 +227,7 @@ def test_legendre_fraction_exact_end_steps(ctx, m, steps):
     # m - 1 steps it ran, at e^x x^(-m) Gamma(m, x) = (m-1)! sum_{j<m} x^(j-m)/j!
     P = 200
     for x in (mp.mpf("0.75"), mp.mpc("3.5", "-40")):  # exact at P bits
-        got = _legendre_fraction(_fixed(m, P), _fixed(x, P), P, -P)
+        got = _legendre_fraction(fixed(m, P), fixed(x, P), P, -P)
         assert got[-1] == steps
         with mp.workdps(2 * ctx.work_dps):
             want = mp.factorial(m - 1) * mp.fsum(x ** (j - m) / mp.factorial(j) for j in range(m))
@@ -258,7 +258,7 @@ def test_legendre_fraction_at_ray_sum_tolerances(digits):
     def check(case):
         order, x, u = case
         log2_tol = log2_eps + u * (-20 - log2_eps)
-        got = _legendre_fraction(_fixed(order, P), _fixed(x, P), P, log2_tol)
+        got = _legendre_fraction(fixed(order, P), fixed(x, P), P, log2_tol)
         with mp.workdps(2 * ctx.work_dps):
             want = mp.exp(x) * x ** -order * gamma_oracle(order, x, 2 * ctx.work_dps)
             assert abs(fraction_ratio(got) - want) <= mp.mpf(2) ** (log2_tol + 2) * abs(want), (order, x, log2_tol)
@@ -324,9 +324,9 @@ def test_legendre_fraction_vs_forward_wallis(digits):
     def check(case):
         order, x, u = case
         log2_tol = log2_eps + u * (-20 - log2_eps)
-        S, X = _fixed(order, P), _fixed(x, P)
+        S, X = fixed(order, P), fixed(x, P)
         got = _legendre_fraction(S, X, P, log2_tol)
-        ref = legendre_fraction_forward(_fixed(order, P + 64), _fixed(x, P + 64), P + 64, log2_tol - 64)
+        ref = legendre_fraction_forward(fixed(order, P + 64), fixed(x, P + 64), P + 64, log2_tol - 64)
         with mp.workprec(2 * P):
             want = fraction_ratio(ref)
             assert abs(fraction_ratio(got) - want) <= mp.mpf(2) ** (log2_tol + 2) * abs(want), case
@@ -419,11 +419,14 @@ def test_whittaker_integral_raises_when_unconverged(ctx, monkeypatch):
 
 def test_whittaker_vs_mpmath(ctx):
     # seeded random (k, s, u) on both signs of u: error <= 10^-(digits+5) (1 + |v|)
-    # against mpmath's whitm at twice the working precision
+    # against mpmath's whitm at twice the working precision; and |u| far
+    # below 1, where y^(s - k/2) scales a relative error in y by |s - k/2|: a
+    # y rounded to a grid of 2^-P (P the working precision plus 20 bits)
+    # read 4.8e-52 off at 1e-20 and 4.7e-42 at 1e-30
     bound = mp.mpf(10) ** -(ctx.digits + 5)
     rng = random.Random(3)
-    for _ in range(20):
-        k, s, u = rng.choice([-10, 2, 4, 12, 16]), mp.mpf(rng.uniform(0.6, 8)), mp.mpf(rng.uniform(-8, 8))
+    cases = [(rng.choice([-10, 2, 4, 12, 16]), mp.mpf(rng.uniform(0.6, 8)), mp.mpf(rng.uniform(-8, 8))) for _ in range(20)]
+    for k, s, u in cases + [(12, mp.mpf(2), mp.mpf("1e-20")), (4, mp.mpf("0.5"), mp.mpf("-1e-15")), (-10, mp.mpf(3), mp.mpf("1e-30"))]:
         got = cal_M(k, s, u, ctx)
         want = whitm_cal_M(k, s, u, 2 * ctx.work_dps)
         with mp.workdps(2 * ctx.work_dps):
@@ -465,7 +468,10 @@ def test_kummer_series_ds_property(digits):
     def check(case):
         a, b, y = case
         with mp.workdps(ctx.work_dps):
-            value, got = _kummer_series(a, b, y, ctx, ds=True)
+            P = mp.mp.prec + GUARD_BITS
+            Q, A, B = _dyadic(a, b)
+            S0, _, dS0, _ = _kummer_sums(A, B, Q, mp.mpf(y).to_fixed(P), P, log2_eps(ctx), True, False)
+            value, got = mp.mpf((S0, -P)), mp.mpf((dS0, -P))
         with mp.workdps(2 * ctx.work_dps):
             want = mp.diff(lambda t: mp.hyp1f1(a + t, b + 2 * t, y), 0)
             assert abs(got - want) <= bound * (1 + abs(want)), (a, b, y)
@@ -492,7 +498,10 @@ def test_kummer_series_property(digits):
     def check(case):
         a, b, y = case
         with mp.workdps(ctx.work_dps):
-            got = _kummer_series(a, b, y, ctx)
+            P = mp.mp.prec + GUARD_BITS
+            Q, A, B = _dyadic(a, b)
+            S0, _, _, _ = _kummer_sums(A, B, Q, mp.mpf(y).to_fixed(P), P, log2_eps(ctx), False, False)
+            got = mp.mpf((S0, -P))
         with mp.workdps(2 * ctx.work_dps):
             want = mp.hyp1f1(a, b, y)
             assert abs(got - want) <= bound * (1 + abs(want)), (a, b, y)
@@ -660,27 +669,45 @@ def test_whittaker_nested_difference_oracle(digits):
 @pytest.mark.parametrize("digits", [30, 50])
 def test_seed_series_meet_their_bound(digits):
     # each point of a seed cluster takes exp, (1 + x)^e and log1p series to the
-    # order _series_order sets for a remainder of 2^-(prec + 4); at the largest
-    # ratio a stencil of step fd_step gives them (2 pi h for the exponential,
+    # order _seed_order sets for a remainder of 2^-(prec + 4); a cluster's
+    # confluent jet (kummer: 1F1(11; 12; y) about y_c = 4 pi, the dual-weight
+    # seed's) and regint's a-jet (ajet: the binomial series (1 + x)^(-12) of
+    # (w + a + delta)^(-12)) take series_order at eps.  At the largest ratio a
+    # stencil of step fd_step gives them (2 pi h for the exponential,
     # h / Im z with Im z = 1 for the others) each meets mpmath, taken far past
-    # that bound, within it
+    # that bound, within it.  A ratio bound (kappa + n)/(n + 1) cannot fall
+    # below 1 at rho = 1, nor at rho = 0.5, which the seed's order rounds up
+    # to 1: both raise, where the order loop never ended
     ctx = PrecisionContext(digits=digits)
     rng = random.Random(digits)
     with mp.workdps(ctx.work_dps):
         prec, h = mp.mp.prec, ctx.fd_step
-    P = prec + _KUMMER_GUARD_BITS
-    log2_tol = -prec - 4
+        _, kummer_jet = _confluent(-10, mp.mpf(6), False, False, ctx)
+    P = prec + GUARD_BITS
+    log2_tol, eps_tol = -prec - 4, log2_eps(ctx)
+    Yc = int(mp.nint(4 * mp.pi * 2 ** P))
     with mp.workprec(2 * P):
-        for rho, kind in ((2 * mp.pi * h, "exp"), (h, -12), (h, 10), (h, "log1p")):
+        for rho, kind in ((2 * mp.pi * h, "exp"), (h, -12), (h, 10), (h, "log1p"), (h, "kummer"), (h, "ajet")):
             for _ in range(8):
-                x = rho * (mp.expjpi(rng.uniform(-1, 1)) if kind != "log1p" else rng.choice((-1, 1)))
+                x = rho * (mp.expjpi(rng.uniform(-1, 1)) if kind not in ("log1p", "kummer") else rng.choice((-1, 1)))
                 Xr, Xi = int(mp.nint(mp.re(x) * 2 ** P)), int(mp.nint(mp.im(x) * 2 ** P))
                 x = mp.mpc(Xr, Xi) / 2 ** P
+                if kind == "kummer":
+                    got, want = kummer_jet(Yc, [Xr])[0][0] / mp.mpf(2) ** P, mp.hyp1f1(11, 12, Yc * (1 + x.real) / mp.mpf(2) ** P)
+                    assert abs(got - want) <= mp.mpf(2) ** (eps_tol + 1) * (1 + abs(want)), (kind, x)
+                    continue
                 if kind == "exp":
-                    c, want = _exp_coeffs(_series_order(float(rho), None, log2_tol), P), mp.exp(x)
+                    c, want = _exp_coeffs(_seed_order(float(rho), None, log2_tol), P), mp.exp(x)
                 elif kind == "log1p":
-                    c, want = _log1p_coeffs(_series_order(float(rho), 1, log2_tol), P), mp.log1p(x.real) / x.real
+                    c, want = _log1p_coeffs(_seed_order(float(rho), 1, log2_tol), P), mp.log1p(x.real) / x.real
+                elif kind == "ajet":
+                    c, want = _binomial_coeffs(-12, 1, series_order(float(rho), 12, eps_tol), P), (1 + x) ** -12
                 else:
-                    c, want = _binomial_coeffs(kind, 1, _series_order(float(rho), abs(kind), log2_tol), P), (1 + x) ** kind
-                got = mp.mpc(*_gauss_taylor(c, Xr, Xi, P)) / 2 ** P
-                assert abs(got - want) <= mp.mpf(2) ** log2_tol * abs(want), (kind, x)
+                    c, want = _binomial_coeffs(kind, 1, _seed_order(float(rho), abs(kind), log2_tol), P), (1 + x) ** kind
+                got = mp.mpc(*gauss_taylor(c, Xr, Xi, P)) / 2 ** P
+                tol = eps_tol if kind == "ajet" else log2_tol
+                assert abs(got - want) <= mp.mpf(2) ** tol * abs(want), (kind, x)
+    for order, rho in ((_seed_order, 0.5), (series_order, 1.0)):
+        for kappa in (1, 12):
+            with pytest.raises(ValueError):
+                order(rho, kappa, log2_tol)
